@@ -203,10 +203,18 @@ impl BlockPostings {
     /// [`BlockPostings::decode_block_tfs`] until a tf is actually read
     /// — blocks that are bounded out never pay for their tf section.
     pub(crate) fn decode_block_docs(&self, b: usize, docs: &mut Vec<u32>) {
+        docs.clear();
+        docs.resize(usize::from(self.headers[b].count), 0);
+        self.decode_block_docs_into(b, docs);
+    }
+
+    /// [`BlockPostings::decode_block_docs`] into caller-provided
+    /// scratch of at least the block's count (a `[u32; BLOCK_DOCS]` on
+    /// the stack always fits). Returns the block's count.
+    pub(crate) fn decode_block_docs_into(&self, b: usize, docs: &mut [u32]) -> usize {
         let h = self.headers[b];
         let count = usize::from(h.count);
-        docs.clear();
-        docs.resize(count, 0);
+        let docs = &mut docs[..count];
         unpack_bits(
             &self.data[h.offset as usize..],
             count,
@@ -222,16 +230,28 @@ impl BlockPostings {
             prev = prev.wrapping_add(*d);
             *d = prev;
         }
+        count
     }
 
     /// Decode only block `b`'s term frequencies.
     pub(crate) fn decode_block_tfs(&self, b: usize, tfs: &mut Vec<u32>) {
+        tfs.clear();
+        tfs.resize(usize::from(self.headers[b].count), 0);
+        self.decode_block_tfs_into(b, tfs);
+    }
+
+    /// [`BlockPostings::decode_block_tfs`] into caller-provided scratch
+    /// of at least the block's count.
+    pub(crate) fn decode_block_tfs_into(&self, b: usize, tfs: &mut [u32]) {
         let h = self.headers[b];
         let count = usize::from(h.count);
-        tfs.clear();
-        tfs.resize(count, 0);
         let base = h.offset as usize + packed_byte_len(count, h.doc_bits.into());
-        unpack_bits(&self.data[base..], count, h.tf_bits.into(), tfs);
+        unpack_bits(
+            &self.data[base..],
+            count,
+            h.tf_bits.into(),
+            &mut tfs[..count],
+        );
     }
 
     /// Lenient decode of block `b`: validates the header against the

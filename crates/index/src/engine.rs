@@ -984,22 +984,51 @@ impl Engine {
     }
 
     /// The `TermStats` entry for one term of the ranking expression in
-    /// one result document (§4.2).
+    /// one result document (§4.2). Callers reporting a whole result
+    /// list resolve the term once with [`Engine::resolve_term`].
     pub fn term_stats(&self, doc: DocId, spec: &TermSpec) -> TermStat {
-        let Some(field) = self.resolve_field(spec) else {
-            return TermStat {
-                tf: 0,
-                weight: 0.0,
-                df: 0,
-            };
-        };
-        let keys = self.resolve_keys(field, spec);
-        let (tf, df) = self.tf_df(doc, field, &keys);
-        let weight = self.ranking.term_weight(&self.stats_for(doc, tf, df));
-        TermStat { tf, weight, df }
+        self.resolve_term(spec).stats(doc)
+    }
+
+    /// Resolve a term once — field, vocabulary keys, document
+    /// frequency, posting lists — so its `TermStats` for any number of
+    /// documents cost one posting lookup each. A spec that needs a
+    /// vocabulary scan pays for the scan here, not per document.
+    pub fn resolve_term(&self, spec: &TermSpec) -> ResolvedTerm<'_> {
+        self.bind_term(self.resolve_spec(spec).as_ref())
+    }
+
+    /// Attach this engine's posting lists to an already-resolved key
+    /// set. Shards of one collection share the keys (they resolve
+    /// against the collection-wide vocabulary) and differ only here.
+    pub(crate) fn bind_term(&self, keys: Option<&SpecKeys>) -> ResolvedTerm<'_> {
+        ResolvedTerm {
+            engine: self,
+            df: keys.map(|k| k.df),
+            postings: keys.map_or_else(Vec::new, |k| self.postings_of(k)),
+        }
     }
 
     // ---- internals ----
+
+    /// Resolve a spec to its field, the vocabulary keys it matches and
+    /// their document frequency (the max over keys; global when this
+    /// engine is a shard). `None` when the schema lacks the field.
+    pub(crate) fn resolve_spec(&self, spec: &TermSpec) -> Option<SpecKeys> {
+        let field = self.resolve_field(spec)?;
+        let keys = self.resolve_keys(field, spec);
+        let df = keys.iter().map(|k| self.df_of(field, k)).max().unwrap_or(0);
+        Some(SpecKeys { field, keys, df })
+    }
+
+    /// The local posting lists of a resolved key set, in key order
+    /// (keys only another shard indexed have none here).
+    fn postings_of(&self, keys: &SpecKeys) -> Vec<&PostingsList> {
+        keys.keys
+            .iter()
+            .filter_map(|key| self.index.postings(keys.field, key))
+            .collect()
+    }
 
     fn resolve_field(&self, spec: &TermSpec) -> Option<FieldId> {
         match &spec.field {
@@ -1245,16 +1274,12 @@ impl Engine {
                 // finite bound needs exactly one vocabulary key, because
                 // multi-key leaves sum tf across keys and take the max
                 // df — neither of which the per-key envelope covers.
-                let mut n_keys = 0usize;
                 let mut single = None;
-                if let Some(field) = self.resolve_field(spec) {
-                    for key in self.resolve_keys(field, spec) {
-                        n_keys += 1;
-                        ctx.df = ctx.df.max(self.df_of(field, &key));
-                        if let Some(postings) = self.index.postings(field, &key) {
-                            ctx.postings.push(postings);
-                        }
-                        single = (n_keys == 1).then_some((field, key));
+                if let Some(mut resolved) = self.resolve_spec(spec) {
+                    ctx.df = resolved.df;
+                    ctx.postings = self.postings_of(&resolved);
+                    if resolved.keys.len() == 1 {
+                        single = resolved.keys.pop().map(|key| (resolved.field, key));
                     }
                 }
                 // Comparison leaves match on stored field values; their
@@ -1609,6 +1634,46 @@ impl Engine {
                 });
             }
         }
+    }
+}
+
+/// What a term spec resolves to against the collection vocabulary.
+#[derive(Debug)]
+pub(crate) struct SpecKeys {
+    field: FieldId,
+    /// Matched vocabulary terms, sorted.
+    keys: Vec<String>,
+    /// Max document frequency over `keys` (0 when none matched).
+    df: u32,
+}
+
+/// A ranking term resolved once against an [`Engine`]
+/// ([`Engine::resolve_term`]): what `TermStats` reporting needs to
+/// answer per document without repeating the resolution.
+#[derive(Debug)]
+pub struct ResolvedTerm<'a> {
+    engine: &'a Engine,
+    /// `None` when the schema lacks the spec's field.
+    df: Option<u32>,
+    postings: Vec<&'a PostingsList>,
+}
+
+impl ResolvedTerm<'_> {
+    /// The term's `TermStats` entry for one document: tf summed over
+    /// the matched keys, the engine's weight for that tf, and the
+    /// collection document frequency.
+    pub fn stats(&self, doc: DocId) -> TermStat {
+        let Some(df) = self.df else {
+            return TermStat {
+                tf: 0,
+                weight: 0.0,
+                df: 0,
+            };
+        };
+        let tf = self.postings.iter().map(|p| p.tf_of(doc)).sum();
+        let engine = self.engine;
+        let weight = engine.ranking.term_weight(&engine.stats_for(doc, tf, df));
+        TermStat { tf, weight, df }
     }
 }
 

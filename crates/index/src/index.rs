@@ -11,7 +11,7 @@ use std::collections::{BTreeSet, HashMap};
 
 use starts_text::{Analyzer, LangTag};
 
-use crate::blocks::BlockPostings;
+use crate::blocks::{BlockPostings, BLOCK_DOCS};
 use crate::doc::{DocId, Document};
 use crate::schema::{FieldId, Schema, ANY_FIELD};
 
@@ -122,11 +122,14 @@ impl PostingsList {
         if b == n {
             return None;
         }
-        let mut docs = Vec::new();
-        let mut tfs = Vec::new();
-        self.blocks.decode_block(b, &mut docs, &mut tfs);
-        let i = docs.binary_search(&doc.0).ok()?;
-        Some((b * crate::blocks::BLOCK_DOCS + i, tfs[i]))
+        // Stack scratch: a point lookup must not allocate (result
+        // construction calls this once per (document, term)).
+        let mut docs = [0u32; BLOCK_DOCS];
+        let count = self.blocks.decode_block_docs_into(b, &mut docs);
+        let i = docs[..count].binary_search(&doc.0).ok()?;
+        let mut tfs = [0u32; BLOCK_DOCS];
+        self.blocks.decode_block_tfs_into(b, &mut tfs);
+        Some((b * BLOCK_DOCS + i, tfs[i]))
     }
 
     /// Term frequency of a document, 0 when absent.
@@ -282,6 +285,17 @@ pub struct PostingsFootprint {
 }
 
 impl PostingsFootprint {
+    /// Account for one posting list.
+    fn add_list(&mut self, list: &PostingsList) {
+        self.lists += 1;
+        self.postings += list.len() as u64;
+        self.block_bytes += list.blocks.bytes();
+        if list.has_positions() {
+            self.positional_lists += 1;
+            self.positional_bytes += list.positional_bytes();
+        }
+    }
+
     /// Fold another footprint into this one (shard aggregation).
     pub fn merge(&mut self, other: &PostingsFootprint) {
         self.lists += other.lists;
@@ -305,6 +319,9 @@ pub struct Index {
     /// Languages observed per field, for metadata export.
     field_langs: HashMap<FieldId, BTreeSet<LangTag>>,
     positions_stored: bool,
+    /// Accumulated by [`IndexBuilder::build`] as each list is frozen;
+    /// the index is immutable afterwards, so it never goes stale.
+    footprint: PostingsFootprint,
 }
 
 /// Build-time accumulation for one posting list: columnar doc/tf plus
@@ -349,6 +366,7 @@ impl IndexBuilder {
                 total_tokens: 0,
                 field_langs: HashMap::new(),
                 positions_stored: true,
+                footprint: PostingsFootprint::default(),
             },
             scratch: HashMap::new(),
             store_positions: true,
@@ -456,9 +474,9 @@ impl IndexBuilder {
                     positions: scratch.positions,
                 }
             });
-            index
-                .postings
-                .insert(key, PostingsList { blocks, positions });
+            let list = PostingsList { blocks, positions };
+            index.footprint.add_list(&list);
+            index.postings.insert(key, list);
         }
         index
     }
@@ -633,19 +651,10 @@ impl Index {
     /// Memory held by posting storage, split into the bit-packed block
     /// streams and the positional arenas, so both the codec's
     /// compression ratio and the positional diet are directly
-    /// observable.
+    /// observable. Accumulated once at build time; this is a copy of
+    /// five integers.
     pub fn postings_footprint(&self) -> PostingsFootprint {
-        let mut fp = PostingsFootprint::default();
-        for list in self.postings.values() {
-            fp.lists += 1;
-            fp.postings += list.len() as u64;
-            fp.block_bytes += list.blocks.bytes();
-            if list.has_positions() {
-                fp.positional_lists += 1;
-                fp.positional_bytes += list.positional_bytes();
-            }
-        }
-        fp
+        self.footprint
     }
 }
 

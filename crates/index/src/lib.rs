@@ -43,7 +43,8 @@ pub use blocks::{BlockCursor, BlockHeader, BlockPostings, BLOCK_DOCS};
 pub use boolean::BoolNode;
 pub use doc::{DocId, Document, FieldValue};
 pub use engine::{
-    Engine, EngineConfig, Hit, PruneMode, PruneReport, RankNode, ShardPolicy, TermStat,
+    Engine, EngineConfig, Hit, PruneMode, PruneReport, RankNode, ResolvedTerm, ShardPolicy,
+    TermStat,
 };
 pub use index::{
     Index, IndexBuilder, PositionsMode, PostingsFootprint, PostingsIter, PostingsList, TermBounds,
@@ -51,5 +52,5 @@ pub use index::{
 pub use matchspec::{CmpOp, TermMatch, TermSpec};
 pub use ranking::{ranking_by_id, RankingAlgorithm, ScoreRange};
 pub use schema::{FieldId, Schema, ANY_FIELD};
-pub use sharded::{CollectionStats, SearchOptions, ShardedEngine};
+pub use sharded::{CollectionStats, SearchOptions, ShardedEngine, ShardedTerm};
 pub use topk::{merge_ranked, SharedThreshold, TopK};

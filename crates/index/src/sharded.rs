@@ -27,8 +27,8 @@ use starts_text::{Analyzer, LangTag, Thesaurus};
 use crate::boolean::BoolNode;
 use crate::doc::{DocId, Document};
 use crate::engine::{
-    Engine, EngineConfig, Hit, PruneCounters, PruneHooks, PruneReport, RankNode, ShardPolicy,
-    TermStat,
+    Engine, EngineConfig, Hit, PruneCounters, PruneHooks, PruneReport, RankNode, ResolvedTerm,
+    ShardPolicy, TermStat,
 };
 use crate::index::{Index, IndexBuilder, PostingsFootprint};
 use crate::matchspec::TermSpec;
@@ -135,6 +135,8 @@ pub struct ShardedEngine {
     bases: Vec<u32>,
     n_docs: u32,
     collection: Option<Arc<CollectionStats>>,
+    /// Sum of the shards' build-time footprints.
+    footprint: PostingsFootprint,
 }
 
 impl std::fmt::Debug for ShardedEngine {
@@ -195,6 +197,7 @@ impl ShardedEngine {
             let engine = Engine::build(docs, config);
             let n_docs = engine.index().n_docs();
             return ShardedEngine {
+                footprint: engine.index().postings_footprint(),
                 shards: vec![engine],
                 bases: vec![0],
                 n_docs,
@@ -281,11 +284,16 @@ impl ShardedEngine {
                 .collect()
         })
         .expect("shard engine scope");
+        let mut footprint = PostingsFootprint::default();
+        for shard in &shards {
+            footprint.merge(&shard.index().postings_footprint());
+        }
         ShardedEngine {
             shards,
             bases,
             n_docs: next,
             collection: Some(collection),
+            footprint,
         }
     }
 
@@ -585,13 +593,10 @@ impl ShardedEngine {
 
     /// Memory held by the postings representations, summed across all
     /// shards — the bit-packed block postings search runs on, plus any
-    /// positional arenas kept for `prox` evaluation.
+    /// positional arenas kept for `prox` evaluation. Summed once at
+    /// build time.
     pub fn postings_footprint(&self) -> PostingsFootprint {
-        let mut total = PostingsFootprint::default();
-        for shard in &self.shards {
-            total.merge(&shard.index().postings_footprint());
-        }
-        total
+        self.footprint
     }
 
     /// Mean document length in tokens across all shards.
@@ -630,8 +635,24 @@ impl ShardedEngine {
     /// identical to the monolithic engine's (tf is document-local, df and
     /// the weight's collection inputs are global).
     pub fn term_stats(&self, doc: DocId, spec: &TermSpec) -> TermStat {
-        let (shard, local) = self.locate(doc);
-        self.shards[shard].term_stats(local, spec)
+        self.resolve_term(spec).stats(doc)
+    }
+
+    /// Resolve a term once for a whole result list (see
+    /// [`Engine::resolve_term`]). Field, keys and document frequency
+    /// resolve against the collection-wide vocabulary every shard
+    /// shares, so they are computed once; only the posting lists are
+    /// looked up per shard.
+    pub fn resolve_term(&self, spec: &TermSpec) -> ShardedTerm<'_> {
+        let keys = self.shards[0].resolve_spec(spec);
+        ShardedTerm {
+            engine: self,
+            shards: self
+                .shards
+                .iter()
+                .map(|shard| shard.bind_term(keys.as_ref()))
+                .collect(),
+        }
     }
 
     /// Languages observed in a field's values, across all shards
@@ -645,6 +666,22 @@ impl ShardedEngine {
         langs.sort_unstable();
         langs.dedup();
         langs
+    }
+}
+
+/// A ranking term resolved once against every shard of a
+/// [`ShardedEngine`] ([`ShardedEngine::resolve_term`]).
+#[derive(Debug)]
+pub struct ShardedTerm<'a> {
+    engine: &'a ShardedEngine,
+    shards: Vec<ResolvedTerm<'a>>,
+}
+
+impl ShardedTerm<'_> {
+    /// The term's `TermStats` entry for one document (global id).
+    pub fn stats(&self, doc: DocId) -> TermStat {
+        let (shard, local) = self.engine.locate(doc);
+        self.shards[shard].stats(local)
     }
 }
 

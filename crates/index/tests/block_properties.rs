@@ -8,7 +8,10 @@
 //! scan would, under arbitrary interleavings of `next` and `next_geq`.
 
 use proptest::prelude::*;
-use starts_index::{BlockCursor, BlockHeader, BlockPostings, BLOCK_DOCS};
+use starts_index::{
+    BlockCursor, BlockHeader, BlockPostings, DocId, Document, IndexBuilder, ANY_FIELD, BLOCK_DOCS,
+};
+use starts_text::Analyzer;
 
 /// An arbitrary posting list: strictly increasing doc ids built from
 /// arbitrary positive gaps (1 to a whole-block-sized jump), each with an
@@ -170,7 +173,56 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
     )
 }
 
+/// Which of `n` documents hold the probe term, and how often. The
+/// member counts pin the block shapes a point lookup can land in: a
+/// lone single-doc block, exactly full blocks, a single-doc last block
+/// after full ones, and arbitrary last-block tails.
+fn arb_membership() -> impl Strategy<Value = Vec<u32>> {
+    let b = BLOCK_DOCS;
+    let max = 3 * b + 40;
+    (
+        prop_oneof![Just(1usize), Just(b), Just(b + 1), Just(2 * b + 1), 1..max,],
+        proptest::collection::vec((1u32..5, any::<bool>()), max),
+    )
+        .prop_map(|(members, drawn)| {
+            // A non-member document (tf 0) after some members, so
+            // absent ids fall inside blocks as well as past the end.
+            drawn
+                .into_iter()
+                .take(members)
+                .flat_map(|(tf, gap)| if gap { vec![tf, 0] } else { vec![tf] })
+                .collect()
+        })
+}
+
 proptest! {
+    /// `PostingsList::find` — header seek plus one block decoded on the
+    /// stack — answers exactly what a linear scan of the list does, for
+    /// members and non-members alike.
+    #[test]
+    fn find_equals_linear_scan(tfs in arb_membership()) {
+        let mut builder = IndexBuilder::new(Analyzer::default());
+        for &tf in &tfs {
+            let text = match tf {
+                0 => "filler".to_string(),
+                n => vec!["probe"; n as usize].join(" "),
+            };
+            builder.add(&Document::new().field("body-of-text", text));
+        }
+        let index = builder.build();
+        let list = index.postings(ANY_FIELD, "probe").expect("at least one member");
+        let scanned: Vec<(DocId, u32)> = list.docs_tfs().collect();
+        prop_assert_eq!(scanned.len(), tfs.iter().filter(|&&tf| tf > 0).count());
+        for doc in (0..tfs.len() as u32 + 2).map(DocId) {
+            let expect = scanned
+                .iter()
+                .position(|&(d, _)| d == doc)
+                .map(|i| (i, scanned[i].1));
+            prop_assert_eq!(list.find(doc), expect, "doc={:?}", doc);
+            prop_assert_eq!(list.tf_of(doc), expect.map_or(0, |(_, tf)| tf));
+        }
+    }
+
     /// Encode → decode is the identity, block structure included.
     #[test]
     fn codec_round_trips(postings in arb_postings()) {

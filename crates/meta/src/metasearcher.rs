@@ -79,6 +79,24 @@ impl Default for MetaConfig {
     }
 }
 
+impl MetaConfig {
+    /// What every owner of a config does once at construction: apply
+    /// the slow budget to the recorder, and register the health board
+    /// and the recorder as snapshot-time collectors on `obs` — their
+    /// `health.*` / `recorder.*` gauges are refreshed whenever the
+    /// registry is sampled (`Monitor::tick`, `/stats`, any exporter),
+    /// not on the query path. Registration is weak and idempotent: a
+    /// `Metasearcher` and a serving layer sharing one board export it
+    /// once, and a board dropped with its owner stops being collected.
+    pub fn install(&self, obs: &starts_obs::Registry) {
+        if let Some(budget) = self.slow_budget_us {
+            self.recorder.set_budget_us(budget);
+        }
+        obs.register_collector(&self.health);
+        obs.register_collector(&self.recorder);
+    }
+}
+
 // Box<dyn Selector> / Box<dyn Merger> block `#[derive(Debug)]`; print
 // the strategies by their registered names instead.
 impl fmt::Debug for MetaConfig {
@@ -168,9 +186,7 @@ pub struct Metasearcher<'n> {
 impl<'n> Metasearcher<'n> {
     /// Build over a network and a discovered catalog.
     pub fn new(net: &'n SimNet, catalog: Catalog, config: MetaConfig) -> Self {
-        if let Some(budget) = config.slow_budget_us {
-            config.recorder.set_budget_us(budget);
-        }
+        config.install(net.registry());
         Metasearcher {
             net,
             catalog,
@@ -261,9 +277,6 @@ impl<'n> Metasearcher<'n> {
             .expect("crossbeam scope");
         }
         let dispatch_end = elapsed_us(t0);
-        // Publish the refreshed scoreboard so every exporter (and the
-        // /stats endpoint of anyone sharing this registry) carries it.
-        self.config.health.export_to(obs);
         let mut stats = QueryStats::default();
         let mut source_stages = Vec::new();
         let per_source: Vec<SourceResult> = slots
@@ -314,11 +327,11 @@ impl<'n> Metasearcher<'n> {
             },
         };
         self.config.recorder.record(&profile);
-        self.config.recorder.export_to(obs);
-        // Feed the continuous-monitoring layer: sample the registry
-        // (health gauges above are fresh), evaluate SLO burn rates, and
-        // advance the alert state machine. Between sample steps this is
-        // a clock read.
+        // Feed the continuous-monitoring layer: when a sample step is
+        // due, snapshot the registry (which runs the health and
+        // recorder collectors, so their gauges are fresh), evaluate SLO
+        // burn rates, and advance the alert state machine. Between
+        // sample steps this is a clock read.
         self.net.monitor().tick(obs);
 
         MetaResponse {

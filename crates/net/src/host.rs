@@ -19,6 +19,7 @@
 
 use std::sync::Arc;
 
+use parking_lot::RwLock;
 use starts_proto::{Query, QueryResults};
 use starts_source::{ResourceHost, Source};
 
@@ -70,15 +71,32 @@ pub fn wire_source(net: &SimNet, source: Source, profile: LinkProfile) -> String
     wire_stats(net, &base, profile);
     wire_alerts(net, &base, profile);
 
+    // The postings footprint is a fact about the source, not about any
+    // query: exported when the registry is sampled. The endpoint table
+    // below keeps the source alive for the collector.
+    net.registry().register_collector(&source);
+
     {
         let source = Arc::clone(&source);
         let obs = Arc::clone(net.registry());
+        // Per-source instruments, resolved here rather than per query;
+        // replaced when a registry reset orphans them.
+        let instruments = RwLock::new(Arc::new(source.instruments(&obs)));
         net.register(
             query_url.clone(),
             profile,
-            Arc::new(move |request: &[u8]| match parse_query(request) {
-                Some(q) => source.execute_traced(&q, Some(&obs)).to_soif_stream(),
-                None => empty_results(source.id()),
+            Arc::new(move |request: &[u8]| {
+                let Some(q) = parse_query(request) else {
+                    return empty_results(source.id());
+                };
+                let mut current = Arc::clone(&instruments.read());
+                if !current.is_current(&obs) {
+                    current = Arc::new(source.instruments(&obs));
+                    *instruments.write() = Arc::clone(&current);
+                }
+                source
+                    .execute_instrumented(&q, &obs, &current)
+                    .to_soif_stream()
             }),
         );
     }
@@ -101,6 +119,7 @@ pub fn wire_resource(
         Arc::new(move |_: &[u8]| descriptor_bytes.clone()),
     );
     let host = Arc::new(host);
+    net.registry().register_collector(&host);
     // Per-member static endpoints, then fan-out-capable query endpoints.
     for source in host.sources() {
         let base = source.config().base_url.clone();

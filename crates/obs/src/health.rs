@@ -16,17 +16,17 @@
 //! and the age is exported as a `health.age_s` gauge.
 //!
 //! The board exports itself as plain `health.*` gauges into a
-//! [`Registry`], so the existing Prometheus / JSON / `@SStats`
-//! exporters — and the `<base>/stats` admin endpoint — carry health
-//! for free.
+//! [`Registry`] — as a snapshot-time [`Collector`] once registered —
+//! so the existing Prometheus / JSON / `@SStats` exporters — and the
+//! `<base>/stats` admin endpoint — carry health for free.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use crate::monitor::{Clock, SystemClock};
-use crate::registry::Registry;
+use crate::registry::{Collector, Registry};
 
 /// Default rolling-window size (outcomes kept per source).
 pub const DEFAULT_WINDOW: usize = 64;
@@ -107,7 +107,7 @@ pub struct SourceHealth {
 
 #[derive(Default)]
 struct Window {
-    outcomes: std::collections::VecDeque<(SourceOutcome, u64)>,
+    outcomes: VecDeque<(SourceOutcome, u64)>,
 }
 
 /// Rolling per-source health, maintained by the metasearcher on every
@@ -160,7 +160,7 @@ impl HealthBoard {
         let sources = self.sources.lock();
         sources
             .get(source)
-            .map(|w| self.condense(source, &w.outcomes.iter().copied().collect::<Vec<_>>(), now))
+            .map(|w| self.condense(source, &w.outcomes, now))
     }
 
     /// Health for every known source, sorted by id.
@@ -169,7 +169,7 @@ impl HealthBoard {
         let sources = self.sources.lock();
         let mut out: Vec<SourceHealth> = sources
             .iter()
-            .map(|(id, w)| self.condense(id, &w.outcomes.iter().copied().collect::<Vec<_>>(), now))
+            .map(|(id, w)| self.condense(id, &w.outcomes, now))
             .collect();
         out.sort_by(|a, b| a.source.cmp(&b.source));
         out
@@ -188,7 +188,10 @@ impl HealthBoard {
 
     /// Export the board as `health.*` gauges (labeled by source) into a
     /// registry, so every existing exporter — Prometheus text, JSON,
-    /// `@SStats` — carries the scoreboard.
+    /// `@SStats` — carries the scoreboard. This condenses every
+    /// source's window: the metasearcher and the serving layer register
+    /// the board as a [`Collector`] so it runs per snapshot, never per
+    /// query.
     pub fn export_to(&self, reg: &Registry) {
         for h in self.all() {
             let labels = [("source", h.source.as_str())];
@@ -214,7 +217,12 @@ impl HealthBoard {
         self.sources.lock().clear();
     }
 
-    fn condense(&self, source: &str, outcomes: &[(SourceOutcome, u64)], now: u64) -> SourceHealth {
+    fn condense(
+        &self,
+        source: &str,
+        outcomes: &VecDeque<(SourceOutcome, u64)>,
+        now: u64,
+    ) -> SourceHealth {
         let samples = outcomes.len();
         let ok = outcomes.iter().filter(|(o, _)| o.ok).count();
         let timeouts = outcomes.iter().filter(|(o, _)| o.timed_out).count() as u64;
@@ -271,6 +279,12 @@ impl HealthBoard {
             age_s: age_ms as f64 / 1_000.0,
             score,
         }
+    }
+}
+
+impl Collector for HealthBoard {
+    fn collect(&self, reg: &Registry) {
+        self.export_to(reg);
     }
 }
 

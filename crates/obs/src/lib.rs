@@ -55,7 +55,7 @@ pub use monitor::{
 };
 pub use profile::FlightRecorder;
 pub use registry::{
-    CounterSnapshot, GaugeSnapshot, HistogramSnapshot, MetricId, Registry, Snapshot,
+    Collector, CounterSnapshot, GaugeSnapshot, HistogramSnapshot, MetricId, Registry, Snapshot,
 };
 pub use span::{Span, SpanEvent, SpanHandle};
 pub use trace::{TraceNode, TraceTree};

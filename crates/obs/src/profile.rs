@@ -15,8 +15,9 @@
 //!   construction, because each line is self-contained and
 //!   [`crate::trace::read_jsonl`]-style readers skip torn tails,
 //! * **export**: [`FlightRecorder::export_to`] publishes `recorder.*`
-//!   gauges into a [`Registry`], so `/stats`, Prometheus, and JSON dumps
-//!   all carry the recorder's state with no extra wiring.
+//!   gauges into a [`Registry`] — at snapshot time, once the recorder
+//!   is registered as a [`Collector`] — so `/stats`, Prometheus, and
+//!   JSON dumps all carry the recorder's state.
 //!
 //! A [`profile_from_trace`] helper converts a stitched
 //! [`TraceTree`] into the same [`QueryProfile`]
@@ -32,7 +33,7 @@ use parking_lot::Mutex;
 use starts_proto::{QueryProfile, StageCost};
 
 use crate::metrics::Histogram;
-use crate::registry::Registry;
+use crate::registry::{Collector, Registry};
 use crate::trace::{TraceNode, TraceTree, TRACE_FIELD};
 
 /// Profiles kept in the main ring by default.
@@ -193,6 +194,12 @@ impl FlightRecorder {
         if let Some(budget) = self.budget_us() {
             reg.gauge("recorder.budget_us").set(budget as f64);
         }
+    }
+}
+
+impl Collector for FlightRecorder {
+    fn collect(&self, reg: &Registry) {
+        self.export_to(reg);
     }
 }
 

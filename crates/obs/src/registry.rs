@@ -6,9 +6,10 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock, Weak};
 
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 
 use crate::metrics::{Counter, Gauge, Histogram, HistogramValues};
 use crate::span::{Span, SpanEvent, SpanHandle, SpanLog};
@@ -162,6 +163,17 @@ impl Snapshot {
     }
 }
 
+/// A pull-time exporter of whole-system state: something whose gauges
+/// describe a structure as a whole (a health scoreboard, a recorder, an
+/// index footprint) rather than one request. Registered collectors run
+/// at the start of every [`Registry::snapshot`], so such state is
+/// condensed when someone looks — per scrape — not on every query.
+pub trait Collector: Send + Sync {
+    /// Publish current state into `reg`. Must not call
+    /// [`Registry::snapshot`] on `reg` (that would recurse).
+    fn collect(&self, reg: &Registry);
+}
+
 /// The registry. Cheap to share (`SimNet` holds one in an `Arc`); the
 /// process-wide default is [`Registry::global`].
 #[derive(Default)]
@@ -170,6 +182,11 @@ pub struct Registry {
     gauges: RwLock<HashMap<MetricId, Gauge>>,
     histograms: RwLock<HashMap<MetricId, Histogram>>,
     pub(crate) spans: SpanLog,
+    /// Held weakly: a collector lives exactly as long as its owner.
+    collectors: Mutex<Vec<Weak<dyn Collector>>>,
+    /// Bumped by [`Registry::reset`], so holders of long-lived handles
+    /// can tell their instruments were dropped from the tables.
+    epoch: AtomicU64,
 }
 
 fn intern<M: Clone + Default>(table: &RwLock<HashMap<MetricId, M>>, id: MetricId) -> M {
@@ -250,8 +267,41 @@ impl Registry {
         self.spans.recent()
     }
 
-    /// Copy every instrument out.
+    /// Run `collector` at the start of every [`Registry::snapshot`]
+    /// for as long as its owner keeps it alive. Registering the same
+    /// object again is a no-op, so two components sharing one
+    /// scoreboard export it once.
+    pub fn register_collector<C: Collector + 'static>(&self, collector: &Arc<C>) {
+        let addr = Arc::as_ptr(collector).cast::<()>();
+        let mut collectors = self.collectors.lock();
+        // A dead `Weak` still pins its allocation, so a live address
+        // match is the same object, never a recycled one.
+        collectors.retain(|w| w.strong_count() > 0);
+        if collectors.iter().all(|w| w.as_ptr().cast::<()>() != addr) {
+            let weak: Weak<C> = Arc::downgrade(collector);
+            collectors.push(weak);
+        }
+    }
+
+    /// How many times [`Registry::reset`] has run. A caller that keeps
+    /// instrument handles across queries compares this to the value it
+    /// resolved them under and re-resolves on a mismatch.
+    pub fn epoch(&self) -> u64 {
+        self.epoch.load(Ordering::Acquire)
+    }
+
+    /// Copy every instrument out, after giving every live
+    /// [`Collector`] the chance to refresh its gauges. Collectors run
+    /// with no registry lock held, so they may create instruments.
     pub fn snapshot(&self) -> Snapshot {
+        let live: Vec<Arc<dyn Collector>> = {
+            let mut collectors = self.collectors.lock();
+            collectors.retain(|w| w.strong_count() > 0);
+            collectors.iter().filter_map(Weak::upgrade).collect()
+        };
+        for collector in live {
+            collector.collect(self);
+        }
         let mut counters: Vec<CounterSnapshot> = self
             .counters
             .read()
@@ -287,11 +337,16 @@ impl Registry {
     }
 
     /// Drop every instrument and span record (between experiment runs).
+    /// Collectors stay registered: they describe live components, and
+    /// repopulate their gauges at the next snapshot.
     pub fn reset(&self) {
         self.counters.write().clear();
         self.gauges.write().clear();
         self.histograms.write().clear();
         self.spans.clear();
+        // Release: a reader that sees the new epoch also sees the
+        // emptied tables, so what it re-resolves lands in them.
+        self.epoch.fetch_add(1, Ordering::Release);
     }
 }
 
@@ -324,6 +379,78 @@ mod tests {
         let id = MetricId::new("m", &[("url", r#"a"b\c"#)]);
         assert_eq!(id.to_string(), r#"m{url="a\"b\\c"}"#);
         assert_eq!(MetricId::new("m", &[]).to_string(), "m");
+    }
+
+    /// Publishes how often it ran, under a gauge id that is new each
+    /// time — so every run takes the gauge table's write lock.
+    #[derive(Default)]
+    struct CountingCollector {
+        runs: AtomicU64,
+    }
+
+    impl Collector for CountingCollector {
+        fn collect(&self, reg: &Registry) {
+            let run = self.runs.fetch_add(1, Ordering::Relaxed) + 1;
+            reg.gauge_with("collector.run", &[("n", &run.to_string())])
+                .set(run as f64);
+        }
+    }
+
+    #[test]
+    fn collectors_run_once_per_snapshot_and_may_create_instruments() {
+        let reg = Registry::new();
+        let collector = Arc::new(CountingCollector::default());
+        reg.register_collector(&collector);
+        // Registering the same object again must not export it twice.
+        reg.register_collector(&collector);
+        // A fresh id per run: `snapshot` would deadlock here if it ran
+        // collectors while holding a table lock.
+        let snap = reg.snapshot();
+        assert_eq!(collector.runs.load(Ordering::Relaxed), 1);
+        assert_eq!(snap.gauge("collector.run", &[("n", "1")]), 1.0);
+        let snap = reg.snapshot();
+        assert_eq!(collector.runs.load(Ordering::Relaxed), 2);
+        assert_eq!(snap.gauge("collector.run", &[("n", "2")]), 2.0);
+        // A second, distinct collector is its own registration.
+        let other = Arc::new(CountingCollector::default());
+        reg.register_collector(&other);
+        reg.snapshot();
+        assert_eq!(collector.runs.load(Ordering::Relaxed), 3);
+        assert_eq!(other.runs.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn a_dropped_collector_stops_being_collected() {
+        let reg = Registry::new();
+        let collector = Arc::new(CountingCollector::default());
+        let watch = Arc::downgrade(&collector);
+        reg.register_collector(&collector);
+        reg.snapshot();
+        drop(collector);
+        // The registry held it weakly: the owner's drop freed it…
+        assert!(watch.upgrade().is_none());
+        // …and later snapshots neither run it nor keep its slot.
+        let snap = reg.snapshot();
+        assert_eq!(snap.gauge("collector.run", &[("n", "2")]), 0.0);
+        assert!(reg.collectors.lock().is_empty());
+    }
+
+    #[test]
+    fn reset_keeps_collectors_and_advances_the_epoch() {
+        let reg = Registry::new();
+        let collector = Arc::new(CountingCollector::default());
+        reg.register_collector(&collector);
+        let before = reg.epoch();
+        let stale = reg.counter("c");
+        reg.reset();
+        assert_ne!(reg.epoch(), before);
+        // A handle from before the reset is orphaned — which is what
+        // the epoch tells its holder.
+        stale.inc();
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("c", &[]), 0);
+        // The collector survived and repopulated its gauge.
+        assert_eq!(snap.gauge("collector.run", &[("n", "1")]), 1.0);
     }
 
     #[test]

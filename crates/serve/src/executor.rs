@@ -260,9 +260,7 @@ impl Server {
     /// Build over a shared network and a discovered catalog, spawning
     /// the worker pools.
     pub fn new(net: Arc<SimNet>, catalog: Catalog, config: MetaConfig, serve: ServeConfig) -> Self {
-        if let Some(budget) = config.slow_budget_us {
-            config.recorder.set_budget_us(budget);
-        }
+        config.install(net.registry());
         let cores = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
@@ -635,7 +633,6 @@ fn run_wave(
     drop(dispatch_span);
     let dispatch_end = elapsed_us(t0);
 
-    inner.config.health.export_to(obs);
     let mut stats = QueryStats::default();
     let mut source_stages = Vec::new();
     let per_source: Vec<SourceResult> = successes
@@ -683,7 +680,6 @@ fn run_wave(
         },
     };
     inner.config.recorder.record(&profile);
-    inner.config.recorder.export_to(obs);
     inner.net.monitor().tick(obs);
 
     ServeResponse {

@@ -3,11 +3,11 @@
 
 use std::time::Instant;
 
-use starts_index::{DocId, Hit, SearchOptions};
-use starts_obs::Registry;
+use starts_index::{DocId, Hit, SearchOptions, ShardedTerm};
+use starts_obs::{Counter, Gauge, Histogram, Registry};
 use starts_proto::query::{SortKey, SortOrder};
 use starts_proto::{
-    Field, Query, QueryProfile, QueryResults, ResultDocument, StageCost, TermStatsEntry,
+    Field, QTerm, Query, QueryProfile, QueryResults, ResultDocument, StageCost, TermStatsEntry,
 };
 
 use crate::extensions::{translate_filter_ext, translate_ranking_ext};
@@ -17,7 +17,62 @@ use crate::translate::translate_term;
 
 /// Execute `query` at `source`.
 pub fn execute(source: &Source, query: &Query) -> QueryResults {
-    execute_traced(source, query, None)
+    run(source, query, None)
+}
+
+/// One source's per-query instruments in one registry, resolved once
+/// ([`Source::instruments`]) so that a query updates atomics through
+/// them instead of building a metric id — a name `String` plus a label
+/// `Vec` — and taking a table lookup for each.
+pub struct SourceInstruments {
+    /// [`Registry::epoch`] at resolution.
+    epoch: u64,
+    queries: Counter,
+    topk_bounded: Counter,
+    topk_full: Counter,
+    shard_searches: Counter,
+    shard_latency_us: Histogram,
+    skipped_docs: Counter,
+    skipped_leaves: Counter,
+    threshold_updates: Counter,
+    blocks_skipped: Counter,
+    prune_fraction: Gauge,
+    results: Histogram,
+}
+
+impl SourceInstruments {
+    pub(crate) fn resolve(source: &Source, reg: &Registry) -> Self {
+        let labels = [("source", source.id())];
+        let shards = source.engine().shard_count().to_string();
+        SourceInstruments {
+            epoch: reg.epoch(),
+            queries: reg.counter_with("source.queries", &labels),
+            topk_bounded: reg.counter("engine.topk.bounded"),
+            topk_full: reg.counter("engine.topk.full"),
+            shard_searches: reg.counter_with(
+                "engine.shard.searches",
+                &[("source", source.id()), ("shards", &shards)],
+            ),
+            shard_latency_us: reg.histogram_with("engine.shard.latency_us", &labels),
+            // Dynamic-pruning effectiveness (§ docs/performance.md): how
+            // many candidate docs the bound check discarded without
+            // scoring. Registered even while zero so dashboards see the
+            // series.
+            skipped_docs: reg.counter_with("engine.prune.skipped_docs", &labels),
+            skipped_leaves: reg.counter_with("engine.prune.skipped_leaves", &labels),
+            threshold_updates: reg.counter_with("engine.prune.threshold_updates", &labels),
+            blocks_skipped: reg.counter_with("engine.prune.blocks_skipped", &labels),
+            prune_fraction: reg.gauge_with("engine.prune.fraction", &labels),
+            results: reg.histogram_with("source.results", &labels),
+        }
+    }
+
+    /// Whether the handles still point into `reg`'s tables: a
+    /// [`Registry::reset`] since resolution orphans them, and a holder
+    /// must resolve again or its updates go unseen.
+    pub fn is_current(&self, reg: &Registry) -> bool {
+        self.epoch == reg.epoch()
+    }
 }
 
 /// Execute `query` at `source`, recording phase timings (`rewrite` →
@@ -34,15 +89,38 @@ pub fn execute(source: &Source, query: &Query) -> QueryResults {
 /// prune counters included). Untraced queries get neither attribute, so
 /// their encodings stay byte-identical to the paper's examples.
 pub fn execute_traced(source: &Source, query: &Query, obs: Option<&Registry>) -> QueryResults {
+    match obs {
+        Some(reg) => execute_instrumented(source, query, reg, &source.instruments(reg)),
+        None => run(source, query, None),
+    }
+}
+
+/// [`execute_traced`] through instruments the caller resolved once —
+/// what a host serving many queries from one source does.
+pub fn execute_instrumented(
+    source: &Source,
+    query: &Query,
+    reg: &Registry,
+    instruments: &SourceInstruments,
+) -> QueryResults {
+    run(source, query, Some((reg, instruments)))
+}
+
+fn run(
+    source: &Source,
+    query: &Query,
+    observed: Option<(&Registry, &SourceInstruments)>,
+) -> QueryResults {
+    let obs = observed.map(|(reg, _)| reg);
+    let instruments = observed.map(|(_, instruments)| instruments);
     // Spans record durations only when dropped, so the wire-visible
     // profile keeps its own explicit clock. All offsets are relative to
     // `t0`, the host-side root.
     let profiling = query.trace.is_some();
     let t0 = Instant::now();
     let elapsed_us = |t0: Instant| t0.elapsed().as_micros() as u64;
-    let _root = obs.map(|reg| {
-        reg.counter_with("source.queries", &[("source", source.id())])
-            .inc();
+    let _root = observed.map(|(reg, instruments)| {
+        instruments.queries.inc();
         match &query.trace {
             Some(ctx) => reg.span_under(
                 "source.execute",
@@ -99,13 +177,12 @@ pub fn execute_traced(source: &Source, query: &Query, obs: Option<&Registry>) ->
     let execute_start = elapsed_us(t0);
     let _span = obs.map(|reg| reg.span("execute"));
     let limit = fast_path_limit(&query.answer, ranking_ir.is_some());
-    if let Some(reg) = obs {
-        reg.counter(if limit.is_some() {
-            "engine.topk.bounded"
+    if let Some(m) = instruments {
+        if limit.is_some() {
+            m.topk_bounded.inc();
         } else {
-            "engine.topk.full"
-        })
-        .inc();
+            m.topk_full.inc();
+        }
     }
     let search_start = elapsed_us(t0);
     let (mut hits, shard_latencies, prune) = {
@@ -133,43 +210,19 @@ pub fn execute_traced(source: &Source, query: &Query, obs: Option<&Registry>) ->
         )
     };
     let search_end = elapsed_us(t0);
-    if let Some(reg) = obs {
-        let shards = engine.shard_count().to_string();
-        reg.counter_with(
-            "engine.shard.searches",
-            &[("source", source.id()), ("shards", &shards)],
-        )
-        .inc();
+    if let Some(m) = instruments {
+        m.shard_searches.inc();
         for &us in &shard_latencies {
-            reg.histogram_with("engine.shard.latency_us", &[("source", source.id())])
-                .observe(us);
+            m.shard_latency_us.observe(us);
         }
-        // Dynamic-pruning effectiveness (§ docs/performance.md): how many
-        // candidate docs the bound check discarded without scoring. The
-        // counters register even when zero so dashboards see the series.
-        let labels = [("source", source.id())];
-        reg.counter_with("engine.prune.skipped_docs", &labels)
-            .add(prune.skipped_docs);
-        reg.counter_with("engine.prune.skipped_leaves", &labels)
-            .add(prune.skipped_leaves);
-        reg.counter_with("engine.prune.threshold_updates", &labels)
-            .add(prune.threshold_updates);
-        reg.counter_with("engine.prune.blocks_skipped", &labels)
-            .add(prune.blocks_skipped);
+        m.skipped_docs.add(prune.skipped_docs);
+        m.skipped_leaves.add(prune.skipped_leaves);
+        m.threshold_updates.add(prune.threshold_updates);
+        m.blocks_skipped.add(prune.blocks_skipped);
         if prune.candidates > 0 {
-            reg.gauge_with("engine.prune.fraction", &labels)
+            m.prune_fraction
                 .set(prune.skipped_docs as f64 / prune.candidates as f64);
         }
-        // Resident postings memory: the bit-packed block postings every
-        // evaluator runs on, and the positional arenas kept only where
-        // `prox` needs them (zero for positions-free vendors). Static
-        // per index build, but exported per query so dashboards track
-        // it without a registration hook.
-        let footprint = engine.postings_footprint();
-        reg.gauge_with("engine.postings.positional_bytes", &labels)
-            .set(footprint.positional_bytes as f64);
-        reg.gauge_with("engine.postings.block_bytes", &labels)
-            .set(footprint.block_bytes as f64);
     }
 
     // Answer specification: minimum score …
@@ -184,19 +237,20 @@ pub fn execute_traced(source: &Source, query: &Query, obs: Option<&Registry>) ->
     // … and result-set cap.
     hits.truncate(query.answer.max_documents);
 
-    // Build the per-document result objects.
-    let ranking_terms: Vec<_> = rewritten
+    // Build the per-document result objects. Each ranking term is
+    // resolved against the engine once here, not once per document.
+    let ranking_terms: Vec<(&QTerm, ShardedTerm<'_>)> = rewritten
         .ranking
-        .as_ref()
-        .map(|r| r.terms().into_iter().cloned().collect())
-        .unwrap_or_default();
+        .iter()
+        .flat_map(|r| r.terms())
+        .map(|wt| (&wt.term, engine.resolve_term(&translate_term(&wt.term))))
+        .collect();
     let documents: Vec<ResultDocument> = hits
         .iter()
         .map(|h| build_document(source, h, query, &ranking_terms))
         .collect();
-    if let Some(reg) = obs {
-        reg.histogram_with("source.results", &[("source", source.id())])
-            .observe(documents.len() as u64);
+    if let Some(m) = instruments {
+        m.results.observe(documents.len() as u64);
     }
 
     let profile = profiling.then(|| {
@@ -356,7 +410,7 @@ fn build_document(
     source: &Source,
     hit: &Hit,
     query: &Query,
-    ranking_terms: &[starts_proto::WeightedTerm],
+    ranking_terms: &[(&QTerm, ShardedTerm<'_>)],
 ) -> ResultDocument {
     let engine = source.engine();
     // Linkage is always returned (§4.1.2), then the requested fields.
@@ -369,12 +423,10 @@ fn build_document(
     }
     let term_stats = ranking_terms
         .iter()
-        .map(|wt| {
-            let stat = source
-                .engine()
-                .term_stats(hit.doc, &translate_term(&wt.term));
+        .map(|(term, resolved)| {
+            let stat = resolved.stats(hit.doc);
             TermStatsEntry {
-                term: wt.term.clone(),
+                term: (*term).clone(),
                 term_frequency: stat.tf,
                 term_weight: stat.weight,
                 document_frequency: stat.df,

@@ -39,5 +39,6 @@ pub mod translate;
 pub mod vendors;
 
 pub use config::SourceConfig;
+pub use execute::SourceInstruments;
 pub use resource::ResourceHost;
 pub use source::Source;

@@ -126,6 +126,15 @@ impl ResourceHost {
     }
 }
 
+/// A resource's whole-index facts are its members'.
+impl starts_obs::Collector for ResourceHost {
+    fn collect(&self, obs: &starts_obs::Registry) {
+        for source in &self.sources {
+            source.collect(obs);
+        }
+    }
+}
+
 /// Fold a duplicate into the kept document: union the source lists, keep
 /// the higher raw score and the richer statistics.
 fn merge_duplicate(kept: &mut ResultDocument, dup: ResultDocument) {

@@ -6,6 +6,7 @@ use starts_proto::summary::ContentSummary;
 use starts_proto::{Query, QueryResults};
 
 use crate::config::SourceConfig;
+use crate::execute::SourceInstruments;
 
 /// A queryable STARTS source: an engine plus its declared capabilities.
 ///
@@ -111,11 +112,45 @@ impl Source {
         crate::execute::execute_traced(self, query, obs)
     }
 
+    /// Resolve this source's per-query instruments in `obs` once, for
+    /// [`Source::execute_instrumented`].
+    pub fn instruments(&self, obs: &starts_obs::Registry) -> SourceInstruments {
+        SourceInstruments::resolve(self, obs)
+    }
+
+    /// [`Source::execute_traced`] through instruments resolved ahead of
+    /// time, so the query path builds no metric ids. A host serving one
+    /// source resolves them at wiring time and again whenever
+    /// [`SourceInstruments::is_current`] turns false.
+    pub fn execute_instrumented(
+        &self,
+        query: &Query,
+        obs: &starts_obs::Registry,
+        instruments: &SourceInstruments,
+    ) -> QueryResults {
+        crate::execute::execute_instrumented(self, query, obs, instruments)
+    }
+
     /// The source's `SampleDatabaseResults`: results of the standard
     /// sample queries over the standard sample collection, as *this
     /// source's engine personality* would produce them (§4.2).
     pub fn sample_results(&self) -> Vec<(Query, QueryResults)> {
         crate::sample::sample_results(&self.config)
+    }
+}
+
+/// The source's whole-index facts, exported when a registry it was
+/// registered with is sampled: resident bytes of the bit-packed block
+/// postings every evaluator runs on, and of the positional arenas kept
+/// only where `prox` needs them (zero for positions-free vendors).
+impl starts_obs::Collector for Source {
+    fn collect(&self, obs: &starts_obs::Registry) {
+        let footprint = self.engine.postings_footprint();
+        let labels = [("source", self.id())];
+        obs.gauge_with("engine.postings.positional_bytes", &labels)
+            .set(footprint.positional_bytes as f64);
+        obs.gauge_with("engine.postings.block_bytes", &labels)
+            .set(footprint.block_bytes as f64);
     }
 }
 

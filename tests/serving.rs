@@ -485,3 +485,172 @@ fn pooled_wave_matches_the_scoped_metasearcher_and_ships_stock_slos() {
         );
     }
 }
+
+/// `health.*`, `recorder.*` and `engine.postings.*` describe the system
+/// as a whole. Nothing on the query path exports them any more; they
+/// must still reach every reader — `snapshot()`, Prometheus text, JSON,
+/// a fetched `@SStats` — with the right values, once each, even when a
+/// `Server` and a `Metasearcher` share one net, one board and one
+/// recorder.
+#[test]
+fn whole_system_gauges_are_collected_whenever_the_registry_is_sampled() {
+    use starts::obs::{export, FlightRecorder, HealthBoard};
+
+    let net = Arc::new(SimNet::new());
+    wire(&net, "DB", &["databases", "queries"], 50);
+    wire(&net, "Food", &["cooking", "recipes"], 50);
+    let catalog = discover(&net, &["DB", "Food"]);
+    // Orphans the instruments the hosts resolved at wiring time: the
+    // per-source counters below only add up if they re-resolve.
+    net.registry().reset();
+    let health = Arc::new(HealthBoard::default());
+    let recorder = Arc::new(FlightRecorder::default());
+    let config = || MetaConfig {
+        max_sources: 2,
+        health: Arc::clone(&health),
+        recorder: Arc::clone(&recorder),
+        slow_budget_us: Some(60_000_000),
+        ..MetaConfig::default()
+    };
+    let server = Server::new(
+        Arc::clone(&net),
+        catalog.clone(),
+        config(),
+        ServeConfig {
+            cache_ttl: Duration::ZERO,
+            hedge: hedge_off(),
+            ..ServeConfig::default()
+        },
+    );
+    let meta = Metasearcher::new(&net, catalog, config());
+    let query = ranked(r#"list((body-of-text "text"))"#);
+    assert_eq!(server.search(&query).unwrap().via, Served::Executed);
+    meta.search(&query);
+
+    let db_footprint = Source::build(
+        SourceConfig::new("DB"),
+        &docs(&["databases", "queries"], 12, "db"),
+    )
+    .engine()
+    .postings_footprint();
+    const DB: &[(&str, &str)] = &[("source", "DB")];
+    const FOOD: &[(&str, &str)] = &[("source", "Food")];
+    let expected = [
+        // One exchange per source from each of the two searches.
+        ("health.samples", DB, 2.0),
+        ("health.samples", FOOD, 2.0),
+        ("health.availability", DB, 1.0),
+        ("health.latency_p50_ms", FOOD, 50.0),
+        ("recorder.queries", &[], 2.0),
+        ("recorder.slow_queries", &[], 0.0),
+        ("recorder.budget_us", &[], 60_000_000.0),
+        (
+            "engine.postings.block_bytes",
+            DB,
+            db_footprint.block_bytes as f64,
+        ),
+        (
+            "engine.postings.positional_bytes",
+            DB,
+            db_footprint.positional_bytes as f64,
+        ),
+    ];
+    assert!(db_footprint.block_bytes > 0 && db_footprint.positional_bytes > 0);
+
+    let snap = net.registry().snapshot();
+    let stats = net.request("starts://db/stats", b"").unwrap();
+    let fetched = export::snapshot_from_soif(
+        &starts::soif::parse_one(&stats.bytes, starts::soif::ParseMode::Strict).unwrap(),
+    )
+    .unwrap();
+    for (name, labels, value) in &expected {
+        assert_eq!(
+            snap.gauge(name, labels),
+            *value,
+            "snapshot {name} {labels:?}"
+        );
+        assert_eq!(
+            fetched.gauge(name, labels),
+            *value,
+            "@SStats {name} {labels:?}"
+        );
+        assert_eq!(
+            snap.gauges
+                .iter()
+                .filter(|g| g.id == starts::obs::MetricId::new(name, labels))
+                .count(),
+            1,
+            "{name} {labels:?} once per snapshot"
+        );
+    }
+    // The per-query side still counts: both searches reached both hosts.
+    assert_eq!(snap.counter("source.queries", &[("source", "DB")]), 2);
+    assert_eq!(snap.counter("source.queries", &[("source", "Food")]), 2);
+
+    let prom = export::prometheus(&snap);
+    let json = export::json(&snap);
+    for (line, field) in [
+        (
+            "health_samples{source=\"DB\"} 2\n",
+            "{\"name\":\"health.samples\",\"labels\":{\"source\":\"DB\"},\"value\":2}",
+        ),
+        (
+            "recorder_queries 2\n",
+            "{\"name\":\"recorder.queries\",\"labels\":{},\"value\":2}",
+        ),
+        (
+            &format!(
+                "engine_postings_block_bytes{{source=\"DB\"}} {}\n",
+                db_footprint.block_bytes
+            ),
+            &format!(
+                "{{\"name\":\"engine.postings.block_bytes\",\"labels\":{{\"source\":\"DB\"}},\"value\":{}}}",
+                db_footprint.block_bytes
+            ),
+        ),
+    ] {
+        assert_eq!(prom.matches(line).count(), 1, "{line:?} once in:\n{prom}");
+        assert_eq!(json.matches(field).count(), 1, "{field:?} once in:\n{json}");
+    }
+}
+
+/// The registry holds collectors weakly: a `Server`'s board and
+/// recorder die with it and stop being exported, while the wired
+/// sources (kept alive by the net) keep exporting theirs.
+#[test]
+fn dropping_the_server_stops_its_collectors() {
+    let net = Arc::new(SimNet::new());
+    wire(&net, "DB", &["databases", "queries"], 50);
+    let catalog = discover(&net, &["DB"]);
+    let config = MetaConfig::default();
+    let board = Arc::downgrade(&config.health);
+    let recorder = Arc::downgrade(&config.recorder);
+    let server = Server::new(Arc::clone(&net), catalog, config, ServeConfig::default());
+    server
+        .search(&ranked(r#"list((body-of-text "text"))"#))
+        .unwrap();
+    let snap = net.registry().snapshot();
+    assert_eq!(snap.gauge("health.samples", &[("source", "DB")]), 1.0);
+    assert_eq!(snap.gauge("recorder.queries", &[]), 1.0);
+
+    drop(server);
+    assert!(board.upgrade().is_none(), "registry kept the board alive");
+    assert!(
+        recorder.upgrade().is_none(),
+        "registry kept the recorder alive"
+    );
+    // Clear the last exported values: only live collectors repopulate.
+    net.registry().reset();
+    let snap = net.registry().snapshot();
+    let families: Vec<&str> = snap.gauges.iter().map(|g| g.id.name.as_str()).collect();
+    assert!(
+        families
+            .iter()
+            .all(|n| !n.starts_with("health.") && !n.starts_with("recorder.")),
+        "{families:?}"
+    );
+    assert!(
+        families.contains(&"engine.postings.block_bytes"),
+        "{families:?}"
+    );
+}
