@@ -53,7 +53,7 @@ fn gather_inputs() -> Vec<SourceResult> {
                 )
                 .unwrap();
             SourceResult {
-                metadata,
+                metadata: metadata.into(),
                 results,
                 source_weight: 1.0,
             }

@@ -71,7 +71,7 @@ fn main() {
                 )
                 .unwrap();
             inputs.push(SourceResult {
-                metadata,
+                metadata: metadata.into(),
                 results,
                 source_weight: 1.0,
             });

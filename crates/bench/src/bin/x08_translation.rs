@@ -89,7 +89,7 @@ fn main() {
                     sources_with_docs += 1;
                 }
                 inputs.push(SourceResult {
-                    metadata: meta[i].0.clone(),
+                    metadata: meta[i].0.clone().into(),
                     results,
                     source_weight: 1.0,
                 });

@@ -14,7 +14,7 @@ use starts_meta::eval::{mean, selection_recall};
 use starts_meta::metasearcher::Metasearcher;
 use starts_meta::select::{GGlossSum, Selector};
 use starts_net::LinkProfile;
-use starts_proto::SourceMetadata;
+use starts_proto::{IndexedSummary, SourceMetadata};
 use starts_source::{Source, SourceConfig};
 
 fn corpus_bytes(corpus: &starts_corpus::GeneratedCorpus) -> u64 {
@@ -97,8 +97,9 @@ fn main() {
                 metadata: SourceMetadata {
                     source_id: s.id.clone(),
                     ..SourceMetadata::default()
-                },
-                summary,
+                }
+                .into(),
+                summary: IndexedSummary::new(summary).into(),
                 sample_results: Vec::new(),
                 link: LinkProfile::default(),
             });

@@ -82,9 +82,11 @@ fn main() {
         let mut raws = Vec::new();
         let mut cals = Vec::new();
         for (cfg, map) in configs.iter().zip(&maps) {
-            let metadata = client
-                .fetch_metadata(&format!("starts://{}/metadata", cfg.id.to_lowercase()))
-                .unwrap();
+            let metadata = std::sync::Arc::new(
+                client
+                    .fetch_metadata(&format!("starts://{}/metadata", cfg.id.to_lowercase()))
+                    .unwrap(),
+            );
             let results = client
                 .query(&format!("starts://{}/query", cfg.id.to_lowercase()), &query)
                 .unwrap();

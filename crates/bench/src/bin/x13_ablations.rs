@@ -27,7 +27,7 @@ use starts_meta::metasearcher::Metasearcher;
 use starts_meta::select::{GGlossSum, Selector};
 use starts_net::LinkProfile;
 use starts_proto::query::parse_ranking;
-use starts_proto::SourceMetadata;
+use starts_proto::{IndexedSummary, SourceMetadata};
 use starts_source::{Source, SourceConfig};
 use starts_text::AnalyzerConfig;
 
@@ -177,8 +177,9 @@ fn ablation_summary_fields() {
                 metadata: SourceMetadata {
                     source_id: s.id.clone(),
                     ..SourceMetadata::default()
-                },
-                summary,
+                }
+                .into(),
+                summary: IndexedSummary::new(summary).into(),
                 sample_results: Vec::new(),
                 link: LinkProfile::default(),
             });

@@ -51,7 +51,7 @@ pub use query::{
 };
 pub use resource::Resource;
 pub use results::{QueryResults, ResultDocument, TermStatsEntry};
-pub use summary::{ContentSummary, SummarySection, TermSummary};
+pub use summary::{ContentSummary, IndexedSummary, SummarySection, TermSummary};
 pub use trace::{TraceContext, TRACE_ATTR};
 
 /// The protocol version string carried in every object.

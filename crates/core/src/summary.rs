@@ -9,6 +9,9 @@
 //! (total postings and/or document frequency) plus the total document
 //! count, optionally sectioned by field and language.
 
+use std::collections::hash_map::RandomState;
+use std::hash::{BuildHasher, Hasher};
+
 use starts_soif::{SoifObject, STARTS_VERSION, VERSION_ATTR};
 use starts_text::LangTag;
 
@@ -72,7 +75,13 @@ impl ContentSummary {
     }
 
     /// Look up a word's statistics in a given field (None = any
-    /// section), case per the summary's own flag.
+    /// section), case per the summary's own flag: the first section in
+    /// order that passes the field rule and lists the word, and the
+    /// first such word in it.
+    ///
+    /// This linear scan is the *definition*; anything that looks words
+    /// up per query holds an [`IndexedSummary`], whose `lookup` returns
+    /// the same entry without walking the vocabulary.
     pub fn lookup(&self, field: Option<&str>, term: &str) -> Option<&TermSummary> {
         for section in &self.sections {
             if let Some(f) = field {
@@ -192,6 +201,136 @@ impl ContentSummary {
             }
         }
         Ok(summary)
+    }
+}
+
+/// One entry of an [`IndexedSummary`]'s table: where a word is, and
+/// half of its hash, so that a probe passing over other words does not
+/// have to read them.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    tag: u32,
+    section: u32,
+    term: u32,
+}
+
+const VACANT: Slot = Slot {
+    tag: 0,
+    section: u32::MAX,
+    term: u32::MAX,
+};
+
+impl Slot {
+    fn is_vacant(self) -> bool {
+        self.section == VACANT.section
+    }
+}
+
+/// A [`ContentSummary`] plus a hash table over its words, so a lookup
+/// costs one probe instead of a walk of the vocabulary.
+///
+/// The table stores `(section, term)` *positions*, not strings: slots
+/// are filled in section-then-term order under linear probing, and all
+/// spellings of a word that are equal under the summary's case rule
+/// hash alike, so the first admissible entry along the probe sequence
+/// is the one [`ContentSummary::lookup`] returns. The summary is owned
+/// and only readable (through `Deref`), so it cannot change behind the
+/// table. Hashing is keyed per table ([`RandomState`]): summaries arrive
+/// from sources, which must not be able to choose colliding words.
+#[derive(Debug)]
+pub struct IndexedSummary {
+    summary: ContentSummary,
+    keys: RandomState,
+    /// Power-of-two length, at most two-thirds full.
+    slots: Vec<Slot>,
+}
+
+impl IndexedSummary {
+    /// Index `summary` (one hash per listed word).
+    pub fn new(summary: ContentSummary) -> Self {
+        let words = summary.total_terms();
+        let mut indexed = IndexedSummary {
+            slots: vec![VACANT; (words + words / 2 + 1).next_power_of_two()],
+            keys: RandomState::new(),
+            summary,
+        };
+        let mask = indexed.slots.len() - 1;
+        for (s, section) in indexed.summary.sections.iter().enumerate() {
+            for (t, word) in section.terms.iter().enumerate() {
+                let (mut slot, tag) = indexed.home(&word.term);
+                while !indexed.slots[slot].is_vacant() {
+                    slot = (slot + 1) & mask;
+                }
+                indexed.slots[slot] = Slot {
+                    tag,
+                    section: u32::try_from(s).expect("fewer than 2^32 - 1 sections"),
+                    term: u32::try_from(t).expect("fewer than 2^32 words in a section"),
+                };
+            }
+        }
+        indexed
+    }
+
+    /// The slot a word's probe sequence starts at, and its tag.
+    fn home(&self, term: &str) -> (usize, u32) {
+        let mut hasher = self.keys.build_hasher();
+        if self.summary.case_sensitive {
+            hasher.write(term.as_bytes());
+        } else {
+            for chunk in term.as_bytes().chunks(32) {
+                let mut folded = [0u8; 32];
+                folded[..chunk.len()].copy_from_slice(chunk);
+                folded.make_ascii_lowercase();
+                hasher.write(&folded[..chunk.len()]);
+            }
+        }
+        let hash = hasher.finish();
+        (hash as usize & (self.slots.len() - 1), (hash >> 32) as u32)
+    }
+
+    /// [`ContentSummary::lookup`], by one probe of the table.
+    pub fn lookup(&self, field: Option<&str>, term: &str) -> Option<&TermSummary> {
+        let mask = self.slots.len() - 1;
+        let (mut slot, tag) = self.home(term);
+        loop {
+            let entry = self.slots[slot];
+            if entry.is_vacant() {
+                return None;
+            }
+            if entry.tag == tag {
+                let section = &self.summary.sections[entry.section as usize];
+                let word = &section.terms[entry.term as usize];
+                let equal = if self.summary.case_sensitive {
+                    word.term == term
+                } else {
+                    word.term.eq_ignore_ascii_case(term)
+                };
+                let admitted = || match (field, &section.field) {
+                    (Some(f), Some(sf)) => sf.eq_ignore_ascii_case(f),
+                    // No field asked for, or an unqualified section.
+                    _ => true,
+                };
+                if equal && admitted() {
+                    return Some(word);
+                }
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// [`ContentSummary::df`], by one probe of the table.
+    pub fn df(&self, field: Option<&str>, term: &str) -> u32 {
+        self.lookup(field, term)
+            .and_then(|t| t.doc_freq)
+            .unwrap_or(0)
+    }
+}
+
+impl std::ops::Deref for IndexedSummary {
+    type Target = ContentSummary;
+
+    fn deref(&self) -> &ContentSummary {
+        &self.summary
     }
 }
 

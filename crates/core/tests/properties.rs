@@ -1,6 +1,7 @@
 //! Property-based tests: arbitrary query ASTs round-trip through the
-//! canonical printer and the parser, and all protocol objects round-trip
-//! through SOIF.
+//! canonical printer and the parser, all protocol objects round-trip
+//! through SOIF, and the indexed content-summary lookup answers exactly
+//! as the linear definition does.
 
 use proptest::prelude::*;
 use starts_proto::attrs::CmpOp;
@@ -8,6 +9,7 @@ use starts_proto::query::{
     parse_filter, parse_ranking, print_filter, print_ranking, FilterExpr, ProxSpec, QTerm,
     RankExpr, WeightedTerm,
 };
+use starts_proto::summary::{ContentSummary, IndexedSummary, SummarySection, TermSummary};
 use starts_proto::{Field, LString, Modifier, Query};
 use starts_text::LangTag;
 
@@ -115,7 +117,85 @@ fn arb_ranking() -> impl Strategy<Value = RankExpr> {
     })
 }
 
+/// Words over a tiny two-case alphabet: spellings that differ only in
+/// case, and outright repeats, turn up inside one section and across
+/// sections.
+fn arb_summary_word() -> impl Strategy<Value = String> {
+    "[abAB]{1,3}"
+}
+
+fn arb_section_field() -> impl Strategy<Value = Option<String>> {
+    proptest::option::of(prop_oneof![
+        Just("title".to_string()),
+        Just("TITLE".to_string()),
+        Just("body-of-text".to_string()),
+    ])
+}
+
+fn arb_summary() -> impl Strategy<Value = ContentSummary> {
+    let section = (
+        arb_section_field(),
+        proptest::collection::vec((arb_summary_word(), proptest::option::of(0u32..50)), 0..24),
+    )
+        .prop_map(|(field, words)| SummarySection {
+            field,
+            language: None,
+            terms: words
+                .into_iter()
+                .map(|(term, doc_freq)| TermSummary {
+                    term,
+                    total_postings: Some(1),
+                    doc_freq,
+                })
+                .collect(),
+        });
+    (any::<bool>(), proptest::collection::vec(section, 0..6)).prop_map(
+        |(case_sensitive, sections)| ContentSummary {
+            case_sensitive,
+            num_docs: 50,
+            sections,
+            ..ContentSummary::default()
+        },
+    )
+}
+
 proptest! {
+    /// `IndexedSummary::lookup` returns the very entry the linear
+    /// `ContentSummary::lookup` returns — first admissible section, first
+    /// matching word in it — for listed words in either case, absent
+    /// words, and fields the summary has, lacks, or spells differently.
+    #[test]
+    fn indexed_summary_lookup_is_the_linear_lookup(
+        summary in arb_summary(),
+        strangers in proptest::collection::vec(arb_summary_word(), 0..6),
+    ) {
+        let indexed = IndexedSummary::new(summary);
+        let linear: &ContentSummary = &indexed;
+        let mut probes: Vec<String> = strangers;
+        probes.push("absent".to_string());
+        for section in &linear.sections {
+            for word in &section.terms {
+                probes.push(word.term.clone());
+                probes.push(word.term.to_ascii_uppercase());
+                probes.push(word.term.to_ascii_lowercase());
+            }
+        }
+        for field in [None, Some("title"), Some("Body-Of-Text"), Some("author")] {
+            for probe in &probes {
+                let (fast, slow) = (indexed.lookup(field, probe), linear.lookup(field, probe));
+                prop_assert!(
+                    match (fast, slow) {
+                        (Some(a), Some(b)) => std::ptr::eq(a, b),
+                        (None, None) => true,
+                        _ => false,
+                    },
+                    "lookup({:?}, {:?}): indexed {:?}, linear {:?}", field, probe, fast, slow
+                );
+                prop_assert_eq!(indexed.df(field, probe), linear.df(field, probe));
+            }
+        }
+    }
+
     /// print ∘ parse = identity on filter expressions.
     #[test]
     fn filter_print_parse_round_trip(f in arb_filter()) {

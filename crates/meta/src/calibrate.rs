@@ -237,7 +237,7 @@ mod tests {
         use crate::catalog::{Catalog, CatalogEntry};
         use crate::merge::{Merger, RawScoreMerge, SourceResult};
         use starts_net::LinkProfile;
-        use starts_proto::summary::ContentSummary;
+        use starts_proto::summary::{ContentSummary, IndexedSummary};
         use starts_proto::{Field, QueryResults, ResultDocument, SourceMetadata};
 
         let unit_cfg = SourceConfig::new("Unit");
@@ -249,8 +249,9 @@ mod tests {
             metadata: SourceMetadata {
                 source_id: cfg.id.clone(),
                 ..SourceMetadata::default()
-            },
-            summary: ContentSummary::default(),
+            }
+            .into(),
+            summary: IndexedSummary::new(ContentSummary::default()).into(),
             sample_results: sample_results(cfg),
             link: LinkProfile::default(),
         };
@@ -276,7 +277,8 @@ mod tests {
                 metadata: SourceMetadata {
                     source_id: "Unit".to_string(),
                     ..SourceMetadata::default()
-                },
+                }
+                .into(),
                 results: QueryResults {
                     documents: vec![doc("u/strong", 0.4)],
                     ..QueryResults::default()
@@ -287,7 +289,8 @@ mod tests {
                 metadata: SourceMetadata {
                     source_id: "Grand".to_string(),
                     ..SourceMetadata::default()
-                },
+                }
+                .into(),
                 results: QueryResults {
                     documents: vec![doc("g/meh", 300.0)],
                     ..QueryResults::default()

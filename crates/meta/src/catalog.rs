@@ -6,13 +6,19 @@
 //! result of that periodic crawl: everything the metasearcher knows
 //! about each source, refreshed out-of-band from query traffic.
 
+use std::sync::Arc;
+
 use starts_net::{LinkProfile, StartsClient};
-use starts_proto::summary::ContentSummary;
+use starts_proto::summary::IndexedSummary;
 use starts_proto::{Query, QueryResults, SourceMetadata};
 
 use crate::cache::CatalogCache;
 
 /// Everything known about one source.
+///
+/// Metadata and summary are built once, where they enter the catalog,
+/// and shared from then on: cloning an entry (or a whole [`Catalog`]),
+/// planning a query and caching a response all copy the pointer.
 #[derive(Debug, Clone)]
 pub struct CatalogEntry {
     /// The source id.
@@ -21,9 +27,9 @@ pub struct CatalogEntry {
     /// periodic [`Catalog::refresh`] refetches.
     pub metadata_url: String,
     /// Its exported metadata (§4.3.1).
-    pub metadata: SourceMetadata,
-    /// Its exported content summary (§4.3.2).
-    pub summary: ContentSummary,
+    pub metadata: Arc<SourceMetadata>,
+    /// Its exported content summary (§4.3.2), indexed by word.
+    pub summary: Arc<IndexedSummary>,
     /// Its sample-database results, if fetched (§4.2).
     pub sample_results: Vec<(Query, QueryResults)>,
     /// The link profile the metasearcher has observed/configured for the
@@ -211,24 +217,26 @@ impl Catalog {
     }
 }
 
-/// One source's (metadata, summary) pair, through the cache if given.
+/// One source's (metadata, summary) pair, through the cache if given —
+/// the one place a fetched summary is indexed and both become shared.
 fn fetch_pair(
     client: &StartsClient<'_>,
     cache: Option<&CatalogCache>,
     metadata_url: &str,
-) -> Result<(SourceMetadata, ContentSummary), starts_net::client::ClientError> {
-    match cache {
+) -> Result<(Arc<SourceMetadata>, Arc<IndexedSummary>), starts_net::client::ClientError> {
+    let (metadata, summary) = match cache {
         Some(cache) => {
             let metadata = cache.fetch_metadata(client, metadata_url)?;
             let summary = cache.fetch_summary(client, &metadata.content_summary_linkage)?;
-            Ok((metadata, summary))
+            (metadata, summary)
         }
         None => {
             let metadata = client.fetch_metadata(metadata_url)?;
             let summary = client.fetch_summary(&metadata.content_summary_linkage)?;
-            Ok((metadata, summary))
+            (metadata, summary)
         }
-    }
+    };
+    Ok((Arc::new(metadata), Arc::new(IndexedSummary::new(summary))))
 }
 
 #[cfg(test)]
@@ -363,6 +371,46 @@ mod tests {
             snap.counter("catalog.cache.misses", &[("kind", "metadata")]),
             6
         );
+    }
+
+    #[test]
+    fn a_refresh_that_changes_a_summary_is_seen_by_the_next_rank() {
+        use crate::select::{GGlossSum, Selector};
+        let net = net_with_everything();
+        let client = StartsClient::new(&net);
+        let cache = CatalogCache::new(std::time::Duration::from_secs(60));
+        let mut catalog = Catalog::default();
+        catalog
+            .discover_source_cached(
+                &client,
+                &cache,
+                "starts://solo/metadata",
+                LinkProfile::default(),
+                false,
+            )
+            .unwrap();
+        let terms = [(Some("body-of-text"), "galaxies")];
+        assert_eq!(GGlossSum.rank(&catalog, &terms)[0].1, 0.0);
+        let shared = Arc::clone(&catalog.entries[0].summary);
+
+        // The source re-indexes new content behind the same endpoints.
+        let rebuilt = Source::build(
+            SourceConfig::new("Solo"),
+            &[Document::new()
+                .field("body-of-text", "galaxies and more galaxies")
+                .field("linkage", "http://x/solo")],
+        );
+        wire_source(&net, rebuilt, LinkProfile::default());
+        cache.invalidate();
+        catalog.refresh(&client, &cache).unwrap();
+
+        // The entry holds a new summary *and* a new index over it…
+        assert!(!Arc::ptr_eq(&shared, &catalog.entries[0].summary));
+        assert!(GGlossSum.rank(&catalog, &terms)[0].1 > 0.0);
+        assert_eq!(catalog.global_df(Some("body-of-text"), "galaxies"), 1);
+        // …and whoever still shares the old one keeps a coherent pair.
+        assert_eq!(shared.df(Some("body-of-text"), "galaxies"), 0);
+        assert_eq!(shared.df(Some("body-of-text"), "unique"), 1);
     }
 
     #[test]

@@ -19,14 +19,16 @@
 //! | [`WeightedMerge`] | normalized score × source belief | CORI-style weighted merging (ref \[5\]) |
 
 use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::sync::Arc;
 
 use starts_proto::{Field, QueryResults, ResultDocument, SourceMetadata};
 
 /// One source's contribution to a merge.
 #[derive(Debug, Clone)]
 pub struct SourceResult {
-    /// The source's metadata (ScoreRange, RankingAlgorithmID, …).
-    pub metadata: SourceMetadata,
+    /// The source's metadata (ScoreRange, RankingAlgorithmID, …),
+    /// shared with the catalog entry it was planned from.
+    pub metadata: Arc<SourceMetadata>,
     /// The results it returned.
     pub results: QueryResults,
     /// An optional source-goodness weight (e.g. the selection belief)
@@ -56,7 +58,7 @@ pub struct MergedDoc {
 /// // Two sources with different score scales return results…
 /// let unit = SourceResult {
 ///     metadata: SourceMetadata { source_id: "Unit".into(), score_range: (0.0, 1.0),
-///                                ..SourceMetadata::default() },
+///                                ..SourceMetadata::default() }.into(),
 ///     results: QueryResults::default(),
 ///     source_weight: 1.0,
 /// };
@@ -601,7 +603,8 @@ mod tests {
                 source_id: id.to_string(),
                 score_range: range,
                 ..SourceMetadata::default()
-            },
+            }
+            .into(),
             results: QueryResults {
                 sources: vec![id.to_string()],
                 actual_filter: None,

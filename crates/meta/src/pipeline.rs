@@ -20,6 +20,7 @@
 //! offset is relative to it, so a profile assembled from stage pieces
 //! keeps the containment invariant `QueryProfile::is_consistent` checks.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use starts_net::{CancelToken, Exchange, StartsClient};
@@ -43,8 +44,9 @@ pub struct DispatchTask {
     pub id: String,
     /// The query URL to dispatch to.
     pub url: String,
-    /// The source's metadata (carried into the [`SourceResult`]).
-    pub metadata: SourceMetadata,
+    /// The source's metadata, shared with the catalog entry (carried
+    /// into the [`SourceResult`]).
+    pub metadata: Arc<SourceMetadata>,
     /// Selection belief normalized into `[0, 1]` (consumed by
     /// weighted merging).
     pub weight: f64,
@@ -145,7 +147,7 @@ pub fn plan(
         let lcd_query = if config.adapt == AdaptMode::Lcd {
             let metas: Vec<&SourceMetadata> = chosen
                 .iter()
-                .map(|(i, _)| &catalog.entries[*i].metadata)
+                .map(|(i, _)| &*catalog.entries[*i].metadata)
                 .collect();
             Some(least_common_denominator(query, &metas))
         } else {
@@ -164,7 +166,7 @@ pub fn plan(
                     entry_index: i,
                     id: entry.id.clone(),
                     url: entry.query_url().to_string(),
-                    metadata: entry.metadata.clone(),
+                    metadata: Arc::clone(&entry.metadata),
                     weight: (score / max_belief).clamp(0.0, 1.0),
                     query: q,
                 }
@@ -266,7 +268,7 @@ pub fn run_task(
             }
             Ok(TaskSuccess {
                 result: SourceResult {
-                    metadata: task.metadata.clone(),
+                    metadata: Arc::clone(&task.metadata),
                     results,
                     source_weight: task.weight,
                 },

@@ -118,7 +118,7 @@ impl Selector for PastPerformance {
 mod tests {
     use super::*;
     use starts_net::LinkProfile;
-    use starts_proto::summary::ContentSummary;
+    use starts_proto::summary::{ContentSummary, IndexedSummary};
     use starts_proto::SourceMetadata;
 
     fn entry(id: &str, latency_ms: u32) -> CatalogEntry {
@@ -128,11 +128,13 @@ mod tests {
             metadata: SourceMetadata {
                 source_id: id.to_string(),
                 ..SourceMetadata::default()
-            },
-            summary: ContentSummary {
+            }
+            .into(),
+            summary: IndexedSummary::new(ContentSummary {
                 num_docs: 100,
                 ..ContentSummary::default()
-            },
+            })
+            .into(),
             sample_results: Vec::new(),
             link: LinkProfile {
                 latency_ms,

@@ -8,7 +8,7 @@
 //! document frequencies and the collection size), plus cost-aware and
 //! naive baselines for the X6 experiment.
 
-use starts_proto::summary::ContentSummary;
+use starts_proto::summary::IndexedSummary;
 
 use crate::catalog::{Catalog, CatalogEntry};
 
@@ -37,11 +37,7 @@ pub trait Selector: Send + Sync {
             .enumerate()
             .map(|(i, e)| (i, self.score_source(e, catalog, terms)))
             .collect();
-        scored.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.0.cmp(&b.0))
-        });
+        scored.sort_by(|a, b| descending(a.1, b.1).then(a.0.cmp(&b.0)));
         scored
     }
 }
@@ -296,9 +292,18 @@ impl<S: Selector> Selector for HealthAware<S> {
     }
 }
 
+/// Best-first order on scores, total: numbers compare as `partial_cmp`
+/// has them (so `0.0` and `-0.0` tie) and NaN — which a wrapping
+/// selector can produce from an arbitrary inner score — ranks below
+/// every number and ties with itself.
+fn descending(a: f64, b: f64) -> std::cmp::Ordering {
+    b.partial_cmp(&a)
+        .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
+}
+
 /// Estimate df for a term in a summary regardless of stemming mismatch:
 /// if the summary is stemmed, look up the stem.
-pub fn summary_df(summary: &ContentSummary, field: Option<&str>, term: &str) -> u32 {
+pub fn summary_df(summary: &IndexedSummary, field: Option<&str>, term: &str) -> u32 {
     if summary.stemmed {
         summary.df(field, &starts_text::porter_stem(term))
     } else {
@@ -310,7 +315,7 @@ pub fn summary_df(summary: &ContentSummary, field: Option<&str>, term: &str) -> 
 mod tests {
     use super::*;
     use starts_net::LinkProfile;
-    use starts_proto::summary::{SummarySection, TermSummary};
+    use starts_proto::summary::{ContentSummary, SummarySection, TermSummary};
     use starts_proto::SourceMetadata;
 
     fn entry(id: &str, num_docs: u32, terms: &[(&str, u32)], link: LinkProfile) -> CatalogEntry {
@@ -320,8 +325,9 @@ mod tests {
             metadata: SourceMetadata {
                 source_id: id.to_string(),
                 ..SourceMetadata::default()
-            },
-            summary: ContentSummary {
+            }
+            .into(),
+            summary: IndexedSummary::new(ContentSummary {
                 num_docs,
                 sections: vec![SummarySection {
                     field: None,
@@ -336,7 +342,8 @@ mod tests {
                         .collect(),
                 }],
                 ..ContentSummary::default()
-            },
+            })
+            .into(),
             sample_results: Vec::new(),
             link,
         }
@@ -537,6 +544,68 @@ mod tests {
         assert!((food_plain - food_coupled).abs() < 1e-12);
     }
 
+    /// A selector whose inner score is NaN for one source — what a
+    /// wrapper over an arbitrary estimator can hand `rank`.
+    struct NanFor(usize);
+
+    impl Selector for NanFor {
+        fn name(&self) -> &'static str {
+            "nan-for"
+        }
+
+        fn score_source(
+            &self,
+            entry: &CatalogEntry,
+            catalog: &Catalog,
+            terms: &[(Option<&str>, &str)],
+        ) -> f64 {
+            if catalog.entries[self.0].id == entry.id {
+                f64::NAN
+            } else {
+                GGlossSum.score_source(entry, catalog, terms)
+            }
+        }
+    }
+
+    #[test]
+    fn nan_scores_rank_last_and_move_nothing_else() {
+        let mut c = catalog();
+        // Enough sources that an inconsistent comparator would be
+        // caught by `sort_by`, with ties and signed zeros among them.
+        for i in 0..40 {
+            c.entries.push(entry(
+                &format!("S{i}"),
+                100,
+                &[("databases", [0, 7, 7, 30][i % 4])],
+                LinkProfile::default(),
+            ));
+        }
+        let terms = [(None, "databases")];
+        let plain = GGlossSum.rank(&c, &terms);
+        for poisoned in [0, 2, 17, c.len() - 1] {
+            let ranked = NanFor(poisoned).rank(&c, &terms);
+            assert_eq!(ranked.len(), c.len());
+            let (last, score) = ranked[ranked.len() - 1];
+            assert!(last == poisoned && score.is_nan(), "NaN must rank last");
+            // Everyone else keeps the order (and scores) they had.
+            let others: Vec<(usize, f64)> = plain
+                .iter()
+                .copied()
+                .filter(|(i, _)| *i != poisoned)
+                .collect();
+            assert_eq!(&ranked[..ranked.len() - 1], &others[..]);
+        }
+        // Two NaNs tie and fall through to the index tie-break.
+        assert_eq!(descending(f64::NAN, f64::NAN), std::cmp::Ordering::Equal);
+        // Signed zeros still tie; numbers still order best-first.
+        assert_eq!(descending(0.0, -0.0), std::cmp::Ordering::Equal);
+        assert_eq!(descending(2.0, 1.0), std::cmp::Ordering::Less);
+        assert_eq!(
+            descending(f64::NEG_INFINITY, f64::NAN),
+            std::cmp::Ordering::Less
+        );
+    }
+
     #[test]
     fn empty_inputs() {
         let c = Catalog::default();
@@ -561,8 +630,10 @@ mod tests {
             }],
             ..ContentSummary::default()
         };
-        assert_eq!(summary_df(&summary, None, "databases"), 3);
+        let indexed = IndexedSummary::new(summary.clone());
+        assert_eq!(summary_df(&indexed, None, "databases"), 3);
         summary.stemmed = false;
-        assert_eq!(summary_df(&summary, None, "databases"), 0);
+        let indexed = IndexedSummary::new(summary);
+        assert_eq!(summary_df(&indexed, None, "databases"), 0);
     }
 }

@@ -57,5 +57,5 @@ pub use profile::FlightRecorder;
 pub use registry::{
     Collector, CounterSnapshot, GaugeSnapshot, HistogramSnapshot, MetricId, Registry, Snapshot,
 };
-pub use span::{Span, SpanEvent, SpanHandle};
+pub use span::{AdoptedSpan, Span, SpanEvent, SpanHandle};
 pub use trace::{TraceNode, TraceTree};

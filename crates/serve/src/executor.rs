@@ -4,15 +4,21 @@
 //! A [`Server`] owns two fixed pools over one shared network:
 //!
 //! ```text
-//! callers ──▶ bounded admission queue ──▶ query workers (plan, cache,
-//!             (LIFO pop, shed oldest)     singleflight, lead waves)
-//!                                              │
-//!                                              ▼
-//!                              dispatch queue ──▶ dispatch workers
-//!                              (per-source exchanges, hedges)
+//! callers (plan, key, cache) ── hit ──▶ answered on the caller's thread
+//!        │ miss
+//!        ▼
+//! bounded admission queue ──▶ query workers (cache again,
+//! (LIFO pop, shed oldest)     singleflight, lead waves)
+//!                                   │
+//!                                   ▼
+//!                   dispatch queue ──▶ dispatch workers
+//!                   (per-source exchanges, hedges)
 //! ```
 //!
-//! Query workers run [`starts_meta::pipeline`] stages; per-source
+//! What the server can answer from what it holds it answers where the
+//! request arrived: the admission queue bounds *waves*, so a cache hit
+//! is never queued, never shed and wakes no thread. Query workers run
+//! the remaining [`starts_meta::pipeline`] stages; per-source
 //! exchanges go through the dispatch pool so one slow query cannot
 //! monopolise threads, and a hedge or a straggler can outlive the query
 //! that launched it (it holds its own [`CancelToken`] and its share of
@@ -69,8 +75,9 @@ pub struct ServeConfig {
     pub query_workers: usize,
     /// Dispatch-pool size; `0` = `max(4, 2 × query workers)`.
     pub dispatch_workers: usize,
-    /// Bound on *waiting* queries; at capacity the oldest waiter is
-    /// shed. Minimum 1.
+    /// Bound on queries *waiting to run a wave*; at capacity the oldest
+    /// waiter is shed. Cache hits are answered on the caller's thread
+    /// and never wait here. Minimum 1.
     pub queue_capacity: usize,
     /// Result-cache freshness window; `Duration::ZERO` disables
     /// caching.
@@ -191,11 +198,25 @@ impl PartialEq for ServeOutcome {
     }
 }
 
-/// One admitted query waiting for a worker.
+/// One admitted query waiting for a worker: planned and keyed on its
+/// caller's thread, where it missed the cache.
 struct QueryJob {
-    query: Query,
+    plan: QueryPlan,
+    key: String,
     deadline_ms: Option<u64>,
     slot: Arc<ResponseSlot>,
+    query_id: String,
+    /// The caller's open `serve.query` span, which the worker's stages
+    /// nest under.
+    root: SpanHandle,
+    /// The request's clock, started on the caller's thread.
+    t0: Instant,
+    /// When the job joined the queue, in µs since `t0`.
+    enqueued_us: u64,
+}
+
+fn elapsed_us(t0: Instant) -> u64 {
+    t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64
 }
 
 /// Per-source state of one dispatch wave.
@@ -328,8 +349,49 @@ impl Server {
         let inner = &self.inner;
         let obs = inner.net.registry();
         obs.counter("serve.requests").inc();
-        let slot = ResponseSlot::new();
-        let start = Instant::now();
+        let query_id = starts_obs::trace::next_query_id();
+        let t0 = Instant::now();
+        let root = obs.span_with("serve.query", vec![("trace", query_id.clone())]);
+
+        // Plan here: selection and adaptation are wire-free, and the
+        // cache key needs the selected source set.
+        let plan = pipeline::plan(&inner.catalog, &inner.config, query, obs, t0);
+        let mut key = pipeline::normalized_query_key(query);
+        key.push('|');
+        key.push_str(&plan.selected.join(","));
+
+        let outcome = match inner.cache.lookup(&key, obs, false) {
+            Some(response) => Ok(ServeOutcome {
+                response,
+                via: Served::CacheHit,
+            }),
+            None => {
+                let slot = ResponseSlot::new();
+                let job = QueryJob {
+                    plan,
+                    key,
+                    deadline_ms,
+                    slot: Arc::clone(&slot),
+                    query_id,
+                    root: root.handle(),
+                    t0,
+                    enqueued_us: elapsed_us(t0),
+                };
+                self.admit(job)?;
+                slot.wait()
+            }
+        };
+        if outcome.is_ok() {
+            obs.histogram("serve.latency_us").observe(elapsed_us(t0));
+        }
+        outcome
+    }
+
+    /// Queue a job for the query workers, shedding the oldest waiter
+    /// when the queue is full.
+    fn admit(&self, job: QueryJob) -> Result<(), ServeError> {
+        let inner = &self.inner;
+        let obs = inner.net.registry();
         {
             let mut queue = inner.queue.lock().expect("serve queue");
             if inner.shutdown.load(Ordering::SeqCst) {
@@ -344,35 +406,29 @@ impl Server {
                     old.slot.fulfill(Err(ServeError::Shed));
                 }
             }
-            queue.push_back(QueryJob {
-                query: query.clone(),
-                deadline_ms,
-                slot: Arc::clone(&slot),
-            });
+            queue.push_back(job);
             obs.gauge("serve.queue_depth").set(queue.len() as f64);
         }
         inner.queue_cv.notify_one();
-        let outcome = slot.wait();
-        if outcome.is_ok() {
-            obs.histogram("serve.latency_us")
-                .observe(start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64);
-        }
-        outcome
+        Ok(())
     }
 
-    /// Stale every cached response that consulted `source` (call after
-    /// its metadata or content summary changed). Other entries keep
-    /// serving.
+    /// Stale and reclaim every cached response that consulted `source`
+    /// (call after its metadata or content summary changed), including
+    /// the response of any wave that is in flight right now. Other
+    /// entries keep serving.
     pub fn invalidate_source(&self, source: &str) {
         self.inner.cache.invalidate_source(source);
     }
 
-    /// Stale the whole result cache.
+    /// Stale and reclaim the whole result cache.
     pub fn invalidate_cache(&self) {
         self.inner.cache.invalidate_all();
     }
 
-    /// Number of cached responses (fresh or stale).
+    /// Number of cached responses. An invalidation reclaims what it
+    /// stales, so these are fresh ones plus any that outlived the TTL
+    /// and have not been walked over yet.
     pub fn cached_responses(&self) -> usize {
         self.inner.cache.len()
     }
@@ -429,21 +485,20 @@ fn query_worker(inner: &Arc<ServerInner>) {
     }
 }
 
-/// Plan → cache → singleflight → (lead the wave) → fulfill.
+/// Cache (again) → singleflight → (lead the wave) → fulfill.
 fn run_query(inner: &Arc<ServerInner>, job: QueryJob) {
     let obs: &Registry = inner.net.registry();
-    let query_id = starts_obs::trace::next_query_id();
-    let t0 = Instant::now();
-    let _root = obs.span_with("serve.query", vec![("trace", query_id.clone())]);
+    let _root = job.root.adopt();
+    let queue_stage = StageCost::new(
+        "queue",
+        job.enqueued_us,
+        elapsed_us(job.t0).saturating_sub(job.enqueued_us),
+    );
 
-    // Plan on this thread: selection and adaptation are wire-free, and
-    // the flight key needs the selected source set.
-    let plan = pipeline::plan(&inner.catalog, &inner.config, &job.query, obs, t0);
-    let mut key = pipeline::normalized_query_key(&job.query);
-    key.push('|');
-    key.push_str(&plan.selected.join(","));
-
-    if let Some(hit) = inner.cache.lookup(&key, obs) {
+    // The caller missed before it queued; an identical query's wave may
+    // have landed since, and two that missed together must not both
+    // dispatch.
+    if let Some(hit) = inner.cache.lookup(&job.key, obs, true) {
         job.slot.fulfill(Ok(ServeOutcome {
             response: hit,
             via: Served::CacheHit,
@@ -451,7 +506,7 @@ fn run_query(inner: &Arc<ServerInner>, job: QueryJob) {
         return;
     }
 
-    if !inner.flights.lead_or_join(&key, &job.slot) {
+    if !inner.flights.lead_or_join(&job.key, &job.slot) {
         // A wave for this exact query is already in flight: the leader
         // will fulfill our slot; this worker is free for the next job.
         obs.counter("serve.singleflight.coalesced").inc();
@@ -459,10 +514,11 @@ fn run_query(inner: &Arc<ServerInner>, job: QueryJob) {
     }
     obs.counter("serve.singleflight.leader").inc();
 
-    let response = Arc::new(run_wave(inner, &job, plan, &query_id, t0));
-    inner
-        .cache
-        .store(key.clone(), Arc::clone(&response), &response.selected);
+    let key = job.key.clone();
+    // Before dispatch: an invalidation from here on stales the response.
+    let stamps = inner.cache.stamps(&job.plan.selected);
+    let response = Arc::new(run_wave(inner, &job, queue_stage));
+    inner.cache.store(job.key, Arc::clone(&response), stamps);
     job.slot.fulfill(Ok(ServeOutcome {
         response: Arc::clone(&response),
         via: Served::Executed,
@@ -477,15 +533,9 @@ fn run_query(inner: &Arc<ServerInner>, job: QueryJob) {
 
 /// Lead one dispatch wave: submit primaries, hedge stragglers, honour
 /// the deadline, merge whatever finished.
-fn run_wave(
-    inner: &Arc<ServerInner>,
-    job: &QueryJob,
-    plan: QueryPlan,
-    query_id: &str,
-    t0: Instant,
-) -> ServeResponse {
+fn run_wave(inner: &Arc<ServerInner>, job: &QueryJob, queue_stage: StageCost) -> ServeResponse {
     let obs: &Registry = inner.net.registry();
-    let elapsed_us = |t0: Instant| t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
+    let (plan, query_id, t0) = (&job.plan, job.query_id.as_str(), job.t0);
     let deadline_ms = job.deadline_ms.unwrap_or(inner.serve.deadline_ms);
     let deadline = (deadline_ms > 0).then(|| Instant::now() + Duration::from_millis(deadline_ms));
 
@@ -674,6 +724,7 @@ fn run_wave(
             children: vec![
                 plan.select_stage.clone(),
                 plan.adapt_stage.clone(),
+                queue_stage,
                 dispatch_stage,
                 merge_costs,
             ],
@@ -684,7 +735,7 @@ fn run_wave(
 
     ServeResponse {
         merged,
-        selected: plan.selected,
+        selected: plan.selected.clone(),
         per_source,
         completeness,
         partial: expired,

@@ -6,16 +6,19 @@
 //! caller, wasteful under concurrency. [`Server`] runs the same
 //! pipeline stages ([`starts_meta::pipeline`]) under a serving regime:
 //!
-//! * **Fixed worker pools** — a query pool executes whole queries off a
+//! * **Fixed worker pools** — a query pool leads dispatch waves off a
 //!   bounded admission queue; a shared dispatch pool runs the
-//!   per-source exchanges. No thread is ever spawned per query.
+//!   per-source exchanges. No thread is ever spawned per query, and a
+//!   query the result cache can answer never reaches a pool at all: it
+//!   is planned, keyed and answered on its caller's thread.
 //! * **Singleflight** — concurrent identical queries (same normalized
 //!   query text, same selected source set) collapse into one dispatch
 //!   wave; followers wait on the leader and share its response.
 //! * **Result cache** — responses are cached under a TTL with
 //!   per-source generation stamps: invalidating one source (say, after
-//!   its content summary changed) stales exactly the responses that
-//!   consulted it.
+//!   its content summary changed) stales — and reclaims — exactly the
+//!   responses that consulted it, those of waves still in flight
+//!   included.
 //! * **Hedged dispatch** — a source that has not answered within a
 //!   health-derived delay (p95 × factor, floored) gets a backup
 //!   request, optionally to a replica URL; the first response wins and

@@ -99,7 +99,7 @@ fn main() {
                 .unwrap_or(0.0)
         );
         inputs.push(SourceResult {
-            metadata,
+            metadata: metadata.into(),
             results,
             source_weight: 1.0,
         });

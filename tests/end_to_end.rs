@@ -218,7 +218,7 @@ fn merging_with_statistics_beats_raw_scores() {
                 .query(&format!("starts://{}/query", s.id.to_lowercase()), &query)
                 .unwrap();
             inputs.push(SourceResult {
-                metadata,
+                metadata: metadata.into(),
                 results,
                 source_weight: 1.0,
             });

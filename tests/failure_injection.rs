@@ -83,8 +83,10 @@ fn vanished_source_is_skipped_not_fatal() {
     // (the catalog is stale — §3.4's crawl is periodic, not live).
     let mut ghost = catalog.entries[0].clone();
     ghost.id = "Ghost".to_string();
-    ghost.metadata.source_id = "Ghost".to_string();
-    ghost.metadata.linkage = "starts://ghost/query".to_string();
+    // The metadata is shared with the entry it was cloned from.
+    let metadata = std::sync::Arc::make_mut(&mut ghost.metadata);
+    metadata.source_id = "Ghost".to_string();
+    metadata.linkage = "starts://ghost/query".to_string();
     catalog.entries.push(ghost);
     let meta = Metasearcher::new(
         &net,

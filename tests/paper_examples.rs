@@ -249,7 +249,8 @@ fn example_9_reranking() {
         metadata: SourceMetadata {
             source_id: "Source-1".to_string(),
             ..SourceMetadata::default()
-        },
+        }
+        .into(),
         results: example_8_results(),
         source_weight: 1.0,
     };
@@ -290,7 +291,8 @@ fn example_9_reranking() {
         metadata: SourceMetadata {
             source_id: "Source-2".to_string(),
             ..SourceMetadata::default()
-        },
+        }
+        .into(),
         results: lagunita,
         source_weight: 1.0,
     };

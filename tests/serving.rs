@@ -3,11 +3,14 @@
 //! cached responses with per-source generation invalidation,
 //! deadline-bounded partial results that are a prefix-consistent merge
 //! of the finished sources, hedged dispatch racing a replica against a
-//! slow primary, LIFO load shedding under overload, and panic isolation
-//! in the shared dispatch pool.
+//! slow primary, LIFO load shedding under overload, panic isolation in
+//! the shared dispatch pool, and the cached path: hits answered on the
+//! caller's thread past a full executor, and an invalidation that
+//! overtakes a wave in flight.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Barrier};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Barrier, Mutex};
 use std::time::Duration;
 
 use starts::index::Document;
@@ -62,6 +65,31 @@ fn discover(net: &SimNet, ids: &[&str]) -> Catalog {
             .unwrap();
     }
     catalog
+}
+
+/// Wire a source whose query endpoint stops every exchange at a gate:
+/// it reports on the first channel that a wave has reached it, then
+/// answers (for real) only once it is sent a pass on the second.
+fn wire_gated(net: &SimNet, id: &str, words: &[&str]) -> (Receiver<()>, Sender<()>) {
+    wire(net, id, words, 10);
+    let source = Source::build(SourceConfig::new(id), &docs(words, 12, &id.to_lowercase()));
+    let (entered_tx, entered) = channel();
+    let (pass, pass_rx) = channel::<()>();
+    let (entered_tx, pass_rx) = (Mutex::new(entered_tx), Mutex::new(pass_rx));
+    net.register(
+        format!("starts://{}/query", id.to_lowercase()),
+        LinkProfile::default(),
+        Arc::new(move |request: &[u8]| -> Vec<u8> {
+            entered_tx.lock().unwrap().send(()).unwrap();
+            pass_rx.lock().unwrap().recv().unwrap();
+            let object =
+                starts::soif::parse_one(request, starts::soif::ParseMode::Lenient).unwrap();
+            source
+                .execute(&Query::from_soif(&object).unwrap())
+                .to_soif_stream()
+        }),
+    );
+    (entered, pass)
 }
 
 fn ranked(terms: &str) -> Query {
@@ -195,6 +223,210 @@ fn cached_responses_are_shared_verbatim_and_stale_per_source() {
     assert_eq!(snap.counter("serve.cache.misses", &[]), 2);
 }
 
+/// The generation a response is stamped with is the one its wave saw
+/// *before dispatch*: an invalidation that lands while the wave is in
+/// flight must not be papered over by the store that follows it.
+#[test]
+fn an_invalidation_that_overtakes_a_wave_stales_its_response() {
+    let net = Arc::new(SimNet::new());
+    wire(&net, "DB", &["databases", "queries"], 10);
+    let (entered, pass) = wire_gated(&net, "Food", &["cooking", "recipes"]);
+    let catalog = discover(&net, &["DB", "Food"]);
+    let server = Server::new(
+        Arc::clone(&net),
+        catalog,
+        MetaConfig::default(),
+        ServeConfig {
+            query_workers: 1,
+            hedge: hedge_off(),
+            ..ServeConfig::default()
+        },
+    );
+    let query = ranked(r#"list((body-of-text "cooking"))"#);
+
+    let first = std::thread::scope(|scope| {
+        let wave = scope.spawn(|| server.search(&query).unwrap());
+        // The wave is planned, stamped and dispatched; Food changes now.
+        entered.recv().unwrap();
+        server.invalidate_source("Food");
+        pass.send(()).unwrap();
+        wave.join().unwrap()
+    });
+    assert_eq!(first.via, Served::Executed);
+    assert!(first.response.selected.contains(&"Food".to_string()));
+    assert_eq!(server.cached_responses(), 0, "a stale response was kept");
+
+    // What that wave fetched predates the change: it must not be served.
+    pass.send(()).unwrap();
+    let second = server.search(&query).unwrap();
+    assert_eq!(second.via, Served::Executed);
+    assert!(!Arc::ptr_eq(&first.response, &second.response));
+    // Nothing overtook the second wave: it is cached as usual.
+    assert_eq!(server.search(&query).unwrap().via, Served::CacheHit);
+}
+
+/// The admission queue bounds waves, not lookups: with every query
+/// worker parked leading a wave, a request the cache can answer is
+/// answered on its caller's thread — never queued, never shed.
+#[test]
+fn cache_hits_bypass_admission_while_every_query_worker_is_parked() {
+    const WORKERS: usize = 2;
+    let net = Arc::new(SimNet::new());
+    wire(&net, "DB", &["databases", "queries"], 10);
+    let (entered, pass) = wire_gated(&net, "Food", &["cooking", "recipes"]);
+    let catalog = discover(&net, &["DB", "Food"]);
+    net.registry().reset();
+    let server = Server::new(
+        Arc::clone(&net),
+        catalog,
+        MetaConfig {
+            max_sources: 1,
+            ..MetaConfig::default()
+        },
+        ServeConfig {
+            query_workers: WORKERS,
+            queue_capacity: 1,
+            hedge: hedge_off(),
+            ..ServeConfig::default()
+        },
+    );
+    let cached = ranked(r#"list((body-of-text "databases"))"#);
+    let warm = server.search(&cached).unwrap();
+    assert_eq!(warm.via, Served::Executed);
+    assert_eq!(warm.response.selected, ["DB"]);
+
+    std::thread::scope(|scope| {
+        // One at a time: the one-slot queue is free again once a worker
+        // has taken the job as far as the gate.
+        let waves: Vec<_> = ["cooking", "recipes"]
+            .into_iter()
+            .map(|word| {
+                let server = &server;
+                let wave = scope.spawn(move || {
+                    server
+                        .search(&ranked(&format!(r#"list((body-of-text "{word}"))"#)))
+                        .unwrap()
+                });
+                entered.recv().unwrap();
+                wave
+            })
+            .collect();
+        // Both workers are inside `run_wave`, nothing waits behind them.
+        let snap = net.registry().snapshot();
+        assert_eq!(snap.gauge("serve.inflight", &[]), WORKERS as f64);
+        assert_eq!(snap.gauge("serve.queue_depth", &[]), 0.0);
+
+        for _ in 0..5 {
+            let hit = server.search(&cached).unwrap();
+            assert_eq!(hit.via, Served::CacheHit);
+            assert!(Arc::ptr_eq(&hit.response, &warm.response));
+        }
+        assert_eq!(
+            net.registry().snapshot().gauge("serve.queue_depth", &[]),
+            0.0
+        );
+
+        for _ in 0..WORKERS {
+            pass.send(()).unwrap();
+        }
+        for wave in waves {
+            assert_eq!(wave.join().unwrap().via, Served::Executed);
+        }
+    });
+
+    let snap = net.registry().snapshot();
+    assert_eq!(snap.counter("serve.shed", &[]), 0);
+    assert_eq!(snap.counter("serve.cache.hits", &[]), 5);
+    assert_eq!(snap.counter("serve.cache.misses", &[]), 3);
+    assert_eq!(snap.counter("serve.requests", &[]), 8);
+}
+
+/// Every request to a caching server counts exactly one of
+/// `serve.cache.{hits,misses}`, however it was served, and the
+/// executor's gauges come back to rest.
+#[test]
+fn mixed_traffic_counts_one_cache_outcome_per_request_and_gauges_settle() {
+    const CLIENTS: usize = 4;
+    const ROUNDS: usize = 40;
+    let net = Arc::new(SimNet::new());
+    wire(&net, "DB", &["databases", "queries"], 10);
+    wire(&net, "Food", &["cooking", "recipes"], 10);
+    wire(&net, "Stars", &["galaxies", "orbits"], 10);
+    let catalog = discover(&net, &["DB", "Food", "Stars"]);
+    net.registry().reset();
+    let server = Server::new(
+        Arc::clone(&net),
+        catalog,
+        MetaConfig::default(),
+        ServeConfig {
+            query_workers: 2,
+            hedge: hedge_off(),
+            ..ServeConfig::default()
+        },
+    );
+    let words = [
+        "databases",
+        "queries",
+        "cooking",
+        "recipes",
+        "galaxies",
+        "text",
+    ];
+    let barrier = Barrier::new(CLIENTS);
+    let served: Vec<Served> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..CLIENTS)
+            .map(|client| {
+                let (server, barrier, words) = (&server, &barrier, &words);
+                scope.spawn(move || {
+                    barrier.wait();
+                    (0..ROUNDS)
+                        .map(|round| {
+                            if client == 0 && round % 10 == 9 {
+                                server.invalidate_source(["DB", "Food", "Stars"][round % 3]);
+                            }
+                            let word = words[(client + round * (client + 1)) % words.len()];
+                            let query = ranked(&format!(r#"list((body-of-text "{word}"))"#));
+                            let outcome = server.search(&query).expect("64 slots never fill");
+                            assert!(outcome.response.profile.is_consistent());
+                            outcome.via
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect()
+    });
+
+    // A worker steps out of `serve.inflight` after it has answered:
+    // joining the pools is what orders that before the reading below.
+    drop(server);
+
+    let count = |via: Served| served.iter().filter(|v| **v == via).count() as u64;
+    assert_eq!(served.len(), CLIENTS * ROUNDS);
+    assert!(count(Served::CacheHit) > 0 && count(Served::Executed) > 0);
+    let snap = net.registry().snapshot();
+    let (hits, misses) = (
+        snap.counter("serve.cache.hits", &[]),
+        snap.counter("serve.cache.misses", &[]),
+    );
+    assert_eq!(
+        snap.counter("serve.requests", &[]),
+        (CLIENTS * ROUNDS) as u64
+    );
+    assert_eq!(hits + misses, snap.counter("serve.requests", &[]));
+    assert_eq!(hits, count(Served::CacheHit));
+    assert_eq!(misses, count(Served::Executed) + count(Served::Coalesced));
+    assert_eq!(
+        snap.counter("serve.singleflight.leader", &[]),
+        count(Served::Executed)
+    );
+    assert_eq!(snap.gauge("serve.inflight", &[]), 0.0);
+    assert_eq!(snap.gauge("serve.queue_depth", &[]), 0.0);
+}
+
 #[test]
 fn deadline_expiry_returns_prefix_consistent_partial_results() {
     let net = Arc::new(SimNet::new());
@@ -245,7 +477,9 @@ fn deadline_expiry_returns_prefix_consistent_partial_results() {
     );
 
     // The straggler was cancelled, not failed: its health is untouched
-    // and the cancellation is accounted separately.
+    // and the cancellation is accounted separately (by its dispatch
+    // worker, once it notices — joining the pool orders that first).
+    drop(server);
     assert!(health.health("Slow").is_none());
     let snap = net.registry().snapshot();
     assert_eq!(snap.counter("serve.partial", &[]), 1);
@@ -299,6 +533,9 @@ fn hedged_dispatch_races_a_replica_and_cancels_the_loser() {
     assert!(!resp.merged.is_empty());
     assert_eq!(resp.completeness[0].status, SourceStatus::Complete);
 
+    // The cancelled primary is counted by its dispatch worker, once it
+    // notices: joining the pool orders that before the reading.
+    drop(server);
     let snap = net.registry().snapshot();
     assert_eq!(snap.counter("serve.hedge.launched", &[("source", "DB")]), 1);
     assert_eq!(snap.counter("serve.hedge.wins", &[("source", "DB")]), 1);
@@ -460,8 +697,18 @@ fn pooled_wave_matches_the_scoped_metasearcher_and_ships_stock_slos() {
             .collect::<Vec<_>>()
     );
     assert_eq!(scoped.selected, pooled.response.selected);
-    // The pooled profile keeps the stage-containment invariant.
+    // The pooled profile keeps the stage-containment invariant, with
+    // the wait for a worker told apart from the work.
     assert!(pooled.response.profile.is_consistent());
+    let stages: Vec<&str> = pooled
+        .response
+        .profile
+        .root
+        .children
+        .iter()
+        .map(|s| s.name.as_str())
+        .collect();
+    assert_eq!(stages, ["select", "adapt", "queue", "dispatch", "merge"]);
     assert!(pooled
         .response
         .profile
