@@ -32,6 +32,25 @@
 //!   longest lists in the index) paired with one rare anchor, the
 //!   workload where leaping undecoded blocks pays most.
 //!
+//! A fourth workload, `filtered`, puts a Boolean **filter** in front of
+//! the ranking — the query shapes of the end-to-end benchmark's
+//! `big_tree` at this corpus size, one row per shape:
+//!
+//! * `or` / `and-not` / `prox` — an `or`, `and-not` or `prox[8,F]`
+//!   filter over background words with a ranking anchored by a rare
+//!   topic word; `list` is `big_tree`'s unfiltered fourth shape, the
+//!   control,
+//! * `selective` — a rare-word filter over a common-word ranking, where
+//!   the filter cursor leads the loop,
+//! * `filter-only` — a `prox` filter and no ranking: the first `k`
+//!   documents the filter admits.
+//!
+//! Under `Auto` the filter is a lazy cursor inside the Block-Max-WAND
+//! loop; under `Off` the same cursor is drained and the whole set
+//! scored. Every filtered query must answer identically under both, and
+//! on the `prox` rows `Auto` must compare positions for fewer documents
+//! than hold both words (the eager evaluator compared them all).
+//!
 //! Reported per configuration: QPS, p50/p95/p99 latency, the fraction
 //! of candidate postings skipped unscored, and the number of whole
 //! blocks jumped without decoding. The artifact also records raw block
@@ -54,8 +73,8 @@ use starts_bench::{
 };
 use starts_corpus::{generate_corpus, CorpusConfig, GeneratedCorpus, Zipf};
 use starts_index::{
-    EngineConfig, PositionsMode, PruneMode, PruneReport, RankNode, SearchOptions, ShardedEngine,
-    TermSpec,
+    BoolNode, EngineConfig, PositionsMode, PruneMode, PruneReport, RankNode, SearchOptions,
+    ShardedEngine, TermSpec,
 };
 
 /// Result-list bound for every query (the X14 regime).
@@ -89,20 +108,12 @@ fn main() {
         })
     };
     let docs = corpus.all_docs();
-    let workloads = [
-        Workload {
-            name: "zipf",
-            queries: zipf_workload(&corpus, n_queries, 1997),
-        },
-        Workload {
-            name: "tree",
-            queries: tree_workload(&corpus, n_queries, 4111),
-        },
-        Workload {
-            name: "long",
-            queries: long_postings_workload(&corpus, n_queries, 5309),
-        },
+    let mut workloads = vec![
+        Workload::ranked("zipf", zipf_workload(&corpus, n_queries, 1997)),
+        Workload::ranked("tree", tree_workload(&corpus, n_queries, 4111)),
+        Workload::ranked("long", long_postings_workload(&corpus, n_queries, 5309)),
     ];
+    workloads.extend(filtered_workloads(&corpus, n_queries, 2600));
     println!(
         "corpus: {} docs; workloads: {} x {} queries; k = {K}; \
          machine parallelism: {parallelism}",
@@ -140,33 +151,45 @@ fn main() {
     let mut rows = Vec::new();
     let mut stats = Vec::new();
     for workload in &workloads {
+        let cooccurring = workload.cooccurring(&baseline);
         for &shards in SHARD_COUNTS {
+            // The filtered shapes are measured monolithic only: what they
+            // compare is the filter's place in the loop, and the thread
+            // fan-out of a multi-shard row adds nothing but noise to it.
+            if workload.shape.is_some() && shards != 1 {
+                continue;
+            }
             for prune in [PruneMode::Off, PruneMode::Auto] {
                 let engine = ShardedEngine::build(&docs, config(shards, prune));
 
-                // Exactness spot check on the first queries of the
-                // workload, and the prune tallies over all of them; the
-                // property suite covers exactness exhaustively.
+                // Exactness against the unpruned monolithic baseline —
+                // a spot check on the ranking-only workloads (the
+                // property suite covers them exhaustively), every query
+                // of the filtered one — and the prune tallies over all.
                 let mut report = PruneReport::default();
-                for (i, node) in workload.queries.iter().enumerate() {
-                    let (hits, _, r) = engine.search_top_k_observed(None, Some(node), &opts);
+                for (i, q) in workload.queries.iter().enumerate() {
+                    let (hits, _, r) =
+                        engine.search_top_k_observed(q.filter.as_ref(), q.ranking.as_ref(), &opts);
                     report.merge(&r);
-                    if i < 10 {
+                    if i < 10 || workload.shape.is_some() {
                         assert_eq!(
                             hits,
-                            baseline.search_top_k(None, Some(node), Some(K)),
+                            baseline.search_top_k(q.filter.as_ref(), q.ranking.as_ref(), Some(K)),
                             "pruned top-k diverged at workload={} shards={shards} \
-                             prune={prune:?}",
-                            workload.name
+                             prune={prune:?} query={i}",
+                            workload.label()
                         );
                     }
                 }
+                // A filter-only query ranks nothing, so it has nothing
+                // to prune.
+                let ranked = workload.queries.iter().any(|q| q.ranking.is_some());
                 match prune {
-                    PruneMode::Auto => {
+                    PruneMode::Auto if ranked => {
                         assert!(
                             report.skipped_docs > 0,
                             "pruning never engaged on the {} workload: {report:?}",
-                            workload.name
+                            workload.label()
                         );
                         // Whole-block jumps need lists spanning several
                         // blocks; splitting the corpus across shards can
@@ -176,14 +199,25 @@ fn main() {
                             assert!(
                                 report.blocks_skipped > 0,
                                 "no whole block was ever jumped on the {} workload: {report:?}",
-                                workload.name
+                                workload.label()
                             );
                         }
                     }
+                    PruneMode::Auto => {}
                     PruneMode::Off => {
                         assert_eq!(report.skipped_docs, 0);
                         assert_eq!(report.blocks_skipped, 0);
                     }
+                }
+                // The laziness the `prox` rows exist to show: positions
+                // compared for fewer documents than hold both words.
+                if let (PruneMode::Auto, Some(both)) = (prune, cooccurring) {
+                    assert!(
+                        report.positional_checks < both,
+                        "{}: {} position checks for {both} co-occurring documents",
+                        workload.label(),
+                        report.positional_checks
+                    );
                 }
                 let pruned_fraction = if report.candidates > 0 {
                     report.skipped_docs as f64 / report.candidates as f64
@@ -191,14 +225,14 @@ fn main() {
                     0.0
                 };
 
-                let qs = measure(&workload.queries, |node| {
+                let qs = measure(&workload.queries, |q| {
                     engine
-                        .search_top_k_observed(None, Some(node), &opts)
+                        .search_top_k_observed(q.filter.as_ref(), q.ranking.as_ref(), &opts)
                         .0
                         .len()
                 });
                 rows.push(vec![
-                    workload.name.to_string(),
+                    workload.label(),
                     shards.to_string(),
                     format!("{prune:?}"),
                     format!("{:.0}", qs.qps),
@@ -207,9 +241,12 @@ fn main() {
                     format!("{:.1}", qs.p99_us),
                     format!("{:.1}%", pruned_fraction * 100.0),
                     report.blocks_skipped.to_string(),
+                    report.positional_checks.to_string(),
                 ]);
                 stats.push(PruneStats {
                     workload: workload.name,
+                    shape: workload.shape,
+                    cooccurring,
                     shards,
                     prune,
                     qs,
@@ -223,7 +260,16 @@ fn main() {
     section("query latency: pruned vs unpruned per workload and shard count");
     print_table(
         &[
-            "workload", "shards", "prune", "QPS", "p50 µs", "p95 µs", "p99 µs", "pruned", "blocks",
+            "workload",
+            "shards",
+            "prune",
+            "QPS",
+            "p50 µs",
+            "p95 µs",
+            "p99 µs",
+            "pruned",
+            "blocks",
+            "pos checks",
         ],
         &rows,
     );
@@ -233,7 +279,7 @@ fn main() {
         println!(
             "{} shards={}: prune {:.2}x QPS vs off ({:.0} -> {:.0}), \
              {:.1}% of candidate postings skipped, {} blocks jumped undecoded",
-            auto.workload,
+            auto.label(),
             auto.shards,
             auto.qs.qps / off.qs.qps.max(1e-9),
             off.qs.qps,
@@ -267,20 +313,78 @@ fn main() {
     println!("wrote {out_path}");
 }
 
-/// A named query mix.
+/// One engine query: an optional filter in front of an optional ranking.
+struct Query {
+    filter: Option<BoolNode>,
+    ranking: Option<RankNode>,
+}
+
+/// A named query mix; `shape` names one row of the `filtered` workload.
 struct Workload {
     name: &'static str,
-    queries: Vec<RankNode>,
+    shape: Option<&'static str>,
+    queries: Vec<Query>,
+}
+
+impl Workload {
+    fn ranked(name: &'static str, nodes: Vec<RankNode>) -> Self {
+        Workload {
+            name,
+            shape: None,
+            queries: nodes
+                .into_iter()
+                .map(|node| Query {
+                    filter: None,
+                    ranking: Some(node),
+                })
+                .collect(),
+        }
+    }
+
+    fn label(&self) -> String {
+        label(self.name, self.shape)
+    }
+
+    /// Documents holding both words of each top-level `prox` filter,
+    /// summed over the workload — what an eager evaluator compares
+    /// positions for. `None` when no query carries one.
+    fn cooccurring(&self, engine: &ShardedEngine) -> Option<u64> {
+        let mut total = None;
+        for q in &self.queries {
+            if let Some(BoolNode::Prox { left, right, .. }) = &q.filter {
+                let both =
+                    BoolNode::and(BoolNode::Term(left.clone()), BoolNode::Term(right.clone()));
+                *total.get_or_insert(0) += engine.search(Some(&both), None).len() as u64;
+            }
+        }
+        total
+    }
+}
+
+fn label(name: &str, shape: Option<&str>) -> String {
+    match shape {
+        Some(shape) => format!("{name}/{shape}"),
+        None => name.to_string(),
+    }
 }
 
 /// Per-configuration measurements.
 struct PruneStats {
     workload: &'static str,
+    shape: Option<&'static str>,
+    /// See [`Workload::cooccurring`].
+    cooccurring: Option<u64>,
     shards: usize,
     prune: PruneMode,
     qs: QueryStats,
     pruned_fraction: f64,
     report: PruneReport,
+}
+
+impl PruneStats {
+    fn label(&self) -> String {
+        label(self.workload, self.shape)
+    }
 }
 
 /// Query-side timing summary (the X14 `PathStats` shape).
@@ -293,7 +397,7 @@ struct QueryStats {
 
 /// Time one closure over the whole workload (after a short warmup) and
 /// summarize per-query latency.
-fn measure(queries: &[RankNode], mut run: impl FnMut(&RankNode) -> usize) -> QueryStats {
+fn measure(queries: &[Query], mut run: impl FnMut(&Query) -> usize) -> QueryStats {
     for q in queries.iter().take(5) {
         run(q);
     }
@@ -412,6 +516,80 @@ fn long_postings_workload(corpus: &GeneratedCorpus, n: usize, seed: u64) -> Vec<
         .collect()
 }
 
+/// A term leaf of a filter, on the `body-of-text` field.
+fn filter_term(word: &str) -> BoolNode {
+    BoolNode::Term(TermSpec::fielded("body-of-text", word))
+}
+
+/// The `filtered` workload, one [`Workload`] per shape (module docs):
+/// the four query shapes of the end-to-end benchmark's `big_tree`, a
+/// selective filter, and a bounded filter-only query. Every shape draws
+/// the same word quadruples — a rare topic anchor and three Zipf
+/// background words — so the rows differ by shape alone.
+fn filtered_workloads(corpus: &GeneratedCorpus, n: usize, seed: u64) -> Vec<Workload> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let bg = Zipf::new(corpus.background.len(), 1.0);
+    let topic = Zipf::new(corpus.topics[0].len(), 0.8);
+    let words: Vec<[String; 4]> = (0..n)
+        .map(|_| {
+            [
+                topic_word(corpus, &topic, &mut rng),
+                bg_word(corpus, &bg, &mut rng),
+                bg_word(corpus, &bg, &mut rng),
+                bg_word(corpus, &bg, &mut rng),
+            ]
+        })
+        .collect();
+    let prox = |a: &str, b: &str| BoolNode::Prox {
+        left: TermSpec::fielded("body-of-text", a),
+        right: TermSpec::fielded("body-of-text", b),
+        distance: 8,
+        ordered: false,
+    };
+    type Shape = fn(&dyn Fn(&str, &str) -> BoolNode, &[String; 4]) -> Query;
+    let shapes: [(&'static str, Shape); 6] = [
+        ("or", |_, [anchor, a, b, _]| Query {
+            filter: Some(BoolNode::or(filter_term(anchor), filter_term(a))),
+            ranking: Some(RankNode::Or(vec![
+                leaf(anchor),
+                RankNode::And(vec![leaf(a), leaf(b)]),
+            ])),
+        }),
+        ("list", |_, [anchor, a, b, c]| Query {
+            filter: None,
+            ranking: Some(RankNode::List(vec![
+                leaf(anchor),
+                RankNode::Or(vec![leaf(a), leaf(b)]),
+                leaf(c),
+            ])),
+        }),
+        ("and-not", |_, [anchor, a, b, c]| Query {
+            filter: Some(BoolNode::and_not(filter_term(a), filter_term(b))),
+            ranking: Some(RankNode::List(vec![leaf(anchor), leaf(a), leaf(c)])),
+        }),
+        ("prox", |prox, [anchor, a, b, _]| Query {
+            filter: Some(prox(a, b)),
+            ranking: Some(RankNode::List(vec![leaf(anchor), leaf(a)])),
+        }),
+        ("selective", |_, [anchor, a, b, c]| Query {
+            filter: Some(filter_term(anchor)),
+            ranking: Some(RankNode::List(vec![leaf(a), leaf(b), leaf(c)])),
+        }),
+        ("filter-only", |prox, [_, a, b, _]| Query {
+            filter: Some(prox(a, b)),
+            ranking: None,
+        }),
+    ];
+    shapes
+        .into_iter()
+        .map(|(shape, build)| Workload {
+            name: "filtered",
+            shape: Some(shape),
+            queries: words.iter().map(|w| build(&prox, w)).collect(),
+        })
+        .collect()
+}
+
 /// Hand-rolled JSON artifact (schema documented in
 /// `docs/performance.md`).
 #[allow(clippy::too_many_arguments)]
@@ -428,12 +606,28 @@ fn render_json(
     let configs: Vec<String> = stats
         .iter()
         .map(|s| {
+            // Rows of the `filtered` workload name their shape and
+            // report the filter's own work; the older rows keep the
+            // fields they always had.
+            let shape = s
+                .shape
+                .map_or_else(String::new, |shape| format!(" \"shape\": \"{shape}\","));
+            let mut filter_work = String::new();
+            if s.shape.is_some() {
+                filter_work = format!(
+                    ", \"filter_advances\": {}, \"positional_checks\": {}",
+                    s.report.filter_advances, s.report.positional_checks
+                );
+                if let Some(both) = s.cooccurring {
+                    filter_work.push_str(&format!(", \"cooccurring_docs\": {both}"));
+                }
+            }
             format!(
-                "    {{\"workload\": \"{}\", \"shards\": {}, \"prune\": \"{:?}\", \
+                "    {{\"workload\": \"{}\",{shape} \"shards\": {}, \"prune\": \"{:?}\", \
                  \"qps\": {:.1}, \
                  \"p50_us\": {:.1}, \"p95_us\": {:.1}, \"p99_us\": {:.1}, \
                  \"pruned_fraction\": {:.4}, \"skipped_docs\": {}, \"candidates\": {}, \
-                 \"blocks_skipped\": {}}}",
+                 \"blocks_skipped\": {}{filter_work}}}",
                 s.workload,
                 s.shards,
                 s.prune,

@@ -17,7 +17,10 @@
 //!   and monolithic (`"shards": 1`) Auto rows that report
 //!   `blocks_skipped` must have jumped at least one whole block
 //!   undecoded (sharding can shrink every posting list under the block
-//!   size, so multi-shard rows are exempt).
+//!   size, so multi-shard rows are exempt), and every ranked shape of
+//!   the `filtered` workload must not run slower under `Auto` (the
+//!   filter inside the pruned loop) than under `Off` (the filter
+//!   drained, its whole set scored) by more than twice the tolerance.
 //!
 //! Postings memory is gated in **both** modes: byte counts under a
 //! `postings_bytes*` object are machine-independent, so whenever both
@@ -187,6 +190,16 @@ pub fn diff(baseline: &Json, current: &Json, tolerance: f64) -> Result<DiffRepor
                 detail: format!("blocks_skipped {blocks:.0}"),
             });
         }
+        // Twice the tolerance: the two rows of a pair are separate
+        // measurements, each free to wobble by it.
+        for (shape, off, auto) in filtered_pairs(current) {
+            let floor = off * (1.0 - 2.0 * tolerance);
+            checks.push(Check {
+                name: format!("filtered/{shape} Auto keeps up with Off"),
+                ok: auto >= floor,
+                detail: format!("Off {off:.1}, Auto {auto:.1}, floor {floor:.1}"),
+            });
+        }
     }
 
     // Postings memory: byte counts are deterministic per corpus, so
@@ -249,11 +262,19 @@ fn postings_bytes(j: &Json) -> Vec<(String, f64)> {
     out
 }
 
-/// `pruned_fraction` of every object configured with `"prune": "Auto"`.
+/// Whether a configuration row ranked anything: a row that reports no
+/// candidates ran filter-only queries, which have nothing to prune and
+/// nothing for the prune mode to change.
+fn ranks(row: &Json) -> bool {
+    row.get("candidates").and_then(Json::num) != Some(0.0)
+}
+
+/// `pruned_fraction` of every ranking object configured with
+/// `"prune": "Auto"`.
 fn auto_prune_fractions(j: &Json) -> Vec<(String, f64)> {
     let mut out = Vec::new();
     walk_objects(j, "", &mut |path, obj| {
-        if obj.get("prune").and_then(Json::str_) == Some("Auto") {
+        if obj.get("prune").and_then(Json::str_) == Some("Auto") && ranks(obj) {
             if let Some(frac) = obj.get("pruned_fraction").and_then(Json::num) {
                 out.push((path.to_string(), frac));
             }
@@ -271,12 +292,43 @@ fn auto_block_skips(j: &Json) -> Vec<(String, f64)> {
     walk_objects(j, "", &mut |path, obj| {
         if obj.get("prune").and_then(Json::str_) == Some("Auto")
             && obj.get("shards").and_then(Json::num) == Some(1.0)
+            && ranks(obj)
         {
             if let Some(blocks) = obj.get("blocks_skipped").and_then(Json::num) {
                 out.push((path.to_string(), blocks));
             }
         }
     });
+    out
+}
+
+/// `(shape, Off qps, Auto qps)` of every ranked shape of the `filtered`
+/// workload that reports both prune modes at one shard count.
+fn filtered_pairs(j: &Json) -> Vec<(String, f64, f64)> {
+    let mut rows = Vec::new();
+    walk_objects(j, "", &mut |_, obj| {
+        let field = |key: &str| obj.get(key).and_then(Json::str_);
+        let num = |key: &str| obj.get(key).and_then(Json::num);
+        if field("workload") == Some("filtered") && ranks(obj) {
+            if let (Some(shape), Some(prune), Some(shards), Some(qps)) =
+                (field("shape"), field("prune"), num("shards"), num("qps"))
+            {
+                rows.push((shape.to_string(), shards, prune.to_string(), qps));
+            }
+        }
+    });
+    let mut out = Vec::new();
+    for (shape, shards, prune, auto) in &rows {
+        if prune != "Auto" {
+            continue;
+        }
+        let off = rows
+            .iter()
+            .find(|(s, n, p, _)| s == shape && n == shards && p == "Off");
+        if let Some((_, _, _, off)) = off {
+            out.push((shape.clone(), *off, *auto));
+        }
+    }
     out
 }
 
@@ -480,6 +532,40 @@ mod tests {
         assert!(!report.passed(), "{}", report.render());
         let report = diff(&baseline, &zeroed_multi_only, DEFAULT_QPS_TOLERANCE).expect("diff");
         assert!(report.passed(), "{}", report.render());
+    }
+
+    #[test]
+    fn filtered_auto_must_keep_up_with_off() {
+        let baseline = artifact(ARTIFACTS[2]);
+        let mut current = baseline.clone();
+        set_top(&mut current, "machine_parallelism", Json::Num(64.0));
+        let report = diff(&baseline, &current, DEFAULT_QPS_TOLERANCE).expect("diff");
+        assert!(!report.comparable);
+        assert!(report.passed(), "{}", report.render());
+        let gated = report
+            .checks
+            .iter()
+            .filter(|c| c.name.ends_with("Auto keeps up with Off"))
+            .count();
+        // Five ranked shapes; the filter-only row ranks nothing.
+        assert_eq!(gated, 5, "{}", report.render());
+
+        // Halve the Auto rows of the filtered workload: the lazy filter
+        // now loses to draining it, and the gate says so.
+        if let Json::Obj(members) = &mut current {
+            if let Some((_, Json::Arr(configs))) = members.iter_mut().find(|(k, _)| k == "configs")
+            {
+                for cfg in configs.iter_mut() {
+                    if cfg.get("workload").and_then(Json::str_) == Some("filtered")
+                        && cfg.get("prune").and_then(Json::str_) == Some("Auto")
+                    {
+                        scale_field(cfg, "qps", 0.5);
+                    }
+                }
+            }
+        }
+        let report = diff(&baseline, &current, DEFAULT_QPS_TOLERANCE).expect("diff");
+        assert!(!report.passed(), "{}", report.render());
     }
 
     #[test]

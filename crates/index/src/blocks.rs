@@ -467,6 +467,9 @@ pub struct BlockCursor<'a> {
     /// Current block; `list.n_blocks()` once exhausted.
     block: usize,
     pos: usize,
+    /// `docs[pos]`, or [`EXHAUSTED`]: the hot loops ask for the current
+    /// doc far more often than they move.
+    cur: u32,
     docs: Vec<u32>,
     tfs: Vec<u32>,
     /// Whether `tfs` holds the current block's frequencies. Doc ids are
@@ -495,6 +498,7 @@ impl<'a> BlockCursor<'a> {
             bounds,
             block: 0,
             pos: 0,
+            cur: EXHAUSTED,
             docs: Vec::new(),
             tfs: Vec::new(),
             tfs_valid: false,
@@ -503,18 +507,26 @@ impl<'a> BlockCursor<'a> {
         };
         if cursor.list.n_blocks() > 0 {
             cursor.list.decode_block_docs(0, &mut cursor.docs);
+            cursor.cur = cursor.docs[0];
             cursor.visited = 1;
         }
         cursor
     }
 
     /// The current doc id, or [`EXHAUSTED`] past the end.
+    #[inline]
     pub fn doc(&self) -> u32 {
-        if self.is_exhausted() {
+        self.cur
+    }
+
+    /// Re-read the current doc after a move.
+    #[inline]
+    fn settle(&mut self) {
+        self.cur = if self.is_exhausted() {
             EXHAUSTED
         } else {
             self.docs[self.pos]
-        }
+        };
     }
 
     /// Term frequency of the current posting, decoding the block's tf
@@ -549,6 +561,7 @@ impl<'a> BlockCursor<'a> {
                 self.tfs_valid = false;
             }
         }
+        self.settle();
         if !self.is_exhausted() {
             self.visited += 1;
         }
@@ -559,10 +572,16 @@ impl<'a> BlockCursor<'a> {
     /// header `max_doc` fence posts, and every block passed clean over
     /// is tallied in [`BlockCursor::blocks_skipped`] without being
     /// decoded. A target at or before the current doc is a no-op.
+    #[inline]
     pub fn next_geq(&mut self, target: u32) {
-        if self.is_exhausted() || target <= self.docs[self.pos] {
-            return;
+        // An exhausted cursor sits on the largest id there is.
+        if target > self.cur {
+            self.seek_forward(target);
         }
+    }
+
+    /// [`BlockCursor::next_geq`] for a target past the current doc.
+    fn seek_forward(&mut self, target: u32) {
         if target > self.list.header(self.block).max_doc {
             // Header-only seek to the first block that can hold target.
             let rest = &self.list.headers[self.block + 1..];
@@ -571,22 +590,42 @@ impl<'a> BlockCursor<'a> {
             self.block += 1 + ahead;
             self.pos = 0;
             if self.is_exhausted() {
+                self.cur = EXHAUSTED;
                 return;
             }
             self.list.decode_block_docs(self.block, &mut self.docs);
             self.tfs_valid = false;
         }
-        self.pos += self.docs[self.pos..].partition_point(|&d| d < target);
+        // Gallop from the current posting before bisecting: most seeks
+        // are short hops (the next posting, a neighbour's doc), which
+        // this settles in a compare or two.
+        let rest = &self.docs[self.pos..];
+        let mut hi = 1;
+        while hi < rest.len() && rest[hi] < target {
+            hi *= 2;
+        }
+        let lo = hi / 2;
+        let hi = hi.min(rest.len());
+        self.pos += lo + rest[lo..hi].partition_point(|&d| d < target);
         debug_assert!(
             self.pos < self.docs.len(),
             "header promised a doc >= target"
         );
+        self.cur = self.docs[self.pos];
         self.visited += 1;
     }
 
     /// Index of the current block.
     pub fn block_index(&self) -> usize {
         self.block
+    }
+
+    /// Index of the current posting within the whole list — what
+    /// [`crate::PostingsList::positions_at`] takes. Every block but the
+    /// last is full, so it is the block index scaled plus the in-block
+    /// position. Meaningless once exhausted.
+    pub fn ordinal(&self) -> usize {
+        self.block * BLOCK_DOCS + self.pos
     }
 
     /// Last doc id of the current block (the header fence post).
@@ -688,6 +727,7 @@ impl<'a> BlockCursor<'a> {
                 self.tfs_valid = false;
             }
         }
+        self.settle();
         self.visited += m as u64;
         if m > 0 && self.is_exhausted() {
             // The last step moved past the end, not onto a posting —

@@ -72,7 +72,9 @@ impl BoolNode {
     }
 }
 
-/// Intersect two sorted doc-id lists.
+/// Intersect two sorted doc-id lists. The three set operations serve
+/// the reference evaluator (`engine/oracle.rs`) only: filters run on the
+/// cursor algebra of `filter.rs`.
 pub(crate) fn intersect(a: &[DocId], b: &[DocId]) -> Vec<DocId> {
     let mut out = Vec::with_capacity(a.len().min(b.len()));
     let (mut i, mut j) = (0, 0);
@@ -143,8 +145,22 @@ pub(crate) fn prox_match(left: &[u32], right: &[u32], distance: u32, ordered: bo
         let (l, r) = (u64::from(left[i]), u64::from(right[j]));
         if l == r {
             // Same position can only happen for the same token; not a
-            // pair of distinct words.
+            // pair of distinct words. Each side's nearest distinct
+            // partner is the other side's next position, so test both
+            // before leaving this one: stepping only one side would
+            // lose `(left[i], right[j + 1])`.
+            let follows = |list: &[u32], from: usize| {
+                list[from..]
+                    .iter()
+                    .map(|&p| u64::from(p))
+                    .find(|&p| p > l)
+                    .is_some_and(|p| p - l <= max_gap)
+            };
+            if follows(right, j) || (!ordered && follows(left, i)) {
+                return true;
+            }
             i += 1;
+            j += 1;
             continue;
         }
         if l < r {
@@ -216,6 +232,51 @@ mod tests {
     fn prox_distance_zero_means_adjacent() {
         assert!(prox_match(&[0], &[1], 0, true));
         assert!(!prox_match(&[0], &[2], 0, true));
+    }
+
+    #[test]
+    fn prox_shared_positions_keep_their_successors() {
+        // `a x a`: the term at 0 is followed by itself at 2, one word
+        // between — a match the shared position 0 must not swallow.
+        assert!(prox_match(&[0, 2], &[0, 2], 8, true));
+        assert!(prox_match(&[0, 2], &[0, 2], 1, false));
+        assert!(!prox_match(&[0, 2], &[0, 2], 0, false));
+        // A lone shared position is no pair at all.
+        assert!(!prox_match(&[3], &[3], 8, false));
+        // Overlapping key sets (stem expansions): only the successor on
+        // the right side counts when order matters.
+        assert!(prox_match(&[4], &[4, 6], 1, true));
+        assert!(!prox_match(&[4, 6], &[4], 1, true));
+        assert!(prox_match(&[4, 6], &[4], 1, false));
+    }
+
+    /// Every pair, the slow way.
+    fn prox_pairs(left: &[u32], right: &[u32], distance: u32, ordered: bool) -> bool {
+        left.iter().any(|&l| {
+            right.iter().any(|&r| {
+                let (l, r) = (u64::from(l), u64::from(r));
+                l != r && l.abs_diff(r) <= u64::from(distance) + 1 && (!ordered || l < r)
+            })
+        })
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prox_match_is_the_pair_scan(
+            mut left in proptest::collection::vec(0u32..40, 0..12),
+            mut right in proptest::collection::vec(0u32..40, 0..12),
+            distance in 0u32..6,
+            ordered in proptest::prelude::any::<bool>(),
+        ) {
+            // Sorted, shared positions likely, repeats allowed.
+            left.sort_unstable();
+            right.sort_unstable();
+            proptest::prop_assert_eq!(
+                prox_match(&left, &right, distance, ordered),
+                prox_pairs(&left, &right, distance, ordered),
+                "left={:?} right={:?} d={} ordered={}", left, right, distance, ordered
+            );
+        }
     }
 
     #[test]

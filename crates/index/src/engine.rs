@@ -6,14 +6,16 @@
 //! executed query was — is what the STARTS source layer
 //! (`starts-source`) wraps and exports.
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use starts_text::{Analyzer, AnalyzerConfig, Thesaurus};
 
-use crate::blocks::{BlockCursor, BlockPostings, BLOCK_DOCS};
-use crate::boolean::{difference, intersect, prox_match, union, BoolNode};
+use crate::blocks::{BlockCursor, BlockPostings, BLOCK_DOCS, EXHAUSTED};
+use crate::boolean::BoolNode;
 use crate::doc::{DocId, Document};
+use crate::filter::FilterCursor;
 use crate::index::{
     Index, IndexBuilder, PositionsMode, PostingsIter, PostingsList, TermBound, TermBounds,
 };
@@ -22,6 +24,8 @@ use crate::ranking::{PreparedWeight, RankingAlgorithm, TermDocStats};
 use crate::schema::{FieldId, ANY_FIELD};
 use crate::sharded::CollectionStats;
 use crate::topk::{kway_union, SharedThreshold, TopK};
+
+mod oracle;
 
 /// A ranking-expression tree at the engine level. Leaves carry the
 /// query-assigned weight (§4.1.1: "Each term in a ranking expression may
@@ -363,6 +367,9 @@ impl Engine {
     /// * both → the filter set, ranked by the ranking expression (docs
     ///   scoring 0 stay in the set — the filter decides membership);
     /// * neither → empty.
+    ///
+    /// The filter is never evaluated to a set of its own: it compiles
+    /// to a lazy cursor (`filter.rs`) that this call drains.
     pub fn search(&self, filter: Option<&BoolNode>, ranking: Option<&RankNode>) -> Vec<Hit> {
         self.search_top_k(filter, ranking, None)
     }
@@ -372,6 +379,11 @@ impl Engine {
     /// engine selects the best `k` hits through a bounded heap instead
     /// of materializing and sorting the full result; the returned hits
     /// are exactly the first `k` the unbounded call would have produced.
+    /// A filter costs what those `k` hits need of it: a filter-only
+    /// query stops at its `k`-th document, and under
+    /// [`PruneMode::Auto`] a filtered ranking runs the filter cursor as
+    /// a required conjunct of the Block-Max-WAND loop, paying a `prox`
+    /// position check only for documents about to enter the heap.
     pub fn search_top_k(
         &self,
         filter: Option<&BoolNode>,
@@ -393,17 +405,18 @@ impl Engine {
     ) -> Vec<Hit> {
         match (filter, ranking) {
             (None, None) => Vec::new(),
-            (Some(f), None) => {
-                let mut docs = self.eval_filter(f);
-                if let Some(k) = limit {
-                    docs.truncate(k);
-                }
-                docs.into_iter()
-                    .map(|doc| Hit { doc, score: None })
-                    .collect()
-            }
-            (None, Some(r)) => {
-                let mut scores = self.eval_ranking_top_k_raw(r, limit, hooks);
+            (Some(f), None) => self
+                .eval_filter_bounded(f, limit, hooks)
+                .into_iter()
+                .map(|doc| Hit { doc, score: None })
+                .collect(),
+            (filter, Some(r)) => {
+                let mut scores = self.eval_ranked_raw(filter, r, limit, hooks);
+                // `finalize` rescales monotonically (the §3.2 vendor
+                // pins its top hit to 1000) and the best document —
+                // of the filter set, when there is a filter — is
+                // always inside the top k, so finalizing the selected
+                // slice equals finalizing everything then truncating.
                 self.ranking.finalize(&mut scores);
                 scores.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
                 scores
@@ -413,74 +426,28 @@ impl Engine {
                         score: Some(score),
                     })
                     .collect()
-            }
-            (Some(f), Some(r)) => {
-                let mut scores = self.eval_filter_ranked_raw(f, r, limit, hooks);
-                // As in `eval_ranking_top_k`: `finalize` rescales
-                // monotonically, so selecting on raw scores first and
-                // finalizing the selected slice equals finalizing the
-                // whole filter set then truncating.
-                self.ranking.finalize(&mut scores);
-                scores.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-                scores
-                    .into_iter()
-                    .map(|(doc, score)| Hit {
-                        doc,
-                        score: Some(score),
-                    })
-                    .collect()
-            }
-        }
-    }
-
-    /// The combined filter+ranking evaluation up to (but not including)
-    /// `finalize`: score only the filter set — the filter decides
-    /// membership, so there is no reason to evaluate the ranking
-    /// expression over its own (often much larger) candidate set.
-    /// Zero-scoring docs stay in. Returns raw scores sorted by (score
-    /// desc, doc asc), at most `limit` of them. Shards combine these raw
-    /// lists before the single global `finalize`.
-    pub(crate) fn eval_filter_ranked_raw(
-        &self,
-        filter: &BoolNode,
-        ranking: &RankNode,
-        limit: Option<usize>,
-        hooks: &PruneHooks<'_>,
-    ) -> Vec<(DocId, f64)> {
-        let set = self.eval_filter(filter);
-        let slots = self.score_set(ranking, &set);
-        match limit {
-            Some(k) => {
-                // The floor seeds the heap: docs below `min-doc-score`
-                // are never held, so the heap threshold starts tight.
-                let mut top = TopK::with_floor(k, hooks.floor);
-                for (doc, score) in set.into_iter().zip(slots) {
-                    top.push(doc, score);
-                }
-                top.into_sorted_vec()
-            }
-            None => {
-                let mut scores: Vec<(DocId, f64)> = set.into_iter().zip(slots).collect();
-                scores.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-                scores
             }
         }
     }
 
     /// Evaluate a Boolean filter expression to a sorted doc-id set.
     pub fn eval_filter(&self, node: &BoolNode) -> Vec<DocId> {
-        match node {
-            BoolNode::Term(spec) => self.eval_term(spec),
-            BoolNode::And(a, b) => intersect(&self.eval_filter(a), &self.eval_filter(b)),
-            BoolNode::Or(a, b) => union(&self.eval_filter(a), &self.eval_filter(b)),
-            BoolNode::AndNot(a, b) => difference(&self.eval_filter(a), &self.eval_filter(b)),
-            BoolNode::Prox {
-                left,
-                right,
-                distance,
-                ordered,
-            } => self.eval_prox(left, right, *distance, *ordered),
-        }
+        self.eval_filter_bounded(node, None, &PruneHooks::NONE)
+    }
+
+    /// The first `limit` documents (all, when unbounded) the filter
+    /// admits, in doc order: the cursor is walked that far and no
+    /// further.
+    pub(crate) fn eval_filter_bounded(
+        &self,
+        node: &BoolNode,
+        limit: Option<usize>,
+        hooks: &PruneHooks<'_>,
+    ) -> Vec<DocId> {
+        let mut cursor = self.filter_cursor(node);
+        let docs = cursor.take(limit.unwrap_or(usize::MAX));
+        hooks.count_filter(&cursor);
+        docs
     }
 
     /// Evaluate a ranking expression: positive-scoring docs, best first.
@@ -497,7 +464,7 @@ impl Engine {
     /// best `k` documents are selected by a bounded heap; the result is
     /// exactly the first `k` entries of the unbounded evaluation.
     pub fn eval_ranking_top_k(&self, node: &RankNode, limit: Option<usize>) -> Vec<(DocId, f64)> {
-        let mut scores = self.eval_ranking_top_k_raw(node, limit, &PruneHooks::NONE);
+        let mut scores = self.eval_ranked_raw(None, node, limit, &PruneHooks::NONE);
         // `finalize` rescales monotonically (the §3.2 vendor pins its
         // top hit to 1000); the global maximum is always inside the top
         // k, so finalizing the selected slice equals finalizing
@@ -507,31 +474,37 @@ impl Engine {
         scores
     }
 
-    /// [`Engine::eval_ranking_top_k`] stopping short of `finalize`: the
-    /// best `limit` positive raw scores, sorted by (score desc, doc asc).
+    /// Ranked evaluation stopping short of `finalize`: raw scores
+    /// sorted by (score desc, doc asc), at most `limit` of them. Without
+    /// a filter the positive-scoring documents compete; with one, the
+    /// filter decides membership and zero-scoring documents stay in.
     /// The sharded fan-out merges these per-shard lists and applies the
     /// single global `finalize` afterwards.
-    pub(crate) fn eval_ranking_top_k_raw(
+    ///
+    /// A bounded query whose tree is [`bmw_eligible`] runs the
+    /// Block-Max-WAND loop, the filter cursor leading it. Everything
+    /// else — unbounded, [`PruneMode::Off`], multi-key or comparison
+    /// leaves, negative weights — scores every candidate term-at-a-time
+    /// over the drained filter set (or, unfiltered, the leaves' union).
+    pub(crate) fn eval_ranked_raw(
         &self,
+        filter: Option<&BoolNode>,
         node: &RankNode,
         limit: Option<usize>,
         hooks: &PruneHooks<'_>,
     ) -> Vec<(DocId, f64)> {
-        let effective;
-        let node = if self.fuzzy_ranking_ops {
-            node
-        } else {
-            effective = node.flatten_to_list();
-            &effective
-        };
+        let node = &*self.effective_ranking(node);
         let mut leaves = Vec::new();
         self.resolve_leaves(node, &mut leaves);
         if let Some(k) = limit {
             if self.prune == PruneMode::Auto && bmw_eligible(node, &leaves) {
-                return self.eval_ranking_bmw(node, &leaves, k, hooks);
+                return self.eval_ranking_bmw(filter, node, &leaves, k, hooks);
             }
         }
-        let candidates = candidate_docs(&leaves);
+        let candidates = match filter {
+            Some(f) => self.eval_filter_bounded(f, None, hooks),
+            None => candidate_docs(&leaves),
+        };
         if let Some(c) = hooks.counters {
             c.candidates
                 .fetch_add(candidates.len() as u64, Ordering::Relaxed);
@@ -539,25 +512,37 @@ impl Engine {
         let mut cursor = 0;
         let mut tf_scratch = Vec::new();
         let slots = self.score_tree(node, &candidates, &leaves, &mut cursor, &mut tf_scratch);
+        // Only a filter keeps a document that scores nothing.
+        let scored = candidates
+            .into_iter()
+            .zip(slots)
+            .filter(|(_, s)| filter.is_some() || *s > 0.0);
         match limit {
             Some(k) => {
+                // The floor seeds the heap: docs below `min-doc-score`
+                // are never held, so the heap threshold starts tight.
                 let mut top = TopK::with_floor(k, hooks.floor);
-                for (&doc, &score) in candidates.iter().zip(&slots) {
-                    if score > 0.0 {
-                        top.push(doc, score);
-                    }
+                for (doc, score) in scored {
+                    top.push(doc, score);
                 }
                 top.into_sorted_vec()
             }
             None => {
-                let mut scores: Vec<(DocId, f64)> = candidates
-                    .into_iter()
-                    .zip(slots)
-                    .filter(|(_, s)| *s > 0.0)
-                    .collect();
+                let mut scores: Vec<(DocId, f64)> = scored.collect();
                 scores.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
                 scores
             }
+        }
+    }
+
+    /// The ranking expression this engine actually evaluates: `node`
+    /// itself, or — when the vendor ignores Boolean-like ranking
+    /// operators — its leaves flattened to one `list`.
+    fn effective_ranking<'a>(&self, node: &'a RankNode) -> Cow<'a, RankNode> {
+        if self.fuzzy_ranking_ops {
+            Cow::Borrowed(node)
+        } else {
+            Cow::Owned(node.flatten_to_list())
         }
     }
 
@@ -591,8 +576,28 @@ impl Engine {
     /// cover: a jump target is capped by every active leaf's covering
     /// block's last doc + 1, so each skipped doc's contributions are
     /// bounded by exactly the per-block maxima that were consulted.
+    ///
+    /// A `filter` joins the loop as a *required conjunct* and changes
+    /// none of the above — it only removes candidates:
+    ///
+    /// * ranking cursors behind the filter's frontier jump to it (no
+    ///   document before it can be a result), so a selective filter
+    ///   leads the loop and a dense one costs a compare;
+    /// * the filter is moved only after the block bounds have let the
+    ///   pivot through, and its second phase ([`FilterCursor::confirm`],
+    ///   the `prox` position check) runs last, only for a document whose
+    ///   exact score the heap would take;
+    /// * θ therefore only ever counts documents the filter admits, which
+    ///   keeps the published threshold sound across shards;
+    /// * the documents the ranking expression scores 0 but the filter
+    ///   admits are owed to the result too (§4.1.1: the filter decides
+    ///   membership). They can only matter while fewer than `k` positive
+    ///   scores exist, so they are appended afterwards, in doc order, by
+    ///   walking the filter until the heap is full — never by scoring
+    ///   the filter set.
     fn eval_ranking_bmw(
         &self,
+        filter: Option<&BoolNode>,
         node: &RankNode,
         leaves: &[LeafCtx<'_>],
         k: usize,
@@ -610,9 +615,8 @@ impl Engine {
             .iter()
             .map(|c| c.as_ref().map_or(0, |c| c.len()))
             .sum();
-        let mut top = TopK::with_floor(k, hooks.floor);
-        let mut theta = top.threshold();
-        let mut threshold_updates = 0u64;
+        let mut sel = Selection::new(k, hooks);
+        let mut lead = filter.map(|f| self.filter_cursor(f));
         let mut ub = vec![0.0_f64; n];
         let mut vals = vec![0.0_f64; n];
         // Survivor scoring dominates BMW wall time, so fold each leaf's
@@ -659,21 +663,18 @@ impl Engine {
                 }
             }
         };
-        // One positional-check doc set per `prox` node, computed once
-        // for the whole query (exactly as `score_tree` computes it) and
-        // consumed by `bmw_tree_exact` in depth-first order.
-        let prox_sets: Vec<Option<Vec<DocId>>> = {
-            let mut sets = Vec::new();
-            self.collect_prox_sets(node, &mut sets);
-            sets
-        };
-        let tree_exact = |slots: &[f64], doc: DocId| -> f64 {
+        // One positional test per `prox` node, consumed by
+        // `bmw_tree_exact` in depth-first order — lazy like the filter:
+        // positions are compared only for survivors.
+        let mut prox_tests = Vec::new();
+        self.collect_prox_tests(node, &mut prox_tests);
+        let mut tree_exact = |slots: &[f64], doc: DocId| -> f64 {
             match flat_den {
                 Some(den) => flat_list_eval(slots, den),
                 None => {
                     let mut cur = 0;
                     let mut pcur = 0;
-                    bmw_tree_exact(node, slots, &mut cur, doc, &prox_sets, &mut pcur)
+                    bmw_tree_exact(node, slots, &mut cur, doc, &mut prox_tests, &mut pcur)
                 }
             }
         };
@@ -690,16 +691,44 @@ impl Engine {
             .collect();
         let mut order: Vec<usize> = (0..n).collect();
         order.sort_unstable_by_key(|&i| docs[i]);
+        // Pivot selection bounds a prefix by its leaves' whole-list
+        // bounds — per-query constants — so the bound of a prefix
+        // depends only on *which* leaves it holds. Trees small enough
+        // for a table compute each leaf set's bound once (NaN = not
+        // yet; a real bound is never NaN); the rest recompute.
+        let mut prefix_bounds = if n <= 8 {
+            vec![f64::NAN; 1 << n]
+        } else {
+            Vec::new()
+        };
         loop {
-            if let Some(shared) = hooks.shared {
-                let global = shared.get();
-                if global > theta {
-                    theta = global;
-                }
-            }
-            if order.is_empty() || docs[order[0]] == u32::MAX {
+            sel.see_shared();
+            // The filter's frontier (cached by the cursor, so this is a
+            // load; 0 without a filter, which never leads).
+            let lead_doc = lead.as_ref().map_or(0, FilterCursor::doc);
+            if order.is_empty() || lead_doc == EXHAUSTED {
                 break;
             }
+            if docs[order[0]] < lead_doc {
+                for &i in &order {
+                    if docs[i] >= lead_doc {
+                        break;
+                    }
+                    let c = cursors[i].as_mut().expect("live cursor");
+                    c.next_geq(lead_doc);
+                    docs[i] = c.doc();
+                }
+                repair_frontier_order(&mut order, &docs);
+            }
+            if docs[order[0]] == u32::MAX {
+                break;
+            }
+            let theta = sel.theta;
+            // While θ is not positive a pivot is only ever ruled out by a
+            // bound of 0, and pivot selection has just found the prefix's
+            // whole-list bound positive: the per-block bounds have
+            // nothing to add until the heap has filled.
+            let block_bounds_prune = theta > 0.0;
 
             // --- WAND pivot selection -----------------------------------
             // Walk prefixes of the doc-sorted cursors, one equal-doc group
@@ -711,30 +740,32 @@ impl Engine {
             // active set, so a low bound here says nothing about the
             // next, larger prefix.
             let mut pivot: Option<(usize, u32)> = None; // (prefix end, doc)
-            if theta == f64::NEG_INFINITY {
-                // Nothing can be skipped yet: the first group is the pivot.
-                let d = docs[order[0]];
-                let end = order.iter().take_while(|&&i| docs[i] == d).count();
-                pivot = Some((end, d));
-            } else {
-                for s in ub.iter_mut() {
-                    *s = 0.0;
+            for s in ub.iter_mut() {
+                *s = 0.0;
+            }
+            let mut j = 0;
+            let mut members = 0usize; // the prefix, as a leaf bit set
+            while j < n && docs[order[j]] != u32::MAX {
+                let d = docs[order[j]];
+                while j < n && docs[order[j]] == d {
+                    ub[order[j]] = leaves[order[j]].bound;
+                    if !prefix_bounds.is_empty() {
+                        members |= 1 << order[j];
+                    }
+                    j += 1;
                 }
-                let mut j = 0;
-                while j < n && docs[order[j]] != u32::MAX {
-                    let d = docs[order[j]];
-                    while j < n && docs[order[j]] == d {
-                        ub[order[j]] = leaves[order[j]].bound;
-                        j += 1;
+                let bound = match prefix_bounds.get_mut(members) {
+                    Some(known) => {
+                        if known.is_nan() {
+                            *known = tree_bound(&ub);
+                        }
+                        *known
                     }
-                    // Skip on *strictly below* only: a bound equal to θ
-                    // may be a tie, and ties are never skipped. Spelled
-                    // via `partial_cmp` so an incomparable (NaN) bound
-                    // also refuses to skip.
-                    if tree_bound(&ub).partial_cmp(&theta) != Some(std::cmp::Ordering::Less) {
-                        pivot = Some((j, d));
-                        break;
-                    }
+                    None => tree_bound(&ub),
+                };
+                if !hopeless(bound, theta) {
+                    pivot = Some((j, d));
+                    break;
                 }
             }
             let Some((prefix_end, pivot_doc)) = pivot else {
@@ -742,7 +773,60 @@ impl Engine {
             };
             let next_doc = order.get(prefix_end).map_or(u32::MAX, |&i| docs[i]);
 
-            if docs[order[0]] == pivot_doc {
+            if docs[order[0]] != pivot_doc {
+                // Laggards sit before the pivot: a header-only lookup of
+                // the blocks that *would* cover it, no decoding.
+                for s in ub.iter_mut() {
+                    *s = 0.0;
+                }
+                for &i in &order[..prefix_end] {
+                    let c = cursors[i].as_ref().expect("live cursor");
+                    ub[i] = match c.block_for(pivot_doc) {
+                        Some(b) => (leaves[i].weight * c.block_max_score_at(b)).max(0.0),
+                        // List ends before the pivot: contributes nothing
+                        // to any doc from the pivot on.
+                        None => 0.0,
+                    };
+                }
+                if block_bounds_prune && hopeless(tree_bound(&ub), theta) {
+                    let mut jump = next_doc;
+                    for &i in &order[..prefix_end] {
+                        let c = cursors[i].as_ref().expect("live cursor");
+                        if let Some(b) = c.block_for(pivot_doc) {
+                            jump = jump.min(c.block_last_doc(b).saturating_add(1));
+                        }
+                    }
+                    for &i in &order[..prefix_end] {
+                        let c = cursors[i].as_mut().expect("live cursor");
+                        c.next_geq(jump);
+                        docs[i] = c.doc();
+                    }
+                    repair_frontier_order(&mut order, &docs);
+                    continue;
+                }
+                // Competitive: align the laggards onto the pivot — or
+                // onto the filter's next document, when that lies
+                // beyond it.
+                let target = lead.as_mut().map_or(pivot_doc, |f| f.next_geq(pivot_doc));
+                let mut landed = true;
+                for &i in &order[..prefix_end] {
+                    let c = cursors[i].as_mut().expect("live cursor");
+                    if c.doc() < target {
+                        c.next_geq(target);
+                        docs[i] = c.doc();
+                    }
+                    landed &= docs[i] == pivot_doc;
+                }
+                if !landed {
+                    // Re-run selection from the new frontier.
+                    repair_frontier_order(&mut order, &docs);
+                    continue;
+                }
+                // Every laggard landed on the pivot, inside the very
+                // blocks whose bounds were just consulted: the pivot is
+                // through, with no second selection and no second look
+                // at the same bounds.
+            } else {
                 if prefix_end == 1 {
                     if let Some(den) = flat_den {
                         // Sole-owner run: every doc from the pivot up to
@@ -756,16 +840,13 @@ impl Engine {
                         let i = order[0];
                         let c = cursors[i].as_mut().expect("live cursor");
                         self.bmw_flat_run(
-                            leaves[i].weight,
-                            leaves[i].df,
+                            &leaves[i],
                             prepared[i].as_ref(),
                             den,
                             next_doc,
                             c,
-                            &mut top,
-                            &mut theta,
-                            &mut threshold_updates,
-                            hooks.shared,
+                            lead.as_mut(),
+                            &mut sel,
                         );
                         docs[i] = c.doc();
                         repair_frontier_order(&mut order, &docs);
@@ -781,7 +862,7 @@ impl Engine {
                     let c = cursors[i].as_ref().expect("live cursor");
                     ub[i] = (leaves[i].weight * c.block_max_score()).max(0.0);
                 }
-                if tree_bound(&ub) < theta {
+                if block_bounds_prune && hopeless(tree_bound(&ub), theta) {
                     // Shallow advance: everything up to the earliest
                     // current-block boundary (or the next cursor's doc)
                     // is covered by the bounds just consulted.
@@ -798,77 +879,52 @@ impl Engine {
                     repair_frontier_order(&mut order, &docs);
                     continue;
                 }
-                // Survivor: exact score with the unpruned arithmetic.
-                for s in vals.iter_mut() {
-                    *s = 0.0;
-                }
-                let doc = DocId(pivot_doc);
-                for &i in &order[..prefix_end] {
-                    let tf = cursors[i].as_mut().expect("live cursor").tf();
-                    if tf > 0 {
-                        vals[i] = leaves[i].weight
-                            * self.weigh_leaf(prepared[i].as_ref(), doc, tf, leaves[i].df);
-                    }
-                }
-                let score = tree_exact(&vals, doc);
-                if score > 0.0 {
-                    top.push(doc, score);
-                    let floor = top.threshold();
-                    if floor > theta {
-                        theta = floor;
-                        threshold_updates += 1;
-                        if let Some(shared) = hooks.shared {
-                            shared.raise(floor);
-                        }
-                    }
-                }
-                for &i in &order[..prefix_end] {
-                    let c = cursors[i].as_mut().expect("live cursor");
-                    c.next();
-                    docs[i] = c.doc();
-                }
-                repair_frontier_order(&mut order, &docs);
-            } else {
-                // Laggards sit before the pivot: a header-only lookup of
-                // the blocks that *would* cover it, no decoding.
-                for s in ub.iter_mut() {
-                    *s = 0.0;
-                }
-                for &i in &order[..prefix_end] {
-                    let c = cursors[i].as_ref().expect("live cursor");
-                    ub[i] = match c.block_for(pivot_doc) {
-                        Some(b) => (leaves[i].weight * c.block_max_score_at(b)).max(0.0),
-                        // List ends before the pivot: contributes nothing
-                        // to any doc from the pivot on.
-                        None => 0.0,
-                    };
-                }
-                if tree_bound(&ub) < theta {
-                    let mut jump = next_doc;
-                    for &i in &order[..prefix_end] {
-                        let c = cursors[i].as_ref().expect("live cursor");
-                        if let Some(b) = c.block_for(pivot_doc) {
-                            jump = jump.min(c.block_last_doc(b).saturating_add(1));
-                        }
-                    }
-                    for &i in &order[..prefix_end] {
-                        let c = cursors[i].as_mut().expect("live cursor");
-                        c.next_geq(jump);
-                        docs[i] = c.doc();
-                    }
-                } else {
-                    // Competitive: align the laggards onto the pivot and
-                    // re-run selection from the new frontier.
-                    for &i in &order[..prefix_end] {
-                        let c = cursors[i].as_mut().expect("live cursor");
-                        if c.doc() < pivot_doc {
-                            c.next_geq(pivot_doc);
-                            docs[i] = c.doc();
-                        }
-                    }
-                }
-                repair_frontier_order(&mut order, &docs);
             }
+            // The bounds let the pivot through; now it must be in
+            // the filter. If the filter lands past it, the top of
+            // the loop moves the cursors up to the filter.
+            if let Some(f) = lead.as_mut() {
+                if f.next_geq(pivot_doc) != pivot_doc {
+                    continue;
+                }
+            }
+            // Survivor: exact score with the unpruned arithmetic.
+            for s in vals.iter_mut() {
+                *s = 0.0;
+            }
+            let doc = DocId(pivot_doc);
+            for &i in &order[..prefix_end] {
+                let tf = cursors[i].as_mut().expect("live cursor").tf();
+                if tf > 0 {
+                    vals[i] = leaves[i].weight
+                        * self.weigh_leaf(prepared[i].as_ref(), doc, tf, leaves[i].df);
+                }
+            }
+            let score = tree_exact(&vals, doc);
+            // The filter's second phase comes last: positions are
+            // compared only for a score the heap would take.
+            if score > 0.0 && sel.wants(doc, score) {
+                let confirmed = match lead.as_mut() {
+                    Some(f) => f.confirm(),
+                    None => true,
+                };
+                if confirmed {
+                    sel.push(doc, score);
+                }
+            }
+            for &i in &order[..prefix_end] {
+                let c = cursors[i].as_mut().expect("live cursor");
+                c.next();
+                docs[i] = c.doc();
+            }
+            repair_frontier_order(&mut order, &docs);
+        }
+        if let (Some(f), Some(lead)) = (filter, &lead) {
+            hooks.count_filter(lead);
+            self.zero_fill(f, k, &mut sel, hooks);
+        }
+        for test in prox_tests.iter().flatten() {
+            hooks.count_filter(test);
         }
         if let Some(c) = hooks.counters {
             let visited: u64 = cursors.iter().flatten().map(BlockCursor::visited).sum();
@@ -890,9 +946,41 @@ impl Engine {
             c.blocks_skipped
                 .fetch_add(blocks_skipped, Ordering::Relaxed);
             c.threshold_updates
-                .fetch_add(threshold_updates, Ordering::Relaxed);
+                .fetch_add(sel.threshold_updates, Ordering::Relaxed);
         }
-        top.into_sorted_vec()
+        sel.top.into_sorted_vec()
+    }
+
+    /// The zero-fill pass of a filtered Block-Max-WAND query: while the
+    /// heap is short of `k` and a score of 0 could still be returned,
+    /// append the filter's documents the loop did not take — each
+    /// scores exactly 0 — in doc order. Every positive-scoring document
+    /// of the filter is already held at this point (nothing is pruned
+    /// below a threshold of 0), so what the walk finds outside the heap
+    /// is precisely the filter set's zero-scoring tail.
+    fn zero_fill(
+        &self,
+        filter: &BoolNode,
+        k: usize,
+        sel: &mut Selection<'_>,
+        hooks: &PruneHooks<'_>,
+    ) {
+        // θ above 0 means the floor excludes 0, or `k` positive scores
+        // exist in some shard: no zero can reach the result.
+        if sel.top.len() >= k || sel.theta > 0.0 {
+            return;
+        }
+        let mut held = sel.top.docs();
+        held.sort_unstable();
+        let mut cursor = self.filter_cursor(filter);
+        while sel.top.len() < k && cursor.doc() != EXHAUSTED {
+            let doc = DocId(cursor.doc());
+            if held.binary_search(&doc).is_err() && cursor.confirm() {
+                sel.top.push(doc, 0.0);
+            }
+            cursor.next();
+        }
+        hooks.count_filter(&cursor);
     }
 
     /// Bulk-score a sole-owner run for the flat-list Block-Max loop:
@@ -906,25 +994,30 @@ impl Engine {
     /// hopped without touching their tf section, exactly as the
     /// per-document loop shallow-advances; offering a sub-θ doc to the
     /// selector is a no-op, so bulk-scoring past a mid-block θ rise
-    /// cannot change the result either.
+    /// cannot change the result either. Under a filter the run skips
+    /// to the filter's frontier whenever that is ahead, and the filter
+    /// is moved (and confirmed) only for a document the heap would
+    /// take — one slot's score is cheaper than a filter seek.
     #[allow(clippy::too_many_arguments)]
     fn bmw_flat_run(
         &self,
-        leaf_weight: f64,
-        df: u32,
+        leaf: &LeafCtx<'_>,
         prepared: Option<&PreparedWeight>,
         den: f64,
         stop: u32,
         c: &mut BlockCursor<'_>,
-        top: &mut TopK,
-        theta: &mut f64,
-        threshold_updates: &mut u64,
-        shared: Option<&SharedThreshold>,
+        mut lead: Option<&mut FilterCursor<'_>>,
+        sel: &mut Selection<'_>,
     ) {
         while c.doc() < stop {
-            let block_ub = (leaf_weight * c.block_max_score()).max(0.0);
+            let lead_doc = lead.as_deref().map_or(0, FilterCursor::doc);
+            if c.doc() < lead_doc {
+                c.next_geq(stop.min(lead_doc));
+                continue;
+            }
+            let block_ub = (leaf.weight * c.block_max_score()).max(0.0);
             let bound = if den > 0.0 { block_ub / den } else { 0.0 };
-            if bound.partial_cmp(theta) == Some(std::cmp::Ordering::Less) {
+            if bound.partial_cmp(&sel.theta) == Some(std::cmp::Ordering::Less) {
                 // Bounded out: hop to the block's end (or to `stop`)
                 // without decoding the tf section.
                 c.next_geq(stop.min(c.block_max_doc().saturating_add(1)));
@@ -933,54 +1026,18 @@ impl Engine {
             let (bdocs, btfs) = c.remaining_in_block();
             let run = bdocs.partition_point(|&d| d < stop);
             for (&d, &tf) in bdocs[..run].iter().zip(btfs) {
-                if tf == 0 {
+                if tf == 0 || lead.as_deref().is_some_and(|f| d < f.doc()) {
                     continue;
                 }
                 let doc = DocId(d);
-                let v = leaf_weight * self.weigh_leaf(prepared, doc, tf, df);
+                let v = leaf.weight * self.weigh_leaf(prepared, doc, tf, leaf.df);
                 let score = if den > 0.0 { v / den } else { 0.0 };
-                if score > 0.0 {
-                    top.push(doc, score);
-                    let floor = top.threshold();
-                    if floor > *theta {
-                        *theta = floor;
-                        *threshold_updates += 1;
-                        if let Some(shared) = shared {
-                            shared.raise(floor);
-                        }
-                    }
+                if score > 0.0 && sel.wants(doc, score) && admits(lead.as_deref_mut(), doc) {
+                    sel.push(doc, score);
                 }
             }
             c.advance_in_block(run);
         }
-    }
-
-    /// The pre-fast-path evaluator: per-document recursive tree walk over
-    /// a candidate set built by repeated two-way unions, followed by a
-    /// full sort. Kept as the reference implementation — the property
-    /// tests compare the fast path against it, and `x14_hotpath` uses it
-    /// as the baseline the top-k pipeline is measured against.
-    pub fn eval_ranking_naive(&self, node: &RankNode) -> Vec<(DocId, f64)> {
-        let effective;
-        let node = if self.fuzzy_ranking_ops {
-            node
-        } else {
-            effective = node.flatten_to_list();
-            &effective
-        };
-        // Candidate docs: any doc matching any leaf term.
-        let mut candidates: Vec<DocId> = Vec::new();
-        for spec in node.terms() {
-            candidates = union(&candidates, &self.eval_term(spec));
-        }
-        let mut scores: Vec<(DocId, f64)> = candidates
-            .into_iter()
-            .map(|doc| (doc, self.score_node(node, doc)))
-            .filter(|(_, s)| *s > 0.0)
-            .collect();
-        self.ranking.finalize(&mut scores);
-        scores.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        scores
     }
 
     /// The `TermStats` entry for one term of the ranking expression in
@@ -1023,14 +1080,14 @@ impl Engine {
 
     /// The local posting lists of a resolved key set, in key order
     /// (keys only another shard indexed have none here).
-    fn postings_of(&self, keys: &SpecKeys) -> Vec<&PostingsList> {
+    pub(crate) fn postings_of(&self, keys: &SpecKeys) -> Vec<&PostingsList> {
         keys.keys
             .iter()
             .filter_map(|key| self.index.postings(keys.field, key))
             .collect()
     }
 
-    fn resolve_field(&self, spec: &TermSpec) -> Option<FieldId> {
+    pub(crate) fn resolve_field(&self, spec: &TermSpec) -> Option<FieldId> {
         match &spec.field {
             None => Some(ANY_FIELD),
             Some(name) if name.eq_ignore_ascii_case("any") => Some(ANY_FIELD),
@@ -1102,26 +1159,6 @@ impl Engine {
         }
     }
 
-    /// Docs matching a term spec (sorted).
-    fn eval_term(&self, spec: &TermSpec) -> Vec<DocId> {
-        // Comparison modifiers match on stored field values, not the
-        // inverted index (dates and the like).
-        if let Some(op) = spec.cmp {
-            return self.eval_cmp(spec, op);
-        }
-        let Some(field) = self.resolve_field(spec) else {
-            return Vec::new();
-        };
-        let mut docs: Vec<DocId> = Vec::new();
-        for key in self.resolve_keys(field, spec) {
-            if let Some(postings) = self.index.postings(field, &key) {
-                let ids: Vec<DocId> = postings.docs().collect();
-                docs = union(&docs, &ids);
-            }
-        }
-        docs
-    }
-
     fn eval_cmp(&self, spec: &TermSpec, op: CmpOp) -> Vec<DocId> {
         let Some(field) = self.resolve_field(spec) else {
             return Vec::new();
@@ -1139,72 +1176,6 @@ impl Engine {
                     .is_some_and(|stored| op.test(stored.trim().cmp(query)))
             })
             .collect()
-    }
-
-    fn eval_prox(
-        &self,
-        left: &TermSpec,
-        right: &TermSpec,
-        distance: u32,
-        ordered: bool,
-    ) -> Vec<DocId> {
-        let (Some(lf), Some(rf)) = (self.resolve_field(left), self.resolve_field(right)) else {
-            return Vec::new();
-        };
-        let lkeys = self.resolve_keys(lf, left);
-        let rkeys = self.resolve_keys(rf, right);
-        let ldocs = self.docs_of_keys(lf, &lkeys);
-        let rdocs = self.docs_of_keys(rf, &rkeys);
-        let both = intersect(&ldocs, &rdocs);
-        if !self.index.has_positions() {
-            // Built with [`PositionsMode::None`]: no positional store
-            // exists, so proximity degrades to plain co-occurrence —
-            // the §4.1.1-sanctioned relaxation for unsupported features.
-            return both;
-        }
-        both.into_iter()
-            .filter(|&doc| {
-                let lpos = self.positions_of(doc, lf, &lkeys);
-                let rpos = self.positions_of(doc, rf, &rkeys);
-                prox_match(&lpos, &rpos, distance, ordered)
-            })
-            .collect()
-    }
-
-    fn docs_of_keys(&self, field: FieldId, keys: &[String]) -> Vec<DocId> {
-        let mut docs = Vec::new();
-        for key in keys {
-            if let Some(postings) = self.index.postings(field, key) {
-                let ids: Vec<DocId> = postings.docs().collect();
-                docs = union(&docs, &ids);
-            }
-        }
-        docs
-    }
-
-    fn positions_of(&self, doc: DocId, field: FieldId, keys: &[String]) -> Vec<u32> {
-        let mut pos = Vec::new();
-        for key in keys {
-            if let Some(postings) = self.index.postings(field, key) {
-                if let Some((i, _)) = postings.find(doc) {
-                    pos.extend_from_slice(postings.positions_at(i));
-                }
-            }
-        }
-        pos.sort_unstable();
-        pos
-    }
-
-    fn tf_df(&self, doc: DocId, field: FieldId, keys: &[String]) -> (u32, u32) {
-        let mut tf = 0;
-        let mut df = 0;
-        for key in keys {
-            df = df.max(self.df_of(field, key));
-            if let Some(postings) = self.index.postings(field, key) {
-                tf += postings.tf_of(doc);
-            }
-        }
-        (tf, df)
     }
 
     /// The (document count, mean document length) pair every
@@ -1285,8 +1256,8 @@ impl Engine {
                 // Comparison leaves match on stored field values; their
                 // candidate docs come from the comparison, while scoring
                 // still goes through the postings (as the tree walk did).
-                if spec.cmp.is_some() {
-                    ctx.cmp_docs = Some(self.eval_term(spec));
+                if let Some(op) = spec.cmp {
+                    ctx.cmp_docs = Some(self.eval_cmp(spec, op));
                 }
                 ctx.bound = self.leaf_bound(&ctx, single.as_ref());
                 // A finite bound over non-empty postings implies a
@@ -1338,7 +1309,13 @@ impl Engine {
         let Some(bounds) = &self.bounds else {
             return f64::INFINITY; // prune == Off: never consulted
         };
-        if leaf.cmp_docs.is_some() || !leaf.weight.is_finite() || leaf.weight < 0.0 {
+        // The sign tests are `total_cmp`: a weight of -0.0 would score
+        // -0.0, and the pruned loop's zero-fill owes its bit-equality
+        // to every non-positive score being +0.0.
+        if leaf.cmp_docs.is_some()
+            || !leaf.weight.is_finite()
+            || leaf.weight.total_cmp(&0.0).is_lt()
+        {
             return f64::INFINITY;
         }
         if leaf.postings.is_empty() {
@@ -1352,7 +1329,9 @@ impl Engine {
             .term_id(key)
             .and_then(|tid| bounds.get(*field, tid))
         {
-            Some(b) if b.min >= 0.0 && b.max.is_finite() => (leaf.weight * b.max).max(0.0),
+            Some(b) if b.min.total_cmp(&0.0).is_ge() && b.max.is_finite() => {
+                (leaf.weight * b.max).max(0.0)
+            }
             _ => f64::INFINITY,
         }
     }
@@ -1468,33 +1447,24 @@ impl Engine {
                 }
                 pos
             }
-            RankNode::Prox {
-                left,
-                right,
-                distance,
-                ordered,
-            } => {
+            RankNode::Prox { left, right, .. } => {
                 let l = self.score_tree(left, candidates, leaves, cursor, tf_scratch);
                 let r = self.score_tree(right, candidates, leaves, cursor, tf_scratch);
-                // Positional check only when both sides are term leaves —
-                // and then computed once for the whole query, not per doc.
-                let prox_docs = match (left.as_ref(), right.as_ref()) {
-                    (RankNode::Term { spec: ls, .. }, RankNode::Term { spec: rs, .. }) => {
-                        Some(self.eval_prox(ls, rs, *distance, *ordered))
-                    }
-                    _ => None,
-                };
+                // Positional check only when both sides are term leaves,
+                // and only for candidates both sides score.
+                let mut test = self.prox_test(node);
                 candidates
                     .iter()
                     .zip(l.into_iter().zip(r))
-                    .map(|(doc, (ls, rs))| {
+                    .map(|(&doc, (ls, rs))| {
                         let base = ls.min(rs);
                         if base <= 0.0 {
                             return 0.0;
                         }
-                        match &prox_docs {
-                            Some(set) if set.binary_search(doc).is_err() => 0.0,
-                            _ => base,
+                        if admits(test.as_mut(), doc) {
+                            base
+                        } else {
+                            0.0
                         }
                     })
                     .collect()
@@ -1502,137 +1472,50 @@ impl Engine {
         }
     }
 
-    /// Score a ranking expression over an externally-chosen, sorted doc
-    /// set (the filter set of a combined query) — zero-score docs stay.
-    fn score_set(&self, node: &RankNode, docs: &[DocId]) -> Vec<f64> {
-        let effective;
-        let node = if self.fuzzy_ranking_ops {
-            node
-        } else {
-            effective = node.flatten_to_list();
-            &effective
-        };
-        let mut leaves = Vec::new();
-        self.resolve_leaves(node, &mut leaves);
-        let mut cursor = 0;
-        let mut tf_scratch = Vec::new();
-        self.score_tree(node, docs, &leaves, &mut cursor, &mut tf_scratch)
-    }
-
-    /// Fuzzy evaluation of a ranking node for one document.
-    fn score_node(&self, node: &RankNode, doc: DocId) -> f64 {
-        match node {
-            RankNode::Term { spec, weight } => {
-                let Some(field) = self.resolve_field(spec) else {
-                    return 0.0;
-                };
-                let keys = self.resolve_keys(field, spec);
-                let (tf, df) = self.tf_df(doc, field, &keys);
-                if tf == 0 {
-                    return 0.0;
-                }
-                weight * self.ranking.term_weight(&self.stats_for(doc, tf, df))
-            }
-            RankNode::List(children) => {
-                // Weighted mean, per Example 4's 0.5·0.3 + 0.5·0.8 = 0.55
-                // reading: leaf weights are relative importances.
-                let mut num = 0.0;
-                let mut den = 0.0;
-                for c in children {
-                    let w = leaf_weight(c);
-                    // Leaf scores already include their weight; divide by
-                    // the weight sum to make `list` a weighted average.
-                    num += self.score_node(c, doc);
-                    den += w;
-                }
-                if den > 0.0 {
-                    num / den
-                } else {
-                    0.0
-                }
-            }
-            RankNode::And(children) => {
-                if children.is_empty() {
-                    0.0
-                } else {
-                    children
-                        .iter()
-                        .map(|c| self.score_node(c, doc))
-                        .fold(f64::INFINITY, f64::min)
-                        .max(0.0)
-                }
-            }
-            RankNode::Or(children) => children
-                .iter()
-                .map(|c| self.score_node(c, doc))
-                .fold(0.0, f64::max),
-            RankNode::AndNot(a, b) => {
-                let pos = self.score_node(a, doc);
-                let neg = self.score_node(b, doc).clamp(0.0, 1.0);
-                pos * (1.0 - neg)
-            }
-            RankNode::Prox {
-                left,
-                right,
-                distance,
-                ordered,
-            } => {
-                let base = self.score_node(left, doc).min(self.score_node(right, doc));
-                if base <= 0.0 {
-                    return 0.0;
-                }
-                // Positional check only when both sides are term leaves.
-                if let (RankNode::Term { spec: l, .. }, RankNode::Term { spec: r, .. }) =
-                    (left.as_ref(), right.as_ref())
-                {
-                    let ok = self
-                        .eval_prox(l, r, *distance, *ordered)
-                        .binary_search(&doc)
-                        .is_ok();
-                    if ok {
-                        base
-                    } else {
-                        0.0
-                    }
-                } else {
-                    base
-                }
-            }
-        }
-    }
-
-    /// Collect the positional-check doc set of every `prox` node in the
-    /// tree, children-first depth-first — the order `bmw_tree_exact`
-    /// consumes them. `Some` (possibly empty) when both children are
-    /// term leaves, `None` when the node degrades to fuzzy `and` —
-    /// mirroring `score_tree`'s per-node decision exactly.
-    fn collect_prox_sets(&self, node: &RankNode, out: &mut Vec<Option<Vec<DocId>>>) {
+    /// Compile the positional test of every `prox` node in the tree,
+    /// children-first depth-first — the order `bmw_tree_exact` consumes
+    /// them. `Some` when both children are term leaves, `None` when the
+    /// node degrades to fuzzy `and` — mirroring `score_tree`'s per-node
+    /// decision exactly.
+    fn collect_prox_tests<'a>(&'a self, node: &RankNode, out: &mut Vec<Option<FilterCursor<'a>>>) {
         match node {
             RankNode::Term { .. } => {}
             RankNode::List(c) | RankNode::And(c) | RankNode::Or(c) => {
                 for n in c {
-                    self.collect_prox_sets(n, out);
+                    self.collect_prox_tests(n, out);
                 }
             }
             RankNode::AndNot(a, b) => {
-                self.collect_prox_sets(a, out);
-                self.collect_prox_sets(b, out);
+                self.collect_prox_tests(a, out);
+                self.collect_prox_tests(b, out);
             }
-            RankNode::Prox {
-                left,
-                right,
-                distance,
-                ordered,
-            } => {
-                self.collect_prox_sets(left, out);
-                self.collect_prox_sets(right, out);
-                out.push(match (left.as_ref(), right.as_ref()) {
-                    (RankNode::Term { spec: ls, .. }, RankNode::Term { spec: rs, .. }) => {
-                        Some(self.eval_prox(ls, rs, *distance, *ordered))
-                    }
-                    _ => None,
-                });
+            RankNode::Prox { left, right, .. } => {
+                self.collect_prox_tests(left, out);
+                self.collect_prox_tests(right, out);
+                out.push(self.prox_test(node));
             }
+        }
+    }
+
+    /// The positional test of one ranking `prox` node: the same lazy
+    /// cursor a `prox` filter compiles to, asked about one document at
+    /// a time. Only when both sides are term leaves; other shapes
+    /// degrade to fuzzy `and`.
+    pub(crate) fn prox_test(&self, node: &RankNode) -> Option<FilterCursor<'_>> {
+        let RankNode::Prox {
+            left,
+            right,
+            distance,
+            ordered,
+        } = node
+        else {
+            return None;
+        };
+        match (left.as_ref(), right.as_ref()) {
+            (RankNode::Term { spec: ls, .. }, RankNode::Term { spec: rs, .. }) => {
+                Some(self.prox_cursor(ls, rs, *distance, *ordered))
+            }
+            _ => None,
         }
     }
 }
@@ -1700,6 +1583,61 @@ struct LeafCtx<'a> {
     block_max: &'a [f64],
 }
 
+/// The bounded heap of a Block-Max-WAND query and the pruning threshold
+/// θ it drives: the seeded floor, then the heap's own floor once `k`
+/// entries are held, then — when higher — whatever another shard has
+/// published.
+struct Selection<'a> {
+    top: TopK,
+    theta: f64,
+    threshold_updates: u64,
+    shared: Option<&'a SharedThreshold>,
+}
+
+impl<'a> Selection<'a> {
+    fn new(k: usize, hooks: &PruneHooks<'a>) -> Self {
+        let top = TopK::with_floor(k, hooks.floor);
+        Selection {
+            theta: top.threshold(),
+            top,
+            threshold_updates: 0,
+            shared: hooks.shared,
+        }
+    }
+
+    /// Adopt a higher threshold another shard has published.
+    fn see_shared(&mut self) {
+        if let Some(shared) = self.shared {
+            let global = shared.get();
+            if global > self.theta {
+                self.theta = global;
+            }
+        }
+    }
+
+    /// Whether offering `(doc, score)` could change the result: the
+    /// score is not strictly below θ and the heap would take it. What
+    /// gates a filter's second phase.
+    fn wants(&self, doc: DocId, score: f64) -> bool {
+        score.partial_cmp(&self.theta) != Some(std::cmp::Ordering::Less)
+            && self.top.accepts(doc, score)
+    }
+
+    /// Offer a scored document and let a risen heap floor tighten θ,
+    /// here and (when sharing) in every other shard.
+    fn push(&mut self, doc: DocId, score: f64) {
+        self.top.push(doc, score);
+        let floor = self.top.threshold();
+        if floor > self.theta {
+            self.theta = floor;
+            self.threshold_updates += 1;
+            if let Some(shared) = self.shared {
+                shared.raise(floor);
+            }
+        }
+    }
+}
+
 /// Aggregate pruning telemetry for one query evaluation (summed across
 /// every shard of a [`crate::ShardedEngine`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -1719,6 +1657,15 @@ pub struct PruneReport {
     pub blocks_skipped: u64,
     /// Times a heap-floor rise tightened the pruning threshold.
     pub threshold_updates: u64,
+    /// Times a filter cursor moved (a filter-only query: once per
+    /// document walked; inside the pruned loop: once per candidate the
+    /// block bounds let through), the positional tests of ranking
+    /// `prox` operators included.
+    pub filter_advances: u64,
+    /// `prox` position-list comparisons — the filter's second phase, and
+    /// the positional test of a `prox` in the ranking expression. A slow
+    /// query that shows none did not pay for positions.
+    pub positional_checks: u64,
 }
 
 impl PruneReport {
@@ -1730,6 +1677,8 @@ impl PruneReport {
         self.skipped_leaves += other.skipped_leaves;
         self.blocks_skipped += other.blocks_skipped;
         self.threshold_updates += other.threshold_updates;
+        self.filter_advances += other.filter_advances;
+        self.positional_checks += other.positional_checks;
     }
 }
 
@@ -1742,6 +1691,8 @@ pub(crate) struct PruneCounters {
     pub(crate) skipped_leaves: AtomicU64,
     pub(crate) blocks_skipped: AtomicU64,
     pub(crate) threshold_updates: AtomicU64,
+    pub(crate) filter_advances: AtomicU64,
+    pub(crate) positional_checks: AtomicU64,
 }
 
 impl PruneCounters {
@@ -1753,6 +1704,8 @@ impl PruneCounters {
             skipped_leaves: self.skipped_leaves.load(Ordering::Relaxed),
             blocks_skipped: self.blocks_skipped.load(Ordering::Relaxed),
             threshold_updates: self.threshold_updates.load(Ordering::Relaxed),
+            filter_advances: self.filter_advances.load(Ordering::Relaxed),
+            positional_checks: self.positional_checks.load(Ordering::Relaxed),
         }
     }
 }
@@ -1776,6 +1729,16 @@ impl PruneHooks<'_> {
         shared: None,
         counters: None,
     };
+
+    /// Tally what a filter cursor has cost.
+    pub(crate) fn count_filter(&self, cursor: &FilterCursor<'_>) {
+        if let Some(c) = self.counters {
+            c.filter_advances
+                .fetch_add(cursor.advances(), Ordering::Relaxed);
+            c.positional_checks
+                .fetch_add(cursor.positional_checks(), Ordering::Relaxed);
+        }
+    }
 }
 
 /// Decide whether `node` (already flattened when the engine ignores
@@ -1804,6 +1767,26 @@ fn bmw_eligible(node: &RankNode, leaves: &[LeafCtx<'_>]) -> bool {
                 && (l.postings.is_empty()
                     || matches!(l.blocks, Some(b) if b.n_blocks() == l.block_max.len()))
         })
+}
+
+/// Whether an optional conjunct — a filter, a `prox` positional test —
+/// admits `doc`; an absent one admits everything. Documents must be
+/// asked about in increasing order.
+fn admits(test: Option<&mut FilterCursor<'_>>, doc: DocId) -> bool {
+    match test {
+        Some(t) => t.matches(doc),
+        None => true,
+    }
+}
+
+/// Whether a score upper bound rules its documents out of a pruned
+/// top-k: strictly below θ (a bound *equal* to θ may be a tie, and ties
+/// are never skipped), or not positive — the loop only ever offers
+/// positive scores, so documents that cannot score are skipped even
+/// while the heap is still filling and θ is its floor. Spelled so that
+/// an incomparable (NaN) bound refuses to skip.
+fn hopeless(bound: f64, theta: f64) -> bool {
+    bound < theta || bound <= 0.0
 }
 
 /// Restore the Block-Max WAND frontier `order` (leaf indices keyed by
@@ -1905,17 +1888,18 @@ fn bmw_tree_bound(node: &RankNode, ub: &[f64], cursor: &mut usize) -> f64 {
 /// `vals` slots in the depth-first order `resolve_leaves` emits. The
 /// scalar mirror of `score_tree`'s per-slot arithmetic (same
 /// expressions, same accumulation order), so Block-Max-WAND survivors
-/// score bit-identically to the unpruned path. `prox_sets` holds one
+/// score bit-identically to the unpruned path. `prox_tests` holds one
 /// entry per `prox` node in the same depth-first (children-first)
-/// order, precomputed once per query — `Some(docs)` when both children
+/// order, compiled once per query — `Some(test)` when both children
 /// are term leaves (the positional check applies), `None` otherwise
-/// (degrades to fuzzy `and`, exactly as `score_tree` does).
+/// (degrades to fuzzy `and`, exactly as `score_tree` does). Survivors
+/// arrive in doc order, which is what the tests' cursors need.
 fn bmw_tree_exact(
     node: &RankNode,
     vals: &[f64],
     cursor: &mut usize,
     doc: DocId,
-    prox_sets: &[Option<Vec<DocId>>],
+    prox_tests: &mut [Option<FilterCursor<'_>>],
     prox_cursor: &mut usize,
 ) -> f64 {
     match node {
@@ -1928,7 +1912,7 @@ fn bmw_tree_exact(
             let mut num = 0.0_f64;
             let mut den = 0.0_f64;
             for c in children {
-                num += bmw_tree_exact(c, vals, cursor, doc, prox_sets, prox_cursor);
+                num += bmw_tree_exact(c, vals, cursor, doc, prox_tests, prox_cursor);
                 den += leaf_weight(c);
             }
             if den > 0.0 {
@@ -1945,7 +1929,7 @@ fn bmw_tree_exact(
             for c in children {
                 acc = f64::min(
                     acc,
-                    bmw_tree_exact(c, vals, cursor, doc, prox_sets, prox_cursor),
+                    bmw_tree_exact(c, vals, cursor, doc, prox_tests, prox_cursor),
                 );
             }
             f64::max(acc, 0.0)
@@ -1955,28 +1939,29 @@ fn bmw_tree_exact(
             for c in children {
                 acc = f64::max(
                     acc,
-                    bmw_tree_exact(c, vals, cursor, doc, prox_sets, prox_cursor),
+                    bmw_tree_exact(c, vals, cursor, doc, prox_tests, prox_cursor),
                 );
             }
             acc
         }
         RankNode::AndNot(a, b) => {
-            let pos = bmw_tree_exact(a, vals, cursor, doc, prox_sets, prox_cursor);
-            let neg = bmw_tree_exact(b, vals, cursor, doc, prox_sets, prox_cursor);
+            let pos = bmw_tree_exact(a, vals, cursor, doc, prox_tests, prox_cursor);
+            let neg = bmw_tree_exact(b, vals, cursor, doc, prox_tests, prox_cursor);
             pos * (1.0 - neg.clamp(0.0, 1.0))
         }
         RankNode::Prox { left, right, .. } => {
-            let l = bmw_tree_exact(left, vals, cursor, doc, prox_sets, prox_cursor);
-            let r = bmw_tree_exact(right, vals, cursor, doc, prox_sets, prox_cursor);
-            let set = &prox_sets[*prox_cursor];
+            let l = bmw_tree_exact(left, vals, cursor, doc, prox_tests, prox_cursor);
+            let r = bmw_tree_exact(right, vals, cursor, doc, prox_tests, prox_cursor);
+            let test = &mut prox_tests[*prox_cursor];
             *prox_cursor += 1;
             let base = l.min(r);
             if base <= 0.0 {
                 return 0.0;
             }
-            match set {
-                Some(s) if s.binary_search(&doc).is_err() => 0.0,
-                _ => base,
+            if admits(test.as_mut(), doc) {
+                base
+            } else {
+                0.0
             }
         }
     }

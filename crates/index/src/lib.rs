@@ -32,6 +32,7 @@ pub mod blocks;
 pub mod boolean;
 pub mod doc;
 pub mod engine;
+mod filter;
 pub mod index;
 pub mod matchspec;
 pub mod ranking;

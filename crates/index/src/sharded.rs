@@ -391,17 +391,36 @@ impl ShardedEngine {
             (Some(f), None) => {
                 // Filter-only: shard results are sorted local doc sets;
                 // offsetting to global ids and concatenating in shard
-                // order *is* the globally sorted set.
-                let per_shard = self.fan_out(|engine| engine.eval_filter(f));
-                let (lists, timings) = split_timed(per_shard);
+                // order *is* the globally sorted set. A bounded query
+                // wants its first k documents, so the shards are asked
+                // in order, each for what is still missing, and the
+                // ones after the shard that fills k are never touched.
+                let hooks = PruneHooks {
+                    floor,
+                    shared: None,
+                    counters: Some(&counters),
+                };
                 let mut docs: Vec<DocId> = Vec::new();
-                for (i, list) in lists.into_iter().enumerate() {
-                    let base = self.bases[i];
-                    docs.extend(list.into_iter().map(|d| DocId(base + d.0)));
-                    if let Some(k) = limit {
-                        if docs.len() >= k {
-                            docs.truncate(k);
-                            break;
+                let mut timings = vec![0; self.shards.len()];
+                match limit {
+                    Some(k) => {
+                        for (i, engine) in self.shards.iter().enumerate() {
+                            if docs.len() >= k {
+                                break;
+                            }
+                            let start = Instant::now();
+                            let local = engine.eval_filter_bounded(f, Some(k - docs.len()), &hooks);
+                            timings[i] = elapsed_us(start);
+                            docs.extend(local.into_iter().map(|d| DocId(self.bases[i] + d.0)));
+                        }
+                    }
+                    None => {
+                        let per_shard =
+                            self.fan_out(|engine| engine.eval_filter_bounded(f, None, &hooks));
+                        let (lists, fan_timings) = split_timed(per_shard);
+                        timings = fan_timings;
+                        for (i, list) in lists.into_iter().enumerate() {
+                            docs.extend(list.into_iter().map(|d| DocId(self.bases[i] + d.0)));
                         }
                     }
                 }
@@ -409,42 +428,25 @@ impl ShardedEngine {
                     .into_iter()
                     .map(|doc| Hit { doc, score: None })
                     .collect();
-                (hits, timings, PruneReport::default())
+                (hits, timings, counters.report())
             }
-            (None, Some(r)) => {
+            (filter, Some(r)) => {
                 // Every shard selects raw top-k with the same limit, so
                 // a threshold published by one shard — "k local docs at
                 // or above θ exist" — is a sound strict-below cutoff
                 // for all: the merged global top-k cannot contain a doc
                 // scoring strictly below any shard's full heap floor.
+                // Under a filter the heap only ever holds documents the
+                // filter admits, so the same argument covers it.
                 let shared = SharedThreshold::new(floor);
                 let per_shard = self.fan_out(|engine| {
-                    engine.eval_ranking_top_k_raw(
+                    engine.eval_ranked_raw(
+                        filter,
                         r,
                         limit,
                         &PruneHooks {
                             floor,
                             shared: Some(&shared),
-                            counters: Some(&counters),
-                        },
-                    )
-                });
-                let (lists, timings) = split_timed(per_shard);
-                (
-                    self.merge_ranked_hits(lists, limit),
-                    timings,
-                    counters.report(),
-                )
-            }
-            (Some(f), Some(r)) => {
-                let per_shard = self.fan_out(|engine| {
-                    engine.eval_filter_ranked_raw(
-                        f,
-                        r,
-                        limit,
-                        &PruneHooks {
-                            floor,
-                            shared: None,
                             counters: Some(&counters),
                         },
                     )

@@ -92,18 +92,37 @@ impl TopK {
 
     /// Offer one scored document.
     pub fn push(&mut self, doc: DocId, score: f64) {
-        if self.k == 0 || score.total_cmp(&self.floor) == Ordering::Less {
+        if !self.accepts(doc, score) {
             return;
         }
-        let entry = Entry { score, doc };
-        if self.heap.len() < self.k {
-            self.heap.push(Reverse(entry));
-        } else if let Some(worst) = self.heap.peek() {
-            if entry > worst.0 {
-                self.heap.pop();
-                self.heap.push(Reverse(entry));
-            }
+        if self.heap.len() == self.k {
+            self.heap.pop();
         }
+        self.heap.push(Reverse(Entry { score, doc }));
+    }
+
+    /// Whether [`TopK::push`] would keep `(doc, score)` right now: the
+    /// score clears the floor and either a slot is free or the pair
+    /// outranks the worst entry held.
+    pub(crate) fn accepts(&self, doc: DocId, score: f64) -> bool {
+        if self.k == 0 || score.total_cmp(&self.floor) == Ordering::Less {
+            return false;
+        }
+        self.heap.len() < self.k
+            || self
+                .heap
+                .peek()
+                .is_some_and(|worst| Entry { score, doc } > worst.0)
+    }
+
+    /// Entries currently held.
+    pub(crate) fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    /// The documents currently held, in no particular order.
+    pub(crate) fn docs(&self) -> Vec<DocId> {
+        self.heap.iter().map(|Reverse(e)| e.doc).collect()
     }
 
     /// The current selection threshold: any future offer scoring

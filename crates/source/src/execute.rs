@@ -36,6 +36,7 @@ pub struct SourceInstruments {
     skipped_leaves: Counter,
     threshold_updates: Counter,
     blocks_skipped: Counter,
+    positional_checks: Counter,
     prune_fraction: Gauge,
     results: Histogram,
 }
@@ -62,6 +63,7 @@ impl SourceInstruments {
             skipped_leaves: reg.counter_with("engine.prune.skipped_leaves", &labels),
             threshold_updates: reg.counter_with("engine.prune.threshold_updates", &labels),
             blocks_skipped: reg.counter_with("engine.prune.blocks_skipped", &labels),
+            positional_checks: reg.counter_with("engine.prune.positional_checks", &labels),
             prune_fraction: reg.gauge_with("engine.prune.fraction", &labels),
             results: reg.histogram_with("source.results", &labels),
         }
@@ -176,7 +178,7 @@ fn run(
     // Phase 3: execute — search, answer specification, result objects.
     let execute_start = elapsed_us(t0);
     let _span = obs.map(|reg| reg.span("execute"));
-    let limit = fast_path_limit(&query.answer, ranking_ir.is_some());
+    let limit = fast_path_limit(&query.answer);
     if let Some(m) = instruments {
         if limit.is_some() {
             m.topk_bounded.inc();
@@ -219,6 +221,7 @@ fn run(
         m.skipped_leaves.add(prune.skipped_leaves);
         m.threshold_updates.add(prune.threshold_updates);
         m.blocks_skipped.add(prune.blocks_skipped);
+        m.positional_checks.add(prune.positional_checks);
         if prune.candidates > 0 {
             m.prune_fraction
                 .set(prune.skipped_docs as f64 / prune.candidates as f64);
@@ -277,6 +280,11 @@ fn run(
             .with_meta("skipped_leaves", prune.skipped_leaves)
             .with_meta("blocks_skipped", prune.blocks_skipped)
             .with_meta("results", documents.len());
+        // Only a query that compared positions says so: profiles are
+        // kept with cached responses, and most queries carry no `prox`.
+        if prune.positional_checks > 0 {
+            execute = execute.with_meta("positional_checks", prune.positional_checks);
+        }
         execute.children = vec![search];
         let total = elapsed_us(t0);
         QueryProfile {
@@ -318,13 +326,16 @@ fn run(
 ///
 /// The bound is sound exactly when the truncation the answer spec will
 /// apply afterwards keeps the *first* k hits of the engine's own order:
-/// the query must be ranked, ask for the default sort (score
-/// descending), and actually carry a cap. `MinDocumentScore` does not
-/// disqualify the fast path — in descending order the above-threshold
-/// docs form a prefix, so filtering commutes with truncation.
-fn fast_path_limit(answer: &starts_proto::AnswerSpec, ranked: bool) -> Option<usize> {
+/// the query must ask for the default sort (score descending) and
+/// actually carry a cap. A filter-only query qualifies too — its hits
+/// carry no score, so the default sort leaves them in the doc order the
+/// engine returns them in, and the engine stops at the k-th document
+/// its filter admits. `MinDocumentScore` does not disqualify the fast
+/// path — in descending order the above-threshold docs form a prefix,
+/// so filtering commutes with truncation.
+fn fast_path_limit(answer: &starts_proto::AnswerSpec) -> Option<usize> {
     let default_sort = answer.sort_by.as_slice() == [SortKey::score_descending()];
-    (ranked && default_sort && answer.max_documents != usize::MAX).then_some(answer.max_documents)
+    (default_sort && answer.max_documents != usize::MAX).then_some(answer.max_documents)
 }
 
 /// Count §4.2 downgrades: a query part the rewrite changed
@@ -569,6 +580,37 @@ mod tests {
     }
 
     #[test]
+    fn positional_checks_are_counted_and_profiled_only_when_paid() {
+        let s = source();
+        let reg = Registry::new();
+        let traced = |filter: &str| {
+            let mut q = query(filter, "");
+            q.trace = Some(starts_proto::TraceContext {
+                query_id: "q".to_string(),
+                parent_path: "meta.search/dispatch/source".to_string(),
+                parent_span_id: 1,
+            });
+            let results = execute_traced(&s, &q, Some(&reg));
+            let profile = results.profile.expect("traced results carry a profile");
+            let execute = profile.root.find("execute").expect("execute stage");
+            execute.meta_value("positional_checks").map(str::to_string)
+        };
+        // No `prox`, no positions compared: the profile says nothing.
+        assert_eq!(traced(r#"(body-of-text "databases")"#), None);
+        let counted = |reg: &Registry| {
+            reg.snapshot()
+                .counter("engine.prune.positional_checks", &[("source", "Source-1")])
+        };
+        assert_eq!(counted(&reg), 0);
+        // Only document 1 holds both words: one comparison.
+        assert_eq!(
+            traced(r#"((body-of-text "databases") prox[3,F] (body-of-text "research"))"#),
+            Some("1".to_string())
+        );
+        assert_eq!(counted(&reg), 1);
+    }
+
+    #[test]
     fn bounded_execution_matches_full_and_is_counted() {
         let s = source();
         let full = s.execute(&query("", r#"list((body-of-text "databases"))"#));
@@ -582,14 +624,37 @@ mod tests {
         assert_eq!(snap.counter("engine.topk.bounded", &[]), 1);
         assert_eq!(snap.counter("engine.topk.full", &[]), 0);
         // A non-default sort order opts out of the bounded path.
-        let mut q = query("", r#"list((body-of-text "databases"))"#);
-        q.answer.max_documents = 1;
-        q.answer.sort_by = vec![SortKey {
+        let by_title = vec![SortKey {
             field: Some(Field::Title),
             order: SortOrder::Ascending,
         }];
+        let mut q = query("", r#"list((body-of-text "databases"))"#);
+        q.answer.max_documents = 1;
+        q.answer.sort_by = by_title.clone();
         execute_traced(&s, &q, Some(&reg));
         assert_eq!(reg.snapshot().counter("engine.topk.full", &[]), 1);
+
+        // A filter-only query is bounded too: unscored hits under the
+        // default sort stay in doc order, so the first k the engine
+        // finds are the k the answer keeps.
+        let full = s.execute(&query(r#"(body-of-text "databases")"#, ""));
+        assert_eq!(full.documents.len(), 2);
+        let mut q = query(r#"(body-of-text "databases")"#, "");
+        q.answer.max_documents = 1;
+        let bounded = execute_traced(&s, &q, Some(&reg));
+        assert_eq!(bounded.documents, full.documents[..1]);
+        assert_eq!(reg.snapshot().counter("engine.topk.bounded", &[]), 2);
+        // ... unless it asks for another order.
+        q.answer.sort_by = by_title;
+        let sorted = execute_traced(&s, &q, Some(&reg));
+        assert_eq!(sorted.documents.len(), 1);
+        assert_eq!(
+            sorted.documents[0].field(&Field::Title),
+            Some("Database Research Achievements")
+        );
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("engine.topk.bounded", &[]), 2);
+        assert_eq!(snap.counter("engine.topk.full", &[]), 2);
     }
 
     #[test]
