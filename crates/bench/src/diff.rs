@@ -10,23 +10,26 @@
 //!   `decode_mints_per_s` field (and `engine_speedup`, when present)
 //!   must stay within a relative tolerance of the baseline — a
 //!   throughput drop past the tolerance fails the gate;
-//! * otherwise the gate degrades to **invariant checks** on the fresh
-//!   run alone: every `qps` and `decode_mints_per_s` must be positive,
-//!   `engine_speedup` must not dip below 1, pruning rows marked
-//!   `"prune": "Auto"` must actually prune (`pruned_fraction > 0`),
-//!   and monolithic (`"shards": 1`) Auto rows that report
-//!   `blocks_skipped` must have jumped at least one whole block
-//!   undecoded (sharding can shrink every posting list under the block
-//!   size, so multi-shard rows are exempt), and every ranked shape of
-//!   the `filtered` workload must not run slower under `Auto` (the
-//!   filter inside the pruned loop) than under `Off` (the filter
-//!   drained, its whole set scored) by more than twice the tolerance.
+//! * otherwise the gate degrades to **sanity checks** on the fresh run
+//!   alone: every `qps` and `decode_mints_per_s` must be positive and
+//!   `engine_speedup` must not dip below 1.
 //!
-//! Postings memory is gated in **both** modes: byte counts under a
-//! `postings_bytes*` object are machine-independent, so whenever both
-//! artifacts carry them the fresh run may not grow any of them past
-//! [`MEM_GROWTH_TOLERANCE`] over the baseline — a memory-diet
-//! regression fails even on an incomparable machine.
+//! What does not depend on the machine is gated in **both** modes:
+//!
+//! * the pruning invariants of the fresh run: rows marked
+//!   `"prune": "Auto"` must actually prune (`pruned_fraction > 0`);
+//!   monolithic (`"shards": 1`) Auto rows that report `blocks_skipped`
+//!   must have jumped at least one whole block undecoded (sharding can
+//!   shrink every posting list under the block size, so multi-shard
+//!   rows are exempt); `"prune": "Off"` rows must report none skipped;
+//!   and every ranked shape of the `filtered` workload must not run
+//!   slower under `Auto` (the filter inside the pruned loop) than under
+//!   `Off` (the filter drained, its whole set scored) by more than
+//!   twice the tolerance;
+//! * postings memory: whenever both artifacts carry byte counts under a
+//!   `postings_bytes*` object, the fresh run may not grow any of them
+//!   past [`MEM_GROWTH_TOLERANCE`] over the baseline — a memory-diet
+//!   regression fails even on an incomparable machine.
 //!
 //! Latency percentiles are deliberately not gated — they are far
 //! noisier than throughput on shared CI machines.
@@ -176,30 +179,39 @@ pub fn diff(baseline: &Json, current: &Json, tolerance: f64) -> Result<DiffRepor
                 detail: format!("{speedup:.2}x"),
             });
         }
-        for (path, frac) in auto_prune_fractions(current) {
-            checks.push(Check {
-                name: format!("{path} prunes"),
-                ok: frac > 0.0,
-                detail: format!("pruned_fraction {frac:.4}"),
-            });
-        }
-        for (path, blocks) in auto_block_skips(current) {
-            checks.push(Check {
-                name: format!("{path} skips blocks"),
-                ok: blocks > 0.0,
-                detail: format!("blocks_skipped {blocks:.0}"),
-            });
-        }
-        // Twice the tolerance: the two rows of a pair are separate
-        // measurements, each free to wobble by it.
-        for (shape, off, auto) in filtered_pairs(current) {
-            let floor = off * (1.0 - 2.0 * tolerance);
-            checks.push(Check {
-                name: format!("filtered/{shape} Auto keeps up with Off"),
-                ok: auto >= floor,
-                detail: format!("Off {off:.1}, Auto {auto:.1}, floor {floor:.1}"),
-            });
-        }
+    }
+
+    // Pruning invariants: counts, and a ratio of two rows of one run.
+    for (path, frac) in auto_prune_fractions(current) {
+        checks.push(Check {
+            name: format!("{path} prunes"),
+            ok: frac > 0.0,
+            detail: format!("pruned_fraction {frac:.4}"),
+        });
+    }
+    for (path, blocks) in auto_block_skips(current) {
+        checks.push(Check {
+            name: format!("{path} skips blocks"),
+            ok: blocks > 0.0,
+            detail: format!("blocks_skipped {blocks:.0}"),
+        });
+    }
+    for (path, blocks) in off_block_skips(current) {
+        checks.push(Check {
+            name: format!("{path} skips nothing"),
+            ok: blocks == 0.0,
+            detail: format!("blocks_skipped {blocks:.0}"),
+        });
+    }
+    // Twice the tolerance: the two rows of a pair are separate
+    // measurements, each free to wobble by it.
+    for (shape, off, auto) in filtered_pairs(current) {
+        let floor = off * (1.0 - 2.0 * tolerance);
+        checks.push(Check {
+            name: format!("filtered/{shape} Auto keeps up with Off"),
+            ok: auto >= floor,
+            detail: format!("Off {off:.1}, Auto {auto:.1}, floor {floor:.1}"),
+        });
     }
 
     // Postings memory: byte counts are deterministic per corpus, so
@@ -294,6 +306,20 @@ fn auto_block_skips(j: &Json) -> Vec<(String, f64)> {
             && obj.get("shards").and_then(Json::num) == Some(1.0)
             && ranks(obj)
         {
+            if let Some(blocks) = obj.get("blocks_skipped").and_then(Json::num) {
+                out.push((path.to_string(), blocks));
+            }
+        }
+    });
+    out
+}
+
+/// `blocks_skipped` of every object configured with `"prune": "Off"`
+/// that reports the field: with pruning off nothing may be skipped.
+fn off_block_skips(j: &Json) -> Vec<(String, f64)> {
+    let mut out = Vec::new();
+    walk_objects(j, "", &mut |path, obj| {
+        if obj.get("prune").and_then(Json::str_) == Some("Off") {
             if let Some(blocks) = obj.get("blocks_skipped").and_then(Json::num) {
                 out.push((path.to_string(), blocks));
             }
@@ -532,6 +558,37 @@ mod tests {
         assert!(!report.passed(), "{}", report.render());
         let report = diff(&baseline, &zeroed_multi_only, DEFAULT_QPS_TOLERANCE).expect("diff");
         assert!(report.passed(), "{}", report.render());
+    }
+
+    #[test]
+    fn off_rows_must_skip_nothing_on_any_machine() {
+        let baseline = artifact(ARTIFACTS[2]);
+        let mut current = baseline.clone();
+        if let Json::Obj(members) = &mut current {
+            if let Some((_, Json::Arr(configs))) = members.iter_mut().find(|(k, _)| k == "configs")
+            {
+                let off = |cfg: &&mut Json| cfg.get("prune").and_then(Json::str_) == Some("Off");
+                let row = configs.iter_mut().find(off).expect("an Off row");
+                set_top(row, "blocks_skipped", Json::Num(3.0));
+            }
+        }
+        // Same provenance, throughput untouched: the invariant alone trips.
+        let report = diff(&baseline, &current, DEFAULT_QPS_TOLERANCE).expect("diff");
+        assert!(report.comparable);
+        let failed: Vec<_> = report.checks.iter().filter(|c| !c.ok).collect();
+        assert_eq!(failed.len(), 1, "{}", report.render());
+        assert!(
+            failed[0].name.ends_with("skips nothing"),
+            "{}",
+            failed[0].name
+        );
+        set_top(&mut current, "machine_parallelism", Json::Num(64.0));
+        let report = diff(&baseline, &current, DEFAULT_QPS_TOLERANCE).expect("diff");
+        assert!(
+            !report.comparable && !report.passed(),
+            "{}",
+            report.render()
+        );
     }
 
     #[test]

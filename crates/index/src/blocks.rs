@@ -39,8 +39,9 @@
 //! SSE2-only or non-x86 machines always take the scalar kernel.
 //!
 //! Score bounds are *not* stored here — they depend on the ranking
-//! algorithm, so the engine computes them next to its [`crate::TermBounds`]
-//! sidecar and hands the per-block slice to [`BlockCursor::with_bounds`].
+//! algorithm, so the engine keeps them in its [`crate::TermBounds`]
+//! sidecar and hands a key's per-block slice to
+//! [`BlockCursor::with_bounds`].
 
 /// Documents per block. 128 keeps headers tiny (one per 128 postings)
 /// while making a skipped block worth ~128 avoided score evaluations.
@@ -490,8 +491,8 @@ impl<'a> BlockCursor<'a> {
 
     /// [`BlockCursor::new`] with per-block score upper bounds; `bounds[b]`
     /// must dominate every score contribution a document of block `b`
-    /// can make. The engine derives these from the exact `term_weight`
-    /// values next to its global [`crate::TermBounds`] envelope.
+    /// can make. The engine records these from the exact `term_weight`
+    /// values in its [`crate::TermBounds`] sidecar.
     pub fn with_bounds(list: &'a BlockPostings, bounds: &'a [f64]) -> Self {
         let mut cursor = BlockCursor {
             list,

@@ -264,9 +264,10 @@ pub struct Engine {
     /// would.
     collection: Option<Arc<CollectionStats>>,
     prune: PruneMode,
-    /// The dynamic-pruning sidecar (present iff `prune` is `Auto`):
-    /// per-(field, term) extrema of the exact term weights scoring can
-    /// produce on this engine's documents.
+    /// The dynamic-pruning sidecar (present iff `prune` is `Auto`): one
+    /// entry per (field, term) with the extrema, whole-list and per
+    /// block, of the exact term weights scoring can produce on this
+    /// engine's documents.
     bounds: Option<TermBounds>,
 }
 
@@ -1259,26 +1260,26 @@ impl Engine {
                 if let Some(op) = spec.cmp {
                     ctx.cmp_docs = Some(self.eval_cmp(spec, op));
                 }
-                ctx.bound = self.leaf_bound(&ctx, single.as_ref());
-                // A finite bound over non-empty postings implies a
-                // single key (see `leaf_bound`); wire up the key's
-                // block postings and per-block weight maxima so
-                // Block-Max-WAND can skip through this leaf.
-                if ctx.bound.is_finite() && !ctx.postings.is_empty() {
-                    if let Some((field, key)) = &single {
-                        if let Some(tid) = self.index.term_id(key) {
-                            ctx.blocks = self
-                                .index
-                                .postings_by_id(*field, tid)
-                                .map(PostingsList::blocks);
-                            if let Some(bm) = self
-                                .bounds
-                                .as_ref()
-                                .and_then(|b| b.block_maxima(*field, tid))
-                            {
-                                ctx.block_max = bm;
-                            }
-                        }
+                // The key's sidecar entry, looked up once: its envelope
+                // bounds the leaf, and when that bound is finite over
+                // non-empty postings its per-block maxima and the key's
+                // block postings let Block-Max-WAND skip through it.
+                let keyed = self
+                    .bounds
+                    .as_ref()
+                    .zip(single)
+                    .and_then(|(b, (field, key))| {
+                        let tid = self.index.term_id(&key)?;
+                        Some((field, tid, b.get(field, tid)?))
+                    });
+                ctx.bound = self.leaf_bound(&ctx, keyed.map(|(_, _, entry)| entry));
+                if let Some((field, tid, entry)) = keyed {
+                    if ctx.bound.is_finite() && !ctx.postings.is_empty() {
+                        ctx.blocks = self
+                            .index
+                            .postings_by_id(field, tid)
+                            .map(PostingsList::blocks);
+                        ctx.block_max = &entry.block_max;
                     }
                 }
                 out.push(ctx);
@@ -1300,15 +1301,16 @@ impl Engine {
     }
 
     /// The largest contribution `leaf` can make to any local document's
-    /// score slot, as a float — `+inf` (no sound finite bound, pruning
-    /// disabled for the query) for comparison leaves, negative or
-    /// non-finite query weights, multi-key resolutions, or a key whose
-    /// recorded weight envelope is negative or non-finite. A leaf with
-    /// no local postings contributes exactly 0 on this engine.
-    fn leaf_bound(&self, leaf: &LeafCtx<'_>, single: Option<&(FieldId, String)>) -> f64 {
-        let Some(bounds) = &self.bounds else {
+    /// score slot, as a float, given the sidecar entry of the single
+    /// vocabulary key it resolved to — `+inf` (no sound finite bound,
+    /// pruning disabled for the query) for comparison leaves, negative
+    /// or non-finite query weights, multi-key resolutions (no entry), or
+    /// a key whose recorded weight envelope is negative or non-finite. A
+    /// leaf with no local postings contributes exactly 0 on this engine.
+    fn leaf_bound(&self, leaf: &LeafCtx<'_>, entry: Option<&TermBound>) -> f64 {
+        if self.bounds.is_none() {
             return f64::INFINITY; // prune == Off: never consulted
-        };
+        }
         // The sign tests are `total_cmp`: a weight of -0.0 would score
         // -0.0, and the pruned loop's zero-fill owes its bit-equality
         // to every non-positive score being +0.0.
@@ -1321,14 +1323,7 @@ impl Engine {
         if leaf.postings.is_empty() {
             return 0.0;
         }
-        let Some((field, key)) = single else {
-            return f64::INFINITY;
-        };
-        match self
-            .index
-            .term_id(key)
-            .and_then(|tid| bounds.get(*field, tid))
-        {
+        match entry {
             Some(b) if b.min.total_cmp(&0.0).is_ge() && b.max.is_finite() => {
                 (leaf.weight * b.max).max(0.0)
             }
@@ -1989,12 +1984,11 @@ fn compute_term_bounds(
             Some(c) => c.df(field, term),
             None => postings.len() as u32,
         };
-        let mut max = f64::NEG_INFINITY;
         let mut min = f64::INFINITY;
-        // Per-block maxima ride along in the same pass, chunked exactly
-        // as `BlockPostings::encode` chunks the list (every block full
-        // except the last), so maxima line up one-to-one with the
-        // blocks the BMW cursors walk.
+        // The maxima are kept per block, chunked exactly as
+        // `BlockPostings::encode` chunks the list (every block full
+        // except the last), so they line up one-to-one with the blocks
+        // the BMW cursors walk; the whole-list maximum is the largest.
         let mut block_max = Vec::with_capacity(postings.len().div_ceil(BLOCK_DOCS));
         let mut bmax = f64::NEG_INFINITY;
         let mut in_block = 0usize;
@@ -2011,9 +2005,6 @@ fn compute_term_bounds(
             // `total_cmp` extrema: a NaN weight poisons the envelope
             // (it sorts above +inf / below -inf), correctly disabling
             // pruning for the key.
-            if w.total_cmp(&max).is_gt() {
-                max = w;
-            }
             if w.total_cmp(&min).is_lt() {
                 min = w;
             }
@@ -2030,8 +2021,7 @@ fn compute_term_bounds(
         if in_block > 0 {
             block_max.push(bmax);
         }
-        out.insert(field, tid, TermBound { max, min });
-        out.insert_block_max(field, tid, block_max);
+        out.insert(field, tid, min, block_max);
     }
     out
 }

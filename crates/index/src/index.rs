@@ -213,56 +213,55 @@ pub(crate) struct StoredDoc {
     pub byte_size: u32,
 }
 
-/// The recorded term-weight envelope of one `(field, term)` key: the
-/// float max/min of the ranking algorithm's `term_weight` across the
-/// key's postings.
-#[derive(Debug, Clone, Copy)]
+/// What pruning knows about one `(field, term)` key: the envelope of the
+/// ranking algorithm's `term_weight` across the key's postings, whole
+/// list and block by block.
+#[derive(Debug, Clone)]
 pub(crate) struct TermBound {
-    /// Float max of the key's term weights.
+    /// Float max of the key's term weights: the `total_cmp` maximum of
+    /// `block_max`.
     pub max: f64,
     /// Float min — pruning demands non-negative weights, so a negative
     /// (or non-finite) envelope disables the bound for its key.
     pub min: f64,
+    /// Per-block maxima, one per 128-doc block of the key's posting list
+    /// (see [`crate::blocks::BLOCK_DOCS`]) — the "block-max" side of
+    /// Block-Max-WAND. Each is the float max of the exact weights of its
+    /// block only, so it is usually far tighter than `max`.
+    pub block_max: Box<[f64]>,
 }
 
 /// Per-`(field, term)` extrema of the ranking algorithm's term weights
 /// over one index's postings — the build-time sidecar behind the
-/// engine's dynamic pruning (see `docs/performance.md`). For a shard of
-/// a sharded collection the weights are computed against the *global*
-/// collection statistics, so each recorded maximum is the float max of
-/// exactly the weight values query-time scoring can produce for that
-/// key on this shard; a leaf's upper bound therefore holds without any
-/// epsilon.
+/// engine's dynamic pruning (see `docs/performance.md`), one entry per
+/// key. For a shard of a sharded collection the weights are computed
+/// against the *global* collection statistics, so each recorded maximum
+/// is the float max of exactly the weight values query-time scoring can
+/// produce for that key on this shard; a leaf's upper bound therefore
+/// holds without any epsilon.
 #[derive(Debug, Default)]
 pub struct TermBounds {
     bounds: HashMap<(FieldId, TermId), TermBound>,
-    /// Per-block maxima of the same weights, one entry per 128-doc block
-    /// of the key's posting list (see [`crate::blocks::BLOCK_DOCS`]) —
-    /// the "block-max" side of Block-Max-WAND. Each value is the float
-    /// max of the exact weights of its block only, so it is usually far
-    /// tighter than the whole-list `max` above.
-    block_max: HashMap<(FieldId, TermId), Vec<f64>>,
 }
 
 impl TermBounds {
-    /// Record the envelope for one key.
-    pub(crate) fn insert(&mut self, field: FieldId, term: TermId, bound: TermBound) {
+    /// Record one key: its weight minimum and its per-block maxima, the
+    /// largest of which is its whole-list maximum. The extrema are
+    /// `total_cmp`'s, so a NaN weight poisons the envelope (it sorts
+    /// above +inf) and disables pruning for the key.
+    pub(crate) fn insert(&mut self, field: FieldId, term: TermId, min: f64, block_max: Vec<f64>) {
+        let max = block_max.iter().copied().max_by(f64::total_cmp);
+        let bound = TermBound {
+            max: max.unwrap_or(f64::NEG_INFINITY),
+            min,
+            block_max: block_max.into_boxed_slice(),
+        };
         self.bounds.insert((field, term), bound);
     }
 
-    /// The envelope recorded for a key, if any.
-    pub(crate) fn get(&self, field: FieldId, term: TermId) -> Option<TermBound> {
-        self.bounds.get(&(field, term)).copied()
-    }
-
-    /// Record the per-block weight maxima for one key.
-    pub(crate) fn insert_block_max(&mut self, field: FieldId, term: TermId, maxima: Vec<f64>) {
-        self.block_max.insert((field, term), maxima);
-    }
-
-    /// The per-block weight maxima recorded for a key, if any.
-    pub(crate) fn block_maxima(&self, field: FieldId, term: TermId) -> Option<&[f64]> {
-        self.block_max.get(&(field, term)).map(Vec::as_slice)
+    /// What was recorded for a key, if anything.
+    pub(crate) fn get(&self, field: FieldId, term: TermId) -> Option<&TermBound> {
+        self.bounds.get(&(field, term))
     }
 }
 

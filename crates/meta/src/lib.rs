@@ -28,11 +28,13 @@
 //! * [`eval`] — precision/recall/rank-correlation metrics against
 //!   generator-known relevance;
 //! * [`savvy`] — a SavvySearch-style learned selector (§5);
-//! * [`pipeline`] — the pipeline decomposed into reusable stages
-//!   (plan / per-source dispatch / merge) shared by the scoped
-//!   metasearcher and the `starts-serve` executor pool;
+//! * [`pipeline`] — the stages of one metasearch, each runnable on its
+//!   own (plan / per-source dispatch / merge);
+//! * [`wave`] — one query's fan-out over those stages: attempts, hedges,
+//!   the deadline, collection and merge, led the same way by the
+//!   metasearcher (scoped threads) and `starts-serve` (a shared pool);
 //! * [`metasearcher`] — the end-to-end pipeline over the simulated
-//!   network, with parallel fan-out and latency/cost accounting.
+//!   network, with latency/cost accounting.
 
 pub mod adapt;
 pub mod cache;
@@ -44,6 +46,7 @@ pub mod metasearcher;
 pub mod pipeline;
 pub mod savvy;
 pub mod select;
+pub mod wave;
 
 pub use cache::CatalogCache;
 pub use catalog::{Catalog, CatalogEntry};

@@ -17,6 +17,7 @@ use crate::catalog::Catalog;
 use crate::merge::{MergedDoc, Merger, SourceResult};
 use crate::pipeline;
 use crate::select::Selector;
+use crate::wave;
 
 /// How queries are adjusted before dispatch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -134,9 +135,7 @@ pub struct QueryStats {
 }
 
 impl QueryStats {
-    /// Fold one exchange's accounting into the totals. Public so the
-    /// serving layer (`starts-serve`) can account its pooled dispatches
-    /// the same way the scoped metasearcher does.
+    /// Fold one exchange's accounting into the totals.
     pub fn absorb(&mut self, e: &Exchange) {
         self.requests += 1;
         self.total_latency_ms += u64::from(e.latency_ms);
@@ -210,137 +209,56 @@ impl<'n> Metasearcher<'n> {
 
     /// Run the full pipeline for one query.
     ///
-    /// Composes the stages in [`crate::pipeline`] under a scoped
-    /// per-query fan-out: one worker thread per selected source, joined
-    /// before returning. A panicking worker does **not** poison the
-    /// query — it is recorded as a failed-source outcome (health board,
-    /// `meta.dispatch.failures`, `meta.dispatch.panics`) and the merge
-    /// proceeds with the sources that answered. The concurrent serving
-    /// layer (`starts-serve`) runs the same stages on a shared executor
-    /// pool instead.
+    /// Plans on the calling thread, then leads one [`wave`]: each
+    /// attempt runs on a scoped thread of its own, joined before this
+    /// returns. A panicking exchange does **not** poison the query — it
+    /// is a failed source (health board, `meta.dispatch.failures`,
+    /// `meta.dispatch.panics`) and the merge proceeds with the sources
+    /// that answered. `starts-serve` leads the same wave with its
+    /// attempts on a shared pool.
     pub fn search(&self, query: &Query) -> MetaResponse {
         let obs = self.net.registry();
         let query_id = starts_obs::trace::next_query_id();
         // Spans record on drop; the wire-visible QueryProfile keeps its
         // own explicit clock, all offsets relative to `t0`.
         let t0 = Instant::now();
-        let elapsed_us = |t0: Instant| t0.elapsed().as_micros() as u64;
         let _root = obs.span_with("meta.search", vec![("trace", query_id.clone())]);
         obs.counter("meta.searches").inc();
 
-        // 1+2. Select sources and adapt the query per source.
-        let plan = pipeline::plan(&self.catalog, &self.config, query, obs, t0);
-
-        // 3. Dispatch in parallel (the fan-out of Figure 1's client).
-        let client = StartsClient::new(self.net);
-        let mut slots: Vec<Option<pipeline::TaskSuccess>> = Vec::new();
-        slots.resize_with(plan.tasks.len(), || None);
-        let dispatch_start = elapsed_us(t0);
-        {
-            let dispatch = obs.span("dispatch");
-            let dispatch_handle = dispatch.handle();
-            let health = &self.config.health;
-            let timeout_ms = self.config.timeout_ms;
-            crossbeam::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for (slot, task) in slots.iter_mut().zip(&plan.tasks) {
-                    let client = &client;
-                    let dispatch_handle = &dispatch_handle;
-                    let query_id = &query_id;
-                    let handle = scope.spawn(move |_| {
-                        // The worker thread's span stack is empty;
-                        // run_task parents to the dispatch span
-                        // explicitly via the handle.
-                        *slot = pipeline::run_task(
-                            client,
-                            task,
-                            health,
-                            timeout_ms,
-                            dispatch_handle,
-                            query_id,
-                            t0,
-                            None,
-                        )
-                        .ok();
-                    });
-                    handles.push((task.id.clone(), handle));
+        let plan = Arc::new(pipeline::plan(&self.catalog, &self.config, query, obs, t0));
+        let (client, config) = (StartsClient::new(self.net), &self.config);
+        let wave = std::thread::scope(|scope| {
+            let mut spawn = |attempts: Vec<wave::Attempt>| {
+                for attempt in attempts {
+                    scope.spawn(|| attempt.run(&client, &config.health));
                 }
-                for (source, h) in handles {
-                    // Panic isolation: a worker that panicked becomes a
-                    // failed-source outcome instead of poisoning the
-                    // whole query.
-                    if h.join().is_err() {
-                        pipeline::record_panicked_dispatch(obs, health, &source);
-                    }
-                }
-            })
-            .expect("crossbeam scope");
-        }
-        let dispatch_end = elapsed_us(t0);
-        let mut stats = QueryStats::default();
-        let mut source_stages = Vec::new();
-        let per_source: Vec<SourceResult> = slots
-            .into_iter()
-            .flatten()
-            .map(|success| {
-                stats.absorb(&success.exchange);
-                source_stages.push(success.stage);
-                success.result
-            })
-            .collect();
-        obs.gauge("meta.query_cost").add(stats.total_cost);
-
-        // 4. Merge — bounded: per-source lists already arrive sorted by
-        // score, so the merger only materialises the best
-        // `max_results` documents instead of every candidate.
-        let (merged, _mstats, merge_costs) = pipeline::merge_stage(
-            self.config.merger.as_ref(),
-            &per_source,
-            self.config.max_results,
-            obs,
-            t0,
-        );
-
-        // 5. Assemble the per-query cost profile and hand it to the
-        // flight recorder (which decides whether it was slow enough to
-        // keep in the slow-log).
-        let mut dispatch_stage = StageCost::new(
-            "dispatch",
-            dispatch_start,
-            dispatch_end.saturating_sub(dispatch_start),
-        )
-        .with_meta("sources", source_stages.len());
-        dispatch_stage.children = source_stages;
+            };
+            wave::lead(&plan, config, obs, &query_id, t0, None, None, &mut spawn)
+        });
+        let mut root = StageCost::new("meta.search", 0, pipeline::elapsed_us(t0))
+            .with_meta("results", wave.merged.len());
+        root.children = vec![
+            plan.select_stage.clone(),
+            plan.adapt_stage.clone(),
+            wave.dispatch_stage,
+            wave.merge_stage,
+        ];
         let profile = QueryProfile {
             query_id: query_id.clone(),
-            root: StageCost {
-                name: "meta.search".to_string(),
-                start_us: 0,
-                duration_us: elapsed_us(t0),
-                meta: vec![("results".to_string(), merged.len().to_string())],
-                children: vec![
-                    plan.select_stage.clone(),
-                    plan.adapt_stage.clone(),
-                    dispatch_stage,
-                    merge_costs,
-                ],
-            },
+            root,
         };
+        // The recorder keeps it if it was slow; the monitor samples the
+        // registry when a step is due (else a tick is a clock read).
         self.config.recorder.record(&profile);
-        // Feed the continuous-monitoring layer: when a sample step is
-        // due, snapshot the registry (which runs the health and
-        // recorder collectors, so their gauges are fresh), evaluate SLO
-        // burn rates, and advance the alert state machine. Between
-        // sample steps this is a clock read.
         self.net.monitor().tick(obs);
 
         MetaResponse {
-            merged,
-            selected: plan.selected,
-            per_source,
+            merged: wave.merged,
+            selected: plan.selected.clone(),
+            per_source: wave.per_source,
             wave_latency_ms: plan.wave_latency_ms,
             total_cost: plan.total_cost,
-            stats,
+            stats: wave.stats,
             query_id,
             profile,
         }

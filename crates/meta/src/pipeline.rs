@@ -1,20 +1,16 @@
-//! The metasearch pipeline, decomposed into reusable stages.
-//!
-//! [`Metasearcher::search`](crate::Metasearcher::search) used to be one
-//! monolithic function: select → adapt → per-source dispatch → merge.
-//! The concurrent serving layer (`starts-serve`) needs the same stages
-//! but under a different execution regime — a shared worker pool instead
-//! of scoped per-query threads, hedged dispatch, deadlines that abandon
-//! stragglers. This module is the common ground both execute on:
+//! The stages of one metasearch, each runnable on its own.
 //!
 //! * [`plan`] — selection + adaptation, producing fully *owned*
-//!   [`DispatchTask`]s that any thread (scoped or pooled, outliving the
-//!   query or not) can run;
+//!   [`DispatchTask`]s that any thread (outliving the query or not) can
+//!   run;
 //! * [`run_task`] — the per-source dispatch body: trace-context
 //!   propagation, the wire exchange (cancellable), health recording,
 //!   and the per-worker [`StageCost`] with the host's `XQueryProfile`
 //!   grafted in;
 //! * [`merge_stage`] — the bounded merge with its dedup accounting.
+//!
+//! [`crate::wave`] composes them into a query's fan-out: which attempt
+//! runs when, which one decides its source, and what is merged.
 //!
 //! The stages share one explicit clock (`t0`): every [`StageCost`]
 //! offset is relative to it, so a profile assembled from stage pieces
@@ -33,7 +29,7 @@ use crate::merge::{MergeStats, MergedDoc, Merger, SourceResult};
 use crate::metasearcher::{AdaptMode, MetaConfig};
 
 /// Everything one per-source dispatch needs, fully owned: the serving
-/// layer hands these to pool workers that may outlive the query that
+/// layer runs these on pool workers that may outlive the query that
 /// planned them (a deadline-abandoned straggler keeps running until its
 /// cancellation token is honoured).
 #[derive(Debug, Clone)]
@@ -98,6 +94,11 @@ pub struct TaskSuccess {
     pub stage: StageCost,
 }
 
+/// Microseconds since the query's clock started.
+pub(crate) fn elapsed_us(t0: Instant) -> u64 {
+    t0.elapsed().as_micros() as u64
+}
+
 /// Stage 1+2: select sources and adapt the query per source.
 ///
 /// Runs on the calling thread (selection and adaptation never touch the
@@ -111,8 +112,6 @@ pub fn plan(
     obs: &Registry,
     t0: Instant,
 ) -> QueryPlan {
-    let elapsed_us = |t0: Instant| t0.elapsed().as_micros() as u64;
-
     // 1. Select sources.
     let select_start = elapsed_us(t0);
     let chosen: Vec<(usize, f64)> = {
@@ -207,9 +206,8 @@ pub fn plan(
 /// Opens a `source` span under `parent` (the dispatch span's handle),
 /// threads the trace context over the wire, records the outcome on the
 /// health board, and builds the per-worker [`StageCost`] with the
-/// host's `XQueryProfile` grafted in — exactly what the scoped worker
-/// in `Metasearcher::search` always did, now callable from a shared
-/// pool with an optional [`CancelToken`].
+/// host's `XQueryProfile` grafted in. A tripped [`CancelToken`] aborts
+/// the exchange without touching the source's health.
 #[allow(clippy::too_many_arguments)]
 pub fn run_task(
     client: &StartsClient<'_>,
@@ -222,7 +220,6 @@ pub fn run_task(
     cancel: Option<&CancelToken>,
 ) -> Result<TaskSuccess, TaskError> {
     let obs = client.registry();
-    let elapsed_us = |t0: Instant| t0.elapsed().as_micros() as u64;
     let span = obs.span_under(
         "source",
         parent,
@@ -312,7 +309,6 @@ pub fn merge_stage(
     obs: &Registry,
     t0: Instant,
 ) -> (Vec<MergedDoc>, MergeStats, StageCost) {
-    let elapsed_us = |t0: Instant| t0.elapsed().as_micros() as u64;
     let merge_start = elapsed_us(t0);
     let (merged, mstats) = {
         let _span = obs.span("merge");

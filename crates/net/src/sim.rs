@@ -2,8 +2,8 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use parking_lot::RwLock;
@@ -14,14 +14,14 @@ use starts_obs::{Monitor, Registry};
 /// token family to primary and backup, and cancels the loser the moment
 /// the winner lands.
 ///
-/// Cancellation is cooperative. The transport checks the token while it
-/// paces out the simulated round-trip (see [`SimNet::set_pacing`]); a
-/// request cancelled mid-flight aborts with [`NetError::Cancelled`]
-/// before the endpoint's handler runs. With pacing off (the default)
-/// requests complete instantly, so only a token cancelled *before* the
-/// call has any effect.
+/// Cancellation is cooperative. The transport waits on the token while
+/// it paces out the simulated round-trip (see [`SimNet::set_pacing`]); a
+/// request cancelled mid-flight wakes at once and aborts with
+/// [`NetError::Cancelled`] before the endpoint's handler runs. With
+/// pacing off (the default) requests complete instantly, so only a token
+/// cancelled *before* the call has any effect.
 #[derive(Debug, Clone, Default)]
-pub struct CancelToken(Arc<AtomicBool>);
+pub struct CancelToken(Arc<(Mutex<bool>, Condvar)>);
 
 impl CancelToken {
     /// A fresh, uncancelled token.
@@ -29,15 +29,25 @@ impl CancelToken {
         CancelToken::default()
     }
 
-    /// Trip the flag: every request carrying a clone of this token
-    /// aborts at its next cancellation check.
+    /// Trip the flag: every request in flight with a clone of this token
+    /// aborts now, and none starts with one afterwards.
     pub fn cancel(&self) {
-        self.0.store(true, Ordering::SeqCst);
+        let (flag, tripped) = &*self.0;
+        *flag.lock().expect("cancel flag") = true;
+        tripped.notify_all();
     }
 
     /// Whether the flag has been tripped.
     pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::SeqCst)
+        *self.0 .0.lock().expect("cancel flag")
+    }
+
+    /// Sleep until the flag is tripped, `flight` at most; whether it was.
+    fn tripped_within(&self, flight: Duration) -> bool {
+        let (flag, tripped) = &*self.0;
+        let cancelled = flag.lock().expect("cancel flag");
+        let waited = tripped.wait_timeout_while(cancelled, flight, |cancelled| !*cancelled);
+        *waited.expect("cancel flag").0
     }
 }
 
@@ -223,8 +233,8 @@ impl SimNet {
 
     /// Turn on real-time pacing: every request sleeps `us_per_ms`
     /// microseconds of wall-clock time per simulated millisecond of its
-    /// link's latency before the endpoint handler runs, checking its
-    /// [`CancelToken`] (if any) along the way. This is what makes hedged
+    /// link's latency before the endpoint handler runs, unless its
+    /// [`CancelToken`] (if any) is tripped first. This is what makes hedged
     /// requests *race* in real time and cancellation actually abort
     /// work; 0 restores the instant transport.
     pub fn set_pacing(&self, us_per_ms: u64) {
@@ -243,8 +253,8 @@ impl SimNet {
 
     /// Issue a sessionless request that a [`CancelToken`] can abort.
     ///
-    /// With pacing on, the simulated round-trip is slept out in slices
-    /// and the token is checked between slices: a cancellation lands as
+    /// With pacing on, the simulated round-trip is slept out on the
+    /// token: a cancellation ends the sleep and lands as
     /// [`NetError::Cancelled`] *before* the endpoint does any work. With
     /// pacing off, only a token tripped before the call aborts it.
     pub fn request_cancellable(
@@ -304,31 +314,19 @@ impl SimNet {
     }
 
     /// Sleep out a link's simulated latency under the current pacing
-    /// factor, in bounded slices so a cancellation lands promptly.
-    /// `Err(())` means the token tripped mid-flight.
+    /// factor: one sleep, which a cancellation cuts short. `Err(())`
+    /// means the token was tripped before the flight was over.
     fn pace_out(&self, latency_ms: u32, cancel: Option<&CancelToken>) -> Result<(), ()> {
-        let check = |c: Option<&CancelToken>| -> Result<(), ()> {
-            match c {
-                Some(c) if c.is_cancelled() => Err(()),
-                _ => Ok(()),
-            }
-        };
-        check(cancel)?;
         let us_per_ms = self.pacing_us_per_ms.load(Ordering::SeqCst);
-        if us_per_ms == 0 {
-            return Ok(());
+        let flight = Duration::from_micros(u64::from(latency_ms).saturating_mul(us_per_ms));
+        match cancel {
+            Some(token) if token.tripped_within(flight) => Err(()),
+            Some(_) => Ok(()),
+            None => {
+                std::thread::sleep(flight);
+                Ok(())
+            }
         }
-        let mut remaining_us = u64::from(latency_ms).saturating_mul(us_per_ms);
-        // 200µs slices: fine enough that hedges and deadlines observe
-        // cancellation within a fraction of any realistic link latency.
-        const SLICE_US: u64 = 200;
-        while remaining_us > 0 {
-            let slice = remaining_us.min(SLICE_US);
-            std::thread::sleep(Duration::from_micros(slice));
-            remaining_us -= slice;
-            check(cancel)?;
-        }
-        Ok(())
     }
 
     /// Global statistics snapshot.
@@ -528,6 +526,23 @@ mod tests {
             start.elapsed() < Duration::from_secs(5),
             "cancellation must cut the paced sleep short"
         );
+    }
+
+    #[test]
+    fn an_untripped_token_costs_the_flight_nothing() {
+        let net = SimNet::new();
+        let link = LinkProfile {
+            latency_ms: 20,
+            cost_per_query: 0.0,
+        };
+        net.register("u", link, echo());
+        net.set_pacing(1_000); // 20 simulated ms = 20 ms of wall clock
+        for token in [None, Some(CancelToken::new())] {
+            let start = std::time::Instant::now();
+            let response = net.request_cancellable("u", b"x", token.as_ref());
+            assert_eq!(response.map(|r| r.bytes), Ok(b"x".to_vec()));
+            assert!(start.elapsed() >= Duration::from_millis(20));
+        }
     }
 
     #[test]

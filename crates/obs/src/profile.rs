@@ -18,11 +18,6 @@
 //!   gauges into a [`Registry`] — at snapshot time, once the recorder
 //!   is registered as a [`Collector`] — so `/stats`, Prometheus, and
 //!   JSON dumps all carry the recorder's state.
-//!
-//! A [`profile_from_trace`] helper converts a stitched
-//! [`TraceTree`] into the same [`QueryProfile`]
-//! shape, so offline span dumps and wire-carried profiles feed one
-//! toolchain.
 
 use std::collections::VecDeque;
 use std::io::Write as _;
@@ -34,7 +29,6 @@ use starts_proto::{QueryProfile, StageCost};
 
 use crate::metrics::Histogram;
 use crate::registry::{Collector, Registry};
-use crate::trace::{TraceNode, TraceTree, TRACE_FIELD};
 
 /// Profiles kept in the main ring by default.
 pub const DEFAULT_CAPACITY: usize = 256;
@@ -263,39 +257,6 @@ fn stage_to_json(stage: &StageCost, out: &mut String) {
     out.push('}');
 }
 
-/// Convert a stitched [`TraceTree`] into a [`QueryProfile`]: the first
-/// root becomes the profile root, span fields become stage metadata
-/// (minus the `trace` tag), and start offsets are rebased so the root
-/// starts at 0. Returns `None` for an empty tree.
-pub fn profile_from_trace(tree: &TraceTree) -> Option<QueryProfile> {
-    let root = tree.roots.first()?;
-    let base = root.event.start_us;
-    Some(QueryProfile {
-        query_id: tree.query_id.clone(),
-        root: node_to_stage(root, base),
-    })
-}
-
-fn node_to_stage(node: &TraceNode, base: u64) -> StageCost {
-    StageCost {
-        name: node.event.name.clone(),
-        start_us: node.event.start_us.saturating_sub(base),
-        duration_us: node.event.duration_us,
-        meta: node
-            .event
-            .fields
-            .iter()
-            .filter(|(k, _)| *k != TRACE_FIELD)
-            .map(|(k, v)| (k.to_string(), v.clone()))
-            .collect(),
-        children: node
-            .children
-            .iter()
-            .map(|c| node_to_stage(c, base))
-            .collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -398,29 +359,5 @@ mod tests {
         assert_eq!(snap.gauge("recorder.p50_us", &[]), 200.0);
         assert_eq!(snap.gauge("recorder.p99_us", &[]), 200.0);
         assert_eq!(snap.gauge("recorder.budget_us", &[]), 50_000.0);
-    }
-
-    #[test]
-    fn trace_tree_converts_to_a_profile() {
-        let reg = Registry::new();
-        {
-            let root = reg.span_with("meta.search", vec![(TRACE_FIELD, "q-p".to_string())]);
-            let _ = root.path();
-            {
-                let _child = reg.span_with("dispatch", vec![("wave", "1".to_string())]);
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            }
-        }
-        let tree = TraceTree::build("q-p", &reg.recent_spans());
-        let p = profile_from_trace(&tree).expect("non-empty tree");
-        assert_eq!(p.query_id, "q-p");
-        assert_eq!(p.root.name, "meta.search");
-        assert_eq!(p.root.start_us, 0);
-        let dispatch = p.find("dispatch").expect("child stage");
-        assert!(dispatch.duration_us >= 1_000, "slept 1ms");
-        assert_eq!(dispatch.meta_value("wave"), Some("1"));
-        // The trace tag is stripped from stage metadata.
-        assert!(p.root.meta_value(TRACE_FIELD).is_none());
-        assert!(profile_from_trace(&TraceTree::build("q-none", &[])).is_none());
     }
 }

@@ -17,13 +17,13 @@
 //!
 //! What the server can answer from what it holds it answers where the
 //! request arrived: the admission queue bounds *waves*, so a cache hit
-//! is never queued, never shed and wakes no thread. Query workers run
-//! the remaining [`starts_meta::pipeline`] stages; per-source
-//! exchanges go through the dispatch pool so one slow query cannot
-//! monopolise threads, and a hedge or a straggler can outlive the query
-//! that launched it (it holds its own [`CancelToken`] and its share of
-//! the wave state). All coordination is plain `Mutex`/`Condvar` —
-//! no async runtime, matching the repo's std-only execution model.
+//! is never queued, never shed and wakes no thread. Query workers lead
+//! the dispatch wave ([`starts_meta::wave`]); its attempts go through
+//! the dispatch pool so one slow query cannot monopolise threads, and a
+//! hedge or a straggler can outlive the query that launched it (an
+//! [`Attempt`] holds its share of the wave state). All coordination is
+//! plain `Mutex`/`Condvar` — no async runtime, matching the repo's
+//! std-only execution model.
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -35,8 +35,10 @@ use std::time::{Duration, Instant};
 use starts_meta::catalog::Catalog;
 use starts_meta::merge::{MergedDoc, SourceResult};
 use starts_meta::metasearcher::{MetaConfig, QueryStats};
-use starts_meta::pipeline::{self, DispatchTask, QueryPlan, TaskError, TaskSuccess};
-use starts_net::{CancelToken, SimNet, StartsClient};
+use starts_meta::pipeline::{self, DispatchTask, QueryPlan};
+use starts_meta::wave::{self, Attempt};
+pub use starts_meta::wave::{SourceCompleteness, SourceStatus};
+use starts_net::{SimNet, StartsClient};
 use starts_obs::{Registry, SpanHandle};
 use starts_proto::{Query, QueryProfile, StageCost};
 
@@ -115,6 +117,9 @@ pub enum ServeError {
     Shed,
     /// The server is shutting down.
     Shutdown,
+    /// The query's execution panicked (a caller-supplied [`MetaConfig`]
+    /// strategy, most likely); its worker carries on.
+    Internal,
 }
 
 impl std::fmt::Display for ServeError {
@@ -122,6 +127,7 @@ impl std::fmt::Display for ServeError {
         match self {
             ServeError::Shed => write!(f, "shed by admission control (queue full)"),
             ServeError::Shutdown => write!(f, "server shutting down"),
+            ServeError::Internal => write!(f, "the query's execution panicked"),
         }
     }
 }
@@ -137,27 +143,6 @@ pub enum Served {
     Coalesced,
     /// Served from the result cache without touching the wire.
     CacheHit,
-}
-
-/// Per-source completeness of a (possibly partial) response.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SourceStatus {
-    /// The source answered and its results are in the merge.
-    Complete,
-    /// Every attempt at the source failed.
-    Failed,
-    /// The source was still in flight when the deadline expired; its
-    /// attempts were cancelled and it contributed nothing.
-    TimedOut,
-}
-
-/// One source's completeness flag.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SourceCompleteness {
-    /// The source id.
-    pub source: String,
-    /// What happened to it.
-    pub status: SourceStatus,
 }
 
 /// The outcome of one served metasearch.
@@ -201,7 +186,7 @@ impl PartialEq for ServeOutcome {
 /// One admitted query waiting for a worker: planned and keyed on its
 /// caller's thread, where it missed the cache.
 struct QueryJob {
-    plan: QueryPlan,
+    plan: Arc<QueryPlan>,
     key: String,
     deadline_ms: Option<u64>,
     slot: Arc<ResponseSlot>,
@@ -219,40 +204,6 @@ fn elapsed_us(t0: Instant) -> u64 {
     t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64
 }
 
-/// Per-source state of one dispatch wave.
-#[derive(Default)]
-struct TaskSlot {
-    /// The final outcome; `None` while attempts are in flight (or after
-    /// every attempt was cancelled by the deadline).
-    outcome: Option<Result<TaskSuccess, TaskError>>,
-    /// Attempts currently queued or running.
-    inflight: usize,
-    /// Cancellation tokens of every attempt (primary + hedge).
-    tokens: Vec<CancelToken>,
-    /// Whether a hedge was already launched.
-    hedged: bool,
-}
-
-/// Shared state between a wave's leader and its dispatch workers.
-struct WaveState {
-    slots: Mutex<Vec<TaskSlot>>,
-    cv: Condvar,
-}
-
-/// One per-source exchange queued for the dispatch pool.
-struct DispatchJob {
-    wave: Arc<WaveState>,
-    index: usize,
-    /// 0 = primary, 1 = hedge.
-    attempt: usize,
-    task: DispatchTask,
-    cancel: CancelToken,
-    parent: SpanHandle,
-    query_id: String,
-    t0: Instant,
-    timeout_ms: u64,
-}
-
 struct ServerInner {
     net: Arc<SimNet>,
     catalog: Catalog,
@@ -260,7 +211,7 @@ struct ServerInner {
     serve: ServeConfig,
     queue: Mutex<VecDeque<QueryJob>>,
     queue_cv: Condvar,
-    dispatch_q: Mutex<VecDeque<DispatchJob>>,
+    dispatch_q: Mutex<VecDeque<Attempt>>,
     dispatch_cv: Condvar,
     flights: Singleflight,
     cache: ResultCache,
@@ -368,7 +319,7 @@ impl Server {
             None => {
                 let slot = ResponseSlot::new();
                 let job = QueryJob {
-                    plan,
+                    plan: Arc::new(plan),
                     key,
                     deadline_ms,
                     slot: Arc::clone(&slot),
@@ -480,8 +431,17 @@ fn query_worker(inner: &Arc<ServerInner>) {
         };
         let obs = inner.net.registry();
         obs.gauge("serve.inflight").add(1.0);
+        let _inflight = Inflight(obs);
         run_query(inner, job);
-        obs.gauge("serve.inflight").add(-1.0);
+    }
+}
+
+/// Takes the query back out of `serve.inflight`, unwinding or not.
+struct Inflight<'a>(&'a Registry);
+
+impl Drop for Inflight<'_> {
+    fn drop(&mut self) {
+        self.0.gauge("serve.inflight").add(-1.0);
     }
 }
 
@@ -514,244 +474,94 @@ fn run_query(inner: &Arc<ServerInner>, job: QueryJob) {
     }
     obs.counter("serve.singleflight.leader").inc();
 
-    let key = job.key.clone();
-    // Before dispatch: an invalidation from here on stales the response.
-    let stamps = inner.cache.stamps(&job.plan.selected);
-    let response = Arc::new(run_wave(inner, &job, queue_stage));
-    inner.cache.store(job.key, Arc::clone(&response), stamps);
-    job.slot.fulfill(Ok(ServeOutcome {
-        response: Arc::clone(&response),
-        via: Served::Executed,
+    // The merger is the caller's code: if the wave unwinds, the flight
+    // still completes and everyone waiting on it is told, instead of
+    // this worker dying with the key registered and the slots unfilled.
+    let led = catch_unwind(AssertUnwindSafe(|| {
+        // Before dispatch: an invalidation from here on stales the response.
+        let stamps = inner.cache.stamps(&job.plan.selected);
+        let response = Arc::new(run_wave(inner, &job, queue_stage));
+        inner
+            .cache
+            .store(job.key.clone(), Arc::clone(&response), stamps);
+        response
     }));
-    for follower in inner.flights.complete(&key) {
-        follower.fulfill(Ok(ServeOutcome {
-            response: Arc::clone(&response),
-            via: Served::Coalesced,
-        }));
+    if led.is_err() {
+        obs.counter("serve.panics").inc();
+    }
+    let answer = |via| match &led {
+        Ok(response) => Ok(ServeOutcome {
+            response: Arc::clone(response),
+            via,
+        }),
+        Err(_) => Err(ServeError::Internal),
+    };
+    job.slot.fulfill(answer(Served::Executed));
+    for follower in inner.flights.complete(&job.key) {
+        follower.fulfill(answer(Served::Coalesced));
     }
 }
 
-/// Lead one dispatch wave: submit primaries, hedge stragglers, honour
-/// the deadline, merge whatever finished.
+/// Lead one dispatch wave on the shared pool and assemble the response.
+/// The deadline's clock starts here, when a worker takes the wave — time
+/// spent queued does not count against it.
 fn run_wave(inner: &Arc<ServerInner>, job: &QueryJob, queue_stage: StageCost) -> ServeResponse {
     let obs: &Registry = inner.net.registry();
-    let (plan, query_id, t0) = (&job.plan, job.query_id.as_str(), job.t0);
+    let (plan, t0) = (&job.plan, job.t0);
     let deadline_ms = job.deadline_ms.unwrap_or(inner.serve.deadline_ms);
     let deadline = (deadline_ms > 0).then(|| Instant::now() + Duration::from_millis(deadline_ms));
-
-    let dispatch_start = elapsed_us(t0);
-    let dispatch_span = obs.span("dispatch");
-    let parent = dispatch_span.handle();
-    let wave = Arc::new(WaveState {
-        slots: Mutex::new(Vec::new()),
-        cv: Condvar::new(),
-    });
-
-    // Submit every primary to the shared dispatch pool.
-    {
-        let mut slots = wave.slots.lock().expect("wave slots");
+    let policy = |task: &DispatchTask| {
+        let replica = inner.serve.replicas.get(&task.id).cloned();
+        (hedge_delay(inner, &task.id), replica)
+    };
+    let hedge = (inner.serve.hedge.enabled).then_some(&policy as &wave::HedgePolicy<'_>);
+    let mut submit = |attempts: Vec<Attempt>| {
         let mut dispatch_q = inner.dispatch_q.lock().expect("dispatch queue");
-        for (index, task) in plan.tasks.iter().enumerate() {
-            let cancel = CancelToken::new();
-            slots.push(TaskSlot {
-                outcome: None,
-                inflight: 1,
-                tokens: vec![cancel.clone()],
-                hedged: false,
-            });
-            dispatch_q.push_back(DispatchJob {
-                wave: Arc::clone(&wave),
-                index,
-                attempt: 0,
-                task: task.clone(),
-                cancel,
-                parent: parent.clone(),
-                query_id: query_id.to_string(),
-                t0,
-                timeout_ms: inner.config.timeout_ms,
-            });
-        }
-    }
-    inner.dispatch_cv.notify_all();
-
-    // Hedge schedule: per-source wake times derived from health p95s.
-    let submitted = Instant::now();
-    let hedge_at: Vec<Instant> = plan
-        .tasks
-        .iter()
-        .map(|t| submitted + hedge_delay(inner, &t.id))
-        .collect();
-
-    // Wait for the wave: done, or deadline, launching due hedges.
-    let mut expired = false;
-    let mut slots = wave.slots.lock().expect("wave slots");
-    loop {
-        if slots.iter().all(|s| s.outcome.is_some()) {
-            break;
-        }
-        let now = Instant::now();
-        if let Some(d) = deadline {
-            if now >= d {
-                expired = true;
-                break;
-            }
-        }
-        let mut due: Vec<(usize, CancelToken)> = Vec::new();
-        if inner.serve.hedge.enabled {
-            for (i, slot) in slots.iter_mut().enumerate() {
-                if slot.outcome.is_none() && !slot.hedged && now >= hedge_at[i] {
-                    let cancel = CancelToken::new();
-                    slot.tokens.push(cancel.clone());
-                    slot.inflight += 1;
-                    slot.hedged = true;
-                    due.push((i, cancel));
-                }
-            }
-        }
-        if !due.is_empty() {
-            drop(slots);
-            {
-                let mut dispatch_q = inner.dispatch_q.lock().expect("dispatch queue");
-                for (index, cancel) in due {
-                    let task = hedged_task(inner, &plan.tasks[index]);
-                    obs.counter_with("serve.hedge.launched", &[("source", &task.id)])
-                        .inc();
-                    dispatch_q.push_back(DispatchJob {
-                        wave: Arc::clone(&wave),
-                        index,
-                        attempt: 1,
-                        task,
-                        cancel,
-                        parent: parent.clone(),
-                        query_id: query_id.to_string(),
-                        t0,
-                        timeout_ms: inner.config.timeout_ms,
-                    });
-                }
-            }
-            inner.dispatch_cv.notify_all();
-            slots = wave.slots.lock().expect("wave slots");
-            continue;
-        }
-        // Sleep until the next event: a completion (condvar), the
-        // earliest pending hedge, or the deadline.
-        let mut wake = deadline;
-        if inner.serve.hedge.enabled {
-            for (i, slot) in slots.iter().enumerate() {
-                if slot.outcome.is_none() && !slot.hedged {
-                    wake = Some(wake.map_or(hedge_at[i], |w| w.min(hedge_at[i])));
-                }
-            }
-        }
-        slots = match wake {
-            Some(at) => {
-                let timeout = at.saturating_duration_since(Instant::now());
-                wave.cv.wait_timeout(slots, timeout).expect("wave slots").0
-            }
-            None => wave.cv.wait(slots).expect("wave slots"),
-        };
-    }
-
-    // Collect outcomes; on expiry cancel the stragglers first so they
-    // abandon their (simulated) flights instead of finishing for
-    // nobody.
-    if expired {
-        obs.counter("serve.partial").inc();
-        for slot in slots.iter() {
-            if slot.outcome.is_none() {
-                for token in &slot.tokens {
-                    token.cancel();
-                }
-            }
-        }
-    }
-    let mut successes: Vec<TaskSuccess> = Vec::new();
-    let mut completeness: Vec<SourceCompleteness> = Vec::new();
-    for (i, slot) in slots.iter_mut().enumerate() {
-        let source = plan.tasks[i].id.clone();
-        let status = match slot.outcome.take() {
-            Some(Ok(success)) => {
-                successes.push(success);
-                SourceStatus::Complete
-            }
-            Some(Err(_)) => SourceStatus::Failed,
-            None => SourceStatus::TimedOut,
-        };
-        completeness.push(SourceCompleteness { source, status });
-    }
-    drop(slots);
-    drop(dispatch_span);
-    let dispatch_end = elapsed_us(t0);
-
-    let mut stats = QueryStats::default();
-    let mut source_stages = Vec::new();
-    let per_source: Vec<SourceResult> = successes
-        .into_iter()
-        .map(|success| {
-            stats.absorb(&success.exchange);
-            source_stages.push(success.stage);
-            success.result
-        })
-        .collect();
-    obs.gauge("meta.query_cost").add(stats.total_cost);
-
-    let (merged, _mstats, merge_costs) = pipeline::merge_stage(
-        inner.config.merger.as_ref(),
-        &per_source,
-        inner.config.max_results,
+        dispatch_q.extend(attempts);
+        drop(dispatch_q);
+        inner.dispatch_cv.notify_all();
+    };
+    let wave = wave::lead(
+        plan,
+        &inner.config,
         obs,
+        &job.query_id,
         t0,
+        deadline,
+        hedge,
+        &mut submit,
     );
+    if wave.expired {
+        obs.counter("serve.partial").inc();
+    }
 
-    let mut dispatch_stage = StageCost::new(
-        "dispatch",
-        dispatch_start,
-        dispatch_end.saturating_sub(dispatch_start),
-    )
-    .with_meta("sources", source_stages.len())
-    .with_meta("partial", expired);
-    dispatch_stage.children = source_stages;
+    let mut root = StageCost::new("serve.query", 0, elapsed_us(t0))
+        .with_meta("results", wave.merged.len())
+        .with_meta("partial", wave.expired);
+    root.children = vec![
+        plan.select_stage.clone(),
+        plan.adapt_stage.clone(),
+        queue_stage,
+        wave.dispatch_stage.with_meta("partial", wave.expired),
+        wave.merge_stage,
+    ];
     let profile = QueryProfile {
-        query_id: query_id.to_string(),
-        root: StageCost {
-            name: "serve.query".to_string(),
-            start_us: 0,
-            duration_us: elapsed_us(t0),
-            meta: vec![
-                ("results".to_string(), merged.len().to_string()),
-                ("partial".to_string(), expired.to_string()),
-            ],
-            children: vec![
-                plan.select_stage.clone(),
-                plan.adapt_stage.clone(),
-                queue_stage,
-                dispatch_stage,
-                merge_costs,
-            ],
-        },
+        query_id: job.query_id.clone(),
+        root,
     };
     inner.config.recorder.record(&profile);
     inner.net.monitor().tick(obs);
 
     ServeResponse {
-        merged,
+        merged: wave.merged,
         selected: plan.selected.clone(),
-        per_source,
-        completeness,
-        partial: expired,
-        stats,
-        query_id: query_id.to_string(),
+        per_source: wave.per_source,
+        completeness: wave.completeness,
+        partial: wave.expired,
+        stats: wave.stats,
+        query_id: job.query_id.clone(),
         profile,
     }
-}
-
-/// The hedge's task: same source, replica URL when configured.
-fn hedged_task(inner: &ServerInner, base: &DispatchTask) -> DispatchTask {
-    let mut task = base.clone();
-    if let Some(url) = inner.serve.replicas.get(&task.id) {
-        task.url = url.clone();
-    }
-    task
 }
 
 /// Health-derived hedge delay for one source, converted to wall time
@@ -773,16 +583,16 @@ fn hedge_delay(inner: &ServerInner, source: &str) -> Duration {
     }
 }
 
-/// Dispatch-pool body: run per-source exchanges; first finisher wins
-/// its slot and cancels the sibling attempt. Panics in an exchange are
-/// isolated into failed-source outcomes (the pool thread survives).
+/// Dispatch-pool body: run queued attempts, whichever wave they belong
+/// to. An attempt never unwinds, so the pool thread survives a
+/// panicking endpoint.
 fn dispatch_worker(inner: &Arc<ServerInner>) {
     loop {
-        let job = {
+        let attempt = {
             let mut queue = inner.dispatch_q.lock().expect("dispatch queue");
             loop {
-                if let Some(job) = queue.pop_front() {
-                    break job;
+                if let Some(attempt) = queue.pop_front() {
+                    break attempt;
                 }
                 if inner.shutdown.load(Ordering::SeqCst) {
                     return;
@@ -790,56 +600,6 @@ fn dispatch_worker(inner: &Arc<ServerInner>) {
                 queue = inner.dispatch_cv.wait(queue).expect("dispatch queue");
             }
         };
-        let obs = inner.net.registry();
-        let client = StartsClient::new(&inner.net);
-        let hedge_span = (job.attempt > 0)
-            .then(|| obs.span_under("hedge", &job.parent, vec![("source", job.task.id.clone())]));
-        let outcome = match catch_unwind(AssertUnwindSafe(|| {
-            pipeline::run_task(
-                &client,
-                &job.task,
-                &inner.config.health,
-                job.timeout_ms,
-                &job.parent,
-                &job.query_id,
-                job.t0,
-                Some(&job.cancel),
-            )
-        })) {
-            Ok(outcome) => outcome,
-            Err(_) => {
-                pipeline::record_panicked_dispatch(obs, &inner.config.health, &job.task.id);
-                Err(TaskError::Failed)
-            }
-        };
-        drop(hedge_span);
-
-        let mut slots = job.wave.slots.lock().expect("wave slots");
-        let slot = &mut slots[job.index];
-        slot.inflight = slot.inflight.saturating_sub(1);
-        match &outcome {
-            Ok(_) if slot.outcome.is_none() => {
-                // First success wins the slot; any sibling attempt is
-                // now pointless.
-                for token in &slot.tokens {
-                    token.cancel();
-                }
-                if job.attempt > 0 {
-                    obs.counter_with("serve.hedge.wins", &[("source", &job.task.id)])
-                        .inc();
-                }
-                slot.outcome = Some(outcome);
-                job.wave.cv.notify_all();
-            }
-            Err(TaskError::Failed) if slot.outcome.is_none() && slot.inflight == 0 => {
-                // Every attempt failed.
-                slot.outcome = Some(Err(TaskError::Failed));
-                job.wave.cv.notify_all();
-            }
-            _ => {
-                // Lost the hedge race, was cancelled by the deadline,
-                // or the slot is already decided: drop the result.
-            }
-        }
+        attempt.run(&StartsClient::new(&inner.net), &inner.config.health);
     }
 }

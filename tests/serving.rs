@@ -4,23 +4,25 @@
 //! deadline-bounded partial results that are a prefix-consistent merge
 //! of the finished sources, hedged dispatch racing a replica against a
 //! slow primary, LIFO load shedding under overload, panic isolation in
-//! the shared dispatch pool, and the cached path: hits answered on the
-//! caller's thread past a full executor, and an invalidation that
-//! overtakes a wave in flight.
+//! the shared dispatch pool and in the query pool, and the cached path:
+//! hits answered on the caller's thread past a full executor, and an
+//! invalidation that overtakes a wave in flight.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Barrier, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use starts::index::Document;
 use starts::meta::catalog::Catalog;
-use starts::meta::merge::{Merger, NormalizedMerge};
-use starts::meta::metasearcher::{MetaConfig, Metasearcher};
+use starts::meta::merge::{MergedDoc, Merger, NormalizedMerge, SourceResult};
+use starts::meta::metasearcher::{MetaConfig, Metasearcher, QueryStats};
 use starts::net::{host::wire_source, LinkProfile, SimNet, StartsClient};
-use starts::proto::{query::parse_ranking, Query};
+use starts::proto::query::{parse_filter, parse_ranking};
+use starts::proto::{Query, QueryProfile};
 use starts::serve::{HedgeConfig, ServeConfig, ServeError, Served, Server, SourceStatus};
-use starts::source::{Source, SourceConfig};
+use starts::source::{vendors, Source, SourceConfig};
 
 fn docs(words: &[&str], n: usize, tag: &str) -> Vec<Document> {
     (0..n)
@@ -660,23 +662,168 @@ fn pool_isolates_panicking_endpoints_and_survives() {
     );
 }
 
+/// Merges like the stock merger until armed, then panics.
+struct Tripwire(Arc<AtomicBool>);
+
+impl Merger for Tripwire {
+    fn name(&self) -> &'static str {
+        "tripwire"
+    }
+
+    fn merge(&self, inputs: &[SourceResult]) -> Vec<MergedDoc> {
+        assert!(!self.0.load(Ordering::SeqCst), "the merger blew up");
+        NormalizedMerge.merge(inputs)
+    }
+}
+
+/// The merger is the caller's code and runs on a query worker. If it
+/// panics, the flight it was merging for ends in an error for its
+/// leader and every follower; the key, the worker and the gauges are
+/// as if the query had never come.
+#[test]
+fn a_panicking_merger_fails_its_flight_and_nothing_else() {
+    const PATIENCE: Duration = Duration::from_secs(10);
+    let net = Arc::new(SimNet::new());
+    wire(&net, "DB", &["databases", "queries"], 10);
+    let (entered, pass) = wire_gated(&net, "Food", &["cooking", "recipes"]);
+    let catalog = discover(&net, &["DB", "Food"]);
+    net.registry().reset();
+    let armed = Arc::new(AtomicBool::new(true));
+    let server = Arc::new(Server::new(
+        Arc::clone(&net),
+        catalog,
+        MetaConfig {
+            merger: Box::new(Tripwire(Arc::clone(&armed))),
+            ..MetaConfig::default()
+        },
+        ServeConfig {
+            query_workers: 2,
+            hedge: hedge_off(),
+            ..ServeConfig::default()
+        },
+    ));
+    // Each search runs on a thread of its own and reports on a channel:
+    // a caller nobody answers fails the test instead of hanging it.
+    let ask = |word: &str| {
+        let server = Arc::clone(&server);
+        let query = ranked(&format!(r#"list((body-of-text "{word}"))"#));
+        let (tx, rx) = channel();
+        std::thread::spawn(move || {
+            let outcome = server.search(&query);
+            drop(server);
+            tx.send(outcome)
+        });
+        rx
+    };
+
+    // The leader's wave stands at Food's gate when an identical query
+    // arrives and joins its flight; then the wave completes and merges.
+    let leader = ask("cooking");
+    entered.recv_timeout(PATIENCE).expect("a wave at the gate");
+    let follower = ask("cooking");
+    let waiting = Instant::now();
+    let coalesced = || {
+        net.registry()
+            .snapshot()
+            .counter("serve.singleflight.coalesced", &[])
+    };
+    while coalesced() == 0 {
+        assert!(waiting.elapsed() < PATIENCE, "the follower never joined");
+        std::thread::yield_now();
+    }
+    pass.send(()).unwrap();
+    for caller in [leader, follower] {
+        let outcome = caller.recv_timeout(PATIENCE).expect("an answer");
+        assert!(matches!(outcome, Err(ServeError::Internal)), "{outcome:?}");
+    }
+
+    // The flight is closed — the same query leads a new one — and both
+    // workers still serve: two waves stand at the gate at once.
+    armed.store(false, Ordering::SeqCst);
+    let callers = [ask("cooking"), ask("recipes")];
+    for _ in &callers {
+        entered.recv_timeout(PATIENCE).expect("a wave per worker");
+    }
+    for _ in &callers {
+        pass.send(()).unwrap();
+    }
+    for caller in callers {
+        let outcome = caller.recv_timeout(PATIENCE).expect("an answer");
+        assert_eq!(outcome.expect("served").via, Served::Executed);
+    }
+
+    // Joining the pools orders the workers' bookkeeping before this.
+    drop(Arc::try_unwrap(server).ok().expect("every caller is done"));
+    let snap = net.registry().snapshot();
+    assert_eq!(snap.counter("serve.panics", &[]), 1);
+    assert_eq!(snap.gauge("serve.inflight", &[]), 0.0);
+}
+
+/// The five-vendor fleet, each vendor over its own slice of one
+/// vocabulary, and 60 distinct queries against it: ranked, ranked under
+/// a filter, and filter-only.
+fn wire_fleet(net: &SimNet) -> (Vec<String>, Vec<Query>) {
+    const WORDS: [&str; 6] = [
+        "databases",
+        "queries",
+        "cooking",
+        "recipes",
+        "galaxies",
+        "orbits",
+    ];
+    let mut ids = Vec::new();
+    for (v, config) in vendors::fleet().into_iter().enumerate() {
+        let words = [WORDS[v], WORDS[(v + 1) % 6], WORDS[(v + 3) % 6]];
+        ids.push(config.id.to_lowercase());
+        wire_source(
+            net,
+            Source::build(config, &docs(&words, 10 + 2 * v, &format!("v{v}"))),
+            LinkProfile::default(),
+        );
+    }
+    let term = |w: &str| format!(r#"(body-of-text "{w}")"#);
+    let mut queries = Vec::new();
+    for (i, a) in WORDS.iter().enumerate() {
+        for b in &WORDS[i + 1..] {
+            let ranking = parse_ranking(&format!("list({} {})", term(a), term(b))).unwrap();
+            let filter = parse_filter(&format!("({} or {})", term(a), term("text"))).unwrap();
+            let narrow = parse_filter(&format!("({} and {})", term(a), term(b))).unwrap();
+            queries.push(Query {
+                ranking: Some(ranking.clone()),
+                ..Query::default()
+            });
+            queries.push(Query {
+                filter: Some(filter),
+                ranking: Some(ranking),
+                ..Query::default()
+            });
+            queries.push(Query {
+                filter: Some(narrow),
+                ..Query::default()
+            });
+        }
+    }
+    queries.extend(WORDS.iter().map(|w| ranked(&format!("list({})", term(w)))));
+    queries.extend(WORDS.iter().map(|w| Query {
+        filter: Some(parse_filter(&term(w)).unwrap()),
+        ..Query::default()
+    }));
+    // "Filler" words exist at every vendor but in few documents each.
+    queries.extend((0..3).map(|i| ranked(&format!("list({})", term(&format!("filler{i}"))))));
+    (ids, queries)
+}
+
 #[test]
 fn pooled_wave_matches_the_scoped_metasearcher_and_ships_stock_slos() {
     let net = Arc::new(SimNet::new());
-    wire(&net, "DB", &["databases", "queries"], 10);
-    wire(&net, "Food", &["cooking", "recipes"], 10);
-    wire(&net, "Stars", &["galaxies", "orbits"], 10);
-    let query = ranked(r#"list((body-of-text "text"))"#);
+    let (ids, queries) = wire_fleet(&net);
+    let ids: Vec<&str> = ids.iter().map(String::as_str).collect();
+    assert!(queries.len() >= 50);
 
-    let scoped = Metasearcher::new(
-        &net,
-        discover(&net, &["DB", "Food", "Stars"]),
-        MetaConfig::default(),
-    )
-    .search(&query);
+    let scoped = Metasearcher::new(&net, discover(&net, &ids), MetaConfig::default());
     let server = Server::new(
         Arc::clone(&net),
-        discover(&net, &["DB", "Food", "Stars"]),
+        discover(&net, &ids),
         MetaConfig::default(),
         ServeConfig {
             query_workers: 1,
@@ -684,38 +831,78 @@ fn pooled_wave_matches_the_scoped_metasearcher_and_ships_stock_slos() {
             ..ServeConfig::default()
         },
     );
-    let pooled = server.search(&query).unwrap();
+    let stage_names = |profile: &QueryProfile| -> Vec<String> {
+        let stages = profile.root.children.iter();
+        stages.map(|s| s.name.clone()).collect()
+    };
+    let mut ranked_docs = 0;
+    for (i, query) in queries.iter().enumerate() {
+        let scoped = scoped.search(query);
+        let pooled = server.search(query).unwrap();
+        assert_eq!(pooled.via, Served::Executed, "query {i}");
+        let pooled = &pooled.response;
 
-    // Same stages, same strategies → the same merged ranking.
-    assert_eq!(
-        scoped.merged.iter().map(|d| &d.linkage).collect::<Vec<_>>(),
-        pooled
-            .response
-            .merged
+        // One wave, led twice: the same sources asked, the same ones
+        // answering, the same ranking to the bit.
+        let rank = |merged: &[MergedDoc]| -> Vec<(String, u64, Vec<String>)> {
+            let key = |d: &MergedDoc| (d.linkage.clone(), d.score.to_bits(), d.sources.clone());
+            merged.iter().map(key).collect()
+        };
+        assert_eq!(rank(&scoped.merged), rank(&pooled.merged), "query {i}");
+        assert_eq!(scoped.selected, pooled.selected, "query {i}");
+        let answered = |per_source: &[SourceResult]| -> Vec<String> {
+            let id = |r: &SourceResult| r.metadata.source_id.clone();
+            per_source.iter().map(id).collect()
+        };
+        assert_eq!(
+            answered(&scoped.per_source),
+            answered(&pooled.per_source),
+            "query {i}"
+        );
+        ranked_docs += pooled.merged.len();
+        assert!(pooled
+            .completeness
             .iter()
-            .map(|d| &d.linkage)
-            .collect::<Vec<_>>()
+            .all(|c| c.status == SourceStatus::Complete));
+        // The byte counts are left out: a request carries its trace
+        // context (whose parent path names the caller's root span) and
+        // a response the host's timings.
+        let wire_free = |s: &QueryStats| {
+            (
+                s.requests,
+                s.total_latency_ms,
+                s.max_latency_ms,
+                s.total_cost.to_bits(),
+            )
+        };
+        assert_eq!(
+            wire_free(&scoped.stats),
+            wire_free(&pooled.stats),
+            "query {i}"
+        );
+
+        // Both profiles keep the stage-containment invariant and name
+        // the same stages, the pooled one telling the wait for a worker
+        // apart from the work.
+        assert!(scoped.profile.is_consistent() && pooled.profile.is_consistent());
+        let pooled_stages = stage_names(&pooled.profile);
+        assert_eq!(
+            pooled_stages,
+            ["select", "adapt", "queue", "dispatch", "merge"]
+        );
+        assert_eq!(
+            stage_names(&scoped.profile),
+            ["select", "adapt", "dispatch", "merge"]
+        );
+        for profile in [&scoped.profile, &pooled.profile] {
+            let dispatch = profile.root.children.iter().find(|s| s.name == "dispatch");
+            assert_eq!(dispatch.unwrap().children.len(), scoped.per_source.len());
+        }
+    }
+    assert!(
+        ranked_docs >= 10 * queries.len(),
+        "the fleet barely answered"
     );
-    assert_eq!(scoped.selected, pooled.response.selected);
-    // The pooled profile keeps the stage-containment invariant, with
-    // the wait for a worker told apart from the work.
-    assert!(pooled.response.profile.is_consistent());
-    let stages: Vec<&str> = pooled
-        .response
-        .profile
-        .root
-        .children
-        .iter()
-        .map(|s| s.name.as_str())
-        .collect();
-    assert_eq!(stages, ["select", "adapt", "queue", "dispatch", "merge"]);
-    assert!(pooled
-        .response
-        .profile
-        .root
-        .children
-        .iter()
-        .any(|s| s.name == "dispatch" && !s.children.is_empty()));
 
     // Serving metrics land on the shared registry, and the stock SLO
     // catalog covers the serving layer.
