@@ -3,7 +3,7 @@
 //! STARTS callers always bound their answer (`max-documents`, §4.1.3),
 //! yet the original evaluator scored and fully sorted every candidate
 //! before truncating. This experiment measures what the bounded
-//! pipeline buys at each layer:
+//! pipeline buys inside the engine:
 //!
 //! * **engine-naive** — the reference evaluator
 //!   (`Engine::eval_ranking_naive`): repeated two-way unions, one
@@ -11,33 +11,29 @@
 //! * **engine-topk** — the term-at-a-time fast path
 //!   (`Engine::eval_ranking_top_k`): leaves resolved once, k-way
 //!   candidate merge, bounded heap selection;
-//! * **source** — the full STARTS execution pipeline (parse →
-//!   translate → execute → render) with `max-documents = k`;
-//! * **federated** — a metasearcher fan-out over the simulated network
-//!   with bounded rank merging.
+//! * **engine-topk (prune off)** — the same with dynamic pruning
+//!   disabled.
+//!
+//! The layers above the engine — a source's parse → translate →
+//! execute → render pipeline and the federated fan-out over it — are
+//! clocked by the end-to-end benchmark (`benchmark/README.md`:
+//! `source.execute_us`, `meta.search_us` on `fed_zipf`), not here.
 //!
 //! The Zipf-distributed query workload mirrors real term frequencies:
 //! most queries contain at least one very common word, which is
 //! exactly the regime where scoring everything hurts.
 //!
 //! Writes `BENCH_hotpath.json` (override with `--out PATH`); pass
-//! `--smoke` for a seconds-scale CI run on the standard corpus, and
-//! `--explain` to print one federated query's cost tree (EXPLAIN
-//! profile) after the measurements.
+//! `--smoke` for a seconds-scale CI run on the standard corpus.
 
 use std::time::Instant;
 
 use starts_bench::{
-    header, machine_parallelism, print_table, provenance_note, section, standard_corpus,
-    wire_and_discover, zipf_workload, BenchArgs,
+    header, machine_parallelism, measure, print_table, provenance_note, rank_node, section,
+    standard_corpus, zipf_workload, BenchArgs, LatencyStats,
 };
 use starts_corpus::{generate_corpus, CorpusConfig, GeneratedCorpus};
-use starts_index::{Engine, EngineConfig, PruneMode, RankNode, TermSpec};
-use starts_meta::metasearcher::{MetaConfig, Metasearcher};
-use starts_net::SimNet;
-use starts_proto::query::ast::{QTerm, RankExpr};
-use starts_proto::{AnswerSpec, Field, Query};
-use starts_source::{Source, SourceConfig};
+use starts_index::{Engine, EngineConfig, PruneMode};
 
 /// Result-list bound for every path (the ISSUE's `max-documents ≤ 20`
 /// regime).
@@ -111,33 +107,6 @@ fn main() {
         engine_noprune.eval_ranking_top_k(&node, Some(K)).len()
     });
 
-    // Source path: the full STARTS pipeline on one combined source.
-    let source = Source::build(SourceConfig::new("Hot"), &docs);
-    let source_path = measure(&terms, |t| source.execute(&starts_query(t)).documents.len());
-
-    // Federated path: fan-out + bounded merge over the simulated net.
-    let net = SimNet::new();
-    let catalog = wire_and_discover(&net, &corpus);
-    let meta = Metasearcher::new(
-        &net,
-        catalog,
-        MetaConfig {
-            max_results: K,
-            ..MetaConfig::default()
-        },
-    );
-    let federated = measure(&terms, |t| meta.search(&starts_query(t)).merged.len());
-
-    if args.explain {
-        // EXPLAIN one representative query: the full federated cost
-        // tree (client stages, per-source fan-out, host-side stages
-        // echoed back over the wire) plus its critical path.
-        section("EXPLAIN: federated cost profile for one query");
-        let profile = meta.search(&starts_query(&terms[0])).profile;
-        println!("{}", profile.render());
-        println!("critical path: {}", profile.critical_path_summary());
-    }
-
     let speedup = topk.qps / naive.qps.max(1e-9);
     section("throughput and latency per path");
     print_table(
@@ -146,8 +115,6 @@ fn main() {
             naive.row("engine-naive"),
             topk.row("engine-topk"),
             topk_noprune.row("engine-topk (prune off)"),
-            source_path.row("source"),
-            federated.row("federated"),
         ],
     );
     println!();
@@ -165,107 +132,21 @@ fn main() {
         &naive,
         &topk,
         &topk_noprune,
-        &source_path,
-        &federated,
     );
     std::fs::write(&out_path, json).expect("write BENCH_hotpath.json");
     println!("wrote {out_path}");
 }
 
-/// Per-path timing summary.
-struct PathStats {
-    qps: f64,
-    p50_us: f64,
-    p95_us: f64,
-    p99_us: f64,
-}
-
-impl PathStats {
-    fn row(&self, name: &str) -> Vec<String> {
-        vec![
-            name.to_string(),
-            format!("{:.0}", self.qps),
-            format!("{:.1}", self.p50_us),
-            format!("{:.1}", self.p95_us),
-            format!("{:.1}", self.p99_us),
-        ]
-    }
-
-    fn json(&self) -> String {
-        format!(
-            "{{\"qps\": {:.1}, \"p50_us\": {:.1}, \"p95_us\": {:.1}, \"p99_us\": {:.1}}}",
-            self.qps, self.p50_us, self.p95_us, self.p99_us
-        )
-    }
-}
-
-/// Time one closure over the whole workload (after a short warmup) and
-/// summarize per-query latency.
-fn measure(terms: &[Vec<String>], mut run: impl FnMut(&[String]) -> usize) -> PathStats {
-    for t in terms.iter().take(5) {
-        run(t); // warmup: touch caches, fault in lazily-built state
-    }
-    let mut lat_us: Vec<f64> = Vec::with_capacity(terms.len());
-    let total = Instant::now();
-    for t in terms {
-        let start = Instant::now();
-        std::hint::black_box(run(t));
-        lat_us.push(start.elapsed().as_secs_f64() * 1e6);
-    }
-    let elapsed = total.elapsed().as_secs_f64();
-    lat_us.sort_by(f64::total_cmp);
-    let pct = |p: f64| -> f64 {
-        let idx = ((lat_us.len() - 1) as f64 * p).round() as usize;
-        lat_us[idx]
-    };
-    PathStats {
-        qps: terms.len() as f64 / elapsed.max(1e-12),
-        p50_us: pct(0.50),
-        p95_us: pct(0.95),
-        p99_us: pct(0.99),
-    }
-}
-
-/// The engine-level ranking expression for a term list.
-fn rank_node(terms: &[String]) -> RankNode {
-    RankNode::List(
-        terms
-            .iter()
-            .map(|t| RankNode::term(TermSpec::fielded("body-of-text", t)))
-            .collect(),
-    )
-}
-
-/// The STARTS query for a term list, bounded to `K` documents.
-fn starts_query(terms: &[String]) -> Query {
-    Query {
-        ranking: Some(RankExpr::list_of(
-            terms
-                .iter()
-                .map(|t| QTerm::fielded(Field::BodyOfText, t.clone())),
-        )),
-        answer: AnswerSpec {
-            fields: vec![Field::Title],
-            max_documents: K,
-            ..AnswerSpec::default()
-        },
-        ..Query::default()
-    }
-}
-
 /// Hand-rolled JSON artifact (schema documented in
 /// `docs/performance.md`).
-#[allow(clippy::too_many_arguments)]
 fn render_json(
     smoke: bool,
     corpus: &GeneratedCorpus,
     n_queries: usize,
     build_docs_per_s: f64,
-    naive: &PathStats,
-    topk: &PathStats,
-    topk_noprune: &PathStats,
-    source: &PathStats,
-    federated: &PathStats,
+    naive: &LatencyStats,
+    topk: &LatencyStats,
+    topk_noprune: &LatencyStats,
 ) -> String {
     let parallelism = machine_parallelism();
     let note = provenance_note(
@@ -279,16 +160,13 @@ fn render_json(
          \"corpus\": {{\"sources\": {}, \"docs\": {}}},\n  \
          \"build_docs_per_s\": {build_docs_per_s:.0},\n  \
          \"paths\": {{\n    \"engine_naive\": {},\n    \"engine_topk\": {},\n    \
-         \"engine_topk_noprune\": {},\n    \
-         \"source\": {},\n    \"federated\": {}\n  }},\n  \
+         \"engine_topk_noprune\": {}\n  }},\n  \
          \"engine_speedup\": {:.2}\n}}\n",
         corpus.sources.len(),
         corpus.total_docs(),
         naive.json(),
         topk.json(),
         topk_noprune.json(),
-        source.json(),
-        federated.json(),
         topk.qps / naive.qps.max(1e-9),
     )
 }

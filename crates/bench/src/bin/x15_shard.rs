@@ -23,13 +23,12 @@
 
 use std::time::Instant;
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use starts_bench::{
-    header, machine_parallelism, print_table, provenance_note, section, standard_corpus, BenchArgs,
+    header, machine_parallelism, measure, print_table, provenance_note, rank_node, section,
+    standard_corpus, zipf_workload, BenchArgs, LatencyStats,
 };
-use starts_corpus::{generate_corpus, CorpusConfig, GeneratedCorpus, Zipf};
-use starts_index::{EngineConfig, RankNode, ShardPolicy, ShardedEngine, TermSpec};
+use starts_corpus::{generate_corpus, CorpusConfig};
+use starts_index::{EngineConfig, ShardPolicy, ShardedEngine};
 
 /// Result-list bound for every query (the X14 regime).
 const K: usize = 10;
@@ -110,14 +109,9 @@ fn main() {
             let node = rank_node(t);
             engine.search_top_k(None, Some(&node), Some(K)).len()
         });
-        rows.push(vec![
-            shards.to_string(),
-            format!("{build_docs_per_s:.0}"),
-            format!("{:.0}", qs.qps),
-            format!("{:.1}", qs.p50_us),
-            format!("{:.1}", qs.p95_us),
-            format!("{:.1}", qs.p99_us),
-        ]);
+        let mut row = qs.row(&shards.to_string());
+        row.insert(1, format!("{build_docs_per_s:.0}"));
+        rows.push(row);
         stats.push(ShardStats {
             shards,
             build_s,
@@ -160,75 +154,7 @@ struct ShardStats {
     shards: usize,
     build_s: f64,
     build_docs_per_s: f64,
-    qs: QueryStats,
-}
-
-/// Query-side timing summary (the X14 `PathStats` shape).
-struct QueryStats {
-    qps: f64,
-    p50_us: f64,
-    p95_us: f64,
-    p99_us: f64,
-}
-
-/// Time one closure over the whole workload (after a short warmup) and
-/// summarize per-query latency.
-fn measure(terms: &[Vec<String>], mut run: impl FnMut(&[String]) -> usize) -> QueryStats {
-    for t in terms.iter().take(5) {
-        run(t);
-    }
-    let mut lat_us: Vec<f64> = Vec::with_capacity(terms.len());
-    let total = Instant::now();
-    for t in terms {
-        let start = Instant::now();
-        std::hint::black_box(run(t));
-        lat_us.push(start.elapsed().as_secs_f64() * 1e6);
-    }
-    let elapsed = total.elapsed().as_secs_f64();
-    lat_us.sort_by(f64::total_cmp);
-    let pct = |p: f64| -> f64 {
-        let idx = ((lat_us.len() - 1) as f64 * p).round() as usize;
-        lat_us[idx]
-    };
-    QueryStats {
-        qps: terms.len() as f64 / elapsed.max(1e-12),
-        p50_us: pct(0.50),
-        p95_us: pct(0.95),
-        p99_us: pct(0.99),
-    }
-}
-
-/// The same Zipf workload X14 draws: 1–3 words per query, mostly common
-/// background vocabulary, sometimes a rare topic word.
-fn zipf_workload(corpus: &GeneratedCorpus, n: usize, seed: u64) -> Vec<Vec<String>> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let bg = Zipf::new(corpus.background.len(), 1.0);
-    let topic = Zipf::new(corpus.topics[0].len(), 0.8);
-    (0..n)
-        .map(|_| {
-            let k = rng.gen_range(1..=3);
-            (0..k)
-                .map(|_| {
-                    if rng.gen_bool(0.3) {
-                        let t = rng.gen_range(0..corpus.topics.len());
-                        corpus.topics[t][topic.sample(&mut rng)].clone()
-                    } else {
-                        corpus.background[bg.sample(&mut rng)].clone()
-                    }
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// The engine-level ranking expression for a term list.
-fn rank_node(terms: &[String]) -> RankNode {
-    RankNode::List(
-        terms
-            .iter()
-            .map(|t| RankNode::term(TermSpec::fielded("body-of-text", t)))
-            .collect(),
-    )
+    qs: LatencyStats,
 }
 
 /// Hand-rolled JSON artifact (schema documented in

@@ -63,13 +63,11 @@
 //! Writes `BENCH_prune.json` (override with `--out PATH`); pass
 //! `--smoke` for a seconds-scale CI run on the standard corpus.
 
-use std::time::Instant;
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use starts_bench::{
-    decode_mints_per_s, header, machine_parallelism, print_table, provenance_note, section,
-    standard_corpus, BenchArgs,
+    decode_mints_per_s, header, machine_parallelism, measure, print_table, provenance_note,
+    rank_node, section, standard_corpus, zipf_workload, BenchArgs, LatencyStats,
 };
 use starts_corpus::{generate_corpus, CorpusConfig, GeneratedCorpus, Zipf};
 use starts_index::{
@@ -109,7 +107,13 @@ fn main() {
     };
     let docs = corpus.all_docs();
     let mut workloads = vec![
-        Workload::ranked("zipf", zipf_workload(&corpus, n_queries, 1997)),
+        Workload::ranked(
+            "zipf",
+            zipf_workload(&corpus, n_queries, 1997)
+                .iter()
+                .map(|t| rank_node(t))
+                .collect(),
+        ),
         Workload::ranked("tree", tree_workload(&corpus, n_queries, 4111)),
         Workload::ranked("long", long_postings_workload(&corpus, n_queries, 5309)),
     ];
@@ -376,7 +380,7 @@ struct PruneStats {
     cooccurring: Option<u64>,
     shards: usize,
     prune: PruneMode,
-    qs: QueryStats,
+    qs: LatencyStats,
     pruned_fraction: f64,
     report: PruneReport,
 }
@@ -384,41 +388,6 @@ struct PruneStats {
 impl PruneStats {
     fn label(&self) -> String {
         label(self.workload, self.shape)
-    }
-}
-
-/// Query-side timing summary (the X14 `PathStats` shape).
-struct QueryStats {
-    qps: f64,
-    p50_us: f64,
-    p95_us: f64,
-    p99_us: f64,
-}
-
-/// Time one closure over the whole workload (after a short warmup) and
-/// summarize per-query latency.
-fn measure(queries: &[Query], mut run: impl FnMut(&Query) -> usize) -> QueryStats {
-    for q in queries.iter().take(5) {
-        run(q);
-    }
-    let mut lat_us: Vec<f64> = Vec::with_capacity(queries.len());
-    let total = Instant::now();
-    for q in queries {
-        let start = Instant::now();
-        std::hint::black_box(run(q));
-        lat_us.push(start.elapsed().as_secs_f64() * 1e6);
-    }
-    let elapsed = total.elapsed().as_secs_f64();
-    lat_us.sort_by(f64::total_cmp);
-    let pct = |p: f64| -> f64 {
-        let idx = ((lat_us.len() - 1) as f64 * p).round() as usize;
-        lat_us[idx]
-    };
-    QueryStats {
-        qps: queries.len() as f64 / elapsed.max(1e-12),
-        p50_us: pct(0.50),
-        p95_us: pct(0.95),
-        p99_us: pct(0.99),
     }
 }
 
@@ -438,30 +407,6 @@ fn bg_word(corpus: &GeneratedCorpus, zipf: &Zipf, rng: &mut StdRng) -> String {
 fn topic_word(corpus: &GeneratedCorpus, zipf: &Zipf, rng: &mut StdRng) -> String {
     let t = rng.gen_range(0..corpus.topics.len());
     corpus.topics[t][zipf.sample(rng)].clone()
-}
-
-/// The same Zipf workload X14 draws: 1–3 words per query, mostly common
-/// background vocabulary, sometimes a rare topic word.
-fn zipf_workload(corpus: &GeneratedCorpus, n: usize, seed: u64) -> Vec<RankNode> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let bg = Zipf::new(corpus.background.len(), 1.0);
-    let topic = Zipf::new(corpus.topics[0].len(), 0.8);
-    (0..n)
-        .map(|_| {
-            let k = rng.gen_range(1..=3);
-            RankNode::List(
-                (0..k)
-                    .map(|_| {
-                        if rng.gen_bool(0.3) {
-                            leaf(&topic_word(corpus, &topic, &mut rng))
-                        } else {
-                            leaf(&bg_word(corpus, &bg, &mut rng))
-                        }
-                    })
-                    .collect(),
-            )
-        })
-        .collect()
 }
 
 /// Operator-tree-heavy workload: nested `and`/`or`/`and-not` shapes the

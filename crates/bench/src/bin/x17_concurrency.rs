@@ -1,22 +1,19 @@
-//! X17 — concurrent serving throughput (beyond the paper's artifacts).
+//! X17 — hedged requests against a straggler (beyond the paper's
+//! artifacts).
 //!
-//! The scoped metasearcher executes one query at a time; the serving
-//! layer (`starts-serve`) runs the same pipeline stages under fixed
-//! worker pools with singleflight, caching, hedging, and deadlines.
-//! Two experiments:
+//! The serving layer (`starts-serve`) runs the metasearch pipeline
+//! under fixed worker pools with singleflight, caching, hedging and
+//! deadlines. This experiment is the hedging on/off A/B: the network is
+//! paced into real time and one source is made a straggler (400
+//! simulated ms against 50 for the rest) with a fast replica wired
+//! beside it. With hedging off every query waits for the straggler;
+//! with hedging on the health-derived delay fires a backup to the
+//! replica and the tail collapses.
 //!
-//! * **scaling** — N concurrent clients hammer one [`Server`] (cache
-//!   and hedging off, so every query pays the full wave): QPS and
-//!   per-request p50/p95/p99 versus client count, plus a direct
-//!   [`Metasearcher`] run as the single-caller reference. On a
-//!   multi-core machine QPS grows with client count; on a single core
-//!   the curve is flat and the artifact's `machine_parallelism` field
-//!   says so.
-//! * **hedged tail** — the network is paced into real time and one
-//!   source is made a straggler (400 simulated ms against 50 for the
-//!   rest) with a fast replica wired beside it. With hedging off every
-//!   query waits for the straggler; with hedging on the health-derived
-//!   delay fires a backup to the replica and the tail collapses.
+//! Unpaced serving throughput — the pool against a single caller, QPS
+//! versus client count — is the end-to-end benchmark's business
+//! (`benchmark/README.md`: `qps`, `serve.miss_us`, `meta.search_us` on
+//! `fed_zipf` / `hot_repeat`), not this binary's.
 //!
 //! Writes `BENCH_concurrency.json` (override with `--out PATH`); pass
 //! `--smoke` for a seconds-scale CI run.
@@ -27,14 +24,12 @@ use std::time::{Duration, Instant};
 
 use starts_bench::{
     header, machine_parallelism, print_table, provenance_note, section, standard_corpus,
-    wire_and_discover, zipf_workload, BenchArgs,
+    starts_query, zipf_workload, BenchArgs, LatencyStats,
 };
 use starts_corpus::{generate_corpus, CorpusConfig, GeneratedCorpus};
 use starts_meta::catalog::Catalog;
-use starts_meta::metasearcher::{MetaConfig, Metasearcher};
+use starts_meta::metasearcher::MetaConfig;
 use starts_net::{host::wire_source, LinkProfile, SimNet, StartsClient};
-use starts_proto::query::ast::{QTerm, RankExpr};
-use starts_proto::{AnswerSpec, Field, Query};
 use starts_serve::{HedgeConfig, ServeConfig, Server};
 use starts_source::{Source, SourceConfig};
 
@@ -52,10 +47,9 @@ fn main() {
     let args = BenchArgs::parse();
     let smoke = args.smoke;
     let out_path = args.out_or("BENCH_concurrency.json");
-    let n_queries = if smoke { 60 } else { 320 };
-    let client_counts: &[usize] = if smoke { &[1, 2, 4] } else { &[1, 2, 4, 8] };
+    let n_queries = if smoke { 40 } else { 160 };
 
-    header("X17  concurrent serving: executor pool scaling and hedged tails");
+    header("X17  concurrent serving: hedged tails against a straggler");
     let corpus = if smoke {
         standard_corpus()
     } else {
@@ -71,7 +65,7 @@ fn main() {
             seed: 19970526,
         })
     };
-    let terms = zipf_workload(&corpus, n_queries, 1997);
+    let terms = zipf_workload(&corpus, n_queries, 2026);
     println!(
         "corpus: {} sources, {} docs; workload: {} Zipf queries; k = {K}",
         corpus.sources.len(),
@@ -79,82 +73,14 @@ fn main() {
         terms.len()
     );
 
-    // --- Scaling: QPS and latency vs concurrent client count. -------
-    let net = Arc::new(SimNet::new());
-    let catalog = wire_and_discover(&net, &corpus);
-
-    // Reference: the scoped metasearcher, one caller, no serving layer.
-    let meta = Metasearcher::new(
-        &net,
-        catalog.clone(),
-        MetaConfig {
-            max_results: K,
-            ..MetaConfig::default()
-        },
-    );
-    let direct = {
-        for t in terms.iter().take(5) {
-            meta.search(&starts_query(t));
-        }
-        let mut lat = Vec::with_capacity(terms.len());
-        let total = Instant::now();
-        for t in terms.iter() {
-            let start = Instant::now();
-            std::hint::black_box(meta.search(&starts_query(t)).merged.len());
-            lat.push(start.elapsed().as_secs_f64() * 1e6);
-        }
-        PathStats::from_latencies(lat, total.elapsed().as_secs_f64())
-    };
-    drop(meta);
-
-    section("scaling: N clients against one server (cache off, hedge off)");
-    let mut scaling: Vec<(usize, PathStats)> = Vec::new();
-    for &clients in client_counts {
+    section("hedged tail: one 400ms straggler among 50ms sources, fast replica");
+    let straggler = corpus.sources[0].id.clone();
+    let (net, catalog, replicas) = wire_with_straggler(&corpus, &straggler);
+    let tail = |hedge_on: bool| -> LatencyStats {
+        net.set_pacing(HEDGE_PACING);
         let server = Server::new(
             Arc::clone(&net),
             catalog.clone(),
-            MetaConfig {
-                max_results: K,
-                ..MetaConfig::default()
-            },
-            ServeConfig {
-                query_workers: clients,
-                queue_capacity: 2 * clients + 16,
-                cache_ttl: Duration::ZERO,
-                hedge: HedgeConfig {
-                    enabled: false,
-                    ..HedgeConfig::default()
-                },
-                ..ServeConfig::default()
-            },
-        );
-        scaling.push((clients, run_clients(&server, &terms, clients)));
-    }
-    let mut rows: Vec<Vec<String>> = vec![direct.row("direct (no pool)")];
-    rows.extend(scaling.iter().map(|(c, s)| {
-        s.row(&format!(
-            "serve, {c} client{}",
-            if *c == 1 { "" } else { "s" }
-        ))
-    }));
-    print_table(&["path", "QPS", "p50 µs", "p95 µs", "p99 µs"], &rows);
-    let one_client = &scaling[0].1;
-    println!();
-    println!(
-        "1-client serving overhead vs direct: {:+.1}% QPS",
-        (one_client.qps / direct.qps.max(1e-9) - 1.0) * 100.0
-    );
-
-    // --- Hedged tail: a straggler source with a fast replica. -------
-    section("hedged tail: one 400ms straggler among 50ms sources, fast replica");
-    let straggler = corpus.sources[0].id.clone();
-    let (hedge_net, hedge_catalog, replicas) = wire_with_straggler(&corpus, &straggler);
-    let hedge_terms = zipf_workload(&corpus, if smoke { 40 } else { 160 }, 2026);
-    let tail = |hedge_on: bool| -> PathStats {
-        hedge_net.set_pacing(HEDGE_PACING);
-        let server = Server::new(
-            Arc::clone(&hedge_net),
-            hedge_catalog.clone(),
             MetaConfig {
                 max_results: K,
                 max_sources: corpus.sources.len(), // every wave meets the straggler
@@ -177,13 +103,13 @@ fn main() {
                 ..ServeConfig::default()
             },
         );
-        let stats = run_clients(&server, &hedge_terms, HEDGE_CLIENTS);
-        hedge_net.set_pacing(0);
+        let stats = run_clients(&server, &terms, HEDGE_CLIENTS);
+        net.set_pacing(0);
         stats
     };
     let hedge_off = tail(false);
     let hedge_on = tail(true);
-    let snap = hedge_net.registry().snapshot();
+    let snap = net.registry().snapshot();
     let hedges_launched = snap.counter("serve.hedge.launched", &[("source", &straggler)]);
     let hedge_wins = snap.counter("serve.hedge.wins", &[("source", &straggler)]);
     print_table(
@@ -201,8 +127,6 @@ fn main() {
         smoke,
         &corpus,
         n_queries,
-        &direct,
-        &scaling,
         &hedge_off,
         &hedge_on,
         hedges_launched,
@@ -214,10 +138,10 @@ fn main() {
 
 /// Drive `clients` threads over even shares of the workload against one
 /// server; aggregate per-request latencies across all threads.
-fn run_clients(server: &Server, terms: &[Vec<String>], clients: usize) -> PathStats {
+fn run_clients(server: &Server, terms: &[Vec<String>], clients: usize) -> LatencyStats {
     // Warmup outside the timed window.
     for t in terms.iter().take(5) {
-        server.search(&starts_query(t)).expect("warmup query");
+        server.search(&starts_query(t, K)).expect("warmup query");
     }
     let latencies: Mutex<Vec<f64>> = Mutex::new(Vec::with_capacity(terms.len()));
     let barrier = Barrier::new(clients);
@@ -230,7 +154,7 @@ fn run_clients(server: &Server, terms: &[Vec<String>], clients: usize) -> PathSt
                 barrier.wait();
                 for t in chunk {
                     let start = Instant::now();
-                    let outcome = server.search(&starts_query(t)).expect("serve query");
+                    let outcome = server.search(&starts_query(t, K)).expect("serve query");
                     std::hint::black_box(outcome.response.merged.len());
                     local.push(start.elapsed().as_secs_f64() * 1e6);
                 }
@@ -239,7 +163,7 @@ fn run_clients(server: &Server, terms: &[Vec<String>], clients: usize) -> PathSt
         }
     });
     let elapsed = total.elapsed().as_secs_f64();
-    PathStats::from_latencies(latencies.into_inner().expect("latency sink"), elapsed)
+    LatencyStats::from_latencies(latencies.into_inner().expect("latency sink"), elapsed)
 }
 
 /// Split a slice into `n` near-even contiguous chunks (no empties).
@@ -298,102 +222,28 @@ fn wire_with_straggler(
     (net, catalog, replicas)
 }
 
-/// Per-run timing summary.
-struct PathStats {
-    qps: f64,
-    p50_us: f64,
-    p95_us: f64,
-    p99_us: f64,
-}
-
-impl PathStats {
-    fn from_latencies(mut lat_us: Vec<f64>, elapsed_s: f64) -> Self {
-        let n = lat_us.len();
-        lat_us.sort_by(f64::total_cmp);
-        let pct = |p: f64| -> f64 {
-            let idx = ((n - 1) as f64 * p).round() as usize;
-            lat_us[idx]
-        };
-        PathStats {
-            qps: n as f64 / elapsed_s.max(1e-12),
-            p50_us: pct(0.50),
-            p95_us: pct(0.95),
-            p99_us: pct(0.99),
-        }
-    }
-
-    fn row(&self, name: &str) -> Vec<String> {
-        vec![
-            name.to_string(),
-            format!("{:.0}", self.qps),
-            format!("{:.1}", self.p50_us),
-            format!("{:.1}", self.p95_us),
-            format!("{:.1}", self.p99_us),
-        ]
-    }
-
-    fn json(&self) -> String {
-        format!(
-            "{{\"qps\": {:.1}, \"p50_us\": {:.1}, \"p95_us\": {:.1}, \"p99_us\": {:.1}}}",
-            self.qps, self.p50_us, self.p95_us, self.p99_us
-        )
-    }
-}
-
-/// The STARTS query for a term list, bounded to `K` documents.
-fn starts_query(terms: &[String]) -> Query {
-    Query {
-        ranking: Some(RankExpr::list_of(
-            terms
-                .iter()
-                .map(|t| QTerm::fielded(Field::BodyOfText, t.clone())),
-        )),
-        answer: AnswerSpec {
-            fields: vec![Field::Title],
-            max_documents: K,
-            ..AnswerSpec::default()
-        },
-        ..Query::default()
-    }
-}
-
 /// Hand-rolled JSON artifact (schema documented in
 /// `docs/performance.md`).
-#[allow(clippy::too_many_arguments)]
 fn render_json(
     smoke: bool,
     corpus: &GeneratedCorpus,
     n_queries: usize,
-    direct: &PathStats,
-    scaling: &[(usize, PathStats)],
-    hedge_off: &PathStats,
-    hedge_on: &PathStats,
+    hedge_off: &LatencyStats,
+    hedge_on: &LatencyStats,
     hedges_launched: u64,
     hedge_wins: u64,
 ) -> String {
     let parallelism = machine_parallelism();
     let note = provenance_note(
         parallelism,
-        "QPS scales with client count only when cores are available; \
-         the hedged-tail rows are paced (sleep-bound) and stable",
+        "the hedged-tail rows are paced (sleep-bound), so they barely move \
+         with core count",
     );
-    let scaling_json: Vec<String> = scaling
-        .iter()
-        .map(|(clients, stats)| {
-            format!(
-                "{{\"clients\": {clients}, \"qps\": {:.1}, \"p50_us\": {:.1}, \
-                 \"p95_us\": {:.1}, \"p99_us\": {:.1}}}",
-                stats.qps, stats.p50_us, stats.p95_us, stats.p99_us
-            )
-        })
-        .collect();
     format!(
         "{{\n  \"bench\": \"x17_concurrency\",\n  \"note\": \"{note}\",\n  \
          \"smoke\": {smoke},\n  \"k\": {K},\n  \
          \"queries\": {n_queries},\n  \"machine_parallelism\": {parallelism},\n  \
          \"corpus\": {{\"sources\": {}, \"docs\": {}}},\n  \
-         \"direct\": {},\n  \
-         \"scaling\": [\n    {}\n  ],\n  \
          \"hedged\": {{\n    \"clients\": {HEDGE_CLIENTS},\n    \
          \"pacing_us_per_ms\": {HEDGE_PACING},\n    \
          \"off\": {},\n    \"on\": {},\n    \
@@ -401,8 +251,6 @@ fn render_json(
          \"hedge_wins\": {hedge_wins}\n  }}\n}}\n",
         corpus.sources.len(),
         corpus.total_docs(),
-        direct.json(),
-        scaling_json.join(",\n    "),
         hedge_off.json(),
         hedge_on.json(),
     )

@@ -30,7 +30,7 @@ use std::time::Instant;
 
 use starts_bench::{
     header, machine_parallelism, print_table, provenance_note, section, standard_corpus,
-    wire_and_discover, zipf_workload, BenchArgs,
+    starts_query, wire_and_discover, zipf_workload, BenchArgs,
 };
 use starts_meta::metasearcher::{MetaConfig, Metasearcher};
 use starts_meta::select::{GGlossSum, HealthAware};
@@ -40,8 +40,6 @@ use starts_obs::monitor::{
     AnomalyConfig, Aspect, ManualClock, Monitor, MonitorConfig, SloOp, SloSpec, StoreConfig,
 };
 use starts_obs::HealthBoard;
-use starts_proto::query::ast::{QTerm, RankExpr};
-use starts_proto::{AnswerSpec, Field, Query};
 use starts_source::{Source, SourceConfig};
 
 /// One simulated second per query: the monitor samples every query.
@@ -130,7 +128,7 @@ fn main() {
         let start = Instant::now();
         for (i, terms) in queries.iter().enumerate() {
             clock.advance(STEP_MS);
-            let resp = meta.search(&starts_query(terms));
+            let resp = meta.search(&starts_query(terms, 10));
             victim_rank_sum += resp
                 .selected
                 .iter()
@@ -280,23 +278,6 @@ impl PhaseStats {
              \"events_total\": {}, \"firing\": {}}}",
             self.queries, self.qps, self.mean_victim_rank, self.events_total, self.firing
         )
-    }
-}
-
-/// The STARTS query for a term list.
-fn starts_query(terms: &[String]) -> Query {
-    Query {
-        ranking: Some(RankExpr::list_of(
-            terms
-                .iter()
-                .map(|t| QTerm::fielded(Field::BodyOfText, t.clone())),
-        )),
-        answer: AnswerSpec {
-            fields: vec![Field::Title],
-            max_documents: 10,
-            ..AnswerSpec::default()
-        },
-        ..Query::default()
     }
 }
 

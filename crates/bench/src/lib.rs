@@ -1,10 +1,14 @@
-//! Shared scaffolding for the STARTS experiment binaries (X1–X12) and
-//! Criterion benchmarks.
+//! Shared scaffolding for the STARTS experiment binaries (X1–X19): the
+//! standard corpus and workloads, the one measuring loop and latency
+//! summary the timed binaries (X14–X17) share, and the `bench_diff` gate.
 //!
 //! Every experiment binary regenerates one artifact of the paper (a
 //! figure, a table, or a claim); DESIGN.md §4 maps them and
 //! EXPERIMENTS.md records paper-vs-measured. Binaries print plain-text
 //! tables to stdout so their output can be diffed between runs.
+//! End-to-end and per-layer clocks live in `benchmark/`, not here.
+
+use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -12,8 +16,11 @@ use starts_corpus::{
     generate_corpus, generate_workload, CorpusConfig, GeneratedCorpus, Workload, WorkloadConfig,
     Zipf,
 };
+use starts_index::{RankNode, TermSpec};
 use starts_meta::catalog::Catalog;
 use starts_net::{host::wire_source, LinkProfile, SimNet, StartsClient};
+use starts_proto::query::ast::{QTerm, RankExpr};
+use starts_proto::{AnswerSpec, Field, Query};
 use starts_source::{Source, SourceConfig};
 
 pub mod diff;
@@ -49,8 +56,10 @@ pub fn standard_workload(corpus: &GeneratedCorpus) -> Workload {
 
 /// Draw `n` queries of 1–3 words with Zipf-distributed ranks: mostly
 /// background vocabulary (common words, big posting lists), sometimes a
-/// topic word (rare, discriminative). The shared workload shape for the
-/// hot-path (X14) and monitoring (X18) benches.
+/// topic word (rare, discriminative). The one workload shape of the
+/// timed binaries: X14–X18 all draw from it (X16 beside its own tree,
+/// long-postings and filtered mixes), through [`rank_node`] at the
+/// engine level or [`starts_query`] at the protocol level.
 pub fn zipf_workload(corpus: &GeneratedCorpus, n: usize, seed: u64) -> Vec<Vec<String>> {
     let mut rng = StdRng::seed_from_u64(seed);
     let bg = Zipf::new(corpus.background.len(), 1.0);
@@ -70,6 +79,101 @@ pub fn zipf_workload(corpus: &GeneratedCorpus, n: usize, seed: u64) -> Vec<Vec<S
                 .collect()
         })
         .collect()
+}
+
+/// The engine-level ranking expression for a term list: a flat `list`
+/// over `body-of-text`.
+pub fn rank_node(terms: &[String]) -> RankNode {
+    RankNode::List(
+        terms
+            .iter()
+            .map(|t| RankNode::term(TermSpec::fielded("body-of-text", t)))
+            .collect(),
+    )
+}
+
+/// The STARTS query for a term list (the protocol-level twin of
+/// [`rank_node`]), bounded to `k` documents.
+pub fn starts_query(terms: &[String], k: usize) -> Query {
+    Query {
+        ranking: Some(RankExpr::list_of(
+            terms
+                .iter()
+                .map(|t| QTerm::fielded(Field::BodyOfText, t.clone())),
+        )),
+        answer: AnswerSpec {
+            fields: vec![Field::Title],
+            max_documents: k,
+            ..AnswerSpec::default()
+        },
+        ..Query::default()
+    }
+}
+
+/// Throughput and per-query latency of one measured run. Percentiles
+/// are nearest-rank over the sorted samples (index `round((n-1)·p)`).
+#[derive(Debug, PartialEq)]
+pub struct LatencyStats {
+    pub qps: f64,
+    pub p50_us: f64,
+    pub p95_us: f64,
+    pub p99_us: f64,
+}
+
+impl LatencyStats {
+    /// Summarise per-query latencies (µs, any order, at least one)
+    /// taken over `elapsed_s` seconds of wall time.
+    pub fn from_latencies(mut lat_us: Vec<f64>, elapsed_s: f64) -> Self {
+        let n = lat_us.len();
+        lat_us.sort_by(f64::total_cmp);
+        let pct = |p: f64| -> f64 {
+            let idx = ((n - 1) as f64 * p).round() as usize;
+            lat_us[idx]
+        };
+        LatencyStats {
+            qps: n as f64 / elapsed_s.max(1e-12),
+            p50_us: pct(0.50),
+            p95_us: pct(0.95),
+            p99_us: pct(0.99),
+        }
+    }
+
+    /// A `[name, QPS, p50, p95, p99]` row for [`print_table`].
+    pub fn row(&self, name: &str) -> Vec<String> {
+        vec![
+            name.to_string(),
+            format!("{:.0}", self.qps),
+            format!("{:.1}", self.p50_us),
+            format!("{:.1}", self.p95_us),
+            format!("{:.1}", self.p99_us),
+        ]
+    }
+
+    /// The `{"qps": …, "p50_us": …, "p95_us": …, "p99_us": …}` object
+    /// of the bench artifacts (`bench_diff` gates the `qps` field).
+    pub fn json(&self) -> String {
+        format!(
+            "{{\"qps\": {:.1}, \"p50_us\": {:.1}, \"p95_us\": {:.1}, \"p99_us\": {:.1}}}",
+            self.qps, self.p50_us, self.p95_us, self.p99_us
+        )
+    }
+}
+
+/// Time one closure over the whole workload and summarise per-query
+/// latency. The first five items run once untimed beforehand (warmup:
+/// touch caches, fault in lazily-built state).
+pub fn measure<T>(items: &[T], mut run: impl FnMut(&T) -> usize) -> LatencyStats {
+    for item in items.iter().take(5) {
+        run(item);
+    }
+    let mut lat_us: Vec<f64> = Vec::with_capacity(items.len());
+    let total = Instant::now();
+    for item in items {
+        let start = Instant::now();
+        std::hint::black_box(run(item));
+        lat_us.push(start.elapsed().as_secs_f64() * 1e6);
+    }
+    LatencyStats::from_latencies(lat_us, total.elapsed().as_secs_f64())
 }
 
 /// Read a flag's value from the command line, accepting both
@@ -101,10 +205,6 @@ fn find_flag_value(args: &[String], flag: &str) -> Option<String> {
 pub struct BenchArgs {
     /// `--smoke`: seconds-scale run for CI (smaller corpus/workload).
     pub smoke: bool,
-    /// `--explain`: after the measurements, run one representative
-    /// query and print its cost tree (`QueryProfile::render`) plus the
-    /// critical path.
-    pub explain: bool,
     /// `--out PATH`: where to write the bench's JSON artifact.
     pub out: Option<String>,
     /// `--stats-json`: dump the registry's metric snapshot as JSON
@@ -133,7 +233,6 @@ impl BenchArgs {
     pub fn from_args(args: &[String]) -> Self {
         BenchArgs {
             smoke: args.iter().any(|a| a == "--smoke"),
-            explain: args.iter().any(|a| a == "--explain"),
             out: find_flag_value(args, "--out"),
             stats_json: args.iter().any(|a| a == "--stats-json"),
             trace_jsonl: find_flag_value(args, "--trace-jsonl"),
@@ -199,7 +298,7 @@ pub fn decode_mints_per_s(engine: &starts_index::ShardedEngine, min_secs: f64) -
     std::hint::black_box(decode_pass(engine));
     let mut ints = 0u64;
     let mut sum = 0u64;
-    let start = std::time::Instant::now();
+    let start = Instant::now();
     loop {
         let (i, s) = decode_pass(engine);
         ints += i;
@@ -350,7 +449,6 @@ mod tests {
             "fresh.json",
             "--stats-json",
             "--trace-jsonl=t.jsonl",
-            "--explain",
             "--live",
             "--alerts-jsonl=a.jsonl",
         ]
@@ -358,14 +456,16 @@ mod tests {
         .map(|s| s.to_string())
         .collect();
         let args = BenchArgs::from_args(&argv);
-        assert!(args.smoke && args.stats_json && args.explain && args.live);
+        assert!(args.smoke && args.stats_json && args.live);
         assert_eq!(args.out.as_deref(), Some("fresh.json"));
         assert_eq!(args.trace_jsonl.as_deref(), Some("t.jsonl"));
         assert_eq!(args.alerts_jsonl.as_deref(), Some("a.jsonl"));
         assert_eq!(args.out_or("default.json"), "fresh.json");
 
-        let none = BenchArgs::from_args(&["x01".to_string()]);
-        assert!(!none.smoke && !none.stats_json && !none.explain && !none.live);
+        // A flag no binary honours (any more) is ignored, not an error.
+        let none = BenchArgs::from_args(&["x01".to_string(), "--retired-flag".to_string()]);
+        assert!(!none.smoke && !none.stats_json && !none.live);
+        assert_eq!((&none.out, &none.trace_jsonl), (&None, &None));
         assert_eq!(none.alerts_jsonl, None);
         assert_eq!(none.out_or("default.json"), "default.json");
     }
@@ -381,6 +481,68 @@ mod tests {
         let b = zipf_workload(&corpus, 25, 7);
         assert_eq!(a, b);
         assert!(a.iter().all(|q| (1..=3).contains(&q.len())));
+    }
+
+    #[test]
+    fn from_latencies_takes_nearest_rank_percentiles() {
+        // 20 samples, 1..=20 µs, shuffled: sorted index round(19·p) is
+        // 10 / 18 / 19 for p50 / p95 / p99.
+        let lat: Vec<f64> = [
+            7, 20, 3, 14, 1, 9, 18, 5, 12, 16, 2, 11, 19, 6, 15, 4, 13, 8, 17, 10,
+        ]
+        .iter()
+        .map(|&v| f64::from(v))
+        .collect();
+        let stats = LatencyStats::from_latencies(lat, 4.0);
+        assert_eq!(
+            stats,
+            LatencyStats {
+                qps: 5.0, // 20 samples / 4 s
+                p50_us: 11.0,
+                p95_us: 19.0,
+                p99_us: 20.0,
+            }
+        );
+        assert_eq!(stats.row("path"), ["path", "5", "11.0", "19.0", "20.0"]);
+        assert_eq!(
+            stats.json(),
+            r#"{"qps": 5.0, "p50_us": 11.0, "p95_us": 19.0, "p99_us": 20.0}"#
+        );
+
+        // One sample is every percentile.
+        let one = LatencyStats::from_latencies(vec![42.5], 0.5);
+        assert_eq!(
+            (one.qps, one.p50_us, one.p95_us, one.p99_us),
+            (2.0, 42.5, 42.5, 42.5)
+        );
+    }
+
+    #[test]
+    fn warmup_runs_the_first_five_then_every_item_is_timed() {
+        for n in [3usize, 8] {
+            let warm = n.min(5);
+            let items: Vec<usize> = (0..n).collect();
+            let mut seen = Vec::new();
+            let stats = measure(&items, |&i| {
+                // Warmup calls are slow, timed calls are not: a summary
+                // that included the warmup would show it.
+                if seen.len() < warm {
+                    std::thread::sleep(std::time::Duration::from_millis(20));
+                }
+                seen.push(i);
+                i
+            });
+            let expected: Vec<usize> = (0..warm).chain(0..n).collect();
+            assert_eq!(
+                seen, expected,
+                "run is called min(5, n) + n times, in order"
+            );
+            let warmup_s = 0.020 * warm as f64;
+            assert!(
+                stats.qps > n as f64 / warmup_s,
+                "timed window includes the warmup: {stats:?}"
+            );
+        }
     }
 
     #[test]
