@@ -262,7 +262,7 @@ impl QueryProfile {
     }
 
     /// Render the stage tree as an indented, human-readable cost table —
-    /// the body of `--explain` output.
+    /// what `examples/quickstart.rs` prints for a federated query.
     pub fn render(&self) -> String {
         let mut out = String::new();
         if !self.query_id.is_empty() {

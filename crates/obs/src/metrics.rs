@@ -157,6 +157,19 @@ impl Histogram {
         self.core.count.load(Ordering::Relaxed)
     }
 
+    /// [`HistogramValues::percentile`] read straight off the atomics,
+    /// without copying the buckets out.
+    pub fn percentile(&self, q: f64) -> u64 {
+        let c = &self.core;
+        let count = c.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum();
+        let buckets = c
+            .buckets
+            .iter()
+            .zip(&c.bucket_max)
+            .map(|(n, m)| (n.load(Ordering::Relaxed), m.load(Ordering::Relaxed)));
+        nearest_rank(q, count, c.max.load(Ordering::Relaxed), buckets)
+    }
+
     /// A consistent-enough copy of the distribution (individual loads
     /// are relaxed; concurrent observers may be off by in-flight
     /// updates, which is fine for monitoring).
@@ -211,26 +224,34 @@ impl HistogramValues {
     /// distribution, never an artificial power-of-two bound. Returns 0
     /// for an empty histogram.
     pub fn percentile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                let upper = bucket_upper_bound(i).min(self.max);
-                // An in-flight concurrent observe can leave the per-bucket
-                // max momentarily behind the count; fall back to the
-                // bucket bound in that window.
-                return match self.bucket_max.get(i) {
-                    Some(&m) if m > 0 => m.min(upper),
-                    _ => upper,
-                };
-            }
-        }
-        self.max
+        let bucket_max = self.bucket_max.iter().copied().chain(std::iter::repeat(0));
+        let buckets = self.buckets.iter().copied().zip(bucket_max);
+        nearest_rank(q, self.count, self.max, buckets)
     }
+}
+
+/// The one nearest-rank walk behind both percentile readers, over
+/// `(count, observed max)` per bucket in [`bucket_index`] order.
+fn nearest_rank(q: f64, count: u64, max: u64, buckets: impl Iterator<Item = (u64, u64)>) -> u64 {
+    if count == 0 {
+        return 0;
+    }
+    let rank = ((q * count as f64).ceil() as u64).clamp(1, count);
+    let mut seen = 0u64;
+    for (i, (n, bucket_max)) in buckets.enumerate() {
+        seen += n;
+        if seen >= rank {
+            let upper = bucket_upper_bound(i).min(max);
+            // An in-flight concurrent observe can leave the per-bucket
+            // max momentarily behind the count; fall back to the bucket
+            // bound in that window.
+            return match bucket_max {
+                0 => upper,
+                m => m.min(upper),
+            };
+        }
+    }
+    max
 }
 
 #[cfg(test)]
@@ -312,6 +333,26 @@ mod tests {
         let s = h.snapshot_values();
         assert_eq!(s.percentile(0.5), 100);
         assert_eq!(s.percentile(0.99), 9000);
+    }
+
+    #[test]
+    fn in_place_percentiles_equal_the_snapshots() {
+        let fixtures: [&[u64]; 4] = [
+            &[10, 20, 30, 40, 1000],
+            &[70; 100],
+            &[65, 100, 9000, 9000],
+            &[],
+        ];
+        for values in fixtures {
+            let h = Histogram::default();
+            for &v in values {
+                h.observe(v);
+            }
+            let s = h.snapshot_values();
+            for q in [0.5, 0.95, 0.99] {
+                assert_eq!(h.percentile(q), s.percentile(q), "{values:?} at {q}");
+            }
+        }
     }
 
     #[test]

@@ -121,7 +121,7 @@ impl FlightRecorder {
         self.last_total_us.store(total, Ordering::Relaxed);
         // Threshold from the distribution *before* this observation, so
         // one outlier cannot raise the bar it is judged against.
-        let p99 = self.totals.snapshot_values().percentile(0.99);
+        let p99 = self.totals.percentile(0.99);
         self.totals.observe(total);
         let over_budget = total > self.budget_us.load(Ordering::Relaxed);
         let over_p99 = seen >= P99_WARMUP && total > p99;

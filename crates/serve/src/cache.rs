@@ -115,8 +115,9 @@ impl CacheInner {
     }
 }
 
-/// A freshness-window cache over whole serve responses, keyed by
-/// normalized query + selected source set.
+/// A freshness-window cache over served answers — the [`ServeResponse`]
+/// a hit returns, never the wave's report — keyed by normalized query +
+/// selected source set.
 pub(crate) struct ResultCache {
     ttl: Duration,
     state: Mutex<CacheInner>,
@@ -248,12 +249,9 @@ mod tests {
         Arc::new(ServeResponse {
             merged: Vec::new(),
             selected: Vec::new(),
-            per_source: Vec::new(),
             completeness: Vec::new(),
             partial: false,
-            stats: Default::default(),
             query_id: "q-test".to_string(),
-            profile: Default::default(),
         })
     }
 

@@ -145,25 +145,35 @@ pub enum Served {
     CacheHit,
 }
 
-/// The outcome of one served metasearch.
+/// The answer to one served metasearch: what every request for it gets
+/// — the one that led its wave, the followers that joined it, and the
+/// cache hits after it — and all the result cache keeps.
 #[derive(Debug)]
 pub struct ServeResponse {
     /// The merged rank over the sources that finished.
     pub merged: Vec<MergedDoc>,
     /// Ids of the selected sources, in selection order.
     pub selected: Vec<String>,
-    /// Raw per-source results from the sources that finished, in
-    /// selection order (a partial response is a prefix-consistent
-    /// subset: exactly the finished sources, original order kept).
-    pub per_source: Vec<SourceResult>,
     /// Per-source completeness, in selection order.
     pub completeness: Vec<SourceCompleteness>,
     /// `true` when the deadline expired before every source answered.
     pub partial: bool,
+    /// The trace id minted for the wave that produced this answer.
+    pub query_id: String,
+}
+
+/// What the dispatch wave behind an answer reported besides it: the raw
+/// per-source results it merged, its accounting and its cost breakdown.
+/// It goes to the requests that ran or joined the wave and is never
+/// cached; it is freed when the last of them drops its outcome.
+#[derive(Debug)]
+pub struct WaveReport {
+    /// Raw per-source results from the sources that finished, in
+    /// selection order (a partial response is a prefix-consistent
+    /// subset: exactly the finished sources, original order kept).
+    pub per_source: Vec<SourceResult>,
     /// Aggregate accounting from the exchanges that completed.
     pub stats: QueryStats,
-    /// The trace id minted for this wave.
-    pub query_id: String,
     /// The hierarchical cost breakdown, rooted at `serve.query`.
     pub profile: QueryProfile,
 }
@@ -171,15 +181,24 @@ pub struct ServeResponse {
 /// A response plus how it was served.
 #[derive(Debug, Clone)]
 pub struct ServeOutcome {
-    /// The (possibly shared) response.
+    /// The (possibly shared) answer.
     pub response: Arc<ServeResponse>,
+    /// The report of the wave this request ran or joined: the leader's
+    /// very `Arc` for a coalesced follower, `None` for a cache hit,
+    /// which ran no wave.
+    pub wave: Option<Arc<WaveReport>>,
     /// Executed, coalesced, or cache hit.
     pub via: Served,
 }
 
 impl PartialEq for ServeOutcome {
     fn eq(&self, other: &Self) -> bool {
-        self.via == other.via && Arc::ptr_eq(&self.response, &other.response)
+        let same_wave = match (&self.wave, &other.wave) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            (None, None) => true,
+            _ => false,
+        };
+        self.via == other.via && Arc::ptr_eq(&self.response, &other.response) && same_wave
     }
 }
 
@@ -314,6 +333,7 @@ impl Server {
         let outcome = match inner.cache.lookup(&key, obs, false) {
             Some(response) => Ok(ServeOutcome {
                 response,
+                wave: None,
                 via: Served::CacheHit,
             }),
             None => {
@@ -461,6 +481,7 @@ fn run_query(inner: &Arc<ServerInner>, job: QueryJob) {
     if let Some(hit) = inner.cache.lookup(&job.key, obs, true) {
         job.slot.fulfill(Ok(ServeOutcome {
             response: hit,
+            wave: None,
             via: Served::CacheHit,
         }));
         return;
@@ -480,18 +501,20 @@ fn run_query(inner: &Arc<ServerInner>, job: QueryJob) {
     let led = catch_unwind(AssertUnwindSafe(|| {
         // Before dispatch: an invalidation from here on stales the response.
         let stamps = inner.cache.stamps(&job.plan.selected);
-        let response = Arc::new(run_wave(inner, &job, queue_stage));
+        let (response, report) = run_wave(inner, &job, queue_stage);
+        let response = Arc::new(response);
         inner
             .cache
             .store(job.key.clone(), Arc::clone(&response), stamps);
-        response
+        (response, Arc::new(report))
     }));
     if led.is_err() {
         obs.counter("serve.panics").inc();
     }
     let answer = |via| match &led {
-        Ok(response) => Ok(ServeOutcome {
+        Ok((response, report)) => Ok(ServeOutcome {
             response: Arc::clone(response),
+            wave: Some(Arc::clone(report)),
             via,
         }),
         Err(_) => Err(ServeError::Internal),
@@ -502,10 +525,15 @@ fn run_query(inner: &Arc<ServerInner>, job: QueryJob) {
     }
 }
 
-/// Lead one dispatch wave on the shared pool and assemble the response.
-/// The deadline's clock starts here, when a worker takes the wave — time
-/// spent queued does not count against it.
-fn run_wave(inner: &Arc<ServerInner>, job: &QueryJob, queue_stage: StageCost) -> ServeResponse {
+/// Lead one dispatch wave on the shared pool and split what it produced
+/// into the answer and the wave's report. The deadline's clock starts
+/// here, when a worker takes the wave — time spent queued does not count
+/// against it.
+fn run_wave(
+    inner: &Arc<ServerInner>,
+    job: &QueryJob,
+    queue_stage: StageCost,
+) -> (ServeResponse, WaveReport) {
     let obs: &Registry = inner.net.registry();
     let (plan, t0) = (&job.plan, job.t0);
     let deadline_ms = job.deadline_ms.unwrap_or(inner.serve.deadline_ms);
@@ -552,16 +580,19 @@ fn run_wave(inner: &Arc<ServerInner>, job: &QueryJob, queue_stage: StageCost) ->
     inner.config.recorder.record(&profile);
     inner.net.monitor().tick(obs);
 
-    ServeResponse {
+    let response = ServeResponse {
         merged: wave.merged,
         selected: plan.selected.clone(),
-        per_source: wave.per_source,
         completeness: wave.completeness,
         partial: wave.expired,
-        stats: wave.stats,
         query_id: job.query_id.clone(),
+    };
+    let report = WaveReport {
+        per_source: wave.per_source,
+        stats: wave.stats,
         profile,
-    }
+    };
+    (response, report)
 }
 
 /// Health-derived hedge delay for one source, converted to wall time

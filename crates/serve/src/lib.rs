@@ -13,12 +13,15 @@
 //!   is planned, keyed and answered on its caller's thread.
 //! * **Singleflight** — concurrent identical queries (same normalized
 //!   query text, same selected source set) collapse into one dispatch
-//!   wave; followers wait on the leader and share its response.
-//! * **Result cache** — responses are cached under a TTL with
-//!   per-source generation stamps: invalidating one source (say, after
-//!   its content summary changed) stales — and reclaims — exactly the
-//!   responses that consulted it, those of waves still in flight
-//!   included.
+//!   wave; followers wait on the leader and share both its answer
+//!   ([`ServeResponse`]) and its wave's report ([`WaveReport`]: raw
+//!   per-source results, accounting, profile).
+//! * **Result cache** — answers are cached under a TTL with per-source
+//!   generation stamps: invalidating one source (say, after its content
+//!   summary changed) stales — and reclaims — exactly the answers that
+//!   consulted it, those of waves still in flight included. The cache
+//!   keeps the answer only, the very `Arc` its wave's callers got; the
+//!   wave's report is freed with their outcomes, and a hit carries none.
 //! * **Hedged dispatch** — a source that has not answered within a
 //!   health-derived delay (p95 × factor, floored) gets a backup
 //!   request, optionally to a replica URL; the first response wins and
@@ -48,5 +51,5 @@ pub mod flight;
 
 pub use executor::{
     HedgeConfig, ServeConfig, ServeError, ServeOutcome, ServeResponse, Served, Server,
-    SourceCompleteness, SourceStatus,
+    SourceCompleteness, SourceStatus, WaveReport,
 };

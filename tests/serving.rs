@@ -5,8 +5,9 @@
 //! of the finished sources, hedged dispatch racing a replica against a
 //! slow primary, LIFO load shedding under overload, panic isolation in
 //! the shared dispatch pool and in the query pool, and the cached path:
-//! hits answered on the caller's thread past a full executor, and an
-//! invalidation that overtakes a wave in flight.
+//! hits answered on the caller's thread past a full executor, an
+//! invalidation that overtakes a wave in flight, and a cache that keeps
+//! the answer but never the wave's report.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -21,7 +22,9 @@ use starts::meta::metasearcher::{MetaConfig, Metasearcher, QueryStats};
 use starts::net::{host::wire_source, LinkProfile, SimNet, StartsClient};
 use starts::proto::query::{parse_filter, parse_ranking};
 use starts::proto::{Query, QueryProfile};
-use starts::serve::{HedgeConfig, ServeConfig, ServeError, Served, Server, SourceStatus};
+use starts::serve::{
+    HedgeConfig, ServeConfig, ServeError, ServeOutcome, Served, Server, SourceStatus,
+};
 use starts::source::{vendors, Source, SourceConfig};
 
 fn docs(words: &[&str], n: usize, tag: &str) -> Vec<Document> {
@@ -225,6 +228,95 @@ fn cached_responses_are_shared_verbatim_and_stale_per_source() {
     assert_eq!(snap.counter("serve.cache.misses", &[]), 2);
 }
 
+/// One key, three ways in: the request that leads the wave, one that
+/// joins it in flight, and one the cache answers after it. All three get
+/// the one answer the cache holds; the two that were there for the wave
+/// share its report, the hit — which ran no wave — gets none, and the
+/// report is gone once they let go of it while the answer stays cached.
+#[test]
+fn the_cache_holds_the_answer_and_only_the_wave_gets_the_report() {
+    const PATIENCE: Duration = Duration::from_secs(10);
+    let net = Arc::new(SimNet::new());
+    wire(&net, "DB", &["databases", "queries"], 10);
+    let (entered, pass) = wire_gated(&net, "Food", &["cooking", "recipes"]);
+    let catalog = discover(&net, &["DB", "Food"]);
+    net.registry().reset();
+    let server = Server::new(
+        Arc::clone(&net),
+        catalog,
+        MetaConfig::default(),
+        ServeConfig {
+            query_workers: 2,
+            hedge: hedge_off(),
+            ..ServeConfig::default()
+        },
+    );
+    let query = ranked(r#"list((body-of-text "cooking"))"#);
+    let coalesced = || {
+        net.registry()
+            .snapshot()
+            .counter("serve.singleflight.coalesced", &[])
+    };
+
+    let (leader, follower) = std::thread::scope(|scope| {
+        let leader = scope.spawn(|| server.search(&query).unwrap());
+        entered.recv_timeout(PATIENCE).expect("a wave at the gate");
+        let follower = scope.spawn(|| server.search(&query).unwrap());
+        let waiting = Instant::now();
+        while coalesced() == 0 {
+            assert!(waiting.elapsed() < PATIENCE, "the follower never joined");
+            std::thread::yield_now();
+        }
+        pass.send(()).unwrap();
+        (leader.join().unwrap(), follower.join().unwrap())
+    });
+    assert_eq!(
+        (leader.via, follower.via),
+        (Served::Executed, Served::Coalesced)
+    );
+    let report = leader.wave.as_ref().expect("the leader ran the wave");
+    assert!(Arc::ptr_eq(&follower.response, &leader.response));
+    let joined = follower
+        .wave
+        .as_ref()
+        .expect("the follower joined the wave");
+    assert!(Arc::ptr_eq(joined, report));
+    assert!(report.profile.is_consistent());
+    assert_eq!(report.per_source.len(), leader.response.selected.len());
+
+    let hit = server.search(&query).unwrap();
+    assert_eq!(hit.via, Served::CacheHit);
+    assert!(Arc::ptr_eq(&hit.response, &leader.response));
+    assert!(hit.wave.is_none());
+    // Outcomes are equal by pointer, the report included.
+    let as_follower = ServeOutcome {
+        via: Served::Coalesced,
+        ..leader.clone()
+    };
+    assert_eq!(as_follower, follower);
+    let as_hit = ServeOutcome {
+        via: Served::CacheHit,
+        ..leader.clone()
+    };
+    assert_ne!(as_hit, hit);
+
+    // The cache keeps the answer; the report lives as long as the last
+    // outcome that carries it (the leader's worker lets go of its own
+    // copy just after answering).
+    let (answer, report) = (Arc::downgrade(&leader.response), Arc::downgrade(report));
+    drop((leader, follower, hit, as_follower, as_hit));
+    let waiting = Instant::now();
+    while report.upgrade().is_some() {
+        assert!(
+            waiting.elapsed() < PATIENCE,
+            "the wave report outlived its callers"
+        );
+        std::thread::yield_now();
+    }
+    assert!(answer.upgrade().is_some());
+    assert_eq!(server.cached_responses(), 1);
+}
+
 /// The generation a response is stamped with is the one its wave saw
 /// *before dispatch*: an invalidation that lands while the wave is in
 /// flight must not be papered over by the store that follows it.
@@ -389,7 +481,12 @@ fn mixed_traffic_counts_one_cache_outcome_per_request_and_gauges_settle() {
                             let word = words[(client + round * (client + 1)) % words.len()];
                             let query = ranked(&format!(r#"list((body-of-text "{word}"))"#));
                             let outcome = server.search(&query).expect("64 slots never fill");
-                            assert!(outcome.response.profile.is_consistent());
+                            // A hit ran no wave and reports none; every
+                            // other request carries its wave's profile.
+                            assert_eq!(outcome.wave.is_none(), outcome.via == Served::CacheHit);
+                            if let Some(wave) = &outcome.wave {
+                                assert!(wave.profile.is_consistent());
+                            }
                             outcome.via
                         })
                         .collect::<Vec<_>>()
@@ -458,7 +555,10 @@ fn deadline_expiry_returns_prefix_consistent_partial_results() {
         .search(&ranked(r#"list((body-of-text "text"))"#))
         .unwrap();
     net.set_pacing(0);
-    let resp = &outcome.response;
+    let (resp, wave) = (
+        &outcome.response,
+        outcome.wave.as_ref().expect("led a wave"),
+    );
     assert!(resp.partial, "deadline should have expired");
     let status: HashMap<&str, SourceStatus> = resp
         .completeness
@@ -470,9 +570,9 @@ fn deadline_expiry_returns_prefix_consistent_partial_results() {
 
     // Prefix-consistent: the partial merge is exactly the merge of the
     // finished sources — nothing from the straggler leaked in.
-    assert_eq!(resp.per_source.len(), 1);
+    assert_eq!(wave.per_source.len(), 1);
     assert!(resp.merged.iter().all(|d| d.sources == ["Fast"]));
-    let (direct, _) = NormalizedMerge.merge_top_k(&resp.per_source, 20);
+    let (direct, _) = NormalizedMerge.merge_top_k(&wave.per_source, 20);
     assert_eq!(
         resp.merged.iter().map(|d| &d.linkage).collect::<Vec<_>>(),
         direct.iter().map(|d| &d.linkage).collect::<Vec<_>>()
@@ -840,7 +940,7 @@ fn pooled_wave_matches_the_scoped_metasearcher_and_ships_stock_slos() {
         let scoped = scoped.search(query);
         let pooled = server.search(query).unwrap();
         assert_eq!(pooled.via, Served::Executed, "query {i}");
-        let pooled = &pooled.response;
+        let (report, pooled) = (pooled.wave.expect("led a wave"), &pooled.response);
 
         // One wave, led twice: the same sources asked, the same ones
         // answering, the same ranking to the bit.
@@ -856,7 +956,7 @@ fn pooled_wave_matches_the_scoped_metasearcher_and_ships_stock_slos() {
         };
         assert_eq!(
             answered(&scoped.per_source),
-            answered(&pooled.per_source),
+            answered(&report.per_source),
             "query {i}"
         );
         ranked_docs += pooled.merged.len();
@@ -877,15 +977,15 @@ fn pooled_wave_matches_the_scoped_metasearcher_and_ships_stock_slos() {
         };
         assert_eq!(
             wire_free(&scoped.stats),
-            wire_free(&pooled.stats),
+            wire_free(&report.stats),
             "query {i}"
         );
 
         // Both profiles keep the stage-containment invariant and name
         // the same stages, the pooled one telling the wait for a worker
         // apart from the work.
-        assert!(scoped.profile.is_consistent() && pooled.profile.is_consistent());
-        let pooled_stages = stage_names(&pooled.profile);
+        assert!(scoped.profile.is_consistent() && report.profile.is_consistent());
+        let pooled_stages = stage_names(&report.profile);
         assert_eq!(
             pooled_stages,
             ["select", "adapt", "queue", "dispatch", "merge"]
@@ -894,7 +994,7 @@ fn pooled_wave_matches_the_scoped_metasearcher_and_ships_stock_slos() {
             stage_names(&scoped.profile),
             ["select", "adapt", "dispatch", "merge"]
         );
-        for profile in [&scoped.profile, &pooled.profile] {
+        for profile in [&scoped.profile, &report.profile] {
             let dispatch = profile.root.children.iter().find(|s| s.name == "dispatch");
             assert_eq!(dispatch.unwrap().children.len(), scoped.per_source.len());
         }

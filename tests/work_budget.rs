@@ -1,0 +1,240 @@
+//! The work budget: what the serving layer's cached path costs, in
+//! counts that repeat from run to run on any machine — heap bytes held
+//! and allocator calls — checked against the values in `BUDGET.json`.
+//!
+//! The binary installs a counting global allocator and holds exactly one
+//! test, so nothing else in the process allocates while it measures.
+//! `cargo test --test work_budget -- --nocapture` prints the rows. A
+//! change that moves a row updates `BUDGET.json` in the same diff.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::HashSet;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use starts::corpus::{generate_corpus, CorpusConfig, GeneratedCorpus, Zipf};
+use starts::meta::catalog::Catalog;
+use starts::meta::metasearcher::MetaConfig;
+use starts::meta::pipeline::normalized_query_key;
+use starts::net::{host::wire_source, LinkProfile, SimNet, StartsClient};
+use starts::proto::query::ast::{FilterExpr, QTerm, RankExpr};
+use starts::proto::{AnswerSpec, Field, Query};
+use starts::serve::{HedgeConfig, ServeConfig, Served, Server};
+use starts::source::{vendors, Source};
+
+/// Bytes currently allocated (as requested, not as rounded up by the
+/// system allocator).
+static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
+/// Allocator calls that obtained memory: `alloc`, `alloc_zeroed` and
+/// `realloc`.
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+struct Counting;
+
+// SAFETY: every method hands its caller's arguments unchanged to the
+// same method of `System` and returns what it returns, so the caller's
+// guarantees under the `GlobalAlloc` contract are exactly what `System`
+// needs. The counters are statistics; nothing reads them to decide
+// anything about memory.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(new_size, Ordering::Relaxed);
+        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+const SEED: u64 = 19970526;
+const QUERIES: usize = 320;
+const K: usize = 10;
+
+/// `fed_zipf`'s federation: 12 sources × 500 documents over the five
+/// vendor personalities, 3 sources selected per query.
+fn wire_fleet(net: &SimNet) -> (Catalog, GeneratedCorpus) {
+    let corpus = generate_corpus(&CorpusConfig {
+        n_sources: 12,
+        docs_per_source: 500,
+        n_topics: 4,
+        background_vocab: 1500,
+        topic_vocab: 100,
+        doc_len: (25, 90),
+        topic_skew: 0.35,
+        bilingual_fraction: 0.0,
+        seed: SEED,
+    });
+    let personalities = [
+        vendors::acme,
+        vendors::bolt,
+        vendors::okapi,
+        vendors::glimpse,
+        vendors::rankonly,
+    ];
+    let client = StartsClient::new(net);
+    let mut catalog = Catalog::default();
+    for (slot, s) in corpus.sources.iter().enumerate() {
+        let config = personalities[slot % personalities.len()](&s.id);
+        wire_source(net, Source::build(config, &s.docs), LinkProfile::default());
+        let url = format!("starts://{}/metadata", s.id.to_ascii_lowercase());
+        catalog
+            .discover_source(&client, &url, LinkProfile::default(), false)
+            .expect("discovery of a just-wired source");
+    }
+    (catalog, corpus)
+}
+
+/// `QUERIES` pairwise distinct `fed_zipf`-shaped queries: 1–3 ranked
+/// words, mostly common ones, one query in four under a filter.
+fn query_pool(corpus: &GeneratedCorpus) -> Vec<Query> {
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let background = Zipf::new(corpus.background.len(), 1.0);
+    let topic = Zipf::new(corpus.topics[0].len(), 0.8);
+    let word = |rng: &mut StdRng| -> QTerm {
+        let w = if rng.gen_bool(0.3) {
+            let t = rng.gen_range(0..corpus.topics.len());
+            &corpus.topics[t][topic.sample(rng)]
+        } else {
+            &corpus.background[background.sample(rng)]
+        };
+        QTerm::fielded(Field::BodyOfText, w.as_str())
+    };
+    let mut seen = HashSet::new();
+    let mut pool = Vec::with_capacity(QUERIES);
+    while pool.len() < QUERIES {
+        let terms = rng.gen_range(1..=3);
+        let ranking = RankExpr::list_of((0..terms).map(|_| word(&mut rng)));
+        let filter = (rng.gen_range(0..4) == 0).then(|| FilterExpr::term(word(&mut rng)));
+        let query = Query {
+            filter,
+            ranking: Some(ranking),
+            answer: AnswerSpec {
+                fields: vec![Field::Title],
+                max_documents: K,
+                ..AnswerSpec::default()
+            },
+            ..Query::default()
+        };
+        if seen.insert(normalized_query_key(&query)) {
+            pool.push(query);
+        }
+    }
+    pool
+}
+
+/// The checked-in value of one `BUDGET.json` row.
+fn budget(name: &str) -> f64 {
+    let text = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/BUDGET.json"))
+        .expect("BUDGET.json at the package root");
+    let key = format!("\"{name}\"");
+    let at = text
+        .find(&key)
+        .unwrap_or_else(|| panic!("no {key} in BUDGET.json"));
+    let value = text[at + key.len()..].trim_start().trim_start_matches(':');
+    let end = value
+        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c.is_whitespace()))
+        .unwrap_or(value.len());
+    value[..end].trim().parse().expect("a number")
+}
+
+fn check(name: &str, measured: f64) {
+    let budget = budget(name);
+    println!("{name}: {measured:.1} (budget {budget})");
+    assert!(
+        measured <= budget * 1.05,
+        "{name} = {measured:.1} is over its budget of {budget} by more than 5 %"
+    );
+}
+
+/// Wait until the query pool has finished its last wave's bookkeeping.
+fn settle(net: &SimNet) {
+    let patience = Instant::now();
+    while net.registry().snapshot().gauge("serve.inflight", &[]) != 0.0 {
+        assert!(
+            patience.elapsed() < Duration::from_secs(10),
+            "a wave never ended"
+        );
+        std::thread::yield_now();
+    }
+}
+
+#[test]
+fn the_cached_path_stays_within_its_budget() {
+    let net = Arc::new(SimNet::new());
+    let (catalog, corpus) = wire_fleet(&net);
+    let queries = query_pool(&corpus);
+    let server = Server::new(
+        Arc::clone(&net),
+        catalog,
+        MetaConfig {
+            max_sources: 3,
+            max_results: K,
+            ..MetaConfig::default()
+        },
+        ServeConfig {
+            query_workers: 1,
+            hedge: HedgeConfig {
+                enabled: false,
+                ..HedgeConfig::default()
+            },
+            ..ServeConfig::default()
+        },
+    );
+
+    // Every query once: each leads a wave and leaves its answer cached.
+    // A miss is counted on every thread it touches — caller, query
+    // worker, dispatch workers, the hosts behind the net.
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for query in &queries {
+        let outcome = server.search(query).expect("served");
+        assert_eq!(outcome.via, Served::Executed);
+    }
+    settle(&net);
+    let misses = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(server.cached_responses(), queries.len());
+
+    // Every query again: each is a hit, answered on this thread.
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for query in &queries {
+        let outcome = server.search(query).expect("served");
+        assert_eq!(outcome.via, Served::CacheHit);
+    }
+    let hits = ALLOCATIONS.load(Ordering::Relaxed) - before;
+
+    // What the cache holds is exactly what invalidating it frees.
+    let cached = server.cached_responses();
+    let held = LIVE_BYTES.load(Ordering::Relaxed);
+    server.invalidate_cache();
+    let freed = held - LIVE_BYTES.load(Ordering::Relaxed);
+    assert_eq!(server.cached_responses(), 0);
+
+    let n = queries.len() as f64;
+    check(
+        "serve.cache.retained_bytes_per_entry",
+        freed as f64 / cached as f64,
+    );
+    check("serve.hit.allocations_per_request", hits as f64 / n);
+    check("serve.miss.allocations_per_request", misses as f64 / n);
+}
