@@ -198,9 +198,9 @@ fn find_flag_value(args: &[String], flag: &str) -> Option<String> {
 
 /// The flags every experiment binary honours, parsed once.
 ///
-/// X1–X13 grew near-identical copies of `--stats-json` / `--trace-jsonl`
-/// handling and X14–X16 of `--smoke` / `--out`; this struct is the one
-/// place that knows the spelling of all of them.
+/// X1–X13 grew near-identical copies of `--stats-json` handling and
+/// X14–X16 of `--smoke` / `--out`; this struct is the one place that
+/// knows the spelling of all of them.
 #[derive(Debug, Clone, Default)]
 pub struct BenchArgs {
     /// `--smoke`: seconds-scale run for CI (smaller corpus/workload).
@@ -210,8 +210,6 @@ pub struct BenchArgs {
     /// `--stats-json`: dump the registry's metric snapshot as JSON
     /// after the regular output.
     pub stats_json: bool,
-    /// `--trace-jsonl PATH`: dump recent span events as JSON Lines.
-    pub trace_jsonl: Option<String>,
     /// `--live`: render a top-style terminal dashboard while the bench
     /// runs (X18).
     pub live: bool,
@@ -235,7 +233,6 @@ impl BenchArgs {
             smoke: args.iter().any(|a| a == "--smoke"),
             out: find_flag_value(args, "--out"),
             stats_json: args.iter().any(|a| a == "--stats-json"),
-            trace_jsonl: find_flag_value(args, "--trace-jsonl"),
             live: args.iter().any(|a| a == "--live"),
             alerts_jsonl: find_flag_value(args, "--alerts-jsonl"),
         }
@@ -246,19 +243,11 @@ impl BenchArgs {
         self.out.clone().unwrap_or_else(|| default.to_string())
     }
 
-    /// Honour the dump flags against a registry; call once at the end
-    /// of `main`. `--stats-json` prints the metric snapshot as JSON;
-    /// `--trace-jsonl PATH` writes recent spans as JSON Lines.
+    /// Honour the dump flag against a registry; call once at the end
+    /// of `main`. `--stats-json` prints the metric snapshot as JSON.
     pub fn finish(&self, obs: &starts_obs::Registry) {
         if self.stats_json {
             println!("{}", starts_obs::export::json(&obs.snapshot()));
-        }
-        if let Some(path) = &self.trace_jsonl {
-            let events = obs.recent_spans();
-            match starts_obs::trace::dump_jsonl(&events, std::path::Path::new(path)) {
-                Ok(n) => eprintln!("wrote {n} spans to {path}"),
-                Err(e) => eprintln!("--trace-jsonl {path}: {e}"),
-            }
         }
     }
 }
@@ -430,12 +419,12 @@ mod tests {
             }
             None
         };
-        let args = ["x01", "--trace-jsonl", "out.jsonl"];
-        assert_eq!(find(&args, "--trace-jsonl").as_deref(), Some("out.jsonl"));
-        let args = ["x01", "--trace-jsonl=out2.jsonl"];
-        assert_eq!(find(&args, "--trace-jsonl").as_deref(), Some("out2.jsonl"));
-        let args = ["x01"];
-        assert_eq!(find(&args, "--trace-jsonl"), None);
+        let args = ["x18", "--alerts-jsonl", "out.jsonl"];
+        assert_eq!(find(&args, "--alerts-jsonl").as_deref(), Some("out.jsonl"));
+        let args = ["x18", "--alerts-jsonl=out2.jsonl"];
+        assert_eq!(find(&args, "--alerts-jsonl").as_deref(), Some("out2.jsonl"));
+        let args = ["x18"];
+        assert_eq!(find(&args, "--alerts-jsonl"), None);
         // The real parser at least agrees there is no such flag here.
         assert_eq!(arg_value("--definitely-not-passed"), None);
     }
@@ -448,7 +437,6 @@ mod tests {
             "--out",
             "fresh.json",
             "--stats-json",
-            "--trace-jsonl=t.jsonl",
             "--live",
             "--alerts-jsonl=a.jsonl",
         ]
@@ -458,15 +446,13 @@ mod tests {
         let args = BenchArgs::from_args(&argv);
         assert!(args.smoke && args.stats_json && args.live);
         assert_eq!(args.out.as_deref(), Some("fresh.json"));
-        assert_eq!(args.trace_jsonl.as_deref(), Some("t.jsonl"));
         assert_eq!(args.alerts_jsonl.as_deref(), Some("a.jsonl"));
         assert_eq!(args.out_or("default.json"), "fresh.json");
 
         // A flag no binary honours (any more) is ignored, not an error.
         let none = BenchArgs::from_args(&["x01".to_string(), "--retired-flag".to_string()]);
         assert!(!none.smoke && !none.stats_json && !none.live);
-        assert_eq!((&none.out, &none.trace_jsonl), (&None, &None));
-        assert_eq!(none.alerts_jsonl, None);
+        assert_eq!((&none.out, &none.alerts_jsonl), (&None, &None));
         assert_eq!(none.out_or("default.json"), "default.json");
     }
 

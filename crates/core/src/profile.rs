@@ -20,8 +20,9 @@
 //!
 //! Stage offsets are microseconds relative to the *profile root's*
 //! start, so a consumer can rebase an entire subtree by shifting the
-//! root: the metasearcher does exactly that when it grafts a host-side
-//! profile under the client-side stage that timed the exchange.
+//! root: the metasearcher does exactly that ([`StageCost::rebased`])
+//! when it grafts a host-side profile under the client-side stage that
+//! timed the exchange.
 
 /// The extension attribute carrying the query profile on `@SQResults`.
 pub const PROFILE_ATTR: &str = "XQueryProfile";
@@ -77,10 +78,24 @@ impl StageCost {
             .map(|(_, v)| v.as_str())
     }
 
-    /// Shift this stage and all descendants by `delta_us` — used to
-    /// rebase a host-side profile (offsets relative to the host root)
-    /// into the client-side timeline.
-    pub fn shift(&mut self, delta_us: u64) {
+    /// This stage and all descendants moved `delta_us` later, if the
+    /// moved stage is consistent and ends by `end_us`; `None` otherwise.
+    /// This is how a host-side profile (offsets relative to the host
+    /// root) joins the client-side timeline. The arithmetic is checked,
+    /// so offsets decoded from the wire cannot overflow.
+    pub fn rebased(mut self, delta_us: u64, end_us: u64) -> Option<StageCost> {
+        let start = self.start_us.checked_add(delta_us)?;
+        let end = start.checked_add(self.duration_us)?;
+        if end > end_us || !self.is_consistent() {
+            return None;
+        }
+        // Consistent: every descendant ends by this stage's end, so no
+        // shifted offset exceeds `end`.
+        self.shift(delta_us);
+        Some(self)
+    }
+
+    fn shift(&mut self, delta_us: u64) {
         self.start_us += delta_us;
         for c in &mut self.children {
             c.shift(delta_us);
@@ -365,12 +380,24 @@ mod tests {
     }
 
     #[test]
-    fn shift_rebases_whole_subtree() {
-        let mut p = sample();
-        p.root.shift(1_000);
-        assert_eq!(p.root.start_us, 1_000);
-        assert_eq!(p.root.children[2].children[1].start_us, 1_040);
-        assert!(p.is_consistent());
+    fn rebase_moves_the_whole_subtree_into_its_window() {
+        let root = sample().root.rebased(1_000, 1_450).expect("fits exactly");
+        assert_eq!(root.start_us, 1_000);
+        assert_eq!(root.children[2].children[1].start_us, 1_040);
+        assert!(root.is_consistent());
+        // One microsecond too long for the window: dropped.
+        assert_eq!(sample().root.rebased(1_000, 1_449), None);
+    }
+
+    #[test]
+    fn rebase_drops_hostile_offsets_instead_of_overflowing() {
+        let hostile = QueryProfile::decode("q-1\n0 18446744073709551615 5 x").unwrap();
+        assert_eq!(hostile.root.clone().rebased(0, u64::MAX), None);
+        assert_eq!(hostile.root.rebased(7, u64::MAX), None);
+        // A child far outside its root cannot ride in on a fitting root.
+        let mut root = StageCost::new("source.execute", 0, 10);
+        root.children.push(StageCost::new("execute", u64::MAX, 1));
+        assert_eq!(root.rebased(7, 100), None);
     }
 
     #[test]

@@ -94,8 +94,9 @@ pub struct Query {
     /// The answer specification.
     pub answer: AnswerSpec,
     /// Optional trace context (§4.3 extension attribute
-    /// `XTraceContext`); sources echo it back on `@SQResults` and may
-    /// use it to parent their spans under the metasearcher's dispatch.
+    /// `XTraceContext`); sources answer it with an `XQueryProfile` on
+    /// `@SQResults` and may use it to parent their spans under the
+    /// metasearcher's dispatch.
     pub trace: Option<TraceContext>,
 }
 

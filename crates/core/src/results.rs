@@ -18,7 +18,6 @@ use crate::query::{
     fmt_weight, parse_filter, parse_ranking, print_filter, print_ranking, print_term, FilterExpr,
     QTerm, RankExpr,
 };
-use crate::trace::{TraceContext, TRACE_ATTR};
 
 /// One line of the `TermStats` attribute: a query term and its statistics
 /// in this document (Example 8:
@@ -210,9 +209,6 @@ pub struct QueryResults {
     pub actual_ranking: Option<RankExpr>,
     /// The result documents (`NumDocSOIFs` counts them).
     pub documents: Vec<ResultDocument>,
-    /// Trace context echoed back from the query (§4.3 extension
-    /// attribute `XTraceContext`); `None` for untraced exchanges.
-    pub trace: Option<TraceContext>,
     /// Host-side cost breakdown of this execution (§4.3 extension
     /// attribute `XQueryProfile`); `None` unless the exchange was
     /// traced and the host is profile-aware.
@@ -259,11 +255,8 @@ impl QueryResults {
                 .unwrap_or_default(),
         );
         o.push_str("NumDocSOIFs", self.documents.len().to_string());
-        // Extension attribute (§4.3): echoed only on traced exchanges,
+        // Extension attribute (§4.3): present only on traced exchanges,
         // so the paper's exact encodings are untouched otherwise.
-        if let Some(ctx) = &self.trace {
-            o.push_str(TRACE_ATTR, ctx.encode());
-        }
         if let Some(profile) = &self.profile {
             o.push_str(PROFILE_ATTR, profile.encode());
         }
@@ -309,7 +302,6 @@ impl QueryResults {
             actual_ranking,
             documents: Vec::new(),
             // Lenient per §4.3: malformed extension data degrades to None.
-            trace: o.get_str(TRACE_ATTR).and_then(TraceContext::decode),
             profile: o.get_str(PROFILE_ATTR).and_then(QueryProfile::decode),
         })
     }
@@ -360,7 +352,6 @@ mod tests {
                 doc_size_kb: 248,
                 doc_count: 10213,
             }],
-            trace: None,
             profile: None,
         }
     }
@@ -416,7 +407,6 @@ mod tests {
             actual_filter: Some(parse_filter(r#"(title "x")"#).unwrap()),
             actual_ranking: None,
             documents: vec![],
-            trace: None,
             profile: None,
         };
         let o = r.header_soif();
@@ -426,25 +416,17 @@ mod tests {
     }
 
     #[test]
-    fn trace_context_echoes_through_the_header() {
-        let r = QueryResults {
-            sources: vec!["S".to_string()],
-            trace: Some(TraceContext {
-                query_id: "q-000003".to_string(),
-                parent_path: "meta.search/dispatch/source".to_string(),
-                parent_span_id: 99,
-            }),
-            ..QueryResults::default()
-        };
-        let o = r.header_soif();
-        assert_eq!(
-            o.get_str(TRACE_ATTR),
-            Some("q-000003 99 meta.search/dispatch/source")
+    fn an_echoed_trace_context_is_ignored() {
+        // A host that echoes the query's context back still decodes
+        // (§4.3: unknown attributes are ignored); results never send it.
+        let mut o = QueryResults::default().header_soif();
+        o.push_str(
+            crate::trace::TRACE_ATTR,
+            "q-000003 99 meta.search/dispatch/source",
         );
         let back = QueryResults::from_header(&o).unwrap();
-        assert_eq!(back.trace, r.trace);
-        // Untraced results omit the attribute entirely.
-        assert!(!QueryResults::default().header_soif().has(TRACE_ATTR));
+        assert_eq!(back, QueryResults::default());
+        assert!(!back.header_soif().has(crate::trace::TRACE_ATTR));
     }
 
     #[test]

@@ -4,19 +4,23 @@
 //! outside the spec: "a source might export more information than what
 //! is required", and consumers must ignore attributes they do not
 //! understand. We use that headroom to thread a query id and a parent
-//! span identity from the metasearcher to each source, so span events
-//! recorded on both sides of the wire stitch into one per-query trace
-//! (see `starts_obs::trace`).
+//! span identity from the metasearcher to each source. The context asks
+//! the source to profile the query: it answers with an `XQueryProfile`
+//! ([`crate::profile`]) carrying the same id, and the metasearcher
+//! grafts that into the query's one tree, its `QueryProfile`. The parent
+//! span identity nests the host's spans under the dispatching span, so
+//! span paths (and the `span.duration_us` histograms labelled by them)
+//! read the same on both sides of the wire.
 //!
 //! The context rides in a single optional attribute, [`TRACE_ATTR`]
 //! (`XTraceContext` — `X`-prefixed to mark it as an extension), on
-//! `@SQuery` and is echoed back on `@SQResults`. Sources that predate
-//! the attribute simply never see it and answer unchanged; decoding is
-//! deliberately lenient, so a malformed value degrades to "no trace"
-//! rather than an error — tracing must never break a query.
+//! `@SQuery` only. Sources that predate the attribute simply never see
+//! it and answer unchanged; decoding is deliberately lenient, so a
+//! malformed value degrades to "no trace" rather than an error —
+//! tracing must never break a query.
 
-/// The extension attribute carrying the trace context on `@SQuery` and
-/// `@SQResults` objects.
+/// The extension attribute carrying the trace context on `@SQuery`
+/// objects.
 pub const TRACE_ATTR: &str = "XTraceContext";
 
 /// A query's trace identity: which query this exchange belongs to, and
@@ -34,9 +38,10 @@ pub struct TraceContext {
 
 impl TraceContext {
     /// Encode as the attribute value: `"<query_id> <span_id> <path>"`.
-    /// The path goes last because it may itself contain no spaces today
-    /// but we keep the grammar extensible: everything after the second
-    /// space is the path.
+    /// The query id is non-empty and holds no whitespace; the path is
+    /// non-empty and goes last, so it may hold anything: everything
+    /// after the second space, trailing whitespace included, is the
+    /// path.
     pub fn encode(&self) -> String {
         format!(
             "{} {} {}",
@@ -48,7 +53,9 @@ impl TraceContext {
     /// yields `None` (per §4.3, unknown or unusable extension data must
     /// not affect query processing).
     pub fn decode(value: &str) -> Option<TraceContext> {
-        let value = value.trim();
+        // Only leading whitespace is noise: trailing whitespace may
+        // belong to the path.
+        let value = value.trim_start();
         let (query_id, rest) = value.split_once(' ')?;
         let (span_id, path) = rest.split_once(' ')?;
         let parent_span_id = span_id.parse::<u64>().ok()?;

@@ -1,7 +1,9 @@
 //! Property-based tests: arbitrary query ASTs round-trip through the
 //! canonical printer and the parser, all protocol objects round-trip
-//! through SOIF, and the indexed content-summary lookup answers exactly
-//! as the linear definition does.
+//! through SOIF, the indexed content-summary lookup answers exactly as
+//! the linear definition does, and the two timing attributes
+//! (`XQueryProfile`, `XTraceContext`) round-trip and never panic on
+//! what a host may send instead.
 
 use proptest::prelude::*;
 use starts_proto::attrs::CmpOp;
@@ -10,7 +12,7 @@ use starts_proto::query::{
     RankExpr, WeightedTerm,
 };
 use starts_proto::summary::{ContentSummary, IndexedSummary, SummarySection, TermSummary};
-use starts_proto::{Field, LString, Modifier, Query};
+use starts_proto::{Field, LString, Modifier, Query, QueryProfile, StageCost, TraceContext};
 use starts_text::LangTag;
 
 fn arb_word() -> impl Strategy<Value = String> {
@@ -159,7 +161,133 @@ fn arb_summary() -> impl Strategy<Value = ContentSummary> {
     )
 }
 
+/// A stage name or meta key: no whitespace, no `=`.
+fn arb_profile_token() -> impl Strategy<Value = String> {
+    "[!-<>-~é中]{1,10}"
+}
+
+fn arb_stage_leaf() -> impl Strategy<Value = StageCost> {
+    let meta = (arb_profile_token(), "[!-~é]{0,8}");
+    (
+        arb_profile_token(),
+        any::<u64>(),
+        any::<u64>(),
+        proptest::collection::vec(meta, 0..3),
+    )
+        .prop_map(|(name, start_us, duration_us, meta)| StageCost {
+            name,
+            start_us,
+            duration_us,
+            meta,
+            children: Vec::new(),
+        })
+}
+
+/// Profiles in the documented grammar: depth ≤ 6, fan-out ≤ 4, any
+/// offsets (consistent or not — the codec does not care).
+fn arb_profile() -> impl Strategy<Value = QueryProfile> {
+    let tree = arb_stage_leaf().prop_recursive(6, 48, 4, |inner| {
+        (arb_stage_leaf(), proptest::collection::vec(inner, 0..=4)).prop_map(
+            |(mut stage, children)| {
+                stage.children = children;
+                stage
+            },
+        )
+    });
+    ("[!-~]{0,10}", tree).prop_map(|(query_id, root)| QueryProfile { query_id, root })
+}
+
+/// Contexts in the documented grammar: a query id without whitespace,
+/// any span id, and a non-empty path that may hold anything.
+fn arb_trace_context() -> impl Strategy<Value = TraceContext> {
+    ("[!-~é]{1,12}", any::<u64>(), "[ -~\t\né]{1,30}").prop_map(
+        |(query_id, parent_span_id, parent_path)| TraceContext {
+            query_id,
+            parent_path,
+            parent_span_id,
+        },
+    )
+}
+
+/// One line or token of `encoded` dropped, duplicated or cut short:
+/// what a host that mangles a valid attribute sends.
+fn mutations(encoded: &str, at: usize) -> Vec<String> {
+    let mut out = Vec::new();
+    for sep in ['\n', ' '] {
+        let parts: Vec<&str> = encoded.split(sep).collect();
+        let i = at % parts.len();
+        let mut dropped = parts.clone();
+        dropped.remove(i);
+        out.push(dropped.join(&sep.to_string()));
+        let mut doubled = parts.clone();
+        doubled.insert(i, parts[i]);
+        out.push(doubled.join(&sep.to_string()));
+    }
+    let chars: Vec<char> = encoded.chars().collect();
+    out.push(chars[..at % (chars.len() + 1)].iter().collect());
+    out
+}
+
+/// What decodes must re-encode to itself: decoding is a projection.
+fn check_decoders(value: &str) {
+    if let Some(p) = QueryProfile::decode(value) {
+        assert_eq!(QueryProfile::decode(&p.encode()), Some(p), "{value:?}");
+    }
+    if let Some(ctx) = TraceContext::decode(value) {
+        assert_eq!(TraceContext::decode(&ctx.encode()), Some(ctx), "{value:?}");
+    }
+}
+
+/// Cases the properties found. Trailing whitespace used to be trimmed
+/// off a context's path.
+#[test]
+fn timing_attribute_examples() {
+    for parent_path in ["meta.search/dispatch/source ", "K2s@lu,&V]gC$\n"] {
+        let ctx = TraceContext {
+            query_id: "q-1".to_string(),
+            parent_path: parent_path.to_string(),
+            parent_span_id: 3,
+        };
+        assert_eq!(TraceContext::decode(&ctx.encode()), Some(ctx));
+    }
+}
+
 proptest! {
+    /// decode ∘ encode = identity on profiles.
+    #[test]
+    fn query_profile_round_trip(p in arb_profile()) {
+        prop_assert_eq!(QueryProfile::decode(&p.encode()), Some(p));
+    }
+
+    /// decode ∘ encode = identity on trace contexts.
+    #[test]
+    fn trace_context_round_trip(ctx in arb_trace_context()) {
+        prop_assert_eq!(TraceContext::decode(&ctx.encode()), Some(ctx));
+    }
+
+    /// Neither decoder panics on a valid encoding with one line or
+    /// token dropped, duplicated or truncated.
+    #[test]
+    fn timing_decoders_survive_mangled_encodings(
+        p in arb_profile(),
+        ctx in arb_trace_context(),
+        at in any::<usize>(),
+    ) {
+        for value in mutations(&p.encode(), at).iter().chain(&mutations(&ctx.encode(), at)) {
+            check_decoders(value);
+        }
+    }
+
+    /// Neither decoder panics on arbitrary text, printable or not.
+    #[test]
+    fn timing_decoders_are_total(
+        junk in any::<String>(),
+        shaped in "[0-9 \n=a-z-]{0,120}",
+    ) {
+        check_decoders(&junk);
+        check_decoders(&shaped);
+    }
+
     /// `IndexedSummary::lookup` returns the very entry the linear
     /// `ContentSummary::lookup` returns — first admissible section, first
     /// matching word in it — for listed words in either case, absent

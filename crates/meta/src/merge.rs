@@ -610,7 +610,6 @@ mod tests {
                 actual_filter: None,
                 actual_ranking: None,
                 documents: docs,
-                trace: None,
                 profile: None,
             },
             source_weight: 1.0,

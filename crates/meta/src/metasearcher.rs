@@ -10,7 +10,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use starts_net::{Exchange, SimNet, StartsClient};
-use starts_obs::{FlightRecorder, HealthBoard, TraceTree};
+use starts_obs::{FlightRecorder, HealthBoard};
 use starts_proto::{Field, QTerm, Query, QueryProfile, StageCost};
 
 use crate::catalog::Catalog;
@@ -162,8 +162,8 @@ pub struct MetaResponse {
     pub total_cost: f64,
     /// Aggregate accounting from the exchanges that actually happened.
     pub stats: QueryStats,
-    /// The trace id minted for this search; feed it to
-    /// [`Metasearcher::trace_tree`] to stitch the per-query trace.
+    /// The id minted for this search: `profile.query_id`, and the id
+    /// every source saw in the query's `XTraceContext`.
     pub query_id: String,
     /// The hierarchical cost breakdown of this search: client-side
     /// select/adapt/dispatch/merge stages, one `source` stage per
@@ -198,15 +198,6 @@ impl<'n> Metasearcher<'n> {
         query.all_terms().into_iter().map(term_key).collect()
     }
 
-    /// Stitch the trace tree for a finished search out of the span
-    /// ring. Spans from both sides of the `SimNet` boundary — client
-    /// select/adapt/dispatch/merge and host rewrite/translate/execute —
-    /// appear under one root, linked by the trace context the query
-    /// carried over the wire.
-    pub fn trace_tree(&self, query_id: &str) -> TraceTree {
-        TraceTree::build(query_id, &self.net.registry().recent_spans())
-    }
-
     /// Run the full pipeline for one query.
     ///
     /// Plans on the calling thread, then leads one [`wave`]: each
@@ -218,11 +209,11 @@ impl<'n> Metasearcher<'n> {
     /// attempts on a shared pool.
     pub fn search(&self, query: &Query) -> MetaResponse {
         let obs = self.net.registry();
-        let query_id = starts_obs::trace::next_query_id();
+        let query_id = starts_obs::next_query_id();
         // Spans record on drop; the wire-visible QueryProfile keeps its
         // own explicit clock, all offsets relative to `t0`.
         let t0 = Instant::now();
-        let _root = obs.span_with("meta.search", vec![("trace", query_id.clone())]);
+        let _root = obs.span("meta.search");
         obs.counter("meta.searches").inc();
 
         let plan = Arc::new(pipeline::plan(&self.catalog, &self.config, query, obs, t0));
@@ -488,7 +479,7 @@ mod tests {
     }
 
     #[test]
-    fn search_feeds_the_health_board_and_trace_tree() {
+    fn search_feeds_the_health_board_and_query_profile() {
         let net = SimNet::new();
         wire_topical_net(&net);
         let catalog = catalog_for(&net, &["DB", "Food", "Stars"]);
@@ -509,16 +500,22 @@ mod tests {
         assert_eq!(snap.gauge("health.availability", &[("source", "DB")]), 1.0);
         assert!(snap.gauge("health.score", &[("source", "Food")]) > 0.9);
 
-        // Trace: one tree rooted at meta.search, holding the client
-        // phases and, via the wire context, the host-side execution.
+        // Profile: one tree rooted at meta.search, holding the client
+        // phases and, grafted from each answer, the host-side execution.
+        let profile = &resp.profile;
         assert!(resp.query_id.starts_with("q-"));
-        let tree = meta.trace_tree(&resp.query_id);
-        assert_eq!(tree.roots.len(), 1, "{}", tree.render());
-        assert_eq!(tree.roots[0].event.name, "meta.search");
-        let host = tree.find("source.execute").expect("host span in tree");
-        assert_eq!(host.event.parent, "meta.search/dispatch/source");
-        assert!(host.children.iter().any(|c| c.event.name == "rewrite"));
-        assert!(!tree.critical_path_summary().is_empty());
+        assert_eq!(profile.query_id, resp.query_id);
+        assert_eq!(profile.root.name, "meta.search");
+        let host = profile.find("source.execute").expect("host stage grafted");
+        let source = host.meta_value("source").expect("the host names itself");
+        assert!(["DB", "Food", "Stars"].contains(&source), "{source}");
+        assert!(host.children.iter().any(|c| c.name == "rewrite"));
+        assert!(!profile.critical_path_summary().is_empty());
+        // The host's span still parents under the worker across the wire.
+        let spans = net.registry().recent_spans();
+        let host_span = spans.iter().find(|e| e.name == "source.execute");
+        let host_span = host_span.expect("host span recorded");
+        assert_eq!(host_span.parent, "meta.search/dispatch/source");
     }
 
     #[test]

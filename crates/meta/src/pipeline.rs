@@ -6,7 +6,7 @@
 //! * [`run_task`] — the per-source dispatch body: trace-context
 //!   propagation, the wire exchange (cancellable), health recording,
 //!   and the per-worker [`StageCost`] with the host's `XQueryProfile`
-//!   grafted in;
+//!   grafted in when it fits the worker's window;
 //! * [`merge_stage`] — the bounded merge with its dedup accounting.
 //!
 //! [`crate::wave`] composes them into a query's fan-out: which attempt
@@ -220,14 +220,10 @@ pub fn run_task(
     cancel: Option<&CancelToken>,
 ) -> Result<TaskSuccess, TaskError> {
     let obs = client.registry();
-    let span = obs.span_under(
-        "source",
-        parent,
-        vec![("source", task.id.clone()), ("trace", query_id.to_string())],
-    );
+    let span = obs.span_under("source", parent, vec![("source", task.id.clone())]);
     // Thread the trace context through the wire (§4.3 extension
     // attribute): the source's spans parent under this worker span, and
-    // the context echoes back on the results.
+    // it answers with its `XQueryProfile`.
     let mut q = task.query.clone();
     q.trace = Some(TraceContext {
         query_id: query_id.to_string(),
@@ -251,18 +247,17 @@ pub fn run_task(
             );
             // Per-worker stage for the profile. The host's own
             // XQueryProfile (if it sent one) nests under it, rebased
-            // from the host's clock onto ours: the exchange ran inline
-            // inside this window, so the shifted subtree stays
-            // contained.
+            // from the host's clock onto ours, if it fits this window —
+            // an honest host's always does, since the exchange ran
+            // inside it. A misfit is dropped like any malformed
+            // extension attribute (§4.3).
             let mut stage = StageCost::new("source", w_start, w_end.saturating_sub(w_start))
                 .with_meta("source", &task.id)
                 .with_meta("latency_ms", exchange.latency_ms)
                 .with_meta("cost", exchange.cost);
-            if let Some(host) = results.profile.clone() {
-                let mut root = host.root;
-                root.shift(w_start);
-                stage.children.push(root);
-            }
+            let host = results.profile.as_ref().map(|p| p.root.clone());
+            let host = host.and_then(|root| root.rebased(w_start, w_end));
+            stage.children.extend(host);
             Ok(TaskSuccess {
                 result: SourceResult {
                     metadata: Arc::clone(&task.metadata),

@@ -159,7 +159,7 @@ impl Attempt {
         let hedge_span = self
             .hedge
             .then(|| obs.span_under("hedge", &wave.parent, vec![("source", task.id.clone())]));
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let mut outcome = catch_unwind(AssertUnwindSafe(|| {
             pipeline::run_task(
                 client,
                 task,
@@ -176,6 +176,12 @@ impl Attempt {
             Err(TaskError::Failed)
         });
         drop(hedge_span);
+        // Only a winner's stage reaches the profile, so a stage marked
+        // here is the hedge that decided its source.
+        if let (true, Ok(success)) = (self.hedge, &mut outcome) {
+            let stage = &mut success.stage;
+            stage.meta.push(("hedge".to_string(), "1".to_string()));
+        }
         wave.settle(self.index, self.hedge, outcome, obs);
     }
 }

@@ -15,14 +15,12 @@
 //!   a JSON dump ([`export::json`]), and a SOIF-native `@SStats`
 //!   object ([`export::to_soif`]) that round-trips through
 //!   `starts_soif::parse`;
-//! * **Traces** — [`trace::TraceTree`] stitches the span ring back into
-//!   per-query trees (spans carry ids and parent ids, and a
-//!   [`SpanHandle`] can cross threads or the wire), with critical-path
-//!   extraction and a JSONL sink;
 //! * **Flight recorder** — [`FlightRecorder`] keeps the last N
-//!   per-query cost profiles (`starts_proto::QueryProfile`) in a
-//!   bounded ring, captures queries over a rolling p99 or an absolute
-//!   budget into a JSONL slow-log, and exports `recorder.*` gauges;
+//!   per-query cost profiles (`starts_proto::QueryProfile`, the one
+//!   per-query tree, with its critical path) in a bounded ring, captures
+//!   queries over a rolling p99 or an absolute budget into a JSONL
+//!   slow-log, and exports `recorder.*` gauges; [`next_query_id`] mints
+//!   the ids profiles carry;
 //! * **Health** — a rolling per-source [`health::HealthBoard`]
 //!   (availability, error rate, timeouts, latency quantiles, score)
 //!   that exports as plain gauges so every exporter carries it;
@@ -45,7 +43,6 @@ pub mod monitor;
 pub mod profile;
 pub mod registry;
 pub mod span;
-pub mod trace;
 
 pub use health::{HealthBoard, SourceHealth, SourceOutcome};
 pub use metrics::{Counter, Gauge, Histogram};
@@ -53,9 +50,8 @@ pub use monitor::{
     AlertState, AlertStatus, AlertsSnapshot, Clock, ManualClock, MetricStore, Monitor,
     MonitorConfig, SloSpec, SloStatus, SystemClock,
 };
-pub use profile::FlightRecorder;
+pub use profile::{next_query_id, FlightRecorder};
 pub use registry::{
     Collector, CounterSnapshot, GaugeSnapshot, HistogramSnapshot, MetricId, Registry, Snapshot,
 };
 pub use span::{AdoptedSpan, Span, SpanEvent, SpanHandle};
-pub use trace::{TraceNode, TraceTree};

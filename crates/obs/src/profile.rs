@@ -12,8 +12,8 @@
 //!   budget is copied to a separate slow ring
 //!   ([`FlightRecorder::drain_slow`]) and appended, one JSON object per
 //!   line, to an optional slow-log file — crash-tolerant by
-//!   construction, because each line is self-contained and
-//!   [`crate::trace::read_jsonl`]-style readers skip torn tails,
+//!   construction, because each line is self-contained and a reader can
+//!   skip a torn tail,
 //! * **export**: [`FlightRecorder::export_to`] publishes `recorder.*`
 //!   gauges into a [`Registry`] — at snapshot time, once the recorder
 //!   is registered as a [`Collector`] — so `/stats`, Prometheus, and
@@ -39,6 +39,12 @@ const SLOW_CAPACITY: usize = 64;
 /// Recorded queries required before the rolling-p99 trigger arms (an
 /// empty distribution flags everything; a tiny one flags noise).
 pub const P99_WARMUP: u64 = 32;
+
+/// Mint a process-unique query id for a profile (`q-000001`, …).
+pub fn next_query_id() -> String {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    format!("q-{:06}", NEXT.fetch_add(1, Ordering::Relaxed))
+}
 
 /// A bounded recorder of recent query profiles with slow-query capture.
 ///
@@ -268,6 +274,12 @@ mod tests {
             query_id: id.to_string(),
             root,
         }
+    }
+
+    #[test]
+    fn query_ids_are_unique_and_ordered() {
+        let (a, b) = (next_query_id(), next_query_id());
+        assert!(a.starts_with("q-") && a < b, "{a} then {b}");
     }
 
     #[test]

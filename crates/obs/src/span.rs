@@ -7,9 +7,9 @@
 //! bounded ring of recent [`SpanEvent`]s for inspection.
 //!
 //! Every span carries a process-unique numeric id and its parent's id,
-//! so a flat list of [`SpanEvent`]s reconstructs into a tree (see
-//! [`crate::trace`]) even when the same path occurs many times — e.g.
-//! one `meta.search/dispatch/source` per contacted source.
+//! so the ring tells apart spans that share a path — e.g. one
+//! `meta.search/dispatch/source` per contacted source. A query's own
+//! tree is its `starts_proto::QueryProfile`, not the ring.
 //!
 //! Fan-out workers run on other threads, where the thread-local stack
 //! is empty; they use [`crate::Registry::span_under`] with the parent's

@@ -158,7 +158,8 @@ pub struct ServeResponse {
     pub completeness: Vec<SourceCompleteness>,
     /// `true` when the deadline expired before every source answered.
     pub partial: bool,
-    /// The trace id minted for the wave that produced this answer.
+    /// The query id minted for the wave that produced this answer (its
+    /// profile's `query_id`).
     pub query_id: String,
 }
 
@@ -319,9 +320,8 @@ impl Server {
         let inner = &self.inner;
         let obs = inner.net.registry();
         obs.counter("serve.requests").inc();
-        let query_id = starts_obs::trace::next_query_id();
         let t0 = Instant::now();
-        let root = obs.span_with("serve.query", vec![("trace", query_id.clone())]);
+        let root = obs.span("serve.query");
 
         // Plan here: selection and adaptation are wire-free, and the
         // cache key needs the selected source set.
@@ -343,7 +343,7 @@ impl Server {
                     key,
                     deadline_ms,
                     slot: Arc::clone(&slot),
-                    query_id,
+                    query_id: starts_obs::next_query_id(),
                     root: root.handle(),
                     t0,
                     enqueued_us: elapsed_us(t0),

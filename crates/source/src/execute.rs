@@ -83,13 +83,12 @@ impl SourceInstruments {
 ///
 /// When the query carries a trace context (the `XTraceContext`
 /// extension attribute, §4.3), the `source.execute` span parents under
-/// the metasearcher's dispatching span and is tagged with the query id,
-/// so both sides of the wire stitch into one trace tree — and the
-/// context is echoed back on the results, together with an
+/// the metasearcher's dispatching span, and the results carry an
 /// `XQueryProfile` extension attribute breaking the host-side cost into
 /// rewrite/translate/execute stages (per-shard search latencies and
-/// prune counters included). Untraced queries get neither attribute, so
-/// their encodings stay byte-identical to the paper's examples.
+/// prune counters included) under the context's query id. Untraced
+/// queries get no attribute, so their encodings stay byte-identical to
+/// the paper's examples.
 pub fn execute_traced(source: &Source, query: &Query, obs: Option<&Registry>) -> QueryResults {
     match obs {
         Some(reg) => execute_instrumented(source, query, reg, &source.instruments(reg)),
@@ -123,19 +122,16 @@ fn run(
     let elapsed_us = |t0: Instant| t0.elapsed().as_micros() as u64;
     let _root = observed.map(|(reg, instruments)| {
         instruments.queries.inc();
+        let fields = vec![("source", source.id().to_string())];
         match &query.trace {
-            Some(ctx) => reg.span_under(
-                "source.execute",
-                &starts_obs::SpanHandle {
+            Some(ctx) => {
+                let parent = starts_obs::SpanHandle {
                     path: ctx.parent_path.clone(),
                     id: ctx.parent_span_id,
-                },
-                vec![
-                    ("source", source.id().to_string()),
-                    ("trace", ctx.query_id.clone()),
-                ],
-            ),
-            None => reg.span_with("source.execute", vec![("source", source.id().to_string())]),
+                };
+                reg.span_under("source.execute", &parent, fields)
+            }
+            None => reg.span_with("source.execute", fields),
         }
     });
     let engine = source.engine();
@@ -316,7 +312,6 @@ fn run(
         actual_filter: rewritten.filter,
         actual_ranking: rewritten.ranking,
         documents,
-        trace: query.trace.clone(),
         profile,
     }
 }

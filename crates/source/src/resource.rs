@@ -79,7 +79,6 @@ impl ResourceHost {
             actual_filter: None,
             actual_ranking: None,
             documents: Vec::new(),
-            trace: query.trace.clone(),
             profile: None,
         };
         // Deduplicate by linkage; documents without a linkage cannot be

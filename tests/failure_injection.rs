@@ -10,7 +10,7 @@ use starts::meta::catalog::Catalog;
 use starts::meta::metasearcher::{MetaConfig, Metasearcher};
 use starts::net::{host::wire_source, LinkProfile, SimNet, StartsClient};
 use starts::proto::query::parse_ranking;
-use starts::proto::Query;
+use starts::proto::{Query, QueryProfile};
 use starts::source::{Source, SourceConfig};
 
 fn good_source(net: &SimNet, id: &str, word: &str) -> String {
@@ -147,6 +147,59 @@ fn half_garbled_result_stream_is_rejected_whole() {
     });
     assert_eq!(resp.per_source.len(), 1);
     assert_eq!(resp.merged[0].sources, vec!["Whole".to_string()]);
+}
+
+#[test]
+fn hostile_query_profile_is_dropped_not_a_failed_source() {
+    // A host whose `XQueryProfile` claims a stage starting at u64::MAX:
+    // the answer is good, only the extension attribute is not. Grafting
+    // it would overflow the rebase onto the client's clock, so it is
+    // dropped (§4.3) and the source's documents still count.
+    let net = SimNet::new();
+    good_source(&net, "Liar", "word");
+    let hostile = {
+        let docs = vec![Document::new()
+            .field("body-of-text", "word word word")
+            .field("linkage", "http://liar/doc")];
+        let source = Source::build(SourceConfig::new("Liar"), &docs);
+        let q = Query {
+            ranking: Some(parse_ranking(r#"list((body-of-text "word"))"#).unwrap()),
+            ..Query::default()
+        };
+        let mut results = source.execute(&q);
+        results.profile = QueryProfile::decode("q-1\n0 18446744073709551615 5 x");
+        assert!(results.profile.is_some(), "the hostile value decodes");
+        results.to_soif_stream()
+    };
+    net.register(
+        "starts://liar/query",
+        LinkProfile::default(),
+        Arc::new(move |_: &[u8]| hostile.clone()),
+    );
+    let catalog = discover(&net, &["Liar"]);
+    let meta = Metasearcher::new(&net, catalog, MetaConfig::default());
+    net.registry().reset();
+    let resp = meta.search(&Query {
+        ranking: Some(parse_ranking(r#"list((body-of-text "word"))"#).unwrap()),
+        ..Query::default()
+    });
+    assert_eq!(resp.per_source.len(), 1, "the answer was kept");
+    assert_eq!(resp.merged[0].linkage, "http://liar/doc");
+    let snap = net.registry().snapshot();
+    assert_eq!(
+        snap.counter("meta.dispatch.panics", &[("source", "Liar")]),
+        0
+    );
+    assert_eq!(
+        snap.counter("meta.dispatch.failures", &[("source", "Liar")]),
+        0
+    );
+    assert!(resp.profile.is_consistent(), "{}", resp.profile.render());
+    let worker = resp.profile.find("source").expect("the worker stage");
+    assert!(
+        worker.children.is_empty(),
+        "the hostile subtree is not grafted"
+    );
 }
 
 #[test]

@@ -214,7 +214,6 @@ fn example_8_results() -> QueryResults {
             doc_size_kb: 248,
             doc_count: 10213,
         }],
-        trace: None,
         profile: None,
     }
 }

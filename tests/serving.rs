@@ -21,7 +21,7 @@ use starts::meta::merge::{MergedDoc, Merger, NormalizedMerge, SourceResult};
 use starts::meta::metasearcher::{MetaConfig, Metasearcher, QueryStats};
 use starts::net::{host::wire_source, LinkProfile, SimNet, StartsClient};
 use starts::proto::query::{parse_filter, parse_ranking};
-use starts::proto::{Query, QueryProfile};
+use starts::proto::{Query, QueryProfile, StageCost};
 use starts::serve::{
     HedgeConfig, ServeConfig, ServeError, ServeOutcome, Served, Server, SourceStatus,
 };
@@ -634,6 +634,19 @@ fn hedged_dispatch_races_a_replica_and_cancels_the_loser() {
     assert!(!resp.partial);
     assert!(!resp.merged.is_empty());
     assert_eq!(resp.completeness[0].status, SourceStatus::Complete);
+    // The profile says which attempt decided the source: the winning
+    // `DB` stage, and no other, is marked as the hedge.
+    fn hedged(stage: &StageCost, out: &mut Vec<String>) {
+        if let Some(flag) = stage.meta_value("hedge") {
+            let source = stage.meta_value("source").unwrap_or("");
+            out.push(format!("{}:{source}:{flag}", stage.name));
+        }
+        stage.children.iter().for_each(|c| hedged(c, out));
+    }
+    let mut marked = Vec::new();
+    let wave = outcome.wave.as_ref().expect("led a wave");
+    hedged(&wave.profile.root, &mut marked);
+    assert_eq!(marked, ["source:DB:1"], "{}", wave.profile.render());
 
     // The cancelled primary is counted by its dispatch worker, once it
     // notices: joining the pool orders that before the reading.

@@ -1,6 +1,7 @@
 //! The work budget: what the serving layer's cached path costs, in
-//! counts that repeat from run to run on any machine — heap bytes held
-//! and allocator calls — checked against the values in `BUDGET.json`.
+//! counts that repeat from run to run on any machine — heap bytes held,
+//! allocator calls, bytes on the wire and spans closed — checked against
+//! the values in `BUDGET.json`.
 //!
 //! The binary installs a counting global allocator and holds exactly one
 //! test, so nothing else in the process allocates while it measures.
@@ -168,6 +169,16 @@ fn check(name: &str, measured: f64) {
     );
 }
 
+/// Spans closed so far on the net's registry, every path counted.
+fn spans_closed(net: &SimNet) -> u64 {
+    let snap = net.registry().snapshot();
+    let spans = snap
+        .histograms
+        .iter()
+        .filter(|h| h.id.name == "span.duration_us");
+    spans.map(|h| h.count).sum()
+}
+
 /// Wait until the query pool has finished its last wave's bookkeeping.
 fn settle(net: &SimNet) {
     let patience = Instant::now();
@@ -206,6 +217,7 @@ fn the_cached_path_stays_within_its_budget() {
     // Every query once: each leads a wave and leaves its answer cached.
     // A miss is counted on every thread it touches — caller, query
     // worker, dispatch workers, the hosts behind the net.
+    let (spans_before, net_before) = (spans_closed(&net), net.stats());
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     for query in &queries {
         let outcome = server.search(query).expect("served");
@@ -213,6 +225,9 @@ fn the_cached_path_stays_within_its_budget() {
     }
     settle(&net);
     let misses = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let (spans, net_after) = (spans_closed(&net) - spans_before, net.stats());
+    let wire_bytes = (net_after.bytes_sent + net_after.bytes_received)
+        - (net_before.bytes_sent + net_before.bytes_received);
     assert_eq!(server.cached_responses(), queries.len());
 
     // Every query again: each is a hit, answered on this thread.
@@ -237,4 +252,6 @@ fn the_cached_path_stays_within_its_budget() {
     );
     check("serve.hit.allocations_per_request", hits as f64 / n);
     check("serve.miss.allocations_per_request", misses as f64 / n);
+    check("serve.miss.wire_bytes_per_request", wire_bytes as f64 / n);
+    check("serve.miss.spans_per_request", spans as f64 / n);
 }
