@@ -293,11 +293,12 @@ fn main() {
         );
     }
     println!(
-        "postings memory: {} lists, {} postings; {} B positional arena, \
-         {} B bit-packed blocks ({} B with positions retired)",
+        "postings memory: {} lists, {} postings; {} B positional frames, \
+         {} B stored fields, {} B bit-packed blocks ({} B with positions retired)",
         footprint.lists,
         footprint.postings,
         footprint.positional_bytes,
+        footprint.stored_bytes,
         footprint.block_bytes,
         footprint_none.block_bytes
     );

@@ -54,7 +54,7 @@ pub const EXHAUSTED: u32 = u32::MAX;
 
 /// Zero bytes appended after the last frame so the u64-word decoder can
 /// always load a full word at the tail of the final section.
-const PAD_BYTES: usize = 8;
+pub(crate) const PAD_BYTES: usize = 8;
 
 /// The uncompressed per-block header: everything a cursor may read
 /// without decoding the block.
@@ -90,60 +90,100 @@ fn packed_byte_len(count: usize, width: u32) -> usize {
 
 /// Bits needed to represent `v` (0 for 0).
 #[inline]
-fn bits_for(v: u32) -> u32 {
+pub(crate) fn bits_for(v: u32) -> u32 {
     32 - v.leading_zeros()
 }
 
 impl BlockPostings {
     /// Encode a posting list given as `(doc, tf)` pairs with strictly
-    /// increasing doc ids below [`EXHAUSTED`].
+    /// increasing doc ids below [`EXHAUSTED`]: one
+    /// [`BlockPostings::push_block`] per [`BLOCK_DOCS`] chunk, then
+    /// [`BlockPostings::finish`].
     ///
     /// # Panics
     /// Panics (debug builds) when doc ids are not strictly increasing.
     pub fn encode(postings: &[(u32, u32)]) -> Self {
-        let mut headers = Vec::with_capacity(postings.len().div_ceil(BLOCK_DOCS));
-        let mut data = Vec::new();
-        let mut prev = 0u32;
-        let mut first = true;
-        let mut sum_tf = 0u64;
-        let mut gaps = [0u32; BLOCK_DOCS];
+        let mut list = BlockPostings::default();
+        let mut docs = [0u32; BLOCK_DOCS];
         let mut tfs = [0u32; BLOCK_DOCS];
         for chunk in postings.chunks(BLOCK_DOCS) {
-            let offset = u32::try_from(data.len()).expect("block data exceeds u32 offsets");
-            let mut doc_bits = 0u32;
-            let mut tf_bits = 0u32;
             for (i, &(doc, tf)) in chunk.iter().enumerate() {
-                debug_assert!(
-                    doc < EXHAUSTED && (first && doc >= prev || doc > prev),
-                    "doc ids must be strictly increasing and below u32::MAX"
-                );
-                gaps[i] = doc - prev;
+                docs[i] = doc;
                 tfs[i] = tf;
-                doc_bits = doc_bits.max(bits_for(gaps[i]));
-                tf_bits = tf_bits.max(bits_for(tf));
-                sum_tf += u64::from(tf);
-                prev = doc;
-                first = false;
             }
-            pack_bits(&mut data, &gaps[..chunk.len()], doc_bits);
-            pack_bits(&mut data, &tfs[..chunk.len()], tf_bits);
-            headers.push(BlockHeader {
-                max_doc: prev,
-                count: chunk.len() as u16,
-                doc_bits: doc_bits as u8,
-                tf_bits: tf_bits as u8,
-                offset,
-            });
+            list.push_block(&docs[..chunk.len()], &tfs[..chunk.len()]);
         }
-        if !headers.is_empty() {
-            data.extend_from_slice(&[0u8; PAD_BYTES]);
+        list.finish();
+        list
+    }
+
+    /// Append one block of `1..=BLOCK_DOCS` postings, given as parallel
+    /// doc and tf columns. Doc ids continue strictly increasing from the
+    /// previous block's last; every block but the last must be full
+    /// (posting ordinals are `block * BLOCK_DOCS + i`). This is how the
+    /// index builder freezes a list block by block as it fills.
+    ///
+    /// # Panics
+    /// Panics (debug builds) on an empty, oversized or ragged block, or
+    /// when doc ids are not strictly increasing.
+    pub fn push_block(&mut self, docs: &[u32], tfs: &[u32]) {
+        debug_assert!(
+            !docs.is_empty() && docs.len() <= BLOCK_DOCS && docs.len() == tfs.len(),
+            "a block holds 1..=BLOCK_DOCS postings"
+        );
+        debug_assert!(
+            self.headers
+                .last()
+                .is_none_or(|h| usize::from(h.count) == BLOCK_DOCS),
+            "only the last block may be partial"
+        );
+        let offset = u32::try_from(self.data.len()).expect("block data exceeds u32 offsets");
+        let (mut prev, mut first) = match self.headers.last() {
+            Some(h) => (h.max_doc, false),
+            None => (0, true),
+        };
+        let mut gaps = [0u32; BLOCK_DOCS];
+        let mut doc_bits = 0u32;
+        let mut tf_bits = 0u32;
+        for (i, (&doc, &tf)) in docs.iter().zip(tfs).enumerate() {
+            debug_assert!(
+                doc < EXHAUSTED && (first && doc >= prev || doc > prev),
+                "doc ids must be strictly increasing and below u32::MAX"
+            );
+            gaps[i] = doc - prev;
+            doc_bits = doc_bits.max(bits_for(gaps[i]));
+            tf_bits = tf_bits.max(bits_for(tf));
+            self.sum_tf += u64::from(tf);
+            prev = doc;
+            first = false;
         }
-        BlockPostings {
-            headers,
-            data,
-            len: postings.len() as u64,
-            sum_tf,
+        // Room for the tail pad too: a one-block list then seals
+        // without another reallocation.
+        self.data.reserve(
+            packed_byte_len(docs.len(), doc_bits)
+                + packed_byte_len(docs.len(), tf_bits)
+                + PAD_BYTES,
+        );
+        pack_bits(&mut self.data, &gaps[..docs.len()], doc_bits);
+        pack_bits(&mut self.data, tfs, tf_bits);
+        self.headers.push(BlockHeader {
+            max_doc: prev,
+            count: docs.len() as u16,
+            doc_bits: doc_bits as u8,
+            tf_bits: tf_bits as u8,
+            offset,
+        });
+        self.len += docs.len() as u64;
+    }
+
+    /// Seal the list after its last [`BlockPostings::push_block`]:
+    /// append the decoder's tail pad and release spare capacity.
+    pub fn finish(&mut self) {
+        if !self.headers.is_empty() {
+            self.data.extend_from_slice(&[0u8; PAD_BYTES]);
         }
+        self.headers.shrink_to_fit();
+        self.data.shrink_to_fit();
     }
 
     /// Reassemble a list from raw parts *without validation* — the entry
@@ -158,6 +198,14 @@ impl BlockPostings {
             len,
             sum_tf: 0,
         }
+    }
+
+    /// The encoded headers and frame bytes (tail pad included) — the
+    /// inverse of [`BlockPostings::from_raw_parts`], for byte-level
+    /// comparisons of encoders.
+    #[doc(hidden)]
+    pub fn raw_parts(&self) -> (&[BlockHeader], &[u8]) {
+        (&self.headers, &self.data)
     }
 
     /// Total postings across all blocks.
@@ -201,7 +249,7 @@ impl BlockPostings {
 
     /// Decode only block `b`'s doc ids (gap unpack + prefix sum). The
     /// cursor uses this on every landing block and defers
-    /// [`BlockPostings::decode_block_tfs`] until a tf is actually read
+    /// [`BlockPostings::decode_block_tfs_range`] until a tf is actually read
     /// — blocks that are bounded out never pay for their tf section.
     pub(crate) fn decode_block_docs(&self, b: usize, docs: &mut Vec<u32>) {
         docs.clear();
@@ -244,15 +292,35 @@ impl BlockPostings {
     /// [`BlockPostings::decode_block_tfs`] into caller-provided scratch
     /// of at least the block's count.
     pub(crate) fn decode_block_tfs_into(&self, b: usize, tfs: &mut [u32]) {
+        self.decode_block_tfs_range(b, 0, usize::from(self.headers[b].count), tfs);
+    }
+
+    /// Decode block `b`'s term frequencies `start..end` into
+    /// `tfs[start..end]`. `start` must be a multiple of 8: eight values
+    /// at any width end on a byte boundary, so the range starts on one.
+    pub(crate) fn decode_block_tfs_range(
+        &self,
+        b: usize,
+        start: usize,
+        end: usize,
+        tfs: &mut [u32],
+    ) {
+        debug_assert!(start.is_multiple_of(8) && start <= end);
         let h = self.headers[b];
-        let count = usize::from(h.count);
-        let base = h.offset as usize + packed_byte_len(count, h.doc_bits.into());
-        unpack_bits(
-            &self.data[base..],
-            count,
-            h.tf_bits.into(),
-            &mut tfs[..count],
-        );
+        let width = u32::from(h.tf_bits);
+        let base = h.offset as usize
+            + packed_byte_len(h.count.into(), h.doc_bits.into())
+            + packed_byte_len(start, width);
+        unpack_bits(&self.data[base..], end - start, width, &mut tfs[start..end]);
+    }
+
+    /// Where posting `i` of block `b` sits in the block's positional
+    /// frame: the sum of the term frequencies before it, and its own.
+    /// Decodes only the first `i + 1` tfs.
+    pub(crate) fn tf_prefix(&self, b: usize, i: usize) -> (usize, u32) {
+        let mut tfs = [0u32; BLOCK_DOCS];
+        self.decode_block_tfs_range(b, 0, i + 1, &mut tfs);
+        (tfs[..i].iter().map(|&tf| tf as usize).sum(), tfs[i])
     }
 
     /// Lenient decode of block `b`: validates the header against the
@@ -300,7 +368,7 @@ impl BlockPostings {
 }
 
 /// Append `values` to `out`, packed at `width` bits each, LSB-first.
-fn pack_bits(out: &mut Vec<u8>, values: &[u32], width: u32) {
+pub(crate) fn pack_bits(out: &mut Vec<u8>, values: &[u32], width: u32) {
     if width == 0 {
         return;
     }
@@ -472,12 +540,19 @@ pub struct BlockCursor<'a> {
     /// doc far more often than they move.
     cur: u32,
     docs: Vec<u32>,
+    /// The current block's frequencies, valid up to `tfs_decoded`. Doc
+    /// ids are decoded on every landing block; the tf section only as
+    /// far as a read needs it — all of it on the first
+    /// [`BlockCursor::tf`], up to the posting for a positional read —
+    /// so blocks that are bounded out never pay the second unpack.
     tfs: Vec<u32>,
-    /// Whether `tfs` holds the current block's frequencies. Doc ids are
-    /// decoded on every landing block; the tf section only when
-    /// [`BlockCursor::tf`] is first called on it, so blocks that are
-    /// bounded out never pay the second unpack.
-    tfs_valid: bool,
+    /// A multiple of 8, or the block's count.
+    tfs_decoded: usize,
+    /// Running `tfs[..tf_prefix_pos]` sum for [`BlockCursor::frame_span`]:
+    /// the cursor only moves forward within a block, so successive
+    /// positional reads extend the sum instead of redoing it.
+    tf_prefix_pos: usize,
+    tf_prefix: usize,
     blocks_skipped: u64,
     visited: u64,
 }
@@ -502,7 +577,9 @@ impl<'a> BlockCursor<'a> {
             cur: EXHAUSTED,
             docs: Vec::new(),
             tfs: Vec::new(),
-            tfs_valid: false,
+            tfs_decoded: 0,
+            tf_prefix_pos: 0,
+            tf_prefix: 0,
             blocks_skipped: 0,
             visited: 0,
         };
@@ -536,10 +613,7 @@ impl<'a> BlockCursor<'a> {
     /// # Panics
     /// Panics when the cursor is exhausted.
     pub fn tf(&mut self) -> u32 {
-        if !self.tfs_valid {
-            self.list.decode_block_tfs(self.block, &mut self.tfs);
-            self.tfs_valid = true;
-        }
+        self.decode_tfs();
         self.tfs[self.pos]
     }
 
@@ -558,8 +632,7 @@ impl<'a> BlockCursor<'a> {
             self.block += 1;
             self.pos = 0;
             if self.block < self.list.n_blocks() {
-                self.list.decode_block_docs(self.block, &mut self.docs);
-                self.tfs_valid = false;
+                self.land();
             }
         }
         self.settle();
@@ -594,8 +667,7 @@ impl<'a> BlockCursor<'a> {
                 self.cur = EXHAUSTED;
                 return;
             }
-            self.list.decode_block_docs(self.block, &mut self.docs);
-            self.tfs_valid = false;
+            self.land();
         }
         // Gallop from the current posting before bisecting: most seeks
         // are short hops (the next posting, a neighbour's doc), which
@@ -622,11 +694,65 @@ impl<'a> BlockCursor<'a> {
     }
 
     /// Index of the current posting within the whole list — what
-    /// [`crate::PostingsList::positions_at`] takes. Every block but the
-    /// last is full, so it is the block index scaled plus the in-block
-    /// position. Meaningless once exhausted.
+    /// [`crate::PostingsList::positions_into`] takes. Every block but
+    /// the last is full, so it is the block index scaled plus the
+    /// in-block position. Meaningless once exhausted.
     pub fn ordinal(&self) -> usize {
         self.block * BLOCK_DOCS + self.pos
+    }
+
+    /// Where the current posting's values sit in the positional frames:
+    /// its block, the sum of the term frequencies before it in the
+    /// block, and its own. Extends a running sum over the tfs the cursor
+    /// already decoded; a block whose tfs nobody read yet is asked
+    /// through [`BlockPostings::tf_prefix`], which decodes no further
+    /// than the posting.
+    ///
+    /// # Panics
+    /// Panics when the cursor is exhausted.
+    pub(crate) fn frame_span(&mut self) -> (usize, usize, u32) {
+        self.decode_tfs_to(self.pos + 1);
+        let skipped = &self.tfs[self.tf_prefix_pos..self.pos];
+        self.tf_prefix += skipped.iter().map(|&tf| tf as usize).sum::<usize>();
+        self.tf_prefix_pos = self.pos;
+        (self.block, self.tf_prefix, self.tfs[self.pos])
+    }
+
+    /// Decode the doc ids of the block the cursor just moved to, and
+    /// forget the previous block's tfs.
+    fn land(&mut self) {
+        self.list.decode_block_docs(self.block, &mut self.docs);
+        self.tfs_decoded = 0;
+        self.tf_prefix_pos = 0;
+        self.tf_prefix = 0;
+    }
+
+    /// Decode the whole of the current block's tf section unless already
+    /// done.
+    #[inline]
+    fn decode_tfs(&mut self) {
+        self.decode_tfs_to(self.docs.len());
+    }
+
+    /// Decode the current block's tfs at least up to `end`: the first
+    /// read of a block decodes the whole 8-value groups it needs, any
+    /// later one the rest of the block.
+    #[inline]
+    fn decode_tfs_to(&mut self, end: usize) {
+        if end > self.tfs_decoded {
+            if self.tfs.is_empty() {
+                self.tfs.resize(BLOCK_DOCS, 0);
+            }
+            let count = self.docs.len();
+            let end = if self.tfs_decoded == 0 {
+                end.next_multiple_of(8).min(count)
+            } else {
+                count
+            };
+            self.list
+                .decode_block_tfs_range(self.block, self.tfs_decoded, end, &mut self.tfs);
+            self.tfs_decoded = end;
+        }
     }
 
     /// Last doc id of the current block (the header fence post).
@@ -705,11 +831,8 @@ impl<'a> BlockCursor<'a> {
     /// # Panics
     /// Panics when the cursor is exhausted.
     pub fn remaining_in_block(&mut self) -> (&[u32], &[u32]) {
-        if !self.tfs_valid {
-            self.list.decode_block_tfs(self.block, &mut self.tfs);
-            self.tfs_valid = true;
-        }
-        (&self.docs[self.pos..], &self.tfs[self.pos..])
+        self.decode_tfs();
+        (&self.docs[self.pos..], &self.tfs[self.pos..self.docs.len()])
     }
 
     /// Step `m` postings forward within the current block — `m` at most
@@ -724,8 +847,7 @@ impl<'a> BlockCursor<'a> {
             self.block += 1;
             self.pos = 0;
             if self.block < self.list.n_blocks() {
-                self.list.decode_block_docs(self.block, &mut self.docs);
-                self.tfs_valid = false;
+                self.land();
             }
         }
         self.settle();

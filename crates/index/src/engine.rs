@@ -1269,16 +1269,13 @@ impl Engine {
                     .as_ref()
                     .zip(single)
                     .and_then(|(b, (field, key))| {
-                        let tid = self.index.term_id(&key)?;
-                        Some((field, tid, b.get(field, tid)?))
+                        let slot = self.index.slot(field, &key)?;
+                        Some((slot, b.get(slot)?))
                     });
-                ctx.bound = self.leaf_bound(&ctx, keyed.map(|(_, _, entry)| entry));
-                if let Some((field, tid, entry)) = keyed {
+                ctx.bound = self.leaf_bound(&ctx, keyed.map(|(_, entry)| entry));
+                if let Some((slot, entry)) = keyed {
                     if ctx.bound.is_finite() && !ctx.postings.is_empty() {
-                        ctx.blocks = self
-                            .index
-                            .postings_by_id(field, tid)
-                            .map(PostingsList::blocks);
+                        ctx.blocks = Some(self.index.list(slot).blocks());
                         ctx.block_max = &entry.block_max;
                     }
                 }
@@ -1979,7 +1976,7 @@ fn compute_term_bounds(
         None => (index.n_docs(), index.avg_doc_tokens()),
     };
     let mut out = TermBounds::default();
-    for (field, tid, term, postings) in index.all_postings() {
+    for (field, term, postings) in index.all_postings() {
         let df = match collection {
             Some(c) => c.df(field, term),
             None => postings.len() as u32,
@@ -2021,7 +2018,7 @@ fn compute_term_bounds(
         if in_block > 0 {
             block_max.push(bmax);
         }
-        out.insert(field, tid, min, block_max);
+        out.push(min, block_max);
     }
     out
 }

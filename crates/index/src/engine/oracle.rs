@@ -150,7 +150,7 @@ impl Engine {
         for key in keys {
             if let Some(postings) = self.index.postings(field, key) {
                 if let Some((i, _)) = postings.find(doc) {
-                    pos.extend_from_slice(postings.positions_at(i));
+                    postings.positions_into(i, &mut pos);
                 }
             }
         }

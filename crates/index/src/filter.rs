@@ -58,7 +58,7 @@ enum Kind<'a> {
 }
 
 /// The union of one term's resolved vocabulary keys, each walked by its
-/// own block cursor. Positions are read by the cursor's own ordinal.
+/// own block cursor. Positions are read at the cursor's own posting.
 struct KeyUnion<'a> {
     cursors: Vec<(BlockCursor<'a>, &'a PostingsList)>,
 }
@@ -88,19 +88,18 @@ impl<'a> KeyUnion<'a> {
     }
 
     /// Sorted positions of the term in `doc` (which must be the current
-    /// frontier): the one key's own slice, or every key's merged
-    /// through `buf`.
-    fn positions<'b>(&'b self, doc: u32, buf: &'b mut Vec<u32>) -> &'b [u32] {
-        if let [(c, list)] = self.cursors.as_slice() {
-            return list.positions_at(c.ordinal());
-        }
+    /// frontier), decoded into `buf`: the one key's, or every key's
+    /// merged.
+    fn positions<'b>(&mut self, doc: u32, buf: &'b mut Vec<u32>) -> &'b [u32] {
         buf.clear();
-        for (c, list) in &self.cursors {
+        for (c, list) in &mut self.cursors {
             if c.doc() == doc {
-                buf.extend_from_slice(list.positions_at(c.ordinal()));
+                list.cursor_positions_into(c, buf);
             }
         }
-        buf.sort_unstable();
+        if self.cursors.len() > 1 {
+            buf.sort_unstable();
+        }
         buf
     }
 }

@@ -1,17 +1,25 @@
 //! The inverted index and its builder.
 //!
-//! Since the block codec became the primary doc/tf store, a posting
-//! list is a [`BlockPostings`] stream (always present, always what
-//! search evaluates) plus an optional *positional arena* — a compact
-//! `offsets`/`positions` pair consulted only by `prox` and stats
-//! reporting. Engines whose queries can never reach `prox` build with
-//! [`PositionsMode::None`] and store no positions at all.
+//! A posting list is a [`BlockPostings`] stream (always present, always
+//! what search evaluates) plus an optional *positional arena* consulted
+//! only by `prox`: one bit-packed frame of token positions per 128-doc
+//! block, in the same FOR codec as the doc/tf frames. Engines whose
+//! queries can never reach `prox` build with [`PositionsMode::None`] and
+//! store no positions at all.
+//!
+//! The builder freezes as it goes: a list keeps only its open block
+//! uncompressed, and encodes it (doc/tf frame and positional frame) the
+//! moment a document arrives for a full one; [`IndexBuilder::build`]
+//! only flushes the tails. Stored field values live in one text buffer
+//! per index, fenced by a small field table. Every `(field, term)` key
+//! has one dense slot, which indexes both the lists and the engine's
+//! [`TermBounds`].
 
 use std::collections::{BTreeSet, HashMap};
 
 use starts_text::{Analyzer, LangTag};
 
-use crate::blocks::{BlockPostings, BLOCK_DOCS};
+use crate::blocks::{bits_for, pack_bits, BlockCursor, BlockPostings, BLOCK_DOCS, PAD_BYTES};
 use crate::doc::{DocId, Document};
 use crate::schema::{FieldId, Schema, ANY_FIELD};
 
@@ -38,25 +46,92 @@ pub enum PositionsMode {
     None,
 }
 
-/// The positional arena of one posting list: all position lists
-/// back-to-back in one `u32` buffer, fenced by `offsets` (one entry per
-/// posting plus a final end fence). Replaces the former per-posting
-/// `Vec<u32>` representation at a fraction of the memory.
+/// Where one block's positional frame starts in
+/// [`PositionalArena::data`], and the bit width of its values.
+#[derive(Debug, Clone, Copy)]
+struct PositionFrame {
+    offset: u32,
+    bits: u8,
+}
+
+/// The positional arena of one posting list: one frame per block of
+/// the list's [`BlockPostings`], each holding the block's positions
+/// posting by posting — the first position of a posting absolute, the
+/// rest as gaps from the one before — bit-packed at the frame's widest
+/// value. A posting's values start at the sum of the tfs before it in
+/// its block, so the arena needs no per-posting offsets.
+///
+/// ```text
+/// frames: [ {offset, bits} ; B ]
+/// data:   [ frame 0 | frame 1 | … | frame B-1 | pad ]
+/// frame b: [ p0, p1-p0, …, (next posting) q0, q1-q0, … ] @ bits
+/// ```
 #[derive(Debug, Clone, Default)]
 struct PositionalArena {
-    offsets: Vec<u32>,
-    positions: Vec<u32>,
+    frames: Vec<PositionFrame>,
+    data: Vec<u8>,
 }
 
 impl PositionalArena {
-    fn slice(&self, i: usize) -> &[u32] {
-        let lo = self.offsets[i] as usize;
-        let hi = self.offsets[i + 1] as usize;
-        &self.positions[lo..hi]
+    /// Encode one block's positions, given as the block's tfs and its
+    /// positions back to back (sorted within each posting). Turns
+    /// `positions` into gaps in place.
+    fn push_block(&mut self, tfs: &[u32], positions: &mut [u32]) {
+        let mut start = 0usize;
+        for &tf in tfs {
+            let end = start + tf as usize;
+            for k in (start + 1..end).rev() {
+                positions[k] = positions[k]
+                    .checked_sub(positions[k - 1])
+                    .expect("token positions decrease within a posting");
+            }
+            start = end;
+        }
+        debug_assert_eq!(start, positions.len(), "tfs must cover the positions");
+        let bits = positions.iter().fold(0, |w, &v| w.max(bits_for(v)));
+        let offset = u32::try_from(self.data.len()).expect("positional frames exceed u32 offsets");
+        self.data
+            .reserve((positions.len() * bits as usize).div_ceil(8) + PAD_BYTES);
+        pack_bits(&mut self.data, positions, bits);
+        self.frames.push(PositionFrame {
+            offset,
+            bits: bits as u8,
+        });
+    }
+
+    /// Seal the arena: the decoder's tail pad, no spare capacity.
+    fn finish(&mut self) {
+        if !self.frames.is_empty() {
+            self.data.extend_from_slice(&[0u8; PAD_BYTES]);
+        }
+        self.frames.shrink_to_fit();
+        self.data.shrink_to_fit();
+    }
+
+    /// Append the `tf` positions that start `before` values into block
+    /// `block`'s frame: one unaligned `u64` load per value (the tail pad
+    /// keeps the last in bounds), summed from 0 — the first value is
+    /// absolute, so the running sum restores every position.
+    fn decode_into(&self, block: usize, before: usize, tf: u32, out: &mut Vec<u32>) {
+        let frame = self.frames[block];
+        let bits = usize::from(frame.bits);
+        let mask = (1u64 << bits) - 1;
+        let src = &self.data[frame.offset as usize..];
+        let start = out.len();
+        out.resize(start + tf as usize, 0);
+        let mut bit = before * bits;
+        let mut position = 0u32;
+        for v in &mut out[start..] {
+            let byte = bit >> 3;
+            let word = u64::from_le_bytes(src[byte..byte + 8].try_into().unwrap());
+            position += ((word >> (bit & 7)) & mask) as u32;
+            *v = position;
+            bit += bits;
+        }
     }
 
     fn bytes(&self) -> u64 {
-        ((self.offsets.len() + self.positions.len()) * std::mem::size_of::<u32>()) as u64
+        (self.data.len() + self.frames.len() * std::mem::size_of::<PositionFrame>()) as u64
     }
 }
 
@@ -142,13 +217,29 @@ impl PostingsList {
         self.positions.is_some()
     }
 
-    /// Sorted token positions of the `i`-th posting; empty when the
-    /// index was built without positions.
-    pub fn positions_at(&self, i: usize) -> &[u32] {
-        self.positions.as_ref().map_or(&[], |a| a.slice(i))
+    /// Append the sorted token positions of the `i`-th posting to `out`
+    /// — nothing when the index was built without positions. Decodes
+    /// the landing block's tfs up to the posting to find it in its frame.
+    pub fn positions_into(&self, i: usize, out: &mut Vec<u32>) {
+        if let Some(arena) = &self.positions {
+            let block = i / BLOCK_DOCS;
+            let (before, tf) = self.blocks.tf_prefix(block, i % BLOCK_DOCS);
+            arena.decode_into(block, before, tf, out);
+        }
     }
 
-    /// Bytes held by the positional arena (0 without positions).
+    /// [`PostingsList::positions_into`] for the posting a cursor over
+    /// this list sits on, located through the tfs the cursor already
+    /// decoded instead of decoding the block again.
+    pub(crate) fn cursor_positions_into(&self, cursor: &mut BlockCursor<'_>, out: &mut Vec<u32>) {
+        if let Some(arena) = &self.positions {
+            let (block, before, tf) = cursor.frame_span();
+            arena.decode_into(block, before, tf, out);
+        }
+    }
+
+    /// Bytes held by the positional arena, frames and fences (0 without
+    /// positions).
     pub fn positional_bytes(&self) -> u64 {
         self.positions.as_ref().map_or(0, PositionalArena::bytes)
     }
@@ -201,16 +292,27 @@ impl Iterator for PostingsIter<'_> {
     }
 }
 
-/// A stored document: field values plus the statistics STARTS results
-/// report (`DocSize`, `DocCount`).
-#[derive(Debug, Clone)]
+/// A stored document: where its field values start in the index's
+/// field table, plus the statistics STARTS results report (`DocSize`,
+/// `DocCount`). Its fields run to the next document's `first_field`.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct StoredDoc {
-    pub fields: Vec<(FieldId, String, Option<LangTag>)>,
+    first_field: u32,
     /// Number of tokens in the document ("the number of tokens (as
     /// determined by the source)" — `DocCount`).
     pub token_count: u32,
     /// Total byte size of the document text (`DocSize` reports KBytes).
     pub byte_size: u32,
+}
+
+/// One stored field value: its field, its language (`lang - 1` indexes
+/// the index's interned tags; 0 is none) and where its text ends in the
+/// index's text buffer. It starts where the entry before it ends.
+#[derive(Debug, Clone, Copy)]
+struct StoredField {
+    field: FieldId,
+    lang: u16,
+    end: u32,
 }
 
 /// What pruning knows about one `(field, term)` key: the envelope of the
@@ -234,34 +336,34 @@ pub(crate) struct TermBound {
 /// Per-`(field, term)` extrema of the ranking algorithm's term weights
 /// over one index's postings — the build-time sidecar behind the
 /// engine's dynamic pruning (see `docs/performance.md`), one entry per
-/// key. For a shard of a sharded collection the weights are computed
-/// against the *global* collection statistics, so each recorded maximum
-/// is the float max of exactly the weight values query-time scoring can
-/// produce for that key on this shard; a leaf's upper bound therefore
-/// holds without any epsilon.
+/// key, indexed by the key's slot in the index. For a shard of a
+/// sharded collection the weights are computed against the *global*
+/// collection statistics, so each recorded maximum is the float max of
+/// exactly the weight values query-time scoring can produce for that
+/// key on this shard; a leaf's upper bound therefore holds without any
+/// epsilon.
 #[derive(Debug, Default)]
 pub struct TermBounds {
-    bounds: HashMap<(FieldId, TermId), TermBound>,
+    bounds: Vec<TermBound>,
 }
 
 impl TermBounds {
-    /// Record one key: its weight minimum and its per-block maxima, the
-    /// largest of which is its whole-list maximum. The extrema are
-    /// `total_cmp`'s, so a NaN weight poisons the envelope (it sorts
-    /// above +inf) and disables pruning for the key.
-    pub(crate) fn insert(&mut self, field: FieldId, term: TermId, min: f64, block_max: Vec<f64>) {
+    /// Record the next slot's key: its weight minimum and its per-block
+    /// maxima, the largest of which is its whole-list maximum. The
+    /// extrema are `total_cmp`'s, so a NaN weight poisons the envelope
+    /// (it sorts above +inf) and disables pruning for the key.
+    pub(crate) fn push(&mut self, min: f64, block_max: Vec<f64>) {
         let max = block_max.iter().copied().max_by(f64::total_cmp);
-        let bound = TermBound {
+        self.bounds.push(TermBound {
             max: max.unwrap_or(f64::NEG_INFINITY),
             min,
             block_max: block_max.into_boxed_slice(),
-        };
-        self.bounds.insert((field, term), bound);
+        });
     }
 
-    /// What was recorded for a key, if anything.
-    pub(crate) fn get(&self, field: FieldId, term: TermId) -> Option<&TermBound> {
-        self.bounds.get(&(field, term))
+    /// What was recorded for a key slot, if anything.
+    pub(crate) fn get(&self, slot: u32) -> Option<&TermBound> {
+        self.bounds.get(slot as usize)
     }
 }
 
@@ -277,10 +379,13 @@ pub struct PostingsFootprint {
     pub positional_lists: u64,
     /// Total postings across all lists.
     pub postings: u64,
-    /// Bytes held by the positional arenas (offsets + positions).
+    /// Bytes held by the positional arenas (frames + fences).
     pub positional_bytes: u64,
     /// Bytes held by the bit-packed block streams, headers included.
     pub block_bytes: u64,
+    /// Bytes held by the stored field values: the text buffer plus the
+    /// field table.
+    pub stored_bytes: u64,
 }
 
 impl PostingsFootprint {
@@ -302,6 +407,7 @@ impl PostingsFootprint {
         self.postings += other.postings;
         self.positional_bytes += other.positional_bytes;
         self.block_bytes += other.block_bytes;
+        self.stored_bytes += other.stored_bytes;
     }
 }
 
@@ -312,8 +418,16 @@ pub struct Index {
     analyzer: Analyzer,
     terms: Vec<String>,
     vocab: HashMap<String, TermId>,
-    postings: HashMap<(FieldId, TermId), PostingsList>,
+    /// The one key table: every `(field, term)` key's dense slot, which
+    /// indexes `lists` here and the engine's [`TermBounds`].
+    slots: HashMap<(FieldId, TermId), u32>,
+    lists: Vec<PostingsList>,
     docs: Vec<StoredDoc>,
+    fields: Vec<StoredField>,
+    /// Every stored field value back to back, fenced by `fields`.
+    text: String,
+    /// The distinct language tags of stored values, interned.
+    langs: Vec<LangTag>,
     total_tokens: u64,
     /// Languages observed per field, for metadata export.
     field_langs: HashMap<FieldId, BTreeSet<LangTag>>,
@@ -323,22 +437,75 @@ pub struct Index {
     footprint: PostingsFootprint,
 }
 
-/// Build-time accumulation for one posting list: columnar doc/tf plus
-/// the flat position stream (empty under [`PositionsMode::None`]).
-/// Documents arrive in increasing order and positions in increasing
-/// order within a document, so everything is append-only.
+/// Build-time state of one posting list: the blocks frozen so far plus
+/// the open block — at most [`BLOCK_DOCS`] postings as doc/tf columns
+/// and their positions back to back (none under
+/// [`PositionsMode::None`]). Documents arrive in increasing order and
+/// positions in increasing order within a document, so everything is
+/// append-only.
 #[derive(Debug, Default)]
-struct ScratchList {
+struct ListBuilder {
+    blocks: BlockPostings,
+    arena: PositionalArena,
     docs: Vec<u32>,
     tfs: Vec<u32>,
     positions: Vec<u32>,
+}
+
+impl ListBuilder {
+    /// Count one occurrence of the list's term in `doc` at `position`
+    /// (`None` when positions are not stored), freezing the open block
+    /// first when `doc` would be its 129th posting.
+    fn push(&mut self, doc: DocId, position: Option<u32>) {
+        match self.docs.last() {
+            Some(&last) if last == doc.0 => *self.tfs.last_mut().unwrap() += 1,
+            _ => {
+                if self.docs.len() == BLOCK_DOCS {
+                    self.freeze_block();
+                }
+                self.docs.push(doc.0);
+                self.tfs.push(1);
+            }
+        }
+        if let Some(position) = position {
+            self.positions.push(position);
+        }
+    }
+
+    /// Encode the open block into the frozen streams and empty it.
+    fn freeze_block(&mut self) {
+        self.blocks.push_block(&self.docs, &self.tfs);
+        if !self.positions.is_empty() {
+            self.arena.push_block(&self.tfs, &mut self.positions);
+        }
+        self.docs.clear();
+        self.tfs.clear();
+        self.positions.clear();
+    }
+
+    /// Flush the tail block and seal the list.
+    fn finish(mut self, store_positions: bool) -> PostingsList {
+        if !self.docs.is_empty() {
+            self.freeze_block();
+        }
+        self.blocks.finish();
+        let positions = store_positions.then(|| {
+            self.arena.finish();
+            self.arena
+        });
+        PostingsList {
+            blocks: self.blocks,
+            positions,
+        }
+    }
 }
 
 /// Mutable index construction.
 #[derive(Debug)]
 pub struct IndexBuilder {
     inner: Index,
-    scratch: HashMap<(FieldId, TermId), ScratchList>,
+    /// The open lists, indexed by slot (`inner.slots`).
+    lists: Vec<ListBuilder>,
     store_positions: bool,
 }
 
@@ -360,14 +527,18 @@ impl IndexBuilder {
                 analyzer,
                 terms: Vec::new(),
                 vocab: HashMap::new(),
-                postings: HashMap::new(),
+                slots: HashMap::new(),
+                lists: Vec::new(),
                 docs: Vec::new(),
+                fields: Vec::new(),
+                text: String::new(),
+                langs: Vec::new(),
                 total_tokens: 0,
                 field_langs: HashMap::new(),
                 positions_stored: true,
                 footprint: PostingsFootprint::default(),
             },
-            scratch: HashMap::new(),
+            lists: Vec::new(),
             store_positions: true,
         }
     }
@@ -387,7 +558,8 @@ impl IndexBuilder {
     pub fn add(&mut self, doc: &Document) -> DocId {
         let idx = &mut self.inner;
         let doc_id = DocId(idx.docs.len() as u32);
-        let mut stored = Vec::with_capacity(doc.fields().len());
+        let first_field =
+            u32::try_from(idx.fields.len()).expect("stored fields exceed the u32 field space");
         let mut token_count: u32 = 0;
         let mut byte_size: u32 = 0;
         // Per-field position bases (repeated fields continue with a gap).
@@ -397,11 +569,12 @@ impl IndexBuilder {
             let fid = idx.schema.intern(&fv.name);
             byte_size += fv.text.len() as u32;
             if let Some(lang) = &fv.lang {
-                idx.field_langs.entry(fid).or_default().insert(lang.clone());
-                idx.field_langs
-                    .entry(ANY_FIELD)
-                    .or_default()
-                    .insert(lang.clone());
+                for field in [fid, ANY_FIELD] {
+                    let seen = idx.field_langs.entry(field).or_default();
+                    if !seen.contains(lang) {
+                        seen.insert(lang.clone());
+                    }
+                }
             }
             // Borrowed tokens: no per-token String allocation — terms
             // only get copied on a vocabulary miss inside `intern_term`.
@@ -412,73 +585,70 @@ impl IndexBuilder {
                 max_pos = max_pos.max(*position);
                 token_count += 1;
                 let tid = intern_term(&mut idx.vocab, &mut idx.terms, term);
-                push_position(
-                    &mut self.scratch,
-                    (fid, tid),
-                    doc_id,
-                    fbase + position,
-                    self.store_positions,
-                );
-                push_position(
-                    &mut self.scratch,
-                    (ANY_FIELD, tid),
-                    doc_id,
-                    global_base + position,
-                    self.store_positions,
-                );
+                let store = self.store_positions;
+                for (key, base) in [((fid, tid), fbase), ((ANY_FIELD, tid), global_base)] {
+                    let position = store.then(|| position_at(base, *position));
+                    let slot = *idx.slots.entry(key).or_insert_with(|| {
+                        self.lists.push(ListBuilder::default());
+                        u32::try_from(self.lists.len() - 1)
+                            .expect("posting lists exceed the u32 slot space")
+                    });
+                    self.lists[slot as usize].push(doc_id, position);
+                }
             }
             let advance = if tokens.is_empty() { 0 } else { max_pos + 1 };
-            field_base.insert(fid, fbase + advance + FIELD_GAP);
-            global_base += advance + FIELD_GAP;
-            stored.push((fid, fv.text.clone(), fv.lang.clone()));
+            field_base.insert(fid, position_at(fbase, advance + FIELD_GAP));
+            global_base = position_at(global_base, advance + FIELD_GAP);
+            idx.text.push_str(&fv.text);
+            let lang = fv
+                .lang
+                .as_ref()
+                .map_or(0, |lang| intern_lang(&mut idx.langs, lang));
+            idx.fields.push(StoredField {
+                field: fid,
+                lang,
+                end: u32::try_from(idx.text.len())
+                    .expect("stored text exceeds the u32 offset space"),
+            });
         }
         idx.total_tokens += u64::from(token_count);
         idx.docs.push(StoredDoc {
-            fields: stored,
+            first_field,
             token_count,
             byte_size,
         });
         doc_id
     }
 
-    /// Finish building: bit-pack each accumulated list into 128-doc
-    /// blocks (the store all evaluation runs on) and freeze the flat
-    /// position streams into per-list arenas — or drop them under
-    /// [`PositionsMode::None`].
+    /// Finish building: flush each list's open tail block — every full
+    /// block was frozen as it filled — and release the builders' spare
+    /// capacity.
     pub fn build(self) -> Index {
         let mut index = self.inner;
-        let mut pairs: Vec<(u32, u32)> = Vec::new();
-        for (key, scratch) in self.scratch {
-            pairs.clear();
-            pairs.extend(
-                scratch
-                    .docs
-                    .iter()
-                    .copied()
-                    .zip(scratch.tfs.iter().copied()),
-            );
-            let blocks = BlockPostings::encode(&pairs);
-            let positions = self.store_positions.then(|| {
-                let mut offsets = Vec::with_capacity(scratch.tfs.len() + 1);
-                let mut acc = 0u32;
-                offsets.push(0);
-                for &tf in &scratch.tfs {
-                    acc = acc
-                        .checked_add(tf)
-                        .expect("position arena longer than the u32 offset space");
-                    offsets.push(acc);
-                }
-                PositionalArena {
-                    offsets,
-                    positions: scratch.positions,
-                }
-            });
-            let list = PostingsList { blocks, positions };
-            index.footprint.add_list(&list);
-            index.postings.insert(key, list);
+        let store_positions = self.store_positions;
+        index.lists = self
+            .lists
+            .into_iter()
+            .map(|list| list.finish(store_positions))
+            .collect();
+        for list in &index.lists {
+            index.footprint.add_list(list);
         }
+        index.docs.shrink_to_fit();
+        index.fields.shrink_to_fit();
+        index.text.shrink_to_fit();
+        index.footprint.stored_bytes =
+            (index.text.len() + index.fields.len() * std::mem::size_of::<StoredField>()) as u64;
         index
     }
+}
+
+/// `base + offset` as a token position, panicking instead of wrapping:
+/// the positional frames gap-code positions, so a wrapped one would
+/// corrupt `prox` silently.
+fn position_at(base: u32, offset: u32) -> u32 {
+    base.checked_add(offset)
+        .expect("token position exceeds the u32 position space")
 }
 
 fn intern_term(vocab: &mut HashMap<String, TermId>, terms: &mut Vec<String>, term: &str) -> TermId {
@@ -491,24 +661,16 @@ fn intern_term(vocab: &mut HashMap<String, TermId>, terms: &mut Vec<String>, ter
     tid
 }
 
-fn push_position(
-    scratch: &mut HashMap<(FieldId, TermId), ScratchList>,
-    key: (FieldId, TermId),
-    doc: DocId,
-    position: u32,
-    store_positions: bool,
-) {
-    let list = scratch.entry(key).or_default();
-    match list.docs.last() {
-        Some(&last) if last == doc.0 => *list.tfs.last_mut().unwrap() += 1,
-        _ => {
-            list.docs.push(doc.0);
-            list.tfs.push(1);
+/// The [`StoredField::lang`] code of a tag, interning it on first sight.
+fn intern_lang(langs: &mut Vec<LangTag>, lang: &LangTag) -> u16 {
+    let i = match langs.iter().position(|l| l == lang) {
+        Some(i) => i,
+        None => {
+            langs.push(lang.clone());
+            langs.len() - 1
         }
-    }
-    if store_positions {
-        list.positions.push(position);
-    }
+    };
+    u16::try_from(i + 1).expect("more distinct languages than the u16 language space")
 }
 
 impl Index {
@@ -551,21 +713,35 @@ impl Index {
         self.docs[doc.0 as usize].byte_size
     }
 
+    /// A document's stored values as `(field, text, lang)`, borrowed
+    /// from the text buffer, in insertion order.
+    fn stored_fields(&self, doc: DocId) -> impl Iterator<Item = (FieldId, &str, u16)> {
+        let d = doc.0 as usize;
+        let first = self.docs[d].first_field as usize;
+        let end = self
+            .docs
+            .get(d + 1)
+            .map_or(self.fields.len(), |next| next.first_field as usize);
+        (first..end).map(move |k| {
+            let start = if k == 0 { 0 } else { self.fields[k - 1].end };
+            let f = self.fields[k];
+            (f.field, &self.text[start as usize..f.end as usize], f.lang)
+        })
+    }
+
     /// Stored field values of a document, in insertion order.
     pub fn doc_fields(&self, doc: DocId) -> impl Iterator<Item = (&str, &str, Option<&LangTag>)> {
-        self.docs[doc.0 as usize]
-            .fields
-            .iter()
-            .map(|(fid, text, lang)| (self.schema.name(*fid), text.as_str(), lang.as_ref()))
+        self.stored_fields(doc).map(|(fid, text, lang)| {
+            let lang = lang.checked_sub(1).map(|i| &self.langs[usize::from(i)]);
+            (self.schema.name(fid), text, lang)
+        })
     }
 
     /// First stored value of the named field for a document.
     pub fn doc_field(&self, doc: DocId, field: FieldId) -> Option<&str> {
-        self.docs[doc.0 as usize]
-            .fields
-            .iter()
+        self.stored_fields(doc)
             .find(|(fid, _, _)| *fid == field)
-            .map(|(_, text, _)| text.as_str())
+            .map(|(_, text, _)| text)
     }
 
     /// Whether this index stores token positions ([`PositionsMode`]).
@@ -576,8 +752,7 @@ impl Index {
     /// The posting list for a (field, term) pair. The term must be in
     /// index-normalized form (the caller normalizes via the analyzer).
     pub fn postings(&self, field: FieldId, term: &str) -> Option<&PostingsList> {
-        let tid = self.vocab.get(term)?;
-        self.postings.get(&(field, *tid))
+        self.slot(field, term).map(|slot| self.list(slot))
     }
 
     /// Document frequency of a term in a field (`Document-frequency`).
@@ -601,10 +776,10 @@ impl Index {
         &self,
         field: FieldId,
     ) -> impl Iterator<Item = (&str, &PostingsList)> + '_ {
-        self.postings
+        self.slots
             .iter()
             .filter(move |((fid, _), _)| *fid == field)
-            .map(|((_, tid), list)| (self.terms[tid.0 as usize].as_str(), list))
+            .map(|((_, tid), &slot)| (self.terms[tid.0 as usize].as_str(), self.list(slot)))
     }
 
     /// Languages observed in a field's values.
@@ -625,33 +800,37 @@ impl Index {
         (0..self.docs.len() as u32).map(DocId)
     }
 
-    /// Every `(field, term id, term, postings)` tuple in the index, in
-    /// arbitrary order — the raw feed for merging per-shard document
-    /// frequencies into global collection statistics and for building
-    /// the [`TermBounds`] pruning sidecar.
-    pub(crate) fn all_postings(
-        &self,
-    ) -> impl Iterator<Item = (FieldId, TermId, &str, &PostingsList)> + '_ {
-        self.postings
-            .iter()
-            .map(|((fid, tid), list)| (*fid, *tid, self.terms[tid.0 as usize].as_str(), list))
+    /// Every `(field, term, postings)` key in slot order — the raw feed
+    /// for merging per-shard document frequencies into global
+    /// collection statistics and for building the [`TermBounds`]
+    /// pruning sidecar, whose entries it lines up with.
+    pub(crate) fn all_postings(&self) -> impl Iterator<Item = (FieldId, &str, &PostingsList)> + '_ {
+        let mut keys = vec![(ANY_FIELD, TermId(0)); self.lists.len()];
+        for (&key, &slot) in &self.slots {
+            keys[slot as usize] = key;
+        }
+        keys.into_iter()
+            .zip(&self.lists)
+            .map(|((fid, tid), list)| (fid, self.terms[tid.0 as usize].as_str(), list))
     }
 
-    /// The interned id of an index-normalized term, if present.
-    pub(crate) fn term_id(&self, term: &str) -> Option<TermId> {
-        self.vocab.get(term).copied()
+    /// The slot of a `(field, index-normalized term)` key, if the index
+    /// holds it.
+    pub(crate) fn slot(&self, field: FieldId, term: &str) -> Option<u32> {
+        let tid = *self.vocab.get(term)?;
+        self.slots.get(&(field, tid)).copied()
     }
 
-    /// The posting list of an interned key, if present.
-    pub(crate) fn postings_by_id(&self, field: FieldId, term: TermId) -> Option<&PostingsList> {
-        self.postings.get(&(field, term))
+    /// The posting list in a slot.
+    pub(crate) fn list(&self, slot: u32) -> &PostingsList {
+        &self.lists[slot as usize]
     }
 
-    /// Memory held by posting storage, split into the bit-packed block
-    /// streams and the positional arenas, so both the codec's
-    /// compression ratio and the positional diet are directly
-    /// observable. Accumulated once at build time; this is a copy of
-    /// five integers.
+    /// Memory held by posting and stored-field storage, split into the
+    /// bit-packed block streams, the positional arenas and the stored
+    /// values, so the codec's compression ratio and the positional
+    /// diet are directly observable. Accumulated once at build time;
+    /// this is a copy of six integers.
     pub fn postings_footprint(&self) -> PostingsFootprint {
         self.footprint
     }
@@ -667,6 +846,12 @@ mod tests {
             stop_words: StopWordList::none(),
             ..AnalyzerConfig::default()
         })
+    }
+
+    fn positions(list: &PostingsList, i: usize) -> Vec<u32> {
+        let mut out = Vec::new();
+        list.positions_into(i, &mut out);
+        out
     }
 
     fn small_index() -> Index {
@@ -718,7 +903,7 @@ mod tests {
         // "databases" is title token 1 and body token 0; body starts
         // after title's 2 tokens + FIELD_GAP.
         assert!(p.has_positions());
-        assert_eq!(p.positions_at(0), &[1, 2 + FIELD_GAP]);
+        assert_eq!(positions(p, 0), [1, 2 + FIELD_GAP]);
     }
 
     #[test]
@@ -729,7 +914,7 @@ mod tests {
         assert!(!idx.has_positions());
         let p = idx.postings(ANY_FIELD, "lean").unwrap();
         assert!(!p.has_positions());
-        assert_eq!(p.positions_at(0), &[] as &[u32]);
+        assert_eq!(positions(p, 0), [] as [u32; 0]);
         // Doc/tf data is unaffected by the diet.
         assert_eq!(p.tf_of(DocId(0)), 2);
         assert_eq!(idx.total_postings(ANY_FIELD, "lean"), 2);
@@ -796,7 +981,7 @@ mod tests {
         let author = idx.schema().get("author").unwrap();
         let p = idx.postings(author, "hector").unwrap();
         // Second author instance starts after 2 tokens + FIELD_GAP.
-        assert_eq!(p.positions_at(0), &[2 + FIELD_GAP]);
+        assert_eq!(positions(p, 0), [2 + FIELD_GAP]);
     }
 
     #[test]
@@ -810,8 +995,8 @@ mod tests {
     #[test]
     fn blocks_agree_with_iteration_and_find() {
         let idx = small_index();
-        for (field, tid, _, list) in idx.all_postings() {
-            assert_eq!(idx.postings_by_id(field, tid).unwrap().len(), list.len());
+        for (field, term, list) in idx.all_postings() {
+            assert_eq!(idx.postings(field, term).unwrap().len(), list.len());
             let mut cursor = crate::blocks::BlockCursor::new(list.blocks());
             for (doc, tf) in list.docs_tfs() {
                 assert_eq!((cursor.doc(), cursor.tf()), (doc.0, tf));

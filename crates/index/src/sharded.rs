@@ -61,7 +61,7 @@ impl CollectionStats {
         for index in indexes {
             n_docs += index.n_docs();
             total_tokens += index.total_tokens();
-            for (field, _tid, term, postings) in index.all_postings() {
+            for (field, term, postings) in index.all_postings() {
                 *df.entry(field)
                     .or_default()
                     .entry(term.to_string())

@@ -265,8 +265,8 @@ fn naive_term_stats(engine: &ShardedEngine, doc: DocId, spec: &TermSpec) -> Term
 
 proptest! {
     /// The footprint accumulated while the index is built equals a
-    /// fresh walk over every posting list of every shard, with and
-    /// without the positional arenas.
+    /// fresh walk over every posting list and stored value of every
+    /// shard, with and without the positional arenas.
     #[test]
     fn build_time_footprint_equals_a_fresh_walk(
         docs in arb_corpus(),
@@ -290,6 +290,11 @@ proptest! {
                         of_shard.positional_lists += 1;
                         of_shard.positional_bytes += list.positional_bytes();
                     }
+                }
+                // The stored values: their text, plus one 8-byte
+                // `(field, lang, end)` table entry each.
+                for (_, text, _) in index.all_docs().flat_map(|d| index.doc_fields(d)) {
+                    of_shard.stored_bytes += text.len() as u64 + 8;
                 }
                 prop_assert_eq!(index.postings_footprint(), of_shard, "shards={}", shards);
                 walked.merge(&of_shard);

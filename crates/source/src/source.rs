@@ -141,14 +141,17 @@ impl Source {
 
 /// The source's whole-index facts, exported when a registry it was
 /// registered with is sampled: resident bytes of the bit-packed block
-/// postings every evaluator runs on, and of the positional arenas kept
-/// only where `prox` needs them (zero for positions-free vendors).
+/// postings every evaluator runs on, of the positional frames kept only
+/// where `prox` needs them (zero for positions-free vendors), and of
+/// the stored field values results are assembled from.
 impl starts_obs::Collector for Source {
     fn collect(&self, obs: &starts_obs::Registry) {
         let footprint = self.engine.postings_footprint();
         let labels = [("source", self.id())];
         obs.gauge_with("engine.postings.positional_bytes", &labels)
             .set(footprint.positional_bytes as f64);
+        obs.gauge_with("engine.stored.bytes", &labels)
+            .set(footprint.stored_bytes as f64);
         obs.gauge_with("engine.postings.block_bytes", &labels)
             .set(footprint.block_bytes as f64);
     }

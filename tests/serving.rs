@@ -1101,8 +1101,13 @@ fn whole_system_gauges_are_collected_whenever_the_registry_is_sampled() {
             DB,
             db_footprint.positional_bytes as f64,
         ),
+        ("engine.stored.bytes", DB, db_footprint.stored_bytes as f64),
     ];
-    assert!(db_footprint.block_bytes > 0 && db_footprint.positional_bytes > 0);
+    assert!(
+        db_footprint.block_bytes > 0
+            && db_footprint.positional_bytes > 0
+            && db_footprint.stored_bytes > 0
+    );
 
     let snap = net.registry().snapshot();
     let stats = net.request("starts://db/stats", b"").unwrap();

@@ -1,7 +1,7 @@
-//! The work budget: what the serving layer's cached path costs, in
-//! counts that repeat from run to run on any machine — heap bytes held,
-//! allocator calls, bytes on the wire and spans closed — checked against
-//! the values in `BUDGET.json`.
+//! The work budget: what an index build and the serving layer's cached
+//! path cost, in counts that repeat from run to run on any machine —
+//! heap bytes held at peak and after, allocator calls, bytes on the
+//! wire and spans closed — checked against the values in `BUDGET.json`.
 //!
 //! The binary installs a counting global allocator and holds exactly one
 //! test, so nothing else in the process allocates while it measures.
@@ -17,6 +17,7 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use starts::corpus::{generate_corpus, CorpusConfig, GeneratedCorpus, Zipf};
+use starts::index::ShardPolicy;
 use starts::meta::catalog::Catalog;
 use starts::meta::metasearcher::MetaConfig;
 use starts::meta::pipeline::normalized_query_key;
@@ -29,6 +30,8 @@ use starts::source::{vendors, Source};
 /// Bytes currently allocated (as requested, not as rounded up by the
 /// system allocator).
 static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
+/// High-water mark of `LIVE_BYTES` since it was last reset.
+static PEAK_BYTES: AtomicUsize = AtomicUsize::new(0);
 /// Allocator calls that obtained memory: `alloc`, `alloc_zeroed` and
 /// `realloc`.
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
@@ -43,19 +46,20 @@ struct Counting;
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        LIVE_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+        grow(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        LIVE_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+        grow(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        LIVE_BYTES.fetch_add(new_size, Ordering::Relaxed);
+        // A realloc briefly holds both blocks.
+        grow(new_size);
         LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
@@ -64,6 +68,12 @@ unsafe impl GlobalAlloc for Counting {
         LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
+}
+
+/// Count `bytes` as live and raise the high-water mark to match.
+fn grow(bytes: usize) {
+    let live = LIVE_BYTES.fetch_add(bytes, Ordering::Relaxed) + bytes;
+    PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
 }
 
 #[global_allocator]
@@ -105,6 +115,39 @@ fn wire_fleet(net: &SimNet) -> (Catalog, GeneratedCorpus) {
             .expect("discovery of a just-wired source");
     }
     (catalog, corpus)
+}
+
+/// Documents of the one source the index rows build.
+const INDEX_DOCS: usize = 4000;
+
+/// Build one Acme source over `INDEX_DOCS` documents of `big_tree`'s
+/// corpus shape — one exact shard, so the build runs on this thread —
+/// and return its heap high-water mark above the starting point and
+/// the bytes it still holds once built, both per document.
+fn index_rows() -> (f64, f64) {
+    let corpus = generate_corpus(&CorpusConfig {
+        n_sources: 1,
+        docs_per_source: INDEX_DOCS,
+        n_topics: 4,
+        background_vocab: 1500,
+        topic_vocab: 100,
+        doc_len: (25, 90),
+        topic_skew: 0.35,
+        bilingual_fraction: 0.0,
+        seed: SEED,
+    });
+    let s = &corpus.sources[0];
+    let mut config = vendors::acme(&s.id);
+    config.engine.shards = 1;
+    config.engine.shard_policy = ShardPolicy::Exact;
+    let base = LIVE_BYTES.load(Ordering::Relaxed);
+    PEAK_BYTES.store(base, Ordering::Relaxed);
+    let source = Source::build(config, &s.docs);
+    let peak = PEAK_BYTES.load(Ordering::Relaxed) - base;
+    let retained = LIVE_BYTES.load(Ordering::Relaxed) - base;
+    drop(source);
+    let n = s.docs.len() as f64;
+    (peak as f64 / n, retained as f64 / n)
 }
 
 /// `QUERIES` pairwise distinct `fed_zipf`-shaped queries: 1–3 ranked
@@ -193,6 +236,9 @@ fn settle(net: &SimNet) {
 
 #[test]
 fn the_cached_path_stays_within_its_budget() {
+    // Before anything else runs: no other thread allocates meanwhile.
+    let (build_peak, retained) = index_rows();
+
     let net = Arc::new(SimNet::new());
     let (catalog, corpus) = wire_fleet(&net);
     let queries = query_pool(&corpus);
@@ -245,6 +291,8 @@ fn the_cached_path_stays_within_its_budget() {
     let freed = held - LIVE_BYTES.load(Ordering::Relaxed);
     assert_eq!(server.cached_responses(), 0);
 
+    check("index.build.peak_live_bytes_per_doc", build_peak);
+    check("index.retained_bytes_per_doc", retained);
     let n = queries.len() as f64;
     check(
         "serve.cache.retained_bytes_per_entry",
