@@ -97,25 +97,31 @@ impl Field {
 
     /// Parse a field name (case-insensitive; accepts both the table
     /// spelling and the query spelling of the date field). Unknown names
-    /// become [`Field::Other`].
+    /// become [`Field::Other`], lowercased — the only case that
+    /// allocates.
     pub fn parse(name: &str) -> Field {
-        let lower = name.to_ascii_lowercase();
-        match lower.as_str() {
-            "title" => Field::Title,
-            "author" => Field::Author,
-            "body-of-text" => Field::BodyOfText,
-            "document-text" => Field::DocumentText,
-            "date-last-modified" | "date/time-last-modified" | "date-time-last-modified" => {
-                Field::DateLastModified
-            }
-            "any" => Field::Any,
-            "linkage" => Field::Linkage,
-            "linkage-type" => Field::LinkageType,
-            "cross-reference-linkage" => Field::CrossReferenceLinkage,
-            "languages" => Field::Languages,
-            "free-form-text" => Field::FreeFormText,
-            _ => Field::Other(lower),
-        }
+        static SPELLINGS: [(&str, Field); 13] = [
+            ("title", Field::Title),
+            ("author", Field::Author),
+            ("body-of-text", Field::BodyOfText),
+            ("document-text", Field::DocumentText),
+            ("date-last-modified", Field::DateLastModified),
+            ("date/time-last-modified", Field::DateLastModified),
+            ("date-time-last-modified", Field::DateLastModified),
+            ("any", Field::Any),
+            ("linkage", Field::Linkage),
+            ("linkage-type", Field::LinkageType),
+            ("cross-reference-linkage", Field::CrossReferenceLinkage),
+            ("languages", Field::Languages),
+            ("free-form-text", Field::FreeFormText),
+        ];
+        SPELLINGS
+            .iter()
+            .find(|(spelling, _)| spelling.eq_ignore_ascii_case(name))
+            .map_or_else(
+                || Field::Other(name.to_ascii_lowercase()),
+                |(_, field)| field.clone(),
+            )
     }
 
     /// Whether the paper's table marks this field **Required** —
@@ -244,21 +250,29 @@ impl Modifier {
     }
 
     /// Parse a modifier name or comparison symbol. Names outside the
-    /// known set become [`Modifier::Other`]; the caller decides if the
-    /// context allows that.
+    /// known set become [`Modifier::Other`], lowercased — the only case
+    /// that allocates; the caller decides if the context allows that.
     pub fn parse(s: &str) -> Modifier {
+        static SPELLINGS: [(&str, Modifier); 8] = [
+            ("phonetic", Modifier::Phonetic),
+            ("phonetics", Modifier::Phonetic),
+            ("soundex", Modifier::Phonetic),
+            ("stem", Modifier::Stem),
+            ("thesaurus", Modifier::Thesaurus),
+            ("right-truncation", Modifier::RightTruncation),
+            ("left-truncation", Modifier::LeftTruncation),
+            ("case-sensitive", Modifier::CaseSensitive),
+        ];
         if let Some(op) = CmpOp::parse(s) {
             return Modifier::Cmp(op);
         }
-        match s.to_ascii_lowercase().as_str() {
-            "phonetic" | "phonetics" | "soundex" => Modifier::Phonetic,
-            "stem" => Modifier::Stem,
-            "thesaurus" => Modifier::Thesaurus,
-            "right-truncation" => Modifier::RightTruncation,
-            "left-truncation" => Modifier::LeftTruncation,
-            "case-sensitive" => Modifier::CaseSensitive,
-            other => Modifier::Other(other.to_string()),
-        }
+        SPELLINGS
+            .iter()
+            .find(|(spelling, _)| spelling.eq_ignore_ascii_case(s))
+            .map_or_else(
+                || Modifier::Other(s.to_ascii_lowercase()),
+                |(_, modifier)| modifier.clone(),
+            )
     }
 
     /// Whether the §4.1.1 table marks this modifier **New**.
@@ -343,6 +357,11 @@ mod tests {
         }
         assert_eq!(
             Field::parse("abstract"),
+            Field::Other("abstract".to_string())
+        );
+        assert_eq!(Field::parse("Body-Of-TEXT"), Field::BodyOfText);
+        assert_eq!(
+            Field::parse("ABSTRACT"),
             Field::Other("abstract".to_string())
         );
     }

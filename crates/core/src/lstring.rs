@@ -12,7 +12,7 @@
 //! Rust's `String` *is* UTF-8-encoded Unicode, so the representation is
 //! exactly the paper's.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use starts_text::LangTag;
 
@@ -55,10 +55,20 @@ impl LString {
 
     /// Render in query syntax: `"text"` or `[lang "text"]`.
     pub fn to_query_syntax(&self) -> String {
-        let quoted = quote(&self.text);
+        let mut out = String::new();
+        self.write_query_syntax(&mut out);
+        out
+    }
+
+    /// Append [`LString::to_query_syntax`]'s rendering to `out`.
+    pub(crate) fn write_query_syntax(&self, out: &mut String) {
         match &self.lang {
-            None => quoted,
-            Some(lang) => format!("[{lang} {quoted}]"),
+            None => write_quoted(out, &self.text),
+            Some(lang) => {
+                let _ = write!(out, "[{lang} ");
+                write_quoted(out, &self.text);
+                out.push(']');
+            }
         }
     }
 }
@@ -73,6 +83,11 @@ impl fmt::Display for LString {
 /// backslash-escaped (the paper never needs this; real queries do).
 pub fn quote(text: &str) -> String {
     let mut out = String::with_capacity(text.len() + 2);
+    write_quoted(&mut out, text);
+    out
+}
+
+fn write_quoted(out: &mut String, text: &str) {
     out.push('"');
     for c in text.chars() {
         if c == '"' || c == '\\' {
@@ -81,7 +96,6 @@ pub fn quote(text: &str) -> String {
         out.push(c);
     }
     out.push('"');
-    out
 }
 
 /// Unquote a string literal's *contents* (the part between the quotes),

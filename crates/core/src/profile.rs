@@ -184,13 +184,18 @@ impl QueryProfile {
     /// exactly (no float formatting ambiguity).
     pub fn encode(&self) -> String {
         let mut out = String::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Append [`QueryProfile::encode`]'s value to `out`.
+    pub(crate) fn encode_into(&self, out: &mut String) {
         out.push_str(&self.query_id);
         out.push('\n');
-        self.root.encode_into(0, &mut out);
+        self.root.encode_into(0, out);
         // Drop the trailing newline: SOIF values are exact byte strings
         // and a symmetric codec is easier to reason about.
         out.pop();
-        out
     }
 
     /// Decode an attribute value. Lenient: anything that does not parse
@@ -203,7 +208,7 @@ impl QueryProfile {
             return None;
         }
         // Parse stage lines into (depth, stage) pairs.
-        let mut flat: Vec<(usize, StageCost)> = Vec::new();
+        let mut flat: Vec<(usize, StageCost)> = Vec::with_capacity(value.lines().count());
         for line in lines {
             let line = line.trim();
             if line.is_empty() {

@@ -9,16 +9,16 @@ use crate::error::ProtoError;
 
 /// One lexical token, with its byte offset.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+pub struct Token<'a> {
     /// Token kind and payload.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'a>,
     /// Byte offset of the token start.
     pub offset: usize,
 }
 
 /// Token kinds.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
+pub enum TokenKind<'a> {
     /// `(`
     LParen,
     /// `)`
@@ -32,13 +32,13 @@ pub enum TokenKind {
     /// A quoted string literal (contents, unescaped).
     Str(String),
     /// A bare word: identifiers (`and`, `title`, `prox`), numbers
-    /// (`0.7`, `3`), comparison symbols (`>=`).
-    Word(String),
+    /// (`0.7`, `3`), comparison symbols (`>=`), borrowed from the input.
+    Word(&'a str),
 }
 
-impl TokenKind {
+impl<'a> TokenKind<'a> {
     /// The word's text, if this is a word.
-    pub fn word(&self) -> Option<&str> {
+    pub fn word(&self) -> Option<&'a str> {
         match self {
             TokenKind::Word(w) => Some(w),
             _ => None,
@@ -47,9 +47,10 @@ impl TokenKind {
 }
 
 /// Tokenize a query expression.
-pub fn lex(input: &str) -> Result<Vec<Token>, ProtoError> {
+pub fn lex(input: &str) -> Result<Vec<Token<'_>>, ProtoError> {
     let bytes = input.as_bytes();
-    let mut out = Vec::new();
+    // A hint, not a bound: expressions average a few bytes per token.
+    let mut out = Vec::with_capacity(input.len() / 3 + 1);
     let mut i = 0;
     while i < bytes.len() {
         let b = bytes[i];
@@ -118,7 +119,7 @@ pub fn lex(input: &str) -> Result<Vec<Token>, ProtoError> {
                 // SAFETY of slicing: delimiter bytes are all ASCII, so a
                 // char boundary is guaranteed at `i`.
                 out.push(Token {
-                    kind: TokenKind::Word(input[start..i].to_string()),
+                    kind: TokenKind::Word(&input[start..i]),
                     offset: start,
                 });
             }
@@ -183,7 +184,7 @@ fn lex_quoted(input: &str, start: usize, quote: Quote) -> Result<(String, usize)
 mod tests {
     use super::*;
 
-    fn kinds(input: &str) -> Vec<TokenKind> {
+    fn kinds(input: &str) -> Vec<TokenKind<'_>> {
         lex(input).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
@@ -193,7 +194,7 @@ mod tests {
             kinds("(author \"Ullman\")"),
             vec![
                 TokenKind::LParen,
-                TokenKind::Word("author".to_string()),
+                TokenKind::Word("author"),
                 TokenKind::Str("Ullman".to_string()),
                 TokenKind::RParen,
             ]
@@ -206,8 +207,8 @@ mod tests {
             kinds("(title stem ``databases'')"),
             vec![
                 TokenKind::LParen,
-                TokenKind::Word("title".to_string()),
-                TokenKind::Word("stem".to_string()),
+                TokenKind::Word("title"),
+                TokenKind::Word("stem"),
                 TokenKind::Str("databases".to_string()),
                 TokenKind::RParen,
             ]
@@ -219,11 +220,11 @@ mod tests {
         assert_eq!(
             kinds("prox[3,T]"),
             vec![
-                TokenKind::Word("prox".to_string()),
+                TokenKind::Word("prox"),
                 TokenKind::LBracket,
-                TokenKind::Word("3".to_string()),
+                TokenKind::Word("3"),
                 TokenKind::Comma,
-                TokenKind::Word("T".to_string()),
+                TokenKind::Word("T"),
                 TokenKind::RBracket,
             ]
         );
@@ -235,7 +236,7 @@ mod tests {
             kinds("[en-US \"behavior\"]"),
             vec![
                 TokenKind::LBracket,
-                TokenKind::Word("en-US".to_string()),
+                TokenKind::Word("en-US"),
                 TokenKind::Str("behavior".to_string()),
                 TokenKind::RBracket,
             ]
@@ -248,11 +249,11 @@ mod tests {
             kinds("(date-last-modified > \"1996-08-01\") 0.7"),
             vec![
                 TokenKind::LParen,
-                TokenKind::Word("date-last-modified".to_string()),
-                TokenKind::Word(">".to_string()),
+                TokenKind::Word("date-last-modified"),
+                TokenKind::Word(">"),
                 TokenKind::Str("1996-08-01".to_string()),
                 TokenKind::RParen,
-                TokenKind::Word("0.7".to_string()),
+                TokenKind::Word("0.7"),
             ]
         );
     }
@@ -271,10 +272,10 @@ mod tests {
             kinds("[es \"algoritmo\"] año"),
             vec![
                 TokenKind::LBracket,
-                TokenKind::Word("es".to_string()),
+                TokenKind::Word("es"),
                 TokenKind::Str("algoritmo".to_string()),
                 TokenKind::RBracket,
-                TokenKind::Word("año".to_string()),
+                TokenKind::Word("año"),
             ]
         );
     }

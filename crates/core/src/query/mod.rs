@@ -10,13 +10,38 @@ pub mod printer;
 pub use ast::{FilterExpr, ProxSpec, QTerm, RankExpr, WeightedTerm};
 pub use parser::{parse_filter, parse_ranking};
 pub use printer::{fmt_weight, print_filter, print_ranking, print_term, print_weighted};
+pub(crate) use printer::{write_filter, write_ranking, write_term, write_weight};
 
-use starts_soif::{SoifObject, STARTS_VERSION, VERSION_ATTR};
+use std::fmt::Write as _;
+
+use starts_soif::{
+    AttrSink, ParseError, ParseMode, SoifObject, SoifReader, SoifWriter, STARTS_VERSION,
+    VERSION_ATTR,
+};
 use starts_text::LangTag;
 
 use crate::attrs::{Field, ATTRSET_BASIC1};
+use crate::codec::{expect_template, object_attrs, push_joined, Attrs, FirstWins};
 use crate::error::ProtoError;
 use crate::trace::{TraceContext, TRACE_ATTR};
+
+const SQUERY: &str = "SQuery";
+
+/// The `@SQuery` attributes a decoder reads; the first value of each
+/// wins.
+const QUERY_ATTRS: &[&str] = &[
+    "FilterExpression",
+    "RankingExpression",
+    "DropStopWords",
+    "DefaultAttributeSet",
+    "DefaultLanguage",
+    "AdditionalSources",
+    "AnswerFields",
+    "SortByFields",
+    "MinDocumentScore",
+    "MaxNumberDocuments",
+    TRACE_ATTR,
+];
 
 /// Sort direction for answer specification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -146,110 +171,139 @@ impl Query {
 
     /// Encode as an `@SQuery` SOIF object, attribute order per Example 6.
     pub fn to_soif(&self) -> SoifObject {
-        let mut o = SoifObject::new("SQuery");
-        o.push_str(VERSION_ATTR, STARTS_VERSION);
-        if let Some(f) = &self.filter {
-            o.push_str("FilterExpression", print_filter(f));
-        }
-        if let Some(r) = &self.ranking {
-            o.push_str("RankingExpression", print_ranking(r));
-        }
-        o.push_str(
-            "DropStopWords",
-            if self.drop_stop_words { "T" } else { "F" },
-        );
-        o.push_str("DefaultAttributeSet", &self.default_attr_set);
-        o.push_str("DefaultLanguage", self.default_language.to_string());
-        if !self.additional_sources.is_empty() {
-            o.push_str("AdditionalSources", self.additional_sources.join(" "));
-        }
-        let fields: Vec<&str> = self.answer.fields.iter().map(Field::name).collect();
-        o.push_str("AnswerFields", fields.join(" "));
-        if self.answer.sort_by != vec![SortKey::score_descending()] {
-            o.push_str("SortByFields", encode_sort(&self.answer.sort_by));
-        }
-        if self.answer.min_doc_score.is_finite() {
-            o.push_str("MinDocumentScore", fmt_weight(self.answer.min_doc_score));
-        }
-        if self.answer.max_documents != usize::MAX {
-            o.push_str("MaxNumberDocuments", self.answer.max_documents.to_string());
-        }
-        // Extension attribute (§4.3): only present when tracing, so the
-        // paper's exact encodings are untouched for untraced queries.
-        if let Some(ctx) = &self.trace {
-            o.push_str(TRACE_ATTR, ctx.encode());
-        }
+        let mut o = SoifObject::new(SQUERY);
+        self.encode(self.trace.as_ref(), &mut o);
         o
+    }
+
+    /// Append the wire form of the `@SQuery` object to `out`, carrying
+    /// `trace` as its trace context instead of the query's own: the bytes
+    /// `to_soif()` gives for a copy of the query holding `trace`, written
+    /// without the copy or the object.
+    pub fn write_soif_into(&self, trace: Option<&TraceContext>, out: &mut Vec<u8>) {
+        SoifWriter::new(out).object(SQUERY, |w| self.encode(trace, w));
     }
 
     /// Decode from an `@SQuery` SOIF object.
     pub fn from_soif(o: &SoifObject) -> Result<Query, ProtoError> {
-        if !o.template.eq_ignore_ascii_case("SQuery") {
-            return Err(ProtoError::WrongTemplate {
-                expected: "SQuery",
-                found: o.template.clone(),
+        expect_template(&o.template, SQUERY)?;
+        Self::decode(object_attrs(o))
+    }
+
+    /// Decode the one `@SQuery` object that `bytes` hold — what
+    /// [`starts_soif::parse_one`] and [`Query::from_soif`] accept, read in
+    /// place.
+    pub fn from_soif_bytes(bytes: &[u8], mode: ParseMode) -> Result<Query, ProtoError> {
+        let mut reader = SoifReader::new(bytes, mode);
+        let head = reader
+            .next_head()?
+            .ok_or(ParseError::UnexpectedEof { offset: 0 })?;
+        expect_template(head.template, SQUERY)?;
+        let query = Self::decode(reader.attrs())?;
+        reader.finish()?;
+        Ok(query)
+    }
+
+    fn encode(&self, trace: Option<&TraceContext>, sink: &mut impl AttrSink) {
+        sink.attr(VERSION_ATTR, STARTS_VERSION.as_bytes());
+        if let Some(f) = &self.filter {
+            sink.attr_fmt("FilterExpression", |v| write_filter(v, f));
+        }
+        if let Some(r) = &self.ranking {
+            sink.attr_fmt("RankingExpression", |v| write_ranking(v, r));
+        }
+        let drop_stop_words: &[u8] = if self.drop_stop_words { b"T" } else { b"F" };
+        sink.attr("DropStopWords", drop_stop_words);
+        sink.attr("DefaultAttributeSet", self.default_attr_set.as_bytes());
+        sink.attr_fmt("DefaultLanguage", |v| {
+            let _ = write!(v, "{}", self.default_language);
+        });
+        if !self.additional_sources.is_empty() {
+            sink.attr_fmt("AdditionalSources", |v| {
+                push_joined(v, self.additional_sources.iter().map(String::as_str))
             });
         }
+        sink.attr_fmt("AnswerFields", |v| {
+            push_joined(v, self.answer.fields.iter().map(Field::name))
+        });
+        if self.answer.sort_by.as_slice() != [SortKey::score_descending()] {
+            sink.attr_fmt("SortByFields", |v| write_sort(v, &self.answer.sort_by));
+        }
+        if self.answer.min_doc_score.is_finite() {
+            let score = self.answer.min_doc_score;
+            sink.attr_fmt("MinDocumentScore", |v| write_weight(v, score));
+        }
+        if self.answer.max_documents != usize::MAX {
+            sink.attr_fmt("MaxNumberDocuments", |v| {
+                let _ = write!(v, "{}", self.answer.max_documents);
+            });
+        }
+        // Extension attribute (§4.3): only present when tracing, so the
+        // paper's exact encodings are untouched for untraced queries.
+        if let Some(ctx) = trace {
+            sink.attr_fmt(TRACE_ATTR, |v| ctx.encode_into(v));
+        }
+    }
+
+    /// A first value that is not UTF-8 counts as absent.
+    fn decode<'a>(attrs: impl Attrs<'a>) -> Result<Query, ProtoError> {
         let mut q = Query::default();
-        if let Some(src) = o.get_str("FilterExpression") {
-            if !src.trim().is_empty() {
-                q.filter = Some(parse_filter(src)?);
+        let mut first = FirstWins::new(QUERY_ATTRS);
+        for attr in attrs {
+            let (name, value) = attr?;
+            let Some(attr) = first.claim(name) else {
+                continue;
+            };
+            let Ok(v) = std::str::from_utf8(value) else {
+                continue;
+            };
+            let empty = v.trim().is_empty();
+            match attr {
+                "FilterExpression" if !empty => q.filter = Some(parse_filter(v)?),
+                "RankingExpression" if !empty => q.ranking = Some(parse_ranking(v)?),
+                "DropStopWords" => q.drop_stop_words = parse_bool("DropStopWords", v)?,
+                "DefaultAttributeSet" => q.default_attr_set = v.to_string(),
+                "DefaultLanguage" => {
+                    q.default_language = LangTag::parse(v)
+                        .map_err(|e| ProtoError::invalid("DefaultLanguage", e.to_string()))?;
+                }
+                "AdditionalSources" => {
+                    q.additional_sources = v.split_whitespace().map(str::to_string).collect();
+                }
+                "AnswerFields" => {
+                    q.answer.fields = v.split_whitespace().map(Field::parse).collect()
+                }
+                "SortByFields" => q.answer.sort_by = decode_sort(v)?,
+                "MinDocumentScore" => {
+                    q.answer.min_doc_score = v
+                        .parse()
+                        .map_err(|_| ProtoError::invalid("MinDocumentScore", "not a number"))?;
+                }
+                "MaxNumberDocuments" => {
+                    q.answer.max_documents = v
+                        .parse()
+                        .map_err(|_| ProtoError::invalid("MaxNumberDocuments", "not an integer"))?;
+                }
+                // Lenient per §4.3: malformed trace context degrades to None.
+                TRACE_ATTR => q.trace = TraceContext::decode(v),
+                _ => {}
             }
         }
-        if let Some(src) = o.get_str("RankingExpression") {
-            if !src.trim().is_empty() {
-                q.ranking = Some(parse_ranking(src)?);
-            }
-        }
-        if let Some(v) = o.get_str("DropStopWords") {
-            q.drop_stop_words = parse_bool("DropStopWords", v)?;
-        }
-        if let Some(v) = o.get_str("DefaultAttributeSet") {
-            q.default_attr_set = v.to_string();
-        }
-        if let Some(v) = o.get_str("DefaultLanguage") {
-            q.default_language = LangTag::parse(v)
-                .map_err(|e| ProtoError::invalid("DefaultLanguage", e.to_string()))?;
-        }
-        if let Some(v) = o.get_str("AdditionalSources") {
-            q.additional_sources = v.split_whitespace().map(str::to_string).collect();
-        }
-        if let Some(v) = o.get_str("AnswerFields") {
-            q.answer.fields = v.split_whitespace().map(Field::parse).collect();
-        }
-        if let Some(v) = o.get_str("SortByFields") {
-            q.answer.sort_by = decode_sort(v)?;
-        }
-        if let Some(v) = o.get_str("MinDocumentScore") {
-            q.answer.min_doc_score = v
-                .parse()
-                .map_err(|_| ProtoError::invalid("MinDocumentScore", "not a number"))?;
-        }
-        if let Some(v) = o.get_str("MaxNumberDocuments") {
-            q.answer.max_documents = v
-                .parse()
-                .map_err(|_| ProtoError::invalid("MaxNumberDocuments", "not an integer"))?;
-        }
-        // Lenient per §4.3: malformed trace context degrades to None.
-        q.trace = o.get_str(TRACE_ATTR).and_then(TraceContext::decode);
         Ok(q)
     }
 }
 
 /// Encode sort keys: `score d` / `title a author d`.
-fn encode_sort(keys: &[SortKey]) -> String {
-    let mut parts = Vec::with_capacity(keys.len() * 2);
-    for k in keys {
-        parts.push(match &k.field {
-            None => "score".to_string(),
-            Some(f) => f.name().to_string(),
-        });
-        parts.push(match k.order {
-            SortOrder::Ascending => "a".to_string(),
-            SortOrder::Descending => "d".to_string(),
-        });
-    }
-    parts.join(" ")
+fn write_sort(out: &mut String, keys: &[SortKey]) {
+    let words = keys.iter().flat_map(|k| {
+        let field = k.field.as_ref().map_or("score", Field::name);
+        let order = match k.order {
+            SortOrder::Ascending => "a",
+            SortOrder::Descending => "d",
+        };
+        [field, order]
+    });
+    push_joined(out, words);
 }
 
 fn decode_sort(s: &str) -> Result<Vec<SortKey>, ProtoError> {

@@ -69,14 +69,14 @@ enum Op {
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
-    tokens: &'a [Token],
+    tokens: &'a [Token<'a>],
     pos: usize,
     input_len: usize,
     depth: usize,
 }
 
 impl<'a> Parser<'a> {
-    fn new(tokens: &'a [Token], input_len: usize) -> Self {
+    fn new(tokens: &'a [Token<'a>], input_len: usize) -> Self {
         Parser {
             tokens,
             pos: 0,
@@ -100,11 +100,11 @@ impl<'a> Parser<'a> {
         self.depth -= 1;
     }
 
-    fn peek(&self) -> Option<&'a Token> {
+    fn peek(&self) -> Option<&'a Token<'a>> {
         self.tokens.get(self.pos)
     }
 
-    fn next(&mut self) -> Option<&'a Token> {
+    fn next(&mut self) -> Option<&'a Token<'a>> {
         let t = self.tokens.get(self.pos);
         if t.is_some() {
             self.pos += 1;
@@ -123,7 +123,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect(&mut self, kind: &TokenKind, what: &str) -> Result<(), ProtoError> {
+    fn expect(&mut self, kind: &TokenKind<'_>, what: &str) -> Result<(), ProtoError> {
         match self.next() {
             Some(t) if &t.kind == kind => Ok(()),
             Some(t) => Err(ProtoError::syntax(format!("expected {what}"), t.offset)),
@@ -149,15 +149,16 @@ impl<'a> Parser<'a> {
         else {
             return Err(ProtoError::syntax("expected an operator", off));
         };
-        match w.to_ascii_lowercase().as_str() {
-            "and" => Ok(Op::And),
-            "or" => Ok(Op::Or),
-            "and-not" => Ok(Op::AndNot),
-            "not" => Err(ProtoError::syntax(
+        let known = ["and", "or", "and-not", "not", "prox"];
+        match known.into_iter().find(|op| w.eq_ignore_ascii_case(op)) {
+            Some("and") => Ok(Op::And),
+            Some("or") => Ok(Op::Or),
+            Some("and-not") => Ok(Op::AndNot),
+            Some("not") => Err(ProtoError::syntax(
                 "'not' is not a STARTS operator; use 'and-not'",
                 off,
             )),
-            "prox" => {
+            Some("prox") => {
                 self.expect(&TokenKind::LBracket, "'[' after prox")?;
                 let dist_off = self.offset();
                 let dist: u32 = self
@@ -183,8 +184,8 @@ impl<'a> Parser<'a> {
                     ordered,
                 }))
             }
-            other => Err(ProtoError::syntax(
-                format!("unknown operator {other:?}"),
+            _ => Err(ProtoError::syntax(
+                format!("unknown operator {:?}", w.to_ascii_lowercase()),
                 off,
             )),
         }
@@ -195,10 +196,9 @@ impl<'a> Parser<'a> {
             Some(Token {
                 kind: TokenKind::Word(w),
                 ..
-            }) => matches!(
-                w.to_ascii_lowercase().as_str(),
-                "and" | "or" | "and-not" | "prox"
-            ),
+            }) => ["and", "or", "and-not", "prox"]
+                .iter()
+                .any(|op| w.eq_ignore_ascii_case(op)),
             _ => false,
         }
     }
@@ -251,19 +251,17 @@ impl<'a> Parser<'a> {
     /// The first word is a field unless it parses as a known modifier or
     /// comparison symbol.
     fn term_body(&mut self) -> Result<QTerm, ProtoError> {
-        let mut words: Vec<&str> = Vec::new();
-        while let Some(Token {
-            kind: TokenKind::Word(w),
-            ..
-        }) = self.peek()
-        {
-            words.push(w);
+        let start = self.pos;
+        while self.peek().is_some_and(|t| t.kind.word().is_some()) {
             self.pos += 1;
         }
+        let words = self.tokens[start..self.pos]
+            .iter()
+            .filter_map(|t| t.kind.word());
         let value = self.lstring()?;
         let mut field = None;
         let mut modifiers = Vec::new();
-        for (i, w) in words.iter().enumerate() {
+        for (i, w) in words.enumerate() {
             let parsed = Modifier::parse(w);
             let is_known_modifier = !matches!(parsed, Modifier::Other(_));
             if i == 0 && !is_known_modifier {

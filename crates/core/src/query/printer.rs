@@ -4,78 +4,31 @@
 //! (single spaces, `list(...)`, `prox[d,T]`), so that SOIF-encoded
 //! queries round-trip through the parser and byte counts are stable.
 
+use std::fmt::Write as _;
+
 use crate::query::ast::{FilterExpr, ProxSpec, QTerm, RankExpr, WeightedTerm};
 
 /// Render a term: bare l-strings print unparenthesized (`"databases"`);
 /// terms with a field and/or modifiers print as
 /// `(field modifiers "text")`.
 pub fn print_term(t: &QTerm) -> String {
-    if t.is_bare() {
-        return t.value.to_query_syntax();
-    }
-    let mut parts: Vec<String> = Vec::with_capacity(2 + t.modifiers.len());
-    if let Some(f) = &t.field {
-        parts.push(f.name().to_string());
-    }
-    for m in &t.modifiers {
-        parts.push(m.name().to_string());
-    }
-    parts.push(t.value.to_query_syntax());
-    format!("({})", parts.join(" "))
-}
-
-fn print_prox(spec: &ProxSpec) -> String {
-    format!(
-        "prox[{},{}]",
-        spec.distance,
-        if spec.ordered { "T" } else { "F" }
-    )
+    printed(t, write_term)
 }
 
 /// Render a filter expression in canonical syntax.
 pub fn print_filter(e: &FilterExpr) -> String {
-    match e {
-        FilterExpr::Term(t) => print_term(t),
-        FilterExpr::And(a, b) => format!("({} and {})", print_filter(a), print_filter(b)),
-        FilterExpr::Or(a, b) => format!("({} or {})", print_filter(a), print_filter(b)),
-        FilterExpr::AndNot(a, b) => {
-            format!("({} and-not {})", print_filter(a), print_filter(b))
-        }
-        FilterExpr::Prox(l, spec, r) => {
-            format!("({} {} {})", print_term(l), print_prox(spec), print_term(r))
-        }
-    }
+    printed(e, write_filter)
 }
 
 /// Render a weighted term. Weighted bare terms print `("text" w)`;
 /// weighted fielded terms print `((field "text") w)`.
 pub fn print_weighted(t: &WeightedTerm) -> String {
-    match t.weight {
-        None => print_term(&t.term),
-        Some(w) => format!("({} {})", print_term(&t.term), fmt_weight(w)),
-    }
+    printed(t, write_weighted)
 }
 
 /// Render a ranking expression in canonical syntax.
 pub fn print_ranking(e: &RankExpr) -> String {
-    match e {
-        RankExpr::Term(t) => print_weighted(t),
-        RankExpr::List(items) => {
-            let inner: Vec<String> = items.iter().map(print_ranking).collect();
-            format!("list({})", inner.join(" "))
-        }
-        RankExpr::And(a, b) => format!("({} and {})", print_ranking(a), print_ranking(b)),
-        RankExpr::Or(a, b) => format!("({} or {})", print_ranking(a), print_ranking(b)),
-        RankExpr::AndNot(a, b) => {
-            format!("({} and-not {})", print_ranking(a), print_ranking(b))
-        }
-        RankExpr::Prox(l, spec, r) => format!(
-            "({} {} {})",
-            print_weighted(l),
-            print_prox(spec),
-            print_weighted(r)
-        ),
-    }
+    printed(e, write_ranking)
 }
 
 /// Format a weight or score. Rust's `Display` for `f64` prints the
@@ -83,7 +36,116 @@ pub fn print_ranking(e: &RankExpr) -> String {
 /// rendering for its values (`0.7`, `0.31`, `0.82`, `1`) *and* preserves
 /// full precision for engine-produced scores through SOIF encode/decode.
 pub fn fmt_weight(w: f64) -> String {
-    format!("{w}")
+    let mut out = String::new();
+    write_weight(&mut out, w);
+    out
+}
+
+fn printed<T: ?Sized>(value: &T, write: impl FnOnce(&mut String, &T)) -> String {
+    let mut out = String::new();
+    write(&mut out, value);
+    out
+}
+
+/// Append [`print_term`]'s rendering to `out`.
+pub(crate) fn write_term(out: &mut String, t: &QTerm) {
+    if t.is_bare() {
+        return t.value.write_query_syntax(out);
+    }
+    out.push('(');
+    if let Some(f) = &t.field {
+        out.push_str(f.name());
+        out.push(' ');
+    }
+    for m in &t.modifiers {
+        out.push_str(m.name());
+        out.push(' ');
+    }
+    t.value.write_query_syntax(out);
+    out.push(')');
+}
+
+fn write_prox(out: &mut String, spec: &ProxSpec) {
+    let order = if spec.ordered { "T" } else { "F" };
+    let _ = write!(out, "prox[{},{order}]", spec.distance);
+}
+
+/// Append [`print_filter`]'s rendering to `out`.
+pub(crate) fn write_filter(out: &mut String, e: &FilterExpr) {
+    let (a, op, b) = match e {
+        FilterExpr::Term(t) => return write_term(out, t),
+        FilterExpr::And(a, b) => (a, "and", b),
+        FilterExpr::Or(a, b) => (a, "or", b),
+        FilterExpr::AndNot(a, b) => (a, "and-not", b),
+        FilterExpr::Prox(l, spec, r) => {
+            out.push('(');
+            write_term(out, l);
+            out.push(' ');
+            write_prox(out, spec);
+            out.push(' ');
+            write_term(out, r);
+            out.push(')');
+            return;
+        }
+    };
+    out.push('(');
+    write_filter(out, a);
+    let _ = write!(out, " {op} ");
+    write_filter(out, b);
+    out.push(')');
+}
+
+/// Append [`print_weighted`]'s rendering to `out`.
+pub(crate) fn write_weighted(out: &mut String, t: &WeightedTerm) {
+    let Some(w) = t.weight else {
+        return write_term(out, &t.term);
+    };
+    out.push('(');
+    write_term(out, &t.term);
+    out.push(' ');
+    write_weight(out, w);
+    out.push(')');
+}
+
+/// Append [`print_ranking`]'s rendering to `out`.
+pub(crate) fn write_ranking(out: &mut String, e: &RankExpr) {
+    let (a, op, b) = match e {
+        RankExpr::Term(t) => return write_weighted(out, t),
+        RankExpr::List(items) => {
+            out.push_str("list(");
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(' ');
+                }
+                write_ranking(out, item);
+            }
+            out.push(')');
+            return;
+        }
+        RankExpr::And(a, b) => (a, "and", b),
+        RankExpr::Or(a, b) => (a, "or", b),
+        RankExpr::AndNot(a, b) => (a, "and-not", b),
+        RankExpr::Prox(l, spec, r) => {
+            out.push('(');
+            write_weighted(out, l);
+            out.push(' ');
+            write_prox(out, spec);
+            out.push(' ');
+            write_weighted(out, r);
+            out.push(')');
+            return;
+        }
+    };
+    out.push('(');
+    write_ranking(out, a);
+    let _ = write!(out, " {op} ");
+    write_ranking(out, b);
+    out.push(')');
+}
+
+/// Append [`fmt_weight`]'s rendering to `out`.
+pub(crate) fn write_weight(out: &mut String, w: f64) {
+    let _ = write!(out, "{w}");
 }
 
 #[cfg(test)]

@@ -9,15 +9,23 @@
 //! protocol's only error-reporting channel (a source silently drops what
 //! it cannot do and shows you what it did).
 
-use starts_soif::{write_object_into, SoifObject, SoifReader, STARTS_VERSION, VERSION_ATTR};
+use std::fmt::Write as _;
+
+use starts_soif::{
+    AttrSink, ParseMode, SoifObject, SoifReader, SoifWriter, STARTS_VERSION, VERSION_ATTR,
+};
 
 use crate::attrs::Field;
+use crate::codec::{expect_template, object_attrs, push_joined, Attrs, FirstWins};
 use crate::error::ProtoError;
 use crate::profile::{QueryProfile, PROFILE_ATTR};
 use crate::query::{
-    fmt_weight, parse_filter, parse_ranking, print_filter, print_ranking, print_term, FilterExpr,
+    parse_filter, parse_ranking, write_filter, write_ranking, write_term, write_weight, FilterExpr,
     QTerm, RankExpr,
 };
+
+const SQRESULTS: &str = "SQResults";
+const SQRDOCUMENT: &str = "SQRDocument";
 
 /// One line of the `TermStats` attribute: a query term and its statistics
 /// in this document (Example 8:
@@ -36,46 +44,34 @@ pub struct TermStatsEntry {
 }
 
 impl TermStatsEntry {
-    fn encode(&self) -> String {
-        format!(
-            "{} {} {} {}",
-            print_term(&self.term),
-            self.term_frequency,
-            fmt_weight(self.term_weight),
-            self.document_frequency
-        )
+    fn encode_into(&self, out: &mut String) {
+        write_term(out, &self.term);
+        let _ = write!(out, " {} ", self.term_frequency);
+        write_weight(out, self.term_weight);
+        let _ = write!(out, " {}", self.document_frequency);
     }
 
-    fn decode(line: &str) -> Result<TermStatsEntry, ProtoError> {
+    fn decode<'a>(line: &'a str, terms: &mut TermMemo<'a>) -> Result<TermStatsEntry, ProtoError> {
         // The term is a parenthesized (or bare-quoted) term followed by
         // three numbers. Split at the last three whitespace-separated
         // tokens.
-        let trimmed = line.trim();
-        let mut parts: Vec<&str> = trimmed.rsplitn(4, char::is_whitespace).collect();
-        if parts.len() != 4 {
+        let mut parts = line.trim().rsplitn(4, char::is_whitespace);
+        let (Some(df), Some(weight), Some(tf), Some(term_src)) =
+            (parts.next(), parts.next(), parts.next(), parts.next())
+        else {
             return Err(ProtoError::invalid(
                 "TermStats",
                 format!("bad line {line:?}"),
             ));
-        }
-        parts.reverse(); // [term-text, tf, weight, df]
-        let term_src = parts[0].trim();
-        let term = match crate::query::parse_filter(term_src)? {
-            FilterExpr::Term(t) => t,
-            _ => {
-                return Err(ProtoError::invalid(
-                    "TermStats",
-                    "expected a single term before the statistics",
-                ))
-            }
         };
-        let tf: u32 = parts[1]
+        let term = terms.parse(term_src.trim())?;
+        let tf: u32 = tf
             .parse()
             .map_err(|_| ProtoError::invalid("TermStats", "bad term frequency"))?;
-        let weight: f64 = parts[2]
+        let weight: f64 = weight
             .parse()
             .map_err(|_| ProtoError::invalid("TermStats", "bad term weight"))?;
-        let df: u32 = parts[3]
+        let df: u32 = df
             .parse()
             .map_err(|_| ProtoError::invalid("TermStats", "bad document frequency"))?;
         Ok(TermStatsEntry {
@@ -84,6 +80,35 @@ impl TermStatsEntry {
             term_weight: weight,
             document_frequency: df,
         })
+    }
+}
+
+/// The `TermStats` terms of one result stream already parsed, by their
+/// source text. Every document of a result lists the same few query
+/// terms, and parsing is a pure function of the text, so each distinct
+/// term is parsed once. Bounded, so hostile input cannot make lookups
+/// quadratic.
+#[derive(Default)]
+struct TermMemo<'a>(Vec<(&'a str, QTerm)>);
+
+impl<'a> TermMemo<'a> {
+    const CAPACITY: usize = 16;
+
+    /// The single term `src` spells.
+    fn parse(&mut self, src: &'a str) -> Result<QTerm, ProtoError> {
+        if let Some((_, term)) = self.0.iter().find(|(seen, _)| *seen == src) {
+            return Ok(term.clone());
+        }
+        let FilterExpr::Term(term) = parse_filter(src)? else {
+            return Err(ProtoError::invalid(
+                "TermStats",
+                "expected a single term before the statistics",
+            ));
+        };
+        if self.0.len() < Self::CAPACITY {
+            self.0.push((src, term.clone()));
+        }
+        Ok(term)
     }
 }
 
@@ -121,32 +146,53 @@ impl ResultDocument {
 
     /// Encode as an `@SQRDocument` SOIF object (Example 8 layout).
     pub fn to_soif(&self) -> SoifObject {
-        let mut o = SoifObject::new("SQRDocument");
-        o.push_str(VERSION_ATTR, STARTS_VERSION);
-        if let Some(s) = self.raw_score {
-            o.push_str("RawScore", fmt_weight(s));
-        }
-        o.push_str("Sources", self.sources.join(" "));
-        for (f, v) in &self.fields {
-            o.push_str(f.name(), v);
-        }
-        if !self.term_stats.is_empty() {
-            let lines: Vec<String> = self.term_stats.iter().map(TermStatsEntry::encode).collect();
-            o.push_str("TermStats", lines.join("\n"));
-        }
-        o.push_str("DocSize", self.doc_size_kb.to_string());
-        o.push_str("DocCount", self.doc_count.to_string());
+        let mut o = SoifObject::new(SQRDOCUMENT);
+        self.encode(&mut o);
         o
     }
 
     /// Decode from an `@SQRDocument` object.
     pub fn from_soif(o: &SoifObject) -> Result<ResultDocument, ProtoError> {
-        if !o.template.eq_ignore_ascii_case("SQRDocument") {
-            return Err(ProtoError::WrongTemplate {
-                expected: "SQRDocument",
-                found: o.template.clone(),
+        expect_template(&o.template, SQRDOCUMENT)?;
+        Self::decode(object_attrs(o), &mut TermMemo::default())
+    }
+
+    /// The attributes, in Example 8's order.
+    fn encode(&self, sink: &mut impl AttrSink) {
+        sink.attr(VERSION_ATTR, STARTS_VERSION.as_bytes());
+        if let Some(s) = self.raw_score {
+            sink.attr_fmt("RawScore", |v| write_weight(v, s));
+        }
+        sink.attr_fmt("Sources", |v| {
+            push_joined(v, self.sources.iter().map(String::as_str))
+        });
+        for (f, v) in &self.fields {
+            sink.attr(f.name(), v.as_bytes());
+        }
+        if !self.term_stats.is_empty() {
+            sink.attr_fmt("TermStats", |v| {
+                for (i, entry) in self.term_stats.iter().enumerate() {
+                    if i > 0 {
+                        v.push('\n');
+                    }
+                    entry.encode_into(v);
+                }
             });
         }
+        sink.attr_fmt("DocSize", |v| {
+            let _ = write!(v, "{}", self.doc_size_kb);
+        });
+        sink.attr_fmt("DocCount", |v| {
+            let _ = write!(v, "{}", self.doc_count);
+        });
+    }
+
+    /// Every attribute is read, in order (a repeated one overrides, an
+    /// unknown one is a returned field), and must be UTF-8.
+    fn decode<'a>(
+        attrs: impl Attrs<'a>,
+        terms: &mut TermMemo<'a>,
+    ) -> Result<ResultDocument, ProtoError> {
         let mut doc = ResultDocument {
             raw_score: None,
             sources: Vec::new(),
@@ -155,40 +201,38 @@ impl ResultDocument {
             doc_size_kb: 0,
             doc_count: 0,
         };
-        for attr in o.iter() {
-            let name = attr.name.as_str();
-            let value = std::str::from_utf8(&attr.value)
-                .map_err(|_| ProtoError::invalid(name, "not UTF-8"))?;
-            match name.to_ascii_lowercase().as_str() {
-                "version" => {}
-                "rawscore" => {
-                    doc.raw_score = Some(
-                        value
-                            .parse()
-                            .map_err(|_| ProtoError::invalid("RawScore", "not a number"))?,
-                    )
-                }
-                "sources" => doc.sources = value.split_whitespace().map(str::to_string).collect(),
-                "termstats" => {
-                    doc.term_stats = value
-                        .lines()
-                        .filter(|l| !l.trim().is_empty())
-                        .map(TermStatsEntry::decode)
-                        .collect::<Result<_, _>>()?;
-                }
-                "docsize" => {
-                    doc.doc_size_kb = value
-                        .trim()
+        for attr in attrs {
+            let (name, value) = attr?;
+            let value =
+                std::str::from_utf8(value).map_err(|_| ProtoError::invalid(name, "not UTF-8"))?;
+            let is = |attr: &str| name.eq_ignore_ascii_case(attr);
+            if is(VERSION_ATTR) {
+            } else if is("RawScore") {
+                doc.raw_score = Some(
+                    value
                         .parse()
-                        .map_err(|_| ProtoError::invalid("DocSize", "not an integer"))?
-                }
-                "doccount" => {
-                    doc.doc_count = value
-                        .trim()
-                        .parse()
-                        .map_err(|_| ProtoError::invalid("DocCount", "not an integer"))?
-                }
-                _ => doc.fields.push((Field::parse(name), value.to_string())),
+                        .map_err(|_| ProtoError::invalid("RawScore", "not a number"))?,
+                );
+            } else if is("Sources") {
+                doc.sources = value.split_whitespace().map(str::to_string).collect();
+            } else if is("TermStats") {
+                doc.term_stats = value
+                    .lines()
+                    .filter(|l| !l.trim().is_empty())
+                    .map(|line| TermStatsEntry::decode(line, terms))
+                    .collect::<Result<_, _>>()?;
+            } else if is("DocSize") {
+                doc.doc_size_kb = value
+                    .trim()
+                    .parse()
+                    .map_err(|_| ProtoError::invalid("DocSize", "not an integer"))?;
+            } else if is("DocCount") {
+                doc.doc_count = value
+                    .trim()
+                    .parse()
+                    .map_err(|_| ProtoError::invalid("DocCount", "not an integer"))?;
+            } else {
+                doc.fields.push((Field::parse(name), value.to_string()));
             }
         }
         Ok(doc)
@@ -215,95 +259,124 @@ pub struct QueryResults {
     pub profile: Option<QueryProfile>,
 }
 
+/// The header attributes a decoder reads; the first value of each wins.
+const HEADER_ATTRS: &[&str] = &[
+    "Sources",
+    "ActualFilterExpression",
+    "ActualRankingExpression",
+    PROFILE_ATTR,
+];
+
 impl QueryResults {
     /// Encode the full result as a SOIF stream: one `@SQResults` object
     /// followed by one `@SQRDocument` per document (Example 8's layout).
     pub fn to_soif_stream(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        // Sized for a typical document, so a response is written with
+        // few or no regrowths.
+        let mut out = Vec::with_capacity(256 + 320 * self.documents.len());
         self.to_soif_stream_into(&mut out);
         out
     }
 
-    /// Append the SOIF stream encoding to `out` — the buffer-reuse
-    /// counterpart of [`QueryResults::to_soif_stream`] for hosts that
-    /// encode one response per exchange into a recycled buffer.
+    /// Append the SOIF stream encoding to `out`, writing each attribute
+    /// straight to bytes — the buffer-reuse counterpart of
+    /// [`QueryResults::to_soif_stream`].
     pub fn to_soif_stream_into(&self, out: &mut Vec<u8>) {
-        write_object_into(&self.header_soif(), out);
+        let mut writer = SoifWriter::new(out);
+        writer.object(SQRESULTS, |w| self.encode_header(w));
         for d in &self.documents {
-            out.push(b'\n');
-            write_object_into(&d.to_soif(), out);
+            writer.separator();
+            writer.object(SQRDOCUMENT, |w| d.encode(w));
         }
     }
 
     /// The `@SQResults` header object alone.
     pub fn header_soif(&self) -> SoifObject {
-        let mut o = SoifObject::new("SQResults");
-        o.push_str(VERSION_ATTR, STARTS_VERSION);
-        o.push_str("Sources", self.sources.join(" "));
-        o.push_str(
-            "ActualFilterExpression",
-            self.actual_filter
-                .as_ref()
-                .map(print_filter)
-                .unwrap_or_default(),
-        );
-        o.push_str(
-            "ActualRankingExpression",
-            self.actual_ranking
-                .as_ref()
-                .map(print_ranking)
-                .unwrap_or_default(),
-        );
-        o.push_str("NumDocSOIFs", self.documents.len().to_string());
-        // Extension attribute (§4.3): present only on traced exchanges,
-        // so the paper's exact encodings are untouched otherwise.
-        if let Some(profile) = &self.profile {
-            o.push_str(PROFILE_ATTR, profile.encode());
-        }
+        let mut o = SoifObject::new(SQRESULTS);
+        self.encode_header(&mut o);
         o
     }
 
-    /// Decode a SOIF stream produced by [`QueryResults::to_soif_stream`].
+    /// Decode a SOIF stream produced by [`QueryResults::to_soif_stream`],
+    /// reading attributes in place: nothing is copied that the results
+    /// do not keep.
     pub fn from_soif_stream(bytes: &[u8]) -> Result<QueryResults, ProtoError> {
-        let mut reader = SoifReader::new(bytes, starts_soif::ParseMode::Strict);
+        let mut reader = SoifReader::new(bytes, ParseMode::Strict);
         let header = reader
-            .next_object()?
-            .ok_or_else(|| ProtoError::missing("SQResults", "(whole object)"))?;
-        let mut results = Self::from_header(&header)?;
-        while let Some(obj) = reader.next_object()? {
-            results.documents.push(ResultDocument::from_soif(&obj)?);
+            .next_head()?
+            .ok_or_else(|| ProtoError::missing(SQRESULTS, "(whole object)"))?;
+        expect_template(header.template, SQRESULTS)?;
+        let mut results = Self::decode_header(reader.attrs())?;
+        let mut terms = TermMemo::default();
+        while let Some(head) = reader.next_head()? {
+            expect_template(head.template, SQRDOCUMENT)?;
+            let doc = ResultDocument::decode(reader.attrs(), &mut terms)?;
+            results.documents.push(doc);
         }
         Ok(results)
     }
 
     /// Decode just the header object.
     pub fn from_header(o: &SoifObject) -> Result<QueryResults, ProtoError> {
-        if !o.template.eq_ignore_ascii_case("SQResults") {
-            return Err(ProtoError::WrongTemplate {
-                expected: "SQResults",
-                found: o.template.clone(),
-            });
+        expect_template(&o.template, SQRESULTS)?;
+        Self::decode_header(object_attrs(o))
+    }
+
+    fn encode_header(&self, sink: &mut impl AttrSink) {
+        sink.attr(VERSION_ATTR, STARTS_VERSION.as_bytes());
+        sink.attr_fmt("Sources", |v| {
+            push_joined(v, self.sources.iter().map(String::as_str))
+        });
+        sink.attr_fmt("ActualFilterExpression", |v| {
+            if let Some(f) = &self.actual_filter {
+                write_filter(v, f);
+            }
+        });
+        sink.attr_fmt("ActualRankingExpression", |v| {
+            if let Some(r) = &self.actual_ranking {
+                write_ranking(v, r);
+            }
+        });
+        sink.attr_fmt("NumDocSOIFs", |v| {
+            let _ = write!(v, "{}", self.documents.len());
+        });
+        // Extension attribute (§4.3): present only on traced exchanges,
+        // so the paper's exact encodings are untouched otherwise.
+        if let Some(profile) = &self.profile {
+            sink.attr_fmt(PROFILE_ATTR, |v| profile.encode_into(v));
         }
-        let sources = o
-            .get_str("Sources")
-            .map(|v| v.split_whitespace().map(str::to_string).collect())
-            .unwrap_or_default();
-        let actual_filter = match o.get_str("ActualFilterExpression") {
-            Some(s) if !s.trim().is_empty() => Some(parse_filter(s)?),
-            _ => None,
-        };
-        let actual_ranking = match o.get_str("ActualRankingExpression") {
-            Some(s) if !s.trim().is_empty() => Some(parse_ranking(s)?),
-            _ => None,
-        };
-        Ok(QueryResults {
-            sources,
-            actual_filter,
-            actual_ranking,
-            documents: Vec::new(),
-            // Lenient per §4.3: malformed extension data degrades to None.
-            profile: o.get_str(PROFILE_ATTR).and_then(QueryProfile::decode),
-        })
+    }
+
+    /// The header without its documents. A first value that is not
+    /// UTF-8 counts as absent.
+    fn decode_header<'a>(attrs: impl Attrs<'a>) -> Result<QueryResults, ProtoError> {
+        let mut results = QueryResults::default();
+        let mut first = FirstWins::new(HEADER_ATTRS);
+        for attr in attrs {
+            let (name, value) = attr?;
+            let Some(attr) = first.claim(name) else {
+                continue;
+            };
+            let Ok(value) = std::str::from_utf8(value) else {
+                continue;
+            };
+            let empty = value.trim().is_empty();
+            match attr {
+                "Sources" => {
+                    results.sources = value.split_whitespace().map(str::to_string).collect();
+                }
+                "ActualFilterExpression" if !empty => {
+                    results.actual_filter = Some(parse_filter(value)?);
+                }
+                "ActualRankingExpression" if !empty => {
+                    results.actual_ranking = Some(parse_ranking(value)?);
+                }
+                // Lenient per §4.3: malformed extension data degrades to None.
+                PROFILE_ATTR => results.profile = QueryProfile::decode(value),
+                _ => {}
+            }
+        }
+        Ok(results)
     }
 }
 
@@ -456,26 +529,48 @@ mod tests {
     #[test]
     fn term_stats_decode_with_modifiers() {
         let line = r#"(title stem "databases") 3 0.5 17"#;
-        let e = TermStatsEntry::decode(line).unwrap();
+        let e = TermStatsEntry::decode(line, &mut TermMemo::default()).unwrap();
         assert_eq!(e.term.modifiers, vec![Modifier::Stem]);
         assert_eq!(e.term_frequency, 3);
         assert_eq!(e.document_frequency, 17);
         // Round trip.
-        assert_eq!(e.encode(), line);
+        let mut encoded = String::new();
+        e.encode_into(&mut encoded);
+        assert_eq!(encoded, line);
     }
 
     #[test]
     fn term_stats_decode_bare_term() {
-        let e = TermStatsEntry::decode(r#""databases" 5 0.1 9"#).unwrap();
+        let e = TermStatsEntry::decode(r#""databases" 5 0.1 9"#, &mut TermMemo::default()).unwrap();
         assert!(e.term.is_bare());
         assert_eq!(e.term_frequency, 5);
     }
 
     #[test]
     fn term_stats_bad_lines() {
-        assert!(TermStatsEntry::decode("nonsense").is_err());
-        assert!(TermStatsEntry::decode(r#"(title "x") 1 2"#).is_err());
-        assert!(TermStatsEntry::decode(r#"(title "x") a 0.5 3"#).is_err());
+        let decode = |line| TermStatsEntry::decode(line, &mut TermMemo::default());
+        assert!(decode("nonsense").is_err());
+        assert!(decode(r#"(title "x") 1 2"#).is_err());
+        assert!(decode(r#"(title "x") a 0.5 3"#).is_err());
+        assert!(decode(r#"("x" and "y") 1 0.5 3"#).is_err());
+    }
+
+    #[test]
+    fn term_stats_memo_parses_each_term_text_once() {
+        let mut memo = TermMemo::default();
+        let a = TermStatsEntry::decode(r#"(title "x") 1 0.5 3"#, &mut memo).unwrap();
+        let b = TermStatsEntry::decode(r#"(title "y") 2 0.5 3"#, &mut memo).unwrap();
+        let c = TermStatsEntry::decode(r#"(title "x") 4 0.5 3"#, &mut memo).unwrap();
+        assert_eq!(memo.0.len(), 2);
+        assert_eq!(
+            (a.term.value.text, b.term.value.text),
+            ("x".into(), "y".into())
+        );
+        assert_eq!((c.term.value.text, c.term_frequency), ("x".to_string(), 4));
+        // A line that is not a single term is an error every time.
+        for _ in 0..2 {
+            assert!(TermStatsEntry::decode(r#"("x" or "y") 1 0.5 3"#, &mut memo).is_err());
+        }
     }
 
     #[test]

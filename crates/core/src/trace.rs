@@ -43,10 +43,19 @@ impl TraceContext {
     /// after the second space, trailing whitespace included, is the
     /// path.
     pub fn encode(&self) -> String {
-        format!(
+        let mut out = String::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Append [`TraceContext::encode`]'s value to `out`.
+    pub(crate) fn encode_into(&self, out: &mut String) {
+        use std::fmt::Write as _;
+        let _ = write!(
+            out,
             "{} {} {}",
             self.query_id, self.parent_span_id, self.parent_path
-        )
+        );
     }
 
     /// Decode an attribute value. Lenient: anything that does not parse

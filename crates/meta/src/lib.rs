@@ -32,7 +32,8 @@
 //!   own (plan / per-source dispatch / merge);
 //! * [`wave`] — one query's fan-out over those stages: attempts, hedges,
 //!   the deadline, collection and merge, led the same way by the
-//!   metasearcher (scoped threads) and `starts-serve` (a shared pool);
+//!   metasearcher and `starts-serve`: on the leading thread when nothing
+//!   can end the wait early, else on scoped threads or a shared pool;
 //! * [`metasearcher`] — the end-to-end pipeline over the simulated
 //!   network, with latency/cost accounting.
 

@@ -200,13 +200,15 @@ impl<'n> Metasearcher<'n> {
 
     /// Run the full pipeline for one query.
     ///
-    /// Plans on the calling thread, then leads one [`wave`]: each
-    /// attempt runs on a scoped thread of its own, joined before this
-    /// returns. A panicking exchange does **not** poison the query — it
-    /// is a failed source (health board, `meta.dispatch.failures`,
-    /// `meta.dispatch.panics`) and the merge proceeds with the sources
-    /// that answered. `starts-serve` leads the same wave with its
-    /// attempts on a shared pool.
+    /// Plans on the calling thread, then leads one [`wave`]. On an
+    /// unpaced net ([`wave::runs_on_leader`]) the attempts run one after
+    /// the other on the calling thread; on a paced one each runs on a
+    /// scoped thread of its own, joined before this returns. A panicking
+    /// exchange does **not** poison the query — it is a failed source
+    /// (health board, `meta.dispatch.failures`, `meta.dispatch.panics`)
+    /// and the merge proceeds with the sources that answered.
+    /// `starts-serve` leads the same wave by the same rule, with a shared
+    /// pool in place of the scoped threads.
     pub fn search(&self, query: &Query) -> MetaResponse {
         let obs = self.net.registry();
         let query_id = starts_obs::next_query_id();
@@ -218,13 +220,18 @@ impl<'n> Metasearcher<'n> {
 
         let plan = Arc::new(pipeline::plan(&self.catalog, &self.config, query, obs, t0));
         let (client, config) = (StartsClient::new(self.net), &self.config);
+        let here = wave::runs_on_leader(self.net, None);
         let wave = std::thread::scope(|scope| {
-            let mut spawn = |attempts: Vec<wave::Attempt>| {
+            let mut submit = |attempts: Vec<wave::Attempt>| {
                 for attempt in attempts {
-                    scope.spawn(|| attempt.run(&client, &config.health));
+                    if here {
+                        attempt.run(&client, &config.health);
+                    } else {
+                        scope.spawn(|| attempt.run(&client, &config.health));
+                    }
                 }
             };
-            wave::lead(&plan, config, obs, &query_id, t0, None, None, &mut spawn)
+            wave::lead(&plan, config, obs, &query_id, t0, None, None, &mut submit)
         });
         let mut root = StageCost::new("meta.search", 0, pipeline::elapsed_us(t0))
             .with_meta("results", wave.merged.len());
@@ -550,8 +557,8 @@ mod tests {
         wire_topical_net(&net);
         let catalog = catalog_for(&net, &["DB", "Food", "Stars"]);
         // Replace one source's query endpoint with a handler that
-        // panics mid-request: its dispatch worker dies, the other two
-        // keep going.
+        // panics mid-request: its attempt unwinds on the calling thread,
+        // becomes a failed source, and the other two keep going.
         let url = catalog.entry("Food").unwrap().query_url().to_string();
         net.register(
             url,

@@ -323,12 +323,10 @@ pub fn merge_stage(
 }
 
 /// The canonical singleflight/cache key material for a query: its SOIF
-/// encoding with the per-dispatch trace context stripped. Two queries
+/// encoding with the per-dispatch trace context left out. Two queries
 /// with the same key are wire-identical to every source.
 pub fn normalized_query_key(query: &Query) -> String {
-    let mut q = query.clone();
-    q.trace = None;
-    let mut buf = Vec::new();
-    starts_soif::write_object_into(&q.to_soif(), &mut buf);
-    String::from_utf8_lossy(&buf).into_owned()
+    let mut key = Vec::with_capacity(256);
+    query.write_soif_into(None, &mut key);
+    String::from_utf8(key).expect("an @SQuery is written from strings")
 }

@@ -5,12 +5,15 @@
 //! the thread that owns the query: it submits one [`Attempt`] per
 //! planned source, waits until every source is decided (launching due
 //! hedges, giving up at the deadline), and merges what finished. It
-//! does not know where an attempt runs — the caller's `submit` decides:
+//! does not know where an attempt runs — the caller's `submit` decides,
+//! and both callers decide by [`runs_on_leader`]: when nothing can end
+//! the wait early, `submit` runs the attempts itself, one after the
+//! other, on the leading thread. Otherwise
 //! [`Metasearcher::search`](crate::Metasearcher::search) spawns a
-//! scoped thread that ends with the call, `starts-serve` queues it for
-//! a pool thread that may outlive the query. Wherever it lands,
-//! [`Attempt::run`] performs the exchange and settles the source's
-//! slot.
+//! scoped thread per attempt that ends with the call, and `starts-serve`
+//! queues them for a pool thread that may outlive the query. Wherever
+//! it lands, [`Attempt::run`] performs the exchange and settles the
+//! source's slot.
 //!
 //! A slot is decided by the first attempt that succeeds (its sibling
 //! is cancelled), or by a failure once nothing else is in flight for
@@ -21,7 +24,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use starts_net::{CancelToken, StartsClient};
+use starts_net::{CancelToken, SimNet, StartsClient};
 use starts_obs::{HealthBoard, Registry, SpanHandle};
 use starts_proto::StageCost;
 
@@ -184,6 +187,18 @@ impl Attempt {
         }
         wave.settle(self.index, self.hedge, outcome, obs);
     }
+}
+
+/// Whether a wave's attempts should run on the thread that leads it,
+/// inside `submit`: exactly when nothing could end the leader's wait
+/// before every attempt is back. That holds when `net` does not pace
+/// (an exchange is a function call that never waits on a link, so no
+/// hedge falls due while it runs) and the wave has no `deadline`. Then a
+/// thread of its own would add a hand-off and a wake-up to every
+/// exchange and overlap no waiting. A paced net, or a deadline, keeps
+/// one thread per attempt, so a straggler can be raced or abandoned.
+pub fn runs_on_leader(net: &SimNet, deadline: Option<Instant>) -> bool {
+    net.pacing() == 0 && deadline.is_none()
 }
 
 /// When, and where, to try a source a second time: how long after

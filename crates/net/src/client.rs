@@ -173,7 +173,7 @@ impl<'a> StartsClient<'a> {
         let _span = self.op_span("client.query", url);
         let mut req = ENCODE_BUF.take();
         req.clear();
-        starts_soif::write_object_into(&query.to_soif(), &mut req);
+        query.write_soif_into(query.trace.as_ref(), &mut req);
         let result = self.net.request_cancellable(url, &req, cancel);
         let req_len = req.len();
         ENCODE_BUF.replace(req);

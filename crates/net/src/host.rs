@@ -37,8 +37,7 @@ fn empty_results(source_id: &str) -> Vec<u8> {
 }
 
 fn parse_query(request: &[u8]) -> Option<Query> {
-    let obj = starts_soif::parse_one(request, starts_soif::ParseMode::Lenient).ok()?;
-    Query::from_soif(&obj).ok()
+    Query::from_soif_bytes(request, starts_soif::ParseMode::Lenient).ok()
 }
 
 /// Publish one stand-alone source. Returns the query URL.
@@ -197,7 +196,7 @@ fn wire_alerts(net: &SimNet, base: &str, profile: LinkProfile) {
 pub fn encode_sample(samples: &[(Query, QueryResults)]) -> Vec<u8> {
     let mut out = Vec::new();
     for (q, r) in samples {
-        starts_soif::write_object_into(&q.to_soif(), &mut out);
+        q.write_soif_into(q.trace.as_ref(), &mut out);
         out.push(b'\n');
         r.to_soif_stream_into(&mut out);
         out.push(b'\n');

@@ -7,7 +7,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use parking_lot::RwLock;
-use starts_obs::{Monitor, Registry};
+use starts_obs::{Counter, Gauge, Histogram, Monitor, Registry};
 
 /// A shared cancellation flag for one in-flight request (or a group of
 /// them). Cloning shares the flag: a hedged dispatch hands the same
@@ -163,6 +163,51 @@ pub struct NetStats {
 struct Registered {
     profile: LinkProfile,
     endpoint: Arc<dyn Endpoint>,
+    /// Replaced when a registry reset orphans them.
+    instruments: RwLock<Arc<LinkInstruments>>,
+}
+
+impl Registered {
+    /// The link's instruments, resolved again if `obs` was reset since.
+    fn instruments(&self, obs: &Registry, url: &str) -> Arc<LinkInstruments> {
+        let current = Arc::clone(&self.instruments.read());
+        if current.epoch == obs.epoch() {
+            return current;
+        }
+        let fresh = Arc::new(LinkInstruments::resolve(obs, url));
+        *self.instruments.write() = Arc::clone(&fresh);
+        fresh
+    }
+}
+
+/// One link's `net.*` instruments, resolved when its endpoint is
+/// registered, so an exchange updates atomics instead of building a
+/// metric id — a name `String` plus a label `Vec` — for each.
+struct LinkInstruments {
+    /// [`Registry::epoch`] at resolution.
+    epoch: u64,
+    requests: Counter,
+    bytes_sent: Counter,
+    bytes_received: Counter,
+    latency_ms: Histogram,
+    response_bytes: Histogram,
+    /// §3.3 cost accrual per link: fractional, so a gauge.
+    cost: Gauge,
+}
+
+impl LinkInstruments {
+    fn resolve(obs: &Registry, url: &str) -> Self {
+        let labels = [("url", url)];
+        LinkInstruments {
+            epoch: obs.epoch(),
+            requests: obs.counter_with("net.requests", &labels),
+            bytes_sent: obs.counter_with("net.bytes_sent", &labels),
+            bytes_received: obs.counter_with("net.bytes_received", &labels),
+            latency_ms: obs.histogram_with("net.latency_ms", &labels),
+            response_bytes: obs.histogram_with("net.response_bytes", &labels),
+            cost: obs.gauge_with("net.cost", &labels),
+        }
+    }
 }
 
 /// The simulated network: a URL → endpoint table with accounting.
@@ -221,9 +266,14 @@ impl SimNet {
         profile: LinkProfile,
         endpoint: Arc<dyn Endpoint>,
     ) {
-        self.endpoints
-            .write()
-            .insert(url.into(), Registered { profile, endpoint });
+        let url = url.into();
+        let instruments = RwLock::new(Arc::new(LinkInstruments::resolve(&self.obs, &url)));
+        let link = Registered {
+            profile,
+            endpoint,
+            instruments,
+        };
+        self.endpoints.write().insert(url, link);
     }
 
     /// Whether a URL is served.
@@ -265,13 +315,14 @@ impl SimNet {
     ) -> Result<Response, NetError> {
         // Clone the handler out so long-running handlers do not hold the
         // table lock (requests may fan out from multiple threads).
-        let (endpoint, profile) = {
+        let (endpoint, profile, instruments) = {
             let table = self.endpoints.read();
             let Some(reg) = table.get(url) else {
                 self.obs.counter_with("net.errors", &[("url", url)]).inc();
                 return Err(NetError::UnknownUrl(url.to_string()));
             };
-            (Arc::clone(&reg.endpoint), reg.profile)
+            let instruments = reg.instruments(&self.obs, url);
+            (Arc::clone(&reg.endpoint), reg.profile, instruments)
         };
         if self.pace_out(profile.latency_ms, cancel).is_err() {
             self.obs
@@ -293,23 +344,21 @@ impl SimNet {
             s.bytes_received += response.bytes.len() as u64;
         };
         record(&mut self.stats.write());
-        record(self.per_url.write().entry(url.to_string()).or_default());
-        let labels = [("url", url)];
-        self.obs.counter_with("net.requests", &labels).inc();
-        self.obs
-            .counter_with("net.bytes_sent", &labels)
-            .add(body.len() as u64);
-        self.obs
-            .counter_with("net.bytes_received", &labels)
-            .add(response.bytes.len() as u64);
-        self.obs
-            .histogram_with("net.latency_ms", &labels)
-            .observe(u64::from(response.latency_ms));
-        self.obs
-            .histogram_with("net.response_bytes", &labels)
-            .observe(response.bytes.len() as u64);
-        // §3.3 cost accrual per link: fractional, so a gauge.
-        self.obs.gauge_with("net.cost", &labels).add(response.cost);
+        {
+            let mut per_url = self.per_url.write();
+            match per_url.get_mut(url) {
+                Some(stats) => record(stats),
+                None => record(per_url.entry(url.to_string()).or_default()),
+            }
+        }
+        instruments.requests.inc();
+        instruments.bytes_sent.add(body.len() as u64);
+        let received = response.bytes.len() as u64;
+        instruments.bytes_received.add(received);
+        let latency_ms = u64::from(response.latency_ms);
+        instruments.latency_ms.observe(latency_ms);
+        instruments.response_bytes.observe(received);
+        instruments.cost.add(response.cost);
         Ok(response)
     }
 
@@ -452,6 +501,20 @@ mod tests {
         assert!((snap.gauge("net.cost", &[("url", "u")]) - 3.0).abs() < 1e-9);
         let lat = snap.histogram("net.latency_ms", &[("url", "u")]).unwrap();
         assert_eq!((lat.count, lat.min, lat.max), (2, 40, 40));
+    }
+
+    #[test]
+    fn a_registry_reset_re_resolves_the_link_instruments() {
+        let net = SimNet::new();
+        net.register("u", LinkProfile::default(), echo());
+        net.request("u", b"x").unwrap();
+        net.registry().reset();
+        net.request("u", b"yz").unwrap();
+        let snap = net.registry().snapshot();
+        assert_eq!(snap.counter("net.requests", &[("url", "u")]), 1);
+        assert_eq!(snap.counter("net.bytes_sent", &[("url", "u")]), 2);
+        // The per-URL accounting is the net's own and was not reset.
+        assert_eq!(net.url_stats("u").requests, 2);
     }
 
     #[test]

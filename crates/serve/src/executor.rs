@@ -8,8 +8,10 @@
 //!        │ miss
 //!        ▼
 //! bounded admission queue ──▶ query workers (cache again,
-//! (LIFO pop, shed oldest)     singleflight, lead waves)
-//!                                   │
+//! (LIFO pop, shed oldest)     singleflight, lead waves;
+//!                             unpaced, no deadline: run the
+//!                             exchanges themselves)
+//!                                   │ paced net or a deadline
 //!                                   ▼
 //!                   dispatch queue ──▶ dispatch workers
 //!                   (per-source exchanges, hedges)
@@ -18,12 +20,15 @@
 //! What the server can answer from what it holds it answers where the
 //! request arrived: the admission queue bounds *waves*, so a cache hit
 //! is never queued, never shed and wakes no thread. Query workers lead
-//! the dispatch wave ([`starts_meta::wave`]); its attempts go through
-//! the dispatch pool so one slow query cannot monopolise threads, and a
-//! hedge or a straggler can outlive the query that launched it (an
-//! [`Attempt`] holds its share of the wave state). All coordination is
-//! plain `Mutex`/`Condvar` — no async runtime, matching the repo's
-//! std-only execution model.
+//! the dispatch wave ([`starts_meta::wave`]). When nothing can end the
+//! wait for it early — the net does not pace and the query has no
+//! deadline ([`wave::runs_on_leader`]) — the worker runs the wave's
+//! exchanges itself, one after the other: one thread per miss. Otherwise
+//! the attempts go through the dispatch pool so one slow query cannot
+//! monopolise threads, and a hedge or a straggler can outlive the query
+//! that launched it (an [`Attempt`] holds its share of the wave state).
+//! All coordination is plain `Mutex`/`Condvar` — no async runtime,
+//! matching the repo's std-only execution model.
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -54,9 +59,11 @@ pub struct HedgeConfig {
     pub factor: f64,
     /// Floor on the hedge delay in *simulated* milliseconds — also the
     /// delay used for sources with no health history. Under SimNet
-    /// pacing the delay converts at the pacing rate; with pacing off it
-    /// is taken as wall milliseconds (exchanges complete in
-    /// microseconds then, so hedges effectively never fire).
+    /// pacing the delay converts at the pacing rate. With pacing off a
+    /// wave with a deadline takes it as wall milliseconds (exchanges
+    /// complete in microseconds then, so hedges effectively never fire),
+    /// and a wave without one runs its exchanges on the query worker,
+    /// decided before any hedge could be due.
     pub min_delay_ms: u64,
 }
 
@@ -75,7 +82,9 @@ impl Default for HedgeConfig {
 pub struct ServeConfig {
     /// Query-pool size; `0` = one per available core.
     pub query_workers: usize,
-    /// Dispatch-pool size; `0` = `max(4, 2 × query workers)`.
+    /// Dispatch-pool size; `0` = `max(4, 2 × query workers)`. The pool
+    /// runs the exchanges of waves on a paced net or with a deadline;
+    /// the rest run on the query worker that leads them.
     pub dispatch_workers: usize,
     /// Bound on queries *waiting to run a wave*; at capacity the oldest
     /// waiter is shed. Cache hits are answered on the caller's thread
@@ -525,10 +534,11 @@ fn run_query(inner: &Arc<ServerInner>, job: QueryJob) {
     }
 }
 
-/// Lead one dispatch wave on the shared pool and split what it produced
-/// into the answer and the wave's report. The deadline's clock starts
-/// here, when a worker takes the wave — time spent queued does not count
-/// against it.
+/// Lead one dispatch wave — its exchanges on this worker or on the
+/// shared pool, as [`wave::runs_on_leader`] says — and split what it
+/// produced into the answer and the wave's report. The deadline's clock
+/// starts here, when a worker takes the wave — time spent queued does
+/// not count against it.
 fn run_wave(
     inner: &Arc<ServerInner>,
     job: &QueryJob,
@@ -542,8 +552,18 @@ fn run_wave(
         let replica = inner.serve.replicas.get(&task.id).cloned();
         (hedge_delay(inner, &task.id), replica)
     };
-    let hedge = (inner.serve.hedge.enabled).then_some(&policy as &wave::HedgePolicy<'_>);
+    let here = wave::runs_on_leader(&inner.net, deadline);
+    // A wave run here is decided before a hedge schedule would be read.
+    let hedged = inner.serve.hedge.enabled && !here;
+    let hedge = hedged.then_some(&policy as &wave::HedgePolicy<'_>);
+    let client = StartsClient::new(&inner.net);
     let mut submit = |attempts: Vec<Attempt>| {
+        if here {
+            for attempt in attempts {
+                attempt.run(&client, &inner.config.health);
+            }
+            return;
+        }
         let mut dispatch_q = inner.dispatch_q.lock().expect("dispatch queue");
         dispatch_q.extend(attempts);
         drop(dispatch_q);

@@ -1,16 +1,18 @@
 //! The concurrent serving layer: a query executor over the metasearch
 //! pipeline built for sustained multi-client load.
 //!
-//! [`Metasearcher::search`](starts_meta::Metasearcher) spawns one
-//! scoped thread per selected source per query — fine for a single
-//! caller, wasteful under concurrency. [`Server`] runs the same
+//! [`Metasearcher::search`](starts_meta::Metasearcher) runs one query
+//! for one caller — its exchanges on the caller's thread, or on one
+//! scoped thread each over a paced network. [`Server`] runs the same
 //! pipeline stages ([`starts_meta::pipeline`]) under a serving regime:
 //!
 //! * **Fixed worker pools** — a query pool leads dispatch waves off a
-//!   bounded admission queue; a shared dispatch pool runs the
-//!   per-source exchanges. No thread is ever spawned per query, and a
-//!   query the result cache can answer never reaches a pool at all: it
-//!   is planned, keyed and answered on its caller's thread.
+//!   bounded admission queue and, on an unpaced network with no
+//!   deadline, runs their exchanges itself; a shared dispatch pool runs
+//!   the exchanges of the other waves. No thread is ever spawned per
+//!   query, and a query the result cache can answer never reaches a
+//!   pool at all: it is planned, keyed and answered on its caller's
+//!   thread.
 //! * **Singleflight** — concurrent identical queries (same normalized
 //!   query text, same selected source set) collapse into one dispatch
 //!   wave; followers wait on the leader and share both its answer

@@ -35,8 +35,10 @@ pub mod parse;
 pub mod write;
 
 pub use object::{SoifAttr, SoifObject};
-pub use parse::{parse, parse_one, ParseError, ParseMode, SoifReader};
-pub use write::{write_object, write_object_into, write_stream, write_stream_into};
+pub use parse::{parse, parse_one, AttrRef, ObjectHead, ParseError, ParseMode, SoifReader};
+pub use write::{
+    write_object, write_object_into, write_stream, write_stream_into, AttrSink, SoifWriter,
+};
 
 /// STARTS protocol version string carried by every object (Example 6).
 pub const STARTS_VERSION: &str = "STARTS 1.0";

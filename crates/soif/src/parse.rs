@@ -88,12 +88,7 @@ pub fn parse_one(input: &[u8], mode: ParseMode) -> Result<SoifObject, ParseError
     let obj = reader
         .next_object()?
         .ok_or(ParseError::UnexpectedEof { offset: 0 })?;
-    reader.skip_ws();
-    if !reader.at_end() {
-        return Err(ParseError::ExpectedObjectStart {
-            offset: reader.pos(),
-        });
-    }
+    reader.finish()?;
     Ok(obj)
 }
 
@@ -108,11 +103,32 @@ pub fn parse(input: &[u8], mode: ParseMode) -> Result<Vec<SoifObject>, ParseErro
     Ok(out)
 }
 
-/// Incremental object reader over a byte buffer.
+/// One attribute as it stands in the input: its name and its value
+/// bytes, both borrowed.
+pub type AttrRef<'a> = (&'a str, &'a [u8]);
+
+/// The opening line of an object, borrowed from the input.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ObjectHead<'a> {
+    /// Template type without the leading `@` (e.g. `SQuery`).
+    pub template: &'a str,
+    /// The optional URL after `{`.
+    pub url: Option<&'a str>,
+}
+
+/// Incremental reader over a byte buffer.
+///
+/// It reads an object as its head ([`SoifReader::next_head`]) and then
+/// its attributes one at a time ([`SoifReader::next_attr`]), every name
+/// and value a slice of the input: a typed decoder copies only what it
+/// keeps. [`SoifReader::next_object`] collects the same into an owned
+/// [`SoifObject`]. A framing error ends the object it was found in.
 pub struct SoifReader<'a> {
     input: &'a [u8],
     pos: usize,
     mode: ParseMode,
+    /// Whether an object's head has been read and its closing `}` not.
+    open: bool,
 }
 
 impl<'a> SoifReader<'a> {
@@ -122,6 +138,7 @@ impl<'a> SoifReader<'a> {
             input,
             pos: 0,
             mode,
+            open: false,
         }
     }
 
@@ -144,6 +161,29 @@ impl<'a> SoifReader<'a> {
 
     /// Read the next object, or `None` at (whitespace-padded) end of input.
     pub fn next_object(&mut self) -> Result<Option<SoifObject>, ParseError> {
+        let Some(head) = self.next_head()? else {
+            return Ok(None);
+        };
+        let mut obj = SoifObject {
+            template: head.template.to_string(),
+            url: head.url.map(str::to_string),
+            attrs: Vec::new(),
+        };
+        while let Some((name, value)) = self.next_attr()? {
+            obj.attrs.push(SoifAttr {
+                name: name.to_string(),
+                value: value.to_vec(),
+            });
+        }
+        Ok(Some(obj))
+    }
+
+    /// Open the next object and return its head, or `None` at
+    /// (whitespace-padded) end of input. Whatever is left of the object
+    /// opened before is read first, and its framing errors are this
+    /// call's.
+    pub fn next_head(&mut self) -> Result<Option<ObjectHead<'a>>, ParseError> {
+        while self.next_attr()?.is_some() {}
         self.skip_ws();
         if self.at_end() {
             return Ok(None);
@@ -162,33 +202,54 @@ impl<'a> SoifReader<'a> {
             if !raw.is_empty() {
                 url = Some(
                     std::str::from_utf8(raw)
-                        .map_err(|_| ParseError::BadName { offset: self.pos })?
-                        .to_string(),
+                        .map_err(|_| ParseError::BadName { offset: self.pos })?,
                 );
             }
         }
         self.pos = line_end + 1;
-        let mut attrs = Vec::new();
-        loop {
-            self.skip_blank_lines();
-            if self.at_end() {
-                return Err(ParseError::UnexpectedEof { offset: self.pos });
-            }
-            if self.input[self.pos] == b'}' {
-                self.pos += 1;
-                // consume the rest of the line if present
-                if self.pos < self.input.len() && self.input[self.pos] == b'\n' {
-                    self.pos += 1;
-                }
-                break;
-            }
-            attrs.push(self.read_attribute()?);
+        self.open = true;
+        Ok(Some(ObjectHead { template, url }))
+    }
+
+    /// The open object's next attribute, or `None` once its closing `}`
+    /// is consumed (and whenever no object is open).
+    pub fn next_attr(&mut self) -> Result<Option<AttrRef<'a>>, ParseError> {
+        if !self.open {
+            return Ok(None);
         }
-        Ok(Some(SoifObject {
-            template,
-            url,
-            attrs,
-        }))
+        self.skip_blank_lines();
+        let attr = if self.at_end() {
+            Err(ParseError::UnexpectedEof { offset: self.pos })
+        } else if self.input[self.pos] == b'}' {
+            self.pos += 1;
+            // consume the rest of the line if present
+            if self.pos < self.input.len() && self.input[self.pos] == b'\n' {
+                self.pos += 1;
+            }
+            Ok(None)
+        } else {
+            self.read_attribute().map(Some)
+        };
+        self.open = matches!(attr, Ok(Some(_)));
+        attr
+    }
+
+    /// The open object's remaining attributes, as an iterator that ends
+    /// with the object (or with its first framing error).
+    pub fn attrs(&mut self) -> impl Iterator<Item = Result<AttrRef<'a>, ParseError>> + '_ {
+        std::iter::from_fn(move || self.next_attr().transpose())
+    }
+
+    /// Read the rest of the open object, then require that only
+    /// whitespace follows: the end of a one-object message.
+    pub fn finish(&mut self) -> Result<(), ParseError> {
+        while self.next_attr()?.is_some() {}
+        self.skip_ws();
+        if self.at_end() {
+            Ok(())
+        } else {
+            Err(ParseError::ExpectedObjectStart { offset: self.pos })
+        }
     }
 
     fn skip_blank_lines(&mut self) {
@@ -210,7 +271,7 @@ impl<'a> SoifReader<'a> {
     }
 
     /// Read a name terminated by `stop` (consuming the terminator).
-    fn read_name(&mut self, stop: u8) -> Result<String, ParseError> {
+    fn read_name(&mut self, stop: u8) -> Result<&'a str, ParseError> {
         let start = self.pos;
         while self.pos < self.input.len() {
             let b = self.input[self.pos];
@@ -221,7 +282,7 @@ impl<'a> SoifReader<'a> {
                     return Err(ParseError::BadName { offset: start });
                 }
                 self.pos += 1;
-                return Ok(name.to_string());
+                return Ok(name);
             }
             if b == b'\n' {
                 return Err(ParseError::BadAttributeHeader { offset: start });
@@ -231,13 +292,14 @@ impl<'a> SoifReader<'a> {
         Err(ParseError::UnexpectedEof { offset: self.pos })
     }
 
-    fn read_attribute(&mut self) -> Result<SoifAttr, ParseError> {
+    fn read_attribute(&mut self) -> Result<AttrRef<'a>, ParseError> {
+        let input = self.input;
         let header_start = self.pos;
         let name = self.read_name(b'{')?;
         // Byte count.
         let count_start = self.pos;
         let close = self.find(b'}')?;
-        let count: usize = std::str::from_utf8(&self.input[count_start..close])
+        let count: usize = std::str::from_utf8(&input[count_start..close])
             .ok()
             .and_then(|s| s.parse().ok())
             .ok_or(ParseError::BadByteCount {
@@ -245,73 +307,79 @@ impl<'a> SoifReader<'a> {
             })?;
         self.pos = close + 1;
         // Expect ':' then optional single space/tab.
-        if self.pos >= self.input.len() || self.input[self.pos] != b':' {
+        if self.pos >= input.len() || input[self.pos] != b':' {
             return Err(ParseError::BadAttributeHeader {
                 offset: header_start,
             });
         }
         self.pos += 1;
-        if self.pos < self.input.len()
-            && (self.input[self.pos] == b' ' || self.input[self.pos] == b'\t')
-        {
+        if self.pos < input.len() && (input[self.pos] == b' ' || input[self.pos] == b'\t') {
             self.pos += 1;
         }
-        // Read exactly `count` bytes.
-        let in_bounds = self.pos + count <= self.input.len();
-        if !in_bounds && self.mode == ParseMode::Strict {
-            return Err(ParseError::UnexpectedEof {
-                offset: self.input.len(),
-            });
-        }
-        let value_end = self.pos + count;
-        let ends_cleanly = in_bounds
-            && (value_end == self.input.len()
-                || self.input[value_end] == b'\n'
-                || self.input[value_end] == b'\r');
+        // Read exactly `count` bytes. A count past the end (however
+        // large) is out of bounds, never an overflow.
+        let value_end = match self
+            .pos
+            .checked_add(count)
+            .filter(|&end| end <= input.len())
+        {
+            Some(end) => end,
+            None if self.mode == ParseMode::Strict => {
+                return Err(ParseError::UnexpectedEof {
+                    offset: input.len(),
+                })
+            }
+            None => return Ok((name, self.resync())),
+        };
+        let ends_cleanly =
+            value_end == input.len() || input[value_end] == b'\n' || input[value_end] == b'\r';
         if ends_cleanly {
-            let value = self.input[self.pos..value_end].to_vec();
+            let value = &input[self.pos..value_end];
             self.pos = value_end;
-            if self.pos < self.input.len() && self.input[self.pos] == b'\r' {
+            if self.pos < input.len() && input[self.pos] == b'\r' {
                 self.pos += 1;
             }
-            if self.pos < self.input.len() && self.input[self.pos] == b'\n' {
+            if self.pos < input.len() && input[self.pos] == b'\n' {
                 self.pos += 1;
             }
-            return Ok(SoifAttr { name, value });
+            return Ok((name, value));
         }
         match self.mode {
             ParseMode::Strict => Err(ParseError::CountMismatch {
                 offset: value_end,
-                attr: name,
+                attr: name.to_string(),
             }),
-            ParseMode::Lenient => {
-                // The count was wrong (the paper's examples contain such).
-                // Resynchronize: take lines until one starts a plausible
-                // attribute header (`Name{digits}:`) or closes the object.
-                let mut end = self.pos;
-                loop {
-                    let line_end = self.input[end..]
-                        .iter()
-                        .position(|&b| b == b'\n')
-                        .map(|i| end + i)
-                        .unwrap_or(self.input.len());
-                    let next_line_start = (line_end + 1).min(self.input.len());
-                    if next_line_start >= self.input.len() {
-                        end = line_end;
-                        break;
-                    }
-                    let rest = &self.input[next_line_start..];
-                    if rest.starts_with(b"}") || looks_like_attr_header(rest) {
-                        end = line_end;
-                        break;
-                    }
-                    end = next_line_start;
-                }
-                let value = self.input[self.pos..end].to_vec();
-                self.pos = (end + 1).min(self.input.len());
-                Ok(SoifAttr { name, value })
-            }
+            ParseMode::Lenient => Ok((name, self.resync())),
         }
+    }
+
+    /// Lenient recovery from a wrong byte count (the paper's examples
+    /// contain such): take lines until one starts a plausible attribute
+    /// header (`Name{digits}:`) or closes the object; they are the value.
+    fn resync(&mut self) -> &'a [u8] {
+        let input = self.input;
+        let mut end = self.pos;
+        loop {
+            let line_end = input[end..]
+                .iter()
+                .position(|&b| b == b'\n')
+                .map(|i| end + i)
+                .unwrap_or(input.len());
+            let next_line_start = (line_end + 1).min(input.len());
+            if next_line_start >= input.len() {
+                end = line_end;
+                break;
+            }
+            let rest = &input[next_line_start..];
+            if rest.starts_with(b"}") || looks_like_attr_header(rest) {
+                end = line_end;
+                break;
+            }
+            end = next_line_start;
+        }
+        let value = &input[self.pos..end];
+        self.pos = (end + 1).min(input.len());
+        value
     }
 }
 
@@ -478,6 +546,39 @@ mod tests {
     fn value_with_trailing_byte_noise_rejected_strict() {
         let text = "@SQuery{\nDropStopWords{1}: TX\n}\n";
         assert!(parse_one(text.as_bytes(), ParseMode::Strict).is_err());
+    }
+
+    #[test]
+    fn borrowed_attributes_are_slices_of_the_input() {
+        let text = b"@SQResults{\nNumDocSOIFs{1}: 1\n}\n\n@SQRDocument{ http://x/\nRawScore{4}: 0.82\nDocSize{3}: 248\n}\n";
+        let mut reader = SoifReader::new(text, ParseMode::Strict);
+        let head = reader.next_head().unwrap().unwrap();
+        assert_eq!((head.template, head.url), ("SQResults", None));
+        // A head read before the object was finished finishes it first.
+        let head = reader.next_head().unwrap().unwrap();
+        assert_eq!(
+            (head.template, head.url),
+            ("SQRDocument", Some("http://x/"))
+        );
+        let attrs: Vec<_> = reader.attrs().collect::<Result<_, _>>().unwrap();
+        assert_eq!(
+            attrs,
+            [("RawScore", &b"0.82"[..]), ("DocSize", &b"248"[..])]
+        );
+        assert_eq!(reader.next_attr(), Ok(None));
+        assert_eq!(reader.next_head(), Ok(None));
+        assert_eq!(parse(text, ParseMode::Strict).unwrap().len(), 2);
+    }
+
+    #[test]
+    fn a_count_past_any_input_is_out_of_bounds_not_an_overflow() {
+        let text = "@SQuery{\nVersion{18446744073709551615}: STARTS 1.0\n}\n";
+        assert!(matches!(
+            parse_one(text.as_bytes(), ParseMode::Strict),
+            Err(ParseError::UnexpectedEof { .. })
+        ));
+        let obj = parse_one(text.as_bytes(), ParseMode::Lenient).unwrap();
+        assert_eq!(obj.get_str("Version"), Some("STARTS 1.0"));
     }
 
     #[test]

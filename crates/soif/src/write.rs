@@ -1,6 +1,6 @@
 //! SOIF serialization with exact byte counts.
 
-use crate::object::SoifObject;
+use crate::object::{SoifAttr, SoifObject};
 
 /// Serialize one object to its wire form:
 ///
@@ -38,14 +38,19 @@ pub fn write_object_into(obj: &SoifObject, out: &mut Vec<u8>) {
     }
     out.push(b'\n');
     for a in &obj.attrs {
-        out.extend_from_slice(a.name.as_bytes());
-        out.push(b'{');
-        push_decimal(a.value.len(), out);
-        out.extend_from_slice(b"}: ");
-        out.extend_from_slice(&a.value);
-        out.push(b'\n');
+        write_attr(out, &a.name, &a.value);
     }
     out.extend_from_slice(b"}\n");
+}
+
+/// Append one attribute line, `Name{len}: value\n`.
+fn write_attr(out: &mut Vec<u8>, name: &str, value: &[u8]) {
+    out.extend_from_slice(name.as_bytes());
+    out.push(b'{');
+    push_decimal(value.len(), out);
+    out.extend_from_slice(b"}: ");
+    out.extend_from_slice(value);
+    out.push(b'\n');
 }
 
 /// Append the decimal digits of `n` without going through a `String`.
@@ -63,6 +68,80 @@ fn push_decimal(n: usize, out: &mut Vec<u8>) {
         }
     }
     out.extend_from_slice(&buf[i..]);
+}
+
+/// Where a typed encoder puts one object's attributes, in order: a
+/// [`SoifObject`] under construction, or a [`SoifWriter`] appending the
+/// wire form. One encoder body serves both.
+pub trait AttrSink {
+    /// Append an attribute whose value is at hand.
+    fn attr(&mut self, name: &str, value: &[u8]);
+
+    /// Append an attribute whose value `format` writes.
+    fn attr_fmt(&mut self, name: &str, format: impl FnOnce(&mut String));
+}
+
+impl AttrSink for SoifObject {
+    fn attr(&mut self, name: &str, value: &[u8]) {
+        self.push_bytes(name, value.to_vec());
+    }
+
+    fn attr_fmt(&mut self, name: &str, format: impl FnOnce(&mut String)) {
+        let mut value = String::new();
+        format(&mut value);
+        self.attrs.push(SoifAttr {
+            name: name.to_string(),
+            value: value.into_bytes(),
+        });
+    }
+}
+
+/// Writes objects straight to wire bytes, with exact counts, and no
+/// [`SoifObject`] in between. A formatted value is built in one scratch
+/// buffer the writer reuses, since its count precedes it.
+pub struct SoifWriter<'o> {
+    out: &'o mut Vec<u8>,
+    scratch: String,
+}
+
+impl<'o> SoifWriter<'o> {
+    /// A writer appending to `out`.
+    pub fn new(out: &'o mut Vec<u8>) -> Self {
+        SoifWriter {
+            out,
+            // Room for a typical formatted value (a document's TermStats,
+            // a host profile) without regrowing.
+            scratch: String::with_capacity(512),
+        }
+    }
+
+    /// Write one object with no URL: `@template{`, the attributes
+    /// `body` appends, `}` — the bytes [`write_object_into`] writes for
+    /// the same object.
+    pub fn object(&mut self, template: &str, body: impl FnOnce(&mut Self)) {
+        self.out.push(b'@');
+        self.out.extend_from_slice(template.as_bytes());
+        self.out.extend_from_slice(b"{\n");
+        body(self);
+        self.out.extend_from_slice(b"}\n");
+    }
+
+    /// The blank line between the objects of a stream.
+    pub fn separator(&mut self) {
+        self.out.push(b'\n');
+    }
+}
+
+impl AttrSink for SoifWriter<'_> {
+    fn attr(&mut self, name: &str, value: &[u8]) {
+        write_attr(self.out, name, value);
+    }
+
+    fn attr_fmt(&mut self, name: &str, format: impl FnOnce(&mut String)) {
+        self.scratch.clear();
+        format(&mut self.scratch);
+        write_attr(self.out, name, self.scratch.as_bytes());
+    }
 }
 
 /// Serialize a stream of objects, separated by a blank line (the layout
@@ -141,6 +220,22 @@ mod tests {
             push_decimal(n, &mut out);
             assert_eq!(out, n.to_string().into_bytes());
         }
+    }
+
+    #[test]
+    fn the_writer_writes_what_an_object_sink_collects() {
+        fn body(sink: &mut impl AttrSink) {
+            sink.attr("Version", b"STARTS 1.0");
+            sink.attr_fmt("TermStats", |v| v.push_str("line one\nline two"));
+            sink.attr("RankingExpression", b"");
+            sink.attr_fmt("DocSize", |v| v.push_str("248"));
+        }
+        let mut object = SoifObject::new("SQRDocument");
+        body(&mut object);
+        let mut direct = b"prefix".to_vec();
+        SoifWriter::new(&mut direct).object("SQRDocument", body);
+        assert_eq!(&direct[..6], b"prefix");
+        assert_eq!(&direct[6..], write_object(&object).as_slice());
     }
 
     #[test]

@@ -3,8 +3,10 @@
 //! cached responses with per-source generation invalidation,
 //! deadline-bounded partial results that are a prefix-consistent merge
 //! of the finished sources, hedged dispatch racing a replica against a
-//! slow primary, LIFO load shedding under overload, panic isolation in
-//! the shared dispatch pool and in the query pool, and the cached path:
+//! slow primary, LIFO load shedding under overload, where a wave's
+//! exchanges run (the query worker, or the shared dispatch pool once
+//! pacing or a deadline can end the wait early), panic isolation on
+//! either thread and in the query pool, and the cached path:
 //! hits answered on the caller's thread past a full executor, an
 //! invalidation that overtakes a wave in flight, and a cache that keeps
 //! the answer but never the wave's report.
@@ -727,17 +729,99 @@ fn overload_sheds_the_oldest_waiter_and_answers_the_rest() {
     assert_eq!(snap.counter("serve.shed", &[]), shed as u64);
 }
 
+/// The name of the thread each exchange with a source ran on, in order.
+type ThreadLog = Arc<Mutex<Vec<String>>>;
+
+fn thread_name() -> String {
+    std::thread::current().name().unwrap_or("").to_string()
+}
+
+/// Where a wave's exchanges run: on the query worker that leads it
+/// while nothing can end its wait early — the net does not pace and the
+/// query has no deadline — and on the dispatch pool otherwise. A
+/// `Metasearcher` on an unpaced net runs them on its caller's thread.
 #[test]
-fn pool_isolates_panicking_endpoints_and_survives() {
+fn an_exchange_runs_on_its_leader_unless_pacing_or_a_deadline_can_end_the_wait() {
+    let net = Arc::new(SimNet::new());
+    wire(&net, "DB", &["databases", "queries"], 10);
+    let catalog = discover(&net, &["DB"]);
+    let source = Source::build(SourceConfig::new("DB"), &docs(&["databases"], 12, "db"));
+    let log: ThreadLog = Arc::default();
+    let seen = Arc::clone(&log);
+    net.register(
+        "starts://db/query",
+        LinkProfile::default(),
+        Arc::new(move |request: &[u8]| -> Vec<u8> {
+            seen.lock().unwrap().push(thread_name());
+            let query = Query::from_soif_bytes(request, starts::soif::ParseMode::Lenient);
+            source.execute(&query.unwrap()).to_soif_stream()
+        }),
+    );
+    let config = || MetaConfig {
+        max_sources: 1,
+        ..MetaConfig::default()
+    };
+    let server = Server::new(
+        Arc::clone(&net),
+        catalog.clone(),
+        config(),
+        ServeConfig {
+            query_workers: 1,
+            cache_ttl: Duration::ZERO,
+            hedge: hedge_off(),
+            ..ServeConfig::default()
+        },
+    );
+    let query = ranked(r#"list((body-of-text "databases"))"#);
+    let ran_on = |search: &dyn Fn()| -> String {
+        log.lock().unwrap().clear();
+        search();
+        let mut threads = log.lock().unwrap();
+        assert_eq!(threads.len(), 1, "one exchange per search");
+        threads.pop().unwrap()
+    };
+    let serve = |deadline_ms| {
+        let outcome = server.search_with(&query, deadline_ms).unwrap();
+        assert!(!outcome.response.merged.is_empty());
+    };
+
+    // Unpaced, no deadline (`Some(0)` is none): the query worker.
+    for deadline_ms in [None, Some(0)] {
+        assert!(ran_on(&|| serve(deadline_ms)).starts_with("serve-query-"));
+    }
+    // A deadline, or a paced net: the dispatch pool.
+    assert!(ran_on(&|| serve(Some(60_000))).starts_with("serve-dispatch-"));
+    net.set_pacing(1);
+    assert!(ran_on(&|| serve(None)).starts_with("serve-dispatch-"));
+
+    // The metasearcher: a thread of its own when paced, the caller's
+    // when not.
+    let meta = Metasearcher::new(&net, catalog, config());
+    let search = || assert!(!meta.search(&query).merged.is_empty());
+    assert_ne!(ran_on(&search), thread_name());
+    net.set_pacing(0);
+    assert_eq!(ran_on(&search), thread_name());
+}
+
+/// A panicking endpoint is a failed source wherever its exchange runs —
+/// on the query worker leading an unpaced wave, or on the dispatch pool
+/// under pacing — and the thread it ran on keeps serving.
+#[test]
+fn a_panicking_endpoint_fails_its_source_and_the_thread_that_ran_it_survives() {
     let net = Arc::new(SimNet::new());
     wire(&net, "DB", &["databases", "queries"], 10);
     wire(&net, "Food", &["cooking", "recipes"], 10);
     let catalog = discover(&net, &["DB", "Food"]);
     let url = catalog.entry("Food").unwrap().query_url().to_string();
+    let log: ThreadLog = Arc::default();
+    let seen = Arc::clone(&log);
     net.register(
         url,
         LinkProfile::default(),
-        Arc::new(|_req: &[u8]| -> Vec<u8> { panic!("endpoint blew up") }),
+        Arc::new(move |_req: &[u8]| -> Vec<u8> {
+            seen.lock().unwrap().push(thread_name());
+            panic!("endpoint blew up")
+        }),
     );
     net.registry().reset();
     let server = Server::new(
@@ -746,6 +830,7 @@ fn pool_isolates_panicking_endpoints_and_survives() {
         MetaConfig::default(),
         ServeConfig {
             query_workers: 1,
+            dispatch_workers: 1,
             cache_ttl: Duration::ZERO,
             hedge: hedge_off(),
             ..ServeConfig::default()
@@ -753,25 +838,32 @@ fn pool_isolates_panicking_endpoints_and_survives() {
     );
 
     let query = ranked(r#"list((body-of-text "text"))"#);
-    let first = server.search(&query).unwrap();
-    let status: HashMap<&str, SourceStatus> = first
-        .response
-        .completeness
-        .iter()
-        .map(|c| (c.source.as_str(), c.status))
-        .collect();
-    assert_eq!(status["Food"], SourceStatus::Failed);
-    assert_eq!(status["DB"], SourceStatus::Complete);
-    assert!(!first.response.merged.is_empty());
-    assert!(!first.response.partial, "failure is not a timeout");
-
-    // The dispatch pool survived the panic: a second query still runs.
-    let second = server.search(&query).unwrap();
-    assert_eq!(second.via, Served::Executed);
+    for (pacing, thread) in [(0, "serve-query-0"), (1, "serve-dispatch-0")] {
+        net.set_pacing(pacing);
+        // With one thread of each kind, the second search proves the
+        // thread that ran the first one's panic is still serving.
+        for _ in 0..2 {
+            let outcome = server.search(&query).unwrap();
+            assert_eq!(outcome.via, Served::Executed);
+            let status: HashMap<&str, SourceStatus> = outcome
+                .response
+                .completeness
+                .iter()
+                .map(|c| (c.source.as_str(), c.status))
+                .collect();
+            assert_eq!(status["Food"], SourceStatus::Failed);
+            assert_eq!(status["DB"], SourceStatus::Complete);
+            assert!(!outcome.response.merged.is_empty());
+            assert!(!outcome.response.partial, "failure is not a timeout");
+        }
+        assert_eq!(*log.lock().unwrap(), [thread, thread], "pacing {pacing}");
+        log.lock().unwrap().clear();
+    }
+    net.set_pacing(0);
     let snap = net.registry().snapshot();
     assert_eq!(
         snap.counter("meta.dispatch.panics", &[("source", "Food")]),
-        2
+        4
     );
 }
 

@@ -1,7 +1,8 @@
-//! The work budget: what an index build and the serving layer's cached
-//! path cost, in counts that repeat from run to run on any machine —
-//! heap bytes held at peak and after, allocator calls, bytes on the
-//! wire and spans closed — checked against the values in `BUDGET.json`.
+//! The work budget: what an index build, the serving layer's cached
+//! path and the results codec cost, in counts that repeat from run to
+//! run on any machine — heap bytes held at peak and after, allocator
+//! calls, bytes on the wire and spans closed — checked against the
+//! values in `BUDGET.json`.
 //!
 //! The binary installs a counting global allocator and holds exactly one
 //! test, so nothing else in the process allocates while it measures.
@@ -23,7 +24,7 @@ use starts::meta::metasearcher::MetaConfig;
 use starts::meta::pipeline::normalized_query_key;
 use starts::net::{host::wire_source, LinkProfile, SimNet, StartsClient};
 use starts::proto::query::ast::{FilterExpr, QTerm, RankExpr};
-use starts::proto::{AnswerSpec, Field, Query};
+use starts::proto::{AnswerSpec, Field, Query, QueryResults};
 use starts::serve::{HedgeConfig, ServeConfig, Served, Server};
 use starts::source::{vendors, Source};
 
@@ -263,11 +264,13 @@ fn the_cached_path_stays_within_its_budget() {
     // Every query once: each leads a wave and leaves its answer cached.
     // A miss is counted on every thread it touches — caller, query
     // worker, dispatch workers, the hosts behind the net.
+    let mut reports = Vec::with_capacity(queries.len());
     let (spans_before, net_before) = (spans_closed(&net), net.stats());
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     for query in &queries {
         let outcome = server.search(query).expect("served");
         assert_eq!(outcome.via, Served::Executed);
+        reports.push(outcome.wave.expect("a miss runs a wave"));
     }
     settle(&net);
     let misses = ALLOCATIONS.load(Ordering::Relaxed) - before;
@@ -291,6 +294,20 @@ fn the_cached_path_stays_within_its_budget() {
     let freed = held - LIVE_BYTES.load(Ordering::Relaxed);
     assert_eq!(server.cached_responses(), 0);
 
+    // The results codec alone, over every response the misses received:
+    // encoded as its host encodes it, decoded as the client decodes it.
+    let responses: Vec<&QueryResults> = reports
+        .iter()
+        .flat_map(|report| report.per_source.iter().map(|s| &s.results))
+        .collect();
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for results in &responses {
+        let bytes = results.to_soif_stream();
+        let decoded = QueryResults::from_soif_stream(&bytes).expect("a response decodes");
+        assert_eq!(&decoded, *results);
+    }
+    let codec = ALLOCATIONS.load(Ordering::Relaxed) - before;
+
     check("index.build.peak_live_bytes_per_doc", build_peak);
     check("index.retained_bytes_per_doc", retained);
     let n = queries.len() as f64;
@@ -302,4 +319,8 @@ fn the_cached_path_stays_within_its_budget() {
     check("serve.miss.allocations_per_request", misses as f64 / n);
     check("serve.miss.wire_bytes_per_request", wire_bytes as f64 / n);
     check("serve.miss.spans_per_request", spans as f64 / n);
+    check(
+        "codec.results.allocations_per_response",
+        codec as f64 / responses.len() as f64,
+    );
 }
