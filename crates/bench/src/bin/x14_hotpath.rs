@@ -123,6 +123,14 @@ fn main() {
          (naive {:.0} QPS -> top-k {:.0} QPS)",
         naive.qps, topk.qps
     );
+    // The bounded pipeline exists to beat the full sort; losing to it
+    // is a regression on any machine.
+    assert!(
+        speedup >= 1.0,
+        "top-k ({:.0} QPS) is slower than the naive walk ({:.0} QPS)",
+        topk.qps,
+        naive.qps
+    );
 
     let json = render_json(
         smoke,

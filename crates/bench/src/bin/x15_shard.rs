@@ -184,8 +184,8 @@ fn render_json(
         .collect();
     let note = provenance_note(
         parallelism,
-        "with one core the parallel build cannot beat monolithic and multi-shard \
-         rows show fan-out overhead, not speedup",
+        "shard counts above the core count cannot build faster, and every \
+         multi-shard query pays the fan-out",
     );
     format!(
         "{{\n  \"bench\": \"x15_shard\",\n  \

@@ -363,7 +363,8 @@ fn render_live(monitor: &Monitor, phase: &str, done: usize, total: usize, victim
     }
 }
 
-/// Hand-rolled JSON artifact (gated in CI by `bench_diff`).
+/// Hand-rolled JSON artifact (schema documented in
+/// `docs/performance.md`).
 fn render_json(
     smoke: bool,
     healthy: &PhaseStats,

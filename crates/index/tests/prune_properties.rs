@@ -327,7 +327,8 @@ proptest! {
 
     /// Pruned sharded fan-out (threshold shared across shards) ≡ the
     /// monolithic engine with pruning off, in every query mode, at
-    /// every shard count.
+    /// every shard count — and the engine with pruning off skips no
+    /// document and no block.
     #[test]
     fn pruned_sharded_equals_unpruned_monolithic(
         docs in arb_corpus(),
@@ -335,7 +336,7 @@ proptest! {
         expr in arb_flat_list(),
         ranking_id in arb_ranking_id(),
     ) {
-        let mono = Engine::build(&docs, config(ranking_id, PruneMode::Off, 1));
+        let mono = ShardedEngine::build(&docs, config(ranking_id, PruneMode::Off, 1));
         let filter = BoolNode::Term(TermSpec::any(VOCAB[filter_term]));
         for &shards in SHARD_COUNTS {
             let sharded = ShardedEngine::build(&docs, config(ranking_id, PruneMode::Auto, shards));
@@ -345,7 +346,12 @@ proptest! {
                 (Some(&filter), Some(&expr)),
             ] {
                 for k in limits(docs.len()) {
-                    let expect = mono.search_top_k(f, r, Some(k));
+                    let opts = SearchOptions { limit: Some(k), ..SearchOptions::default() };
+                    let (expect, _, off) = mono.search_top_k_observed(f, r, &opts);
+                    prop_assert!(
+                        off.skipped_docs == 0 && off.blocks_skipped == 0,
+                        "prune Off skipped work: {:?}", off
+                    );
                     let got = sharded.search_top_k(f, r, Some(k));
                     prop_assert_eq!(
                         got, expect,

@@ -1,8 +1,8 @@
 //! The work budget: what an index build, the serving layer's cached
 //! path and the results codec cost, in counts that repeat from run to
-//! run on any machine — heap bytes held at peak and after, allocator
-//! calls, bytes on the wire and spans closed — checked against the
-//! values in `BUDGET.json`.
+//! run on any machine — heap bytes held at peak and after, postings
+//! bytes by representation, allocator calls, bytes on the wire and
+//! spans closed — checked against the values in `BUDGET.json`.
 //!
 //! The binary installs a counting global allocator and holds exactly one
 //! test, so nothing else in the process allocates while it measures.
@@ -123,9 +123,10 @@ const INDEX_DOCS: usize = 4000;
 
 /// Build one Acme source over `INDEX_DOCS` documents of `big_tree`'s
 /// corpus shape — one exact shard, so the build runs on this thread —
-/// and return its heap high-water mark above the starting point and
-/// the bytes it still holds once built, both per document.
-fn index_rows() -> (f64, f64) {
+/// and return, per document, its heap high-water mark above the
+/// starting point, the bytes it still holds once built, and the bytes
+/// of its block postings and of its positional frames.
+fn index_rows() -> [(&'static str, f64); 4] {
     let corpus = generate_corpus(&CorpusConfig {
         n_sources: 1,
         docs_per_source: INDEX_DOCS,
@@ -146,9 +147,21 @@ fn index_rows() -> (f64, f64) {
     let source = Source::build(config, &s.docs);
     let peak = PEAK_BYTES.load(Ordering::Relaxed) - base;
     let retained = LIVE_BYTES.load(Ordering::Relaxed) - base;
+    let footprint = source.engine().postings_footprint();
     drop(source);
     let n = s.docs.len() as f64;
-    (peak as f64 / n, retained as f64 / n)
+    [
+        ("index.build.peak_live_bytes_per_doc", peak as f64 / n),
+        ("index.retained_bytes_per_doc", retained as f64 / n),
+        (
+            "index.block_bytes_per_doc",
+            footprint.block_bytes as f64 / n,
+        ),
+        (
+            "index.positional_bytes_per_doc",
+            footprint.positional_bytes as f64 / n,
+        ),
+    ]
 }
 
 /// `QUERIES` pairwise distinct `fed_zipf`-shaped queries: 1–3 ranked
@@ -238,7 +251,7 @@ fn settle(net: &SimNet) {
 #[test]
 fn the_cached_path_stays_within_its_budget() {
     // Before anything else runs: no other thread allocates meanwhile.
-    let (build_peak, retained) = index_rows();
+    let index = index_rows();
 
     let net = Arc::new(SimNet::new());
     let (catalog, corpus) = wire_fleet(&net);
@@ -308,8 +321,9 @@ fn the_cached_path_stays_within_its_budget() {
     }
     let codec = ALLOCATIONS.load(Ordering::Relaxed) - before;
 
-    check("index.build.peak_live_bytes_per_doc", build_peak);
-    check("index.retained_bytes_per_doc", retained);
+    for (name, per_doc) in index {
+        check(name, per_doc);
+    }
     let n = queries.len() as f64;
     check(
         "serve.cache.retained_bytes_per_entry",
