@@ -1,22 +1,22 @@
-//! X15 — sharded engine: parallel index build and fan-out top-k
+//! X15 — sharded engine: parallel index build and shard-by-shard top-k
 //! (beyond the paper's artifacts).
 //!
 //! The monolithic engine builds its index and answers every query on
 //! one thread. The sharded engine partitions the documents across N
-//! shards, builds the per-shard indexes concurrently, and answers
-//! `search_top_k` by fanning out to all shards and k-way-merging the
-//! per-shard sorted lists — with global collection statistics, so the
-//! merged top-k is *bit-identical* to the monolithic answer (enforced
-//! here by a spot check and exhaustively by
+//! shards and builds the per-shard indexes concurrently. A query still
+//! runs on its caller's thread: `search_top_k` evaluates the shards in
+//! order, each starting from the score floor the earlier ones reached,
+//! and k-way-merges the per-shard sorted lists — with global collection
+//! statistics, so the merged top-k is *bit-identical* to the monolithic
+//! answer (enforced here by a spot check and exhaustively by
 //! `crates/index/tests/shard_properties.rs`).
 //!
-//! This experiment measures what sharding buys at each shard count
-//! (1/2/4/8): index build rate in docs/s, and query QPS with p50/p95/p99
-//! latency at k = 10 on the same Zipf workload X14 uses. The artifact
-//! records `machine_parallelism`: on a single-core machine the parallel
-//! build cannot beat the monolithic one — the numbers then show the
-//! fan-out overhead, which is exactly what a deployment on such a
-//! machine would pay.
+//! This experiment measures what sharding buys and costs at each shard
+//! count (1/2/4/8): index build rate in docs/s, and query QPS with
+//! p50/p95/p99 latency at k = 10 on the same Zipf workload X14 uses.
+//! The artifact records `machine_parallelism`: the build can only speed
+//! up on spare cores, while every extra shard costs each query one more
+//! resolve-and-evaluate pass on any machine.
 //!
 //! Writes `BENCH_shard.json` (override with `--out PATH`); pass
 //! `--smoke` for a seconds-scale CI run on the standard corpus.
@@ -43,7 +43,7 @@ fn main() {
     let n_queries = if smoke { 60 } else { 400 };
     let parallelism = machine_parallelism();
 
-    header("X15  sharded engine: parallel build + fan-out top-k vs monolithic");
+    header("X15  sharded engine: parallel build + shard-by-shard top-k vs monolithic");
     let corpus = if smoke {
         standard_corpus()
     } else {
@@ -70,7 +70,7 @@ fn main() {
     if parallelism < *SHARD_COUNTS.last().unwrap() {
         println!(
             "note: only {parallelism} hardware thread(s) available — shard counts \
-             beyond that measure fan-out overhead, not speedup"
+             beyond that cannot build faster"
         );
     }
 
@@ -185,7 +185,7 @@ fn render_json(
     let note = provenance_note(
         parallelism,
         "shard counts above the core count cannot build faster, and every \
-         multi-shard query pays the fan-out",
+         extra shard costs each query one more pass on the calling thread",
     );
     format!(
         "{{\n  \"bench\": \"x15_shard\",\n  \

@@ -10,9 +10,10 @@
 //! threshold θ and whole blocks whose bound
 //! falls strictly below θ are jumped without ever being decoded —
 //! including through `and`/`or`/weighted operator *trees*, whose bound
-//! is propagated bottom-up per block. Under sharding θ is shared across
-//! shards through an atomic cell, so one shard's full heap tightens
-//! every other shard's bound check. The results are *bit-identical* to
+//! is propagated bottom-up per block. Under sharding the shards run one
+//! after another and each starts from the k-th score the earlier ones
+//! reached, so a full heap in one shard tightens the bound check of
+//! every shard after it. The results are *bit-identical* to
 //! the unpruned path (enforced here by a spot check and exhaustively by
 //! `crates/index/tests/prune_properties.rs`).
 //!
@@ -20,8 +21,8 @@
 //! `PruneMode::Auto` vs `PruneMode::Off` at requested shard counts 1
 //! and 4. Shard requests resolve under the default adaptive policy, so
 //! on a machine with fewer cores than shards the shards=4 rows build
-//! fewer physical shards instead of paying fan-out overhead — the two
-//! rows then measure the same engine, which is the point:
+//! fewer physical shards instead of paying a query pass per shard the
+//! build could not parallelize:
 //!
 //! * `zipf` — the X14 mix: 1–3 word flat lists, mostly common words,
 //!   sometimes a rare topic word (the historical baseline),
@@ -78,8 +79,8 @@ use starts_index::{
 /// Result-list bound for every query (the X14 regime).
 const K: usize = 10;
 
-/// Shard counts under measurement: the monolithic engine and a fan-out
-/// wide enough that threshold sharing matters.
+/// Shard counts under measurement: the monolithic engine and a split
+/// wide enough that the floor carried between shards matters.
 const SHARD_COUNTS: &[usize] = &[1, 4];
 
 fn main() {
@@ -158,8 +159,8 @@ fn main() {
         let cooccurring = workload.cooccurring(&baseline);
         for &shards in SHARD_COUNTS {
             // The filtered shapes are measured monolithic only: what they
-            // compare is the filter's place in the loop, and the thread
-            // fan-out of a multi-shard row adds nothing but noise to it.
+            // compare is the filter's place in the loop, and the extra
+            // shard passes of a multi-shard row add nothing to it.
             if workload.shape.is_some() && shards != 1 {
                 continue;
             }
@@ -592,8 +593,8 @@ fn render_json(
         parallelism,
         "explicit shard requests resolve adaptively at build time (capped by \
          machine parallelism and corpus size), so a shards=4 row on a narrow \
-         machine builds fewer physical shards instead of paying fan-out \
-         overhead; postings_bytes_no_positions is the positions-free field \
+         machine builds fewer physical shards, searched one after another on \
+         the calling thread; postings_bytes_no_positions is the positions-free field \
          class (blocks only)",
     );
     format!(

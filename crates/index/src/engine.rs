@@ -23,7 +23,7 @@ use crate::matchspec::{CmpOp, TermSpec};
 use crate::ranking::{PreparedWeight, RankingAlgorithm, TermDocStats};
 use crate::schema::{FieldId, ANY_FIELD};
 use crate::sharded::CollectionStats;
-use crate::topk::{kway_union, SharedThreshold, TopK};
+use crate::topk::{kway_union, TopK};
 
 mod oracle;
 
@@ -187,13 +187,13 @@ pub struct EngineConfig {
     /// The engine's thesaurus (for the `Thesaurus` modifier).
     pub thesaurus: Thesaurus,
     /// Shard count for [`crate::ShardedEngine`]: how many partitions the
-    /// document set is split into for parallel index build and query
-    /// fan-out. `0` (the default) resolves adaptively — the machine's
-    /// available parallelism capped by corpus size (at least
+    /// document set is split into, built in parallel and searched one
+    /// after another. `0` (the default) resolves adaptively — the
+    /// machine's available parallelism capped by corpus size (at least
     /// [`crate::sharded::MIN_DOCS_PER_AUTO_SHARD`] documents per shard),
-    /// so 1-core containers and small corpora never pay fan-out
-    /// overhead; `1` reproduces the monolithic single-threaded
-    /// behaviour; explicit `N ≥ 1` is an upper bound under the default
+    /// so 1-core containers and small corpora never pay a resolve pass
+    /// per extra shard; `1` reproduces the monolithic engine; explicit
+    /// `N ≥ 1` is an upper bound under the default
     /// [`ShardPolicy::Adaptive`] and honoured exactly under
     /// [`ShardPolicy::Exact`] (always clamped to the document count).
     /// Results are bit-identical at every setting — global collection
@@ -238,9 +238,10 @@ pub enum ShardPolicy {
     /// is additionally capped by the machine's available parallelism
     /// and by the block-span floor
     /// ([`crate::sharded::MIN_DOCS_PER_AUTO_SHARD`] documents per
-    /// shard), so a 1-core container stops paying query fan-out for
-    /// parallelism it does not have, and shards never shrink below the
-    /// size where Block-Max skipping still has whole blocks to skip.
+    /// shard), so a 1-core container stops paying a query pass per
+    /// shard for a build it cannot parallelize, and shards never shrink
+    /// below the size where Block-Max skipping still has whole blocks
+    /// to skip.
     /// Results stay bit-identical at every effective count, so the
     /// only observable difference is speed.
     #[default]
@@ -395,8 +396,8 @@ impl Engine {
     }
 
     /// [`Engine::search_top_k`] with the query-scoped pruning context: a
-    /// raw-score floor seeded from `min-doc-score`, the cross-shard
-    /// shared threshold, and the telemetry counters.
+    /// raw-score floor (seeded from `min-doc-score`, or carried from the
+    /// shards searched before this one) and the telemetry counters.
     pub(crate) fn search_top_k_hooked(
         &self,
         filter: Option<&BoolNode>,
@@ -479,8 +480,8 @@ impl Engine {
     /// sorted by (score desc, doc asc), at most `limit` of them. Without
     /// a filter the positive-scoring documents compete; with one, the
     /// filter decides membership and zero-scoring documents stay in.
-    /// The sharded fan-out merges these per-shard lists and applies the
-    /// single global `finalize` afterwards.
+    /// A [`crate::ShardedEngine`] merges these per-shard lists and
+    /// applies the single global `finalize` afterwards.
     ///
     /// A bounded query whose tree is [`bmw_eligible`] runs the
     /// Block-Max-WAND loop, the filter cursor leading it. Everything
@@ -555,12 +556,12 @@ impl Engine {
     ///
     /// * a document (or block of documents) is skipped only when its tree
     ///   score upper bound is strictly below θ — and θ is either the
-    ///   seeded raw-score floor (the floored heap rejects such docs
-    ///   anyway), the local heap floor once the heap holds `k` entries (a
-    ///   doc strictly below it can never displace an entry: ties break
-    ///   toward the smaller doc ids already held), or another shard's
-    ///   published heap floor (then `k` strictly better docs exist
-    ///   elsewhere in the collection);
+    ///   seeded raw-score floor — a `min-doc-score`, or an earlier
+    ///   shard's k-th score, below which `k` better docs already exist
+    ///   (the floored heap rejects such docs anyway) — or the local heap
+    ///   floor once the heap holds `k` entries (a doc strictly below it
+    ///   can never displace an entry: ties break toward the smaller doc
+    ///   ids already held);
     /// * the tree bound is computed by [`bmw_tree_bound`], which runs the
     ///   *same* float expression in the *same* accumulation order as the
     ///   exact evaluator with each leaf value replaced by a dominating
@@ -589,7 +590,7 @@ impl Engine {
     ///   the `prox` position check) runs last, only for a document whose
     ///   exact score the heap would take;
     /// * θ therefore only ever counts documents the filter admits, which
-    ///   keeps the published threshold sound across shards;
+    ///   keeps the floor carried to the next shard sound;
     /// * the documents the ranking expression scores 0 but the filter
     ///   admits are owed to the result too (§4.1.1: the filter decides
     ///   membership). They can only matter while fewer than `k` positive
@@ -616,7 +617,7 @@ impl Engine {
             .iter()
             .map(|c| c.as_ref().map_or(0, |c| c.len()))
             .sum();
-        let mut sel = Selection::new(k, hooks);
+        let mut sel = Selection::new(k, hooks.floor);
         let mut lead = filter.map(|f| self.filter_cursor(f));
         let mut ub = vec![0.0_f64; n];
         let mut vals = vec![0.0_f64; n];
@@ -703,7 +704,6 @@ impl Engine {
             Vec::new()
         };
         loop {
-            sel.see_shared();
             // The filter's frontier (cached by the cursor, so this is a
             // load; 0 without a filter, which never leads).
             let lead_doc = lead.as_ref().map_or(0, FilterCursor::doc);
@@ -959,15 +959,10 @@ impl Engine {
     /// of the filter is already held at this point (nothing is pruned
     /// below a threshold of 0), so what the walk finds outside the heap
     /// is precisely the filter set's zero-scoring tail.
-    fn zero_fill(
-        &self,
-        filter: &BoolNode,
-        k: usize,
-        sel: &mut Selection<'_>,
-        hooks: &PruneHooks<'_>,
-    ) {
+    fn zero_fill(&self, filter: &BoolNode, k: usize, sel: &mut Selection, hooks: &PruneHooks<'_>) {
         // θ above 0 means the floor excludes 0, or `k` positive scores
-        // exist in some shard: no zero can reach the result.
+        // exist in this shard or an earlier one: no zero can reach the
+        // result.
         if sel.top.len() >= k || sel.theta > 0.0 {
             return;
         }
@@ -1008,7 +1003,7 @@ impl Engine {
         stop: u32,
         c: &mut BlockCursor<'_>,
         mut lead: Option<&mut FilterCursor<'_>>,
-        sel: &mut Selection<'_>,
+        sel: &mut Selection,
     ) {
         while c.doc() < stop {
             let lead_doc = lead.as_deref().map_or(0, FilterCursor::doc);
@@ -1577,33 +1572,20 @@ struct LeafCtx<'a> {
 
 /// The bounded heap of a Block-Max-WAND query and the pruning threshold
 /// θ it drives: the seeded floor, then the heap's own floor once `k`
-/// entries are held, then — when higher — whatever another shard has
-/// published.
-struct Selection<'a> {
+/// entries are held.
+struct Selection {
     top: TopK,
     theta: f64,
     threshold_updates: u64,
-    shared: Option<&'a SharedThreshold>,
 }
 
-impl<'a> Selection<'a> {
-    fn new(k: usize, hooks: &PruneHooks<'a>) -> Self {
-        let top = TopK::with_floor(k, hooks.floor);
+impl Selection {
+    fn new(k: usize, floor: f64) -> Self {
+        let top = TopK::with_floor(k, floor);
         Selection {
             theta: top.threshold(),
             top,
             threshold_updates: 0,
-            shared: hooks.shared,
-        }
-    }
-
-    /// Adopt a higher threshold another shard has published.
-    fn see_shared(&mut self) {
-        if let Some(shared) = self.shared {
-            let global = shared.get();
-            if global > self.theta {
-                self.theta = global;
-            }
         }
     }
 
@@ -1615,17 +1597,13 @@ impl<'a> Selection<'a> {
             && self.top.accepts(doc, score)
     }
 
-    /// Offer a scored document and let a risen heap floor tighten θ,
-    /// here and (when sharing) in every other shard.
+    /// Offer a scored document and let a risen heap floor tighten θ.
     fn push(&mut self, doc: DocId, score: f64) {
         self.top.push(doc, score);
         let floor = self.top.threshold();
         if floor > self.theta {
             self.theta = floor;
             self.threshold_updates += 1;
-            if let Some(shared) = self.shared {
-                shared.raise(floor);
-            }
         }
     }
 }
@@ -1704,21 +1682,19 @@ impl PruneCounters {
 
 /// Query-scoped pruning context threaded through the raw evaluators: a
 /// raw-score floor (seeded from `min-doc-score` when the ranking
-/// algorithm allows it), the cross-shard shared threshold cell, and the
-/// telemetry counters.
+/// algorithm allows it, raised by the shards searched before this one)
+/// and the telemetry counters.
 #[derive(Clone, Copy)]
 pub(crate) struct PruneHooks<'a> {
     pub(crate) floor: f64,
-    pub(crate) shared: Option<&'a SharedThreshold>,
     pub(crate) counters: Option<&'a PruneCounters>,
 }
 
 impl PruneHooks<'_> {
-    /// No floor, no sharing, no counting — the behaviour of the public
-    /// unhooked entry points.
+    /// No floor, no counting — the behaviour of the public unhooked
+    /// entry points.
     pub(crate) const NONE: PruneHooks<'static> = PruneHooks {
         floor: f64::NEG_INFINITY,
-        shared: None,
         counters: None,
     };
 

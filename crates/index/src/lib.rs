@@ -54,4 +54,4 @@ pub use matchspec::{CmpOp, TermMatch, TermSpec};
 pub use ranking::{ranking_by_id, RankingAlgorithm, ScoreRange};
 pub use schema::{FieldId, Schema, ANY_FIELD};
 pub use sharded::{CollectionStats, SearchOptions, ShardedEngine, ShardedTerm};
-pub use topk::{merge_ranked, SharedThreshold, TopK};
+pub use topk::{merge_ranked, TopK};

@@ -1,12 +1,15 @@
-//! The sharded engine: parallel index build and parallel query fan-out
-//! with an exact per-shard merge.
+//! The sharded engine: parallel index build, and queries that walk the
+//! shards in order with an exact per-shard merge.
 //!
 //! The paper's sources are opaque engines that must still return
 //! mergeable ranked results (§3.2). A [`ShardedEngine`] partitions a
-//! source's documents into `N` contiguous shards, builds one [`Index`]
-//! per shard concurrently, and answers every query by fanning the
-//! evaluation out to all shards and combining the per-shard lists with a
-//! bounded k-way heap merge ([`crate::topk::merge_ranked`]).
+//! source's documents into `N` contiguous shards and builds one
+//! [`Index`] per shard concurrently. A query runs on the thread that
+//! asked it: it evaluates the shards one after another, each starting
+//! from the score floor the earlier ones reached, and combines the
+//! per-shard lists with a bounded k-way heap merge
+//! ([`crate::topk::merge_ranked`]). Two concurrent queries already keep
+//! two cores busy, so a query spawns no thread of its own.
 //!
 //! The merge is *exact*: every ranking algorithm scores each document
 //! identically to the monolithic engine, because global collection
@@ -34,7 +37,7 @@ use crate::index::{Index, IndexBuilder, PostingsFootprint};
 use crate::matchspec::TermSpec;
 use crate::ranking::RankingAlgorithm;
 use crate::schema::{FieldId, Schema};
-use crate::topk::{merge_ranked, SharedThreshold};
+use crate::topk::merge_ranked;
 
 /// Global collection statistics, computed across all shards and shared
 /// (via `Arc`) with each per-shard [`Engine`]. Holding these makes a
@@ -121,9 +124,9 @@ impl CollectionStats {
 }
 
 /// A search engine whose documents are partitioned across `N` shard
-/// [`Engine`]s, built and queried in parallel, with results merged
-/// exactly (bit-identical scores and ordering) to the monolithic
-/// [`Engine`] over the same documents.
+/// [`Engine`]s, built in parallel and queried in shard order on the
+/// caller's thread, with results merged exactly (bit-identical scores
+/// and ordering) to the monolithic [`Engine`] over the same documents.
 ///
 /// Documents are assigned to shards contiguously: shard `i` holds the
 /// global doc-id range `[bases[i], bases[i] + shards[i].n_docs())`, so
@@ -150,30 +153,31 @@ impl std::fmt::Debug for ShardedEngine {
 }
 
 /// Corpus-size floor for auto-sharding: an auto-resolved shard should
-/// hold at least this many documents before fan-out pays for itself.
-/// `BENCH_shard.json` documents the regime this guards against — on
-/// small corpora (and on 1-core containers) multi-shard is pure
-/// per-query fan-out overhead, so `shards: 0` only splits when both the
+/// hold at least this many documents before its parallel build pays
+/// for the query pass it adds. `BENCH_shard.json` documents the regime
+/// this guards against — on small corpora (and on 1-core containers)
+/// every extra shard is one more resolve-and-evaluate pass per query
+/// and no faster build, so `shards: 0` only splits when both the
 /// hardware *and* the corpus justify it. Explicit `shards: N` remains
 /// exact (clamped to the document count). The floor is expressed in
 /// blocks: a shard below 8 × [`crate::BLOCK_DOCS`] documents rarely
 /// spans enough 128-doc blocks per posting list for Block-Max-WAND to
-/// skip anything, so splitting it costs fan-out overhead *and* forfeits
+/// skip anything, so splitting it costs a query pass *and* forfeits
 /// block-skip opportunity.
 pub const MIN_DOCS_PER_AUTO_SHARD: usize = 8 * crate::blocks::BLOCK_DOCS;
 
 fn resolve_shard_count(requested: usize, n_docs: usize, policy: ShardPolicy) -> usize {
     // Machine parallelism capped by corpus size: a 1-core container
-    // never fans out, and a tiny corpus never splits just because the
-    // machine is wide.
+    // never splits (its build cannot run in parallel), and a tiny
+    // corpus never splits just because the machine is wide.
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
     let by_corpus = (n_docs / MIN_DOCS_PER_AUTO_SHARD).max(1);
     let wanted = match (requested, policy) {
         (0, _) => cores.min(by_corpus),
-        // Adaptive: an explicit request is an upper bound — querying N
-        // shards on a machine that can only run one worker pays N
-        // resolve/evaluate/merge passes for zero parallel speedup, and
-        // under-floor shards forfeit block-skip opportunity on top.
+        // Adaptive: an explicit request is an upper bound — every shard
+        // costs each query a resolve/evaluate pass, which only a
+        // parallel build on a spare core pays back, and under-floor
+        // shards forfeit block-skip opportunity on top.
         (n, ShardPolicy::Adaptive) => n.min(cores).min(by_corpus),
         (n, ShardPolicy::Exact) => n,
     };
@@ -193,7 +197,7 @@ impl ShardedEngine {
         let shard_count = resolve_shard_count(config.shards, docs.len(), config.shard_policy);
         if shard_count == 1 {
             // Monolithic: one shard, local statistics (which *are* the
-            // global ones), no fan-out overhead on any path.
+            // global ones), no merge on any path.
             let engine = Engine::build(docs, config);
             let n_docs = engine.index().n_docs();
             return ShardedEngine {
@@ -323,35 +327,21 @@ impl ShardedEngine {
         ranking: Option<&RankNode>,
         limit: Option<usize>,
     ) -> Vec<Hit> {
-        self.search_top_k_timed(filter, ranking, limit).0
+        let opts = SearchOptions {
+            limit,
+            ..SearchOptions::default()
+        };
+        self.search_top_k_observed(filter, ranking, &opts).0
     }
 
-    /// [`ShardedEngine::search_top_k`] that also reports each shard's
-    /// evaluation latency in microseconds (index-aligned with
-    /// [`ShardedEngine::shards`]) for observability.
-    pub fn search_top_k_timed(
-        &self,
-        filter: Option<&BoolNode>,
-        ranking: Option<&RankNode>,
-        limit: Option<usize>,
-    ) -> (Vec<Hit>, Vec<u64>) {
-        let (hits, timings, _) = self.search_top_k_observed(
-            filter,
-            ranking,
-            &SearchOptions {
-                limit,
-                ..SearchOptions::default()
-            },
-        );
-        (hits, timings)
-    }
-
-    /// [`ShardedEngine::search_top_k_timed`] with the full pruning
-    /// surface: an optional `min-doc-score` floor seed and a
-    /// [`PruneReport`] aggregated across shards. When more than one
-    /// shard evaluates a ranked query, the shards share one rising
-    /// threshold cell — a shard whose heap fills first tightens every
-    /// other shard's pruning bound mid-flight. Hits at or above
+    /// [`ShardedEngine::search_top_k`] with the full pruning surface: an
+    /// optional `min-doc-score` floor seed, each shard's evaluation
+    /// latency in microseconds (index-aligned with
+    /// [`ShardedEngine::shards`]), and a [`PruneReport`] summed across
+    /// shards. The shards run one after another on the calling thread,
+    /// and a bounded ranked query carries its raw-score floor from shard
+    /// to shard: once a shard returns `k` hits, the shards after it
+    /// start from the k-th hit's score. Hits at or above
     /// `opts.min_score` are never dropped; callers still apply their
     /// own final `min-doc-score` retention.
     pub fn search_top_k_observed(
@@ -364,7 +354,7 @@ impl ShardedEngine {
         // Seed the raw-score floor only when the ranking algorithm can
         // soundly translate the post-finalize threshold back to raw
         // scores (the §3.2 max-rescaling vendor cannot).
-        let floor = match ranking {
+        let mut floor = match ranking {
             Some(_) if opts.min_score.is_finite() => self
                 .ranking()
                 .raw_score_floor(opts.min_score)
@@ -375,90 +365,70 @@ impl ShardedEngine {
         if self.shards.len() == 1 {
             let hooks = PruneHooks {
                 floor,
-                shared: None,
                 counters: Some(&counters),
             };
             let start = Instant::now();
             let hits = self.shards[0].search_top_k_hooked(filter, ranking, limit, &hooks);
             return (hits, vec![elapsed_us(start)], counters.report());
         }
-        match (filter, ranking) {
-            (None, None) => (
-                Vec::new(),
-                vec![0; self.shards.len()],
-                PruneReport::default(),
-            ),
+        let mut timings = vec![0; self.shards.len()];
+        let hits = match (filter, ranking) {
+            (None, None) => Vec::new(),
             (Some(f), None) => {
                 // Filter-only: shard results are sorted local doc sets;
                 // offsetting to global ids and concatenating in shard
-                // order *is* the globally sorted set. A bounded query
-                // wants its first k documents, so the shards are asked
-                // in order, each for what is still missing, and the
-                // ones after the shard that fills k are never touched.
+                // order *is* the globally sorted set. Each shard is asked
+                // for what is still missing, and the ones after the
+                // shard that fills the limit are never touched.
                 let hooks = PruneHooks {
                     floor,
-                    shared: None,
                     counters: Some(&counters),
                 };
-                let mut docs: Vec<DocId> = Vec::new();
-                let mut timings = vec![0; self.shards.len()];
-                match limit {
-                    Some(k) => {
-                        for (i, engine) in self.shards.iter().enumerate() {
-                            if docs.len() >= k {
-                                break;
-                            }
-                            let start = Instant::now();
-                            let local = engine.eval_filter_bounded(f, Some(k - docs.len()), &hooks);
-                            timings[i] = elapsed_us(start);
-                            docs.extend(local.into_iter().map(|d| DocId(self.bases[i] + d.0)));
-                        }
+                let mut hits = Vec::new();
+                for (i, engine) in self.shards.iter().enumerate() {
+                    let missing = limit.map(|k| k - hits.len());
+                    if missing == Some(0) {
+                        break;
                     }
-                    None => {
-                        let per_shard =
-                            self.fan_out(|engine| engine.eval_filter_bounded(f, None, &hooks));
-                        let (lists, fan_timings) = split_timed(per_shard);
-                        timings = fan_timings;
-                        for (i, list) in lists.into_iter().enumerate() {
-                            docs.extend(list.into_iter().map(|d| DocId(self.bases[i] + d.0)));
-                        }
-                    }
+                    let start = Instant::now();
+                    let local = engine.eval_filter_bounded(f, missing, &hooks);
+                    timings[i] = elapsed_us(start);
+                    hits.extend(local.into_iter().map(|d| Hit {
+                        doc: DocId(self.bases[i] + d.0),
+                        score: None,
+                    }));
                 }
-                let hits = docs
-                    .into_iter()
-                    .map(|doc| Hit { doc, score: None })
-                    .collect();
-                (hits, timings, counters.report())
+                hits
             }
             (filter, Some(r)) => {
                 // Every shard selects raw top-k with the same limit, so
-                // a threshold published by one shard — "k local docs at
-                // or above θ exist" — is a sound strict-below cutoff
-                // for all: the merged global top-k cannot contain a doc
-                // scoring strictly below any shard's full heap floor.
-                // Under a filter the heap only ever holds documents the
-                // filter admits, so the same argument covers it.
-                let shared = SharedThreshold::new(floor);
-                let per_shard = self.fan_out(|engine| {
-                    engine.eval_ranked_raw(
-                        filter,
-                        r,
-                        limit,
-                        &PruneHooks {
-                            floor,
-                            shared: Some(&shared),
-                            counters: Some(&counters),
-                        },
-                    )
-                });
-                let (lists, timings) = split_timed(per_shard);
-                (
-                    self.merge_ranked_hits(lists, limit),
-                    timings,
-                    counters.report(),
-                )
+                // a shard that returns `k` entries proves `k` documents
+                // score at least its k-th: the merged global top-k
+                // holds nothing strictly below it, and the next shard
+                // may start from it. `TopK` rejects only scores strictly
+                // below its floor, so ties still reach the merge. Under
+                // a filter the lists only hold documents the filter
+                // admits, so the same argument covers it.
+                let mut lists = Vec::with_capacity(self.shards.len());
+                for (i, engine) in self.shards.iter().enumerate() {
+                    let hooks = PruneHooks {
+                        floor,
+                        counters: Some(&counters),
+                    };
+                    let start = Instant::now();
+                    let list = engine.eval_ranked_raw(filter, r, limit, &hooks);
+                    timings[i] = elapsed_us(start);
+                    if Some(list.len()) == limit {
+                        if let Some(&(_, kth)) = list.last() {
+                            floor = floor.max(kth);
+                        }
+                    }
+                    lists.push(list);
+                }
+                self.merge_ranked_hits(lists, limit)
             }
-        }
+        };
+        (hits, timings, counters.report())
     }
 
     /// Merge per-shard raw ranked lists (already sorted by score desc,
@@ -485,67 +455,6 @@ impl ShardedEngine {
                 score: Some(score),
             })
             .collect()
-    }
-
-    /// Run `f` against every shard, returning each shard's result with
-    /// its evaluation latency (µs), in shard order.
-    ///
-    /// Dispatch is adaptive: the effective worker count is the
-    /// machine's available parallelism capped by the shard count. With
-    /// one worker, per-shard threads buy no overlap and cost scheduling
-    /// latency on every query (`BENCH_prune.json`'s 1-core 4-shard rows
-    /// paid ~2× for it), so shards evaluate sequentially on the caller
-    /// thread — which also lets a rising pruning threshold propagate
-    /// shard-to-shard through the shared cell *before* the next shard
-    /// starts, not just mid-flight. With fewer workers than shards,
-    /// contiguous shard groups share a thread so the machine is never
-    /// oversubscribed. Results are bit-identical at every worker count:
-    /// the shared threshold only tightens pruning, never changes what
-    /// survives it.
-    fn fan_out<T, F>(&self, f: F) -> Vec<(T, u64)>
-    where
-        T: Send,
-        F: Fn(&Engine) -> T + Sync,
-    {
-        let workers = std::thread::available_parallelism()
-            .map_or(1, usize::from)
-            .min(self.shards.len());
-        if workers <= 1 {
-            return self
-                .shards
-                .iter()
-                .map(|engine| {
-                    let start = Instant::now();
-                    let out = f(engine);
-                    (out, elapsed_us(start))
-                })
-                .collect();
-        }
-        let f = &f;
-        let chunk = self.shards.len().div_ceil(workers);
-        crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .chunks(chunk)
-                .map(|group| {
-                    scope.spawn(move |_| {
-                        group
-                            .iter()
-                            .map(|engine| {
-                                let start = Instant::now();
-                                let out = f(engine);
-                                (out, elapsed_us(start))
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("shard query panicked"))
-                .collect()
-        })
-        .expect("shard query scope")
     }
 
     /// Locate a global doc id: `(shard index, local doc id)`.
@@ -712,10 +621,6 @@ impl Default for SearchOptions {
 
 fn elapsed_us(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX)
-}
-
-fn split_timed<T>(per_shard: Vec<(T, u64)>) -> (Vec<T>, Vec<u64>) {
-    per_shard.into_iter().unzip()
 }
 
 #[cfg(test)]
@@ -894,7 +799,11 @@ mod tests {
         let docs = corpus();
         let sharded = ShardedEngine::build(&docs, config(2));
         let ranking = RankNode::term(TermSpec::any("databases"));
-        let (hits, timings) = sharded.search_top_k_timed(None, Some(&ranking), Some(5));
+        let opts = SearchOptions {
+            limit: Some(5),
+            ..SearchOptions::default()
+        };
+        let (hits, timings, _) = sharded.search_top_k_observed(None, Some(&ranking), &opts);
         assert!(!hits.is_empty());
         assert_eq!(timings.len(), 2);
     }

@@ -15,7 +15,6 @@
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
-use std::sync::atomic::AtomicU64;
 
 use crate::doc::DocId;
 
@@ -153,52 +152,11 @@ impl TopK {
     }
 }
 
-/// A monotonically rising score threshold shared across concurrently
-/// searching shards: an `AtomicU64` holding `f64` bits. Each shard
-/// publishes its heap floor as it rises; any shard's Block-Max-WAND
-/// loop may then skip a document — or a whole posting block — whose
-/// score upper bound is *strictly* below the cell's value, because `k`
-/// strictly better documents already exist somewhere in the
-/// collection. Only values that compare greater under
-/// plain `f64` ordering land in the cell (NaN never does), so the
-/// threshold can only tighten.
-#[derive(Debug)]
-pub struct SharedThreshold(AtomicU64);
-
-impl SharedThreshold {
-    /// A cell starting at `initial` (use `f64::NEG_INFINITY` for "no
-    /// threshold yet").
-    pub fn new(initial: f64) -> Self {
-        SharedThreshold(AtomicU64::new(initial.to_bits()))
-    }
-
-    /// The current threshold.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(std::sync::atomic::Ordering::Relaxed))
-    }
-
-    /// Raise the threshold to `value` if it is strictly higher; lower,
-    /// equal, or NaN values leave the cell untouched.
-    pub fn raise(&self, value: f64) {
-        use std::sync::atomic::Ordering::Relaxed;
-        let mut cur = self.0.load(Relaxed);
-        while value > f64::from_bits(cur) {
-            match self
-                .0
-                .compare_exchange_weak(cur, value.to_bits(), Relaxed, Relaxed)
-            {
-                Ok(_) => return,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-}
-
 /// Merge per-shard ranked lists — each already sorted by (score
 /// descending via [`f64::total_cmp`], doc id ascending) — into one list
 /// under the same order, keeping at most `limit` entries when bounded.
 ///
-/// This is the exact-merge step of the sharded fan-out: a bounded k-way
+/// This is the exact-merge step of a sharded search: a bounded k-way
 /// heap merge over the list heads, `O(total log s)` for `s` lists, that
 /// reproduces precisely the prefix a global sort of the concatenation
 /// would have produced.

@@ -325,10 +325,11 @@ proptest! {
         );
     }
 
-    /// Pruned sharded fan-out (threshold shared across shards) ≡ the
-    /// monolithic engine with pruning off, in every query mode, at
-    /// every shard count — and the engine with pruning off skips no
-    /// document and no block.
+    /// Pruned sharded search (the floor carried from shard to shard) ≡
+    /// the monolithic engine with pruning off, in every query mode, at
+    /// every shard count — the engine with pruning off skips no
+    /// document and no block, and the pruning report is a function of
+    /// the query: asking twice reports the same work.
     #[test]
     fn pruned_sharded_equals_unpruned_monolithic(
         docs in arb_corpus(),
@@ -352,12 +353,14 @@ proptest! {
                         off.skipped_docs == 0 && off.blocks_skipped == 0,
                         "prune Off skipped work: {:?}", off
                     );
-                    let got = sharded.search_top_k(f, r, Some(k));
+                    let (got, _, report) = sharded.search_top_k_observed(f, r, &opts);
+                    let (_, _, again) = sharded.search_top_k_observed(f, r, &opts);
                     prop_assert_eq!(
                         got, expect,
                         "shards={} k={} filter={} ranked={}",
                         shards, k, f.is_some(), r.is_some()
                     );
+                    prop_assert_eq!(report, again, "shards={} k={}", shards, k);
                 }
             }
         }

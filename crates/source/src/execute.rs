@@ -183,30 +183,14 @@ fn run(
         }
     }
     let search_start = elapsed_us(t0);
-    let (mut hits, shard_latencies, prune) = {
-        // The fan-out span only appears when there is an actual fan-out;
-        // a single-shard engine searches inline and the span would be
-        // noise. It nests under the `execute` phase span automatically.
-        let _fanout = obs.and_then(|reg| {
-            (engine.shard_count() > 1).then(|| {
-                reg.span_with(
-                    "engine.shard.fanout",
-                    vec![
-                        ("source", source.id().to_string()),
-                        ("shards", engine.shard_count().to_string()),
-                    ],
-                )
-            })
-        });
-        engine.search_top_k_observed(
-            filter_ir.as_ref(),
-            ranking_ir.as_ref(),
-            &SearchOptions {
-                limit,
-                min_score: query.answer.min_doc_score,
-            },
-        )
-    };
+    let (mut hits, shard_latencies, prune) = engine.search_top_k_observed(
+        filter_ir.as_ref(),
+        ranking_ir.as_ref(),
+        &SearchOptions {
+            limit,
+            min_score: query.answer.min_doc_score,
+        },
+    );
     let search_end = elapsed_us(t0);
     if let Some(m) = instruments {
         m.shard_searches.inc();
@@ -253,20 +237,20 @@ fn run(
     }
 
     let profile = profiling.then(|| {
-        // The per-shard search windows: shards run in parallel, so each
-        // child starts at the search call and lasts its own measured
-        // latency (each ≤ the call's wall-clock, so nesting holds).
+        // The per-shard search windows: shards run one after another, so
+        // each child starts where the earlier ones ended, clamped to
+        // stay inside the search call's wall-clock.
         let mut search = StageCost::new("search", search_start, search_end - search_start)
             .with_meta("shards", engine.shard_count());
+        let mut start = search_start;
         search.children = shard_latencies
             .iter()
             .enumerate()
             .map(|(i, &us)| {
-                StageCost::new(
-                    format!("shard-{i}"),
-                    search_start,
-                    us.min(search_end - search_start),
-                )
+                let duration = us.min(search_end - start);
+                let child = StageCost::new(format!("shard-{i}"), start, duration);
+                start += duration;
+                child
             })
             .collect();
         let execute_end = elapsed_us(t0);

@@ -221,7 +221,7 @@ fn metasearch_produces_one_query_profile_spanning_the_wire() {
 }
 
 #[test]
-fn sharded_source_records_fanout_span_and_shard_metrics() {
+fn sharded_source_records_serial_shard_windows_and_metrics() {
     use starts::index::Document;
     use starts::proto::{query::parse_ranking, Query};
 
@@ -246,8 +246,32 @@ fn sharded_source_records_fanout_span_and_shard_metrics() {
         ranking: Some(parse_ranking(r#"list("databases")"#).unwrap()),
         ..Query::default()
     };
-    net.request(&url, &starts::soif::write_object(&q.to_soif()))
+    let traced = Query {
+        trace: Some(starts::proto::TraceContext {
+            query_id: "q-shards".to_string(),
+            parent_path: "meta.search/dispatch/source".to_string(),
+            parent_span_id: 1,
+        }),
+        ..q.clone()
+    };
+    let resp = net
+        .request(&url, &starts::soif::write_object(&traced.to_soif()))
         .unwrap();
+
+    // The shards run one after another, so the profile lays their
+    // windows end to end inside the search stage.
+    let results = starts::proto::QueryResults::from_soif_stream(&resp.bytes).unwrap();
+    let profile = results.profile.expect("traced results carry a profile");
+    assert!(profile.is_consistent(), "{}", profile.render());
+    let (shard0, shard1) = (
+        profile.find("shard-0").expect("shard-0 window"),
+        profile.find("shard-1").expect("shard-1 window"),
+    );
+    assert!(
+        shard1.start_us >= shard0.start_us + shard0.duration_us,
+        "{}",
+        profile.render()
+    );
 
     // The shard counters land in the host registry, labeled by source
     // and shard count, with one latency observation per shard.
@@ -264,16 +288,6 @@ fn sharded_source_records_fanout_span_and_shard_metrics() {
         .expect("per-shard latency histogram");
     assert_eq!(h.count, 2, "one observation per shard");
 
-    // The fan-out span nests under the execute phase of the host-side
-    // query span.
-    assert!(
-        net.registry()
-            .recent_spans()
-            .iter()
-            .any(|e| e.path == "source.execute/execute/engine.shard.fanout"),
-        "fan-out span missing from the trace"
-    );
-
     // Both exporters carry the shard families.
     let text = export::prometheus(&snap);
     assert!(text.contains("engine_shard_searches"));
@@ -282,7 +296,7 @@ fn sharded_source_records_fanout_span_and_shard_metrics() {
     let obj = &starts::soif::parse(&bytes, starts::soif::ParseMode::Strict).unwrap()[0];
     assert_eq!(export::snapshot_from_soif(obj).unwrap(), snap);
 
-    // A single-shard source searches inline: no fan-out span.
+    // A single-shard source counts its searches too.
     let mut cfg1 = SourceConfig::new("Mono");
     cfg1.engine.shards = 1;
     let mono = Source::build(cfg1, &docs);
@@ -290,11 +304,6 @@ fn sharded_source_records_fanout_span_and_shard_metrics() {
     net.registry().reset();
     net.request(&url1, &starts::soif::write_object(&q.to_soif()))
         .unwrap();
-    assert!(net
-        .registry()
-        .recent_spans()
-        .iter()
-        .all(|e| e.name != "engine.shard.fanout"));
     let snap = net.registry().snapshot();
     assert_eq!(
         snap.counter(
@@ -302,7 +311,7 @@ fn sharded_source_records_fanout_span_and_shard_metrics() {
             &[("source", "Mono"), ("shards", "1")]
         ),
         1,
-        "shard.searches counts even without a fan-out"
+        "shard.searches counts a 1-shard source"
     );
 }
 

@@ -1,8 +1,9 @@
-//! The work budget: what an index build, the serving layer's cached
-//! path and the results codec cost, in counts that repeat from run to
-//! run on any machine — heap bytes held at peak and after, postings
-//! bytes by representation, allocator calls, bytes on the wire and
-//! spans closed — checked against the values in `BUDGET.json`.
+//! The work budget: what an index build, a sharded search, the serving
+//! layer's cached path and the results codec cost, in counts that
+//! repeat from run to run on any machine — heap bytes held at peak and
+//! after, postings bytes by representation, postings scored, allocator
+//! calls, bytes on the wire and spans closed — checked against the
+//! values in `BUDGET.json`.
 //!
 //! The binary installs a counting global allocator and holds exactly one
 //! test, so nothing else in the process allocates while it measures.
@@ -24,7 +25,7 @@ use starts::meta::metasearcher::MetaConfig;
 use starts::meta::pipeline::normalized_query_key;
 use starts::net::{host::wire_source, LinkProfile, SimNet, StartsClient};
 use starts::proto::query::ast::{FilterExpr, QTerm, RankExpr};
-use starts::proto::{AnswerSpec, Field, Query, QueryResults};
+use starts::proto::{AnswerSpec, Field, Query, QueryResults, TraceContext};
 use starts::serve::{HedgeConfig, ServeConfig, Served, Server};
 use starts::source::{vendors, Source};
 
@@ -121,13 +122,9 @@ fn wire_fleet(net: &SimNet) -> (Catalog, GeneratedCorpus) {
 /// Documents of the one source the index rows build.
 const INDEX_DOCS: usize = 4000;
 
-/// Build one Acme source over `INDEX_DOCS` documents of `big_tree`'s
-/// corpus shape — one exact shard, so the build runs on this thread —
-/// and return, per document, its heap high-water mark above the
-/// starting point, the bytes it still holds once built, and the bytes
-/// of its block postings and of its positional frames.
-fn index_rows() -> [(&'static str, f64); 4] {
-    let corpus = generate_corpus(&CorpusConfig {
+/// One source of `INDEX_DOCS` documents in `big_tree`'s corpus shape.
+fn index_corpus() -> GeneratedCorpus {
+    generate_corpus(&CorpusConfig {
         n_sources: 1,
         docs_per_source: INDEX_DOCS,
         n_topics: 4,
@@ -137,7 +134,16 @@ fn index_rows() -> [(&'static str, f64); 4] {
         topic_skew: 0.35,
         bilingual_fraction: 0.0,
         seed: SEED,
-    });
+    })
+}
+
+/// Build one Acme source over [`index_corpus`] — one exact shard, so
+/// the build runs on this thread — and return, per document, its heap
+/// high-water mark above the starting point, the bytes it still holds
+/// once built, and the bytes of its block postings and of its
+/// positional frames.
+fn index_rows() -> [(&'static str, f64); 4] {
+    let corpus = index_corpus();
     let s = &corpus.sources[0];
     let mut config = vendors::acme(&s.id);
     config.engine.shards = 1;
@@ -162,6 +168,40 @@ fn index_rows() -> [(&'static str, f64); 4] {
             footprint.positional_bytes as f64 / n,
         ),
     ]
+}
+
+/// Postings scored per query — `candidates − skipped_docs` from each
+/// answer's EXPLAIN tree — when `queries` run at k = `K` on a 2-shard
+/// Acme source over [`index_corpus`]. The second shard starts from the
+/// score floor the first one reached, so this row falls when that
+/// floor carries over and rises when it does not.
+fn sharded_postings_scored(queries: &[Query]) -> f64 {
+    let corpus = index_corpus();
+    let s = &corpus.sources[0];
+    let mut config = vendors::acme(&s.id);
+    config.engine.shards = 2;
+    config.engine.shard_policy = ShardPolicy::Exact;
+    let source = Source::build(config, &s.docs);
+    assert_eq!(source.engine().shard_count(), 2);
+    let mut scored = 0;
+    for query in queries {
+        let traced = Query {
+            trace: Some(TraceContext {
+                query_id: "q-budget".to_string(),
+                parent_path: "meta.search/dispatch/source".to_string(),
+                parent_span_id: 1,
+            }),
+            ..query.clone()
+        };
+        let profile = source.execute(&traced).profile.expect("a traced answer");
+        let execute = profile.find("execute").expect("an execute stage");
+        let count = |key: &str| -> u64 {
+            let value = execute.meta_value(key).expect("a prune count");
+            value.parse().expect("a count")
+        };
+        scored += count("candidates") - count("skipped_docs");
+    }
+    scored as f64 / queries.len() as f64
 }
 
 /// `QUERIES` pairwise distinct `fed_zipf`-shaped queries: 1–3 ranked
@@ -256,6 +296,9 @@ fn the_cached_path_stays_within_its_budget() {
     let net = Arc::new(SimNet::new());
     let (catalog, corpus) = wire_fleet(&net);
     let queries = query_pool(&corpus);
+    // Its build spawns a thread per shard, so it runs after the index
+    // rows have taken their allocation readings.
+    let sharded = sharded_postings_scored(&queries);
     let server = Server::new(
         Arc::clone(&net),
         catalog,
@@ -324,6 +367,7 @@ fn the_cached_path_stays_within_its_budget() {
     for (name, per_doc) in index {
         check(name, per_doc);
     }
+    check("index.sharded.postings_scored_per_query", sharded);
     let n = queries.len() as f64;
     check(
         "serve.cache.retained_bytes_per_entry",
