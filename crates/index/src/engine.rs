@@ -10,7 +10,7 @@ use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use starts_text::{Analyzer, AnalyzerConfig, Thesaurus};
+use starts_text::{Analyzer, AnalyzerConfig, CaseMode, Thesaurus};
 
 use crate::blocks::{BlockCursor, BlockPostings, BLOCK_DOCS, EXHAUSTED};
 use crate::boolean::BoolNode;
@@ -1091,32 +1091,24 @@ impl Engine {
         }
     }
 
-    /// Resolve a spec to the set of index-vocabulary terms it matches.
-    /// When this engine is a shard, resolution runs against the *global*
-    /// vocabulary: a key another shard indexed still contributes its
-    /// (global) document frequency to this shard's scoring.
+    /// Resolve a spec to the set of index-vocabulary terms it matches,
+    /// sorted. When this engine is a shard, resolution runs against the
+    /// *global* vocabulary: a key another shard indexed still contributes
+    /// its (global) document frequency to this shard's scoring.
+    ///
+    /// Only stem, phonetic and truncation specs the index cannot answer
+    /// directly walk the vocabulary. A plain term on a case-sensitive
+    /// index — case-insensitive by default (§4.1.1) — is exact case
+    /// folding, answered by a fold-table lookup that returns the same
+    /// keys the walk would.
     fn resolve_keys(&self, field: FieldId, spec: &TermSpec) -> Vec<String> {
         let cfg = self.index.analyzer().config();
         if spec.needs_scan(cfg.stem, cfg.case) {
-            let pred = spec.vocab_predicate(&self.thesaurus);
-            // When the engine stems its index, compare against stems of
-            // the query term too (normalize first).
-            let query = &spec.term;
-            let mut keys: Vec<String> = match &self.collection {
-                Some(c) => c
-                    .field_terms(field)
-                    .filter(|(vocab, _)| pred(query, vocab))
-                    .map(|(vocab, _)| vocab.to_string())
-                    .collect(),
-                None => self
-                    .index
-                    .field_vocabulary(field)
-                    .filter(|(vocab, _)| pred(query, vocab))
-                    .map(|(vocab, _)| vocab.to_string())
-                    .collect(),
-            };
-            keys.sort_unstable();
-            keys
+            if spec.matches.is_empty() {
+                self.fold_keys(field, &spec.term)
+            } else {
+                self.scan_keys(field, spec)
+            }
         } else if spec.has(crate::matchspec::TermMatch::Thesaurus) {
             let mut keys: Vec<String> = self
                 .thesaurus
@@ -1136,6 +1128,56 @@ impl Engine {
                 Vec::new()
             }
         }
+    }
+
+    /// The vocabulary terms of `field` that `spec`'s
+    /// [`TermSpec::vocab_predicate`] accepts, sorted: a walk over the
+    /// field's whole vocabulary.
+    fn scan_keys(&self, field: FieldId, spec: &TermSpec) -> Vec<String> {
+        let pred = spec.vocab_predicate(&self.thesaurus);
+        let query = &spec.term;
+        let mut keys: Vec<String> = match &self.collection {
+            Some(c) => c
+                .field_terms(field)
+                .filter(|(vocab, _)| pred(query, vocab))
+                .map(|(vocab, _)| vocab.to_string())
+                .collect(),
+            None => self
+                .index
+                .field_vocabulary(field)
+                .filter(|(vocab, _)| pred(query, vocab))
+                .map(|(vocab, _)| vocab.to_string())
+                .collect(),
+        };
+        keys.sort_unstable();
+        keys
+    }
+
+    /// The vocabulary terms of `field` equal to `term` under case
+    /// folding, sorted — what [`Engine::scan_keys`] returns for a plain
+    /// spec, without the walk: the term's fold when the field holds it,
+    /// plus the fold table's terms for it.
+    fn fold_keys(&self, field: FieldId, term: &str) -> Vec<String> {
+        let fold = CaseMode::Insensitive.apply_cow(term);
+        let in_field = |t: &&str| self.has_term(field, t);
+        let mut keys: Vec<String> = match &self.collection {
+            Some(c) => c
+                .fold_variants(&fold)
+                .filter(in_field)
+                .map(str::to_string)
+                .collect(),
+            None => self
+                .index
+                .fold_variants(&fold)
+                .filter(in_field)
+                .map(str::to_string)
+                .collect(),
+        };
+        if self.has_term(field, &fold) {
+            keys.push(fold.into_owned());
+        }
+        keys.sort_unstable();
+        keys
     }
 
     /// Whether the (field, term) pair exists anywhere in the collection —

@@ -9,11 +9,41 @@
 //!   by a per-document recursive tree walk over every candidate and a
 //!   full sort. The top-k, pruned and sharded paths must return exactly
 //!   its prefixes.
+//! * [`Engine::scanned_keys`]: term resolution as it was before the fold
+//!   table — every spec that is not a direct lookup walks the
+//!   vocabulary with [`TermSpec::vocab_predicate`]. Both evaluators
+//!   above resolve their terms this way, so they also hold the fold-table
+//!   lookup to the walk it replaced.
 
 use super::*;
 use crate::boolean::{difference, intersect, prox_match, union};
 
 impl Engine {
+    /// The vocabulary keys a spec resolves to on the query path
+    /// (`None` when the schema lacks its field).
+    #[doc(hidden)]
+    pub fn resolved_keys(&self, spec: &TermSpec) -> Option<Vec<String>> {
+        let field = self.resolve_field(spec)?;
+        Some(self.resolve_keys(field, spec))
+    }
+
+    /// [`Engine::resolved_keys`] by the reference resolution: every spec
+    /// that needs more than a direct lookup walks the vocabulary.
+    #[doc(hidden)]
+    pub fn scanned_keys(&self, spec: &TermSpec) -> Option<Vec<String>> {
+        let field = self.resolve_field(spec)?;
+        Some(self.scanning_keys(field, spec))
+    }
+
+    fn scanning_keys(&self, field: FieldId, spec: &TermSpec) -> Vec<String> {
+        let cfg = self.index.analyzer().config();
+        if spec.needs_scan(cfg.stem, cfg.case) {
+            self.scan_keys(field, spec)
+        } else {
+            self.resolve_keys(field, spec)
+        }
+    }
+
     /// The pre-fast-path evaluator: per-document recursive tree walk over
     /// a candidate set built by repeated two-way unions, followed by a
     /// full sort. Kept as the reference implementation — the property
@@ -101,7 +131,7 @@ impl Engine {
         let Some(field) = self.resolve_field(spec) else {
             return Vec::new();
         };
-        self.docs_of_keys(field, &self.resolve_keys(field, spec))
+        self.docs_of_keys(field, &self.scanning_keys(field, spec))
     }
 
     fn eval_prox(
@@ -114,8 +144,8 @@ impl Engine {
         let (Some(lf), Some(rf)) = (self.resolve_field(left), self.resolve_field(right)) else {
             return Vec::new();
         };
-        let lkeys = self.resolve_keys(lf, left);
-        let rkeys = self.resolve_keys(rf, right);
+        let lkeys = self.scanning_keys(lf, left);
+        let rkeys = self.scanning_keys(rf, right);
         let ldocs = self.docs_of_keys(lf, &lkeys);
         let rdocs = self.docs_of_keys(rf, &rkeys);
         let both = intersect(&ldocs, &rdocs);
@@ -177,7 +207,7 @@ impl Engine {
                 let Some(field) = self.resolve_field(spec) else {
                     return 0.0;
                 };
-                let keys = self.resolve_keys(field, spec);
+                let keys = self.scanning_keys(field, spec);
                 let (tf, df) = self.tf_df(doc, field, &keys);
                 if tf == 0 {
                     return 0.0;

@@ -16,11 +16,13 @@
 //! [`TermBounds`].
 
 use std::collections::{BTreeSet, HashMap};
+use std::sync::OnceLock;
 
 use starts_text::{Analyzer, LangTag};
 
 use crate::blocks::{bits_for, pack_bits, BlockCursor, BlockPostings, BLOCK_DOCS, PAD_BYTES};
 use crate::doc::{DocId, Document};
+use crate::matchspec::FoldTable;
 use crate::schema::{FieldId, Schema, ANY_FIELD};
 
 /// Position gap inserted between separate field instances so that `prox`
@@ -435,6 +437,9 @@ pub struct Index {
     /// Accumulated by [`IndexBuilder::build`] as each list is frozen;
     /// the index is immutable afterwards, so it never goes stale.
     footprint: PostingsFootprint,
+    /// Case-insensitive lookup over `terms`, built by the first query
+    /// that needs it (a plain term on a case-sensitive index).
+    fold: OnceLock<FoldTable>,
 }
 
 /// Build-time state of one posting list: the blocks frozen so far plus
@@ -537,6 +542,7 @@ impl IndexBuilder {
                 field_langs: HashMap::new(),
                 positions_stored: true,
                 footprint: PostingsFootprint::default(),
+                fold: OnceLock::new(),
             },
             lists: Vec::new(),
             store_positions: true,
@@ -780,6 +786,14 @@ impl Index {
             .iter()
             .filter(move |((fid, _), _)| *fid == field)
             .map(|((_, tid), &slot)| (self.terms[tid.0 as usize].as_str(), self.list(slot)))
+    }
+
+    /// The vocabulary terms, in any field, that are not their own case
+    /// fold and fold to `fold` ([`FoldTable`]; built on first use).
+    pub(crate) fn fold_variants<'a>(&'a self, fold: &'a str) -> impl Iterator<Item = &'a str> {
+        self.fold
+            .get_or_init(|| FoldTable::new(self.terms.iter().map(String::as_str)))
+            .get(fold)
     }
 
     /// Languages observed in a field's values.

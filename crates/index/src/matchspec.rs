@@ -7,6 +7,8 @@
 //! and the expansion rules; [`crate::engine::Engine`] executes them
 //! against an index.
 
+use std::borrow::Cow;
+
 use starts_text::{porter_stem, soundex, CaseMode, Thesaurus};
 
 /// Comparison operators — the `<, <=, =, >=, >, !=` modifiers, which
@@ -127,8 +129,12 @@ impl TermSpec {
         self.matches.contains(&m)
     }
 
-    /// Whether matching needs a vocabulary scan (any modifier other than a
-    /// plain, engine-canonical lookup).
+    /// Whether matching needs more than a direct lookup of the
+    /// engine-normalized term: any modifier the engine does not apply at
+    /// index time, or a plain (case-insensitive) term on a case-sensitive
+    /// index. The engine walks the vocabulary for the first kind only; a
+    /// plain term on a case-sensitive index is exact case folding, which
+    /// it answers from a fold table instead.
     pub fn needs_scan(&self, engine_stems: bool, engine_case: CaseMode) -> bool {
         for m in &self.matches {
             match m {
@@ -216,6 +222,47 @@ impl TermSpec {
                 case.eq(query, vocab)
             }
         }
+    }
+}
+
+/// Case-insensitive lookup on a case-sensitive vocabulary: every term
+/// whose Unicode simple fold differs from itself, keyed by that fold.
+///
+/// `CaseMode::Insensitive.eq(a, b)` is `fold_case(a) == fold_case(b)`
+/// on both of its branches, and folding is idempotent, so the
+/// vocabulary terms a plain query term `q` matches are `fold_case(q)`
+/// itself, when the vocabulary holds it, plus this table's entries for
+/// `fold_case(q)`. Most indexed terms are already folded and are not
+/// stored.
+#[derive(Debug)]
+pub(crate) struct FoldTable {
+    /// `(fold, term)`, sorted by fold.
+    entries: Box<[(Box<str>, Box<str>)]>,
+}
+
+impl FoldTable {
+    /// Index the terms of a vocabulary that are not their own fold.
+    pub(crate) fn new<'a>(terms: impl IntoIterator<Item = &'a str>) -> Self {
+        let mut entries: Vec<(Box<str>, Box<str>)> = terms
+            .into_iter()
+            .filter_map(|term| match CaseMode::Insensitive.apply_cow(term) {
+                Cow::Owned(fold) if fold != term => Some((fold.into(), term.into())),
+                _ => None,
+            })
+            .collect();
+        entries.sort_unstable();
+        FoldTable {
+            entries: entries.into_boxed_slice(),
+        }
+    }
+
+    /// The stored terms whose fold is `fold`.
+    pub(crate) fn get<'a>(&'a self, fold: &'a str) -> impl Iterator<Item = &'a str> + 'a {
+        let start = self.entries.partition_point(|(f, _)| &**f < fold);
+        self.entries[start..]
+            .iter()
+            .take_while(move |(f, _)| &**f == fold)
+            .map(|(_, term)| &**term)
     }
 }
 
@@ -328,8 +375,12 @@ mod tests {
     fn needs_scan_logic() {
         let plain = TermSpec::any("x");
         assert!(!plain.needs_scan(false, CaseMode::Insensitive));
-        // Case-sensitive index + default (insensitive) query → scan.
+        // Case-sensitive index + default (insensitive) query → not a
+        // direct lookup; the engine resolves it through its fold table,
+        // not a vocabulary walk.
         assert!(plain.needs_scan(false, CaseMode::Sensitive));
+        let strict = TermSpec::any("x").with(TermMatch::CaseSensitive);
+        assert!(!strict.needs_scan(false, CaseMode::Sensitive));
         // Stem query on a stemming engine → direct lookup.
         let stem = TermSpec::any("x").with(TermMatch::Stem);
         assert!(!stem.needs_scan(true, CaseMode::Insensitive));
@@ -337,5 +388,16 @@ mod tests {
         // Thesaurus is bounded lookups, never a scan.
         let th = TermSpec::any("x").with(TermMatch::Thesaurus);
         assert!(!th.needs_scan(false, CaseMode::Insensitive));
+    }
+
+    #[test]
+    fn fold_table_keeps_only_unfolded_terms() {
+        let table = FoldTable::new(["data", "Data", "DATA", "\u{212A}elvin", "kelvin", "Σ"]);
+        let get = |fold| table.get(fold).collect::<Vec<_>>();
+        assert_eq!(get("data"), ["DATA", "Data"]);
+        // U+212A KELVIN SIGN folds to ASCII `k`.
+        assert_eq!(get("kelvin"), ["\u{212A}elvin"]);
+        assert_eq!(get("σ"), ["Σ"]);
+        assert!(get("missing").is_empty());
     }
 }

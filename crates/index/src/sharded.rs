@@ -21,8 +21,8 @@
 //! so even the §3.2 vendor that pins its top hit to 1000 scales off the
 //! true global maximum.
 
-use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use starts_text::{Analyzer, LangTag, Thesaurus};
@@ -34,7 +34,7 @@ use crate::engine::{
     ShardPolicy, TermStat,
 };
 use crate::index::{Index, IndexBuilder, PostingsFootprint};
-use crate::matchspec::TermSpec;
+use crate::matchspec::{FoldTable, TermSpec};
 use crate::ranking::RankingAlgorithm;
 use crate::schema::{FieldId, Schema};
 use crate::topk::merge_ranked;
@@ -52,6 +52,10 @@ pub struct CollectionStats {
     /// iterate in sorted term order, matching the sorted scan the
     /// monolithic resolver produces.
     df: HashMap<FieldId, BTreeMap<String, u32>>,
+    /// Case-insensitive lookup over every field's terms, built by the
+    /// first query that needs it (a plain term on a case-sensitive
+    /// collection).
+    fold: OnceLock<FoldTable>,
 }
 
 impl CollectionStats {
@@ -75,6 +79,7 @@ impl CollectionStats {
             n_docs,
             total_tokens,
             df,
+            fold: OnceLock::new(),
         }
     }
 
@@ -111,6 +116,21 @@ impl CollectionStats {
         self.df
             .get(&field)
             .is_some_and(|terms| terms.contains_key(term))
+    }
+
+    /// The terms of any field that are not their own case fold and fold
+    /// to `fold` (built on first use).
+    pub(crate) fn fold_variants<'a>(&'a self, fold: &'a str) -> impl Iterator<Item = &'a str> {
+        self.fold
+            .get_or_init(|| {
+                let terms: BTreeSet<&str> = self
+                    .df
+                    .values()
+                    .flat_map(|terms| terms.keys().map(String::as_str))
+                    .collect();
+                FoldTable::new(terms)
+            })
+            .get(fold)
     }
 
     /// The global vocabulary of a field with each term's document

@@ -48,11 +48,12 @@ pub fn next_query_id() -> String {
 
 /// A bounded recorder of recent query profiles with slow-query capture.
 ///
-/// `record` takes one short mutex hold per ring touched plus a few
-/// relaxed atomics — cheap enough to stay always-on in the search path.
+/// `record` packs the profile into one buffer and takes one short mutex
+/// hold per ring touched plus a few relaxed atomics — cheap enough to
+/// stay always-on in the search path.
 pub struct FlightRecorder {
-    ring: Mutex<VecDeque<QueryProfile>>,
-    slow: Mutex<VecDeque<QueryProfile>>,
+    ring: Mutex<VecDeque<Packed>>,
+    slow: Mutex<VecDeque<Packed>>,
     capacity: usize,
     /// Rolling distribution of total query wall-clock, for the p99
     /// trigger (exact-extreme clamping keeps the threshold honest).
@@ -132,13 +133,7 @@ impl FlightRecorder {
         let over_budget = total > self.budget_us.load(Ordering::Relaxed);
         let over_p99 = seen >= P99_WARMUP && total > p99;
         let slow = over_budget || over_p99;
-        {
-            let mut ring = self.ring.lock();
-            if ring.len() == self.capacity {
-                ring.pop_front();
-            }
-            ring.push_back(profile.clone());
-        }
+        let packed = Packed::new(profile);
         if slow {
             self.slow_seen.fetch_add(1, Ordering::Relaxed);
             {
@@ -146,24 +141,29 @@ impl FlightRecorder {
                 if slow_ring.len() == SLOW_CAPACITY {
                     slow_ring.pop_front();
                 }
-                slow_ring.push_back(profile.clone());
+                slow_ring.push_back(packed.clone());
             }
             if let Some(path) = self.slow_log.lock().as_deref() {
                 // Best-effort: a failing sink must not fail the query.
                 let _ = append_slow_log(path, profile);
             }
         }
+        let mut ring = self.ring.lock();
+        if ring.len() == self.capacity {
+            ring.pop_front();
+        }
+        ring.push_back(packed);
         slow
     }
 
     /// The retained profiles, oldest first.
     pub fn recent(&self) -> Vec<QueryProfile> {
-        self.ring.lock().iter().cloned().collect()
+        self.ring.lock().iter().map(Packed::unpack).collect()
     }
 
     /// Take the captured slow profiles, clearing the slow ring.
     pub fn drain_slow(&self) -> Vec<QueryProfile> {
-        self.slow.lock().drain(..).collect()
+        self.slow.lock().drain(..).map(|p| p.unpack()).collect()
     }
 
     /// Total queries recorded over the recorder's lifetime.
@@ -200,6 +200,87 @@ impl FlightRecorder {
 impl Collector for FlightRecorder {
     fn collect(&self, reg: &Registry) {
         self.export_to(reg);
+    }
+}
+
+/// A retained profile as one buffer instead of a tree of strings: per
+/// stage in preorder its start, duration, name, meta pairs and child
+/// count, integers little-endian and strings length-prefixed. A served
+/// miss's profile is a few dozen stages of short strings, so the tree
+/// costs a hundred-odd allocations and several times the bytes; the
+/// ring keeps hundreds of them, written by whichever thread led each
+/// query.
+#[derive(Clone)]
+struct Packed(Box<[u8]>);
+
+impl Packed {
+    fn new(profile: &QueryProfile) -> Self {
+        fn put_str(out: &mut Vec<u8>, s: &str) {
+            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+            out.extend_from_slice(s.as_bytes());
+        }
+        fn put_stage(out: &mut Vec<u8>, stage: &StageCost) {
+            out.extend_from_slice(&stage.start_us.to_le_bytes());
+            out.extend_from_slice(&stage.duration_us.to_le_bytes());
+            put_str(out, &stage.name);
+            out.extend_from_slice(&(stage.meta.len() as u32).to_le_bytes());
+            for (key, value) in &stage.meta {
+                put_str(out, key);
+                put_str(out, value);
+            }
+            out.extend_from_slice(&(stage.children.len() as u32).to_le_bytes());
+            for child in &stage.children {
+                put_stage(out, child);
+            }
+        }
+        fn stage_len(stage: &StageCost) -> usize {
+            let meta: usize = stage.meta.iter().map(|(k, v)| 8 + k.len() + v.len()).sum();
+            let children: usize = stage.children.iter().map(stage_len).sum();
+            28 + stage.name.len() + meta + children
+        }
+        let len = 4 + profile.query_id.len() + stage_len(&profile.root);
+        let mut out = Vec::with_capacity(len);
+        put_str(&mut out, &profile.query_id);
+        put_stage(&mut out, &profile.root);
+        debug_assert_eq!(out.len(), len);
+        Packed(out.into_boxed_slice())
+    }
+
+    fn unpack(&self) -> QueryProfile {
+        struct Reader<'a>(&'a [u8]);
+        impl Reader<'_> {
+            fn bytes<const N: usize>(&mut self) -> [u8; N] {
+                let (head, rest) = self.0.split_at(N);
+                self.0 = rest;
+                head.try_into().expect("N bytes")
+            }
+            fn u32(&mut self) -> usize {
+                u32::from_le_bytes(self.bytes()) as usize
+            }
+            fn u64(&mut self) -> u64 {
+                u64::from_le_bytes(self.bytes())
+            }
+            fn string(&mut self) -> String {
+                let len = self.u32();
+                let (head, rest) = self.0.split_at(len);
+                self.0 = rest;
+                String::from_utf8(head.to_vec()).expect("packed from a str")
+            }
+            fn stage(&mut self) -> StageCost {
+                let (start_us, duration_us) = (self.u64(), self.u64());
+                let mut stage = StageCost::new(self.string(), start_us, duration_us);
+                stage.meta = (0..self.u32())
+                    .map(|_| (self.string(), self.string()))
+                    .collect();
+                stage.children = (0..self.u32()).map(|_| self.stage()).collect();
+                stage
+            }
+        }
+        let mut reader = Reader(&self.0);
+        QueryProfile {
+            query_id: reader.string(),
+            root: reader.stage(),
+        }
     }
 }
 
@@ -273,6 +354,28 @@ mod tests {
         QueryProfile {
             query_id: id.to_string(),
             root,
+        }
+    }
+
+    #[test]
+    fn a_packed_profile_unpacks_to_itself() {
+        let mut root = StageCost::new("serve.query", 0, 900).with_meta("results", 10);
+        let mut dispatch = StageCost::new("dispatch", 40, 700).with_meta("partial", false);
+        dispatch.children = vec![
+            StageCost::new("source", 41, 300)
+                .with_meta("source", "Gen 3=x")
+                .with_meta("", "ünï"),
+            StageCost::new("", u64::MAX, 0),
+        ];
+        root.children = vec![StageCost::new("select", 0, 12), dispatch];
+        for profile in [
+            QueryProfile {
+                query_id: "q-000042".to_string(),
+                root,
+            },
+            QueryProfile::default(),
+        ] {
+            assert_eq!(Packed::new(&profile).unpack(), profile);
         }
     }
 

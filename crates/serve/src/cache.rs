@@ -139,7 +139,7 @@ impl ResultCache {
 
     /// Fetch a fresh entry, counting the hit on `obs`. A request that
     /// misses looks twice — on its caller's thread, then again on the
-    /// worker about to lead its wave — and only the second look passes
+    /// thread about to lead its wave — and only the second look passes
     /// `count_miss`, so each request counts exactly one of the two.
     pub(crate) fn lookup(
         &self,

@@ -6,11 +6,15 @@
 //! ```text
 //! callers (plan, key, cache) ── hit ──▶ answered on the caller's thread
 //!        │ miss
-//!        ▼
-//! bounded admission queue ──▶ query workers (cache again,
-//! (LIFO pop, shed oldest)     singleflight, lead waves;
-//!                             unpaced, no deadline: run the
-//!                             exchanges themselves)
+//!        ├── a running slot is free ──▶ the caller leads the wave
+//!        │ every slot taken                        │
+//!        ▼                                         │
+//! bounded admission queue ──▶ query workers        │
+//! (LIFO pop, shed oldest)     (lead the wave       │
+//!                             once a slot frees)   │
+//!                                   │              │
+//!           (cache again, singleflight, lead; unpaced, no deadline:
+//!            the leader runs the exchanges itself)
 //!                                   │ paced net or a deadline
 //!                                   ▼
 //!                   dispatch queue ──▶ dispatch workers
@@ -19,21 +23,26 @@
 //!
 //! What the server can answer from what it holds it answers where the
 //! request arrived: the admission queue bounds *waves*, so a cache hit
-//! is never queued, never shed and wakes no thread. Query workers lead
-//! the dispatch wave ([`starts_meta::wave`]). When nothing can end the
-//! wait for it early — the net does not pace and the query has no
-//! deadline ([`wave::runs_on_leader`]) — the worker runs the wave's
-//! exchanges itself, one after the other: one thread per miss. Otherwise
-//! the attempts go through the dispatch pool so one slow query cannot
-//! monopolise threads, and a hedge or a straggler can outlive the query
-//! that launched it (an [`Attempt`] holds its share of the wave state).
-//! All coordination is plain `Mutex`/`Condvar` — no async runtime,
-//! matching the repo's std-only execution model.
+//! is never queued, never shed and wakes no thread. At most
+//! `query_workers` waves run at once, each holding a *running slot*. A
+//! miss that finds a slot free leads its wave on the thread that asked
+//! — no hand-off, no wake-up; only a miss that finds every slot taken
+//! waits in the queue for a query worker, and a worker pops only while a
+//! slot is free. The leader runs the dispatch wave
+//! ([`starts_meta::wave`]). When nothing can end the wait for it early
+//! — the net does not pace and the query has no deadline
+//! ([`wave::runs_on_leader`]) — it runs the wave's exchanges itself, one
+//! after the other: one thread per miss. Otherwise the attempts go
+//! through the dispatch pool so one slow query cannot monopolise
+//! threads, and a hedge or a straggler can outlive the query that
+//! launched it (an [`Attempt`] holds its share of the wave state). All
+//! coordination is plain `Mutex`/`Condvar` — no async runtime, matching
+//! the repo's std-only execution model.
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -62,8 +71,8 @@ pub struct HedgeConfig {
     /// pacing the delay converts at the pacing rate. With pacing off a
     /// wave with a deadline takes it as wall milliseconds (exchanges
     /// complete in microseconds then, so hedges effectively never fire),
-    /// and a wave without one runs its exchanges on the query worker,
-    /// decided before any hedge could be due.
+    /// and a wave without one runs its exchanges on the thread that
+    /// leads it, decided before any hedge could be due.
     pub min_delay_ms: u64,
 }
 
@@ -80,15 +89,19 @@ impl Default for HedgeConfig {
 /// Serving-layer configuration (strategy lives in [`MetaConfig`]).
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Query-pool size; `0` = one per available core.
+    /// Query-pool size, and the number of waves that run at once; `0` =
+    /// one per available core. A miss that finds fewer waves running
+    /// leads its own on the caller's thread; the pool serves the misses
+    /// that had to wait.
     pub query_workers: usize,
     /// Dispatch-pool size; `0` = `max(4, 2 × query workers)`. The pool
     /// runs the exchanges of waves on a paced net or with a deadline;
-    /// the rest run on the query worker that leads them.
+    /// the rest run on the thread that leads them.
     pub dispatch_workers: usize,
-    /// Bound on queries *waiting to run a wave*; at capacity the oldest
-    /// waiter is shed. Cache hits are answered on the caller's thread
-    /// and never wait here. Minimum 1.
+    /// Bound on queries *waiting to run a wave* while `query_workers`
+    /// waves run; at capacity the oldest waiter is shed. Cache hits are
+    /// answered on the caller's thread and never wait here, and neither
+    /// does a miss that finds a wave's running slot free. Minimum 1.
     pub queue_capacity: usize,
     /// Result-cache freshness window; `Duration::ZERO` disables
     /// caching.
@@ -127,7 +140,7 @@ pub enum ServeError {
     /// The server is shutting down.
     Shutdown,
     /// The query's execution panicked (a caller-supplied [`MetaConfig`]
-    /// strategy, most likely); its worker carries on.
+    /// strategy, most likely); the thread that led it carries on.
     Internal,
 }
 
@@ -212,21 +225,32 @@ impl PartialEq for ServeOutcome {
     }
 }
 
-/// One admitted query waiting for a worker: planned and keyed on its
-/// caller's thread, where it missed the cache.
+/// One admitted query: planned and keyed on its caller's thread, where
+/// it missed the cache, and led there or by a query worker.
 struct QueryJob {
     plan: Arc<QueryPlan>,
     key: String,
     deadline_ms: Option<u64>,
     slot: Arc<ResponseSlot>,
     query_id: String,
-    /// The caller's open `serve.query` span, which the worker's stages
-    /// nest under.
+    /// The caller's open `serve.query` span, which the wave's stages
+    /// nest under on whichever thread leads it.
     root: SpanHandle,
     /// The request's clock, started on the caller's thread.
     t0: Instant,
-    /// When the job joined the queue, in µs since `t0`.
+    /// When the job was admitted, in µs since `t0`.
     enqueued_us: u64,
+}
+
+/// The waves the server admitted: those waiting for a query worker and
+/// how many run now.
+#[derive(Default)]
+struct Waves {
+    /// Admitted misses waiting for a running slot, oldest first.
+    waiting: VecDeque<QueryJob>,
+    /// Waves running now, on a query worker or on the caller that
+    /// missed; at most the query-pool size.
+    running: usize,
 }
 
 fn elapsed_us(t0: Instant) -> u64 {
@@ -238,7 +262,9 @@ struct ServerInner {
     catalog: Catalog,
     config: MetaConfig,
     serve: ServeConfig,
-    queue: Mutex<VecDeque<QueryJob>>,
+    /// Resolved query-pool size: the bound on waves running at once.
+    query_workers: usize,
+    queue: Mutex<Waves>,
     queue_cv: Condvar,
     dispatch_q: Mutex<VecDeque<Attempt>>,
     dispatch_cv: Condvar,
@@ -283,7 +309,8 @@ impl Server {
             catalog,
             config,
             serve,
-            queue: Mutex::new(VecDeque::new()),
+            query_workers,
+            queue: Mutex::new(Waves::default()),
             queue_cv: Condvar::new(),
             dispatch_q: Mutex::new(VecDeque::new()),
             dispatch_cv: Condvar::new(),
@@ -357,7 +384,11 @@ impl Server {
                     t0,
                     enqueued_us: elapsed_us(t0),
                 };
-                self.admit(job)?;
+                if let Some(job) = self.admit(job)? {
+                    // A running slot was free: lead the wave here.
+                    let _running = Running::taken(inner);
+                    run_query(inner, job, 0);
+                }
                 slot.wait()
             }
         };
@@ -367,30 +398,37 @@ impl Server {
         outcome
     }
 
-    /// Queue a job for the query workers, shedding the oldest waiter
-    /// when the queue is full.
-    fn admit(&self, job: QueryJob) -> Result<(), ServeError> {
+    /// Admit a miss. While fewer than `query_workers` waves run, take
+    /// a running slot for it and hand the job back: the caller leads the
+    /// wave itself. Otherwise queue it for the query workers, shedding
+    /// the oldest waiter when the queue is full. A queued job wakes no
+    /// one: every slot is taken, and the wave that frees one wakes a
+    /// worker.
+    fn admit(&self, job: QueryJob) -> Result<Option<QueryJob>, ServeError> {
         let inner = &self.inner;
         let obs = inner.net.registry();
-        {
-            let mut queue = inner.queue.lock().expect("serve queue");
-            if inner.shutdown.load(Ordering::SeqCst) {
-                return Err(ServeError::Shutdown);
-            }
-            if queue.len() >= inner.serve.queue_capacity {
-                // Overload: shed the *oldest* waiter — it has burned
-                // the most of its deadline already — and keep admitting
-                // fresh work (LIFO shed).
-                if let Some(old) = queue.pop_front() {
-                    obs.counter("serve.shed").inc();
-                    old.slot.fulfill(Err(ServeError::Shed));
-                }
-            }
-            queue.push_back(job);
-            obs.gauge("serve.queue_depth").set(queue.len() as f64);
+        let mut waves = inner.queue.lock().expect("serve queue");
+        if inner.shutdown.load(Ordering::SeqCst) {
+            return Err(ServeError::Shutdown);
         }
-        inner.queue_cv.notify_one();
-        Ok(())
+        if waves.running < inner.query_workers {
+            waves.running += 1;
+            return Ok(Some(job));
+        }
+        if waves.waiting.len() >= inner.serve.queue_capacity {
+            // Overload: shed the *oldest* waiter — it has burned the
+            // most of its deadline already — and keep admitting fresh
+            // work (LIFO shed).
+            if let Some(old) = waves.waiting.pop_front() {
+                obs.counter("serve.shed").inc();
+                old.slot.fulfill(Err(ServeError::Shed));
+            }
+        }
+        waves.waiting.push_back(job);
+        obs.counter("serve.queued").inc();
+        obs.gauge("serve.queue_depth")
+            .set(waves.waiting.len() as f64);
+        Ok(None)
     }
 
     /// Stale and reclaim every cached response that consulted `source`
@@ -421,7 +459,15 @@ impl Server {
 
 impl Drop for Server {
     fn drop(&mut self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
+        // A worker reads the flag and parks under its queue's lock: set
+        // it under the one and pass through the other before waking
+        // them, or a worker between its check and its wait sleeps
+        // through the wake-up and the join below never returns.
+        {
+            let _waves = self.inner.queue.lock().expect("serve queue");
+            self.inner.shutdown.store(true, Ordering::SeqCst);
+        }
+        drop(self.inner.dispatch_q.lock().expect("dispatch queue"));
         self.inner.queue_cv.notify_all();
         self.inner.dispatch_cv.notify_all();
         for handle in self.workers.drain(..) {
@@ -430,63 +476,81 @@ impl Drop for Server {
         // Workers drain queued work before exiting; anything that still
         // slipped past them gets a clean shutdown error instead of a
         // hang.
-        let mut queue = self.inner.queue.lock().expect("serve queue");
-        for job in queue.drain(..) {
+        let mut waves = self.inner.queue.lock().expect("serve queue");
+        for job in waves.waiting.drain(..) {
             job.slot.fulfill(Err(ServeError::Shutdown));
         }
     }
 }
 
-/// Query-pool body: pop newest-first and execute whole queries.
+/// Query-pool body: while a running slot is free, pop newest-first and
+/// execute whole queries.
 fn query_worker(inner: &Arc<ServerInner>) {
     loop {
         let job = {
-            let mut queue = inner.queue.lock().expect("serve queue");
+            let mut waves = inner.queue.lock().expect("serve queue");
             loop {
                 // LIFO: the newest request has the most deadline left.
-                if let Some(job) = queue.pop_back() {
-                    inner
-                        .net
-                        .registry()
-                        .gauge("serve.queue_depth")
-                        .set(queue.len() as f64);
-                    break job;
+                if waves.running < inner.query_workers {
+                    if let Some(job) = waves.waiting.pop_back() {
+                        waves.running += 1;
+                        inner
+                            .net
+                            .registry()
+                            .gauge("serve.queue_depth")
+                            .set(waves.waiting.len() as f64);
+                        break job;
+                    }
                 }
-                if inner.shutdown.load(Ordering::SeqCst) {
+                if inner.shutdown.load(Ordering::SeqCst) && waves.waiting.is_empty() {
                     return;
                 }
-                queue = inner.queue_cv.wait(queue).expect("serve queue");
+                waves = inner.queue_cv.wait(waves).expect("serve queue");
             }
         };
-        let obs = inner.net.registry();
-        obs.gauge("serve.inflight").add(1.0);
-        let _inflight = Inflight(obs);
-        run_query(inner, job);
+        let _running = Running::taken(inner);
+        let queued_us = elapsed_us(job.t0).saturating_sub(job.enqueued_us);
+        run_query(inner, job, queued_us);
     }
 }
 
-/// Takes the query back out of `serve.inflight`, unwinding or not.
-struct Inflight<'a>(&'a Registry);
+/// A running slot, taken under the queue lock and counted in
+/// `serve.inflight`. Dropping it — unwinding or not — frees the slot
+/// and wakes a query worker for a waiting wave.
+struct Running<'a>(&'a ServerInner);
 
-impl Drop for Inflight<'_> {
+impl<'a> Running<'a> {
+    fn taken(inner: &'a ServerInner) -> Self {
+        inner.net.registry().gauge("serve.inflight").add(1.0);
+        Running(inner)
+    }
+}
+
+impl Drop for Running<'_> {
     fn drop(&mut self) {
-        self.0.gauge("serve.inflight").add(-1.0);
+        let inner = self.0;
+        inner.net.registry().gauge("serve.inflight").add(-1.0);
+        let mut waves = inner.queue.lock().unwrap_or_else(PoisonError::into_inner);
+        waves.running -= 1;
+        let waiting = !waves.waiting.is_empty();
+        drop(waves);
+        if waiting {
+            inner.queue_cv.notify_one();
+        }
     }
 }
 
-/// Cache (again) → singleflight → (lead the wave) → fulfill.
-fn run_query(inner: &Arc<ServerInner>, job: QueryJob) {
+/// Cache (again) → singleflight → (lead the wave) → fulfill, on the
+/// thread that holds the job's running slot. `queued_us` is how long the
+/// job waited for it (0 when its caller leads it).
+fn run_query(inner: &Arc<ServerInner>, job: QueryJob, queued_us: u64) {
     let obs: &Registry = inner.net.registry();
     let _root = job.root.adopt();
-    let queue_stage = StageCost::new(
-        "queue",
-        job.enqueued_us,
-        elapsed_us(job.t0).saturating_sub(job.enqueued_us),
-    );
+    let queue_stage = StageCost::new("queue", job.enqueued_us, queued_us);
 
-    // The caller missed before it queued; an identical query's wave may
-    // have landed since, and two that missed together must not both
-    // dispatch.
+    // The caller missed before it was admitted; an identical query's
+    // wave may have landed since, and two that missed together must not
+    // both dispatch.
     if let Some(hit) = inner.cache.lookup(&job.key, obs, true) {
         job.slot.fulfill(Ok(ServeOutcome {
             response: hit,
@@ -498,7 +562,8 @@ fn run_query(inner: &Arc<ServerInner>, job: QueryJob) {
 
     if !inner.flights.lead_or_join(&job.key, &job.slot) {
         // A wave for this exact query is already in flight: the leader
-        // will fulfill our slot; this worker is free for the next job.
+        // will fulfill our slot; this running slot is free for the next
+        // job.
         obs.counter("serve.singleflight.coalesced").inc();
         return;
     }
@@ -506,7 +571,8 @@ fn run_query(inner: &Arc<ServerInner>, job: QueryJob) {
 
     // The merger is the caller's code: if the wave unwinds, the flight
     // still completes and everyone waiting on it is told, instead of
-    // this worker dying with the key registered and the slots unfilled.
+    // this thread unwinding with the key registered and the slots
+    // unfilled.
     let led = catch_unwind(AssertUnwindSafe(|| {
         // Before dispatch: an invalidation from here on stales the response.
         let stamps = inner.cache.stamps(&job.plan.selected);
@@ -534,11 +600,11 @@ fn run_query(inner: &Arc<ServerInner>, job: QueryJob) {
     }
 }
 
-/// Lead one dispatch wave — its exchanges on this worker or on the
+/// Lead one dispatch wave — its exchanges on this thread or on the
 /// shared pool, as [`wave::runs_on_leader`] says — and split what it
 /// produced into the answer and the wave's report. The deadline's clock
-/// starts here, when a worker takes the wave — time spent queued does
-/// not count against it.
+/// starts here, when the wave takes a running slot — time spent queued
+/// does not count against it.
 fn run_wave(
     inner: &Arc<ServerInner>,
     job: &QueryJob,

@@ -4,19 +4,20 @@
 //! selected source set (see
 //! [`starts_meta::pipeline::normalized_query_key`]): two queries with
 //! the same key are wire-identical to every source, so dispatching both
-//! buys nothing. The first executor worker to take a key becomes the
-//! *leader* and runs the wave; workers that find the key in flight park
-//! the caller's `ResponseSlot` on the leader's entry and move on to
-//! the next queued query — a duplicate costs no pool capacity while it
-//! waits.
+//! buys nothing. The first thread to take a key with a running slot —
+//! the caller that missed, or a query worker — becomes the *leader* and
+//! runs the wave; one that finds the key in flight parks the caller's
+//! `ResponseSlot` on the leader's entry and frees its running slot — a
+//! duplicate costs no wave capacity while it waits.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 
 use crate::executor::{ServeError, ServeOutcome};
 
-/// A one-shot rendezvous between a waiting caller and whichever worker
-/// (or leader) produces its response. The caller blocks in
+/// A one-shot rendezvous between a waiting caller and whichever thread
+/// produces its response: the leader of its wave, the caller itself, or
+/// admission control shedding it. The caller blocks in
 /// [`ResponseSlot::wait`]; the first [`ResponseSlot::fulfill`] wins and
 /// later ones are ignored (a shed job may race its own completion).
 #[derive(Default)]

@@ -6,13 +6,15 @@
 //! scoped thread each over a paced network. [`Server`] runs the same
 //! pipeline stages ([`starts_meta::pipeline`]) under a serving regime:
 //!
-//! * **Fixed worker pools** — a query pool leads dispatch waves off a
-//!   bounded admission queue and, on an unpaced network with no
-//!   deadline, runs their exchanges itself; a shared dispatch pool runs
-//!   the exchanges of the other waves. No thread is ever spawned per
-//!   query, and a query the result cache can answer never reaches a
-//!   pool at all: it is planned, keyed and answered on its caller's
-//!   thread.
+//! * **Running slots and fixed worker pools** — at most `query_workers`
+//!   dispatch waves run at once. A miss that finds a running slot free
+//!   leads its wave on its caller's thread; one that finds every slot
+//!   taken waits in a bounded admission queue for the query pool. On an
+//!   unpaced network with no deadline the leader runs the wave's
+//!   exchanges itself; a shared dispatch pool runs the exchanges of the
+//!   other waves. No thread is ever spawned per query, and a query the
+//!   result cache can answer never reaches a pool at all: it is
+//!   planned, keyed and answered on its caller's thread.
 //! * **Singleflight** — concurrent identical queries (same normalized
 //!   query text, same selected source set) collapse into one dispatch
 //!   wave; followers wait on the leader and share both its answer

@@ -101,6 +101,17 @@ mod tests {
     }
 
     #[test]
+    fn folding_is_idempotent_for_every_char() {
+        // An engine resolves a case-insensitive term on a case-sensitive
+        // index by looking its fold up, which finds exactly the terms
+        // that fold to it only because a fold folds to itself.
+        for c in (0..=0x10FFFF).filter_map(char::from_u32) {
+            let fold = fold_case(c.encode_utf8(&mut [0; 4]));
+            assert_eq!(fold_case(&fold), fold, "U+{:04X}", c as u32);
+        }
+    }
+
+    #[test]
     fn default_is_insensitive() {
         // The STARTS default per Section 4.1.1's modifier table.
         assert_eq!(CaseMode::default(), CaseMode::Insensitive);

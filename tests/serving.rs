@@ -3,10 +3,12 @@
 //! cached responses with per-source generation invalidation,
 //! deadline-bounded partial results that are a prefix-consistent merge
 //! of the finished sources, hedged dispatch racing a replica against a
-//! slow primary, LIFO load shedding under overload, where a wave's
-//! exchanges run (the query worker, or the shared dispatch pool once
-//! pacing or a deadline can end the wait early), panic isolation on
-//! either thread and in the query pool, and the cached path:
+//! slow primary, LIFO load shedding under overload, who leads a miss
+//! (its caller while a running slot is free, a query worker once one
+//! frees), where a wave's exchanges run (the leader, or the shared
+//! dispatch pool once pacing or a deadline can end the wait early),
+//! panic isolation on either thread and on the leader, and the cached
+//! path:
 //! hits answered on the caller's thread past a full executor, an
 //! invalidation that overtakes a wave in flight, and a cache that keeps
 //! the answer but never the wave's report.
@@ -122,7 +124,7 @@ fn singleflight_collapses_identical_concurrent_queries_into_one_wave() {
     let catalog = discover(&net, &["DB", "Food"]);
     net.registry().reset();
     // Pace the simulation so the wave takes real time (~50ms): every
-    // client enqueues while the leader's dispatch is in flight.
+    // client misses while the leader's dispatch is in flight.
     net.set_pacing(500);
     let server = Server::new(
         Arc::clone(&net),
@@ -392,8 +394,8 @@ fn cache_hits_bypass_admission_while_every_query_worker_is_parked() {
     assert_eq!(warm.response.selected, ["DB"]);
 
     std::thread::scope(|scope| {
-        // One at a time: the one-slot queue is free again once a worker
-        // has taken the job as far as the gate.
+        // One at a time: each miss finds a running slot free and leads
+        // its wave on its own thread as far as the gate.
         let waves: Vec<_> = ["cooking", "recipes"]
             .into_iter()
             .map(|word| {
@@ -407,7 +409,7 @@ fn cache_hits_bypass_admission_while_every_query_worker_is_parked() {
                 wave
             })
             .collect();
-        // Both workers are inside `run_wave`, nothing waits behind them.
+        // Both running slots are taken, nothing waits behind them.
         let snap = net.registry().snapshot();
         assert_eq!(snap.gauge("serve.inflight", &[]), WORKERS as f64);
         assert_eq!(snap.gauge("serve.queue_depth", &[]), 0.0);
@@ -736,10 +738,11 @@ fn thread_name() -> String {
     std::thread::current().name().unwrap_or("").to_string()
 }
 
-/// Where a wave's exchanges run: on the query worker that leads it
-/// while nothing can end its wait early — the net does not pace and the
-/// query has no deadline — and on the dispatch pool otherwise. A
-/// `Metasearcher` on an unpaced net runs them on its caller's thread.
+/// Where a wave's exchanges run: on the thread that leads it — the
+/// caller, when a running slot is free — while nothing can end its wait
+/// early — the net does not pace and the query has no deadline — and on
+/// the dispatch pool otherwise. A `Metasearcher` on an unpaced net runs
+/// them on its caller's thread too.
 #[test]
 fn an_exchange_runs_on_its_leader_unless_pacing_or_a_deadline_can_end_the_wait() {
     let net = Arc::new(SimNet::new());
@@ -785,9 +788,10 @@ fn an_exchange_runs_on_its_leader_unless_pacing_or_a_deadline_can_end_the_wait()
         assert!(!outcome.response.merged.is_empty());
     };
 
-    // Unpaced, no deadline (`Some(0)` is none): the query worker.
+    // Unpaced, no deadline (`Some(0)` is none): the caller, which
+    // found the running slot free and led the wave.
     for deadline_ms in [None, Some(0)] {
-        assert!(ran_on(&|| serve(deadline_ms)).starts_with("serve-query-"));
+        assert_eq!(ran_on(&|| serve(deadline_ms)), thread_name());
     }
     // A deadline, or a paced net: the dispatch pool.
     assert!(ran_on(&|| serve(Some(60_000))).starts_with("serve-dispatch-"));
@@ -804,8 +808,8 @@ fn an_exchange_runs_on_its_leader_unless_pacing_or_a_deadline_can_end_the_wait()
 }
 
 /// A panicking endpoint is a failed source wherever its exchange runs —
-/// on the query worker leading an unpaced wave, or on the dispatch pool
-/// under pacing — and the thread it ran on keeps serving.
+/// on the caller leading an unpaced wave, or on the dispatch pool under
+/// pacing — and the thread it ran on keeps serving.
 #[test]
 fn a_panicking_endpoint_fails_its_source_and_the_thread_that_ran_it_survives() {
     let net = Arc::new(SimNet::new());
@@ -838,7 +842,8 @@ fn a_panicking_endpoint_fails_its_source_and_the_thread_that_ran_it_survives() {
     );
 
     let query = ranked(r#"list((body-of-text "text"))"#);
-    for (pacing, thread) in [(0, "serve-query-0"), (1, "serve-dispatch-0")] {
+    let caller = thread_name();
+    for (pacing, thread) in [(0, caller.as_str()), (1, "serve-dispatch-0")] {
         net.set_pacing(pacing);
         // With one thread of each kind, the second search proves the
         // thread that ran the first one's panic is still serving.
@@ -881,10 +886,10 @@ impl Merger for Tripwire {
     }
 }
 
-/// The merger is the caller's code and runs on a query worker. If it
-/// panics, the flight it was merging for ends in an error for its
-/// leader and every follower; the key, the worker and the gauges are
-/// as if the query had never come.
+/// The merger is the caller's code and runs on whichever thread leads
+/// the wave. If it panics, the flight it was merging for ends in an
+/// error for its leader and every follower; the key, the running slots
+/// and the gauges are as if the query had never come.
 #[test]
 fn a_panicking_merger_fails_its_flight_and_nothing_else() {
     const PATIENCE: Duration = Duration::from_secs(10);
@@ -943,7 +948,7 @@ fn a_panicking_merger_fails_its_flight_and_nothing_else() {
     }
 
     // The flight is closed — the same query leads a new one — and both
-    // workers still serve: two waves stand at the gate at once.
+    // running slots are free again: two waves stand at the gate at once.
     armed.store(false, Ordering::SeqCst);
     let callers = [ask("cooking"), ask("recipes")];
     for _ in &callers {
@@ -962,6 +967,165 @@ fn a_panicking_merger_fails_its_flight_and_nothing_else() {
     let snap = net.registry().snapshot();
     assert_eq!(snap.counter("serve.panics", &[]), 1);
     assert_eq!(snap.gauge("serve.inflight", &[]), 0.0);
+}
+
+/// A miss that finds a running slot free is led by its caller: nothing
+/// is queued, the profile's `queue` stage reads 0 µs, and the running
+/// slot is back before the answer is.
+#[test]
+fn a_miss_with_a_running_slot_free_is_led_by_its_caller() {
+    let net = Arc::new(SimNet::new());
+    wire(&net, "DB", &["databases", "queries"], 10);
+    let catalog = discover(&net, &["DB"]);
+    net.registry().reset();
+    let server = Server::new(
+        Arc::clone(&net),
+        catalog,
+        MetaConfig::default(),
+        ServeConfig {
+            query_workers: 1,
+            hedge: hedge_off(),
+            ..ServeConfig::default()
+        },
+    );
+    for word in ["databases", "queries"] {
+        let outcome = server
+            .search(&ranked(&format!(r#"list((body-of-text "{word}"))"#)))
+            .unwrap();
+        assert_eq!(outcome.via, Served::Executed);
+        let profile = &outcome.wave.as_ref().expect("a miss runs a wave").profile;
+        assert!(profile.is_consistent());
+        assert_eq!(profile.find("queue").expect("a queue stage").duration_us, 0);
+        // No pool bookkeeping trails the answer: the caller freed its
+        // slot before it returned.
+        let snap = net.registry().snapshot();
+        assert_eq!(snap.gauge("serve.inflight", &[]), 0.0);
+        assert_eq!(snap.gauge("serve.queue_depth", &[]), 0.0);
+        assert_eq!(snap.counter("serve.queued", &[]), 0);
+    }
+}
+
+/// A merger that panics on the caller's thread fails that query with
+/// `Internal` and nothing else: the panic is counted, the running slot
+/// is released, and the next miss is led by its caller again.
+#[test]
+fn a_merger_panicking_on_the_caller_releases_its_running_slot() {
+    const PATIENCE: Duration = Duration::from_secs(10);
+    let net = Arc::new(SimNet::new());
+    wire(&net, "DB", &["databases", "queries"], 10);
+    let catalog = discover(&net, &["DB"]);
+    net.registry().reset();
+    let armed = Arc::new(AtomicBool::new(true));
+    let server = Arc::new(Server::new(
+        Arc::clone(&net),
+        catalog,
+        MetaConfig {
+            merger: Box::new(Tripwire(Arc::clone(&armed))),
+            ..MetaConfig::default()
+        },
+        ServeConfig {
+            query_workers: 1,
+            hedge: hedge_off(),
+            ..ServeConfig::default()
+        },
+    ));
+    // A leaked slot would queue the next miss behind a wave that never
+    // ends: ask on a thread of its own so that fails instead of hanging.
+    let ask = || {
+        let server = Arc::clone(&server);
+        let (tx, rx) = channel();
+        std::thread::spawn(move || {
+            let outcome = server.search(&ranked(r#"list((body-of-text "databases"))"#));
+            drop(server);
+            tx.send(outcome)
+        });
+        rx.recv_timeout(PATIENCE).expect("an answer")
+    };
+
+    assert_eq!(ask(), Err(ServeError::Internal));
+    let snap = net.registry().snapshot();
+    assert_eq!(snap.counter("serve.panics", &[]), 1);
+    assert_eq!(snap.gauge("serve.inflight", &[]), 0.0);
+
+    armed.store(false, Ordering::SeqCst);
+    assert_eq!(ask().expect("served").via, Served::Executed);
+    let snap = net.registry().snapshot();
+    assert_eq!(snap.counter("serve.queued", &[]), 0, "both led by callers");
+    assert_eq!(snap.counter("serve.panics", &[]), 1);
+}
+
+/// While a wave holds the only running slot, a second distinct miss
+/// waits in the queue, and a query worker leads it once the slot frees.
+#[test]
+fn a_miss_that_finds_every_slot_taken_waits_for_a_query_worker() {
+    const PATIENCE: Duration = Duration::from_secs(10);
+    let net = Arc::new(SimNet::new());
+    let (entered, pass) = wire_gated(&net, "Food", &["cooking", "recipes"]);
+    wire(&net, "DB", &["databases", "queries"], 10);
+    let source = Source::build(SourceConfig::new("DB"), &docs(&["databases"], 12, "db"));
+    let log: ThreadLog = Arc::default();
+    let seen = Arc::clone(&log);
+    net.register(
+        "starts://db/query",
+        LinkProfile::default(),
+        Arc::new(move |request: &[u8]| -> Vec<u8> {
+            seen.lock().unwrap().push(thread_name());
+            let query = Query::from_soif_bytes(request, starts::soif::ParseMode::Lenient);
+            source.execute(&query.unwrap()).to_soif_stream()
+        }),
+    );
+    let catalog = discover(&net, &["DB", "Food"]);
+    net.registry().reset();
+    let server = Server::new(
+        Arc::clone(&net),
+        catalog,
+        MetaConfig {
+            max_sources: 1,
+            ..MetaConfig::default()
+        },
+        ServeConfig {
+            query_workers: 1,
+            hedge: hedge_off(),
+            ..ServeConfig::default()
+        },
+    );
+    let depth = || net.registry().snapshot().gauge("serve.queue_depth", &[]);
+
+    std::thread::scope(|scope| {
+        let server = &server;
+        let holder = scope.spawn(move || {
+            server
+                .search(&ranked(r#"list((body-of-text "cooking"))"#))
+                .unwrap()
+        });
+        entered.recv_timeout(PATIENCE).expect("a wave at the gate");
+        let waiter = scope.spawn(move || {
+            server
+                .search(&ranked(r#"list((body-of-text "databases"))"#))
+                .unwrap()
+        });
+        let waiting = Instant::now();
+        while depth() != 1.0 {
+            assert!(waiting.elapsed() < PATIENCE, "the second miss never queued");
+            std::thread::yield_now();
+        }
+        assert_eq!(net.registry().snapshot().gauge("serve.inflight", &[]), 1.0);
+        assert!(log.lock().unwrap().is_empty(), "nothing ran it yet");
+
+        pass.send(()).unwrap();
+        assert_eq!(holder.join().unwrap().via, Served::Executed);
+        let served = waiter.join().unwrap();
+        assert_eq!(served.via, Served::Executed);
+        assert_eq!(served.response.selected, ["DB"]);
+        let queue = served.wave.as_ref().unwrap().profile.find("queue").cloned();
+        assert!(queue.expect("a queue stage").duration_us > 0);
+    });
+    assert_eq!(*log.lock().unwrap(), ["serve-query-0"]);
+    let snap = net.registry().snapshot();
+    assert_eq!(snap.counter("serve.queued", &[]), 1);
+    assert_eq!(snap.gauge("serve.queue_depth", &[]), 0.0);
+    drop(server);
+    assert_eq!(net.registry().snapshot().gauge("serve.inflight", &[]), 0.0);
 }
 
 /// The five-vendor fleet, each vendor over its own slice of one

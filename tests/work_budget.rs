@@ -318,10 +318,13 @@ fn the_cached_path_stays_within_its_budget() {
     );
 
     // Every query once: each leads a wave and leaves its answer cached.
-    // A miss is counted on every thread it touches — caller, query
-    // worker, dispatch workers, the hosts behind the net.
+    // One client never finds the running slot taken, so each miss runs
+    // on this thread from plan to merge — the hosts behind an unpaced
+    // net answer on it too — and nothing is handed to the query pool;
+    // a miss would be counted on every thread it touched.
     let mut reports = Vec::with_capacity(queries.len());
-    let (spans_before, net_before) = (spans_closed(&net), net.stats());
+    let queued = || net.registry().snapshot().counter("serve.queued", &[]);
+    let (spans_before, net_before, queued_before) = (spans_closed(&net), net.stats(), queued());
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     for query in &queries {
         let outcome = server.search(query).expect("served");
@@ -331,6 +334,7 @@ fn the_cached_path_stays_within_its_budget() {
     settle(&net);
     let misses = ALLOCATIONS.load(Ordering::Relaxed) - before;
     let (spans, net_after) = (spans_closed(&net) - spans_before, net.stats());
+    let handed_off = queued() - queued_before;
     let wire_bytes = (net_after.bytes_sent + net_after.bytes_received)
         - (net_before.bytes_sent + net_before.bytes_received);
     assert_eq!(server.cached_responses(), queries.len());
@@ -377,6 +381,7 @@ fn the_cached_path_stays_within_its_budget() {
     check("serve.miss.allocations_per_request", misses as f64 / n);
     check("serve.miss.wire_bytes_per_request", wire_bytes as f64 / n);
     check("serve.miss.spans_per_request", spans as f64 / n);
+    check("serve.miss.queued_per_request", handed_off as f64 / n);
     check(
         "codec.results.allocations_per_response",
         codec as f64 / responses.len() as f64,
