@@ -461,8 +461,8 @@ impl Engine {
     ///
     /// Each leaf's vocabulary keys and posting lists are resolved exactly
     /// once, the candidate set is built by one k-way merge over all
-    /// posting lists, and scores are combined per document through a
-    /// slot vector walked once per tree node. With `limit: Some(k)` the
+    /// posting lists, and each candidate's leaf values are combined by
+    /// one walk of the tree. With `limit: Some(k)` the
     /// best `k` documents are selected by a bounded heap; the result is
     /// exactly the first `k` entries of the unbounded evaluation.
     pub fn eval_ranking_top_k(&self, node: &RankNode, limit: Option<usize>) -> Vec<(DocId, f64)> {
@@ -486,8 +486,11 @@ impl Engine {
     /// A bounded query whose tree is [`bmw_eligible`] runs the
     /// Block-Max-WAND loop, the filter cursor leading it. Everything
     /// else — unbounded, [`PruneMode::Off`], multi-key or comparison
-    /// leaves, negative weights — scores every candidate term-at-a-time
-    /// over the drained filter set (or, unfiltered, the leaves' union).
+    /// leaves, negative weights — scores every candidate of the drained
+    /// filter set (or, unfiltered, the leaves' union): each leaf's
+    /// values come from one term-at-a-time merge-join against the
+    /// candidates, and each candidate's row of them, in doc order, goes
+    /// through the exact [`tree_score`] the pruned loop's survivors do.
     pub(crate) fn eval_ranked_raw(
         &self,
         filter: Option<&BoolNode>,
@@ -511,15 +514,23 @@ impl Engine {
             c.candidates
                 .fetch_add(candidates.len() as u64, Ordering::Relaxed);
         }
-        let mut cursor = 0;
         let mut tf_scratch = Vec::new();
-        let slots = self.score_tree(node, &candidates, &leaves, &mut cursor, &mut tf_scratch);
-        // Only a filter keeps a document that scores nothing.
-        let scored = candidates
-            .into_iter()
-            .zip(slots)
-            .filter(|(_, s)| filter.is_some() || *s > 0.0);
-        match limit {
+        let columns: Vec<Vec<f64>> = leaves
+            .iter()
+            .map(|leaf| self.leaf_slots(leaf, &candidates, &mut tf_scratch))
+            .collect();
+        let mut prox_tests = Vec::new();
+        self.collect_prox_tests(node, &mut prox_tests);
+        let mut row = vec![0.0_f64; leaves.len()];
+        let scored = candidates.into_iter().enumerate().filter_map(|(i, doc)| {
+            for (v, column) in row.iter_mut().zip(&columns) {
+                *v = column[i];
+            }
+            let score = tree_score::<EXACT>(node, &mut LeafRow::scores(&row, doc, &mut prox_tests));
+            // Only a filter keeps a document that scores nothing.
+            (filter.is_some() || score > 0.0).then_some((doc, score))
+        });
+        let ranked = match limit {
             Some(k) => {
                 // The floor seeds the heap: docs below `min-doc-score`
                 // are never held, so the heap threshold starts tight.
@@ -534,7 +545,11 @@ impl Engine {
                 scores.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
                 scores
             }
+        };
+        for test in prox_tests.iter().flatten() {
+            hooks.count_filter(test);
         }
+        ranked
     }
 
     /// The ranking expression this engine actually evaluates: `node`
@@ -562,17 +577,21 @@ impl Engine {
     ///   floor once the heap holds `k` entries (a doc strictly below it
     ///   can never displace an entry: ties break toward the smaller doc
     ///   ids already held);
-    /// * the tree bound is computed by [`bmw_tree_bound`], which runs the
-    ///   *same* float expression in the *same* accumulation order as the
-    ///   exact evaluator with each leaf value replaced by a dominating
-    ///   leaf bound — every operator involved (`+`, `×` by a value in
-    ///   `[0, 1]`, `/` by a shared positive denominator, `min`, `max`) is
-    ///   monotone under IEEE round-to-nearest, so the bound dominates the
+    /// * the tree bound and a survivor's exact score are one function,
+    ///   [`tree_score`], in its two modes: the bound reads dominating
+    ///   leaf bounds where the exact score reads leaf values, through
+    ///   the *same* float expression in the *same* accumulation order —
+    ///   every operator involved (`+`, `/` by a shared positive
+    ///   denominator, `min`, `max`) is monotone under IEEE
+    ///   round-to-nearest, and the two operators whose exact form only
+    ///   ever lowers a score (`and-not`'s attenuation, `prox`'s
+    ///   positional test) are left out of the bound, so it dominates the
     ///   exact score *bit-wise*, with no epsilon slack at all (tighter
     ///   than the earlier flat-list pruner, which needed `(n+3)·ε` of
     ///   headroom for its reordered suffix sums);
-    /// * survivors are scored by [`bmw_tree_exact`], whose per-leaf
-    ///   values and tree arithmetic mirror `score_tree` exactly.
+    /// * survivors' leaf values are the unpruned path's, leaf for leaf,
+    ///   and the unpruned path scores them through the same
+    ///   [`tree_score`].
     ///
     /// Skips never cross a block boundary the bound argument does not
     /// cover: a jump target is capped by every active leaf's covering
@@ -659,14 +678,10 @@ impl Engine {
         let tree_bound = |slots: &[f64]| -> f64 {
             match flat_den {
                 Some(den) => flat_list_eval(slots, den),
-                None => {
-                    let mut cur = 0;
-                    bmw_tree_bound(node, slots, &mut cur)
-                }
+                None => tree_score::<BOUND>(node, &mut LeafRow::bounds(slots)),
             }
         };
-        // One positional test per `prox` node, consumed by
-        // `bmw_tree_exact` in depth-first order — lazy like the filter:
+        // One positional test per `prox` node — lazy like the filter:
         // positions are compared only for survivors.
         let mut prox_tests = Vec::new();
         self.collect_prox_tests(node, &mut prox_tests);
@@ -674,9 +689,7 @@ impl Engine {
             match flat_den {
                 Some(den) => flat_list_eval(slots, den),
                 None => {
-                    let mut cur = 0;
-                    let mut pcur = 0;
-                    bmw_tree_exact(node, slots, &mut cur, doc, &mut prox_tests, &mut pcur)
+                    tree_score::<EXACT>(node, &mut LeafRow::scores(slots, doc, &mut prox_tests))
                 }
             }
         };
@@ -941,8 +954,6 @@ impl Engine {
             // older union-of-candidates granularity.
             c.candidates.fetch_add(total_postings, Ordering::Relaxed);
             c.skipped_docs
-                .fetch_add(total_postings - visited, Ordering::Relaxed);
-            c.skipped_leaves
                 .fetch_add(total_postings - visited, Ordering::Relaxed);
             c.blocks_skipped
                 .fetch_add(blocks_skipped, Ordering::Relaxed);
@@ -1405,107 +1416,11 @@ impl Engine {
             .collect()
     }
 
-    /// Evaluate a ranking tree over the whole candidate list at once,
-    /// one slot per candidate, consuming resolved leaves in tree order.
-    /// Per-slot arithmetic mirrors the per-document walk exactly, so the
-    /// two evaluators agree bit-for-bit.
-    fn score_tree(
-        &self,
-        node: &RankNode,
-        candidates: &[DocId],
-        leaves: &[LeafCtx<'_>],
-        cursor: &mut usize,
-        tf_scratch: &mut Vec<u32>,
-    ) -> Vec<f64> {
-        match node {
-            RankNode::Term { .. } => {
-                let leaf = &leaves[*cursor];
-                *cursor += 1;
-                self.leaf_slots(leaf, candidates, tf_scratch)
-            }
-            RankNode::List(children) => {
-                let mut num = vec![0.0; candidates.len()];
-                let mut den = 0.0;
-                for c in children {
-                    let child = self.score_tree(c, candidates, leaves, cursor, tf_scratch);
-                    for (n, s) in num.iter_mut().zip(child) {
-                        *n += s;
-                    }
-                    den += leaf_weight(c);
-                }
-                if den > 0.0 {
-                    for n in num.iter_mut() {
-                        *n /= den;
-                    }
-                    num
-                } else {
-                    vec![0.0; candidates.len()]
-                }
-            }
-            RankNode::And(children) => {
-                if children.is_empty() {
-                    return vec![0.0; candidates.len()];
-                }
-                let mut acc = vec![f64::INFINITY; candidates.len()];
-                for c in children {
-                    let child = self.score_tree(c, candidates, leaves, cursor, tf_scratch);
-                    for (a, s) in acc.iter_mut().zip(child) {
-                        *a = f64::min(*a, s);
-                    }
-                }
-                for a in acc.iter_mut() {
-                    *a = f64::max(*a, 0.0);
-                }
-                acc
-            }
-            RankNode::Or(children) => {
-                let mut acc = vec![0.0_f64; candidates.len()];
-                for c in children {
-                    let child = self.score_tree(c, candidates, leaves, cursor, tf_scratch);
-                    for (a, s) in acc.iter_mut().zip(child) {
-                        *a = f64::max(*a, s);
-                    }
-                }
-                acc
-            }
-            RankNode::AndNot(a, b) => {
-                let mut pos = self.score_tree(a, candidates, leaves, cursor, tf_scratch);
-                let neg = self.score_tree(b, candidates, leaves, cursor, tf_scratch);
-                for (p, n) in pos.iter_mut().zip(neg) {
-                    *p *= 1.0 - n.clamp(0.0, 1.0);
-                }
-                pos
-            }
-            RankNode::Prox { left, right, .. } => {
-                let l = self.score_tree(left, candidates, leaves, cursor, tf_scratch);
-                let r = self.score_tree(right, candidates, leaves, cursor, tf_scratch);
-                // Positional check only when both sides are term leaves,
-                // and only for candidates both sides score.
-                let mut test = self.prox_test(node);
-                candidates
-                    .iter()
-                    .zip(l.into_iter().zip(r))
-                    .map(|(&doc, (ls, rs))| {
-                        let base = ls.min(rs);
-                        if base <= 0.0 {
-                            return 0.0;
-                        }
-                        if admits(test.as_mut(), doc) {
-                            base
-                        } else {
-                            0.0
-                        }
-                    })
-                    .collect()
-            }
-        }
-    }
-
     /// Compile the positional test of every `prox` node in the tree,
-    /// children-first depth-first — the order `bmw_tree_exact` consumes
-    /// them. `Some` when both children are term leaves, `None` when the
-    /// node degrades to fuzzy `and` — mirroring `score_tree`'s per-node
-    /// decision exactly.
+    /// children-first depth-first — the order an exact [`tree_score`]
+    /// asks them in. `Some` when both children are term leaves, `None`
+    /// when the node degrades to fuzzy `and` ([`Engine::prox_test`]'s
+    /// decision).
     fn collect_prox_tests<'a>(&'a self, node: &RankNode, out: &mut Vec<Option<FilterCursor<'a>>>) {
         match node {
             RankNode::Term { .. } => {}
@@ -1659,12 +1574,9 @@ pub struct PruneReport {
     /// the candidate documents of the k-way union.
     pub candidates: u64,
     /// Work skipped without computing an exact score: postings the BMW
-    /// cursors never rested on (each one an avoided `term_weight`
-    /// computation), or candidate docs skipped on legacy paths.
+    /// cursors never rested on, each one an avoided `term_weight`
+    /// computation. The unpruned fallback skips nothing.
     pub skipped_docs: u64,
-    /// Mirror of `skipped_docs` on the BMW path (one leaf probe avoided
-    /// per unvisited posting).
-    pub skipped_leaves: u64,
     /// Whole 128-doc blocks the cursors jumped over without decoding.
     pub blocks_skipped: u64,
     /// Times a heap-floor rise tightened the pruning threshold.
@@ -1686,7 +1598,6 @@ impl PruneReport {
     pub fn merge(&mut self, other: &PruneReport) {
         self.candidates += other.candidates;
         self.skipped_docs += other.skipped_docs;
-        self.skipped_leaves += other.skipped_leaves;
         self.blocks_skipped += other.blocks_skipped;
         self.threshold_updates += other.threshold_updates;
         self.filter_advances += other.filter_advances;
@@ -1700,7 +1611,6 @@ impl PruneReport {
 pub(crate) struct PruneCounters {
     pub(crate) candidates: AtomicU64,
     pub(crate) skipped_docs: AtomicU64,
-    pub(crate) skipped_leaves: AtomicU64,
     pub(crate) blocks_skipped: AtomicU64,
     pub(crate) threshold_updates: AtomicU64,
     pub(crate) filter_advances: AtomicU64,
@@ -1713,7 +1623,6 @@ impl PruneCounters {
         PruneReport {
             candidates: self.candidates.load(Ordering::Relaxed),
             skipped_docs: self.skipped_docs.load(Ordering::Relaxed),
-            skipped_leaves: self.skipped_leaves.load(Ordering::Relaxed),
             blocks_skipped: self.blocks_skipped.load(Ordering::Relaxed),
             threshold_updates: self.threshold_updates.load(Ordering::Relaxed),
             filter_advances: self.filter_advances.load(Ordering::Relaxed),
@@ -1824,105 +1733,79 @@ fn n_leaves(node: &RankNode) -> usize {
     }
 }
 
-/// Score upper bound of a ranking tree given per-leaf upper bounds,
-/// consuming `ub` slots in the depth-first order `resolve_leaves` emits.
-///
-/// This is `score_tree`'s arithmetic verbatim — same expression, same
-/// accumulation order — applied to leaf *bounds* instead of leaf values.
-/// Because each leaf bound dominates its exact value as a float, and
-/// every operator here (`+` of non-negatives, `/` by the identical
-/// positive denominator, `min`, `max`) is monotone under IEEE
-/// round-to-nearest, the result dominates the exact tree score bit-wise
-/// with no epsilon slack.
-fn bmw_tree_bound(node: &RankNode, ub: &[f64], cursor: &mut usize) -> f64 {
-    match node {
-        RankNode::Term { .. } => {
-            let v = ub[*cursor];
-            *cursor += 1;
-            v
-        }
-        RankNode::List(children) => {
-            let mut num = 0.0_f64;
-            let mut den = 0.0_f64;
-            for c in children {
-                num += bmw_tree_bound(c, ub, cursor);
-                den += leaf_weight(c);
-            }
-            if den > 0.0 {
-                num / den
-            } else {
-                0.0
-            }
-        }
-        RankNode::And(children) => {
-            if children.is_empty() {
-                return 0.0;
-            }
-            let mut acc = f64::INFINITY;
-            for c in children {
-                acc = f64::min(acc, bmw_tree_bound(c, ub, cursor));
-            }
-            f64::max(acc, 0.0)
-        }
-        RankNode::Or(children) => {
-            let mut acc = 0.0_f64;
-            for c in children {
-                acc = f64::max(acc, bmw_tree_bound(c, ub, cursor));
-            }
-            acc
-        }
-        RankNode::AndNot(a, b) => {
-            let pos = bmw_tree_bound(a, ub, cursor);
-            // The negative side only attenuates: the exact evaluator
-            // multiplies by `1 - neg.clamp(0, 1)` ∈ [0, 1] and subtree
-            // scores are non-negative, so `pos` alone is a sound bound.
-            // Its leaf slots must still be consumed to stay aligned.
-            *cursor += n_leaves(b);
-            pos
-        }
-        RankNode::Prox { left, right, .. } => {
-            // Positions-ignored over-estimate: the exact score is the
-            // fuzzy-`and` base when the positional predicate passes and
-            // 0 when it fails (or the base is non-positive), so
-            // `max(min(l, r), 0)` dominates it — `min`/`max` are
-            // monotone under IEEE semantics, keeping the bound bit-wise
-            // sound with no epsilon.
-            let l = bmw_tree_bound(left, ub, cursor);
-            let r = bmw_tree_bound(right, ub, cursor);
-            f64::max(f64::min(l, r), 0.0)
+/// [`tree_score`]'s mode where leaf values are upper bounds on any
+/// document's leaf scores, and the result bounds its tree score.
+const BOUND: bool = false;
+/// [`tree_score`]'s mode where leaf values are one document's leaf
+/// scores, and the result is its tree score.
+const EXACT: bool = true;
+
+/// The leaf values one [`tree_score`] reads, and — in exact mode — what
+/// its `prox` nodes ask about.
+struct LeafRow<'r, 'a> {
+    /// One value per leaf, in the depth-first order `resolve_leaves`
+    /// emits.
+    vals: &'r [f64],
+    /// The next slot of `vals` to read.
+    slot: usize,
+    /// The document `vals` scores (exact mode).
+    doc: DocId,
+    /// One positional test per `prox` node, in the order
+    /// [`Engine::collect_prox_tests`] compiles them (exact mode). Asked
+    /// about documents in increasing order.
+    prox_tests: &'r mut [Option<FilterCursor<'a>>],
+    /// The next entry of `prox_tests` to ask.
+    prox: usize,
+}
+
+impl<'r, 'a> LeafRow<'r, 'a> {
+    /// A row of per-leaf upper bounds.
+    fn bounds(vals: &'r [f64]) -> Self {
+        Self::scores(vals, DocId(0), &mut [])
+    }
+
+    /// A row of `doc`'s per-leaf values.
+    fn scores(vals: &'r [f64], doc: DocId, prox_tests: &'r mut [Option<FilterCursor<'a>>]) -> Self {
+        LeafRow {
+            vals,
+            slot: 0,
+            doc,
+            prox_tests,
+            prox: 0,
         }
     }
 }
 
-/// Exact score of a ranking tree given per-leaf values, consuming
-/// `vals` slots in the depth-first order `resolve_leaves` emits. The
-/// scalar mirror of `score_tree`'s per-slot arithmetic (same
-/// expressions, same accumulation order), so Block-Max-WAND survivors
-/// score bit-identically to the unpruned path. `prox_tests` holds one
-/// entry per `prox` node in the same depth-first (children-first)
-/// order, compiled once per query — `Some(test)` when both children
-/// are term leaves (the positional check applies), `None` otherwise
-/// (degrades to fuzzy `and`, exactly as `score_tree` does). Survivors
-/// arrive in doc order, which is what the tests' cursors need.
-fn bmw_tree_exact(
-    node: &RankNode,
-    vals: &[f64],
-    cursor: &mut usize,
-    doc: DocId,
-    prox_tests: &mut [Option<FilterCursor<'_>>],
-    prox_cursor: &mut usize,
-) -> f64 {
+/// The STARTS §4.1 meaning of a ranking tree over one row of leaf
+/// values — the one place the operator arithmetic is written. A
+/// weighted `list` sums its children in order over the sum of their
+/// weights (0 when that is not positive), `and` is the minimum floored
+/// at 0, `or` the maximum from 0, `and-not` attenuates its positive
+/// side by `1 − neg` clamped to `[0, 1]`, and `prox` is the fuzzy-`and`
+/// base when positive and the positional test passes, else 0.
+///
+/// With `EXACT` the row is one document's leaf values and the result
+/// is its score — what the unpruned path and Block-Max-WAND survivors
+/// return, bit for bit. Without it the row holds upper bounds, and two
+/// operators read differently so that the result dominates every
+/// score those bounds cover: `and-not` returns its positive side (the
+/// attenuation is a factor in `[0, 1]` and subtree scores are
+/// non-negative), and `prox` asks no positional test (the test only
+/// ever zeroes the base). Every other operator is monotone under IEEE
+/// round-to-nearest in the same accumulation order, so the bound holds
+/// bit-wise with no epsilon slack.
+fn tree_score<const EXACT: bool>(node: &RankNode, row: &mut LeafRow<'_, '_>) -> f64 {
     match node {
         RankNode::Term { .. } => {
-            let v = vals[*cursor];
-            *cursor += 1;
+            let v = row.vals[row.slot];
+            row.slot += 1;
             v
         }
         RankNode::List(children) => {
             let mut num = 0.0_f64;
             let mut den = 0.0_f64;
             for c in children {
-                num += bmw_tree_exact(c, vals, cursor, doc, prox_tests, prox_cursor);
+                num += tree_score::<EXACT>(c, row);
                 den += leaf_weight(c);
             }
             if den > 0.0 {
@@ -1937,41 +1820,40 @@ fn bmw_tree_exact(
             }
             let mut acc = f64::INFINITY;
             for c in children {
-                acc = f64::min(
-                    acc,
-                    bmw_tree_exact(c, vals, cursor, doc, prox_tests, prox_cursor),
-                );
+                acc = f64::min(acc, tree_score::<EXACT>(c, row));
             }
             f64::max(acc, 0.0)
         }
         RankNode::Or(children) => {
             let mut acc = 0.0_f64;
             for c in children {
-                acc = f64::max(
-                    acc,
-                    bmw_tree_exact(c, vals, cursor, doc, prox_tests, prox_cursor),
-                );
+                acc = f64::max(acc, tree_score::<EXACT>(c, row));
             }
             acc
         }
         RankNode::AndNot(a, b) => {
-            let pos = bmw_tree_exact(a, vals, cursor, doc, prox_tests, prox_cursor);
-            let neg = bmw_tree_exact(b, vals, cursor, doc, prox_tests, prox_cursor);
+            let pos = tree_score::<EXACT>(a, row);
+            if !EXACT {
+                row.slot += n_leaves(b);
+                return pos;
+            }
+            let neg = tree_score::<EXACT>(b, row);
             pos * (1.0 - neg.clamp(0.0, 1.0))
         }
         RankNode::Prox { left, right, .. } => {
-            let l = bmw_tree_exact(left, vals, cursor, doc, prox_tests, prox_cursor);
-            let r = bmw_tree_exact(right, vals, cursor, doc, prox_tests, prox_cursor);
-            let test = &mut prox_tests[*prox_cursor];
-            *prox_cursor += 1;
-            let base = l.min(r);
-            if base <= 0.0 {
-                return 0.0;
-            }
-            if admits(test.as_mut(), doc) {
-                base
+            let l = tree_score::<EXACT>(left, row);
+            let r = tree_score::<EXACT>(right, row);
+            let test = if EXACT {
+                row.prox += 1;
+                row.prox_tests[row.prox - 1].as_mut()
             } else {
+                None
+            };
+            let base = l.min(r);
+            if base <= 0.0 || !admits(test, row.doc) {
                 0.0
+            } else {
+                base
             }
         }
     }

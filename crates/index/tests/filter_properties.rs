@@ -363,6 +363,26 @@ fn prox_filter_checks_positions_only_for_heap_entrants() {
     // The unpruned path drains the filter: one check per document.
     assert_eq!(off_report.positional_checks, 5000, "{off_report:?}");
 
+    // The same `prox` ranking an unbounded query costs the same checks,
+    // and says so: every document scores both sides.
+    let ranked_prox = RankNode::Prox {
+        left: Box::new(RankNode::term(TermSpec::any("alpha"))),
+        right: Box::new(RankNode::term(TermSpec::any("beta"))),
+        distance: 3,
+        ordered: false,
+    };
+    let unbounded = SearchOptions {
+        limit: None,
+        min_score: f64::NEG_INFINITY,
+    };
+    let (all, _, report) = auto.search_top_k_observed(None, Some(&ranked_prox), &unbounded);
+    assert_eq!(all.len(), 5000);
+    assert!(report.positional_checks > 0, "{report:?}");
+    assert_eq!(
+        report.positional_checks, off_report.positional_checks,
+        "{report:?}"
+    );
+
     // Filter-only with a bound: ten documents walked, ten confirmed.
     let (first, _, report) = auto.search_top_k_observed(Some(&filter), None, &opts);
     assert_eq!(first.len(), 10);

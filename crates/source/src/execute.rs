@@ -33,7 +33,6 @@ pub struct SourceInstruments {
     shard_searches: Counter,
     shard_latency_us: Histogram,
     skipped_docs: Counter,
-    skipped_leaves: Counter,
     threshold_updates: Counter,
     blocks_skipped: Counter,
     positional_checks: Counter,
@@ -60,7 +59,6 @@ impl SourceInstruments {
             // scoring. Registered even while zero so dashboards see the
             // series.
             skipped_docs: reg.counter_with("engine.prune.skipped_docs", &labels),
-            skipped_leaves: reg.counter_with("engine.prune.skipped_leaves", &labels),
             threshold_updates: reg.counter_with("engine.prune.threshold_updates", &labels),
             blocks_skipped: reg.counter_with("engine.prune.blocks_skipped", &labels),
             positional_checks: reg.counter_with("engine.prune.positional_checks", &labels),
@@ -198,7 +196,6 @@ fn run(
             m.shard_latency_us.observe(us);
         }
         m.skipped_docs.add(prune.skipped_docs);
-        m.skipped_leaves.add(prune.skipped_leaves);
         m.threshold_updates.add(prune.threshold_updates);
         m.blocks_skipped.add(prune.blocks_skipped);
         m.positional_checks.add(prune.positional_checks);
@@ -257,7 +254,6 @@ fn run(
         let mut execute = StageCost::new("execute", execute_start, execute_end - execute_start)
             .with_meta("candidates", prune.candidates)
             .with_meta("skipped_docs", prune.skipped_docs)
-            .with_meta("skipped_leaves", prune.skipped_leaves)
             .with_meta("blocks_skipped", prune.blocks_skipped)
             .with_meta("results", documents.len());
         // Only a query that compared positions says so: profiles are

@@ -362,7 +362,6 @@ fn prune_metrics_flow_through_stats_and_prometheus() {
     let labels = [("source", "Pruned")];
     let skipped = snap.counter("engine.prune.skipped_docs", &labels);
     assert!(skipped > 0, "pruning should have skipped alpha-only docs");
-    assert!(snap.counter("engine.prune.skipped_leaves", &labels) >= skipped);
     assert!(snap.counter("engine.prune.threshold_updates", &labels) >= 1);
     let fraction = snap.gauge("engine.prune.fraction", &labels);
     assert!(
@@ -374,7 +373,6 @@ fn prune_metrics_flow_through_stats_and_prometheus() {
     let text = export::prometheus(&snap);
     for needle in [
         "engine_prune_skipped_docs",
-        "engine_prune_skipped_leaves",
         "engine_prune_threshold_updates",
         "engine_prune_fraction",
     ] {

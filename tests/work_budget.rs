@@ -24,7 +24,7 @@ use starts::meta::catalog::Catalog;
 use starts::meta::metasearcher::MetaConfig;
 use starts::meta::pipeline::normalized_query_key;
 use starts::net::{host::wire_source, LinkProfile, SimNet, StartsClient};
-use starts::proto::query::ast::{FilterExpr, QTerm, RankExpr};
+use starts::proto::query::ast::{FilterExpr, ProxSpec, QTerm, RankExpr, WeightedTerm};
 use starts::proto::{AnswerSpec, Field, Query, QueryResults, TraceContext};
 use starts::serve::{HedgeConfig, ServeConfig, Served, Server};
 use starts::source::{vendors, Source};
@@ -171,18 +171,19 @@ fn index_rows() -> [(&'static str, f64); 4] {
 }
 
 /// Postings scored per query — `candidates − skipped_docs` from each
-/// answer's EXPLAIN tree — when `queries` run at k = `K` on a 2-shard
-/// Acme source over [`index_corpus`]. The second shard starts from the
-/// score floor the first one reached, so this row falls when that
-/// floor carries over and rises when it does not.
-fn sharded_postings_scored(queries: &[Query]) -> f64 {
+/// answer's EXPLAIN tree — when `queries` run at k = `K` on a
+/// `shards`-shard Acme source over [`index_corpus`]. With two shards
+/// the second starts from the score floor the first one reached, so
+/// the row falls when that floor carries over and rises when it does
+/// not.
+fn postings_scored(shards: usize, queries: &[Query]) -> f64 {
     let corpus = index_corpus();
     let s = &corpus.sources[0];
     let mut config = vendors::acme(&s.id);
-    config.engine.shards = 2;
+    config.engine.shards = shards;
     config.engine.shard_policy = ShardPolicy::Exact;
     let source = Source::build(config, &s.docs);
-    assert_eq!(source.engine().shard_count(), 2);
+    assert_eq!(source.engine().shard_count(), shards);
     let mut scored = 0;
     for query in queries {
         let traced = Query {
@@ -204,13 +205,12 @@ fn sharded_postings_scored(queries: &[Query]) -> f64 {
     scored as f64 / queries.len() as f64
 }
 
-/// `QUERIES` pairwise distinct `fed_zipf`-shaped queries: 1–3 ranked
-/// words, mostly common ones, one query in four under a filter.
-fn query_pool(corpus: &GeneratedCorpus) -> Vec<Query> {
-    let mut rng = StdRng::seed_from_u64(SEED);
+/// A `fed_zipf`-shaped word: a topic word three times in ten, else a
+/// background word, each drawn from a Zipf over its list.
+fn word_sampler(corpus: &GeneratedCorpus) -> impl Fn(&mut StdRng) -> QTerm + '_ {
     let background = Zipf::new(corpus.background.len(), 1.0);
     let topic = Zipf::new(corpus.topics[0].len(), 0.8);
-    let word = |rng: &mut StdRng| -> QTerm {
+    move |rng| {
         let w = if rng.gen_bool(0.3) {
             let t = rng.gen_range(0..corpus.topics.len());
             &corpus.topics[t][topic.sample(rng)]
@@ -218,28 +218,70 @@ fn query_pool(corpus: &GeneratedCorpus) -> Vec<Query> {
             &corpus.background[background.sample(rng)]
         };
         QTerm::fielded(Field::BodyOfText, w.as_str())
-    };
+    }
+}
+
+/// A ranked query for the `K` best documents.
+fn top_k(filter: Option<FilterExpr>, ranking: RankExpr) -> Query {
+    Query {
+        filter,
+        ranking: Some(ranking),
+        answer: AnswerSpec {
+            fields: vec![Field::Title],
+            max_documents: K,
+            ..AnswerSpec::default()
+        },
+        ..Query::default()
+    }
+}
+
+/// `QUERIES` pairwise distinct `fed_zipf`-shaped queries: 1–3 ranked
+/// words, mostly common ones, one query in four under a filter.
+fn query_pool(corpus: &GeneratedCorpus) -> Vec<Query> {
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let word = word_sampler(corpus);
     let mut seen = HashSet::new();
     let mut pool = Vec::with_capacity(QUERIES);
     while pool.len() < QUERIES {
         let terms = rng.gen_range(1..=3);
         let ranking = RankExpr::list_of((0..terms).map(|_| word(&mut rng)));
         let filter = (rng.gen_range(0..4) == 0).then(|| FilterExpr::term(word(&mut rng)));
-        let query = Query {
-            filter,
-            ranking: Some(ranking),
-            answer: AnswerSpec {
-                fields: vec![Field::Title],
-                max_documents: K,
-                ..AnswerSpec::default()
-            },
-            ..Query::default()
-        };
+        let query = top_k(filter, ranking);
         if seen.insert(normalized_query_key(&query)) {
             pool.push(query);
         }
     }
     pool
+}
+
+/// `QUERIES` operator-tree rankings over [`word_sampler`]'s words, in
+/// turn `and(a, b)`, `or(a, and(b, c))`, `and-not(a, b)` and
+/// `prox[3](a, b)`: shapes that never take the flat-list fast path.
+fn tree_pool(corpus: &GeneratedCorpus) -> Vec<Query> {
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let word = word_sampler(corpus);
+    let term = |rng: &mut StdRng| Box::new(RankExpr::term(word(rng)));
+    (0..QUERIES)
+        .map(|i| {
+            let ranking = match i % 4 {
+                0 => RankExpr::And(term(&mut rng), term(&mut rng)),
+                1 => {
+                    let a = term(&mut rng);
+                    RankExpr::Or(a, Box::new(RankExpr::And(term(&mut rng), term(&mut rng))))
+                }
+                2 => RankExpr::AndNot(term(&mut rng), term(&mut rng)),
+                _ => RankExpr::Prox(
+                    WeightedTerm::plain(word(&mut rng)),
+                    ProxSpec {
+                        distance: 3,
+                        ordered: false,
+                    },
+                    WeightedTerm::plain(word(&mut rng)),
+                ),
+            };
+            top_k(None, ranking)
+        })
+        .collect()
 }
 
 /// The checked-in value of one `BUDGET.json` row.
@@ -298,7 +340,8 @@ fn the_cached_path_stays_within_its_budget() {
     let queries = query_pool(&corpus);
     // Its build spawns a thread per shard, so it runs after the index
     // rows have taken their allocation readings.
-    let sharded = sharded_postings_scored(&queries);
+    let sharded = postings_scored(2, &queries);
+    let tree = postings_scored(1, &tree_pool(&corpus));
     let server = Server::new(
         Arc::clone(&net),
         catalog,
@@ -372,6 +415,7 @@ fn the_cached_path_stays_within_its_budget() {
         check(name, per_doc);
     }
     check("index.sharded.postings_scored_per_query", sharded);
+    check("index.tree.postings_scored_per_query", tree);
     let n = queries.len() as f64;
     check(
         "serve.cache.retained_bytes_per_entry",
