@@ -5,8 +5,7 @@
 //! source first, preserving intent instead of losing terms:
 //!
 //! * a Boolean-only source (`QueryPartsSupported: F`) gets the ranking
-//!   terms folded into the filter as a disjunction (MetaCrawler-style
-//!   post-filtering then restores ranking client-side);
+//!   terms folded into the filter as a disjunction;
 //! * a ranking-only source (`R`) gets the filter terms folded into the
 //!   ranking expression;
 //! * unsupported *modifiers* are compensated where possible — a `stem`

@@ -28,7 +28,8 @@ struct TermHistory {
     results: u64,
 }
 
-/// The learned selector.
+/// The learned selector. Its ranking moves with every search it
+/// observes, so it keeps [`Selector::ranks_from_catalog`]'s `false`.
 #[derive(Debug, Default)]
 pub struct PastPerformance {
     /// (source id, term) → history.
@@ -163,8 +164,11 @@ mod tests {
             s.record("A", &["databases".to_string()], 0);
             s.record("B", &["databases".to_string()], 12);
         }
+        // Same catalog, same terms, a different ranking: the selector
+        // must not claim to rank from the catalog alone.
         let after = s.rank(&c, &terms);
         assert_eq!(after[0].0, 1, "B must rank first after learning");
+        assert!(!s.ranks_from_catalog());
         assert!(after[0].1 > after[1].1);
         assert_eq!(s.memory_size(), 2);
     }

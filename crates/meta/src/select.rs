@@ -40,6 +40,16 @@ pub trait Selector: Send + Sync {
         scored.sort_by(|a, b| descending(a.1, b.1).then(a.0.cmp(&b.0)));
         scored
     }
+
+    /// Whether [`Self::rank`] reads only the catalog and the terms, so
+    /// that over one catalog the same query always ranks the same way.
+    /// A server that holds its catalog fixed can then answer a repeated
+    /// query from its result cache without selecting again. `false`
+    /// unless a selector overrides it: one that also reads state of its
+    /// own (a health board, learned history) must keep the default.
+    fn ranks_from_catalog(&self) -> bool {
+        false
+    }
 }
 
 /// bGlOSS (Gravano, García-Molina, Tomasic 1994 — ref \[7\]): estimate the
@@ -53,6 +63,10 @@ pub struct BGloss;
 impl Selector for BGloss {
     fn name(&self) -> &'static str {
         "bGlOSS"
+    }
+
+    fn ranks_from_catalog(&self) -> bool {
+        true
     }
 
     fn score_source(
@@ -84,6 +98,10 @@ pub struct GGlossSum;
 impl Selector for GGlossSum {
     fn name(&self) -> &'static str {
         "gGlOSS-Sum"
+    }
+
+    fn ranks_from_catalog(&self) -> bool {
+        true
     }
 
     fn score_source(
@@ -136,6 +154,10 @@ impl Selector for Cori {
         "CORI"
     }
 
+    fn ranks_from_catalog(&self) -> bool {
+        true
+    }
+
     fn score_source(
         &self,
         entry: &CatalogEntry,
@@ -178,6 +200,10 @@ impl Selector for BySize {
         "by-size"
     }
 
+    fn ranks_from_catalog(&self) -> bool {
+        true
+    }
+
     fn score_source(
         &self,
         entry: &CatalogEntry,
@@ -203,6 +229,10 @@ pub struct CostAware<S> {
 impl<S: Selector> Selector for CostAware<S> {
     fn name(&self) -> &'static str {
         "cost-aware"
+    }
+
+    fn ranks_from_catalog(&self) -> bool {
+        self.inner.ranks_from_catalog()
     }
 
     fn score_source(
@@ -231,6 +261,9 @@ impl<S: Selector> Selector for CostAware<S> {
 /// debounced judgement of degradation, stronger than the raw health
 /// score it was derived from. The source keeps receiving the floor's
 /// trickle of probes, so recovery resolves the alert and restores it.
+///
+/// Its ranking moves with the board and the alerts, not only with the
+/// catalog, so it keeps [`Selector::ranks_from_catalog`]'s `false`.
 pub struct HealthAware<S> {
     /// The goodness estimator.
     pub inner: S,
@@ -455,17 +488,22 @@ mod tests {
         use starts_obs::{HealthBoard, SourceOutcome};
         let c = catalog();
         let board = std::sync::Arc::new(HealthBoard::default());
+        let plain = GGlossSum;
+        let healthy = HealthAware::new(GGlossSum, std::sync::Arc::clone(&board));
+        let terms = [(None, "databases")];
+        let unseen = healthy.rank(&c, &terms);
         // CS keeps failing; Food answers fast.
         for _ in 0..20 {
             board.record("CS", SourceOutcome::failed());
             board.record("Food", SourceOutcome::ok(20));
         }
-        let plain = GGlossSum;
-        let healthy = HealthAware::new(GGlossSum, std::sync::Arc::clone(&board));
-        let terms = [(None, "databases")];
         // Plain ranking prefers CS (it has the term mass)…
         assert_eq!(plain.rank(&c, &terms)[0].0, 0);
-        // …health-awareness flips it to the reliable source.
+        assert_eq!(unseen[0].0, 0, "a board with no history moves nothing");
+        // …health-awareness flips it to the reliable source: the same
+        // catalog and terms rank differently once the board has moved,
+        // which is why `HealthAware` may not claim to rank from the
+        // catalog alone.
         let ranked = healthy.rank(&c, &terms);
         assert_ne!(ranked[0].0, 0, "dead source still first: {ranked:?}");
         // But the floor keeps the flaky source scoreable (probe-able).
@@ -475,6 +513,27 @@ mod tests {
         let tiny_plain = plain.score_source(&c.entries[2], &c, &terms);
         let tiny_healthy = healthy.score_source(&c.entries[2], &c, &terms);
         assert!((tiny_plain - tiny_healthy).abs() < 1e-12);
+    }
+
+    #[test]
+    fn only_selectors_that_read_the_catalog_alone_say_so() {
+        let board = std::sync::Arc::new(starts_obs::HealthBoard::default());
+        fn costed<S: Selector>(inner: S) -> CostAware<S> {
+            CostAware {
+                inner,
+                lambda: 1.0,
+                mu: 1.0,
+            }
+        }
+        assert!(BGloss.ranks_from_catalog());
+        assert!(GGlossSum.ranks_from_catalog());
+        assert!(Cori::default().ranks_from_catalog());
+        assert!(BySize.ranks_from_catalog());
+        assert!(costed(GGlossSum).ranks_from_catalog());
+        let healthy = || HealthAware::new(GGlossSum, std::sync::Arc::clone(&board));
+        assert!(!healthy().ranks_from_catalog());
+        assert!(!costed(healthy()).ranks_from_catalog());
+        assert!(!NanFor(0).ranks_from_catalog(), "the default is `false`");
     }
 
     #[test]

@@ -116,8 +116,9 @@ impl CacheInner {
 }
 
 /// A freshness-window cache over served answers — the [`ServeResponse`]
-/// a hit returns, never the wave's report — keyed by normalized query +
-/// selected source set.
+/// a hit returns, never the wave's report — keyed by the normalized
+/// query, plus the selected source set when the selector reads state
+/// beyond the catalog.
 pub(crate) struct ResultCache {
     ttl: Duration,
     state: Mutex<CacheInner>,

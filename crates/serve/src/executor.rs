@@ -4,8 +4,8 @@
 //! A [`Server`] owns two fixed pools over one shared network:
 //!
 //! ```text
-//! callers (plan, key, cache) ── hit ──▶ answered on the caller's thread
-//!        │ miss
+//! callers (key, cache) ── hit ──▶ answered on the caller's thread
+//!        │ miss: plan
 //!        ├── a running slot is free ──▶ the caller leads the wave
 //!        │ every slot taken                        │
 //!        ▼                                         │
@@ -23,7 +23,11 @@
 //!
 //! What the server can answer from what it holds it answers where the
 //! request arrived: the admission queue bounds *waves*, so a cache hit
-//! is never queued, never shed and wakes no thread. At most
+//! is never queued, never shed and wakes no thread. Under a selector
+//! that ranks from the catalog alone
+//! ([`Selector::ranks_from_catalog`](starts_meta::select::Selector::ranks_from_catalog))
+//! a hit does not select or adapt either: the key is the query, and
+//! only a miss plans. At most
 //! `query_workers` waves run at once, each holding a *running slot*. A
 //! miss that finds a slot free leads its wave on the thread that asked
 //! — no hand-off, no wake-up; only a miss that finds every slot taken
@@ -225,8 +229,8 @@ impl PartialEq for ServeOutcome {
     }
 }
 
-/// One admitted query: planned and keyed on its caller's thread, where
-/// it missed the cache, and led there or by a query worker.
+/// One admitted query: keyed on its caller's thread, where it missed
+/// the cache and was planned, and led there or by a query worker.
 struct QueryJob {
     plan: Arc<QueryPlan>,
     key: String,
@@ -359,12 +363,18 @@ impl Server {
         let t0 = Instant::now();
         let root = obs.span("serve.query");
 
-        // Plan here: selection and adaptation are wire-free, and the
-        // cache key needs the selected source set.
-        let plan = pipeline::plan(&inner.catalog, &inner.config, query, obs, t0);
+        // The catalog is fixed for the server's life, so a selector that
+        // reads only the catalog picks the same sources for the same
+        // query every time: the query alone is the key, and only a miss
+        // plans. A selector that reads state of its own plans first and
+        // keys by the sources it picked now.
         let mut key = pipeline::normalized_query_key(query);
-        key.push('|');
-        key.push_str(&plan.selected.join(","));
+        let planned = (!inner.config.selector.ranks_from_catalog()).then(|| {
+            let plan = pipeline::plan(&inner.catalog, &inner.config, query, obs, t0);
+            key.push('|');
+            key.push_str(&plan.selected.join(","));
+            plan
+        });
 
         let outcome = match inner.cache.lookup(&key, obs, false) {
             Some(response) => Ok(ServeOutcome {
@@ -373,6 +383,9 @@ impl Server {
                 via: Served::CacheHit,
             }),
             None => {
+                let plan = planned.unwrap_or_else(|| {
+                    pipeline::plan(&inner.catalog, &inner.config, query, obs, t0)
+                });
                 let slot = ResponseSlot::new();
                 let job = QueryJob {
                     plan: Arc::new(plan),

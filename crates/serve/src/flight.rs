@@ -1,10 +1,11 @@
 //! Singleflight: collapse concurrent identical queries into one wave.
 //!
-//! A query's flight key is its normalized SOIF encoding plus the
-//! selected source set (see
-//! [`starts_meta::pipeline::normalized_query_key`]): two queries with
-//! the same key are wire-identical to every source, so dispatching both
-//! buys nothing. The first thread to take a key with a running slot —
+//! A query's flight key is its cache key: its normalized SOIF encoding
+//! (see [`starts_meta::pipeline::normalized_query_key`]), plus the
+//! selected source set when the selector reads state beyond the catalog
+//! — under one that does not, the encoding alone fixes the selection.
+//! Two queries with the same key are wire-identical to every source, so
+//! dispatching both buys nothing. The first thread to take a key with a running slot —
 //! the caller that missed, or a query worker — becomes the *leader* and
 //! runs the wave; one that finds the key in flight parks the caller's
 //! `ResponseSlot` on the leader's entry and frees its running slot — a

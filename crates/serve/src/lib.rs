@@ -13,13 +13,16 @@
 //!   unpaced network with no deadline the leader runs the wave's
 //!   exchanges itself; a shared dispatch pool runs the exchanges of the
 //!   other waves. No thread is ever spawned per query, and a query the
-//!   result cache can answer never reaches a pool at all: it is
-//!   planned, keyed and answered on its caller's thread.
+//!   result cache can answer never reaches a pool at all: it is keyed
+//!   and answered on its caller's thread, and under a selector that
+//!   ranks from the catalog alone it is not planned either — only a
+//!   miss selects and adapts.
 //! * **Singleflight** — concurrent identical queries (same normalized
-//!   query text, same selected source set) collapse into one dispatch
-//!   wave; followers wait on the leader and share both its answer
-//!   ([`ServeResponse`]) and its wave's report ([`WaveReport`]: raw
-//!   per-source results, accounting, profile).
+//!   query text; under a selector that reads state of its own, such as
+//!   a health board, also the same selected source set) collapse into
+//!   one dispatch wave; followers wait on the leader and share both its
+//!   answer ([`ServeResponse`]) and its wave's report ([`WaveReport`]:
+//!   raw per-source results, accounting, profile).
 //! * **Result cache** — answers are cached under a TTL with per-source
 //!   generation stamps: invalidating one source (say, after its content
 //!   summary changed) stales — and reclaims — exactly the answers that

@@ -602,6 +602,8 @@ fn slow_source_lands_in_the_flight_recorder_slow_log() {
     // fails), cleared at the start of each run rather than the end so
     // a failing run leaves its evidence behind.
     let slow_log = std::path::PathBuf::from("target/slow_queries.jsonl");
+    // `target/` is absent when the build directory lives elsewhere.
+    std::fs::create_dir_all(slow_log.parent().unwrap()).unwrap();
     let _ = std::fs::remove_file(&slow_log);
     // A generous absolute budget: the simulated links only *account*
     // latency, so a healthy in-process search finishes in well under
@@ -694,6 +696,7 @@ fn alert_lifecycle_walks_pending_firing_resolved_end_to_end() {
     let clock = Arc::new(ManualClock::new(0));
     let board = Arc::new(HealthBoard::with_clock(4, 60_000, clock.clone()));
     let alerts_log = std::path::PathBuf::from("target/alerts_e2e.jsonl");
+    std::fs::create_dir_all(alerts_log.parent().unwrap()).unwrap();
     let _ = std::fs::remove_file(&alerts_log);
     let monitor = Arc::new(Monitor::new(MonitorConfig {
         store: StoreConfig {

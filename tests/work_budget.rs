@@ -382,13 +382,17 @@ fn the_cached_path_stays_within_its_budget() {
         - (net_before.bytes_sent + net_before.bytes_received);
     assert_eq!(server.cached_responses(), queries.len());
 
-    // Every query again: each is a hit, answered on this thread.
+    // Every query again: each is a hit, answered on this thread. The
+    // default selector ranks from the catalog alone, so a hit closes
+    // its `serve.query` span and no `select` or `adapt`.
+    let spans_before = spans_closed(&net);
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     for query in &queries {
         let outcome = server.search(query).expect("served");
         assert_eq!(outcome.via, Served::CacheHit);
     }
     let hits = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let hit_spans = spans_closed(&net) - spans_before;
 
     // What the cache holds is exactly what invalidating it frees.
     let cached = server.cached_responses();
@@ -422,6 +426,7 @@ fn the_cached_path_stays_within_its_budget() {
         freed as f64 / cached as f64,
     );
     check("serve.hit.allocations_per_request", hits as f64 / n);
+    check("serve.hit.spans_per_request", hit_spans as f64 / n);
     check("serve.miss.allocations_per_request", misses as f64 / n);
     check("serve.miss.wire_bytes_per_request", wire_bytes as f64 / n);
     check("serve.miss.spans_per_request", spans as f64 / n);
