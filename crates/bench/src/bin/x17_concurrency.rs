@@ -2,15 +2,15 @@
 //! artifacts).
 //!
 //! The serving layer (`starts-serve`) runs the metasearch pipeline
-//! under fixed worker pools with singleflight, caching, hedging and
-//! deadlines. This experiment is the hedging on/off A/B: the network is
+//! under bounded running slots and a fixed dispatch pool, with
+//! singleflight, caching, hedging and deadlines. This experiment is the hedging on/off A/B: the network is
 //! paced into real time and one source is made a straggler (400
 //! simulated ms against 50 for the rest) with a fast replica wired
 //! beside it. With hedging off every query waits for the straggler;
 //! with hedging on the health-derived delay fires a backup to the
 //! replica and the tail collapses.
 //!
-//! Unpaced serving throughput — the pool against a single caller, QPS
+//! Unpaced serving throughput — the server against a single caller, QPS
 //! versus client count — is the end-to-end benchmark's business
 //! (`benchmark/README.md`: `qps`, `serve.miss_us`, `meta.search_us` on
 //! `fed_zipf` / `hot_repeat`), not this binary's.

@@ -54,4 +54,4 @@ pub use profile::{next_query_id, FlightRecorder};
 pub use registry::{
     Collector, CounterSnapshot, GaugeSnapshot, HistogramSnapshot, MetricId, Registry, Snapshot,
 };
-pub use span::{AdoptedSpan, Span, SpanEvent, SpanHandle};
+pub use span::{Span, SpanEvent, SpanHandle};

@@ -202,32 +202,6 @@ fn leave(id: u64) {
     });
 }
 
-impl SpanHandle {
-    /// Make this span the parent of every span the current thread opens
-    /// until the guard drops, without opening (or timing) a span: for a
-    /// worker that carries on a request whose root span stays open on
-    /// the thread that accepted it.
-    pub fn adopt(&self) -> AdoptedSpan {
-        SPAN_STACK.with(|stack| stack.borrow_mut().push((self.path.clone(), self.id)));
-        AdoptedSpan {
-            id: self.id,
-            _this_thread: std::marker::PhantomData,
-        }
-    }
-}
-
-/// Guard of [`SpanHandle::adopt`]; tied to the thread that adopted.
-pub struct AdoptedSpan {
-    id: u64,
-    _this_thread: std::marker::PhantomData<*const ()>,
-}
-
-impl Drop for AdoptedSpan {
-    fn drop(&mut self) {
-        leave(self.id);
-    }
-}
-
 impl Drop for Span<'_> {
     fn drop(&mut self) {
         let duration_us = self.start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
@@ -331,35 +305,6 @@ mod tests {
         assert_eq!(child.parent, parent_handle.path);
         assert_eq!(child.parent_id, parent_handle.id);
         assert_eq!(child.path, "dispatch/worker");
-    }
-
-    #[test]
-    fn adopted_parent_nests_implicit_spans_on_another_thread() {
-        let reg = Registry::new();
-        let root = reg.span("root");
-        let handle = root.handle();
-        std::thread::scope(|scope| {
-            let (reg, handle) = (&reg, &handle);
-            scope.spawn(move || {
-                {
-                    let _adopted = handle.adopt();
-                    let _child = reg.span("stage");
-                }
-                // The guard is gone: this thread's spans are roots again.
-                let _loose = reg.span("loose");
-            });
-        });
-        drop(root);
-        let events = reg.recent_spans();
-        let stage = events.iter().find(|e| e.name == "stage").unwrap();
-        assert_eq!(stage.path, "root/stage");
-        assert_eq!(stage.parent_id, handle.id);
-        assert_eq!(
-            events.iter().find(|e| e.name == "loose").unwrap().parent,
-            ""
-        );
-        // Adopting records no span of its own.
-        assert_eq!(events.iter().filter(|e| e.name == "root").count(), 1);
     }
 
     #[test]

@@ -1,18 +1,17 @@
-//! The query executor: fixed pools, admission control, hedging,
+//! The query executor: running slots, admission control, hedging,
 //! deadlines.
 //!
-//! A [`Server`] owns two fixed pools over one shared network:
+//! Every wave is led by the thread that asked for it; a [`Server`] owns
+//! one fixed pool, for exchanges, over one shared network:
 //!
 //! ```text
 //! callers (key, cache) ── hit ──▶ answered on the caller's thread
 //!        │ miss: plan
 //!        ├── a running slot is free ──▶ the caller leads the wave
-//!        │ every slot taken                        │
-//!        ▼                                         │
-//! bounded admission queue ──▶ query workers        │
-//! (LIFO pop, shed oldest)     (lead the wave       │
-//!                             once a slot frees)   │
-//!                                   │              │
+//!        │ every slot taken                        ▲
+//!        ▼                                         │ a slot frees
+//! the caller parks (bounded: LIFO wake, shed oldest)
+//!
 //!           (cache again, singleflight, lead; unpaced, no deadline:
 //!            the leader runs the exchanges itself)
 //!                                   │ paced net or a deadline
@@ -22,17 +21,19 @@
 //! ```
 //!
 //! What the server can answer from what it holds it answers where the
-//! request arrived: the admission queue bounds *waves*, so a cache hit
-//! is never queued, never shed and wakes no thread. Under a selector
+//! request arrived: admission bounds *waves*, so a cache hit is never
+//! parked, never shed and wakes no thread. Under a selector
 //! that ranks from the catalog alone
 //! ([`Selector::ranks_from_catalog`](starts_meta::select::Selector::ranks_from_catalog))
 //! a hit does not select or adapt either: the key is the query, and
 //! only a miss plans. At most
 //! `query_workers` waves run at once, each holding a *running slot*. A
-//! miss that finds a slot free leads its wave on the thread that asked
-//! — no hand-off, no wake-up; only a miss that finds every slot taken
-//! waits in the queue for a query worker, and a worker pops only while a
-//! slot is free. The leader runs the dispatch wave
+//! miss that finds a slot free takes it and leads its wave on the
+//! thread that asked — no hand-off, no wake-up. One that finds every
+//! slot taken parks on a condition variable of its own, at most
+//! `queue_capacity` of them; a wave that ends wakes the newest, which
+//! takes the freed slot — unless a fresh arrival took it first — and
+//! leads its own wave. The leader runs the dispatch wave
 //! ([`starts_meta::wave`]). When nothing can end the wait for it early
 //! — the net does not pace and the query has no deadline
 //! ([`wave::runs_on_leader`]) — it runs the wave's exchanges itself, one
@@ -57,7 +58,7 @@ use starts_meta::pipeline::{self, DispatchTask, QueryPlan};
 use starts_meta::wave::{self, Attempt};
 pub use starts_meta::wave::{SourceCompleteness, SourceStatus};
 use starts_net::{SimNet, StartsClient};
-use starts_obs::{Registry, SpanHandle};
+use starts_obs::Registry;
 use starts_proto::{Query, QueryProfile, StageCost};
 
 use crate::cache::ResultCache;
@@ -93,19 +94,18 @@ impl Default for HedgeConfig {
 /// Serving-layer configuration (strategy lives in [`MetaConfig`]).
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Query-pool size, and the number of waves that run at once; `0` =
-    /// one per available core. A miss that finds fewer waves running
-    /// leads its own on the caller's thread; the pool serves the misses
-    /// that had to wait.
+    /// The number of waves that run at once; `0` = one per available
+    /// core. Every wave runs on the thread of the caller that missed: at
+    /// once while fewer run, once a slot frees otherwise.
     pub query_workers: usize,
-    /// Dispatch-pool size; `0` = `max(4, 2 × query workers)`. The pool
+    /// Dispatch-pool size; `0` = `max(4, 2 × query_workers)`. The pool
     /// runs the exchanges of waves on a paced net or with a deadline;
     /// the rest run on the thread that leads them.
     pub dispatch_workers: usize,
-    /// Bound on queries *waiting to run a wave* while `query_workers`
-    /// waves run; at capacity the oldest waiter is shed. Cache hits are
-    /// answered on the caller's thread and never wait here, and neither
-    /// does a miss that finds a wave's running slot free. Minimum 1.
+    /// Bound on callers *waiting to run a wave* while `query_workers`
+    /// waves run; at capacity the oldest waiter is shed. Cache hits
+    /// never wait, and neither does a miss that finds a running slot
+    /// free. Minimum 1.
     pub queue_capacity: usize,
     /// Result-cache freshness window; `Duration::ZERO` disables
     /// caching.
@@ -141,8 +141,6 @@ pub enum ServeError {
     /// Shed by admission control: the queue was full and this request
     /// had waited longest.
     Shed,
-    /// The server is shutting down.
-    Shutdown,
     /// The query's execution panicked (a caller-supplied [`MetaConfig`]
     /// strategy, most likely); the thread that led it carries on.
     Internal,
@@ -152,7 +150,6 @@ impl std::fmt::Display for ServeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ServeError::Shed => write!(f, "shed by admission control (queue full)"),
-            ServeError::Shutdown => write!(f, "server shutting down"),
             ServeError::Internal => write!(f, "the query's execution panicked"),
         }
     }
@@ -229,31 +226,25 @@ impl PartialEq for ServeOutcome {
     }
 }
 
-/// One admitted query: keyed on its caller's thread, where it missed
-/// the cache and was planned, and led there or by a query worker.
+/// One admitted query: keyed, planned and led on its caller's thread.
 struct QueryJob {
     plan: Arc<QueryPlan>,
     key: String,
     deadline_ms: Option<u64>,
     slot: Arc<ResponseSlot>,
     query_id: String,
-    /// The caller's open `serve.query` span, which the wave's stages
-    /// nest under on whichever thread leads it.
-    root: SpanHandle,
-    /// The request's clock, started on the caller's thread.
+    /// The request's clock, started when it arrived.
     t0: Instant,
-    /// When the job was admitted, in µs since `t0`.
-    enqueued_us: u64,
 }
 
-/// The waves the server admitted: those waiting for a query worker and
-/// how many run now.
+/// The waves the server admitted: the callers waiting for a running
+/// slot and how many waves run now.
 #[derive(Default)]
 struct Waves {
-    /// Admitted misses waiting for a running slot, oldest first.
-    waiting: VecDeque<QueryJob>,
-    /// Waves running now, on a query worker or on the caller that
-    /// missed; at most the query-pool size.
+    /// Parked callers, oldest first, each on a condition variable of
+    /// its own over this state's lock.
+    waiting: VecDeque<Arc<Condvar>>,
+    /// Waves running now; at most `ServerInner::slots`.
     running: usize,
 }
 
@@ -266,22 +257,21 @@ struct ServerInner {
     catalog: Catalog,
     config: MetaConfig,
     serve: ServeConfig,
-    /// Resolved query-pool size: the bound on waves running at once.
-    query_workers: usize,
+    /// Resolved `query_workers`: the bound on waves running at once.
+    slots: usize,
     queue: Mutex<Waves>,
-    queue_cv: Condvar,
     dispatch_q: Mutex<VecDeque<Attempt>>,
     dispatch_cv: Condvar,
     flights: Singleflight,
     cache: ResultCache,
+    /// Tells the dispatch pool to exit once its queue is empty.
     shutdown: AtomicBool,
 }
 
 /// The concurrent serving layer over one catalog and one network.
 ///
-/// Spawns its fixed pools at construction and joins them on drop
-/// (in-flight and queued work drains first; late callers get
-/// [`ServeError::Shutdown`]).
+/// Spawns its dispatch pool at construction and joins it on drop, once
+/// the attempts queued for it have run.
 pub struct Server {
     inner: Arc<ServerInner>,
     workers: Vec<JoinHandle<()>>,
@@ -289,18 +279,18 @@ pub struct Server {
 
 impl Server {
     /// Build over a shared network and a discovered catalog, spawning
-    /// the worker pools.
+    /// the dispatch pool.
     pub fn new(net: Arc<SimNet>, catalog: Catalog, config: MetaConfig, serve: ServeConfig) -> Self {
         config.install(net.registry());
         let cores = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
-        let query_workers = match serve.query_workers {
+        let slots = match serve.query_workers {
             0 => cores,
             n => n,
         };
         let dispatch_workers = match serve.dispatch_workers {
-            0 => (2 * query_workers).max(4),
+            0 => (2 * slots).max(4),
             n => n,
         };
         let serve = ServeConfig {
@@ -313,34 +303,23 @@ impl Server {
             catalog,
             config,
             serve,
-            query_workers,
+            slots,
             queue: Mutex::new(Waves::default()),
-            queue_cv: Condvar::new(),
             dispatch_q: Mutex::new(VecDeque::new()),
             dispatch_cv: Condvar::new(),
             flights: Singleflight::default(),
             cache: ResultCache::new(cache_ttl),
             shutdown: AtomicBool::new(false),
         });
-        let mut workers = Vec::with_capacity(query_workers + dispatch_workers);
-        for i in 0..query_workers {
-            let inner = Arc::clone(&inner);
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("serve-query-{i}"))
-                    .spawn(move || query_worker(&inner))
-                    .expect("spawn query worker"),
-            );
-        }
-        for i in 0..dispatch_workers {
-            let inner = Arc::clone(&inner);
-            workers.push(
+        let workers = (0..dispatch_workers)
+            .map(|i| {
+                let inner = Arc::clone(&inner);
                 std::thread::Builder::new()
                     .name(format!("serve-dispatch-{i}"))
                     .spawn(move || dispatch_worker(&inner))
-                    .expect("spawn dispatch worker"),
-            );
-        }
+                    .expect("spawn dispatch worker")
+            })
+            .collect();
         Server { inner, workers }
     }
 
@@ -351,7 +330,7 @@ impl Server {
 
     /// Serve one query, optionally overriding the wall-clock deadline
     /// (`Some(0)` waits for every source). Blocks until the response is
-    /// ready, the request is shed, or the server shuts down.
+    /// ready or the request is shed.
     pub fn search_with(
         &self,
         query: &Query,
@@ -361,7 +340,7 @@ impl Server {
         let obs = inner.net.registry();
         obs.counter("serve.requests").inc();
         let t0 = Instant::now();
-        let root = obs.span("serve.query");
+        let _root = obs.span("serve.query");
 
         // The catalog is fixed for the server's life, so a selector that
         // reads only the catalog picks the same sources for the same
@@ -393,15 +372,20 @@ impl Server {
                     deadline_ms,
                     slot: Arc::clone(&slot),
                     query_id: starts_obs::next_query_id(),
-                    root: root.handle(),
                     t0,
-                    enqueued_us: elapsed_us(t0),
                 };
-                if let Some(job) = self.admit(job)? {
-                    // A running slot was free: lead the wave here.
-                    let _running = Running::taken(inner);
-                    run_query(inner, job, 0);
-                }
+                let enqueued_us = elapsed_us(t0);
+                let waited = self.admit()?;
+                let queued_us = if waited {
+                    elapsed_us(t0).saturating_sub(enqueued_us)
+                } else {
+                    0
+                };
+                let running = Running::taken(inner);
+                run_query(inner, job, StageCost::new("queue", enqueued_us, queued_us));
+                // A follower's slot is fulfilled by its flight's leader;
+                // it waits for that holding no running slot.
+                drop(running);
                 slot.wait()
             }
         };
@@ -411,37 +395,53 @@ impl Server {
         outcome
     }
 
-    /// Admit a miss. While fewer than `query_workers` waves run, take
-    /// a running slot for it and hand the job back: the caller leads the
-    /// wave itself. Otherwise queue it for the query workers, shedding
-    /// the oldest waiter when the queue is full. A queued job wakes no
-    /// one: every slot is taken, and the wave that frees one wakes a
-    /// worker.
-    fn admit(&self, job: QueryJob) -> Result<Option<QueryJob>, ServeError> {
+    /// Take a running slot for a miss; `Ok(true)` if the caller had to
+    /// wait for it. While fewer than `query_workers` waves run, the
+    /// slot is taken at once. Otherwise the caller parks, shedding the
+    /// oldest waiter when the queue is full, until a wave that ends
+    /// wakes it (newest first) and it finds a slot free — a fresh
+    /// arrival may have taken the one that freed first — or it is shed.
+    fn admit(&self) -> Result<bool, ServeError> {
         let inner = &self.inner;
-        let obs = inner.net.registry();
         let mut waves = inner.queue.lock().expect("serve queue");
-        if inner.shutdown.load(Ordering::SeqCst) {
-            return Err(ServeError::Shutdown);
-        }
-        if waves.running < inner.query_workers {
+        if waves.running < inner.slots {
             waves.running += 1;
-            return Ok(Some(job));
+            return Ok(false);
         }
+        let obs = inner.net.registry();
         if waves.waiting.len() >= inner.serve.queue_capacity {
             // Overload: shed the *oldest* waiter — it has burned the
             // most of its deadline already — and keep admitting fresh
             // work (LIFO shed).
-            if let Some(old) = waves.waiting.pop_front() {
+            if let Some(oldest) = waves.waiting.pop_front() {
                 obs.counter("serve.shed").inc();
-                old.slot.fulfill(Err(ServeError::Shed));
+                oldest.notify_one();
             }
         }
-        waves.waiting.push_back(job);
+        let me = Arc::new(Condvar::new());
+        waves.waiting.push_back(Arc::clone(&me));
         obs.counter("serve.queued").inc();
-        obs.gauge("serve.queue_depth")
-            .set(waves.waiting.len() as f64);
-        Ok(None)
+        let depth = obs.gauge("serve.queue_depth");
+        depth.set(waves.waiting.len() as f64);
+        loop {
+            waves = me.wait(waves).expect("serve queue");
+            let Some(at) = waves.waiting.iter().position(|w| Arc::ptr_eq(w, &me)) else {
+                return Err(ServeError::Shed);
+            };
+            if waves.running < inner.slots {
+                waves.waiting.remove(at);
+                waves.running += 1;
+                depth.set(waves.waiting.len() as f64);
+                // Two waves may have ended before this caller woke: the
+                // slot one of them freed must not sit idle.
+                if waves.running < inner.slots {
+                    if let Some(newest) = waves.waiting.back() {
+                        newest.notify_one();
+                    }
+                }
+                return Ok(true);
+            }
+        }
     }
 
     /// Stale and reclaim every cached response that consulted `source`
@@ -472,64 +472,25 @@ impl Server {
 
 impl Drop for Server {
     fn drop(&mut self) {
-        // A worker reads the flag and parks under its queue's lock: set
-        // it under the one and pass through the other before waking
-        // them, or a worker between its check and its wait sleeps
-        // through the wake-up and the join below never returns.
+        // A dispatch worker reads the flag and parks under its queue's
+        // lock: set it under that lock before waking them, or a worker
+        // between its check and its wait sleeps through the wake-up and
+        // the join below never returns. No caller is running or parked:
+        // each borrows the server.
         {
-            let _waves = self.inner.queue.lock().expect("serve queue");
+            let _queue = self.inner.dispatch_q.lock().expect("dispatch queue");
             self.inner.shutdown.store(true, Ordering::SeqCst);
         }
-        drop(self.inner.dispatch_q.lock().expect("dispatch queue"));
-        self.inner.queue_cv.notify_all();
         self.inner.dispatch_cv.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
-        // Workers drain queued work before exiting; anything that still
-        // slipped past them gets a clean shutdown error instead of a
-        // hang.
-        let mut waves = self.inner.queue.lock().expect("serve queue");
-        for job in waves.waiting.drain(..) {
-            job.slot.fulfill(Err(ServeError::Shutdown));
-        }
-    }
-}
-
-/// Query-pool body: while a running slot is free, pop newest-first and
-/// execute whole queries.
-fn query_worker(inner: &Arc<ServerInner>) {
-    loop {
-        let job = {
-            let mut waves = inner.queue.lock().expect("serve queue");
-            loop {
-                // LIFO: the newest request has the most deadline left.
-                if waves.running < inner.query_workers {
-                    if let Some(job) = waves.waiting.pop_back() {
-                        waves.running += 1;
-                        inner
-                            .net
-                            .registry()
-                            .gauge("serve.queue_depth")
-                            .set(waves.waiting.len() as f64);
-                        break job;
-                    }
-                }
-                if inner.shutdown.load(Ordering::SeqCst) && waves.waiting.is_empty() {
-                    return;
-                }
-                waves = inner.queue_cv.wait(waves).expect("serve queue");
-            }
-        };
-        let _running = Running::taken(inner);
-        let queued_us = elapsed_us(job.t0).saturating_sub(job.enqueued_us);
-        run_query(inner, job, queued_us);
     }
 }
 
 /// A running slot, taken under the queue lock and counted in
 /// `serve.inflight`. Dropping it — unwinding or not — frees the slot
-/// and wakes a query worker for a waiting wave.
+/// and wakes the newest waiting caller to take it.
 struct Running<'a>(&'a ServerInner);
 
 impl<'a> Running<'a> {
@@ -545,21 +506,20 @@ impl Drop for Running<'_> {
         inner.net.registry().gauge("serve.inflight").add(-1.0);
         let mut waves = inner.queue.lock().unwrap_or_else(PoisonError::into_inner);
         waves.running -= 1;
-        let waiting = !waves.waiting.is_empty();
+        // LIFO: the newest waiter has the most deadline left.
+        let newest = waves.waiting.back().cloned();
         drop(waves);
-        if waiting {
-            inner.queue_cv.notify_one();
+        if let Some(newest) = newest {
+            newest.notify_one();
         }
     }
 }
 
 /// Cache (again) → singleflight → (lead the wave) → fulfill, on the
-/// thread that holds the job's running slot. `queued_us` is how long the
-/// job waited for it (0 when its caller leads it).
-fn run_query(inner: &Arc<ServerInner>, job: QueryJob, queued_us: u64) {
+/// caller's thread, which holds a running slot. `queue_stage` is how
+/// long the caller waited for it (0 µs when one was free).
+fn run_query(inner: &Arc<ServerInner>, job: QueryJob, queue_stage: StageCost) {
     let obs: &Registry = inner.net.registry();
-    let _root = job.root.adopt();
-    let queue_stage = StageCost::new("queue", job.enqueued_us, queued_us);
 
     // The caller missed before it was admitted; an identical query's
     // wave may have landed since, and two that missed together must not
@@ -576,7 +536,7 @@ fn run_query(inner: &Arc<ServerInner>, job: QueryJob, queued_us: u64) {
     if !inner.flights.lead_or_join(&job.key, &job.slot) {
         // A wave for this exact query is already in flight: the leader
         // will fulfill our slot; this running slot is free for the next
-        // job.
+        // miss.
         obs.counter("serve.singleflight.coalesced").inc();
         return;
     }

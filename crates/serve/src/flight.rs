@@ -5,22 +5,22 @@
 //! selected source set when the selector reads state beyond the catalog
 //! — under one that does not, the encoding alone fixes the selection.
 //! Two queries with the same key are wire-identical to every source, so
-//! dispatching both buys nothing. The first thread to take a key with a running slot —
-//! the caller that missed, or a query worker — becomes the *leader* and
-//! runs the wave; one that finds the key in flight parks the caller's
-//! `ResponseSlot` on the leader's entry and frees its running slot — a
-//! duplicate costs no wave capacity while it waits.
+//! dispatching both buys nothing. The first caller to take a key with a
+//! running slot becomes the *leader* and runs the wave; one that finds
+//! the key in flight parks its `ResponseSlot` on the leader's entry and
+//! frees its running slot — a duplicate costs no wave capacity while it
+//! waits.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 
 use crate::executor::{ServeError, ServeOutcome};
 
-/// A one-shot rendezvous between a waiting caller and whichever thread
-/// produces its response: the leader of its wave, the caller itself, or
-/// admission control shedding it. The caller blocks in
+/// A one-shot rendezvous between a caller and whichever thread produces
+/// its response: the caller itself when it leads its wave, or the
+/// leader of the flight it joined. The caller blocks in
 /// [`ResponseSlot::wait`]; the first [`ResponseSlot::fulfill`] wins and
-/// later ones are ignored (a shed job may race its own completion).
+/// later ones are ignored.
 #[derive(Default)]
 pub(crate) struct ResponseSlot {
     state: Mutex<Option<Result<ServeOutcome, ServeError>>>,
@@ -118,7 +118,7 @@ mod tests {
     fn slot_first_fulfill_wins() {
         let slot = ResponseSlot::new();
         slot.fulfill(Err(ServeError::Shed));
-        slot.fulfill(Err(ServeError::Shutdown));
+        slot.fulfill(Err(ServeError::Internal));
         assert_eq!(slot.wait(), Err(ServeError::Shed));
     }
 

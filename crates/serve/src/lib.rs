@@ -6,17 +6,17 @@
 //! scoped thread each over a paced network. [`Server`] runs the same
 //! pipeline stages ([`starts_meta::pipeline`]) under a serving regime:
 //!
-//! * **Running slots and fixed worker pools** — at most `query_workers`
-//!   dispatch waves run at once. A miss that finds a running slot free
-//!   leads its wave on its caller's thread; one that finds every slot
-//!   taken waits in a bounded admission queue for the query pool. On an
-//!   unpaced network with no deadline the leader runs the wave's
-//!   exchanges itself; a shared dispatch pool runs the exchanges of the
-//!   other waves. No thread is ever spawned per query, and a query the
-//!   result cache can answer never reaches a pool at all: it is keyed
-//!   and answered on its caller's thread, and under a selector that
-//!   ranks from the catalog alone it is not planned either — only a
-//!   miss selects and adapts.
+//! * **Running slots, led by their callers** — at most `query_workers`
+//!   dispatch waves run at once, and every one runs on the thread of
+//!   the caller that missed: at once if it finds a running slot free,
+//!   otherwise once it has waited its turn (bounded, newest first) and
+//!   a slot frees. On an unpaced network with no deadline the leader
+//!   runs the wave's exchanges itself; one fixed dispatch pool runs the
+//!   exchanges of the other waves. No thread is ever spawned per
+//!   query, and a query the result cache can answer waits for nothing:
+//!   it is keyed and answered on its caller's thread, and under a
+//!   selector that ranks from the catalog alone it is not planned
+//!   either — only a miss selects and adapts.
 //! * **Singleflight** — concurrent identical queries (same normalized
 //!   query text; under a selector that reads state of its own, such as
 //!   a health board, also the same selected source set) collapse into
@@ -37,9 +37,9 @@
 //!   budget cancels its stragglers and returns the merge of the sources
 //!   that finished, flagged `partial: true` with per-source
 //!   completeness.
-//! * **Load shedding** — the admission queue is bounded; under overload
-//!   the oldest waiting query is shed (`ServeError::Shed`) and workers
-//!   pop newest-first (LIFO), keeping fresh requests inside their
+//! * **Load shedding** — the callers waiting for a slot are bounded;
+//!   under overload the oldest is shed (`ServeError::Shed`) and a freed
+//!   slot wakes the newest (LIFO), keeping fresh requests inside their
 //!   deadlines instead of serving a queue full of expired ones.
 //!
 //! Everything is observable on the shared registry as `serve.*`
@@ -48,7 +48,7 @@
 //!
 //! | module | contents |
 //! |--------|----------|
-//! | [`executor`] | [`Server`], its worker pools, hedging and deadlines |
+//! | [`executor`] | [`Server`], admission, its dispatch pool, hedging and deadlines |
 //! | [`flight`] | singleflight registry and response slots |
 //! | [`cache`] | TTL + generation-stamped result cache |
 

@@ -4,8 +4,9 @@
 //! deadline-bounded partial results that are a prefix-consistent merge
 //! of the finished sources, hedged dispatch racing a replica against a
 //! slow primary, LIFO load shedding under overload, who leads a miss
-//! (its caller while a running slot is free, a query worker once one
-//! frees), where a wave's exchanges run (the leader, or the shared
+//! (always its caller: at once while a running slot is free, once one
+//! frees otherwise) and which waiter takes a freed slot (the newest),
+//! where a wave's exchanges run (the leader, or the shared
 //! dispatch pool once pacing or a deadline can end the wait early),
 //! panic isolation on either thread and on the leader, and the cached
 //! path:
@@ -305,8 +306,8 @@ fn the_cache_holds_the_answer_and_only_the_wave_gets_the_report() {
     assert_ne!(as_hit, hit);
 
     // The cache keeps the answer; the report lives as long as the last
-    // outcome that carries it (the leader's worker lets go of its own
-    // copy just after answering).
+    // outcome that carries it (the leader lets go of its own copy just
+    // after answering its followers).
     let (answer, report) = (Arc::downgrade(&leader.response), Arc::downgrade(report));
     drop((leader, follower, hit, as_follower, as_hit));
     let waiting = Instant::now();
@@ -363,11 +364,11 @@ fn an_invalidation_that_overtakes_a_wave_stales_its_response() {
     assert_eq!(server.search(&query).unwrap().via, Served::CacheHit);
 }
 
-/// The admission queue bounds waves, not lookups: with every query
-/// worker parked leading a wave, a request the cache can answer is
+/// Admission bounds waves, not lookups: with every running slot taken
+/// by a wave parked at a gate, a request the cache can answer is
 /// answered on its caller's thread — never queued, never shed.
 #[test]
-fn cache_hits_bypass_admission_while_every_query_worker_is_parked() {
+fn cache_hits_bypass_admission_while_every_running_slot_is_taken() {
     const WORKERS: usize = 2;
     let net = Arc::new(SimNet::new());
     wire(&net, "DB", &["databases", "queries"], 10);
@@ -503,10 +504,8 @@ fn mixed_traffic_counts_one_cache_outcome_per_request_and_gauges_settle() {
             .collect()
     });
 
-    // A worker steps out of `serve.inflight` after it has answered:
-    // joining the pools is what orders that before the reading below.
-    drop(server);
-
+    // Every leader frees its running slot before its `search` returns:
+    // the gauges are at rest without joining anything.
     let count = |via: Served| served.iter().filter(|v| **v == via).count() as u64;
     assert_eq!(served.len(), CLIENTS * ROUNDS);
     assert!(count(Served::CacheHit) > 0 && count(Served::Executed) > 0);
@@ -962,7 +961,7 @@ fn a_panicking_merger_fails_its_flight_and_nothing_else() {
         assert_eq!(outcome.expect("served").via, Served::Executed);
     }
 
-    // Joining the pools orders the workers' bookkeeping before this.
+    // Every caller has answered, so every leader has freed its slot.
     drop(Arc::try_unwrap(server).ok().expect("every caller is done"));
     let snap = net.registry().snapshot();
     assert_eq!(snap.counter("serve.panics", &[]), 1);
@@ -1055,9 +1054,9 @@ fn a_merger_panicking_on_the_caller_releases_its_running_slot() {
 }
 
 /// While a wave holds the only running slot, a second distinct miss
-/// waits in the queue, and a query worker leads it once the slot frees.
+/// waits in the queue, and its caller leads it once the slot frees.
 #[test]
-fn a_miss_that_finds_every_slot_taken_waits_for_a_query_worker() {
+fn a_miss_that_finds_every_slot_taken_waits_for_a_running_slot() {
     const PATIENCE: Duration = Duration::from_secs(10);
     let net = Arc::new(SimNet::new());
     let (entered, pass) = wire_gated(&net, "Food", &["cooking", "recipes"]);
@@ -1099,11 +1098,14 @@ fn a_miss_that_finds_every_slot_taken_waits_for_a_query_worker() {
                 .unwrap()
         });
         entered.recv_timeout(PATIENCE).expect("a wave at the gate");
-        let waiter = scope.spawn(move || {
-            server
-                .search(&ranked(r#"list((body-of-text "databases"))"#))
-                .unwrap()
-        });
+        let waiter = std::thread::Builder::new()
+            .name("waiter".to_string())
+            .spawn_scoped(scope, move || {
+                server
+                    .search(&ranked(r#"list((body-of-text "databases"))"#))
+                    .unwrap()
+            })
+            .unwrap();
         let waiting = Instant::now();
         while depth() != 1.0 {
             assert!(waiting.elapsed() < PATIENCE, "the second miss never queued");
@@ -1120,12 +1122,93 @@ fn a_miss_that_finds_every_slot_taken_waits_for_a_query_worker() {
         let queue = served.wave.as_ref().unwrap().profile.find("queue").cloned();
         assert!(queue.expect("a queue stage").duration_us > 0);
     });
-    assert_eq!(*log.lock().unwrap(), ["serve-query-0"]);
+    assert_eq!(*log.lock().unwrap(), ["waiter"]);
     let snap = net.registry().snapshot();
     assert_eq!(snap.counter("serve.queued", &[]), 1);
     assert_eq!(snap.gauge("serve.queue_depth", &[]), 0.0);
     drop(server);
     assert_eq!(net.registry().snapshot().gauge("serve.inflight", &[]), 0.0);
+}
+
+/// The admission policy, one caller at a time: with the only running
+/// slot taken, a full queue sheds its oldest waiter, and each slot that
+/// frees goes to the newest waiter left — LIFO, so the request with the
+/// most deadline left runs first.
+#[test]
+fn a_freed_slot_goes_to_the_newest_waiter_and_overflow_sheds_the_oldest() {
+    const PATIENCE: Duration = Duration::from_secs(10);
+    const WORDS: [&str; 3] = ["databases", "queries", "indexes"];
+    let net = Arc::new(SimNet::new());
+    let (entered, pass) = wire_gated(&net, "Food", &["cooking", "recipes"]);
+    wire(&net, "DB", &WORDS, 10);
+    let source = Source::build(SourceConfig::new("DB"), &docs(&WORDS, 12, "db"));
+    // The term each exchange with DB asked for, in the order they ran.
+    let log: Arc<Mutex<Vec<String>>> = Arc::default();
+    let seen = Arc::clone(&log);
+    net.register(
+        "starts://db/query",
+        LinkProfile::default(),
+        Arc::new(move |request: &[u8]| -> Vec<u8> {
+            let text = String::from_utf8_lossy(request);
+            let term = WORDS.into_iter().find(|w| text.contains(w)).unwrap_or("");
+            seen.lock().unwrap().push(term.to_string());
+            let query = Query::from_soif_bytes(request, starts::soif::ParseMode::Lenient);
+            source.execute(&query.unwrap()).to_soif_stream()
+        }),
+    );
+    let catalog = discover(&net, &["DB", "Food"]);
+    net.registry().reset();
+    let server = Server::new(
+        Arc::clone(&net),
+        catalog,
+        MetaConfig {
+            max_sources: 1,
+            ..MetaConfig::default()
+        },
+        ServeConfig {
+            query_workers: 1,
+            queue_capacity: 2,
+            cache_ttl: Duration::ZERO,
+            hedge: hedge_off(),
+            ..ServeConfig::default()
+        },
+    );
+    let queued = || net.registry().snapshot().counter("serve.queued", &[]);
+
+    let (holder, waiters) = std::thread::scope(|scope| {
+        let server = &server;
+        let ask = |word: &'static str| {
+            scope
+                .spawn(move || server.search(&ranked(&format!(r#"list((body-of-text "{word}"))"#))))
+        };
+        let holder = ask("cooking");
+        entered.recv_timeout(PATIENCE).expect("a wave at the gate");
+        let waiters: Vec<_> = WORDS
+            .into_iter()
+            .enumerate()
+            .map(|(i, word)| {
+                let waiter = ask(word);
+                let waiting = Instant::now();
+                while queued() != i as u64 + 1 {
+                    assert!(waiting.elapsed() < PATIENCE, "{word} never queued");
+                    std::thread::yield_now();
+                }
+                waiter
+            })
+            .collect();
+        pass.send(()).unwrap();
+        let waiters: Vec<_> = waiters.into_iter().map(|w| w.join().unwrap()).collect();
+        (holder.join().unwrap(), waiters)
+    });
+    assert_eq!(holder.expect("served").via, Served::Executed);
+    assert_eq!(waiters[0], Err(ServeError::Shed));
+    for waiter in &waiters[1..] {
+        assert_eq!(waiter.as_ref().expect("served").via, Served::Executed);
+    }
+    assert_eq!(*log.lock().unwrap(), ["indexes", "queries"]);
+    let snap = net.registry().snapshot();
+    assert_eq!(snap.counter("serve.shed", &[]), 1);
+    assert_eq!(snap.gauge("serve.queue_depth", &[]), 0.0);
 }
 
 /// The five-vendor fleet, each vendor over its own slice of one

@@ -14,7 +14,6 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -318,16 +317,11 @@ fn spans_closed(net: &SimNet) -> u64 {
     spans.map(|h| h.count).sum()
 }
 
-/// Wait until the query pool has finished its last wave's bookkeeping.
-fn settle(net: &SimNet) {
-    let patience = Instant::now();
-    while net.registry().snapshot().gauge("serve.inflight", &[]) != 0.0 {
-        assert!(
-            patience.elapsed() < Duration::from_secs(10),
-            "a wave never ended"
-        );
-        std::thread::yield_now();
-    }
+/// Threads this process runs now (Linux: one `/proc/self/task` entry
+/// each).
+fn threads() -> usize {
+    let tasks = std::fs::read_dir("/proc/self/task").expect("/proc/self/task");
+    tasks.count()
 }
 
 #[test]
@@ -342,6 +336,7 @@ fn the_cached_path_stays_within_its_budget() {
     // rows have taken their allocation readings.
     let sharded = postings_scored(2, &queries);
     let tree = postings_scored(1, &tree_pool(&corpus));
+    let threads_before = threads();
     let server = Server::new(
         Arc::clone(&net),
         catalog,
@@ -359,12 +354,13 @@ fn the_cached_path_stays_within_its_budget() {
             ..ServeConfig::default()
         },
     );
+    let server_threads = threads().saturating_sub(threads_before);
 
     // Every query once: each leads a wave and leaves its answer cached.
     // One client never finds the running slot taken, so each miss runs
     // on this thread from plan to merge — the hosts behind an unpaced
-    // net answer on it too — and nothing is handed to the query pool;
-    // a miss would be counted on every thread it touched.
+    // net answer on it too — and nothing waits for a slot; a miss would
+    // be counted on every thread it touched.
     let mut reports = Vec::with_capacity(queries.len());
     let queued = || net.registry().snapshot().counter("serve.queued", &[]);
     let (spans_before, net_before, queued_before) = (spans_closed(&net), net.stats(), queued());
@@ -374,7 +370,8 @@ fn the_cached_path_stays_within_its_budget() {
         assert_eq!(outcome.via, Served::Executed);
         reports.push(outcome.wave.expect("a miss runs a wave"));
     }
-    settle(&net);
+    // Each miss freed its running slot before its `search` returned.
+    assert_eq!(net.registry().snapshot().gauge("serve.inflight", &[]), 0.0);
     let misses = ALLOCATIONS.load(Ordering::Relaxed) - before;
     let (spans, net_after) = (spans_closed(&net) - spans_before, net.stats());
     let handed_off = queued() - queued_before;
@@ -431,6 +428,7 @@ fn the_cached_path_stays_within_its_budget() {
     check("serve.miss.wire_bytes_per_request", wire_bytes as f64 / n);
     check("serve.miss.spans_per_request", spans as f64 / n);
     check("serve.miss.queued_per_request", handed_off as f64 / n);
+    check("serve.threads_per_server", server_threads as f64);
     check(
         "codec.results.allocations_per_response",
         codec as f64 / responses.len() as f64,
