@@ -8,11 +8,9 @@
 //! * **engine-naive** — the reference evaluator
 //!   (`Engine::eval_ranking_naive`): repeated two-way unions, one
 //!   tree-walk per candidate document, full sort, truncate;
-//! * **engine-topk** — the term-at-a-time fast path
-//!   (`Engine::eval_ranking_top_k`): leaves resolved once, k-way
-//!   candidate merge, bounded heap selection;
-//! * **engine-topk (prune off)** — the same with dynamic pruning
-//!   disabled.
+//! * **engine-topk** — the fast path (`Engine::eval_ranking_top_k`):
+//!   leaves resolved once, Block-Max WAND over the block postings,
+//!   bounded heap selection (X16 measures the pruning in depth).
 //!
 //! The layers above the engine — a source's parse → translate →
 //! execute → render pipeline and the federated fan-out over it — are
@@ -33,7 +31,7 @@ use starts_bench::{
     standard_corpus, zipf_workload, BenchArgs, LatencyStats,
 };
 use starts_corpus::{generate_corpus, CorpusConfig, GeneratedCorpus};
-use starts_index::{Engine, EngineConfig, PruneMode};
+use starts_index::{Engine, EngineConfig};
 
 /// Result-list bound for every path (the ISSUE's `max-documents ≤ 20`
 /// regime).
@@ -45,7 +43,7 @@ fn main() {
     let out_path = args.out_or("BENCH_hotpath.json");
     let n_queries = if smoke { 60 } else { 400 };
 
-    header("X14  top-k hot path: naive walk vs bounded term-at-a-time pipeline");
+    header("X14  top-k hot path: naive walk vs bounded Block-Max-WAND pipeline");
     let corpus = if smoke {
         standard_corpus()
     } else {
@@ -92,30 +90,12 @@ fn main() {
         let node = rank_node(t);
         engine.eval_ranking_top_k(&node, Some(K)).len()
     });
-    // The same bounded pipeline with dynamic pruning disabled — the
-    // topk-vs-noprune delta is what the score-upper-bound skip buys
-    // (X16 measures it in depth).
-    let engine_noprune = Engine::build(
-        &docs,
-        EngineConfig {
-            prune: PruneMode::Off,
-            ..EngineConfig::default()
-        },
-    );
-    let topk_noprune = measure(&terms, |t| {
-        let node = rank_node(t);
-        engine_noprune.eval_ranking_top_k(&node, Some(K)).len()
-    });
 
     let speedup = topk.qps / naive.qps.max(1e-9);
     section("throughput and latency per path");
     print_table(
         &["path", "QPS", "p50 µs", "p95 µs", "p99 µs"],
-        &[
-            naive.row("engine-naive"),
-            topk.row("engine-topk"),
-            topk_noprune.row("engine-topk (prune off)"),
-        ],
+        &[naive.row("engine-naive"), topk.row("engine-topk")],
     );
     println!();
     println!(
@@ -132,15 +112,7 @@ fn main() {
         naive.qps
     );
 
-    let json = render_json(
-        smoke,
-        &corpus,
-        n_queries,
-        build_docs_per_s,
-        &naive,
-        &topk,
-        &topk_noprune,
-    );
+    let json = render_json(smoke, &corpus, n_queries, build_docs_per_s, &naive, &topk);
     std::fs::write(&out_path, json).expect("write BENCH_hotpath.json");
     println!("wrote {out_path}");
 }
@@ -154,7 +126,6 @@ fn render_json(
     build_docs_per_s: f64,
     naive: &LatencyStats,
     topk: &LatencyStats,
-    topk_noprune: &LatencyStats,
 ) -> String {
     let parallelism = machine_parallelism();
     let note = provenance_note(
@@ -167,14 +138,12 @@ fn render_json(
          \"queries\": {n_queries},\n  \"machine_parallelism\": {parallelism},\n  \
          \"corpus\": {{\"sources\": {}, \"docs\": {}}},\n  \
          \"build_docs_per_s\": {build_docs_per_s:.0},\n  \
-         \"paths\": {{\n    \"engine_naive\": {},\n    \"engine_topk\": {},\n    \
-         \"engine_topk_noprune\": {}\n  }},\n  \
+         \"paths\": {{\n    \"engine_naive\": {},\n    \"engine_topk\": {}\n  }},\n  \
          \"engine_speedup\": {:.2}\n}}\n",
         corpus.sources.len(),
         corpus.total_docs(),
         naive.json(),
         topk.json(),
-        topk_noprune.json(),
         topk.qps / naive.qps.max(1e-9),
     )
 }

@@ -1,28 +1,29 @@
-//! X16 — dynamic pruning: Block-Max-WAND top-k vs exhaustive scoring
-//! (beyond the paper's artifacts).
+//! X16 — dynamic pruning: what Block-Max-WAND top-k skips (beyond the
+//! paper's artifacts).
 //!
-//! The bounded top-k pipeline (X14) still *scores every candidate* and
-//! lets the heap discard the losers. Block-Max WAND skips the scoring
-//! itself: postings live in fixed 128-doc bit-packed blocks (doc-id
-//! deltas and tfs frame-of-reference packed at the block's own bit
-//! widths) with a per-block score upper bound recorded at build time;
-//! at query time doc-sorted cursors select a pivot against the top-k
-//! threshold θ and whole blocks whose bound
-//! falls strictly below θ are jumped without ever being decoded —
+//! Scoring every candidate and letting a heap discard the losers (the
+//! naive oracle X14 measures) wastes most of the work on a bounded
+//! query. Block-Max WAND skips the scoring itself: postings live in
+//! fixed 128-doc bit-packed blocks (doc-id deltas and tfs
+//! frame-of-reference packed at the block's own bit widths) with a
+//! per-block score upper bound recorded at build time; at query time
+//! doc-sorted cursors select a pivot against the top-k threshold θ and
+//! whole blocks whose bound falls strictly below θ are jumped without
+//! ever being decoded —
 //! including through `and`/`or`/weighted operator *trees*, whose bound
 //! is propagated bottom-up per block. Under sharding the shards run one
 //! after another and each starts from the k-th score the earlier ones
 //! reached, so a full heap in one shard tightens the bound check of
-//! every shard after it. The results are *bit-identical* to
-//! the unpruned path (enforced here by a spot check and exhaustively by
-//! `crates/index/tests/prune_properties.rs`).
+//! every shard after it. The results are *bit-identical* to the naive
+//! oracle (`Engine::search_naive`: every candidate scored, one full
+//! sort), enforced here by a spot check and exhaustively by
+//! `crates/index/tests/prune_properties.rs`.
 //!
-//! Three workloads stress different skip regimes, each measured with
-//! `PruneMode::Auto` vs `PruneMode::Off` at requested shard counts 1
-//! and 4. Shard requests resolve under the default adaptive policy, so
-//! on a machine with fewer cores than shards the shards=4 rows build
-//! fewer physical shards instead of paying a query pass per shard the
-//! build could not parallelize:
+//! Three workloads stress different skip regimes, each measured at
+//! requested shard counts 1 and 4. Shard requests resolve under the
+//! default adaptive policy, so on a machine with fewer cores than
+//! shards the shards=4 rows build fewer physical shards instead of
+//! paying a query pass per shard the build could not parallelize:
 //!
 //! * `zipf` — the X14 mix: 1–3 word flat lists, mostly common words,
 //!   sometimes a rare topic word (the historical baseline),
@@ -46,11 +47,10 @@
 //! * `filter-only` — a `prox` filter and no ranking: the first `k`
 //!   documents the filter admits.
 //!
-//! Under `Auto` the filter is a lazy cursor inside the Block-Max-WAND
-//! loop; under `Off` the same cursor is drained and the whole set
-//! scored. Every filtered query must answer identically under both, and
-//! on the `prox` rows `Auto` must compare positions for fewer documents
-//! than hold both words (the eager evaluator compared them all).
+//! The filter is a lazy cursor inside the Block-Max-WAND loop. Every
+//! filtered query must answer as the oracle does, and on the `prox`
+//! rows the loop must compare positions for fewer documents than hold
+//! both words (an eager evaluator compares them all).
 //!
 //! Reported per configuration: QPS, p50/p95/p99 latency, the fraction
 //! of candidate postings skipped unscored, and the number of whole
@@ -72,8 +72,8 @@ use starts_bench::{
 };
 use starts_corpus::{generate_corpus, CorpusConfig, GeneratedCorpus, Zipf};
 use starts_index::{
-    BoolNode, EngineConfig, PositionsMode, PruneMode, PruneReport, RankNode, SearchOptions,
-    ShardedEngine, TermSpec,
+    BoolNode, EngineConfig, PositionsMode, PruneReport, RankNode, SearchOptions, ShardedEngine,
+    TermSpec,
 };
 
 /// Result-list bound for every query (the X14 regime).
@@ -90,7 +90,7 @@ fn main() {
     let n_queries = if smoke { 60 } else { 400 };
     let parallelism = machine_parallelism();
 
-    header("X16  dynamic pruning: Block-Max-WAND top-k vs exhaustive scoring");
+    header("X16  dynamic pruning: what Block-Max-WAND top-k skips");
     let corpus = if smoke {
         standard_corpus()
     } else {
@@ -127,9 +127,8 @@ fn main() {
         n_queries
     );
 
-    let config = |shards: usize, prune: PruneMode| EngineConfig {
+    let config = |shards: usize| EngineConfig {
         shards,
-        prune,
         ..EngineConfig::default()
     };
     let opts = SearchOptions {
@@ -137,8 +136,9 @@ fn main() {
         ..SearchOptions::default()
     };
 
-    // Baseline for the exactness spot check: monolithic, unpruned.
-    let baseline = ShardedEngine::build(&docs, config(1, PruneMode::Off));
+    // The monolithic engine: its oracle is the exactness reference.
+    let baseline = ShardedEngine::build(&docs, config(1));
+    let oracle = &baseline.shards()[0];
     let footprint = baseline.postings_footprint();
     // The positions-free field class: the same corpus with the
     // positional store retired, so search runs off the bit-packed
@@ -147,7 +147,7 @@ fn main() {
         &docs,
         EngineConfig {
             positions: PositionsMode::None,
-            ..config(1, PruneMode::Off)
+            ..config(1)
         },
     );
     let footprint_none = no_positions.postings_footprint();
@@ -164,110 +164,98 @@ fn main() {
             if workload.shape.is_some() && shards != 1 {
                 continue;
             }
-            for prune in [PruneMode::Off, PruneMode::Auto] {
-                let engine = ShardedEngine::build(&docs, config(shards, prune));
+            let engine = ShardedEngine::build(&docs, config(shards));
 
-                // Exactness against the unpruned monolithic baseline —
-                // a spot check on the ranking-only workloads (the
-                // property suite covers them exhaustively), every query
-                // of the filtered one — and the prune tallies over all.
-                let mut report = PruneReport::default();
-                for (i, q) in workload.queries.iter().enumerate() {
-                    let (hits, _, r) =
-                        engine.search_top_k_observed(q.filter.as_ref(), q.ranking.as_ref(), &opts);
-                    report.merge(&r);
-                    if i < 10 || workload.shape.is_some() {
-                        assert_eq!(
-                            hits,
-                            baseline.search_top_k(q.filter.as_ref(), q.ranking.as_ref(), Some(K)),
-                            "pruned top-k diverged at workload={} shards={shards} \
-                             prune={prune:?} query={i}",
-                            workload.label()
-                        );
-                    }
-                }
-                // A filter-only query ranks nothing, so it has nothing
-                // to prune.
-                let ranked = workload.queries.iter().any(|q| q.ranking.is_some());
-                match prune {
-                    PruneMode::Auto if ranked => {
-                        assert!(
-                            report.skipped_docs > 0,
-                            "pruning never engaged on the {} workload: {report:?}",
-                            workload.label()
-                        );
-                        // Whole-block jumps need lists spanning several
-                        // blocks; splitting the corpus across shards can
-                        // shrink every list under the 128-doc block size,
-                        // so the hard assertion is monolithic-only.
-                        if shards == 1 {
-                            assert!(
-                                report.blocks_skipped > 0,
-                                "no whole block was ever jumped on the {} workload: {report:?}",
-                                workload.label()
-                            );
-                        }
-                    }
-                    PruneMode::Auto => {}
-                    PruneMode::Off => {
-                        assert_eq!(report.skipped_docs, 0);
-                        assert_eq!(report.blocks_skipped, 0);
-                    }
-                }
-                // The laziness the `prox` rows exist to show: positions
-                // compared for fewer documents than hold both words.
-                if let (PruneMode::Auto, Some(both)) = (prune, cooccurring) {
-                    assert!(
-                        report.positional_checks < both,
-                        "{}: {} position checks for {both} co-occurring documents",
-                        workload.label(),
-                        report.positional_checks
+            // Exactness against the oracle — a spot check on the
+            // ranking-only workloads (the property suite covers them
+            // exhaustively), every query of the filtered one — and the
+            // prune tallies over all.
+            let mut report = PruneReport::default();
+            for (i, q) in workload.queries.iter().enumerate() {
+                let (hits, _, r) =
+                    engine.search_top_k_observed(q.filter.as_ref(), q.ranking.as_ref(), &opts);
+                report.merge(&r);
+                if i < 10 || workload.shape.is_some() {
+                    let mut expect = oracle.search_naive(q.filter.as_ref(), q.ranking.as_ref());
+                    expect.truncate(K);
+                    assert_eq!(
+                        hits,
+                        expect,
+                        "pruned top-k diverged at workload={} shards={shards} query={i}",
+                        workload.label()
                     );
                 }
-                let pruned_fraction = if report.candidates > 0 {
-                    report.skipped_docs as f64 / report.candidates as f64
-                } else {
-                    0.0
-                };
-
-                let qs = measure(&workload.queries, |q| {
-                    engine
-                        .search_top_k_observed(q.filter.as_ref(), q.ranking.as_ref(), &opts)
-                        .0
-                        .len()
-                });
-                rows.push(vec![
-                    workload.label(),
-                    shards.to_string(),
-                    format!("{prune:?}"),
-                    format!("{:.0}", qs.qps),
-                    format!("{:.1}", qs.p50_us),
-                    format!("{:.1}", qs.p95_us),
-                    format!("{:.1}", qs.p99_us),
-                    format!("{:.1}%", pruned_fraction * 100.0),
-                    report.blocks_skipped.to_string(),
-                    report.positional_checks.to_string(),
-                ]);
-                stats.push(PruneStats {
-                    workload: workload.name,
-                    shape: workload.shape,
-                    cooccurring,
-                    shards,
-                    prune,
-                    qs,
-                    pruned_fraction,
-                    report,
-                });
             }
+            // A filter-only query ranks nothing, so it has nothing to
+            // prune.
+            if workload.queries.iter().any(|q| q.ranking.is_some()) {
+                assert!(
+                    report.skipped_docs > 0,
+                    "pruning never engaged on the {} workload: {report:?}",
+                    workload.label()
+                );
+                // Whole-block jumps need lists spanning several blocks;
+                // splitting the corpus across shards can shrink every
+                // list under the 128-doc block size, so the hard
+                // assertion is monolithic-only.
+                if shards == 1 {
+                    assert!(
+                        report.blocks_skipped > 0,
+                        "no whole block was ever jumped on the {} workload: {report:?}",
+                        workload.label()
+                    );
+                }
+            }
+            // The laziness the `prox` rows exist to show: positions
+            // compared for fewer documents than hold both words.
+            if let Some(both) = cooccurring {
+                assert!(
+                    report.positional_checks < both,
+                    "{}: {} position checks for {both} co-occurring documents",
+                    workload.label(),
+                    report.positional_checks
+                );
+            }
+            let pruned_fraction = if report.candidates > 0 {
+                report.skipped_docs as f64 / report.candidates as f64
+            } else {
+                0.0
+            };
+
+            let qs = measure(&workload.queries, |q| {
+                engine
+                    .search_top_k_observed(q.filter.as_ref(), q.ranking.as_ref(), &opts)
+                    .0
+                    .len()
+            });
+            rows.push(vec![
+                workload.label(),
+                shards.to_string(),
+                format!("{:.0}", qs.qps),
+                format!("{:.1}", qs.p50_us),
+                format!("{:.1}", qs.p95_us),
+                format!("{:.1}", qs.p99_us),
+                format!("{:.1}%", pruned_fraction * 100.0),
+                report.blocks_skipped.to_string(),
+                report.positional_checks.to_string(),
+            ]);
+            stats.push(PruneStats {
+                workload: workload.name,
+                shape: workload.shape,
+                cooccurring,
+                shards,
+                qs,
+                pruned_fraction,
+                report,
+            });
         }
     }
 
-    section("query latency: pruned vs unpruned per workload and shard count");
+    section("query latency and skipped work per workload and shard count");
     print_table(
         &[
             "workload",
             "shards",
-            "prune",
             "QPS",
             "p50 µs",
             "p95 µs",
@@ -279,20 +267,6 @@ fn main() {
         &rows,
     );
     println!();
-    for pair in stats.chunks(2) {
-        let (off, auto) = (&pair[0], &pair[1]);
-        println!(
-            "{} shards={}: prune {:.2}x QPS vs off ({:.0} -> {:.0}), \
-             {:.1}% of candidate postings skipped, {} blocks jumped undecoded",
-            auto.label(),
-            auto.shards,
-            auto.qs.qps / off.qs.qps.max(1e-9),
-            off.qs.qps,
-            auto.qs.qps,
-            auto.pruned_fraction * 100.0,
-            auto.report.blocks_skipped
-        );
-    }
     println!(
         "postings memory: {} lists, {} postings; {} B positional frames, \
          {} B stored fields, {} B bit-packed blocks ({} B with positions retired)",
@@ -348,7 +322,10 @@ impl Workload {
     }
 
     fn label(&self) -> String {
-        label(self.name, self.shape)
+        match self.shape {
+            Some(shape) => format!("{}/{shape}", self.name),
+            None => self.name.to_string(),
+        }
     }
 
     /// Documents holding both words of each top-level `prox` filter,
@@ -367,13 +344,6 @@ impl Workload {
     }
 }
 
-fn label(name: &str, shape: Option<&str>) -> String {
-    match shape {
-        Some(shape) => format!("{name}/{shape}"),
-        None => name.to_string(),
-    }
-}
-
 /// Per-configuration measurements.
 struct PruneStats {
     workload: &'static str,
@@ -381,16 +351,9 @@ struct PruneStats {
     /// See [`Workload::cooccurring`].
     cooccurring: Option<u64>,
     shards: usize,
-    prune: PruneMode,
     qs: LatencyStats,
     pruned_fraction: f64,
     report: PruneReport,
-}
-
-impl PruneStats {
-    fn label(&self) -> String {
-        label(self.workload, self.shape)
-    }
 }
 
 /// A term leaf on the `body-of-text` field.
@@ -570,14 +533,12 @@ fn render_json(
                 }
             }
             format!(
-                "    {{\"workload\": \"{}\",{shape} \"shards\": {}, \"prune\": \"{:?}\", \
-                 \"qps\": {:.1}, \
+                "    {{\"workload\": \"{}\",{shape} \"shards\": {}, \"qps\": {:.1}, \
                  \"p50_us\": {:.1}, \"p95_us\": {:.1}, \"p99_us\": {:.1}, \
                  \"pruned_fraction\": {:.4}, \"skipped_docs\": {}, \"candidates\": {}, \
                  \"blocks_skipped\": {}{filter_work}}}",
                 s.workload,
                 s.shards,
-                s.prune,
                 s.qs.qps,
                 s.qs.p50_us,
                 s.qs.p95_us,

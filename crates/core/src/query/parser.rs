@@ -466,7 +466,9 @@ impl<'a> Parser<'a> {
             ));
         }
         self.pos += 1;
-        Ok(Some(value))
+        // `-0` passes the range test; `abs` makes it `+0`, so no
+        // evaluator ever sees a negatively-signed weight.
+        Ok(Some(value.abs()))
     }
 }
 

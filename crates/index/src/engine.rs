@@ -16,14 +16,12 @@ use crate::blocks::{BlockCursor, BlockPostings, BLOCK_DOCS, EXHAUSTED};
 use crate::boolean::BoolNode;
 use crate::doc::{DocId, Document};
 use crate::filter::FilterCursor;
-use crate::index::{
-    Index, IndexBuilder, PositionsMode, PostingsIter, PostingsList, TermBound, TermBounds,
-};
+use crate::index::{Index, IndexBuilder, PositionsMode, PostingsList, TermBound, TermBounds};
 use crate::matchspec::{CmpOp, TermSpec};
 use crate::ranking::{PreparedWeight, RankingAlgorithm, TermDocStats};
 use crate::schema::{FieldId, ANY_FIELD};
 use crate::sharded::CollectionStats;
-use crate::topk::{kway_union, TopK};
+use crate::topk::TopK;
 
 mod oracle;
 
@@ -151,28 +149,6 @@ pub struct TermStat {
     pub df: u32,
 }
 
-/// Dynamic-pruning mode for the ranked top-k path.
-///
-/// Under [`PruneMode::Auto`] the engine records a [`TermBounds`] sidecar
-/// (whole-list *and* per-block weight maxima) at build time and runs
-/// bounded top-k queries through the Block-Max-WAND evaluator: postings
-/// whose score upper bound provably cannot enter the bounded result are
-/// never visited, and whole 128-doc blocks are jumped without being
-/// decoded. Returned hits stay bit-identical to the unpruned evaluation
-/// (scores, order, and tie-breaks; enforced by
-/// `crates/index/tests/prune_properties.rs`). [`PruneMode::Off`] is
-/// the escape hatch: no sidecar, no skipping, exactly the pre-pruning
-/// code path — diff a query against `Off` to diagnose any suspected
-/// exactness regression.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PruneMode {
-    /// Build term bounds and skip provably non-competitive documents.
-    #[default]
-    Auto,
-    /// Never skip: every candidate is scored.
-    Off,
-}
-
 /// Engine configuration: the vendor's whole observable personality.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -203,8 +179,6 @@ pub struct EngineConfig {
     /// How literally [`EngineConfig::shards`] is honoured (see
     /// [`ShardPolicy`]).
     pub shard_policy: ShardPolicy,
-    /// Dynamic pruning of the ranked top-k path (see [`PruneMode`]).
-    pub prune: PruneMode,
     /// Whether the index keeps the positional store (see
     /// [`PositionsMode`]). Vendors whose query surface never consults
     /// positions — no `prox` operator reachable — set
@@ -224,7 +198,6 @@ impl Default for EngineConfig {
             thesaurus: Thesaurus::empty(),
             shards: 0,
             shard_policy: ShardPolicy::Adaptive,
-            prune: PruneMode::Auto,
             positions: PositionsMode::All,
         }
     }
@@ -264,12 +237,10 @@ pub struct Engine {
     /// index's, so each shard scores exactly as the monolithic engine
     /// would.
     collection: Option<Arc<CollectionStats>>,
-    prune: PruneMode,
-    /// The dynamic-pruning sidecar (present iff `prune` is `Auto`): one
-    /// entry per (field, term) with the extrema, whole-list and per
-    /// block, of the exact term weights scoring can produce on this
-    /// engine's documents.
-    bounds: Option<TermBounds>,
+    /// The dynamic-pruning sidecar: one entry per (field, term) with the
+    /// extrema, whole-list and per block, of the exact term weights
+    /// scoring can produce on this engine's documents.
+    bounds: TermBounds,
 }
 
 impl std::fmt::Debug for Engine {
@@ -318,15 +289,8 @@ impl Engine {
         } else {
             vec![1.0; index.n_docs() as usize]
         };
-        let bounds = match config.prune {
-            PruneMode::Auto => Some(compute_term_bounds(
-                &index,
-                ranking.as_ref(),
-                collection.as_deref(),
-                &doc_norms,
-            )),
-            PruneMode::Off => None,
-        };
+        let bounds =
+            compute_term_bounds(&index, ranking.as_ref(), collection.as_deref(), &doc_norms);
         Engine {
             index,
             ranking,
@@ -334,7 +298,6 @@ impl Engine {
             thesaurus: config.thesaurus,
             doc_norms,
             collection,
-            prune: config.prune,
             bounds,
         }
     }
@@ -382,10 +345,10 @@ impl Engine {
     /// of materializing and sorting the full result; the returned hits
     /// are exactly the first `k` the unbounded call would have produced.
     /// A filter costs what those `k` hits need of it: a filter-only
-    /// query stops at its `k`-th document, and under
-    /// [`PruneMode::Auto`] a filtered ranking runs the filter cursor as
-    /// a required conjunct of the Block-Max-WAND loop, paying a `prox`
-    /// position check only for documents about to enter the heap.
+    /// query stops at its `k`-th document, and a filtered ranking runs
+    /// the filter cursor as a required conjunct of the Block-Max-WAND
+    /// loop, paying a `prox` position check only for documents about to
+    /// enter the heap.
     pub fn search_top_k(
         &self,
         filter: Option<&BoolNode>,
@@ -457,14 +420,10 @@ impl Engine {
         self.eval_ranking_top_k(node, None)
     }
 
-    /// Evaluate a ranking expression term-at-a-time, optionally bounded.
-    ///
-    /// Each leaf's vocabulary keys and posting lists are resolved exactly
-    /// once, the candidate set is built by one k-way merge over all
-    /// posting lists, and each candidate's leaf values are combined by
-    /// one walk of the tree. With `limit: Some(k)` the
-    /// best `k` documents are selected by a bounded heap; the result is
-    /// exactly the first `k` entries of the unbounded evaluation.
+    /// Evaluate a ranking expression, optionally bounded: the engine's
+    /// one ranked evaluator, Block-Max WAND, then `finalize`. With
+    /// `limit: Some(k)` the result is exactly the first `k` entries of
+    /// the unbounded evaluation.
     pub fn eval_ranking_top_k(&self, node: &RankNode, limit: Option<usize>) -> Vec<(DocId, f64)> {
         let mut scores = self.eval_ranked_raw(None, node, limit, &PruneHooks::NONE);
         // `finalize` rescales monotonically (the §3.2 vendor pins its
@@ -483,14 +442,9 @@ impl Engine {
     /// A [`crate::ShardedEngine`] merges these per-shard lists and
     /// applies the single global `finalize` afterwards.
     ///
-    /// A bounded query whose tree is [`bmw_eligible`] runs the
-    /// Block-Max-WAND loop, the filter cursor leading it. Everything
-    /// else — unbounded, [`PruneMode::Off`], multi-key or comparison
-    /// leaves, negative weights — scores every candidate of the drained
-    /// filter set (or, unfiltered, the leaves' union): each leaf's
-    /// values come from one term-at-a-time merge-join against the
-    /// candidates, and each candidate's row of them, in doc order, goes
-    /// through the exact [`tree_score`] the pruned loop's survivors do.
+    /// Every query runs the Block-Max-WAND loop, the filter cursor
+    /// leading it. An unbounded one asks for every document of the
+    /// index, with no score floor.
     pub(crate) fn eval_ranked_raw(
         &self,
         filter: Option<&BoolNode>,
@@ -501,55 +455,13 @@ impl Engine {
         let node = &*self.effective_ranking(node);
         let mut leaves = Vec::new();
         self.resolve_leaves(node, &mut leaves);
-        if let Some(k) = limit {
-            if self.prune == PruneMode::Auto && bmw_eligible(node, &leaves) {
-                return self.eval_ranking_bmw(filter, node, &leaves, k, hooks);
-            }
-        }
-        let candidates = match filter {
-            Some(f) => self.eval_filter_bounded(f, None, hooks),
-            None => candidate_docs(&leaves),
+        self.bound_at_query_time(&mut leaves, filter.is_some());
+        let (k, floor) = match limit {
+            Some(k) => (k, hooks.floor),
+            None => (self.index.n_docs() as usize, f64::NEG_INFINITY),
         };
-        if let Some(c) = hooks.counters {
-            c.candidates
-                .fetch_add(candidates.len() as u64, Ordering::Relaxed);
-        }
-        let mut tf_scratch = Vec::new();
-        let columns: Vec<Vec<f64>> = leaves
-            .iter()
-            .map(|leaf| self.leaf_slots(leaf, &candidates, &mut tf_scratch))
-            .collect();
-        let mut prox_tests = Vec::new();
-        self.collect_prox_tests(node, &mut prox_tests);
-        let mut row = vec![0.0_f64; leaves.len()];
-        let scored = candidates.into_iter().enumerate().filter_map(|(i, doc)| {
-            for (v, column) in row.iter_mut().zip(&columns) {
-                *v = column[i];
-            }
-            let score = tree_score::<EXACT>(node, &mut LeafRow::scores(&row, doc, &mut prox_tests));
-            // Only a filter keeps a document that scores nothing.
-            (filter.is_some() || score > 0.0).then_some((doc, score))
-        });
-        let ranked = match limit {
-            Some(k) => {
-                // The floor seeds the heap: docs below `min-doc-score`
-                // are never held, so the heap threshold starts tight.
-                let mut top = TopK::with_floor(k, hooks.floor);
-                for (doc, score) in scored {
-                    top.push(doc, score);
-                }
-                top.into_sorted_vec()
-            }
-            None => {
-                let mut scores: Vec<(DocId, f64)> = scored.collect();
-                scores.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-                scores
-            }
-        };
-        for test in prox_tests.iter().flatten() {
-            hooks.count_filter(test);
-        }
-        ranked
+        let hooks = PruneHooks { floor, ..*hooks };
+        self.eval_ranking_bmw(filter, node, &leaves, k, &hooks)
     }
 
     /// The ranking expression this engine actually evaluates: `node`
@@ -566,8 +478,8 @@ impl Engine {
     /// The Block-Max-WAND evaluator (see `docs/performance.md` § Block-Max
     /// WAND): skip-capable block cursors, WAND pivot selection against the
     /// running threshold θ, and per-block score bounds propagated through
-    /// the whole operator tree. Bit-identical to the unpruned path by
-    /// construction:
+    /// the whole operator tree. Bit-identical to scoring every candidate
+    /// (the oracle in `engine/oracle.rs`) by construction:
     ///
     /// * a document (or block of documents) is skipped only when its tree
     ///   score upper bound is strictly below θ — and θ is either the
@@ -589,9 +501,9 @@ impl Engine {
     ///   exact score *bit-wise*, with no epsilon slack at all (tighter
     ///   than the earlier flat-list pruner, which needed `(n+3)·ε` of
     ///   headroom for its reordered suffix sums);
-    /// * survivors' leaf values are the unpruned path's, leaf for leaf,
-    ///   and the unpruned path scores them through the same
-    ///   [`tree_score`].
+    /// * survivors' leaf values are `weight × term_weight` of the leaf's
+    ///   tf summed over its vocabulary keys, the one leaf value the
+    ///   oracle computes.
     ///
     /// Skips never cross a block boundary the bound argument does not
     /// cover: a jump target is capped by every active leaf's covering
@@ -627,8 +539,8 @@ impl Engine {
         let n = leaves.len();
         let mut cursors: Vec<Option<BlockCursor<'_>>> = leaves
             .iter()
-            .map(|l| match l.blocks {
-                Some(b) if !b.is_empty() => Some(BlockCursor::with_bounds(b, l.block_max)),
+            .map(|l| match l.blocks() {
+                Some(b) if !b.is_empty() => Some(BlockCursor::with_bounds(b, l.block_max())),
                 _ => None,
             })
             .collect();
@@ -950,8 +862,7 @@ impl Engine {
             // BMW accounting is postings-grained: `candidates` is every
             // posting entering evaluation, and a "skipped doc" is a
             // posting the cursors never rested on — each one an avoided
-            // `term_weight` computation. The unpruned fallback keeps the
-            // older union-of-candidates granularity.
+            // `term_weight` computation.
             c.candidates.fetch_add(total_postings, Ordering::Relaxed);
             c.skipped_docs
                 .fetch_add(total_postings - visited, Ordering::Relaxed);
@@ -1277,7 +1188,9 @@ impl Engine {
     /// Resolve every leaf of a ranking tree once: vocabulary keys to
     /// posting-list slices (plus the comparison-matched doc set for
     /// `cmp` leaves), in the same depth-first order [`RankNode::terms`]
-    /// visits them.
+    /// visits them. A leaf the build-time sidecar bounds gets its key's
+    /// block postings and per-block maxima here; the rest are left
+    /// unbounded for [`Engine::bound_at_query_time`].
     fn resolve_leaves<'a>(&'a self, node: &RankNode, out: &mut Vec<LeafCtx<'a>>) {
         match node {
             RankNode::Term { spec, weight } => {
@@ -1288,12 +1201,12 @@ impl Engine {
                     cmp_docs: None,
                     bound: f64::INFINITY,
                     blocks: None,
-                    block_max: &[],
+                    block_max: Cow::Borrowed(&[]),
                 };
-                // Track the resolved-key shape for the pruning bound: a
-                // finite bound needs exactly one vocabulary key, because
-                // multi-key leaves sum tf across keys and take the max
-                // df — neither of which the per-key envelope covers.
+                // Track the resolved-key shape for the build-time bound:
+                // it needs exactly one vocabulary key, because multi-key
+                // leaves sum tf across keys and take the max df —
+                // neither of which the per-key envelope covers.
                 let mut single = None;
                 if let Some(mut resolved) = self.resolve_spec(spec) {
                     ctx.df = resolved.df;
@@ -1304,7 +1217,7 @@ impl Engine {
                 }
                 // Comparison leaves match on stored field values; their
                 // candidate docs come from the comparison, while scoring
-                // still goes through the postings (as the tree walk did).
+                // still goes through the postings.
                 if let Some(op) = spec.cmp {
                     ctx.cmp_docs = Some(self.eval_cmp(spec, op));
                 }
@@ -1312,19 +1225,15 @@ impl Engine {
                 // bounds the leaf, and when that bound is finite over
                 // non-empty postings its per-block maxima and the key's
                 // block postings let Block-Max-WAND skip through it.
-                let keyed = self
-                    .bounds
-                    .as_ref()
-                    .zip(single)
-                    .and_then(|(b, (field, key))| {
-                        let slot = self.index.slot(field, &key)?;
-                        Some((slot, b.get(slot)?))
-                    });
+                let keyed = single.and_then(|(field, key)| {
+                    let slot = self.index.slot(field, &key)?;
+                    Some((slot, self.bounds.get(slot)?))
+                });
                 ctx.bound = self.leaf_bound(&ctx, keyed.map(|(_, entry)| entry));
                 if let Some((slot, entry)) = keyed {
                     if ctx.bound.is_finite() && !ctx.postings.is_empty() {
-                        ctx.blocks = Some(self.index.list(slot).blocks());
-                        ctx.block_max = &entry.block_max;
+                        ctx.blocks = Some(Cow::Borrowed(self.index.list(slot).blocks()));
+                        ctx.block_max = Cow::Borrowed(&entry.block_max);
                     }
                 }
                 out.push(ctx);
@@ -1346,19 +1255,13 @@ impl Engine {
     }
 
     /// The largest contribution `leaf` can make to any local document's
-    /// score slot, as a float, given the sidecar entry of the single
-    /// vocabulary key it resolved to — `+inf` (no sound finite bound,
-    /// pruning disabled for the query) for comparison leaves, negative
-    /// or non-finite query weights, multi-key resolutions (no entry), or
-    /// a key whose recorded weight envelope is negative or non-finite. A
-    /// leaf with no local postings contributes exactly 0 on this engine.
+    /// score slot, as a float, given the build-time sidecar entry of
+    /// the single vocabulary key it resolved to — `+inf` (no build-time
+    /// bound) for comparison leaves, negative or non-finite query
+    /// weights, multi-key resolutions (no entry), or a key whose
+    /// recorded weight envelope is negative or non-finite. A leaf with
+    /// no local postings contributes exactly 0 on this engine.
     fn leaf_bound(&self, leaf: &LeafCtx<'_>, entry: Option<&TermBound>) -> f64 {
-        if self.bounds.is_none() {
-            return f64::INFINITY; // prune == Off: never consulted
-        }
-        // The sign tests are `total_cmp`: a weight of -0.0 would score
-        // -0.0, and the pruned loop's zero-fill owes its bit-equality
-        // to every non-positive score being +0.0.
         if leaf.cmp_docs.is_some()
             || !leaf.weight.is_finite()
             || leaf.weight.total_cmp(&0.0).is_lt()
@@ -1376,44 +1279,62 @@ impl Engine {
         }
     }
 
-    /// Term-at-a-time scores of one leaf over the sorted candidate
-    /// list: accumulate term frequencies by merge-joining each posting
-    /// list against the candidates (reusing `tf_scratch` across leaves),
-    /// then weight each nonzero slot.
-    fn leaf_slots(
-        &self,
-        leaf: &LeafCtx<'_>,
-        candidates: &[DocId],
-        tf_scratch: &mut Vec<u32>,
-    ) -> Vec<f64> {
-        tf_scratch.clear();
-        tf_scratch.resize(candidates.len(), 0);
-        for postings in &leaf.postings {
-            let mut ci = 0;
-            for (doc, tf) in postings.docs_tfs() {
-                while ci < candidates.len() && candidates[ci] < doc {
-                    ci += 1;
-                }
-                if ci == candidates.len() {
-                    break;
-                }
-                if candidates[ci] == doc {
-                    tf_scratch[ci] += tf;
-                }
+    /// Give every leaf the build-time sidecar left unbounded a sidecar
+    /// built for this query, in the same block format: its keys'
+    /// postings merged into one `(doc, tf)` list with tf summed per
+    /// document, per-block maxima of the very `weigh_leaf` values
+    /// survivors are scored with (so each bound holds bit-wise; a
+    /// non-finite maximum becomes `+inf`, which never skips), and the
+    /// whole-list bound they imply. An unfiltered `cmp` leaf keeps only
+    /// the query's candidates — documents in some `cmp` leaf's
+    /// comparison matches or in another leaf's postings — since no
+    /// other document is scored; under a filter the filter decides.
+    /// Costs one pass over those leaves' postings.
+    fn bound_at_query_time(&self, leaves: &mut [LeafCtx<'_>], filtered: bool) {
+        for i in 0..leaves.len() {
+            let leaf = &leaves[i];
+            if leaf.bound.is_finite() {
+                continue;
             }
-        }
-        let prepared = self.prepare_leaf(leaf.df);
-        candidates
-            .iter()
-            .zip(tf_scratch.iter())
-            .map(|(&doc, &tf)| {
-                if tf == 0 {
-                    0.0
-                } else {
-                    leaf.weight * self.weigh_leaf(prepared.as_ref(), doc, tf, leaf.df)
+            let mut list: Vec<(u32, u32)> = leaf
+                .postings
+                .iter()
+                .flat_map(|p| p.docs_tfs())
+                .map(|(doc, tf)| (doc.0, tf))
+                .collect();
+            // Stable: the keys' lists are sorted runs to merge.
+            list.sort_by_key(|&(doc, _)| doc);
+            list.dedup_by(|next, kept| {
+                let same = next.0 == kept.0;
+                if same {
+                    kept.1 += next.1;
                 }
-            })
-            .collect()
+                same
+            });
+            if leaf.cmp_docs.is_some() && !filtered {
+                retain_candidates(&mut list, leaves);
+            }
+            let prepared = self.prepare_leaf(leaf.df);
+            let block_max: Vec<f64> = list
+                .chunks(BLOCK_DOCS)
+                .map(|block| {
+                    let weights = block.iter().map(|&(doc, tf)| {
+                        self.weigh_leaf(prepared.as_ref(), DocId(doc), tf, leaf.df)
+                    });
+                    let max = weights.max_by(f64::total_cmp).unwrap_or(0.0);
+                    if max.is_finite() {
+                        max
+                    } else {
+                        f64::INFINITY
+                    }
+                })
+                .collect();
+            let max = block_max.iter().copied().fold(0.0, f64::max);
+            let leaf = &mut leaves[i];
+            leaf.bound = (leaf.weight * max).max(0.0);
+            leaf.blocks = Some(Cow::Owned(BlockPostings::encode(&list)));
+            leaf.block_max = Cow::Owned(block_max);
+        }
     }
 
     /// Compile the positional test of every `prox` node in the tree,
@@ -1506,25 +1427,33 @@ impl ResolvedTerm<'_> {
 
 /// Per-leaf query-time state, resolved exactly once per query: the
 /// query weight, the collection document frequency, the posting-list
-/// slice of every matched vocabulary key, and (for comparison leaves)
-/// the comparison-matched doc set.
+/// slice of every matched vocabulary key, (for comparison leaves) the
+/// comparison-matched doc set, and what the Block-Max-WAND cursor walks.
 struct LeafCtx<'a> {
     weight: f64,
     df: u32,
     postings: Vec<&'a PostingsList>,
     cmp_docs: Option<Vec<DocId>>,
     /// Upper bound (weight folded in) on this leaf's contribution to
-    /// any local document's score slot; `+inf` when no sound finite
-    /// bound exists — then the whole query falls back to the exact
-    /// unpruned path.
+    /// any local document's score slot.
     bound: f64,
-    /// Block postings of the leaf's single resolved key (set only when
-    /// `bound` is finite and postings exist) — what the Block-Max-WAND
-    /// cursor walks.
-    blocks: Option<&'a BlockPostings>,
-    /// Per-block maxima of the key's exact term weights (query weight
+    /// The leaf's postings in block form: its single key's own list
+    /// when the build-time sidecar bounds it, else the query-time merge
+    /// of [`Engine::bound_at_query_time`]. `None` without postings.
+    blocks: Option<Cow<'a, BlockPostings>>,
+    /// Per-block maxima of the leaf's exact term weights (query weight
     /// *not* folded in — applied at use), aligned with `blocks`.
-    block_max: &'a [f64],
+    block_max: Cow<'a, [f64]>,
+}
+
+impl LeafCtx<'_> {
+    fn blocks(&self) -> Option<&BlockPostings> {
+        self.blocks.as_deref()
+    }
+
+    fn block_max(&self) -> &[f64] {
+        &self.block_max
+    }
 }
 
 /// The bounded heap of a Block-Max-WAND query and the pruning threshold
@@ -1569,13 +1498,13 @@ impl Selection {
 /// every shard of a [`crate::ShardedEngine`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PruneReport {
-    /// Work entering ranked evaluation: on the Block-Max-WAND path the
-    /// total postings across all query leaves, on the unpruned fallback
-    /// the candidate documents of the k-way union.
+    /// Work entering ranked evaluation: the total postings across all
+    /// query leaves (a multi-key or `cmp` leaf counts its query-time
+    /// merged list).
     pub candidates: u64,
     /// Work skipped without computing an exact score: postings the BMW
     /// cursors never rested on, each one an avoided `term_weight`
-    /// computation. The unpruned fallback skips nothing.
+    /// computation.
     pub skipped_docs: u64,
     /// Whole 128-doc blocks the cursors jumped over without decoding.
     pub blocks_skipped: u64,
@@ -1660,32 +1589,28 @@ impl PruneHooks<'_> {
     }
 }
 
-/// Decide whether `node` (already flattened when the engine ignores
-/// fuzzy operators) has the shape the Block-Max-WAND evaluator handles:
-/// any tree of `term`/`list`/`and`/`or`/`and-not`/`prox`, every leaf
-/// carrying a finite whole-list bound and, when it has postings, block
-/// postings with one recorded maximum per block. `prox` prunes through
-/// its positions-ignored over-estimate (the fuzzy-`and` bound — the
-/// positional predicate only ever *zeroes* a score, so ignoring it
-/// dominates); survivors still run the exact positional check. Any
-/// other shape falls back to the exact unpruned path, where pruning is
-/// a documented no-op.
-fn bmw_eligible(node: &RankNode, leaves: &[LeafCtx<'_>]) -> bool {
-    fn shape_ok(node: &RankNode) -> bool {
-        match node {
-            RankNode::Term { .. } => true,
-            RankNode::List(c) | RankNode::And(c) | RankNode::Or(c) => c.iter().all(shape_ok),
-            RankNode::AndNot(a, b) => shape_ok(a) && shape_ok(b),
-            RankNode::Prox { left, right, .. } => shape_ok(left) && shape_ok(right),
-        }
-    }
-    shape_ok(node)
-        && !leaves.is_empty()
-        && leaves.iter().all(|l| {
-            l.bound.is_finite()
-                && (l.postings.is_empty()
-                    || matches!(l.blocks, Some(b) if b.n_blocks() == l.block_max.len()))
-        })
+/// Keep the entries of `list` (ascending docs) whose document is a
+/// candidate of the query `leaves` make up: in some `cmp` leaf's
+/// comparison matches, or in a non-`cmp` leaf's postings. One forward
+/// cursor per posting list, so the walk is a merge-join.
+fn retain_candidates(list: &mut Vec<(u32, u32)>, leaves: &[LeafCtx<'_>]) {
+    let matches: Vec<&[DocId]> = leaves
+        .iter()
+        .filter_map(|l| l.cmp_docs.as_deref())
+        .collect();
+    let mut cursors: Vec<BlockCursor<'_>> = leaves
+        .iter()
+        .filter(|l| l.cmp_docs.is_none())
+        .flat_map(|l| &l.postings)
+        .map(|p| BlockCursor::new(p.blocks()))
+        .collect();
+    list.retain(|&(doc, _)| {
+        matches.iter().any(|m| m.binary_search(&DocId(doc)).is_ok())
+            || cursors.iter_mut().any(|c| {
+                c.next_geq(doc);
+                c.doc() == doc
+            })
+    });
 }
 
 /// Whether an optional conjunct — a filter, a `prox` positional test —
@@ -1785,8 +1710,8 @@ impl<'r, 'a> LeafRow<'r, 'a> {
 /// base when positive and the positional test passes, else 0.
 ///
 /// With `EXACT` the row is one document's leaf values and the result
-/// is its score — what the unpruned path and Block-Max-WAND survivors
-/// return, bit for bit. Without it the row holds upper bounds, and two
+/// is its score — what Block-Max-WAND survivors return, bit for bit
+/// the oracle's per-document walk. Without it the row holds upper bounds, and two
 /// operators read differently so that the result dominates every
 /// score those bounds cover: `and-not` returns its positive side (the
 /// attenuation is a factor in `[0, 1]` and subtree scores are
@@ -1921,42 +1846,6 @@ fn compute_term_bounds(
         out.push(min, block_max);
     }
     out
-}
-
-/// One sorted doc-id stream feeding the candidate merge: either a
-/// block-decoding posting iterator or an owned doc set (comparison
-/// leaves).
-enum DocStream<'a> {
-    Postings(PostingsIter<'a>),
-    Ids(std::slice::Iter<'a, DocId>),
-}
-
-impl Iterator for DocStream<'_> {
-    type Item = DocId;
-
-    fn next(&mut self) -> Option<DocId> {
-        match self {
-            DocStream::Postings(it) => it.next().map(|(doc, _)| doc),
-            DocStream::Ids(it) => it.next().copied(),
-        }
-    }
-}
-
-/// The candidate set of a ranking expression — any doc matching any
-/// leaf — built by a single k-way merge over all posting lists.
-fn candidate_docs(leaves: &[LeafCtx<'_>]) -> Vec<DocId> {
-    let mut streams = Vec::new();
-    for leaf in leaves {
-        match &leaf.cmp_docs {
-            Some(ids) => streams.push(DocStream::Ids(ids.iter())),
-            None => {
-                for postings in &leaf.postings {
-                    streams.push(DocStream::Postings(postings.docs_tfs()));
-                }
-            }
-        }
-    }
-    kway_union(streams)
 }
 
 fn leaf_weight(node: &RankNode) -> f64 {
@@ -2380,16 +2269,50 @@ mod tests {
 
     #[test]
     fn cmp_leaves_keep_their_candidates_on_the_fast_path() {
-        let e = engine();
-        // A comparison leaf inside a ranking expression: candidates come
-        // from the stored-value comparison, not the inverted index.
-        let expr = RankNode::List(vec![
-            RankNode::term(TermSpec::any("databases")),
-            RankNode::term(
-                TermSpec::fielded("date-last-modified", "1996-01-01").with_cmp(CmpOp::Gt),
-            ),
-        ]);
-        assert_eq!(e.eval_ranking(&expr), e.eval_ranking_naive(&expr));
+        // A comparison leaf inside a ranking expression: its candidates
+        // come from the stored-value comparison, not the inverted
+        // index, while its value comes from its term's postings. Doc 3
+        // holds the term "1995" but matches neither the comparison nor
+        // `alpha`, so it is no candidate and must not score — although
+        // its posting on the `cmp` leaf is positive.
+        let docs: Vec<Document> = [
+            ("1995", "alpha"),
+            ("1996", "beta"),
+            ("1997", "alpha"),
+            ("1995", "beta"),
+        ]
+        .map(|(year, body)| {
+            Document::new()
+                .field("year", year)
+                .field("body-of-text", body)
+        })
+        .to_vec();
+        for ranking_id in ["Acme-1", "Plain-1"] {
+            let e = Engine::build(
+                &docs,
+                EngineConfig {
+                    ranking_id: ranking_id.to_string(),
+                    ..EngineConfig::default()
+                },
+            );
+            let expr = RankNode::List(vec![
+                RankNode::term(TermSpec::any("alpha")),
+                RankNode::term(TermSpec::fielded("year", "1995").with_cmp(CmpOp::Gt)),
+            ]);
+            let naive = e.eval_ranking_naive(&expr);
+            assert!(naive.iter().all(|&(doc, _)| doc != DocId(3)), "{naive:?}");
+            assert_eq!(e.eval_ranking(&expr), naive);
+            for k in 0..=naive.len() + 1 {
+                let bounded = e.eval_ranking_top_k(&expr, Some(k));
+                assert_eq!(bounded, naive[..k.min(naive.len())], "k={k}");
+            }
+            // Under a filter every filter document is scored, doc 3 too.
+            let filter = BoolNode::Term(TermSpec::any("beta"));
+            assert_eq!(
+                e.search(Some(&filter), Some(&expr)),
+                e.search_naive(Some(&filter), Some(&expr))
+            );
+        }
     }
 
     #[test]

@@ -44,8 +44,7 @@ pub use blocks::{BlockCursor, BlockHeader, BlockPostings, BLOCK_DOCS};
 pub use boolean::BoolNode;
 pub use doc::{DocId, Document, FieldValue};
 pub use engine::{
-    Engine, EngineConfig, Hit, PruneMode, PruneReport, RankNode, ResolvedTerm, ShardPolicy,
-    TermStat,
+    Engine, EngineConfig, Hit, PruneReport, RankNode, ResolvedTerm, ShardPolicy, TermStat,
 };
 pub use index::{
     Index, IndexBuilder, PositionsMode, PostingsFootprint, PostingsIter, PostingsList, TermBounds,

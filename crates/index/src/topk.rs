@@ -1,17 +1,17 @@
-//! Bounded top-k selection and k-way doc-id merging — the building
-//! blocks of the query fast path.
+//! Bounded top-k selection and the exact merge of ranked lists — the
+//! building blocks of the query fast path.
 //!
 //! `AnswerSpec.max_documents` caps every STARTS result list, yet the
 //! naive evaluator scored and fully sorted every candidate before
-//! truncating. This module provides the two primitives that let the
-//! engine do only `O(n log k)` work instead:
+//! truncating. This module provides what lets the engine do only
+//! `O(n log k)` work instead:
 //!
 //! * [`TopK`] — a bounded min-heap that keeps the best `k`
 //!   `(doc, score)` pairs under the engine's result order (score
-//!   descending via [`f64::total_cmp`], doc id ascending on ties);
-//! * `kway_union` (crate-private) — a single heap-driven merge of many sorted doc-id
-//!   streams into one sorted, deduplicated candidate list, replacing
-//!   the quadratic repeated two-way `union`.
+//!   descending via [`f64::total_cmp`], doc id ascending on ties), and
+//!   whose floor is the Block-Max-WAND threshold;
+//! * [`merge_ranked`] — the bounded k-way merge of per-shard ranked
+//!   lists into the global order.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
@@ -192,37 +192,6 @@ pub fn merge_ranked(lists: Vec<Vec<(DocId, f64)>>, limit: Option<usize>) -> Vec<
     out
 }
 
-/// Merge any number of sorted (ascending) doc-id streams into one
-/// sorted, deduplicated vector — the candidate set of a ranking
-/// expression, built in one pass over all posting lists.
-pub(crate) fn kway_union<I>(streams: Vec<I>) -> Vec<DocId>
-where
-    I: Iterator<Item = DocId>,
-{
-    let mut streams = streams;
-    if streams.len() == 1 {
-        let mut out: Vec<DocId> = streams.pop().expect("one stream").collect();
-        out.dedup();
-        return out;
-    }
-    let mut heap: BinaryHeap<Reverse<(DocId, usize)>> = BinaryHeap::with_capacity(streams.len());
-    for (i, s) in streams.iter_mut().enumerate() {
-        if let Some(doc) = s.next() {
-            heap.push(Reverse((doc, i)));
-        }
-    }
-    let mut out: Vec<DocId> = Vec::new();
-    while let Some(Reverse((doc, i))) = heap.pop() {
-        if out.last() != Some(&doc) {
-            out.push(doc);
-        }
-        if let Some(next) = streams[i].next() {
-            heap.push(Reverse((next, i)));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,27 +263,5 @@ mod tests {
         );
         assert_eq!(merge_ranked(vec![a.clone()], None), a);
         assert!(merge_ranked(Vec::new(), Some(3)).is_empty());
-    }
-
-    #[test]
-    fn kway_union_merges_and_dedups() {
-        let a = vec![DocId(0), DocId(2), DocId(4)];
-        let b = vec![DocId(1), DocId(2), DocId(5)];
-        let c = vec![DocId(2), DocId(4)];
-        let merged = kway_union(vec![a.into_iter(), b.into_iter(), c.into_iter()]);
-        assert_eq!(
-            merged,
-            vec![DocId(0), DocId(1), DocId(2), DocId(4), DocId(5)]
-        );
-    }
-
-    #[test]
-    fn kway_union_edge_cases() {
-        assert!(kway_union(Vec::<std::vec::IntoIter<DocId>>::new()).is_empty());
-        let single = vec![DocId(3), DocId(3), DocId(7)];
-        assert_eq!(
-            kway_union(vec![single.into_iter()]),
-            vec![DocId(3), DocId(7)]
-        );
     }
 }

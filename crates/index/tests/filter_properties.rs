@@ -9,16 +9,17 @@
 //!   naive oracle (`Engine::search_naive`: brute-force set, per-document
 //!   walk, full sort) — scores bit-equal, ties in doc order, the
 //!   zero-scoring tail of the filter set included when the positive
-//!   scorers run out — for every ranker, shard count, `k`, score floor
-//!   and prune mode;
+//!   scorers run out — for every ranker, shard count, `k` and score
+//!   floor, and an unfiltered ranking over the same leaves (multi-key and
+//!   comparison ones included) answers the oracle's list as well;
 //! * the laziness is real: a `prox` filter that admits every document of
 //!   a 5,000-document collection costs a bounded query a few dozen
 //!   position checks, not 5,000.
 
 use proptest::prelude::*;
 use starts_index::{
-    BoolNode, CmpOp, DocId, Document, Engine, EngineConfig, Hit, PositionsMode, PruneMode,
-    RankNode, SearchOptions, ShardPolicy, ShardedEngine, TermMatch, TermSpec,
+    BoolNode, CmpOp, DocId, Document, Engine, EngineConfig, Hit, PositionsMode, RankNode,
+    SearchOptions, ShardPolicy, ShardedEngine, TermMatch, TermSpec,
 };
 use starts_text::{AnalyzerConfig, StopWordList};
 
@@ -149,9 +150,9 @@ fn arb_rank_leaf() -> impl Strategy<Value = RankNode> {
     (word, 1u32..=4).prop_map(|(w, q)| RankNode::weighted(TermSpec::any(w), f64::from(q) * 0.25))
 }
 
-/// Ranking trees: mostly the shapes Block-Max WAND prunes through, plus
-/// multi-key and comparison leaves that force the drain-and-score
-/// fallback.
+/// Ranking trees over single-key leaves, plus the multi-key and
+/// comparison leaves Block-Max WAND bounds with a sidecar built at
+/// query time.
 fn arb_ranking() -> impl Strategy<Value = RankNode> {
     let leaf = prop_oneof![
         8 => arb_rank_leaf(),
@@ -188,7 +189,7 @@ fn arb_ranking_id() -> impl Strategy<Value = &'static str> {
     ]
 }
 
-fn config(ranking_id: &str, prune: PruneMode, shards: usize) -> EngineConfig {
+fn config(ranking_id: &str, shards: usize) -> EngineConfig {
     EngineConfig {
         analyzer: AnalyzerConfig {
             stop_words: StopWordList::none(),
@@ -197,7 +198,6 @@ fn config(ranking_id: &str, prune: PruneMode, shards: usize) -> EngineConfig {
         ranking_id: ranking_id.to_string(),
         shards,
         shard_policy: ShardPolicy::Exact,
-        prune,
         ..EngineConfig::default()
     }
 }
@@ -224,7 +224,7 @@ proptest! {
     ) {
         let engine = Engine::build(
             &docs,
-            EngineConfig { positions, ..config("Acme-1", PruneMode::Auto, 1) },
+            EngineConfig { positions, ..config("Acme-1", 1) },
         );
         prop_assert_eq!(engine.eval_filter(&filter), engine.eval_filter_sets(&filter));
     }
@@ -234,10 +234,10 @@ proptest! {
     /// walk stops at the one that fills `k`).
     #[test]
     fn bounded_filter_only_is_a_prefix(docs in arb_corpus(), filter in arb_filter()) {
-        let mono = Engine::build(&docs, config("Acme-1", PruneMode::Auto, 1));
+        let mono = Engine::build(&docs, config("Acme-1", 1));
         let full = mono.search_naive(Some(&filter), None);
         for &shards in SHARD_COUNTS {
-            let sharded = ShardedEngine::build(&docs, config("Acme-1", PruneMode::Auto, shards));
+            let sharded = ShardedEngine::build(&docs, config("Acme-1", shards));
             prop_assert_eq!(&sharded.search(Some(&filter), None), &full, "shards={}", shards);
             for k in limits(docs.len()) {
                 let got = sharded.search_top_k(Some(&filter), None, Some(k));
@@ -247,8 +247,8 @@ proptest! {
     }
 
     /// Filtered top-k ≡ the naive oracle's prefix: every ranker, shard
-    /// count, `k`, score floor, and both prune modes. The unbounded
-    /// call must be the oracle's whole list.
+    /// count, `k` and score floor. The unbounded call must be the
+    /// oracle's whole list.
     #[test]
     fn filtered_top_k_equals_naive(
         docs in arb_corpus(),
@@ -257,29 +257,49 @@ proptest! {
         ranking_id in arb_ranking_id(),
         floor in prop_oneof![Just(f64::NEG_INFINITY), Just(0.0), Just(0.2), Just(1.5)],
     ) {
-        let mono = Engine::build(&docs, config(ranking_id, PruneMode::Off, 1));
+        let mono = Engine::build(&docs, config(ranking_id, 1));
         let full = mono.search_naive(Some(&filter), Some(&ranking));
         prop_assert_eq!(&mono.search(Some(&filter), Some(&ranking)), &full);
         let floored = at_or_above(full.clone(), floor);
         for &shards in SHARD_COUNTS {
-            for prune in [PruneMode::Auto, PruneMode::Off] {
-                let sharded = ShardedEngine::build(&docs, config(ranking_id, prune, shards));
-                for k in limits(docs.len()) {
-                    let plain = sharded.search_top_k(Some(&filter), Some(&ranking), Some(k));
-                    prop_assert_eq!(
-                        &plain[..], &full[..k.min(full.len())],
-                        "shards={} prune={:?} k={}", shards, prune, k
-                    );
-                    let (got, _, _) = sharded.search_top_k_observed(
-                        Some(&filter),
-                        Some(&ranking),
-                        &SearchOptions { limit: Some(k), min_score: floor },
-                    );
-                    prop_assert_eq!(
-                        &at_or_above(got, floor)[..], &floored[..k.min(floored.len())],
-                        "shards={} prune={:?} k={} floor={}", shards, prune, k, floor
-                    );
-                }
+            let sharded = ShardedEngine::build(&docs, config(ranking_id, shards));
+            for k in limits(docs.len()) {
+                let plain = sharded.search_top_k(Some(&filter), Some(&ranking), Some(k));
+                prop_assert_eq!(
+                    &plain[..], &full[..k.min(full.len())],
+                    "shards={} k={}", shards, k
+                );
+                let (got, _, _) = sharded.search_top_k_observed(
+                    Some(&filter),
+                    Some(&ranking),
+                    &SearchOptions { limit: Some(k), min_score: floor },
+                );
+                prop_assert_eq!(
+                    &at_or_above(got, floor)[..], &floored[..k.min(floored.len())],
+                    "shards={} k={} floor={}", shards, k, floor
+                );
+            }
+        }
+    }
+
+    /// The same rankings without a filter ≡ the naive oracle, bounded
+    /// and unbounded, at every shard count: a comparison leaf scores
+    /// only the query's candidates, and a multi-key leaf sums its keys'
+    /// term frequencies.
+    #[test]
+    fn unfiltered_ranking_equals_naive(
+        docs in arb_corpus(),
+        ranking in arb_ranking(),
+        ranking_id in arb_ranking_id(),
+    ) {
+        let mono = Engine::build(&docs, config(ranking_id, 1));
+        let full = mono.search_naive(None, Some(&ranking));
+        for &shards in SHARD_COUNTS {
+            let sharded = ShardedEngine::build(&docs, config(ranking_id, shards));
+            prop_assert_eq!(&sharded.search(None, Some(&ranking)), &full, "shards={}", shards);
+            for k in limits(docs.len()) {
+                let got = sharded.search_top_k(None, Some(&ranking), Some(k));
+                prop_assert_eq!(&got[..], &full[..k.min(full.len())], "shards={} k={}", shards, k);
             }
         }
     }
@@ -287,7 +307,7 @@ proptest! {
 
 /// Zero-fill, pinned: three documents pass the filter, one of them
 /// scores, `k` wants more than that — the scorer leads and the other two
-/// follow at 0.0 in doc order, identically under both prune modes.
+/// follow at 0.0 in doc order, at every shard count.
 #[test]
 fn zero_fill_appends_the_filter_set_in_doc_order() {
     let bodies = ["alpha", "beta", "alpha gamma", "beta", "alpha"];
@@ -297,21 +317,15 @@ fn zero_fill_appends_the_filter_set_in_doc_order() {
         .collect();
     let filter = BoolNode::Term(TermSpec::any("alpha"));
     let ranking = RankNode::term(TermSpec::any("gamma"));
-    for prune in [PruneMode::Auto, PruneMode::Off] {
-        for &shards in &[1, 2, 5] {
-            let engine = ShardedEngine::build(&docs, config("Plain-1", prune, shards));
-            let hits = engine.search_top_k(Some(&filter), Some(&ranking), Some(4));
-            let order: Vec<DocId> = hits.iter().map(|h| h.doc).collect();
-            assert_eq!(
-                order,
-                vec![DocId(2), DocId(0), DocId(4)],
-                "{prune:?} {shards}"
-            );
-            assert!(hits[0].score.unwrap() > 0.0);
-            assert_eq!(hits[1].score.map(f64::to_bits), Some(0.0_f64.to_bits()));
-            let two = engine.search_top_k(Some(&filter), Some(&ranking), Some(2));
-            assert_eq!(two, hits[..2]);
-        }
+    for &shards in &[1, 2, 5] {
+        let engine = ShardedEngine::build(&docs, config("Plain-1", shards));
+        let hits = engine.search_top_k(Some(&filter), Some(&ranking), Some(4));
+        let order: Vec<DocId> = hits.iter().map(|h| h.doc).collect();
+        assert_eq!(order, vec![DocId(2), DocId(0), DocId(4)], "{shards}");
+        assert!(hits[0].score.unwrap() > 0.0);
+        assert_eq!(hits[1].score.map(f64::to_bits), Some(0.0_f64.to_bits()));
+        let two = engine.search_top_k(Some(&filter), Some(&ranking), Some(2));
+        assert_eq!(two, hits[..2]);
     }
 }
 
@@ -344,8 +358,8 @@ fn prox_filter_checks_positions_only_for_heap_entrants() {
         limit: Some(10),
         min_score: f64::NEG_INFINITY,
     };
-    let auto = ShardedEngine::build(&docs, config("Acme-1", PruneMode::Auto, 1));
-    let (hits, _, report) = auto.search_top_k_observed(Some(&filter), Some(&ranking), &opts);
+    let engine = ShardedEngine::build(&docs, config("Acme-1", 1));
+    let (hits, _, report) = engine.search_top_k_observed(Some(&filter), Some(&ranking), &opts);
     assert_eq!(hits.len(), 10);
     assert!(
         (1..=200).contains(&report.positional_checks),
@@ -357,14 +371,14 @@ fn prox_filter_checks_positions_only_for_heap_entrants() {
         "{report:?}"
     );
 
-    let off = ShardedEngine::build(&docs, config("Acme-1", PruneMode::Off, 1));
-    let (expect, _, off_report) = off.search_top_k_observed(Some(&filter), Some(&ranking), &opts);
-    assert_eq!(hits, expect);
-    // The unpruned path drains the filter: one check per document.
-    assert_eq!(off_report.positional_checks, 5000, "{off_report:?}");
+    let oracle = Engine::build(&docs, config("Acme-1", 1));
+    assert_eq!(
+        hits,
+        oracle.search_naive(Some(&filter), Some(&ranking))[..10]
+    );
 
-    // The same `prox` ranking an unbounded query costs the same checks,
-    // and says so: every document scores both sides.
+    // The same `prox` as a ranking, unbounded: every document scores
+    // both sides, so every one pays its position check, and says so.
     let ranked_prox = RankNode::Prox {
         left: Box::new(RankNode::term(TermSpec::any("alpha"))),
         right: Box::new(RankNode::term(TermSpec::any("beta"))),
@@ -375,16 +389,12 @@ fn prox_filter_checks_positions_only_for_heap_entrants() {
         limit: None,
         min_score: f64::NEG_INFINITY,
     };
-    let (all, _, report) = auto.search_top_k_observed(None, Some(&ranked_prox), &unbounded);
+    let (all, _, report) = engine.search_top_k_observed(None, Some(&ranked_prox), &unbounded);
     assert_eq!(all.len(), 5000);
-    assert!(report.positional_checks > 0, "{report:?}");
-    assert_eq!(
-        report.positional_checks, off_report.positional_checks,
-        "{report:?}"
-    );
+    assert_eq!(report.positional_checks, 5000, "{report:?}");
 
     // Filter-only with a bound: ten documents walked, ten confirmed.
-    let (first, _, report) = auto.search_top_k_observed(Some(&filter), None, &opts);
+    let (first, _, report) = engine.search_top_k_observed(Some(&filter), None, &opts);
     assert_eq!(first.len(), 10);
     assert_eq!(report.positional_checks, 10, "{report:?}");
     assert!(report.filter_advances <= 10, "{report:?}");

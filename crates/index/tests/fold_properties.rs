@@ -13,8 +13,7 @@ use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 use starts_index::{
-    BoolNode, Document, Engine, EngineConfig, PruneMode, RankNode, ShardPolicy, ShardedEngine,
-    TermSpec,
+    BoolNode, Document, Engine, EngineConfig, RankNode, ShardPolicy, ShardedEngine, TermSpec,
 };
 use starts_text::{fold_case, AnalyzerConfig, CaseMode, StopWordList, TokenizerKind};
 
@@ -62,7 +61,7 @@ fn arb_ranking_id() -> impl Strategy<Value = &'static str> {
 
 /// A case-sensitive engine that keeps every letter of a word: split on
 /// whitespace only, no stop words, no stemming.
-fn config(ranking_id: &str, prune: PruneMode, shards: usize) -> EngineConfig {
+fn config(ranking_id: &str, shards: usize) -> EngineConfig {
     EngineConfig {
         analyzer: AnalyzerConfig {
             tokenizer: TokenizerKind::Whitespace,
@@ -74,7 +73,6 @@ fn config(ranking_id: &str, prune: PruneMode, shards: usize) -> EngineConfig {
         ranking_id: ranking_id.to_string(),
         shards,
         shard_policy: ShardPolicy::Exact,
-        prune,
         ..EngineConfig::default()
     }
 }
@@ -116,7 +114,7 @@ proptest! {
         // At most ~80 of them, spread over the sorted list.
         let terms: Vec<&String> = terms.iter().step_by(terms.len().div_ceil(80)).collect();
         for &shards in SHARD_COUNTS {
-            let engine = ShardedEngine::build(&docs, config("Acme-1", PruneMode::Auto, shards));
+            let engine = ShardedEngine::build(&docs, config("Acme-1", shards));
             for shard in engine.shards() {
                 for field in FIELDS {
                     for term in &terms {
@@ -156,15 +154,12 @@ proptest! {
             specs.iter().map(|(s, w)| RankNode::weighted(s.clone(), *w)).collect(),
         );
 
-        let mono = Engine::build(&docs, config(ranking_id, PruneMode::Off, 1));
+        let mono = Engine::build(&docs, config(ranking_id, 1));
         prop_assert_eq!(mono.eval_filter(&filter), mono.eval_filter_sets(&filter));
-        let mut engines = Vec::new();
-        for &shards in SHARD_COUNTS {
-            for prune in [PruneMode::Auto, PruneMode::Off] {
-                let engine = ShardedEngine::build(&docs, config(ranking_id, prune, shards));
-                engines.push((shards, prune, engine));
-            }
-        }
+        let engines: Vec<(usize, ShardedEngine)> = SHARD_COUNTS
+            .iter()
+            .map(|&shards| (shards, ShardedEngine::build(&docs, config(ranking_id, shards))))
+            .collect();
         for (f, r) in [
             (Some(&filter), None),
             (None, Some(&ranking)),
@@ -172,11 +167,11 @@ proptest! {
         ] {
             let full = mono.search_naive(f, r);
             prop_assert_eq!(&mono.search(f, r), &full);
-            for (shards, prune, engine) in &engines {
+            for (shards, engine) in &engines {
                 prop_assert_eq!(
                     &engine.search_top_k(f, r, Some(k))[..], &full[..k.min(full.len())],
-                    "shards={} prune={:?} filter={} ranked={}",
-                    shards, prune, f.is_some(), r.is_some()
+                    "shards={} filter={} ranked={}",
+                    shards, f.is_some(), r.is_some()
                 );
             }
         }
@@ -193,7 +188,7 @@ fn non_ascii_folds_resolve_like_the_scan() {
         Document::new().field("body-of-text", "ΣΟΦΙΑ σοφια ς σ Σ"),
     ];
     for shards in SHARD_COUNTS {
-        let engine = ShardedEngine::build(&docs, config("Acme-1", PruneMode::Auto, *shards));
+        let engine = ShardedEngine::build(&docs, config("Acme-1", *shards));
         for shard in engine.shards() {
             let keys = |term: &str| shard.resolved_keys(&TermSpec::any(term)).unwrap();
             for term in ["kelvin", "i\u{307}stanbul", "istanbul", "straße", "σ", "ς"] {

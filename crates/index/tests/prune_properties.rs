@@ -1,17 +1,17 @@
 //! Property-based tests for dynamic pruning: the Block-Max-WAND top-k
 //! path must be *bit-identical* — scores, ordering, and doc-id
-//! tie-breaks — to the naive full-sort evaluator and to an engine with
-//! pruning disabled, for every ranking algorithm, for flat weighted
-//! term lists, for the and/or/weighted/prox operator trees BMW prunes
-//! *through* (prox via its positions-ignored over-estimate; survivors
-//! still run the exact positional check), and for arbitrary
+//! tie-breaks — to the naive full-sort oracle (`Engine::search_naive`,
+//! `Engine::eval_ranking_naive`), for every ranking algorithm, for flat
+//! weighted term lists, for the and/or/weighted/prox operator trees BMW
+//! prunes *through* (prox via its positions-ignored over-estimate;
+//! survivors still run the exact positional check), and for arbitrary
 //! expressions, across shard counts {1, 2, 3, 7} and
 //! k ∈ {1, 10, > corpus}.
 
 use proptest::prelude::*;
 use starts_index::{
-    BoolNode, Document, Engine, EngineConfig, PositionsMode, PruneMode, RankNode, SearchOptions,
-    ShardPolicy, ShardedEngine, TermSpec,
+    BoolNode, Document, Engine, EngineConfig, PositionsMode, RankNode, SearchOptions, ShardPolicy,
+    ShardedEngine, TermSpec,
 };
 
 /// The same tiny closed vocabulary the other property suites use, so
@@ -111,7 +111,7 @@ fn arb_ranking_id() -> impl Strategy<Value = &'static str> {
     ]
 }
 
-fn config(ranking_id: &str, prune: PruneMode, shards: usize) -> EngineConfig {
+fn config(ranking_id: &str, shards: usize) -> EngineConfig {
     EngineConfig {
         ranking_id: ranking_id.to_string(),
         fuzzy_ranking_ops: true,
@@ -119,7 +119,6 @@ fn config(ranking_id: &str, prune: PruneMode, shards: usize) -> EngineConfig {
         // The properties quantify over physical shard counts — build
         // exactly what the strategy drew, whatever machine runs CI.
         shard_policy: ShardPolicy::Exact,
-        prune,
         ..EngineConfig::default()
     }
 }
@@ -143,7 +142,7 @@ fn pruner_engages_on_skewed_corpus() {
     for _ in 0..9 {
         docs.push(Document::new().field("body-of-text", "alpha"));
     }
-    let engine = ShardedEngine::build(&docs, config("Plain-1", PruneMode::Auto, 1));
+    let engine = ShardedEngine::build(&docs, config("Plain-1", 1));
     let expr = RankNode::List(vec![
         RankNode::term(TermSpec::fielded("body-of-text", "alpha")),
         RankNode::term(TermSpec::fielded("body-of-text", "omega")),
@@ -178,7 +177,7 @@ fn block_max_wand_skips_blocks() {
         let body = if d == 0 || d == 650 { heavy } else { "alpha" };
         docs.push(Document::new().field("body-of-text", body));
     }
-    let engine = ShardedEngine::build(&docs, config("Plain-1", PruneMode::Auto, 1));
+    let engine = ShardedEngine::build(&docs, config("Plain-1", 1));
     let expr = RankNode::List(vec![
         RankNode::term(TermSpec::fielded("body-of-text", "alpha")),
         RankNode::term(TermSpec::fielded("body-of-text", "omega")),
@@ -200,10 +199,8 @@ fn block_max_wand_skips_blocks() {
     assert!(report.skipped_docs > 600, "{report:?}");
     assert!(report.candidates >= 700, "{report:?}");
     // Skipping must not have changed the answer.
-    let off = ShardedEngine::build(&docs, config("Plain-1", PruneMode::Off, 1));
-    let (expect, _, off_report) = off.search_top_k_observed(None, Some(&expr), &opts);
-    assert_eq!(hits, expect);
-    assert_eq!(off_report.blocks_skipped, 0, "{off_report:?}");
+    let oracle = Engine::build(&docs, config("Plain-1", 1));
+    assert_eq!(hits, oracle.search_naive(None, Some(&expr))[..1]);
 }
 
 /// Block-Max WAND must prune *through* `prox`, not fall back on it:
@@ -234,8 +231,8 @@ fn bmw_prunes_through_prox() {
         limit: Some(1),
         min_score: f64::NEG_INFINITY,
     };
-    let auto = ShardedEngine::build(&docs, config("Plain-1", PruneMode::Auto, 1));
-    let (hits, _, report) = auto.search_top_k_observed(None, Some(&expr), &opts);
+    let engine = ShardedEngine::build(&docs, config("Plain-1", 1));
+    let (hits, _, report) = engine.search_top_k_observed(None, Some(&expr), &opts);
     assert_eq!(hits.len(), 1);
     // Docs 0 and 650 tie; the smaller doc id wins.
     assert_eq!(hits[0].doc, starts_index::DocId(0));
@@ -244,9 +241,8 @@ fn bmw_prunes_through_prox() {
         "prox tree fell back to the exact scan: {report:?}"
     );
     // Skipping through the over-estimate must not change the answer.
-    let off = ShardedEngine::build(&docs, config("Plain-1", PruneMode::Off, 1));
-    let (expect, _, _) = off.search_top_k_observed(None, Some(&expr), &opts);
-    assert_eq!(hits, expect);
+    let oracle = Engine::build(&docs, config("Plain-1", 1));
+    assert_eq!(hits, oracle.search_naive(None, Some(&expr))[..1]);
 }
 
 proptest! {
@@ -259,7 +255,7 @@ proptest! {
         expr in arb_flat_list(),
         ranking_id in arb_ranking_id(),
     ) {
-        let engine = Engine::build(&docs, config(ranking_id, PruneMode::Auto, 1));
+        let engine = Engine::build(&docs, config(ranking_id, 1));
         let full = engine.eval_ranking_naive(&expr);
         for k in limits(docs.len()) {
             let bounded = engine.eval_ranking_top_k(&expr, Some(k));
@@ -278,7 +274,7 @@ proptest! {
         expr in arb_bmw_tree(),
         ranking_id in arb_ranking_id(),
     ) {
-        let engine = Engine::build(&docs, config(ranking_id, PruneMode::Auto, 1));
+        let engine = Engine::build(&docs, config(ranking_id, 1));
         let full = engine.eval_ranking_naive(&expr);
         for k in limits(docs.len()) {
             let bounded = engine.eval_ranking_top_k(&expr, Some(k));
@@ -286,50 +282,46 @@ proptest! {
         }
     }
 
-    /// Block-max sharded fan-out on operator trees ≡ the monolithic
-    /// engine with pruning off, at every shard count and k regime.
+    /// Block-max sharded fan-out on operator trees ≡ the first `k` of
+    /// the monolithic oracle, at every shard count and k regime.
     #[test]
     fn bmw_tree_sharded_equals_unpruned_monolithic(
         docs in arb_corpus(),
         expr in arb_bmw_tree(),
         ranking_id in arb_ranking_id(),
     ) {
-        let mono = Engine::build(&docs, config(ranking_id, PruneMode::Off, 1));
+        let mono = Engine::build(&docs, config(ranking_id, 1));
+        let full = mono.search_naive(None, Some(&expr));
         for &shards in SHARD_COUNTS {
-            let sharded = ShardedEngine::build(&docs, config(ranking_id, PruneMode::Auto, shards));
+            let sharded = ShardedEngine::build(&docs, config(ranking_id, shards));
             for k in limits(docs.len()) {
-                let expect = mono.search_top_k(None, Some(&expr), Some(k));
                 let got = sharded.search_top_k(None, Some(&expr), Some(k));
-                prop_assert_eq!(got, expect, "shards={} k={}", shards, k);
+                prop_assert_eq!(&got[..], &full[..k.min(full.len())], "shards={} k={}", shards, k);
             }
         }
     }
 
-    /// `PruneMode::Auto` ≡ `PruneMode::Off` on arbitrary operator
-    /// trees: expressions the eligibility gate accepts (now including
-    /// `prox`, bounded by its positions-ignored over-estimate) must
-    /// prune bit-identically, and the ones it still rejects must take
-    /// the exact fallback.
+    /// The one ranked path ≡ the naive oracle on arbitrary operator
+    /// trees, bounded and unbounded: every leaf shape is bounded —
+    /// `prox` by its positions-ignored over-estimate, multi-key and
+    /// `cmp` leaves by a sidecar built at query time.
     #[test]
-    fn prune_auto_equals_prune_off(
+    fn arbitrary_trees_equal_naive(
         docs in arb_corpus(),
         expr in arb_rank_expr(),
         ranking_id in arb_ranking_id(),
         k in 0usize..25,
     ) {
-        let auto = Engine::build(&docs, config(ranking_id, PruneMode::Auto, 1));
-        let off = Engine::build(&docs, config(ranking_id, PruneMode::Off, 1));
-        prop_assert_eq!(
-            auto.eval_ranking_top_k(&expr, Some(k)),
-            off.eval_ranking_top_k(&expr, Some(k))
-        );
+        let engine = Engine::build(&docs, config(ranking_id, 1));
+        let full = engine.eval_ranking_naive(&expr);
+        prop_assert_eq!(engine.eval_ranking_top_k(&expr, None), full.clone());
+        prop_assert_eq!(&engine.eval_ranking_top_k(&expr, Some(k))[..], &full[..k.min(full.len())]);
     }
 
     /// Pruned sharded search (the floor carried from shard to shard) ≡
-    /// the monolithic engine with pruning off, in every query mode, at
-    /// every shard count — the engine with pruning off skips no
-    /// document and no block, and the pruning report is a function of
-    /// the query: asking twice reports the same work.
+    /// the first `k` of the monolithic oracle, in every query mode, at
+    /// every shard count — and the pruning report is a function of the
+    /// query: asking twice reports the same work.
     #[test]
     fn pruned_sharded_equals_unpruned_monolithic(
         docs in arb_corpus(),
@@ -337,26 +329,23 @@ proptest! {
         expr in arb_flat_list(),
         ranking_id in arb_ranking_id(),
     ) {
-        let mono = ShardedEngine::build(&docs, config(ranking_id, PruneMode::Off, 1));
+        let mono = Engine::build(&docs, config(ranking_id, 1));
         let filter = BoolNode::Term(TermSpec::any(VOCAB[filter_term]));
         for &shards in SHARD_COUNTS {
-            let sharded = ShardedEngine::build(&docs, config(ranking_id, PruneMode::Auto, shards));
+            let sharded = ShardedEngine::build(&docs, config(ranking_id, shards));
             for (f, r) in [
                 (Some(&filter), None),
                 (None, Some(&expr)),
                 (Some(&filter), Some(&expr)),
             ] {
+                let full = mono.search_naive(f, r);
                 for k in limits(docs.len()) {
                     let opts = SearchOptions { limit: Some(k), ..SearchOptions::default() };
-                    let (expect, _, off) = mono.search_top_k_observed(f, r, &opts);
-                    prop_assert!(
-                        off.skipped_docs == 0 && off.blocks_skipped == 0,
-                        "prune Off skipped work: {:?}", off
-                    );
+                    let expect = &full[..k.min(full.len())];
                     let (got, _, report) = sharded.search_top_k_observed(f, r, &opts);
                     let (_, _, again) = sharded.search_top_k_observed(f, r, &opts);
                     prop_assert_eq!(
-                        got, expect,
+                        &got[..], expect,
                         "shards={} k={} filter={} ranked={}",
                         shards, k, f.is_some(), r.is_some()
                     );
@@ -377,12 +366,12 @@ proptest! {
         ranking_id in arb_ranking_id(),
         k in 1usize..25,
     ) {
-        let all = Engine::build(&docs, config(ranking_id, PruneMode::Auto, 1));
+        let all = Engine::build(&docs, config(ranking_id, 1));
         let none = Engine::build(
             &docs,
             EngineConfig {
                 positions: PositionsMode::None,
-                ..config(ranking_id, PruneMode::Auto, 1)
+                ..config(ranking_id, 1)
             },
         );
         prop_assert_eq!(
@@ -406,7 +395,7 @@ proptest! {
     ) {
         let min_score = f64::from(min_q) * 0.5;
         for &shards in SHARD_COUNTS {
-            let sharded = ShardedEngine::build(&docs, config(ranking_id, PruneMode::Auto, shards));
+            let sharded = ShardedEngine::build(&docs, config(ranking_id, shards));
             let plain = sharded.search_top_k(None, Some(&expr), Some(k));
             let expect: Vec<_> = plain
                 .into_iter()

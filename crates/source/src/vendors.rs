@@ -15,7 +15,7 @@
 //! | `glimpse`    | —          | F only      | Acme-1    | no    | none           | keep | —         |
 //! | `rankonly`   | Plain-1    | R only      | Acme-1    | no    | minimal        | fold | no        |
 
-use starts_index::{EngineConfig, PositionsMode, PruneMode, ShardPolicy};
+use starts_index::{EngineConfig, PositionsMode, ShardPolicy};
 use starts_proto::attrs::CmpOp;
 use starts_proto::metadata::QueryParts;
 use starts_proto::{Field, Modifier};
@@ -50,7 +50,6 @@ pub fn acme(id: &str) -> SourceConfig {
         fuzzy_ranking_ops: true,
         thesaurus: Thesaurus::empty(),
         shards: 0,
-        prune: PruneMode::Auto,
         positions: PositionsMode::All,
         shard_policy: ShardPolicy::Adaptive,
     };
@@ -83,7 +82,6 @@ pub fn bolt(id: &str) -> SourceConfig {
         fuzzy_ranking_ops: false,
         thesaurus: Thesaurus::empty(),
         shards: 0,
-        prune: PruneMode::Auto,
         positions: PositionsMode::All,
         shard_policy: ShardPolicy::Adaptive,
     };
@@ -109,7 +107,6 @@ pub fn okapi(id: &str) -> SourceConfig {
         fuzzy_ranking_ops: true,
         thesaurus: Thesaurus::computer_science(),
         shards: 0,
-        prune: PruneMode::Auto,
         positions: PositionsMode::All,
         shard_policy: ShardPolicy::Adaptive,
     };
@@ -149,7 +146,6 @@ pub fn glimpse(id: &str) -> SourceConfig {
         fuzzy_ranking_ops: false,
         thesaurus: Thesaurus::empty(),
         shards: 0,
-        prune: PruneMode::Auto,
         positions: PositionsMode::All,
         shard_policy: ShardPolicy::Adaptive,
     };
@@ -180,7 +176,6 @@ pub fn rankonly(id: &str) -> SourceConfig {
         fuzzy_ranking_ops: false,
         thesaurus: Thesaurus::empty(),
         shards: 0,
-        prune: PruneMode::Auto,
         // Ranking-only and flattens operators to `list`: no `prox` ever
         // consults positions, so the positional store is dropped and
         // search runs entirely off the block postings.

@@ -200,3 +200,50 @@ fn document_text_field_supports_relevance_feedback_shape() {
     assert_eq!(actual, r#"(title "alpha")"#);
     assert_eq!(results.documents.len(), 1);
 }
+
+/// §4.1.1 gives a term weight as "a number between 0 and 1", and `-0`
+/// is that number's zero: a ranking that carries it on the wire is
+/// answered byte for byte as the one carrying `0` — the echoed actual
+/// query and every `RawScore` — never with a negatively-signed score.
+#[test]
+fn a_negative_zero_weight_answers_like_zero() {
+    use starts::net::{host::wire_source, LinkProfile, SimNet};
+    use starts::soif::SoifObject;
+    use starts::source::SourceConfig;
+
+    let docs: Vec<Document> = ["alpha beta", "beta gamma", "alpha"]
+        .iter()
+        .enumerate()
+        .map(|(i, body)| {
+            Document::new()
+                .field("body-of-text", *body)
+                .field("linkage", format!("http://x/{i}"))
+        })
+        .collect();
+    let mut config = SourceConfig::new("Plain");
+    config.engine.ranking_id = "Plain-1".to_string();
+    let net = SimNet::new();
+    let url = wire_source(&net, Source::build(config, &docs), LinkProfile::default());
+    let answer = |weight: &str| {
+        let mut request = SoifObject::new("SQuery");
+        request
+            .push_str("Version", "STARTS 1.0")
+            .push_str("FilterExpression", r#"(body-of-text "beta")"#)
+            .push_str(
+                "RankingExpression",
+                format!(r#"(body-of-text "alpha" {weight})"#),
+            );
+        net.request(&url, &write_object(&request)).unwrap().bytes
+    };
+    let zero = answer("0");
+    let results = QueryResults::from_soif_stream(&zero).unwrap();
+    assert_eq!(results.documents.len(), 2);
+    assert!(results
+        .documents
+        .iter()
+        .all(|d| d.raw_score.map(f64::to_bits) == Some(0.0_f64.to_bits())));
+    assert_eq!(
+        String::from_utf8(answer("-0")).unwrap(),
+        String::from_utf8(zero).unwrap()
+    );
+}

@@ -24,7 +24,7 @@ use starts::meta::metasearcher::MetaConfig;
 use starts::meta::pipeline::normalized_query_key;
 use starts::net::{host::wire_source, LinkProfile, SimNet, StartsClient};
 use starts::proto::query::ast::{FilterExpr, ProxSpec, QTerm, RankExpr, WeightedTerm};
-use starts::proto::{AnswerSpec, Field, Query, QueryResults, TraceContext};
+use starts::proto::{AnswerSpec, Field, Modifier, Query, QueryResults, TraceContext};
 use starts::serve::{HedgeConfig, ServeConfig, Served, Server};
 use starts::source::{vendors, Source};
 
@@ -283,6 +283,28 @@ fn tree_pool(corpus: &GeneratedCorpus) -> Vec<Query> {
         .collect()
 }
 
+/// `QUERIES` one-word rankings over [`word_sampler`]'s words, in turn
+/// under `stem` and right-truncated to their first four letters. The
+/// Acme vendor does not stem its index, so both expand to several
+/// vocabulary keys, and Block-Max WAND bounds the leaf with a sidecar
+/// built for the query.
+fn multikey_pool(corpus: &GeneratedCorpus) -> Vec<Query> {
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let word = word_sampler(corpus);
+    (0..QUERIES)
+        .map(|i| {
+            let term = word(&mut rng);
+            let term = if i % 2 == 0 {
+                term.with(Modifier::Stem)
+            } else {
+                let prefix: String = term.value.text.chars().take(4).collect();
+                QTerm::fielded(Field::BodyOfText, prefix).with(Modifier::RightTruncation)
+            };
+            top_k(None, RankExpr::term(term))
+        })
+        .collect()
+}
+
 /// The checked-in value of one `BUDGET.json` row.
 fn budget(name: &str) -> f64 {
     let text = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/BUDGET.json"))
@@ -336,6 +358,7 @@ fn the_cached_path_stays_within_its_budget() {
     // rows have taken their allocation readings.
     let sharded = postings_scored(2, &queries);
     let tree = postings_scored(1, &tree_pool(&corpus));
+    let multikey = postings_scored(1, &multikey_pool(&corpus));
     let threads_before = threads();
     let server = Server::new(
         Arc::clone(&net),
@@ -417,6 +440,7 @@ fn the_cached_path_stays_within_its_budget() {
     }
     check("index.sharded.postings_scored_per_query", sharded);
     check("index.tree.postings_scored_per_query", tree);
+    check("index.multikey.postings_scored_per_query", multikey);
     let n = queries.len() as f64;
     check(
         "serve.cache.retained_bytes_per_entry",
