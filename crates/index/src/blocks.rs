@@ -38,6 +38,15 @@
 //! widens whole 32-lane groups at the byte-aligned widths (8/16/32).
 //! SSE2-only or non-x86 machines always take the scalar kernel.
 //!
+//! One codec, two owners: every decode method lives on [`BlockView`],
+//! a borrowed `Copy` view of one list's headers and frame bytes. An
+//! [`crate::Index`] lends views into its per-index arenas (one list's
+//! headers and bytes sit back to back with the next key's, each list
+//! keeping its own tail pad); an owned [`BlockPostings`] — what
+//! [`BlockPostings::encode`] returns — lends a view of its own two
+//! buffers. Both are byte-identical for the same postings, and the
+//! cursor cannot tell them apart.
+//!
 //! Score bounds are *not* stored here — they depend on the ranking
 //! algorithm, so the engine keeps them in its [`crate::TermBounds`]
 //! sidecar and hands a key's per-block slice to
@@ -72,12 +81,24 @@ pub struct BlockHeader {
     pub offset: u32,
 }
 
-/// One posting list, block-compressed: per-block headers plus one
-/// contiguous stream of bit-packed frames.
+/// One posting list, block-compressed and owned: per-block headers
+/// plus one contiguous stream of bit-packed frames. Read it through
+/// [`BlockPostings::view`].
 #[derive(Debug, Clone, Default)]
 pub struct BlockPostings {
     headers: Vec<BlockHeader>,
     data: Vec<u8>,
+    len: u64,
+    sum_tf: u64,
+}
+
+/// One posting list's blocks, borrowed: its headers and its frame bytes
+/// (tail pad included), wherever they are stored — an [`crate::Index`]'s
+/// arenas or a [`BlockPostings`]. Every decode runs here.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct BlockView<'a> {
+    headers: &'a [BlockHeader],
+    data: &'a [u8],
     len: u64,
     sum_tf: u64,
 }
@@ -104,76 +125,25 @@ impl BlockPostings {
     /// Panics (debug builds) when doc ids are not strictly increasing.
     pub fn encode(postings: &[(u32, u32)]) -> Self {
         let mut list = BlockPostings::default();
-        let mut docs = [0u32; BLOCK_DOCS];
-        let mut tfs = [0u32; BLOCK_DOCS];
         for chunk in postings.chunks(BLOCK_DOCS) {
-            for (i, &(doc, tf)) in chunk.iter().enumerate() {
-                docs[i] = doc;
-                tfs[i] = tf;
-            }
-            list.push_block(&docs[..chunk.len()], &tfs[..chunk.len()]);
+            list.push_block(chunk);
         }
         list.finish();
         list
     }
 
-    /// Append one block of `1..=BLOCK_DOCS` postings, given as parallel
-    /// doc and tf columns. Doc ids continue strictly increasing from the
-    /// previous block's last; every block but the last must be full
-    /// (posting ordinals are `block * BLOCK_DOCS + i`). This is how the
-    /// index builder freezes a list block by block as it fills.
+    /// Append one block of `1..=BLOCK_DOCS` `(doc, tf)` postings. Doc
+    /// ids continue strictly increasing from the previous block's last;
+    /// every block but the last must be full (posting ordinals are
+    /// `block * BLOCK_DOCS + i`). This is how the index builder freezes
+    /// a list block by block as it fills.
     ///
     /// # Panics
-    /// Panics (debug builds) on an empty, oversized or ragged block, or
-    /// when doc ids are not strictly increasing.
-    pub fn push_block(&mut self, docs: &[u32], tfs: &[u32]) {
-        debug_assert!(
-            !docs.is_empty() && docs.len() <= BLOCK_DOCS && docs.len() == tfs.len(),
-            "a block holds 1..=BLOCK_DOCS postings"
-        );
-        debug_assert!(
-            self.headers
-                .last()
-                .is_none_or(|h| usize::from(h.count) == BLOCK_DOCS),
-            "only the last block may be partial"
-        );
-        let offset = u32::try_from(self.data.len()).expect("block data exceeds u32 offsets");
-        let (mut prev, mut first) = match self.headers.last() {
-            Some(h) => (h.max_doc, false),
-            None => (0, true),
-        };
-        let mut gaps = [0u32; BLOCK_DOCS];
-        let mut doc_bits = 0u32;
-        let mut tf_bits = 0u32;
-        for (i, (&doc, &tf)) in docs.iter().zip(tfs).enumerate() {
-            debug_assert!(
-                doc < EXHAUSTED && (first && doc >= prev || doc > prev),
-                "doc ids must be strictly increasing and below u32::MAX"
-            );
-            gaps[i] = doc - prev;
-            doc_bits = doc_bits.max(bits_for(gaps[i]));
-            tf_bits = tf_bits.max(bits_for(tf));
-            self.sum_tf += u64::from(tf);
-            prev = doc;
-            first = false;
-        }
-        // Room for the tail pad too: a one-block list then seals
-        // without another reallocation.
-        self.data.reserve(
-            packed_byte_len(docs.len(), doc_bits)
-                + packed_byte_len(docs.len(), tf_bits)
-                + PAD_BYTES,
-        );
-        pack_bits(&mut self.data, &gaps[..docs.len()], doc_bits);
-        pack_bits(&mut self.data, tfs, tf_bits);
-        self.headers.push(BlockHeader {
-            max_doc: prev,
-            count: docs.len() as u16,
-            doc_bits: doc_bits as u8,
-            tf_bits: tf_bits as u8,
-            offset,
-        });
-        self.len += docs.len() as u64;
+    /// Panics (debug builds) on an empty or oversized block, a block
+    /// after a partial one, or when doc ids are not strictly increasing.
+    pub fn push_block(&mut self, postings: &[(u32, u32)]) {
+        self.sum_tf += push_block_at(&mut self.headers, &mut self.data, (0, 0), postings);
+        self.len += postings.len() as u64;
     }
 
     /// Seal the list after its last [`BlockPostings::push_block`]:
@@ -189,7 +159,7 @@ impl BlockPostings {
     /// Reassemble a list from raw parts *without validation* — the entry
     /// point for hostile-bytes fuzzing of the lenient decoder. A list
     /// built this way must only be decoded through
-    /// [`BlockPostings::try_decode_block`], which checks every header
+    /// [`BlockView::try_decode_block`], which checks every header
     /// invariant before touching the data.
     pub fn from_raw_parts(headers: Vec<BlockHeader>, data: Vec<u8>, len: u64) -> Self {
         BlockPostings {
@@ -200,12 +170,32 @@ impl BlockPostings {
         }
     }
 
-    /// The encoded headers and frame bytes (tail pad included) — the
-    /// inverse of [`BlockPostings::from_raw_parts`], for byte-level
-    /// comparisons of encoders.
+    /// The list's blocks as a borrowed view — what cursors and decoders
+    /// read.
+    pub fn view(&self) -> BlockView<'_> {
+        BlockView::new(&self.headers, &self.data, self.len, self.sum_tf)
+    }
+}
+
+impl<'a> BlockView<'a> {
+    /// One list's headers and frame bytes (tail pad included), whose
+    /// header offsets count from `data[0]`, plus its posting count and
+    /// tf sum.
+    pub(crate) fn new(headers: &'a [BlockHeader], data: &'a [u8], len: u64, sum_tf: u64) -> Self {
+        BlockView {
+            headers,
+            data,
+            len,
+            sum_tf,
+        }
+    }
+
+    /// The headers and frame bytes (tail pad included) — the inverse of
+    /// [`BlockPostings::from_raw_parts`], for byte-level comparisons of
+    /// encoders.
     #[doc(hidden)]
-    pub fn raw_parts(&self) -> (&[BlockHeader], &[u8]) {
-        (&self.headers, &self.data)
+    pub fn raw_parts(&self) -> (&'a [BlockHeader], &'a [u8]) {
+        (self.headers, self.data)
     }
 
     /// Total postings across all blocks.
@@ -230,26 +220,19 @@ impl BlockPostings {
     }
 
     /// The header of block `b`.
-    pub fn header(&self, b: usize) -> &BlockHeader {
+    pub fn header(&self, b: usize) -> &'a BlockHeader {
         &self.headers[b]
     }
 
     /// Bytes held by this list: the packed frames (incl. the tail pad)
     /// plus the headers.
     pub fn bytes(&self) -> u64 {
-        (self.data.len() + self.headers.len() * std::mem::size_of::<BlockHeader>()) as u64
-    }
-
-    /// Decode block `b` into the scratch vectors (cleared first).
-    /// Trusted fast path: `self` must come from [`BlockPostings::encode`].
-    pub(crate) fn decode_block(&self, b: usize, docs: &mut Vec<u32>, tfs: &mut Vec<u32>) {
-        self.decode_block_docs(b, docs);
-        self.decode_block_tfs(b, tfs);
+        (self.data.len() + std::mem::size_of_val(self.headers)) as u64
     }
 
     /// Decode only block `b`'s doc ids (gap unpack + prefix sum). The
     /// cursor uses this on every landing block and defers
-    /// [`BlockPostings::decode_block_tfs_range`] until a tf is actually read
+    /// [`BlockView::decode_block_tfs_range`] until a tf is actually read
     /// — blocks that are bounded out never pay for their tf section.
     pub(crate) fn decode_block_docs(&self, b: usize, docs: &mut Vec<u32>) {
         docs.clear();
@@ -257,9 +240,9 @@ impl BlockPostings {
         self.decode_block_docs_into(b, docs);
     }
 
-    /// [`BlockPostings::decode_block_docs`] into caller-provided
-    /// scratch of at least the block's count (a `[u32; BLOCK_DOCS]` on
-    /// the stack always fits). Returns the block's count.
+    /// [`BlockView::decode_block_docs`] into caller-provided scratch of
+    /// at least the block's count (a `[u32; BLOCK_DOCS]` on the stack
+    /// always fits). Returns the block's count.
     pub(crate) fn decode_block_docs_into(&self, b: usize, docs: &mut [u32]) -> usize {
         let h = self.headers[b];
         let count = usize::from(h.count);
@@ -282,14 +265,7 @@ impl BlockPostings {
         count
     }
 
-    /// Decode only block `b`'s term frequencies.
-    pub(crate) fn decode_block_tfs(&self, b: usize, tfs: &mut Vec<u32>) {
-        tfs.clear();
-        tfs.resize(usize::from(self.headers[b].count), 0);
-        self.decode_block_tfs_into(b, tfs);
-    }
-
-    /// [`BlockPostings::decode_block_tfs`] into caller-provided scratch
+    /// Decode block `b`'s term frequencies into caller-provided scratch
     /// of at least the block's count.
     pub(crate) fn decode_block_tfs_into(&self, b: usize, tfs: &mut [u32]) {
         self.decode_block_tfs_range(b, 0, usize::from(self.headers[b].count), tfs);
@@ -365,6 +341,79 @@ impl BlockPostings {
         }
         Some((docs, tfs))
     }
+}
+
+/// The bit widths of one block's doc-gap and tf sections, `prev` being
+/// the list's previous block's last doc (`None` for its first block).
+fn block_widths(prev: Option<u32>, postings: &[(u32, u32)]) -> (u32, u32) {
+    debug_assert!(
+        !postings.is_empty() && postings.len() <= BLOCK_DOCS,
+        "a block holds 1..=BLOCK_DOCS postings"
+    );
+    let (mut last, mut first) = (prev.unwrap_or(0), prev.is_none());
+    let (mut doc_bits, mut tf_bits) = (0u32, 0u32);
+    for &(doc, tf) in postings {
+        debug_assert!(
+            doc < EXHAUSTED && (first && doc >= last || doc > last),
+            "doc ids must be strictly increasing and below u32::MAX"
+        );
+        doc_bits = doc_bits.max(bits_for(doc - last));
+        tf_bits = tf_bits.max(bits_for(tf));
+        last = doc;
+        first = false;
+    }
+    (doc_bits, tf_bits)
+}
+
+/// Bytes one block's frame takes ([`push_block_at`] appends exactly
+/// this much, pad excluded).
+pub(crate) fn block_frame_len(prev: Option<u32>, postings: &[(u32, u32)]) -> usize {
+    let (doc_bits, tf_bits) = block_widths(prev, postings);
+    packed_byte_len(postings.len(), doc_bits) + packed_byte_len(postings.len(), tf_bits)
+}
+
+/// The block encoder both owners share: append one block's frame to
+/// `data` and its header to `headers`, for the list that starts at
+/// `start` — its first block's index in `headers` and its first byte
+/// in `data`, which header offsets count from. Returns the block's tf
+/// sum. The contract is [`BlockPostings::push_block`]'s.
+pub(crate) fn push_block_at(
+    headers: &mut Vec<BlockHeader>,
+    data: &mut Vec<u8>,
+    start: (usize, usize),
+    postings: &[(u32, u32)],
+) -> u64 {
+    let (first_block, first_byte) = start;
+    let prev = headers[first_block..].last().map(|h| {
+        debug_assert!(
+            usize::from(h.count) == BLOCK_DOCS,
+            "only the last block may be partial"
+        );
+        h.max_doc
+    });
+    let (doc_bits, tf_bits) = block_widths(prev, postings);
+    let offset = u32::try_from(data.len() - first_byte).expect("block data exceeds u32 offsets");
+    let n = postings.len();
+    let (mut gaps, mut tfs) = ([0u32; BLOCK_DOCS], [0u32; BLOCK_DOCS]);
+    let mut last = prev.unwrap_or(0);
+    for (i, &(doc, tf)) in postings.iter().enumerate() {
+        gaps[i] = doc - last;
+        tfs[i] = tf;
+        last = doc;
+    }
+    // Room for the tail pad too: a one-block list then seals without
+    // another reallocation.
+    data.reserve(packed_byte_len(n, doc_bits) + packed_byte_len(n, tf_bits) + PAD_BYTES);
+    pack_bits(data, &gaps[..n], doc_bits);
+    pack_bits(data, &tfs[..n], tf_bits);
+    headers.push(BlockHeader {
+        max_doc: last,
+        count: n as u16,
+        doc_bits: doc_bits as u8,
+        tf_bits: tf_bits as u8,
+        offset,
+    });
+    tfs[..n].iter().map(|&tf| u64::from(tf)).sum()
 }
 
 /// Append `values` to `out`, packed at `width` bits each, LSB-first.
@@ -521,8 +570,9 @@ unsafe fn unpack_groups_avx2(src: &[u8], groups: usize, width: u32, out: &mut [u
     }
 }
 
-/// A forward-only cursor over a [`BlockPostings`] list with header-level
-/// skipping: `next()` steps one posting, `next_geq(d)` seeks to the
+/// A forward-only cursor over one list's [`BlockView`] — borrowed from an
+/// index's arenas or from an owned [`BlockPostings`], which it cannot
+/// tell apart — with header-level skipping: `next()` steps one posting, `next_geq(d)` seeks to the
 /// first posting at or past `d` decoding only the landing block, and
 /// `block_max_score()` exposes the current block's score upper bound.
 /// The cursor tallies the blocks it jumped without decoding and the
@@ -530,7 +580,7 @@ unsafe fn unpack_groups_avx2(src: &[u8], groups: usize, width: u32, out: &mut [u
 /// `blocks_skipped` / `skipped_docs` telemetry.
 #[derive(Debug)]
 pub struct BlockCursor<'a> {
-    list: &'a BlockPostings,
+    list: BlockView<'a>,
     /// Per-block score upper bounds (engine-computed); empty = unknown.
     bounds: &'a [f64],
     /// Current block; `list.n_blocks()` once exhausted.
@@ -560,7 +610,7 @@ pub struct BlockCursor<'a> {
 impl<'a> BlockCursor<'a> {
     /// A cursor positioned on the first posting (exhausted immediately
     /// for an empty list), without score bounds.
-    pub fn new(list: &'a BlockPostings) -> Self {
+    pub fn new(list: BlockView<'a>) -> Self {
         Self::with_bounds(list, &[])
     }
 
@@ -568,7 +618,7 @@ impl<'a> BlockCursor<'a> {
     /// must dominate every score contribution a document of block `b`
     /// can make. The engine records these from the exact `term_weight`
     /// values in its [`crate::TermBounds`] sidecar.
-    pub fn with_bounds(list: &'a BlockPostings, bounds: &'a [f64]) -> Self {
+    pub fn with_bounds(list: BlockView<'a>, bounds: &'a [f64]) -> Self {
         let mut cursor = BlockCursor {
             list,
             bounds,
@@ -704,9 +754,8 @@ impl<'a> BlockCursor<'a> {
     /// Where the current posting's values sit in the positional frames:
     /// its block, the sum of the term frequencies before it in the
     /// block, and its own. Extends a running sum over the tfs the cursor
-    /// already decoded; a block whose tfs nobody read yet is asked
-    /// through [`BlockPostings::tf_prefix`], which decodes no further
-    /// than the posting.
+    /// already decoded; a block whose tfs nobody read yet is decoded no
+    /// further than the posting.
     ///
     /// # Panics
     /// Panics when the cursor is exhausted.
@@ -865,7 +914,7 @@ mod tests {
     use super::*;
 
     fn decode_all(list: &BlockPostings) -> Vec<(u32, u32)> {
-        let mut cursor = BlockCursor::new(list);
+        let mut cursor = BlockCursor::new(list.view());
         let mut out = Vec::new();
         while !cursor.is_exhausted() {
             out.push((cursor.doc(), cursor.tf()));
@@ -878,7 +927,7 @@ mod tests {
     fn batch_walk_matches_next_walk() {
         let postings: Vec<(u32, u32)> = (0..300u32).map(|i| (i * 3, 1 + (i % 5))).collect();
         let list = BlockPostings::encode(&postings);
-        let mut batch = BlockCursor::new(&list);
+        let mut batch = BlockCursor::new(list.view());
         let mut from_batch = Vec::new();
         while !batch.is_exhausted() {
             let (docs, tfs) = batch.remaining_in_block();
@@ -887,14 +936,14 @@ mod tests {
             batch.advance_in_block(run);
         }
         assert_eq!(from_batch, postings);
-        let mut single = BlockCursor::new(&list);
+        let mut single = BlockCursor::new(list.view());
         while !single.is_exhausted() {
             single.next();
         }
         assert_eq!(batch.visited(), single.visited());
         // A partial advance agrees with the same number of `next()` steps.
-        let mut a = BlockCursor::new(&list);
-        let mut b = BlockCursor::new(&list);
+        let mut a = BlockCursor::new(list.view());
+        let mut b = BlockCursor::new(list.view());
         a.advance_in_block(2);
         b.next();
         b.next();
@@ -906,29 +955,32 @@ mod tests {
     fn round_trip_small() {
         let postings = vec![(0, 1), (3, 2), (4, 1), (1000, 70000)];
         let list = BlockPostings::encode(&postings);
-        assert_eq!(list.len(), 4);
-        assert_eq!(list.n_blocks(), 1);
+        assert_eq!(list.view().len(), 4);
+        assert_eq!(list.view().n_blocks(), 1);
         assert_eq!(decode_all(&list), postings);
-        assert_eq!(list.total_tf(), 1 + 2 + 1 + 70000);
+        assert_eq!(list.view().total_tf(), 1 + 2 + 1 + 70000);
     }
 
     #[test]
     fn round_trip_multi_block() {
         let postings: Vec<(u32, u32)> = (0..1000).map(|i| (i * 3, i % 7 + 1)).collect();
         let list = BlockPostings::encode(&postings);
-        assert_eq!(list.n_blocks(), 1000usize.div_ceil(BLOCK_DOCS));
+        assert_eq!(list.view().n_blocks(), 1000usize.div_ceil(BLOCK_DOCS));
         assert_eq!(decode_all(&list), postings);
         // Header fence posts partition the doc space.
-        assert_eq!(list.header(0).max_doc, (BLOCK_DOCS as u32 - 1) * 3);
-        assert_eq!(list.header(list.n_blocks() - 1).max_doc, 999 * 3);
+        assert_eq!(list.view().header(0).max_doc, (BLOCK_DOCS as u32 - 1) * 3);
+        assert_eq!(
+            list.view().header(list.view().n_blocks() - 1).max_doc,
+            999 * 3
+        );
     }
 
     #[test]
     fn empty_list() {
         let list = BlockPostings::encode(&[]);
-        assert!(list.is_empty());
-        assert_eq!(list.n_blocks(), 0);
-        let cursor = BlockCursor::new(&list);
+        assert!(list.view().is_empty());
+        assert_eq!(list.view().n_blocks(), 0);
+        let cursor = BlockCursor::new(list.view());
         assert!(cursor.is_exhausted());
         assert_eq!(cursor.doc(), EXHAUSTED);
     }
@@ -938,12 +990,12 @@ mod tests {
         // Gaps of 3 need 2 bits; tfs up to 7 need 3 bits.
         let postings: Vec<(u32, u32)> = (0..200).map(|i| (i * 3, i % 7 + 1)).collect();
         let list = BlockPostings::encode(&postings);
-        assert_eq!(list.header(0).doc_bits, 2);
-        assert_eq!(list.header(0).tf_bits, 3);
+        assert_eq!(list.view().header(0).doc_bits, 2);
+        assert_eq!(list.view().header(0).tf_bits, 3);
         // A lone zero needs zero bits for both sections.
         let tiny = BlockPostings::encode(&[(0, 0)]);
-        assert_eq!(tiny.header(0).doc_bits, 0);
-        assert_eq!(tiny.header(0).tf_bits, 0);
+        assert_eq!(tiny.view().header(0).doc_bits, 0);
+        assert_eq!(tiny.view().header(0).tf_bits, 0);
         assert_eq!(decode_all(&tiny), vec![(0, 0)]);
     }
 
@@ -951,7 +1003,7 @@ mod tests {
     fn next_geq_skips_blocks_without_decoding() {
         let postings: Vec<(u32, u32)> = (0..1000).map(|i| (i, 1)).collect();
         let list = BlockPostings::encode(&postings);
-        let mut cursor = BlockCursor::new(&list);
+        let mut cursor = BlockCursor::new(list.view());
         cursor.next_geq(900);
         assert_eq!(cursor.doc(), 900);
         // Blocks 1..block(900) were passed without decode.
@@ -964,7 +1016,7 @@ mod tests {
     #[test]
     fn next_geq_is_monotone_and_clamps() {
         let list = BlockPostings::encode(&[(5, 1), (9, 2), (200, 3)]);
-        let mut cursor = BlockCursor::new(&list);
+        let mut cursor = BlockCursor::new(list.view());
         cursor.next_geq(0); // target before current: no-op
         assert_eq!(cursor.doc(), 5);
         cursor.next_geq(6);
@@ -981,7 +1033,7 @@ mod tests {
     fn block_for_is_a_pure_lookup() {
         let postings: Vec<(u32, u32)> = (0..300).map(|i| (i * 2, 1)).collect();
         let list = BlockPostings::encode(&postings);
-        let cursor = BlockCursor::new(&list);
+        let cursor = BlockCursor::new(list.view());
         assert_eq!(cursor.block_for(0), Some(0));
         assert_eq!(cursor.block_for(2 * BLOCK_DOCS as u32), Some(1));
         assert_eq!(cursor.block_for(598), Some(2));
@@ -995,12 +1047,12 @@ mod tests {
         let postings: Vec<(u32, u32)> = (0..200).map(|i| (i, 1)).collect();
         let list = BlockPostings::encode(&postings);
         let bounds = [0.5, 2.0];
-        let mut cursor = BlockCursor::with_bounds(&list, &bounds);
+        let mut cursor = BlockCursor::with_bounds(list.view(), &bounds);
         assert_eq!(cursor.block_max_score(), 0.5);
         cursor.next_geq(BLOCK_DOCS as u32);
         assert_eq!(cursor.block_max_score(), 2.0);
         assert_eq!(cursor.block_max_score_at(0), 0.5);
-        let unbounded = BlockCursor::new(&list);
+        let unbounded = BlockCursor::new(list.view());
         assert_eq!(unbounded.block_max_score(), f64::INFINITY);
     }
 
@@ -1009,8 +1061,8 @@ mod tests {
         // 32-bit gaps and 32-bit tfs in one block.
         let postings = vec![(0, u32::MAX), (u32::MAX - 1, 1)];
         let list = BlockPostings::encode(&postings);
-        assert_eq!(list.header(0).doc_bits, 32);
-        assert_eq!(list.header(0).tf_bits, 32);
+        assert_eq!(list.view().header(0).doc_bits, 32);
+        assert_eq!(list.view().header(0).tf_bits, 32);
         assert_eq!(decode_all(&list), postings);
     }
 
@@ -1051,7 +1103,7 @@ mod tests {
             offset: 1000,
         };
         let list = BlockPostings::from_raw_parts(vec![h], vec![0u8; 16], 4);
-        assert!(list.try_decode_block(0).is_none());
+        assert!(list.view().try_decode_block(0).is_none());
         // Width out of range.
         let h = BlockHeader {
             max_doc: 10,
@@ -1061,7 +1113,7 @@ mod tests {
             offset: 0,
         };
         let list = BlockPostings::from_raw_parts(vec![h], vec![0u8; 64], 4);
-        assert!(list.try_decode_block(0).is_none());
+        assert!(list.view().try_decode_block(0).is_none());
         // Count out of range.
         let h = BlockHeader {
             max_doc: 10,
@@ -1071,9 +1123,9 @@ mod tests {
             offset: 0,
         };
         let list = BlockPostings::from_raw_parts(vec![h], vec![0u8; 64], 4);
-        assert!(list.try_decode_block(0).is_none());
+        assert!(list.view().try_decode_block(0).is_none());
         // Missing block.
-        assert!(list.try_decode_block(7).is_none());
+        assert!(list.view().try_decode_block(7).is_none());
     }
 
     #[test]
@@ -1081,8 +1133,8 @@ mod tests {
         let postings: Vec<(u32, u32)> = (0..300).map(|i| (i * 5 + 2, i % 9)).collect();
         let list = BlockPostings::encode(&postings);
         let mut seen = Vec::new();
-        for b in 0..list.n_blocks() {
-            let (docs, tfs) = list.try_decode_block(b).expect("valid block");
+        for b in 0..list.view().n_blocks() {
+            let (docs, tfs) = list.view().try_decode_block(b).expect("valid block");
             seen.extend(docs.into_iter().zip(tfs));
         }
         assert_eq!(seen, postings);
@@ -1093,6 +1145,10 @@ mod tests {
         // Dense doc ids and small tfs: ~2 bytes per posting vs 8 raw.
         let postings: Vec<(u32, u32)> = (0..10_000).map(|i| (i, 1)).collect();
         let list = BlockPostings::encode(&postings);
-        assert!(list.bytes() < 8 * list.len() / 2, "bytes={}", list.bytes());
+        assert!(
+            list.view().bytes() < 8 * list.view().len() / 2,
+            "bytes={}",
+            list.view().bytes()
+        );
     }
 }

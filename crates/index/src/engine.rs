@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use starts_text::{Analyzer, AnalyzerConfig, CaseMode, Thesaurus};
 
-use crate::blocks::{BlockCursor, BlockPostings, BLOCK_DOCS, EXHAUSTED};
+use crate::blocks::{BlockCursor, BlockPostings, BlockView, BLOCK_DOCS, EXHAUSTED};
 use crate::boolean::BoolNode;
 use crate::doc::{DocId, Document};
 use crate::filter::FilterCursor;
@@ -183,7 +183,7 @@ pub struct EngineConfig {
     /// [`PositionsMode`]). Vendors whose query surface never consults
     /// positions — no `prox` operator reachable — set
     /// [`PositionsMode::None`] and serve search exclusively from the
-    /// block-compressed postings, dropping the positional arena
+    /// block-compressed postings, dropping the positional frames
     /// entirely; `prox` then degrades to plain intersection (a
     /// degradation §4.1.1 sanctions for unsupported features).
     pub positions: PositionsMode,
@@ -998,7 +998,7 @@ impl Engine {
 
     /// The local posting lists of a resolved key set, in key order
     /// (keys only another shard indexed have none here).
-    pub(crate) fn postings_of(&self, keys: &SpecKeys) -> Vec<&PostingsList> {
+    pub(crate) fn postings_of(&self, keys: &SpecKeys) -> Vec<PostingsList<'_>> {
         keys.keys
             .iter()
             .filter_map(|key| self.index.postings(keys.field, key))
@@ -1230,10 +1230,11 @@ impl Engine {
                     Some((slot, self.bounds.get(slot)?))
                 });
                 ctx.bound = self.leaf_bound(&ctx, keyed.map(|(_, entry)| entry));
-                if let Some((slot, entry)) = keyed {
+                if let Some((slot, _)) = keyed {
                     if ctx.bound.is_finite() && !ctx.postings.is_empty() {
-                        ctx.blocks = Some(Cow::Borrowed(self.index.list(slot).blocks()));
-                        ctx.block_max = Cow::Borrowed(&entry.block_max);
+                        ctx.blocks = Some(LeafBlocks::Index(self.index.list(slot).blocks()));
+                        ctx.block_max =
+                            Cow::Borrowed(self.bounds.block_max(self.index.block_range(slot)));
                     }
                 }
                 out.push(ctx);
@@ -1261,7 +1262,7 @@ impl Engine {
     /// weights, multi-key resolutions (no entry), or a key whose
     /// recorded weight envelope is negative or non-finite. A leaf with
     /// no local postings contributes exactly 0 on this engine.
-    fn leaf_bound(&self, leaf: &LeafCtx<'_>, entry: Option<&TermBound>) -> f64 {
+    fn leaf_bound(&self, leaf: &LeafCtx<'_>, entry: Option<TermBound>) -> f64 {
         if leaf.cmp_docs.is_some()
             || !leaf.weight.is_finite()
             || leaf.weight.total_cmp(&0.0).is_lt()
@@ -1332,7 +1333,7 @@ impl Engine {
             let max = block_max.iter().copied().fold(0.0, f64::max);
             let leaf = &mut leaves[i];
             leaf.bound = (leaf.weight * max).max(0.0);
-            leaf.blocks = Some(Cow::Owned(BlockPostings::encode(&list)));
+            leaf.blocks = Some(LeafBlocks::Merged(BlockPostings::encode(&list)));
             leaf.block_max = Cow::Owned(block_max);
         }
     }
@@ -1403,7 +1404,7 @@ pub struct ResolvedTerm<'a> {
     engine: &'a Engine,
     /// `None` when the schema lacks the spec's field.
     df: Option<u32>,
-    postings: Vec<&'a PostingsList>,
+    postings: Vec<PostingsList<'a>>,
 }
 
 impl ResolvedTerm<'_> {
@@ -1432,23 +1433,33 @@ impl ResolvedTerm<'_> {
 struct LeafCtx<'a> {
     weight: f64,
     df: u32,
-    postings: Vec<&'a PostingsList>,
+    postings: Vec<PostingsList<'a>>,
     cmp_docs: Option<Vec<DocId>>,
     /// Upper bound (weight folded in) on this leaf's contribution to
     /// any local document's score slot.
     bound: f64,
-    /// The leaf's postings in block form: its single key's own list
-    /// when the build-time sidecar bounds it, else the query-time merge
-    /// of [`Engine::bound_at_query_time`]. `None` without postings.
-    blocks: Option<Cow<'a, BlockPostings>>,
+    /// The leaf's postings in block form. `None` without postings.
+    blocks: Option<LeafBlocks<'a>>,
     /// Per-block maxima of the leaf's exact term weights (query weight
     /// *not* folded in — applied at use), aligned with `blocks`.
     block_max: Cow<'a, [f64]>,
 }
 
+/// What a leaf's Block-Max-WAND cursor walks: one codec, two owners.
+enum LeafBlocks<'a> {
+    /// Its single key's own list, borrowed from the index's arenas, when
+    /// the build-time sidecar bounds it.
+    Index(BlockView<'a>),
+    /// The query-time merge of [`Engine::bound_at_query_time`].
+    Merged(BlockPostings),
+}
+
 impl LeafCtx<'_> {
-    fn blocks(&self) -> Option<&BlockPostings> {
-        self.blocks.as_deref()
+    fn blocks(&self) -> Option<BlockView<'_>> {
+        self.blocks.as_ref().map(|b| match b {
+            LeafBlocks::Index(view) => *view,
+            LeafBlocks::Merged(owned) => owned.view(),
+        })
     }
 
     fn block_max(&self) -> &[f64] {
@@ -1800,21 +1811,19 @@ fn compute_term_bounds(
         Some(c) => (c.n_docs(), c.avg_doc_tokens()),
         None => (index.n_docs(), index.avg_doc_tokens()),
     };
-    let mut out = TermBounds::default();
+    let mut out = TermBounds::with_capacity(index.n_keys(), index.n_blocks());
     for (field, term, postings) in index.all_postings() {
         let df = match collection {
             Some(c) => c.df(field, term),
             None => postings.len() as u32,
         };
-        let mut min = f64::INFINITY;
-        // The maxima are kept per block, chunked exactly as
-        // `BlockPostings::encode` chunks the list (every block full
-        // except the last), so they line up one-to-one with the blocks
-        // the BMW cursors walk; the whole-list maximum is the largest.
-        let mut block_max = Vec::with_capacity(postings.len().div_ceil(BLOCK_DOCS));
+        let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
+        // The maxima are kept per block, chunked exactly as the list's
+        // blocks are (every block full except the last), so they line
+        // up one-to-one with the index's block ordinal the BMW cursors
+        // walk; the whole-list maximum is the largest.
         let mut bmax = f64::NEG_INFINITY;
-        let mut in_block = 0usize;
-        for (doc, tf) in postings.docs_tfs() {
+        for (i, (doc, tf)) in postings.docs_tfs().enumerate() {
             let st = TermDocStats {
                 tf,
                 df,
@@ -1833,18 +1842,17 @@ fn compute_term_bounds(
             if w.total_cmp(&bmax).is_gt() {
                 bmax = w;
             }
-            in_block += 1;
-            if in_block == BLOCK_DOCS {
-                block_max.push(bmax);
+            if (i + 1) % BLOCK_DOCS == 0 || i + 1 == postings.len() {
+                if bmax.total_cmp(&max).is_gt() {
+                    max = bmax;
+                }
+                out.push_block(bmax);
                 bmax = f64::NEG_INFINITY;
-                in_block = 0;
             }
         }
-        if in_block > 0 {
-            block_max.push(bmax);
-        }
-        out.push(min, block_max);
+        out.push_key(max, min);
     }
+    debug_assert_eq!(out.n_blocks(), index.n_blocks(), "one maximum per block");
     out
 }
 
@@ -1869,7 +1877,7 @@ fn compute_doc_norms(
     // squared term weights in the same sequence whether the index is
     // monolithic or one shard of many, making the floating-point norms
     // (and thus every downstream score) bit-identical across shardings.
-    let mut vocab: Vec<(&str, &PostingsList)> = index.field_vocabulary(ANY_FIELD).collect();
+    let mut vocab: Vec<(&str, PostingsList<'_>)> = index.field_vocabulary(ANY_FIELD).collect();
     vocab.sort_unstable_by(|a, b| a.0.cmp(b.0));
     for (term, postings) in vocab {
         let df = match collection {

@@ -60,11 +60,11 @@ enum Kind<'a> {
 /// The union of one term's resolved vocabulary keys, each walked by its
 /// own block cursor. Positions are read at the cursor's own posting.
 struct KeyUnion<'a> {
-    cursors: Vec<(BlockCursor<'a>, &'a PostingsList)>,
+    cursors: Vec<(BlockCursor<'a>, PostingsList<'a>)>,
 }
 
 impl<'a> KeyUnion<'a> {
-    fn new(lists: Vec<&'a PostingsList>) -> Self {
+    fn new(lists: Vec<PostingsList<'a>>) -> Self {
         KeyUnion {
             cursors: lists
                 .into_iter()

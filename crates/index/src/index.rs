@@ -1,26 +1,52 @@
 //! The inverted index and its builder.
 //!
-//! A posting list is a [`BlockPostings`] stream (always present, always
-//! what search evaluates) plus an optional *positional arena* consulted
-//! only by `prox`: one bit-packed frame of token positions per 128-doc
-//! block, in the same FOR codec as the doc/tf frames. Engines whose
-//! queries can never reach `prox` build with [`PositionsMode::None`] and
-//! store no positions at all.
+//! A posting list is a block-compressed `(doc, tf)` stream (always
+//! present, always what search evaluates) plus optional *positional
+//! frames* consulted only by `prox`: one bit-packed frame of token
+//! positions per 128-doc block, in the same FOR codec as the doc/tf
+//! frames. Engines whose queries can never reach `prox` build with
+//! [`PositionsMode::None`] and store no positions at all.
+//!
+//! Every `(field, term)` key has one dense slot. The lists of all keys
+//! live in a handful of per-index arenas, back to back in slot order —
+//! no list owns a heap object of its own:
+//!
+//! ```text
+//! lists:      [ ListRef ; K + 1 ]    by slot; one sentinel at the end
+//!               {block, len, bytes, pos_bytes, sum_tf}   (24 B)
+//! headers:    [ key 0's blocks | key 1's blocks | … ]    block ordinal
+//! pos_frames: [ key 0's frames | key 1's frames | … ]    same ordinal
+//! frames:     [ key 0's frames, pad | key 1's frames, pad | … ]
+//! pos_data:   [ key 0's positions, pad | key 1's positions, pad | … ]
+//! ```
+//!
+//! A slot's list runs from its `ListRef` to the next slot's, in every
+//! arena. Each list keeps its own 8-byte tail pad and its headers'
+//! offsets count from its own first byte, so a list's slices are
+//! byte-identical to [`BlockPostings::encode`] of its postings and the
+//! decoders never read a neighbour's bits. [`Index::postings`] hands
+//! out a [`PostingsList`]: a `Copy` view of those slices. Anything kept
+//! per block — the engine's [`TermBounds`] block maxima — is indexed by
+//! the same block ordinal as `headers`.
 //!
 //! The builder freezes as it goes: a list keeps only its open block
 //! uncompressed, and encodes it (doc/tf frame and positional frame) the
-//! moment a document arrives for a full one; [`IndexBuilder::build`]
-//! only flushes the tails. Stored field values live in one text buffer
-//! per index, fenced by a small field table. Every `(field, term)` key
-//! has one dense slot, which indexes both the lists and the engine's
-//! [`TermBounds`].
+//! moment a document arrives for a full one. [`IndexBuilder::build`]
+//! sizes the arenas exactly, then moves each list into them — frozen
+//! blocks copied, open tail block encoded in place — and drops its
+//! builder. Stored field values live in one text buffer per index,
+//! fenced by a small field table.
 
 use std::collections::{BTreeSet, HashMap};
+use std::ops::Range;
 use std::sync::OnceLock;
 
 use starts_text::{Analyzer, LangTag};
 
-use crate::blocks::{bits_for, pack_bits, BlockCursor, BlockPostings, BLOCK_DOCS, PAD_BYTES};
+use crate::blocks::{
+    bits_for, block_frame_len, pack_bits, push_block_at, BlockCursor, BlockHeader, BlockPostings,
+    BlockView, BLOCK_DOCS, PAD_BYTES,
+};
 use crate::doc::{DocId, Document};
 use crate::matchspec::FoldTable;
 use crate::schema::{FieldId, Schema, ANY_FIELD};
@@ -37,7 +63,7 @@ pub(crate) struct TermId(pub u32);
 /// Whether an index keeps token positions next to its block postings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PositionsMode {
-    /// Keep the positional arena for every field (the default): `prox`
+    /// Keep the positional frames for every field (the default): `prox`
     /// filters on real word distances.
     #[default]
     All,
@@ -48,68 +74,88 @@ pub enum PositionsMode {
     None,
 }
 
-/// Where one block's positional frame starts in
-/// [`PositionalArena::data`], and the bit width of its values.
+/// Where one block's positional frame starts among its list's
+/// positional bytes, and the bit width of its values.
 #[derive(Debug, Clone, Copy)]
 struct PositionFrame {
     offset: u32,
     bits: u8,
 }
 
-/// The positional arena of one posting list: one frame per block of
-/// the list's [`BlockPostings`], each holding the block's positions
-/// posting by posting — the first position of a posting absolute, the
-/// rest as gaps from the one before — bit-packed at the frame's widest
-/// value. A posting's values start at the sum of the tfs before it in
-/// its block, so the arena needs no per-posting offsets.
+/// The bit width of one block's positional frame: the widest of each
+/// posting's first position and of the gaps after it. `positions` are
+/// the block's positions back to back, each posting's tf of them.
+fn frame_bits(postings: &[(u32, u32)], positions: &[u32]) -> u32 {
+    let mut start = 0usize;
+    let mut bits = 0;
+    for &(_, tf) in postings {
+        let posting = &positions[start..start + tf as usize];
+        if let Some(&first) = posting.first() {
+            bits = bits.max(bits_for(first));
+        }
+        for pair in posting.windows(2) {
+            let gap = pair[1]
+                .checked_sub(pair[0])
+                .expect("token positions decrease within a posting");
+            bits = bits.max(bits_for(gap));
+        }
+        start += tf as usize;
+    }
+    bits
+}
+
+/// Encode one block's positions — given as the block's postings and
+/// its positions back to back, sorted within each posting — as the
+/// next frame of the list whose positional bytes start at `first_byte`
+/// of `data`. Turns `positions` into gaps in place.
+fn push_frame_at(
+    frames: &mut Vec<PositionFrame>,
+    data: &mut Vec<u8>,
+    first_byte: usize,
+    postings: &[(u32, u32)],
+    positions: &mut [u32],
+) {
+    let bits = frame_bits(postings, positions);
+    let mut start = 0usize;
+    for &(_, tf) in postings {
+        let end = start + tf as usize;
+        for k in (start + 1..end).rev() {
+            positions[k] = positions[k]
+                .checked_sub(positions[k - 1])
+                .expect("token positions decrease within a posting");
+        }
+        start = end;
+    }
+    debug_assert_eq!(start, positions.len(), "tfs must cover the positions");
+    let offset =
+        u32::try_from(data.len() - first_byte).expect("positional frames exceed u32 offsets");
+    data.reserve((positions.len() * bits as usize).div_ceil(8) + PAD_BYTES);
+    pack_bits(data, positions, bits);
+    frames.push(PositionFrame {
+        offset,
+        bits: bits as u8,
+    });
+}
+
+/// One posting list's positional frames, borrowed: one frame per block
+/// of the list, each holding the block's positions posting by posting —
+/// the first position of a posting absolute, the rest as gaps from the
+/// one before — bit-packed at the frame's widest value, the list's
+/// bytes closed by a tail pad. A posting's values start at the sum of
+/// the tfs before it in its block, so no per-posting offsets are kept.
 ///
 /// ```text
 /// frames: [ {offset, bits} ; B ]
 /// data:   [ frame 0 | frame 1 | … | frame B-1 | pad ]
 /// frame b: [ p0, p1-p0, …, (next posting) q0, q1-q0, … ] @ bits
 /// ```
-#[derive(Debug, Clone, Default)]
-struct PositionalArena {
-    frames: Vec<PositionFrame>,
-    data: Vec<u8>,
+#[derive(Debug, Clone, Copy)]
+struct Positions<'a> {
+    frames: &'a [PositionFrame],
+    data: &'a [u8],
 }
 
-impl PositionalArena {
-    /// Encode one block's positions, given as the block's tfs and its
-    /// positions back to back (sorted within each posting). Turns
-    /// `positions` into gaps in place.
-    fn push_block(&mut self, tfs: &[u32], positions: &mut [u32]) {
-        let mut start = 0usize;
-        for &tf in tfs {
-            let end = start + tf as usize;
-            for k in (start + 1..end).rev() {
-                positions[k] = positions[k]
-                    .checked_sub(positions[k - 1])
-                    .expect("token positions decrease within a posting");
-            }
-            start = end;
-        }
-        debug_assert_eq!(start, positions.len(), "tfs must cover the positions");
-        let bits = positions.iter().fold(0, |w, &v| w.max(bits_for(v)));
-        let offset = u32::try_from(self.data.len()).expect("positional frames exceed u32 offsets");
-        self.data
-            .reserve((positions.len() * bits as usize).div_ceil(8) + PAD_BYTES);
-        pack_bits(&mut self.data, positions, bits);
-        self.frames.push(PositionFrame {
-            offset,
-            bits: bits as u8,
-        });
-    }
-
-    /// Seal the arena: the decoder's tail pad, no spare capacity.
-    fn finish(&mut self) {
-        if !self.frames.is_empty() {
-            self.data.extend_from_slice(&[0u8; PAD_BYTES]);
-        }
-        self.frames.shrink_to_fit();
-        self.data.shrink_to_fit();
-    }
-
+impl Positions<'_> {
     /// Append the `tf` positions that start `before` values into block
     /// `block`'s frame: one unaligned `u64` load per value (the tail pad
     /// keeps the last in bounds), summed from 0 — the first value is
@@ -133,19 +179,21 @@ impl PositionalArena {
     }
 
     fn bytes(&self) -> u64 {
-        (self.data.len() + self.frames.len() * std::mem::size_of::<PositionFrame>()) as u64
+        (self.data.len() + std::mem::size_of_val(self.frames)) as u64
     }
 }
 
-/// One term's posting list: the block-compressed `(doc, tf)` stream all
-/// evaluation runs on, plus the optional positional arena for `prox`.
-#[derive(Debug, Clone, Default)]
-pub struct PostingsList {
-    blocks: BlockPostings,
-    positions: Option<PositionalArena>,
+/// One term's posting list, borrowed from its index's arenas: the
+/// block-compressed `(doc, tf)` stream all evaluation runs on, plus the
+/// positional frames `prox` reads when the index stores them.
+/// [`Index::postings`] hands these out by value.
+#[derive(Debug, Clone, Copy)]
+pub struct PostingsList<'a> {
+    blocks: BlockView<'a>,
+    positions: Option<Positions<'a>>,
 }
 
-impl PostingsList {
+impl<'a> PostingsList<'a> {
     /// Number of postings (documents) in the list.
     pub fn len(&self) -> usize {
         self.blocks.len() as usize
@@ -157,8 +205,8 @@ impl PostingsList {
     }
 
     /// The block-compressed stream (the store cursors seek over).
-    pub fn blocks(&self) -> &BlockPostings {
-        &self.blocks
+    pub fn blocks(&self) -> BlockView<'a> {
+        self.blocks
     }
 
     /// Sum of term frequencies across the list (the content summary's
@@ -169,12 +217,12 @@ impl PostingsList {
 
     /// Iterate the `(doc, tf)` pairs in doc order, decoding block by
     /// block.
-    pub fn docs_tfs(&self) -> PostingsIter<'_> {
-        PostingsIter::new(&self.blocks)
+    pub fn docs_tfs(&self) -> PostingsIter<'a> {
+        PostingsIter::new(self.blocks)
     }
 
     /// Iterate the doc ids in order.
-    pub fn docs(&self) -> impl Iterator<Item = DocId> + '_ {
+    pub fn docs(&self) -> impl Iterator<Item = DocId> + 'a {
         self.docs_tfs().map(|(doc, _)| doc)
     }
 
@@ -223,10 +271,10 @@ impl PostingsList {
     /// — nothing when the index was built without positions. Decodes
     /// the landing block's tfs up to the posting to find it in its frame.
     pub fn positions_into(&self, i: usize, out: &mut Vec<u32>) {
-        if let Some(arena) = &self.positions {
+        if let Some(positions) = &self.positions {
             let block = i / BLOCK_DOCS;
             let (before, tf) = self.blocks.tf_prefix(block, i % BLOCK_DOCS);
-            arena.decode_into(block, before, tf, out);
+            positions.decode_into(block, before, tf, out);
         }
     }
 
@@ -234,42 +282,53 @@ impl PostingsList {
     /// this list sits on, located through the tfs the cursor already
     /// decoded instead of decoding the block again.
     pub(crate) fn cursor_positions_into(&self, cursor: &mut BlockCursor<'_>, out: &mut Vec<u32>) {
-        if let Some(arena) = &self.positions {
+        if let Some(positions) = &self.positions {
             let (block, before, tf) = cursor.frame_span();
-            arena.decode_into(block, before, tf, out);
+            positions.decode_into(block, before, tf, out);
         }
     }
 
-    /// Bytes held by the positional arena, frames and fences (0 without
+    /// Bytes held by the positional frames, fences included (0 without
     /// positions).
     pub fn positional_bytes(&self) -> u64 {
-        self.positions.as_ref().map_or(0, PositionalArena::bytes)
+        self.positions.as_ref().map_or(0, Positions::bytes)
     }
 }
 
-/// Block-decoding iterator over a posting list's `(doc, tf)` pairs.
+/// Block-decoding iterator over a posting list's `(doc, tf)` pairs. The
+/// current block is decoded into two arrays it carries, so iterating
+/// allocates nothing.
 #[derive(Debug)]
 pub struct PostingsIter<'a> {
-    list: &'a BlockPostings,
+    list: BlockView<'a>,
     block: usize,
     pos: usize,
-    docs: Vec<u32>,
-    tfs: Vec<u32>,
+    /// Postings in the decoded block.
+    count: usize,
+    docs: [u32; BLOCK_DOCS],
+    tfs: [u32; BLOCK_DOCS],
 }
 
 impl<'a> PostingsIter<'a> {
-    fn new(list: &'a BlockPostings) -> Self {
+    fn new(list: BlockView<'a>) -> Self {
         let mut it = PostingsIter {
             list,
             block: 0,
             pos: 0,
-            docs: Vec::new(),
-            tfs: Vec::new(),
+            count: 0,
+            docs: [0; BLOCK_DOCS],
+            tfs: [0; BLOCK_DOCS],
         };
-        if list.n_blocks() > 0 {
-            list.decode_block(0, &mut it.docs, &mut it.tfs);
-        }
+        it.land();
         it
+    }
+
+    /// Decode the current block, if there is one.
+    fn land(&mut self) {
+        if self.block < self.list.n_blocks() {
+            self.count = self.list.decode_block_docs_into(self.block, &mut self.docs);
+            self.list.decode_block_tfs_into(self.block, &mut self.tfs);
+        }
     }
 }
 
@@ -282,13 +341,10 @@ impl Iterator for PostingsIter<'_> {
         }
         let out = (DocId(self.docs[self.pos]), self.tfs[self.pos]);
         self.pos += 1;
-        if self.pos == self.docs.len() {
+        if self.pos == self.count {
             self.block += 1;
             self.pos = 0;
-            if self.block < self.list.n_blocks() {
-                self.list
-                    .decode_block(self.block, &mut self.docs, &mut self.tfs);
-            }
+            self.land();
         }
         Some(out)
     }
@@ -317,55 +373,73 @@ struct StoredField {
     end: u32,
 }
 
-/// What pruning knows about one `(field, term)` key: the envelope of the
-/// ranking algorithm's `term_weight` across the key's postings, whole
-/// list and block by block.
-#[derive(Debug, Clone)]
+/// What pruning knows about one `(field, term)` key as a whole: the
+/// envelope of the ranking algorithm's `term_weight` across its
+/// postings.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct TermBound {
     /// Float max of the key's term weights: the `total_cmp` maximum of
-    /// `block_max`.
+    /// its block maxima.
     pub max: f64,
     /// Float min — pruning demands non-negative weights, so a negative
     /// (or non-finite) envelope disables the bound for its key.
     pub min: f64,
-    /// Per-block maxima, one per 128-doc block of the key's posting list
-    /// (see [`crate::blocks::BLOCK_DOCS`]) — the "block-max" side of
-    /// Block-Max-WAND. Each is the float max of the exact weights of its
-    /// block only, so it is usually far tighter than `max`.
-    pub block_max: Box<[f64]>,
 }
 
 /// Per-`(field, term)` extrema of the ranking algorithm's term weights
 /// over one index's postings — the build-time sidecar behind the
-/// engine's dynamic pruning (see `docs/performance.md`), one entry per
-/// key, indexed by the key's slot in the index. For a shard of a
-/// sharded collection the weights are computed against the *global*
-/// collection statistics, so each recorded maximum is the float max of
-/// exactly the weight values query-time scoring can produce for that
-/// key on this shard; a leaf's upper bound therefore holds without any
-/// epsilon.
+/// engine's dynamic pruning (see `docs/performance.md`). Two tables, on
+/// the index's own numbering: one `(max, min)` per key slot, and one
+/// maximum per 128-doc block (see [`crate::blocks::BLOCK_DOCS`]) on the
+/// index's block ordinal, so a key's block maxima are the slice at its
+/// block range — the "block-max" side of Block-Max-WAND, each the float
+/// max of the exact weights of its block only, usually far tighter than
+/// the key's `max`. For a shard of a sharded collection the weights are
+/// computed against the *global* collection statistics, so each
+/// recorded maximum is the float max of exactly the weight values
+/// query-time scoring can produce for that key on this shard; a leaf's
+/// upper bound therefore holds without any epsilon.
 #[derive(Debug, Default)]
 pub struct TermBounds {
-    bounds: Vec<TermBound>,
+    keys: Vec<TermBound>,
+    block_max: Vec<f64>,
 }
 
 impl TermBounds {
-    /// Record the next slot's key: its weight minimum and its per-block
-    /// maxima, the largest of which is its whole-list maximum. The
-    /// extrema are `total_cmp`'s, so a NaN weight poisons the envelope
-    /// (it sorts above +inf) and disables pruning for the key.
-    pub(crate) fn push(&mut self, min: f64, block_max: Vec<f64>) {
-        let max = block_max.iter().copied().max_by(f64::total_cmp);
-        self.bounds.push(TermBound {
-            max: max.unwrap_or(f64::NEG_INFINITY),
-            min,
-            block_max: block_max.into_boxed_slice(),
-        });
+    /// Empty tables with room for exactly `keys` slots and `blocks`
+    /// blocks.
+    pub(crate) fn with_capacity(keys: usize, blocks: usize) -> Self {
+        TermBounds {
+            keys: Vec::with_capacity(keys),
+            block_max: Vec::with_capacity(blocks),
+        }
+    }
+
+    /// Record the next block's weight maximum.
+    pub(crate) fn push_block(&mut self, max: f64) {
+        self.block_max.push(max);
+    }
+
+    /// Record the next slot's key envelope. The extrema are
+    /// `total_cmp`'s, so a NaN weight poisons the envelope (it sorts
+    /// above +inf) and disables pruning for the key.
+    pub(crate) fn push_key(&mut self, max: f64, min: f64) {
+        self.keys.push(TermBound { max, min });
     }
 
     /// What was recorded for a key slot, if anything.
-    pub(crate) fn get(&self, slot: u32) -> Option<&TermBound> {
-        self.bounds.get(slot as usize)
+    pub(crate) fn get(&self, slot: u32) -> Option<TermBound> {
+        self.keys.get(slot as usize).copied()
+    }
+
+    /// The block maxima of a block range ([`Index::block_range`]).
+    pub(crate) fn block_max(&self, blocks: Range<usize>) -> &[f64] {
+        &self.block_max[blocks]
+    }
+
+    /// Blocks recorded so far.
+    pub(crate) fn n_blocks(&self) -> usize {
+        self.block_max.len()
     }
 }
 
@@ -376,12 +450,12 @@ impl TermBounds {
 pub struct PostingsFootprint {
     /// Number of posting lists (distinct `(field, term)` keys).
     pub lists: u64,
-    /// Lists that carry a positional arena (0 under
+    /// Lists that carry positional frames (0 under
     /// [`PositionsMode::None`]).
     pub positional_lists: u64,
     /// Total postings across all lists.
     pub postings: u64,
-    /// Bytes held by the positional arenas (frames + fences).
+    /// Bytes held by the positional frames and their fences.
     pub positional_bytes: u64,
     /// Bytes held by the bit-packed block streams, headers included.
     pub block_bytes: u64,
@@ -391,17 +465,6 @@ pub struct PostingsFootprint {
 }
 
 impl PostingsFootprint {
-    /// Account for one posting list.
-    fn add_list(&mut self, list: &PostingsList) {
-        self.lists += 1;
-        self.postings += list.len() as u64;
-        self.block_bytes += list.blocks.bytes();
-        if list.has_positions() {
-            self.positional_lists += 1;
-            self.positional_bytes += list.positional_bytes();
-        }
-    }
-
     /// Fold another footprint into this one (shard aggregation).
     pub fn merge(&mut self, other: &PostingsFootprint) {
         self.lists += other.lists;
@@ -423,7 +486,21 @@ pub struct Index {
     /// The one key table: every `(field, term)` key's dense slot, which
     /// indexes `lists` here and the engine's [`TermBounds`].
     slots: HashMap<(FieldId, TermId), u32>,
-    lists: Vec<PostingsList>,
+    /// Where each slot's list starts in the four arenas below, plus one
+    /// sentinel: a list ends where the next slot's begins.
+    lists: Vec<ListRef>,
+    /// Every list's block headers, back to back in slot order. A
+    /// header's position here is the index's *block ordinal*.
+    headers: Vec<BlockHeader>,
+    /// Every list's doc/tf frames, back to back in slot order, each
+    /// list closed by its own tail pad.
+    frames: Vec<u8>,
+    /// One positional frame per block, on the block ordinal of
+    /// `headers` (empty under [`PositionsMode::None`]).
+    pos_frames: Vec<PositionFrame>,
+    /// Every list's positional bytes, back to back in slot order, each
+    /// list closed by its own tail pad.
+    pos_data: Vec<u8>,
     docs: Vec<StoredDoc>,
     fields: Vec<StoredField>,
     /// Every stored field value back to back, fenced by `fields`.
@@ -442,18 +519,43 @@ pub struct Index {
     fold: OnceLock<FoldTable>,
 }
 
+/// Where one slot's list starts in its index's arenas: its first block
+/// ordinal, its first frame byte and its first positional byte, plus
+/// its posting count and tf sum.
+#[derive(Debug, Clone, Copy)]
+struct ListRef {
+    block: u32,
+    len: u32,
+    bytes: u32,
+    pos_bytes: u32,
+    sum_tf: u64,
+}
+
+/// An arena length as a [`ListRef`] offset.
+fn arena_offset(len: usize) -> u32 {
+    u32::try_from(len).expect("index arenas exceed u32 offsets")
+}
+
+/// The full blocks a list builder has encoded so far: doc/tf frames
+/// and positional frames, in the layout one list takes in the arenas.
+#[derive(Debug, Default)]
+struct Frozen {
+    blocks: BlockPostings,
+    frames: Vec<PositionFrame>,
+    data: Vec<u8>,
+}
+
 /// Build-time state of one posting list: the blocks frozen so far plus
-/// the open block — at most [`BLOCK_DOCS`] postings as doc/tf columns
-/// and their positions back to back (none under
-/// [`PositionsMode::None`]). Documents arrive in increasing order and
-/// positions in increasing order within a document, so everything is
-/// append-only.
+/// the open block — at most [`BLOCK_DOCS`] `(doc, tf)` postings and
+/// their positions back to back (none under [`PositionsMode::None`]).
+/// Documents arrive in increasing order and positions in increasing
+/// order within a document, so everything is append-only. One is kept
+/// per key slot and most keys never fill a block, so the frozen part
+/// is boxed and the slot stays small.
 #[derive(Debug, Default)]
 struct ListBuilder {
-    blocks: BlockPostings,
-    arena: PositionalArena,
-    docs: Vec<u32>,
-    tfs: Vec<u32>,
+    frozen: Option<Box<Frozen>>,
+    open: Vec<(u32, u32)>,
     positions: Vec<u32>,
 }
 
@@ -462,14 +564,13 @@ impl ListBuilder {
     /// (`None` when positions are not stored), freezing the open block
     /// first when `doc` would be its 129th posting.
     fn push(&mut self, doc: DocId, position: Option<u32>) {
-        match self.docs.last() {
-            Some(&last) if last == doc.0 => *self.tfs.last_mut().unwrap() += 1,
+        match self.open.last_mut() {
+            Some((last, tf)) if *last == doc.0 => *tf += 1,
             _ => {
-                if self.docs.len() == BLOCK_DOCS {
+                if self.open.len() == BLOCK_DOCS {
                     self.freeze_block();
                 }
-                self.docs.push(doc.0);
-                self.tfs.push(1);
+                self.open.push((doc.0, 1));
             }
         }
         if let Some(position) = position {
@@ -479,29 +580,95 @@ impl ListBuilder {
 
     /// Encode the open block into the frozen streams and empty it.
     fn freeze_block(&mut self) {
-        self.blocks.push_block(&self.docs, &self.tfs);
+        let frozen = self.frozen.get_or_insert_with(Box::default);
+        frozen.blocks.push_block(&self.open);
         if !self.positions.is_empty() {
-            self.arena.push_block(&self.tfs, &mut self.positions);
+            push_frame_at(
+                &mut frozen.frames,
+                &mut frozen.data,
+                0,
+                &self.open,
+                &mut self.positions,
+            );
         }
-        self.docs.clear();
-        self.tfs.clear();
+        self.open.clear();
         self.positions.clear();
     }
 
-    /// Flush the tail block and seal the list.
-    fn finish(mut self, store_positions: bool) -> PostingsList {
-        if !self.docs.is_empty() {
-            self.freeze_block();
+    /// The frozen blocks' headers, frame bytes, positional frames and
+    /// positional bytes (all empty before the first freeze).
+    fn frozen_parts(&self) -> (&[BlockHeader], &[u8], &[PositionFrame], &[u8]) {
+        match self.frozen.as_deref() {
+            Some(f) => {
+                let (headers, data) = f.blocks.view().raw_parts();
+                (headers, data, &f.frames, &f.data)
+            }
+            None => (&[], &[], &[], &[]),
         }
-        self.blocks.finish();
-        let positions = store_positions.then(|| {
-            self.arena.finish();
-            self.arena
+    }
+
+    /// What the sealed list takes in each arena — blocks, frame bytes,
+    /// positional bytes — its open block and tail pads included. A list
+    /// exists only once it has a posting, and a freeze is always
+    /// followed by the posting that caused it, so the open block is
+    /// never empty.
+    fn sealed_len(&self, store_positions: bool) -> (usize, usize, usize) {
+        let (headers, data, _, pos_data) = self.frozen_parts();
+        let prev = headers.last().map(|h| h.max_doc);
+        let bytes = data.len() + block_frame_len(prev, &self.open) + PAD_BYTES;
+        let pos_bytes = if store_positions {
+            let bits = frame_bits(&self.open, &self.positions) as usize;
+            pos_data.len() + (self.positions.len() * bits).div_ceil(8) + PAD_BYTES
+        } else {
+            0
+        };
+        (headers.len() + 1, bytes, pos_bytes)
+    }
+
+    /// Move the list into the index's arenas at their current ends: the
+    /// frozen blocks copied, the open block encoded in place, each
+    /// stream closed by its tail pad — the bytes
+    /// [`BlockPostings::encode`] of the same postings would hold.
+    fn seal_into(mut self, index: &mut Index, store_positions: bool) {
+        debug_assert!(!self.open.is_empty(), "a list's open block holds a posting");
+        let (block, bytes, pos_bytes) = (
+            index.headers.len(),
+            index.frames.len(),
+            index.pos_data.len(),
+        );
+        let (headers, data, frames, pos_data) = self.frozen_parts();
+        index.headers.extend_from_slice(headers);
+        index.frames.extend_from_slice(data);
+        let (mut len, mut sum_tf) = self.frozen.as_ref().map_or((0, 0), |f| {
+            (f.blocks.view().len(), f.blocks.view().total_tf())
         });
-        PostingsList {
-            blocks: self.blocks,
-            positions,
+        len += self.open.len() as u64;
+        sum_tf += push_block_at(
+            &mut index.headers,
+            &mut index.frames,
+            (block, bytes),
+            &self.open,
+        );
+        index.frames.extend_from_slice(&[0u8; PAD_BYTES]);
+        if store_positions {
+            index.pos_frames.extend_from_slice(frames);
+            index.pos_data.extend_from_slice(pos_data);
+            push_frame_at(
+                &mut index.pos_frames,
+                &mut index.pos_data,
+                pos_bytes,
+                &self.open,
+                &mut self.positions,
+            );
+            index.pos_data.extend_from_slice(&[0u8; PAD_BYTES]);
         }
+        index.lists.push(ListRef {
+            block: arena_offset(block),
+            len: u32::try_from(len).expect("posting list longer than the u32 doc-id space"),
+            bytes: arena_offset(bytes),
+            pos_bytes: arena_offset(pos_bytes),
+            sum_tf,
+        });
     }
 }
 
@@ -534,6 +701,10 @@ impl IndexBuilder {
                 vocab: HashMap::new(),
                 slots: HashMap::new(),
                 lists: Vec::new(),
+                headers: Vec::new(),
+                frames: Vec::new(),
+                pos_frames: Vec::new(),
+                pos_data: Vec::new(),
                 docs: Vec::new(),
                 fields: Vec::new(),
                 text: String::new(),
@@ -626,25 +797,55 @@ impl IndexBuilder {
         doc_id
     }
 
-    /// Finish building: flush each list's open tail block — every full
-    /// block was frozen as it filled — and release the builders' spare
-    /// capacity.
+    /// Finish building: size the arenas exactly in one pass over the
+    /// lists, then move each list into them in slot order — its frozen
+    /// blocks copied, its open tail block encoded in place — dropping
+    /// its builder as soon as it is copied.
     pub fn build(self) -> Index {
         let mut index = self.inner;
         let store_positions = self.store_positions;
-        index.lists = self
-            .lists
-            .into_iter()
-            .map(|list| list.finish(store_positions))
-            .collect();
-        for list in &index.lists {
-            index.footprint.add_list(list);
+        let (mut blocks, mut bytes, mut pos_bytes) = (0, 0, 0);
+        for list in &self.lists {
+            let (b, f, p) = list.sealed_len(store_positions);
+            blocks += b;
+            bytes += f;
+            pos_bytes += p;
         }
+        index.lists = Vec::with_capacity(self.lists.len() + 1);
+        index.headers = Vec::with_capacity(blocks);
+        index.frames = Vec::with_capacity(bytes);
+        index.pos_frames = Vec::with_capacity(if store_positions { blocks } else { 0 });
+        index.pos_data = Vec::with_capacity(pos_bytes);
+        for list in self.lists {
+            list.seal_into(&mut index, store_positions);
+        }
+        debug_assert!(
+            index.headers.len() == blocks
+                && index.frames.len() == bytes
+                && index.pos_data.len() == pos_bytes,
+            "arenas sized exactly"
+        );
+        let n_lists = index.lists.len() as u64;
+        let postings = index.lists.iter().map(|l| u64::from(l.len)).sum();
+        index.lists.push(ListRef {
+            block: arena_offset(index.headers.len()),
+            len: 0,
+            bytes: arena_offset(index.frames.len()),
+            pos_bytes: arena_offset(index.pos_data.len()),
+            sum_tf: 0,
+        });
         index.docs.shrink_to_fit();
         index.fields.shrink_to_fit();
         index.text.shrink_to_fit();
-        index.footprint.stored_bytes =
-            (index.text.len() + index.fields.len() * std::mem::size_of::<StoredField>()) as u64;
+        index.footprint = PostingsFootprint {
+            lists: n_lists,
+            positional_lists: if store_positions { n_lists } else { 0 },
+            postings,
+            positional_bytes: (index.pos_data.len() + std::mem::size_of_val(&index.pos_frames[..]))
+                as u64,
+            block_bytes: (index.frames.len() + std::mem::size_of_val(&index.headers[..])) as u64,
+            stored_bytes: (index.text.len() + std::mem::size_of_val(&index.fields[..])) as u64,
+        };
         index
     }
 }
@@ -757,7 +958,7 @@ impl Index {
 
     /// The posting list for a (field, term) pair. The term must be in
     /// index-normalized form (the caller normalizes via the analyzer).
-    pub fn postings(&self, field: FieldId, term: &str) -> Option<&PostingsList> {
+    pub fn postings(&self, field: FieldId, term: &str) -> Option<PostingsList<'_>> {
         self.slot(field, term).map(|slot| self.list(slot))
     }
 
@@ -774,14 +975,14 @@ impl Index {
     /// Total postings (sum of tf over docs) of a term in a field — the
     /// content summary's "total number of postings" statistic.
     pub fn total_postings(&self, field: FieldId, term: &str) -> u64 {
-        self.postings(field, term).map_or(0, PostingsList::total_tf)
+        self.postings(field, term).map_or(0, |p| p.total_tf())
     }
 
     /// Iterate the vocabulary of a field: `(term, postings)`.
     pub fn field_vocabulary(
         &self,
         field: FieldId,
-    ) -> impl Iterator<Item = (&str, &PostingsList)> + '_ {
+    ) -> impl Iterator<Item = (&str, PostingsList<'_>)> + '_ {
         self.slots
             .iter()
             .filter(move |((fid, _), _)| *fid == field)
@@ -818,14 +1019,16 @@ impl Index {
     /// for merging per-shard document frequencies into global
     /// collection statistics and for building the [`TermBounds`]
     /// pruning sidecar, whose entries it lines up with.
-    pub(crate) fn all_postings(&self) -> impl Iterator<Item = (FieldId, &str, &PostingsList)> + '_ {
-        let mut keys = vec![(ANY_FIELD, TermId(0)); self.lists.len()];
+    pub(crate) fn all_postings(
+        &self,
+    ) -> impl Iterator<Item = (FieldId, &str, PostingsList<'_>)> + '_ {
+        let mut keys = vec![(ANY_FIELD, TermId(0)); self.slots.len()];
         for (&key, &slot) in &self.slots {
             keys[slot as usize] = key;
         }
-        keys.into_iter()
-            .zip(&self.lists)
-            .map(|((fid, tid), list)| (fid, self.terms[tid.0 as usize].as_str(), list))
+        (0u32..)
+            .zip(keys)
+            .map(|(slot, (fid, tid))| (fid, self.terms[tid.0 as usize].as_str(), self.list(slot)))
     }
 
     /// The slot of a `(field, index-normalized term)` key, if the index
@@ -835,13 +1038,44 @@ impl Index {
         self.slots.get(&(field, tid)).copied()
     }
 
-    /// The posting list in a slot.
-    pub(crate) fn list(&self, slot: u32) -> &PostingsList {
-        &self.lists[slot as usize]
+    /// The posting list in a slot: views of its ranges of the arenas.
+    pub(crate) fn list(&self, slot: u32) -> PostingsList<'_> {
+        let (at, end) = (self.lists[slot as usize], self.lists[slot as usize + 1]);
+        let blocks = self.block_range(slot);
+        let bytes = at.bytes as usize..end.bytes as usize;
+        PostingsList {
+            blocks: BlockView::new(
+                &self.headers[blocks.clone()],
+                &self.frames[bytes],
+                u64::from(at.len),
+                at.sum_tf,
+            ),
+            positions: self.positions_stored.then(|| Positions {
+                frames: &self.pos_frames[blocks],
+                data: &self.pos_data[at.pos_bytes as usize..end.pos_bytes as usize],
+            }),
+        }
+    }
+
+    /// The block ordinals of a slot's list — where its entries sit in
+    /// any per-block table of this index ([`TermBounds`]).
+    pub(crate) fn block_range(&self, slot: u32) -> Range<usize> {
+        let (at, end) = (self.lists[slot as usize], self.lists[slot as usize + 1]);
+        at.block as usize..end.block as usize
+    }
+
+    /// Keys (and so lists) in the index.
+    pub(crate) fn n_keys(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Blocks across all lists: the length of the block ordinal.
+    pub(crate) fn n_blocks(&self) -> usize {
+        self.headers.len()
     }
 
     /// Memory held by posting and stored-field storage, split into the
-    /// bit-packed block streams, the positional arenas and the stored
+    /// bit-packed block streams, the positional frames and the stored
     /// values, so the codec's compression ratio and the positional
     /// diet are directly observable. Accumulated once at build time;
     /// this is a copy of six integers.
@@ -917,7 +1151,7 @@ mod tests {
         // "databases" is title token 1 and body token 0; body starts
         // after title's 2 tokens + FIELD_GAP.
         assert!(p.has_positions());
-        assert_eq!(positions(p, 0), [1, 2 + FIELD_GAP]);
+        assert_eq!(positions(&p, 0), [1, 2 + FIELD_GAP]);
     }
 
     #[test]
@@ -928,7 +1162,7 @@ mod tests {
         assert!(!idx.has_positions());
         let p = idx.postings(ANY_FIELD, "lean").unwrap();
         assert!(!p.has_positions());
-        assert_eq!(positions(p, 0), [] as [u32; 0]);
+        assert_eq!(positions(&p, 0), [] as [u32; 0]);
         // Doc/tf data is unaffected by the diet.
         assert_eq!(p.tf_of(DocId(0)), 2);
         assert_eq!(idx.total_postings(ANY_FIELD, "lean"), 2);
@@ -995,7 +1229,7 @@ mod tests {
         let author = idx.schema().get("author").unwrap();
         let p = idx.postings(author, "hector").unwrap();
         // Second author instance starts after 2 tokens + FIELD_GAP.
-        assert_eq!(positions(p, 0), [2 + FIELD_GAP]);
+        assert_eq!(positions(&p, 0), [2 + FIELD_GAP]);
     }
 
     #[test]
@@ -1011,7 +1245,7 @@ mod tests {
         let idx = small_index();
         for (field, term, list) in idx.all_postings() {
             assert_eq!(idx.postings(field, term).unwrap().len(), list.len());
-            let mut cursor = crate::blocks::BlockCursor::new(list.blocks());
+            let mut cursor = BlockCursor::new(list.blocks());
             for (doc, tf) in list.docs_tfs() {
                 assert_eq!((cursor.doc(), cursor.tf()), (doc.0, tf));
                 assert_eq!(list.tf_of(doc), tf);

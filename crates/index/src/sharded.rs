@@ -69,10 +69,15 @@ impl CollectionStats {
             n_docs += index.n_docs();
             total_tokens += index.total_tokens();
             for (field, term, postings) in index.all_postings() {
-                *df.entry(field)
-                    .or_default()
-                    .entry(term.to_string())
-                    .or_insert(0) += postings.len() as u32;
+                let terms = df.entry(field).or_default();
+                let n = postings.len() as u32;
+                // Allocate a term's key only the first time it is seen.
+                match terms.get_mut(term) {
+                    Some(d) => *d += n,
+                    None => {
+                        terms.insert(term.to_string(), n);
+                    }
+                }
             }
         }
         CollectionStats {

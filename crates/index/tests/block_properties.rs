@@ -127,7 +127,7 @@ fn varint_decode(src: &[u8], n: usize) -> Vec<(u32, u32)> {
 /// Walk a block list back into `(doc, tf)` pairs through the cursor.
 fn decode_via_cursor(list: &BlockPostings) -> Vec<(u32, u32)> {
     let mut out = Vec::new();
-    let mut cursor = BlockCursor::new(list);
+    let mut cursor = BlockCursor::new(list.view());
     while !cursor.is_exhausted() {
         out.push((cursor.doc(), cursor.tf()));
         cursor.next();
@@ -227,9 +227,9 @@ proptest! {
     #[test]
     fn codec_round_trips(postings in arb_postings()) {
         let list = BlockPostings::encode(&postings);
-        prop_assert_eq!(list.len(), postings.len() as u64);
-        prop_assert_eq!(list.n_blocks(), postings.len().div_ceil(BLOCK_DOCS));
-        let mut cursor = BlockCursor::new(&list);
+        prop_assert_eq!(list.view().len(), postings.len() as u64);
+        prop_assert_eq!(list.view().n_blocks(), postings.len().div_ceil(BLOCK_DOCS));
+        let mut cursor = BlockCursor::new(list.view());
         for &(doc, tf) in &postings {
             prop_assert!(!cursor.is_exhausted());
             prop_assert_eq!((cursor.doc(), cursor.tf()), (doc, tf));
@@ -237,10 +237,10 @@ proptest! {
         }
         prop_assert!(cursor.is_exhausted());
         // Header fence posts are exactly the per-block last doc ids.
-        for b in 0..list.n_blocks() {
+        for b in 0..list.view().n_blocks() {
             let chunk = &postings[b * BLOCK_DOCS..((b + 1) * BLOCK_DOCS).min(postings.len())];
-            prop_assert_eq!(list.header(b).max_doc, chunk.last().unwrap().0);
-            prop_assert_eq!(usize::from(list.header(b).count), chunk.len());
+            prop_assert_eq!(list.view().header(b).max_doc, chunk.last().unwrap().0);
+            prop_assert_eq!(usize::from(list.view().header(b).count), chunk.len());
         }
         // Every posting visited once, no block ever jumped.
         prop_assert_eq!(cursor.visited(), postings.len() as u64);
@@ -254,7 +254,7 @@ proptest! {
     #[test]
     fn next_geq_equals_linear_scan(postings in arb_postings(), ops in arb_ops()) {
         let list = BlockPostings::encode(&postings);
-        let mut cursor = BlockCursor::new(&list);
+        let mut cursor = BlockCursor::new(list.view());
         let mut pos = 0usize; // reference: index into `postings`
         for op in ops {
             match op {
@@ -286,8 +286,8 @@ proptest! {
                 None => prop_assert!(cursor.is_exhausted()),
             }
         }
-        prop_assert!(cursor.visited() <= list.len());
-        prop_assert!(cursor.blocks_skipped() as usize <= list.n_blocks());
+        prop_assert!(cursor.visited() <= list.view().len());
+        prop_assert!(cursor.blocks_skipped() as usize <= list.view().n_blocks());
     }
 
     /// The bit-packed frames and the varint reference codec are
@@ -313,8 +313,8 @@ proptest! {
         prop_assert_eq!(&packed, &postings);
         prop_assert_eq!(packed, varint);
         // The strict and lenient decoders agree on well-formed frames.
-        for b in 0..list.n_blocks() {
-            let (docs, tfs) = list.try_decode_block(b).expect("valid block");
+        for b in 0..list.view().n_blocks() {
+            let (docs, tfs) = list.view().try_decode_block(b).expect("valid block");
             let lo = b * BLOCK_DOCS;
             let hi = (lo + BLOCK_DOCS).min(postings.len());
             prop_assert_eq!(docs, postings[lo..hi].iter().map(|p| p.0).collect::<Vec<_>>());
@@ -350,8 +350,8 @@ proptest! {
         len in any::<u64>(),
     ) {
         let list = BlockPostings::from_raw_parts(headers, data, len);
-        for b in 0..list.n_blocks() {
-            let _ = list.try_decode_block(b);
+        for b in 0..list.view().n_blocks() {
+            let _ = list.view().try_decode_block(b);
         }
     }
 
@@ -361,11 +361,11 @@ proptest! {
     fn block_for_predicts_the_seek(postings in arb_postings(), target_gap in 0u32..10 * BLOCK_DOCS as u32) {
         prop_assume!(!postings.is_empty());
         let list = BlockPostings::encode(&postings);
-        let cursor = BlockCursor::new(&list);
+        let cursor = BlockCursor::new(list.view());
         let target = postings[0].0.saturating_add(target_gap);
         let predicted = cursor.block_for(target);
         prop_assert_eq!(cursor.doc(), postings[0].0, "lookup moved the cursor");
-        let mut seeker = BlockCursor::new(&list);
+        let mut seeker = BlockCursor::new(list.view());
         seeker.next_geq(target);
         match predicted {
             Some(b) => prop_assert_eq!(seeker.block_index(), b),

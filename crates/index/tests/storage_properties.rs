@@ -11,14 +11,20 @@
 //!   language tag;
 //! * `BlockPostings::encode` (a loop of `push_block` + `finish`) is
 //!   byte-identical to the one-shot encoder it replaced, kept here as
-//!   the oracle.
+//!   the oracle;
+//! * the lists an index packs back to back into its per-index arenas
+//!   read back exactly, at 1, 2 and 3 shards: every key's headers and
+//!   frames are the bytes `BlockPostings::encode` gives for its
+//!   postings, a cursor walk yields those postings, and its positions
+//!   equal a fresh analysis — and a one-posting list directly before
+//!   another key's bytes decodes as it does alone.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use starts_index::{
-    BlockHeader, BlockPostings, Document, FieldId, IndexBuilder, PostingsList, ANY_FIELD,
-    BLOCK_DOCS,
+    BlockCursor, BlockHeader, BlockPostings, Document, EngineConfig, FieldId, IndexBuilder,
+    PostingsList, ShardPolicy, ShardedEngine, ANY_FIELD, BLOCK_DOCS,
 };
 use starts_text::{Analyzer, LangTag};
 
@@ -107,9 +113,20 @@ fn expected_postings(analyzer: &Analyzer, docs: &[Document]) -> Expected {
     out
 }
 
-fn positions(list: &PostingsList, i: usize) -> Vec<u32> {
+fn positions(list: &PostingsList<'_>, i: usize) -> Vec<u32> {
     let mut out = Vec::new();
     list.positions_into(i, &mut out);
+    out
+}
+
+/// Walk a list's blocks back into `(doc, tf)` pairs through a cursor.
+fn cursor_walk(list: &PostingsList<'_>) -> Vec<(u32, u32)> {
+    let mut cursor = BlockCursor::new(list.blocks());
+    let mut out = Vec::new();
+    while !cursor.is_exhausted() {
+        out.push((cursor.doc(), cursor.tf()));
+        cursor.next();
+    }
     out
 }
 
@@ -193,7 +210,7 @@ proptest! {
                 by_doc.iter().map(|(&d, p)| (d, p.len() as u32)).collect();
             prop_assert_eq!(&got, &want, "{}:{}", field, term);
             for (i, want) in by_doc.values().enumerate() {
-                prop_assert_eq!(&positions(list, i), want, "{}:{} posting {}", field, term, i);
+                prop_assert_eq!(&positions(&list, i), want, "{}:{} posting {}", field, term, i);
             }
         }
     }
@@ -220,6 +237,51 @@ proptest! {
         }
     }
 
+    /// Every shard's lists, packed back to back into its arenas, read
+    /// back exactly: the bytes `encode` gives for the postings each
+    /// decodes to, the same postings through a cursor, and the
+    /// re-analyzed positions.
+    #[test]
+    fn packed_lists_read_back_exactly(docs in arb_docs()) {
+        for shards in [1, 2, 3] {
+            let engine = ShardedEngine::build(
+                &docs,
+                EngineConfig {
+                    shards,
+                    shard_policy: ShardPolicy::Exact,
+                    ..EngineConfig::default()
+                },
+            );
+            let mut first = 0;
+            for shard in engine.shards() {
+                let index = shard.index();
+                let local = &docs[first..first + index.n_docs() as usize];
+                first += local.len();
+                let expected = expected_postings(index.analyzer(), local);
+                prop_assert_eq!(index.postings_footprint().lists, expected.len() as u64);
+                for ((field, term), by_doc) in &expected {
+                    let fid: FieldId = if field.is_empty() {
+                        ANY_FIELD
+                    } else {
+                        index.schema().get(field).expect("an indexed field")
+                    };
+                    let list = index.postings(fid, term).expect("an indexed key");
+                    let want: Vec<(u32, u32)> =
+                        by_doc.iter().map(|(&d, p)| (d, p.len() as u32)).collect();
+                    let decoded: Vec<(u32, u32)> =
+                        list.docs_tfs().map(|(d, tf)| (d.0, tf)).collect();
+                    prop_assert_eq!(&decoded, &want, "shards={} {}:{}", shards, field, term);
+                    prop_assert_eq!(&cursor_walk(&list), &want);
+                    let alone = BlockPostings::encode(&decoded);
+                    prop_assert_eq!(list.blocks().raw_parts(), alone.view().raw_parts());
+                    for (i, want) in by_doc.values().enumerate() {
+                        prop_assert_eq!(&positions(&list, i), want, "{}:{} posting {}", field, term, i);
+                    }
+                }
+            }
+        }
+    }
+
     /// `encode` is byte-identical to the one-shot encoder, headers and
     /// frames, for lists of any length including exact block multiples.
     #[test]
@@ -235,7 +297,7 @@ proptest! {
             })
             .collect();
         let list = BlockPostings::encode(&postings);
-        let (headers, data) = list.raw_parts();
+        let (headers, data) = list.view().raw_parts();
         let (want_headers, want_data) = one_shot_encode(&postings);
         prop_assert_eq!(headers, &want_headers[..]);
         prop_assert_eq!(data, &want_data[..]);
@@ -270,6 +332,40 @@ fn boundary_document_with_tf_above_one() {
         } else {
             &[0]
         };
-        assert_eq!(positions(list, i), want, "posting {i}");
+        assert_eq!(positions(&list, i), want, "posting {i}");
     }
+}
+
+/// A one-posting list whose last frame sits directly before another
+/// key's bytes decodes as it does alone: its view ends at its own tail
+/// pad, so no `u64` load of the decoders reaches the neighbour's bits.
+#[test]
+fn a_one_posting_list_ignores_its_neighbour() {
+    let mut builder = IndexBuilder::new(Analyzer::default());
+    // Slot order is first-seen order: "solo" (title, then `Any`), then
+    // "dense", whose first frames are packed with set bits.
+    builder.add(&Document::new().field("title", "solo"));
+    for _ in 0..BLOCK_DOCS + 3 {
+        builder.add(&Document::new().field("title", ["dense"; 255].join(" ")));
+    }
+    let index = builder.build();
+    let title = index.schema().get("title").unwrap();
+    let solo = index.postings(ANY_FIELD, "solo").unwrap();
+    let dense = index.postings(title, "dense").unwrap();
+    let (solo_headers, solo_frames) = solo.blocks().raw_parts();
+    let (dense_headers, dense_frames) = dense.blocks().raw_parts();
+    // The two lists are neighbours in both arenas.
+    assert_eq!(solo_headers.as_ptr_range().end, dense_headers.as_ptr());
+    assert_eq!(solo_frames.as_ptr_range().end, dense_frames.as_ptr());
+    assert!(dense_frames[..8].iter().any(|&b| b != 0));
+    let alone = BlockPostings::encode(&[(0, 1)]);
+    assert_eq!(solo.blocks().raw_parts(), alone.view().raw_parts());
+    assert_eq!(
+        solo.docs_tfs().map(|(d, tf)| (d.0, tf)).collect::<Vec<_>>(),
+        [(0, 1)]
+    );
+    assert_eq!(cursor_walk(&solo), [(0, 1)]);
+    assert_eq!(solo.find(starts_index::DocId(0)), Some((0, 1)));
+    assert_eq!(positions(&solo, 0), [0]);
+    assert_eq!(positions(&dense, 0), (0..255).collect::<Vec<u32>>());
 }

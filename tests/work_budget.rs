@@ -139,9 +139,9 @@ fn index_corpus() -> GeneratedCorpus {
 /// Build one Acme source over [`index_corpus`] — one exact shard, so
 /// the build runs on this thread — and return, per document, its heap
 /// high-water mark above the starting point, the bytes it still holds
-/// once built, and the bytes of its block postings and of its
-/// positional frames.
-fn index_rows() -> [(&'static str, f64); 4] {
+/// once built, the allocator calls the build made, and the bytes of
+/// its block postings and of its positional frames.
+fn index_rows() -> [(&'static str, f64); 5] {
     let corpus = index_corpus();
     let s = &corpus.sources[0];
     let mut config = vendors::acme(&s.id);
@@ -149,7 +149,9 @@ fn index_rows() -> [(&'static str, f64); 4] {
     config.engine.shard_policy = ShardPolicy::Exact;
     let base = LIVE_BYTES.load(Ordering::Relaxed);
     PEAK_BYTES.store(base, Ordering::Relaxed);
+    let calls = ALLOCATIONS.load(Ordering::Relaxed);
     let source = Source::build(config, &s.docs);
+    let calls = ALLOCATIONS.load(Ordering::Relaxed) - calls;
     let peak = PEAK_BYTES.load(Ordering::Relaxed) - base;
     let retained = LIVE_BYTES.load(Ordering::Relaxed) - base;
     let footprint = source.engine().postings_footprint();
@@ -158,6 +160,7 @@ fn index_rows() -> [(&'static str, f64); 4] {
     [
         ("index.build.peak_live_bytes_per_doc", peak as f64 / n),
         ("index.retained_bytes_per_doc", retained as f64 / n),
+        ("index.build.allocations_per_doc", calls as f64 / n),
         (
             "index.block_bytes_per_doc",
             footprint.block_bytes as f64 / n,
