@@ -14,13 +14,31 @@
 //!   many (see X16's `filtered` rows);
 //! * **selectivity** — how much `prox` narrows the result set vs `and`
 //!   (what the providers wanted it for), as the distance `d` grows.
+//!
+//! Every term is unfielded, so this is the one experiment that reads the
+//! `Any` view — a term's field lists, with document-global positions —
+//! and it asserts each operator's total match count against
+//! [`PINNED_MATCHES`]. `--smoke` times one evaluation per query instead
+//! of fifty, for CI.
 
 use std::time::Instant;
 
-use starts_bench::{header, print_table, section, standard_corpus};
+use starts_bench::{header, print_table, section, standard_corpus, BenchArgs};
 use starts_index::{BoolNode, Document, Engine, EngineConfig, TermSpec};
 
+/// Matches per operator, summed over the five term pairs, as the index
+/// that stored a second, `Any`-keyed copy of every posting answered.
+const PINNED_MATCHES: [(&str, usize); 5] = [
+    ("and", 3165),
+    ("prox[0,T] (phrase)", 392),
+    ("prox[3,T]", 1116),
+    ("prox[10,F]", 2532),
+    ("prox[50,F]", 3057),
+];
+
 fn main() {
+    let args = BenchArgs::parse();
+    let reps = if args.smoke { 1 } else { 50 };
     header("X11  proximity-operator ablation: cost and selectivity");
     let corpus = standard_corpus();
     let docs: Vec<Document> = corpus.all_docs();
@@ -106,10 +124,17 @@ fn main() {
         let mut total_us = 0.0;
         let mut total_matches = 0usize;
         for (a, b) in &pairs {
-            let (us, n) = time_eval(&build(a, b), 50);
+            let (us, n) = time_eval(&build(a, b), reps);
             total_us += us;
             total_matches += n;
         }
+        println!("   {name}: {total_matches} matches");
+        let pinned = PINNED_MATCHES.iter().find(|(op, _)| op == name);
+        assert_eq!(
+            pinned.map(|&(_, n)| n),
+            Some(total_matches),
+            "{name}: match count moved"
+        );
         let mean_us = total_us / pairs.len() as f64;
         let mean_matches = total_matches as f64 / pairs.len() as f64;
         if name == "and" {
@@ -165,5 +190,5 @@ fn main() {
          were right about their half, which is why the operator survived in\n\
          simplified form."
     );
-    starts_bench::BenchArgs::parse().finish(starts_obs::Registry::global());
+    args.finish(starts_obs::Registry::global());
 }

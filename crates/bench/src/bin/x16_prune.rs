@@ -32,7 +32,11 @@
 //!   fast and tree-bound pruning engages,
 //! * `long` — long-postings: the most common background words (the
 //!   longest lists in the index) paired with one rare anchor, the
-//!   workload where leaping undecoded blocks pays most.
+//!   workload where leaping undecoded blocks pays most,
+//! * `unfielded` — the `zipf` mix with every term unfielded: each leaf
+//!   reads the `Any` view, its term's lists in every field, merged per
+//!   query into one bounded list (the index keeps no `Any` list of its
+//!   own).
 //!
 //! A fourth workload, `filtered`, puts a Boolean **filter** in front of
 //! the ranking — the query shapes of the end-to-end benchmark's
@@ -113,6 +117,13 @@ fn main() {
             zipf_workload(&corpus, n_queries, 1997)
                 .iter()
                 .map(|t| rank_node(t))
+                .collect(),
+        ),
+        Workload::ranked(
+            "unfielded",
+            zipf_workload(&corpus, n_queries, 1997)
+                .iter()
+                .map(|t| unfielded_node(t))
                 .collect(),
         ),
         Workload::ranked("tree", tree_workload(&corpus, n_queries, 4111)),
@@ -359,6 +370,16 @@ struct PruneStats {
 /// A term leaf on the `body-of-text` field.
 fn leaf(word: &str) -> RankNode {
     RankNode::term(TermSpec::fielded("body-of-text", word))
+}
+
+/// [`rank_node`]'s flat `list` with every term unfielded.
+fn unfielded_node(terms: &[String]) -> RankNode {
+    RankNode::List(
+        terms
+            .iter()
+            .map(|t| RankNode::term(TermSpec::any(t.as_str())))
+            .collect(),
+    )
 }
 
 /// A random common background word (Zipf-distributed, low rank = long

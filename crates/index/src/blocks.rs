@@ -391,16 +391,29 @@ pub(crate) fn push_block_at(
         );
         h.max_doc
     });
-    let (doc_bits, tf_bits) = block_widths(prev, postings);
+    debug_assert!(
+        !postings.is_empty() && postings.len() <= BLOCK_DOCS,
+        "a block holds 1..=BLOCK_DOCS postings"
+    );
     let offset = u32::try_from(data.len() - first_byte).expect("block data exceeds u32 offsets");
     let n = postings.len();
     let (mut gaps, mut tfs) = ([0u32; BLOCK_DOCS], [0u32; BLOCK_DOCS]);
+    // The widest value's bit length is the bit length of all of them
+    // or-ed together: one pass finds both widths.
+    let (mut gap_bits, mut tf_bits) = (0u32, 0u32);
     let mut last = prev.unwrap_or(0);
     for (i, &(doc, tf)) in postings.iter().enumerate() {
+        debug_assert!(
+            doc < EXHAUSTED && (i == 0 && prev.is_none() && doc >= last || doc > last),
+            "doc ids must be strictly increasing and below u32::MAX"
+        );
         gaps[i] = doc - last;
         tfs[i] = tf;
+        gap_bits |= gaps[i];
+        tf_bits |= tf;
         last = doc;
     }
+    let (doc_bits, tf_bits) = (bits_for(gap_bits), bits_for(tf_bits));
     // Room for the tail pad too: a one-block list then seals without
     // another reallocation.
     data.reserve(packed_byte_len(n, doc_bits) + packed_byte_len(n, tf_bits) + PAD_BYTES);
@@ -416,25 +429,32 @@ pub(crate) fn push_block_at(
     tfs[..n].iter().map(|&tf| u64::from(tf)).sum()
 }
 
-/// Append `values` to `out`, packed at `width` bits each, LSB-first.
+/// Append `values` to `out`, packed at `width` bits each, LSB-first:
+/// the packed bytes are sized once, then filled four at a time.
 pub(crate) fn pack_bits(out: &mut Vec<u8>, values: &[u32], width: u32) {
     if width == 0 {
         return;
     }
+    let start = out.len();
+    out.resize(start + packed_byte_len(values.len(), width), 0);
+    let dst = &mut out[start..];
+    let mut at = 0;
     let mut acc = 0u64;
     let mut have = 0u32;
     for &v in values {
         debug_assert!(width == 32 || v < (1 << width));
         acc |= u64::from(v) << have;
         have += width;
-        while have >= 8 {
-            out.push(acc as u8);
-            acc >>= 8;
-            have -= 8;
+        if have >= 32 {
+            dst[at..at + 4].copy_from_slice(&(acc as u32).to_le_bytes());
+            at += 4;
+            acc >>= 32;
+            have -= 32;
         }
     }
-    if have > 0 {
-        out.push(acc as u8);
+    for byte in &mut dst[at..] {
+        *byte = acc as u8;
+        acc >>= 8;
     }
 }
 

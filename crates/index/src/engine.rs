@@ -980,7 +980,9 @@ impl Engine {
         ResolvedTerm {
             engine: self,
             df: keys.map(|k| k.df),
-            postings: keys.map_or_else(Vec::new, |k| self.postings_of(k)),
+            postings: keys.map_or_else(Vec::new, |k| {
+                self.key_lists(k).map(|(_, list)| list).collect()
+            }),
         }
     }
 
@@ -996,13 +998,24 @@ impl Engine {
         Some(SpecKeys { field, keys, df })
     }
 
-    /// The local posting lists of a resolved key set, in key order
-    /// (keys only another shard indexed have none here).
-    pub(crate) fn postings_of(&self, keys: &SpecKeys) -> Vec<PostingsList<'_>> {
-        keys.keys
-            .iter()
-            .filter_map(|key| self.index.postings(keys.field, key))
-            .collect()
+    /// The local posting lists of a resolved key set, in key order (keys
+    /// only another shard indexed have none here), each with the field
+    /// it belongs to. An unfielded key expands to the term's list in
+    /// every field that holds it ([`Index::field_lists`]): `Any` is a
+    /// view, not a list.
+    pub(crate) fn key_lists<'a: 'k, 'k>(
+        &'a self,
+        keys: &'k SpecKeys,
+    ) -> impl Iterator<Item = (FieldId, PostingsList<'a>)> + 'k {
+        keys.keys.iter().flat_map(move |key| {
+            let (any, own) = if keys.field == ANY_FIELD {
+                (Some(self.index.field_lists(key)), None)
+            } else {
+                let own = self.index.postings(keys.field, key);
+                (None, own.map(|list| (keys.field, list)))
+            };
+            any.into_iter().flatten().chain(own)
+        })
     }
 
     pub(crate) fn resolve_field(&self, spec: &TermSpec) -> Option<FieldId> {
@@ -1064,6 +1077,12 @@ impl Engine {
                 .filter(|(vocab, _)| pred(query, vocab))
                 .map(|(vocab, _)| vocab.to_string())
                 .collect(),
+            None if field == ANY_FIELD => self
+                .index
+                .any_vocabulary()
+                .filter(|(vocab, _, _)| pred(query, vocab))
+                .map(|(vocab, _, _)| vocab.to_string())
+                .collect(),
             None => self
                 .index
                 .field_vocabulary(field)
@@ -1107,7 +1126,7 @@ impl Engine {
     fn has_term(&self, field: FieldId, term: &str) -> bool {
         match &self.collection {
             Some(c) => c.contains(field, term),
-            None => self.index.postings(field, term).is_some(),
+            None => self.index.df(field, term) > 0,
         }
     }
 
@@ -1204,15 +1223,26 @@ impl Engine {
                     block_max: Cow::Borrowed(&[]),
                 };
                 // Track the resolved-key shape for the build-time bound:
-                // it needs exactly one vocabulary key, because multi-key
-                // leaves sum tf across keys and take the max df —
-                // neither of which the per-key envelope covers.
+                // it needs exactly one vocabulary key read through one
+                // list, because multi-key leaves sum tf across keys and
+                // take the max df — neither of which the per-key envelope
+                // covers. An unfielded key whose term this engine holds
+                // in one field only is that field's key when the field
+                // also holds every document of the term's `Any` df: the
+                // same postings, bounded at build time with the same df.
                 let mut single = None;
-                if let Some(mut resolved) = self.resolve_spec(spec) {
+                if let Some(resolved) = self.resolve_spec(spec) {
                     ctx.df = resolved.df;
-                    ctx.postings = self.postings_of(&resolved);
-                    if resolved.keys.len() == 1 {
-                        single = resolved.keys.pop().map(|key| (resolved.field, key));
+                    // The field of the one list read, if only one is.
+                    let mut field = None;
+                    for (f, list) in self.key_lists(&resolved) {
+                        field = ctx.postings.is_empty().then_some(f);
+                        ctx.postings.push(list);
+                    }
+                    if let (Some(field), [key]) = (field, &resolved.keys[..]) {
+                        if field == resolved.field || self.df_of(field, key) == resolved.df {
+                            single = self.index.slot(field, key);
+                        }
                     }
                 }
                 // Comparison leaves match on stored field values; their
@@ -1225,10 +1255,7 @@ impl Engine {
                 // bounds the leaf, and when that bound is finite over
                 // non-empty postings its per-block maxima and the key's
                 // block postings let Block-Max-WAND skip through it.
-                let keyed = single.and_then(|(field, key)| {
-                    let slot = self.index.slot(field, &key)?;
-                    Some((slot, self.bounds.get(slot)?))
-                });
+                let keyed = single.and_then(|slot| Some((slot, self.bounds.get(slot)?)));
                 ctx.bound = self.leaf_bound(&ctx, keyed.map(|(_, entry)| entry));
                 if let Some((slot, _)) = keyed {
                     if ctx.bound.is_finite() && !ctx.postings.is_empty() {
@@ -1282,36 +1309,23 @@ impl Engine {
 
     /// Give every leaf the build-time sidecar left unbounded a sidecar
     /// built for this query, in the same block format: its keys'
-    /// postings merged into one `(doc, tf)` list with tf summed per
-    /// document, per-block maxima of the very `weigh_leaf` values
-    /// survivors are scored with (so each bound holds bit-wise; a
-    /// non-finite maximum becomes `+inf`, which never skips), and the
-    /// whole-list bound they imply. An unfiltered `cmp` leaf keeps only
-    /// the query's candidates — documents in some `cmp` leaf's
-    /// comparison matches or in another leaf's postings — since no
-    /// other document is scored; under a filter the filter decides.
-    /// Costs one pass over those leaves' postings.
+    /// postings — for an unfielded leaf, its term's field lists —
+    /// merged into one `(doc, tf)` list with tf summed per document,
+    /// per-block maxima of the very `weigh_leaf` values survivors are
+    /// scored with (so each bound holds bit-wise; a non-finite maximum
+    /// becomes `+inf`, which never skips), and the whole-list bound
+    /// they imply. An unfiltered `cmp` leaf keeps only the query's
+    /// candidates — documents in some `cmp` leaf's comparison matches
+    /// or in another leaf's postings — since no other document is
+    /// scored; under a filter the filter decides. Costs one pass over
+    /// those leaves' postings.
     fn bound_at_query_time(&self, leaves: &mut [LeafCtx<'_>], filtered: bool) {
         for i in 0..leaves.len() {
             let leaf = &leaves[i];
             if leaf.bound.is_finite() {
                 continue;
             }
-            let mut list: Vec<(u32, u32)> = leaf
-                .postings
-                .iter()
-                .flat_map(|p| p.docs_tfs())
-                .map(|(doc, tf)| (doc.0, tf))
-                .collect();
-            // Stable: the keys' lists are sorted runs to merge.
-            list.sort_by_key(|&(doc, _)| doc);
-            list.dedup_by(|next, kept| {
-                let same = next.0 == kept.0;
-                if same {
-                    kept.1 += next.1;
-                }
-                same
-            });
+            let mut list = merge_postings(&leaf.postings);
             if leaf.cmp_docs.is_some() && !filtered {
                 retain_candidates(&mut list, leaves);
             }
@@ -1389,10 +1403,12 @@ impl Engine {
 /// What a term spec resolves to against the collection vocabulary.
 #[derive(Debug)]
 pub(crate) struct SpecKeys {
-    field: FieldId,
+    /// The field the keys belong to ([`ANY_FIELD`] when unfielded).
+    pub(crate) field: FieldId,
     /// Matched vocabulary terms, sorted.
     keys: Vec<String>,
-    /// Max document frequency over `keys` (0 when none matched).
+    /// Max document frequency over `keys` (0 when none matched); for an
+    /// unfielded spec, each key's `Any` document frequency.
     df: u32,
 }
 
@@ -1598,6 +1614,38 @@ impl PruneHooks<'_> {
                 .fetch_add(cursor.positional_checks(), Ordering::Relaxed);
         }
     }
+}
+
+/// The `(doc, tf)` union of posting lists, in doc order, with tf summed
+/// per document: each list, decoded a block at a time, merged into the
+/// union of the lists before it.
+fn merge_postings(lists: &[PostingsList<'_>]) -> Vec<(u32, u32)> {
+    let mut merged: Vec<(u32, u32)> = Vec::new();
+    let (mut docs, mut tfs) = ([0u32; BLOCK_DOCS], [0u32; BLOCK_DOCS]);
+    for list in lists {
+        let blocks = list.blocks();
+        let mut out = Vec::with_capacity(merged.len() + list.len());
+        let mut held = 0;
+        for b in 0..blocks.n_blocks() {
+            let n = blocks.decode_block_docs_into(b, &mut docs);
+            blocks.decode_block_tfs_into(b, &mut tfs);
+            for (&doc, &tf) in docs[..n].iter().zip(&tfs[..n]) {
+                while held < merged.len() && merged[held].0 < doc {
+                    out.push(merged[held]);
+                    held += 1;
+                }
+                let mut tf = tf;
+                if held < merged.len() && merged[held].0 == doc {
+                    tf += merged[held].1;
+                    held += 1;
+                }
+                out.push((doc, tf));
+            }
+        }
+        out.extend_from_slice(&merged[held..]);
+        merged = out;
+    }
+    merged
 }
 
 /// Keep the entries of `list` (ascending docs) whose document is a
@@ -1868,7 +1916,8 @@ fn compute_doc_norms(
     ranking: &dyn RankingAlgorithm,
     collection: Option<&CollectionStats>,
 ) -> Vec<f64> {
-    let mut sq = vec![0.0_f64; index.n_docs() as usize];
+    let n = index.n_docs() as usize;
+    let mut sq = vec![0.0_f64; n];
     let (n_docs, avg) = match collection {
         Some(c) => (c.n_docs(), c.avg_doc_tokens()),
         None => (index.n_docs(), index.avg_doc_tokens()),
@@ -1877,14 +1926,20 @@ fn compute_doc_norms(
     // squared term weights in the same sequence whether the index is
     // monolithic or one shard of many, making the floating-point norms
     // (and thus every downstream score) bit-identical across shardings.
-    let mut vocab: Vec<(&str, PostingsList<'_>)> = index.field_vocabulary(ANY_FIELD).collect();
-    vocab.sort_unstable_by(|a, b| a.0.cmp(b.0));
-    for (term, postings) in vocab {
+    // A term's weight in a document is its unfielded one: tf summed over
+    // the term's field lists as an integer, weighed once with its `Any`
+    // df.
+    let mut keys: Vec<(&str, u32, u32)> = index.term_keys().collect();
+    keys.sort_unstable_by(|a, b| a.0.cmp(b.0));
+    let mut tfs = vec![0u32; n];
+    let mut touched: Vec<DocId> = Vec::new();
+    for run in keys.chunk_by(|a, b| a.0 == b.0) {
+        let (term, local_df, _) = run[0];
         let df = match collection {
             Some(c) => c.df(ANY_FIELD, term),
-            None => postings.len() as u32,
+            None => local_df,
         };
-        for (doc, tf) in postings.docs_tfs() {
+        let mut add = |doc: DocId, tf: u32| {
             let st = TermDocStats {
                 tf,
                 df,
@@ -1895,6 +1950,24 @@ fn compute_doc_norms(
             };
             let w = ranking.unnormalized_weight(&st);
             sq[doc.0 as usize] += w * w;
+        };
+        if let [(_, _, slot)] = run {
+            for (doc, tf) in index.list(*slot).docs_tfs() {
+                add(doc, tf);
+            }
+            continue;
+        }
+        for &(_, _, slot) in run {
+            for (doc, tf) in index.list(slot).docs_tfs() {
+                let sum = &mut tfs[doc.0 as usize];
+                if *sum == 0 {
+                    touched.push(doc);
+                }
+                *sum += tf;
+            }
+        }
+        for doc in touched.drain(..) {
+            add(doc, std::mem::take(&mut tfs[doc.0 as usize]));
         }
     }
     sq.into_iter().map(f64::sqrt).collect()

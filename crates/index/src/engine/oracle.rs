@@ -164,10 +164,24 @@ impl Engine {
             .collect()
     }
 
+    /// The lists one key reads, each with its field: the key's own, or
+    /// for an unfielded key the term's list in every field.
+    fn lists_of(&self, field: FieldId, key: &str) -> Vec<(FieldId, PostingsList<'_>)> {
+        if field == ANY_FIELD {
+            self.index.field_lists(key).collect()
+        } else {
+            self.index
+                .postings(field, key)
+                .map(|l| (field, l))
+                .into_iter()
+                .collect()
+        }
+    }
+
     fn docs_of_keys(&self, field: FieldId, keys: &[String]) -> Vec<DocId> {
         let mut docs = Vec::new();
         for key in keys {
-            if let Some(postings) = self.index.postings(field, key) {
+            for (_, postings) in self.lists_of(field, key) {
                 let ids: Vec<DocId> = postings.docs().collect();
                 docs = union(&docs, &ids);
             }
@@ -175,12 +189,18 @@ impl Engine {
         docs
     }
 
+    /// A document's positions of the keys, document-global when
+    /// unfielded.
     fn positions_of(&self, doc: DocId, field: FieldId, keys: &[String]) -> Vec<u32> {
         let mut pos = Vec::new();
         for key in keys {
-            if let Some(postings) = self.index.postings(field, key) {
+            for (own, postings) in self.lists_of(field, key) {
                 if let Some((i, _)) = postings.find(doc) {
+                    let start = pos.len();
                     postings.positions_into(i, &mut pos);
+                    if field == ANY_FIELD {
+                        self.index.to_global_positions(doc, own, &mut pos[start..]);
+                    }
                 }
             }
         }
@@ -193,7 +213,7 @@ impl Engine {
         let mut df = 0;
         for key in keys {
             df = df.max(self.df_of(field, key));
-            if let Some(postings) = self.index.postings(field, key) {
+            for (_, postings) in self.lists_of(field, key) {
                 tf += postings.tf_of(doc);
             }
         }

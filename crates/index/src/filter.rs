@@ -25,7 +25,7 @@
 use crate::blocks::{BlockCursor, EXHAUSTED};
 use crate::boolean::{prox_match, BoolNode};
 use crate::doc::DocId;
-use crate::engine::Engine;
+use crate::engine::{Engine, SpecKeys};
 use crate::index::{Index, PostingsList};
 use crate::matchspec::{CmpOp, TermSpec};
 use crate::schema::{FieldId, ANY_FIELD};
@@ -58,29 +58,34 @@ enum Kind<'a> {
 }
 
 /// The union of one term's resolved vocabulary keys, each walked by its
-/// own block cursor. Positions are read at the cursor's own posting.
+/// own block cursor. Positions are read at the cursor's own posting —
+/// for an unfielded term, whose lists are its field lists, mapped from
+/// field-local onto document-global positions.
 struct KeyUnion<'a> {
-    cursors: Vec<(BlockCursor<'a>, PostingsList<'a>)>,
+    cursors: Vec<(BlockCursor<'a>, FieldId, PostingsList<'a>)>,
+    /// The index to map positions through, for an unfielded term.
+    global: Option<&'a Index>,
 }
 
 impl<'a> KeyUnion<'a> {
-    fn new(lists: Vec<PostingsList<'a>>) -> Self {
+    fn new(engine: &'a Engine, keys: &SpecKeys) -> Self {
         KeyUnion {
-            cursors: lists
-                .into_iter()
-                .map(|l| (BlockCursor::new(l.blocks()), l))
+            cursors: engine
+                .key_lists(keys)
+                .map(|(field, l)| (BlockCursor::new(l.blocks()), field, l))
                 .collect(),
+            global: (keys.field == ANY_FIELD).then(|| engine.index()),
         }
     }
 
     fn next_geq(&mut self, target: u32) -> u32 {
         // One key is the overwhelmingly common resolution.
-        if let [(c, _)] = self.cursors.as_mut_slice() {
+        if let [(c, _, _)] = self.cursors.as_mut_slice() {
             c.next_geq(target);
             return c.doc();
         }
         let mut min = EXHAUSTED;
-        for (c, _) in &mut self.cursors {
+        for (c, _, _) in &mut self.cursors {
             c.next_geq(target);
             min = min.min(c.doc());
         }
@@ -92,9 +97,13 @@ impl<'a> KeyUnion<'a> {
     /// merged.
     fn positions<'b>(&mut self, doc: u32, buf: &'b mut Vec<u32>) -> &'b [u32] {
         buf.clear();
-        for (c, list) in &mut self.cursors {
+        for (c, field, list) in &mut self.cursors {
             if c.doc() == doc {
+                let start = buf.len();
                 list.cursor_positions_into(c, buf);
+                if let Some(index) = self.global {
+                    index.to_global_positions(DocId(doc), *field, &mut buf[start..]);
+                }
             }
         }
         if self.cursors.len() > 1 {
@@ -163,8 +172,8 @@ impl Engine {
             return FilterCursor::positioned(Kind::Empty, false);
         };
         let pair = ProxPair {
-            left: KeyUnion::new(self.postings_of(&l)),
-            right: KeyUnion::new(self.postings_of(&r)),
+            left: KeyUnion::new(self, &l),
+            right: KeyUnion::new(self, &r),
             distance,
             ordered,
             checks: 0,
@@ -191,7 +200,7 @@ impl Engine {
             };
         }
         match self.resolve_spec(spec) {
-            Some(keys) => Kind::Keys(KeyUnion::new(self.postings_of(&keys))),
+            Some(keys) => Kind::Keys(KeyUnion::new(self, &keys)),
             None => Kind::Empty,
         }
     }

@@ -29,6 +29,24 @@
 //! per block — the engine's [`TermBounds`] block maxima — is indexed by
 //! the same block ordinal as `headers`.
 //!
+//! Every token is indexed once, under its own field, at its
+//! field-local position. The `Any` pseudo-field (§4.1.1: "If no field
+//! is specified, `Any` is assumed") is a view, not a second index: an
+//! unfielded key expands at query time to the term's list in every
+//! concrete field ([`Index::field_lists`]), and what `Any` needs beyond
+//! those lists is kept per term and per stored value:
+//!
+//! ```text
+//! any_df, any_tf: [ u32 ; T ], [ u64 ; T ]   by term id
+//! global_bases:   [ u32 ; stored values ]    document-global position
+//! ```
+//!
+//! The columns answer `Any`'s document frequency and total postings
+//! (content summaries, ranking df, doc norms) exactly as a list of its
+//! own would, and a stored value's global base maps a field-local
+//! position onto the document-global one an unfielded `prox` compares
+//! ([`Index::to_global_positions`]).
+//!
 //! The builder freezes as it goes: a list keeps only its open block
 //! uncompressed, and encodes it (doc/tf frame and positional frame) the
 //! moment a document arrives for a full one. [`IndexBuilder::build`]
@@ -501,8 +519,20 @@ pub struct Index {
     /// Every list's positional bytes, back to back in slot order, each
     /// list closed by its own tail pad.
     pos_data: Vec<u8>,
+    /// `Any` document frequency of each term, by [`TermId`]: the
+    /// documents holding it in any field.
+    any_df: Vec<u32>,
+    /// `Any` total postings of each term, by [`TermId`]: its tf summed
+    /// over every field and document.
+    any_tf: Vec<u64>,
     docs: Vec<StoredDoc>,
     fields: Vec<StoredField>,
+    /// The document-global position of each stored value's first token
+    /// slot, on the ordinal of `fields` (empty under
+    /// [`PositionsMode::None`]): what maps a field-local position to
+    /// the document-global one an unfielded `prox` compares. Counted by
+    /// no [`PostingsFootprint`] field.
+    global_bases: Vec<u32>,
     /// Every stored field value back to back, fenced by `fields`.
     text: String,
     /// The distinct language tags of stored values, interned.
@@ -578,7 +608,10 @@ impl ListBuilder {
         }
     }
 
-    /// Encode the open block into the frozen streams and empty it.
+    /// Encode the open block into the frozen streams and empty it,
+    /// releasing its capacity: the next block grows from nothing, so
+    /// when `build` begins an open block holds at most twice its
+    /// postings, not a full block's room.
     fn freeze_block(&mut self) {
         let frozen = self.frozen.get_or_insert_with(Box::default);
         frozen.blocks.push_block(&self.open);
@@ -591,8 +624,8 @@ impl ListBuilder {
                 &mut self.positions,
             );
         }
-        self.open.clear();
-        self.positions.clear();
+        self.open = Vec::new();
+        self.positions = Vec::new();
     }
 
     /// The frozen blocks' headers, frame bytes, positional frames and
@@ -679,6 +712,12 @@ pub struct IndexBuilder {
     /// The open lists, indexed by slot (`inner.slots`).
     lists: Vec<ListBuilder>,
     store_positions: bool,
+    /// The last document each term was counted in for its `Any`
+    /// document frequency, by [`TermId`] (`u32::MAX` before the first).
+    any_last_doc: Vec<u32>,
+    /// The current document's next field-local position base of each
+    /// field seen so far (repeated fields continue after a gap).
+    field_bases: Vec<(FieldId, u32)>,
 }
 
 impl IndexBuilder {
@@ -705,8 +744,11 @@ impl IndexBuilder {
                 frames: Vec::new(),
                 pos_frames: Vec::new(),
                 pos_data: Vec::new(),
+                any_df: Vec::new(),
+                any_tf: Vec::new(),
                 docs: Vec::new(),
                 fields: Vec::new(),
+                global_bases: Vec::new(),
                 text: String::new(),
                 langs: Vec::new(),
                 total_tokens: 0,
@@ -717,6 +759,8 @@ impl IndexBuilder {
             },
             lists: Vec::new(),
             store_positions: true,
+            any_last_doc: Vec::new(),
+            field_bases: Vec::new(),
         }
     }
 
@@ -729,9 +773,10 @@ impl IndexBuilder {
         self
     }
 
-    /// Add a document; returns its id. Every token is indexed under its
-    /// field and under the `Any` pseudo-field (with document-global
-    /// positions, so unfielded `prox` works).
+    /// Add a document; returns its id. Every token is indexed once,
+    /// under its field, at its field-local position; `Any` is counted
+    /// per term (document frequency and total postings) and, with
+    /// positions stored, each value records its document-global base.
     pub fn add(&mut self, doc: &Document) -> DocId {
         let idx = &mut self.inner;
         let doc_id = DocId(idx.docs.len() as u32);
@@ -739,8 +784,7 @@ impl IndexBuilder {
             u32::try_from(idx.fields.len()).expect("stored fields exceed the u32 field space");
         let mut token_count: u32 = 0;
         let mut byte_size: u32 = 0;
-        // Per-field position bases (repeated fields continue with a gap).
-        let mut field_base: HashMap<FieldId, u32> = HashMap::new();
+        self.field_bases.clear();
         let mut global_base: u32 = 0;
         for fv in doc.fields() {
             let fid = idx.schema.intern(&fv.name);
@@ -756,25 +800,42 @@ impl IndexBuilder {
             // Borrowed tokens: no per-token String allocation — terms
             // only get copied on a vocabulary miss inside `intern_term`.
             let tokens = idx.analyzer.analyze_borrowed(&fv.text);
-            let fbase = *field_base.get(&fid).unwrap_or(&0);
+            let at = self.field_bases.iter().position(|&(f, _)| f == fid);
+            let fbase = at.map_or(0, |i| self.field_bases[i].1);
+            let store = self.store_positions;
             let mut max_pos = 0u32;
             for (term, position) in &tokens {
                 max_pos = max_pos.max(*position);
                 token_count += 1;
                 let tid = intern_term(&mut idx.vocab, &mut idx.terms, term);
-                let store = self.store_positions;
-                for (key, base) in [((fid, tid), fbase), ((ANY_FIELD, tid), global_base)] {
-                    let position = store.then(|| position_at(base, *position));
-                    let slot = *idx.slots.entry(key).or_insert_with(|| {
-                        self.lists.push(ListBuilder::default());
-                        u32::try_from(self.lists.len() - 1)
-                            .expect("posting lists exceed the u32 slot space")
-                    });
-                    self.lists[slot as usize].push(doc_id, position);
+                let t = tid.0 as usize;
+                if t == idx.any_df.len() {
+                    idx.any_df.push(0);
+                    idx.any_tf.push(0);
+                    self.any_last_doc.push(u32::MAX);
                 }
+                if self.any_last_doc[t] != doc_id.0 {
+                    self.any_last_doc[t] = doc_id.0;
+                    idx.any_df[t] += 1;
+                }
+                idx.any_tf[t] += 1;
+                let slot = *idx.slots.entry((fid, tid)).or_insert_with(|| {
+                    self.lists.push(ListBuilder::default());
+                    u32::try_from(self.lists.len() - 1)
+                        .expect("posting lists exceed the u32 slot space")
+                });
+                let position = store.then(|| position_at(fbase, *position));
+                self.lists[slot as usize].push(doc_id, position);
             }
             let advance = if tokens.is_empty() { 0 } else { max_pos + 1 };
-            field_base.insert(fid, position_at(fbase, advance + FIELD_GAP));
+            let next = position_at(fbase, advance + FIELD_GAP);
+            match at {
+                Some(i) => self.field_bases[i].1 = next,
+                None => self.field_bases.push((fid, next)),
+            }
+            if store {
+                idx.global_bases.push(global_base);
+            }
             global_base = position_at(global_base, advance + FIELD_GAP);
             idx.text.push_str(&fv.text);
             let lang = fv
@@ -834,8 +895,11 @@ impl IndexBuilder {
             pos_bytes: arena_offset(index.pos_data.len()),
             sum_tf: 0,
         });
+        index.any_df.shrink_to_fit();
+        index.any_tf.shrink_to_fit();
         index.docs.shrink_to_fit();
         index.fields.shrink_to_fit();
+        index.global_bases.shrink_to_fit();
         index.text.shrink_to_fit();
         index.footprint = PostingsFootprint {
             lists: n_lists,
@@ -958,27 +1022,112 @@ impl Index {
 
     /// The posting list for a (field, term) pair. The term must be in
     /// index-normalized form (the caller normalizes via the analyzer).
+    /// `Any` has no lists of its own, so [`ANY_FIELD`] yields `None`:
+    /// an unfielded term reads [`Index::field_lists`].
     pub fn postings(&self, field: FieldId, term: &str) -> Option<PostingsList<'_>> {
         self.slot(field, term).map(|slot| self.list(slot))
     }
 
-    /// Document frequency of a term in a field (`Document-frequency`).
+    /// Document frequency of a term in a field (`Document-frequency`);
+    /// for [`ANY_FIELD`], the documents holding it in any field.
     /// Doc ids are `u32`, so a list can never exceed `u32::MAX` entries;
     /// the checked conversion turns a broken invariant into a loud
     /// panic instead of a silent truncation.
     pub fn df(&self, field: FieldId, term: &str) -> u32 {
+        if field == ANY_FIELD {
+            return self
+                .vocab
+                .get(term)
+                .map_or(0, |t| self.any_df[t.0 as usize]);
+        }
         self.postings(field, term).map_or(0, |p| {
             u32::try_from(p.len()).expect("posting list longer than the u32 doc-id space")
         })
     }
 
     /// Total postings (sum of tf over docs) of a term in a field — the
-    /// content summary's "total number of postings" statistic.
+    /// content summary's "total number of postings" statistic; for
+    /// [`ANY_FIELD`], summed over every field.
     pub fn total_postings(&self, field: FieldId, term: &str) -> u64 {
+        if field == ANY_FIELD {
+            return self
+                .vocab
+                .get(term)
+                .map_or(0, |t| self.any_tf[t.0 as usize]);
+        }
         self.postings(field, term).map_or(0, |p| p.total_tf())
     }
 
-    /// Iterate the vocabulary of a field: `(term, postings)`.
+    /// Every term of the index with its `Any` statistics: `(term,
+    /// document frequency, total postings)` across all fields, in
+    /// interning order.
+    pub fn any_vocabulary(&self) -> impl Iterator<Item = (&str, u32, u64)> + '_ {
+        self.terms
+            .iter()
+            .zip(&self.any_df)
+            .zip(&self.any_tf)
+            .map(|((term, &df), &tf)| (term.as_str(), df, tf))
+    }
+
+    /// The lists an unfielded term reads — its list in every concrete
+    /// field that holds it, each with its field, in field order: one key
+    /// probe per field of the schema. Their positions are field-local;
+    /// [`Index::to_global_positions`] maps them onto the document.
+    pub fn field_lists<'a>(
+        &'a self,
+        term: &str,
+    ) -> impl Iterator<Item = (FieldId, PostingsList<'a>)> + 'a {
+        let tid = self.vocab.get(term).copied();
+        self.schema.concrete_fields().filter_map(move |field| {
+            let slot = *self.slots.get(&(field, tid?))?;
+            Some((field, self.list(slot)))
+        })
+    }
+
+    /// Rewrite sorted field-local token positions of `field` in `doc`
+    /// — as one of `field`'s lists holds them — into the
+    /// document-global positions an unfielded term has: each value of a
+    /// field starts where the field's earlier values ended plus a gap,
+    /// and is moved to the global base recorded for it. The span of a
+    /// value is the distance to the next stored value's global base, so
+    /// a value's local base is the sum of the spans of the field's
+    /// earlier values. A no-op without positions.
+    pub fn to_global_positions(&self, doc: DocId, field: FieldId, positions: &mut [u32]) {
+        if self.global_bases.is_empty() || positions.is_empty() {
+            return;
+        }
+        let d = doc.0 as usize;
+        let first = self.docs[d].first_field as usize;
+        let end = self
+            .docs
+            .get(d + 1)
+            .map_or(self.fields.len(), |next| next.first_field as usize);
+        let mut local = 0u32;
+        let mut rest = positions;
+        for k in first..end {
+            if self.fields[k].field != field {
+                continue;
+            }
+            let base = self.global_bases[k];
+            // The field's next value — if any — starts one span on.
+            let next = (k + 1..end)
+                .find(|&j| self.fields[j].field == field)
+                .map(|_| local + self.global_bases[k + 1] - base);
+            let here = next.map_or(rest.len(), |n| rest.partition_point(|&p| p < n));
+            let (mine, later) = rest.split_at_mut(here);
+            for p in mine {
+                *p = *p - local + base;
+            }
+            rest = later;
+            match next {
+                Some(n) if !rest.is_empty() => local = n,
+                _ => break,
+            }
+        }
+    }
+
+    /// Iterate the vocabulary of a field: `(term, postings)`. Empty for
+    /// [`ANY_FIELD`] (see [`Index::any_vocabulary`]).
     pub fn field_vocabulary(
         &self,
         field: FieldId,
@@ -1029,6 +1178,15 @@ impl Index {
         (0u32..)
             .zip(keys)
             .map(|(slot, (fid, tid))| (fid, self.terms[tid.0 as usize].as_str(), self.list(slot)))
+    }
+
+    /// Every key as `(term, the term's Any document frequency, slot)`,
+    /// in no particular order.
+    pub(crate) fn term_keys(&self) -> impl Iterator<Item = (&str, u32, u32)> + '_ {
+        self.slots.iter().map(|(&(_, tid), &slot)| {
+            let t = tid.0 as usize;
+            (self.terms[t].as_str(), self.any_df[t], slot)
+        })
     }
 
     /// The slot of a `(field, index-normalized term)` key, if the index
@@ -1088,6 +1246,7 @@ impl Index {
 mod tests {
     use super::*;
     use starts_text::{Analyzer, AnalyzerConfig, StopWordList};
+    use std::collections::BTreeMap;
 
     fn plain_analyzer() -> Analyzer {
         Analyzer::new(AnalyzerConfig {
@@ -1130,28 +1289,86 @@ mod tests {
         assert_eq!(idx.df(title, "missing"), 0);
     }
 
+    /// The unfielded view of a term: `(doc, tf, document-global
+    /// positions)` merged from its field lists.
+    fn any_view(idx: &Index, term: &str) -> Vec<(DocId, u32, Vec<u32>)> {
+        let mut by_doc: BTreeMap<DocId, (u32, Vec<u32>)> = BTreeMap::new();
+        for (field, list) in idx.field_lists(term) {
+            for (i, (doc, tf)) in list.docs_tfs().enumerate() {
+                let mut own = positions(&list, i);
+                idx.to_global_positions(doc, field, &mut own);
+                let entry = by_doc.entry(doc).or_default();
+                entry.0 += tf;
+                entry.1.extend(own);
+            }
+        }
+        by_doc
+            .into_iter()
+            .map(|(doc, (tf, mut pos))| {
+                pos.sort_unstable();
+                (doc, tf, pos)
+            })
+            .collect()
+    }
+
     #[test]
     fn tf_counts_occurrences_across_doc() {
         let idx = small_index();
-        // doc 0 contains "databases" twice (title + body) under Any.
-        let p = idx.postings(ANY_FIELD, "databases").unwrap();
-        assert_eq!(p.len(), 1);
-        let pairs: Vec<(DocId, u32)> = p.docs_tfs().collect();
-        assert_eq!(pairs, vec![(DocId(0), 2)]);
-        assert_eq!(p.tf_of(DocId(0)), 2);
-        assert_eq!(p.find(DocId(0)), Some((0, 2)));
-        assert_eq!(p.find(DocId(1)), None);
+        // doc 0 contains "databases" twice (title + body) under Any,
+        // which keeps no list of its own.
+        assert!(idx.postings(ANY_FIELD, "databases").is_none());
+        assert_eq!(idx.field_lists("databases").count(), 2);
+        let any: Vec<(DocId, u32)> = any_view(&idx, "databases")
+            .into_iter()
+            .map(|(doc, tf, _)| (doc, tf))
+            .collect();
+        assert_eq!(any, vec![(DocId(0), 2)]);
+        assert!(idx
+            .any_vocabulary()
+            .any(|entry| entry == ("databases", 1, 2)));
+        assert_eq!(idx.df(ANY_FIELD, "databases"), 1);
         assert_eq!(idx.total_postings(ANY_FIELD, "databases"), 2);
     }
 
     #[test]
     fn positions_have_field_gaps() {
         let idx = small_index();
-        let p = idx.postings(ANY_FIELD, "databases").unwrap();
         // "databases" is title token 1 and body token 0; body starts
         // after title's 2 tokens + FIELD_GAP.
+        let body = idx.schema().get("body-of-text").unwrap();
+        let p = idx.postings(body, "databases").unwrap();
         assert!(p.has_positions());
-        assert_eq!(positions(&p, 0), [1, 2 + FIELD_GAP]);
+        assert_eq!(positions(&p, 0), [0]);
+        assert_eq!(
+            any_view(&idx, "databases"),
+            [(DocId(0), 2, vec![1, 2 + FIELD_GAP])]
+        );
+    }
+
+    #[test]
+    fn repeated_fields_map_onto_document_positions() {
+        let mut b = IndexBuilder::new(plain_analyzer());
+        b.add(&Document::new().field("title", "unrelated"));
+        b.add(
+            &Document::new()
+                .field("author", "Jeff Ullman")
+                .field("title", "databases")
+                .field("author", "Hector Garcia"),
+        );
+        let idx = b.build();
+        let author = idx.schema().get("author").unwrap();
+        // The second author value is local position 2 + FIELD_GAP, and
+        // starts after author 1 (2 tokens) and the title (1 token), each
+        // closed by a gap.
+        let p = idx.postings(author, "hector").unwrap();
+        assert_eq!(positions(&p, 0), [2 + FIELD_GAP]);
+        let second = 2 + FIELD_GAP + 1 + FIELD_GAP;
+        assert_eq!(any_view(&idx, "hector"), [(DocId(1), 1, vec![second])]);
+        assert_eq!(any_view(&idx, "ullman"), [(DocId(1), 1, vec![1])]);
+        assert_eq!(
+            any_view(&idx, "databases"),
+            [(DocId(1), 1, vec![2 + FIELD_GAP])]
+        );
     }
 
     #[test]
@@ -1160,7 +1377,8 @@ mod tests {
         b.add(&Document::new().field("body-of-text", "lean lean postings"));
         let idx = b.build();
         assert!(!idx.has_positions());
-        let p = idx.postings(ANY_FIELD, "lean").unwrap();
+        let body = idx.schema().get("body-of-text").unwrap();
+        let p = idx.postings(body, "lean").unwrap();
         assert!(!p.has_positions());
         assert_eq!(positions(&p, 0), [] as [u32; 0]);
         // Doc/tf data is unaffected by the diet.

@@ -4,9 +4,9 @@
 //! (Title, Author, Body-of-text, …) is applied by `starts-source`. Field
 //! names are case-insensitive, matching the protocol's attribute
 //! conventions. Field id 0 is reserved for the pseudo-field **Any**
-//! (§4.1.1: "If no field is specified, `Any` is assumed"): every token is
-//! additionally indexed under `Any`, which makes unfielded queries a plain
-//! postings lookup.
+//! (§4.1.1: "If no field is specified, `Any` is assumed"). No token is
+//! indexed under `Any`: an unfielded term expands to its keys in the
+//! concrete fields at query time (see `index.rs`).
 
 use std::collections::HashMap;
 
@@ -14,7 +14,8 @@ use std::collections::HashMap;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FieldId(pub u16);
 
-/// The pseudo-field every token is indexed under.
+/// The pseudo-field an unfielded term resolves to: a view over every
+/// concrete field, with no lists of its own.
 pub const ANY_FIELD: FieldId = FieldId(0);
 
 /// A field-name interner. Names are folded to lowercase for identity.

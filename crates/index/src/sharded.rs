@@ -36,7 +36,7 @@ use crate::engine::{
 use crate::index::{Index, IndexBuilder, PostingsFootprint};
 use crate::matchspec::{FoldTable, TermSpec};
 use crate::ranking::RankingAlgorithm;
-use crate::schema::{FieldId, Schema};
+use crate::schema::{FieldId, Schema, ANY_FIELD};
 use crate::topk::merge_ranked;
 
 /// Global collection statistics, computed across all shards and shared
@@ -60,24 +60,31 @@ pub struct CollectionStats {
 
 impl CollectionStats {
     /// Merge per-shard indexes into global statistics. Shards hold
-    /// disjoint documents, so document frequencies simply add.
+    /// disjoint documents, so document frequencies simply add — a
+    /// field's from its lists, `Any`'s from each index's per-term
+    /// column.
     pub(crate) fn from_indexes(indexes: &[Index]) -> Self {
         let mut n_docs = 0u32;
         let mut total_tokens = 0u64;
         let mut df: HashMap<FieldId, BTreeMap<String, u32>> = HashMap::new();
+        // Allocate a term's key only the first time it is seen.
+        fn add(terms: &mut BTreeMap<String, u32>, term: &str, n: u32) {
+            match terms.get_mut(term) {
+                Some(d) => *d += n,
+                None => {
+                    terms.insert(term.to_string(), n);
+                }
+            }
+        }
         for index in indexes {
             n_docs += index.n_docs();
             total_tokens += index.total_tokens();
             for (field, term, postings) in index.all_postings() {
-                let terms = df.entry(field).or_default();
-                let n = postings.len() as u32;
-                // Allocate a term's key only the first time it is seen.
-                match terms.get_mut(term) {
-                    Some(d) => *d += n,
-                    None => {
-                        terms.insert(term.to_string(), n);
-                    }
-                }
+                add(df.entry(field).or_default(), term, postings.len() as u32);
+            }
+            let any = df.entry(ANY_FIELD).or_default();
+            for (term, n, _) in index.any_vocabulary() {
+                add(any, term, n);
             }
         }
         CollectionStats {

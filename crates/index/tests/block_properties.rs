@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 use starts_index::{
-    BlockCursor, BlockHeader, BlockPostings, DocId, Document, IndexBuilder, ANY_FIELD, BLOCK_DOCS,
+    BlockCursor, BlockHeader, BlockPostings, DocId, Document, IndexBuilder, BLOCK_DOCS,
 };
 use starts_text::Analyzer;
 
@@ -210,7 +210,8 @@ proptest! {
             builder.add(&Document::new().field("body-of-text", text));
         }
         let index = builder.build();
-        let list = index.postings(ANY_FIELD, "probe").expect("at least one member");
+        let body = index.schema().get("body-of-text").expect("an indexed field");
+        let list = index.postings(body, "probe").expect("at least one member");
         let scanned: Vec<(DocId, u32)> = list.docs_tfs().collect();
         prop_assert_eq!(scanned.len(), tfs.iter().filter(|&&tf| tf > 0).count());
         for doc in (0..tfs.len() as u32 + 2).map(DocId) {

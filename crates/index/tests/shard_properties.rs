@@ -169,32 +169,52 @@ fn locate(engine: &ShardedEngine, doc: DocId) -> (usize, DocId) {
     panic!("doc {doc:?} beyond the collection");
 }
 
-/// tf of one vocabulary key in one document, by scanning the key's
-/// whole posting list in the document's shard.
-fn scan_tf(engine: &ShardedEngine, field: FieldId, key: &str, doc: DocId) -> u32 {
-    let (shard, local) = locate(engine, doc);
-    engine.shards()[shard]
-        .index()
-        .postings(field, key)
-        .and_then(|list| list.docs_tfs().find(|&(d, _)| d == local))
-        .map_or(0, |(_, tf)| tf)
+/// The fields whose lists a key of `field` reads: the field itself, or
+/// every concrete field for `Any`, which keeps no lists of its own.
+fn fields_of(engine: &ShardedEngine, field: FieldId) -> Vec<FieldId> {
+    if field == ANY_FIELD {
+        engine.schema().concrete_fields().collect()
+    } else {
+        vec![field]
+    }
 }
 
-/// Collection-wide df of one vocabulary key.
+/// tf of one vocabulary key in one document, by scanning the key's
+/// whole posting lists in the document's shard.
+fn scan_tf(engine: &ShardedEngine, field: FieldId, key: &str, doc: DocId) -> u32 {
+    let (shard, local) = locate(engine, doc);
+    fields_of(engine, field)
+        .into_iter()
+        .filter_map(|f| engine.shards()[shard].index().postings(f, key))
+        .filter_map(|list| list.docs_tfs().find(|&(d, _)| d == local))
+        .map(|(_, tf)| tf)
+        .sum()
+}
+
+/// Collection-wide df of one vocabulary key: the documents any of its
+/// lists holds, shard by shard.
 fn scan_df(engine: &ShardedEngine, field: FieldId, key: &str) -> u32 {
     engine
         .shards()
         .iter()
-        .map(|s| s.index().postings(field, key).map_or(0, |l| l.len() as u32))
+        .map(|s| {
+            let docs: BTreeSet<DocId> = fields_of(engine, field)
+                .into_iter()
+                .filter_map(|f| s.index().postings(f, key))
+                .flat_map(|list| list.docs())
+                .collect();
+            docs.len() as u32
+        })
         .sum()
 }
 
 /// The collection-wide vocabulary of a field, sorted.
 fn vocabulary(engine: &ShardedEngine, field: FieldId) -> BTreeSet<String> {
+    let fields = fields_of(engine, field);
     engine
         .shards()
         .iter()
-        .flat_map(|s| s.index().field_vocabulary(field))
+        .flat_map(|s| fields.iter().flat_map(|&f| s.index().field_vocabulary(f)))
         .map(|(term, _)| term.to_string())
         .collect()
 }

@@ -3,10 +3,18 @@
 //! what the documents said.
 //!
 //! * `positions_into` returns the positions a fresh analysis of the
-//!   input gives — field bases, the gap between field instances and the
-//!   `Any` pseudo-field's document-global positions included — for
-//!   repeated, empty and non-ASCII fields and for lists that straddle a
-//!   128-posting block boundary with tf > 1 on the boundary document;
+//!   input gives — field bases and the gap between field instances
+//!   included — for repeated, empty and non-ASCII fields and for lists
+//!   that straddle a 128-posting block boundary with tf > 1 on the
+//!   boundary document;
+//! * `Any` is a view, not a list: no key of the index is unfielded, and
+//!   for every term the view — its field lists merged, positions mapped
+//!   through `to_global_positions` — reads back the `(doc, tf,
+//!   document-global positions)` a fresh analysis gives, its `Any`
+//!   document frequency and total postings equal that analysis, and the
+//!   sharded collection statistics' `Any` df equal the monolithic
+//!   index's; an unfielded `prox` measures distances across fields and
+//!   across the values of a repeated field on those global positions;
 //! * `doc_fields` returns every input field in order: name, text and
 //!   language tag;
 //! * `BlockPostings::encode` (a loop of `push_block` + `finish`) is
@@ -23,8 +31,8 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use starts_index::{
-    BlockCursor, BlockHeader, BlockPostings, Document, EngineConfig, FieldId, IndexBuilder,
-    PostingsList, ShardPolicy, ShardedEngine, ANY_FIELD, BLOCK_DOCS,
+    BlockCursor, BlockHeader, BlockPostings, BoolNode, DocId, Document, Engine, EngineConfig,
+    Index, IndexBuilder, PostingsList, ShardPolicy, ShardedEngine, TermSpec, ANY_FIELD, BLOCK_DOCS,
 };
 use starts_text::{Analyzer, LangTag};
 
@@ -85,7 +93,8 @@ fn arb_docs() -> impl Strategy<Value = Vec<Document>> {
 }
 
 /// Every `(field, term)` key's postings, re-derived from the documents
-/// with the index's own analyzer: doc id → sorted positions.
+/// with the index's own analyzer: doc id → sorted positions. The empty
+/// field name is `Any`, at document-global positions.
 type Expected = BTreeMap<(String, String), BTreeMap<u32, Vec<u32>>>;
 
 fn expected_postings(analyzer: &Analyzer, docs: &[Document]) -> Expected {
@@ -111,6 +120,86 @@ fn expected_postings(analyzer: &Analyzer, docs: &[Document]) -> Expected {
         }
     }
     out
+}
+
+/// The field keys of an expectation (everything but `Any`).
+fn field_keys(expected: &Expected) -> u64 {
+    expected
+        .keys()
+        .filter(|(field, _)| !field.is_empty())
+        .count() as u64
+}
+
+/// The unfielded view of a term: doc id → the sorted document-global
+/// positions of the term in any field, read off its field lists.
+fn any_view(index: &Index, term: &str) -> BTreeMap<u32, Vec<u32>> {
+    let mut out: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
+    for (field, list) in index.field_lists(term) {
+        for (i, (doc, tf)) in list.docs_tfs().enumerate() {
+            let mut own = positions(&list, i);
+            assert_eq!(own.len(), tf as usize);
+            index.to_global_positions(doc, field, &mut own);
+            out.entry(doc.0).or_default().extend(own);
+        }
+    }
+    for positions in out.values_mut() {
+        positions.sort_unstable();
+    }
+    out
+}
+
+/// Check one index against the analysis of its own documents: every
+/// field key's list, the unfielded view and the `Any` columns.
+fn check_index(index: &Index, expected: &Expected) -> Result<(), TestCaseError> {
+    prop_assert_eq!(index.postings_footprint().lists, field_keys(expected));
+    prop_assert_eq!(index.field_vocabulary(ANY_FIELD).count(), 0);
+    for ((field, term), by_doc) in expected {
+        let want: Vec<(u32, u32)> = by_doc.iter().map(|(&d, p)| (d, p.len() as u32)).collect();
+        if field.is_empty() {
+            prop_assert!(
+                index.postings(ANY_FIELD, term).is_none(),
+                "Any:{} is a list",
+                term
+            );
+            prop_assert_eq!(&any_view(index, term), by_doc, "Any:{}", term);
+            let total: u64 = want.iter().map(|&(_, tf)| u64::from(tf)).sum();
+            prop_assert_eq!(index.df(ANY_FIELD, term), want.len() as u32);
+            prop_assert_eq!(index.total_postings(ANY_FIELD, term), total);
+            continue;
+        }
+        let fid = index.schema().get(field).expect("an indexed field");
+        let list = index.postings(fid, term).expect("an indexed key");
+        let decoded: Vec<(u32, u32)> = list.docs_tfs().map(|(d, tf)| (d.0, tf)).collect();
+        prop_assert_eq!(&decoded, &want, "{}:{}", field, term);
+        prop_assert_eq!(&cursor_walk(&list), &want);
+        let alone = BlockPostings::encode(&decoded);
+        prop_assert_eq!(list.blocks().raw_parts(), alone.view().raw_parts());
+        for (i, want) in by_doc.values().enumerate() {
+            prop_assert_eq!(
+                &positions(&list, i),
+                want,
+                "{}:{} posting {}",
+                field,
+                term,
+                i
+            );
+        }
+    }
+    // The column accessor lists exactly the analysis's terms.
+    let columns: BTreeMap<String, (u32, u64)> = index
+        .any_vocabulary()
+        .map(|(term, df, total)| (term.to_string(), (df, total)))
+        .collect();
+    let analysed: BTreeMap<String, (u32, u64)> = expected
+        .iter()
+        .filter(|((field, _), _)| field.is_empty())
+        .map(|((_, term), by_doc)| {
+            let total = by_doc.values().map(|p| p.len() as u64).sum();
+            (term.clone(), (by_doc.len() as u32, total))
+        })
+        .collect();
+    prop_assert_eq!(columns, analysed);
+    Ok(())
 }
 
 fn positions(list: &PostingsList<'_>, i: usize) -> Vec<u32> {
@@ -187,7 +276,8 @@ fn one_shot_encode(postings: &[(u32, u32)]) -> (Vec<BlockHeader>, Vec<u8>) {
 
 proptest! {
     /// Every list holds exactly the re-analyzed documents: doc ids, tfs
-    /// and positions, whole blocks and tails alike.
+    /// and positions, whole blocks and tails alike — and so does the
+    /// unfielded view of every term.
     #[test]
     fn positions_equal_a_fresh_analysis(docs in arb_docs()) {
         let analyzer = Analyzer::default();
@@ -196,23 +286,7 @@ proptest! {
             builder.add(doc);
         }
         let index = builder.build();
-        let expected = expected_postings(&analyzer, &docs);
-        prop_assert_eq!(index.postings_footprint().lists, expected.len() as u64);
-        for ((field, term), by_doc) in &expected {
-            let fid: FieldId = if field.is_empty() {
-                ANY_FIELD
-            } else {
-                index.schema().get(field).expect("an indexed field")
-            };
-            let list = index.postings(fid, term).expect("an indexed key");
-            let got: Vec<(u32, u32)> = list.docs_tfs().map(|(d, tf)| (d.0, tf)).collect();
-            let want: Vec<(u32, u32)> =
-                by_doc.iter().map(|(&d, p)| (d, p.len() as u32)).collect();
-            prop_assert_eq!(&got, &want, "{}:{}", field, term);
-            for (i, want) in by_doc.values().enumerate() {
-                prop_assert_eq!(&positions(&list, i), want, "{}:{} posting {}", field, term, i);
-            }
-        }
+        check_index(&index, &expected_postings(&analyzer, &docs))?;
     }
 
     /// Stored fields come back in input order, borrowed from one buffer.
@@ -240,9 +314,12 @@ proptest! {
     /// Every shard's lists, packed back to back into its arenas, read
     /// back exactly: the bytes `encode` gives for the postings each
     /// decodes to, the same postings through a cursor, and the
-    /// re-analyzed positions.
+    /// re-analyzed positions; every shard's unfielded view reads back
+    /// its own documents, and the collection's `Any` df — the shards'
+    /// columns summed — is the monolithic index's.
     #[test]
     fn packed_lists_read_back_exactly(docs in arb_docs()) {
+        let whole = Engine::build(&docs, EngineConfig::default());
         for shards in [1, 2, 3] {
             let engine = ShardedEngine::build(
                 &docs,
@@ -257,27 +334,11 @@ proptest! {
                 let index = shard.index();
                 let local = &docs[first..first + index.n_docs() as usize];
                 first += local.len();
-                let expected = expected_postings(index.analyzer(), local);
-                prop_assert_eq!(index.postings_footprint().lists, expected.len() as u64);
-                for ((field, term), by_doc) in &expected {
-                    let fid: FieldId = if field.is_empty() {
-                        ANY_FIELD
-                    } else {
-                        index.schema().get(field).expect("an indexed field")
-                    };
-                    let list = index.postings(fid, term).expect("an indexed key");
-                    let want: Vec<(u32, u32)> =
-                        by_doc.iter().map(|(&d, p)| (d, p.len() as u32)).collect();
-                    let decoded: Vec<(u32, u32)> =
-                        list.docs_tfs().map(|(d, tf)| (d.0, tf)).collect();
-                    prop_assert_eq!(&decoded, &want, "shards={} {}:{}", shards, field, term);
-                    prop_assert_eq!(&cursor_walk(&list), &want);
-                    let alone = BlockPostings::encode(&decoded);
-                    prop_assert_eq!(list.blocks().raw_parts(), alone.view().raw_parts());
-                    for (i, want) in by_doc.values().enumerate() {
-                        prop_assert_eq!(&positions(&list, i), want, "{}:{} posting {}", field, term, i);
-                    }
-                }
+                check_index(index, &expected_postings(index.analyzer(), local))?;
+            }
+            for (term, df, _) in whole.index().any_vocabulary() {
+                let stat = engine.term_stats(DocId(0), &TermSpec::any(term));
+                prop_assert_eq!(stat.df, df, "shards={} Any:{}", shards, term);
             }
         }
     }
@@ -324,7 +385,8 @@ fn boundary_document_with_tf_above_one() {
         builder.add(doc);
     }
     let index = builder.build();
-    let list = index.postings(ANY_FIELD, "hot").unwrap();
+    let body = index.schema().get("body-of-text").unwrap();
+    let list = index.postings(body, "hot").unwrap();
     assert_eq!(list.blocks().n_blocks(), 2);
     for i in 0..docs.len() {
         let want: &[u32] = if i == BLOCK_DOCS - 1 || i == BLOCK_DOCS {
@@ -342,15 +404,15 @@ fn boundary_document_with_tf_above_one() {
 #[test]
 fn a_one_posting_list_ignores_its_neighbour() {
     let mut builder = IndexBuilder::new(Analyzer::default());
-    // Slot order is first-seen order: "solo" (title, then `Any`), then
-    // "dense", whose first frames are packed with set bits.
+    // Slot order is first-seen order: "solo", then "dense", whose first
+    // frames are packed with set bits.
     builder.add(&Document::new().field("title", "solo"));
     for _ in 0..BLOCK_DOCS + 3 {
         builder.add(&Document::new().field("title", ["dense"; 255].join(" ")));
     }
     let index = builder.build();
     let title = index.schema().get("title").unwrap();
-    let solo = index.postings(ANY_FIELD, "solo").unwrap();
+    let solo = index.postings(title, "solo").unwrap();
     let dense = index.postings(title, "dense").unwrap();
     let (solo_headers, solo_frames) = solo.blocks().raw_parts();
     let (dense_headers, dense_frames) = dense.blocks().raw_parts();
@@ -368,4 +430,100 @@ fn a_one_posting_list_ignores_its_neighbour() {
     assert_eq!(solo.find(starts_index::DocId(0)), Some((0, 1)));
     assert_eq!(positions(&solo, 0), [0]);
     assert_eq!(positions(&dense, 0), (0..255).collect::<Vec<u32>>());
+}
+
+/// The documents an unfielded (or fielded) `prox` filter admits.
+fn prox_docs(engine: &Engine, field: Option<&str>, a: &str, b: &str, distance: u32) -> Vec<u32> {
+    let spec = |term: &str| match field {
+        Some(field) => TermSpec::fielded(field, term),
+        None => TermSpec::any(term),
+    };
+    let filter = BoolNode::Prox {
+        left: spec(a),
+        right: spec(b),
+        distance,
+        ordered: true,
+    };
+    let hits = engine.search(Some(&filter), None);
+    hits.into_iter().map(|hit| hit.doc.0).collect()
+}
+
+/// An unfielded `prox` across two fields: "alpha" ends the title at
+/// global position 0, "beta" opens the body after the title's one token
+/// and the gap, at 1 + `FIELD_GAP` — `FIELD_GAP` words apart, so
+/// `prox[FIELD_GAP]` is the first distance that admits the document.
+#[test]
+fn unfielded_prox_across_two_fields_at_the_gap() {
+    let docs = [
+        Document::new()
+            .field("title", "alpha")
+            .field("body-of-text", "beta"),
+        Document::new().field("title", "beta alpha"),
+    ];
+    let engine = Engine::build(&docs, EngineConfig::default());
+    assert_eq!(prox_docs(&engine, None, "alpha", "beta", FIELD_GAP), [0]);
+    assert_eq!(
+        prox_docs(&engine, None, "alpha", "beta", FIELD_GAP - 1),
+        [] as [u32; 0]
+    );
+    // Within one field the two words are never paired.
+    assert_eq!(
+        prox_docs(&engine, Some("title"), "alpha", "beta", 10 * FIELD_GAP),
+        [] as [u32; 0]
+    );
+}
+
+/// A `prox` across two values of one repeated field: fielded, the
+/// second author value starts one value span after the first (1 token +
+/// `FIELD_GAP`); unfielded, the title between them adds its own span.
+#[test]
+fn prox_across_two_values_of_a_repeated_field() {
+    let docs = [Document::new()
+        .field("author", "alpha")
+        .field("title", "gamma")
+        .field("author", "beta")];
+    let engine = Engine::build(&docs, EngineConfig::default());
+    let fielded = FIELD_GAP;
+    let unfielded = 2 * (1 + FIELD_GAP) - 1;
+    assert_eq!(
+        prox_docs(&engine, Some("author"), "alpha", "beta", fielded),
+        [0]
+    );
+    assert_eq!(
+        prox_docs(&engine, Some("author"), "alpha", "beta", fielded - 1),
+        [] as [u32; 0]
+    );
+    assert_eq!(prox_docs(&engine, None, "alpha", "beta", unfielded), [0]);
+    assert_eq!(
+        prox_docs(&engine, None, "alpha", "beta", unfielded - 1),
+        [] as [u32; 0]
+    );
+    assert_eq!(prox_docs(&engine, None, "gamma", "beta", FIELD_GAP), [0]);
+}
+
+/// No key of an index is unfielded: `Any` has no list, no vocabulary
+/// and no slot, and every list belongs to a concrete field.
+#[test]
+fn no_key_is_unfielded() {
+    let docs = [
+        Document::new()
+            .field("title", "alpha beta")
+            .field("body-of-text", "beta gamma"),
+        Document::new().field("author", "alpha"),
+    ];
+    let engine = Engine::build(&docs, EngineConfig::default());
+    let index = engine.index();
+    assert_eq!(index.field_vocabulary(ANY_FIELD).count(), 0);
+    let mut field_keys = 0;
+    for field in index.schema().concrete_fields() {
+        field_keys += index.field_vocabulary(field).count() as u64;
+    }
+    assert_eq!(field_keys, 5);
+    assert_eq!(index.postings_footprint().lists, field_keys);
+    for (term, df, _) in index.any_vocabulary() {
+        assert!(index.postings(ANY_FIELD, term).is_none(), "{term}");
+        assert_eq!(index.df(ANY_FIELD, term), df);
+    }
+    assert_eq!(index.df(ANY_FIELD, "alpha"), 2);
+    assert_eq!(index.total_postings(ANY_FIELD, "beta"), 2);
 }

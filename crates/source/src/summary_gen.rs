@@ -68,12 +68,24 @@ fn collect_terms(
     // BTreeMap gives deterministic (sorted) export order. Shards hold
     // disjoint document subsets, so per-shard postings totals and
     // document frequencies add up to the collection-wide figures.
+    // `Any` keeps no lists: its figures are the index's per-term
+    // columns.
     let mut stats: BTreeMap<&str, (u64, u32)> = BTreeMap::new();
     for shard in engine.shards() {
-        for (term, postings) in shard.index().field_vocabulary(field) {
+        let index = shard.index();
+        let mut add = |term, total, df| {
             let entry = stats.entry(term).or_insert((0, 0));
-            entry.0 += postings.total_tf();
-            entry.1 += postings.len() as u32;
+            entry.0 += total;
+            entry.1 += df;
+        };
+        if field == ANY_FIELD {
+            for (term, df, total) in index.any_vocabulary() {
+                add(term, total, df);
+            }
+        } else {
+            for (term, postings) in index.field_vocabulary(field) {
+                add(term, postings.total_tf(), postings.len() as u32);
+            }
         }
     }
     let mut terms: Vec<TermSummary> = stats
