@@ -1,16 +1,18 @@
 //! X18 — continuous monitoring under an injected source degradation.
 //!
 //! STARTS §3.4 assumes the metasearcher continuously tracks source
-//! quality; this experiment drives the whole monitoring loop — health
-//! board → `MetricStore` time series → SLO burn rates → alert state
-//! machine → selector demotion — through a three-phase Zipf workload:
+//! quality; this experiment drives both halves of that tracking — the
+//! health board that the `HealthAware` selector reads, and the operator
+//! loop the board's gauges feed (`MetricStore` time series → SLO burn
+//! rates → alert state machine) — through a three-phase Zipf workload:
 //!
 //! 1. **healthy** — every source answers; the monitor must stay silent
 //!    (no alert events at all: the no-flapping guarantee);
 //! 2. **degraded** — one source's query endpoint is replaced with a
 //!    garbage responder (the `tests/failure_injection.rs` move); its
 //!    per-source error-rate SLO must walk pending → firing, and the
-//!    `HealthAware` selector demotes it to the probe floor;
+//!    `HealthAware` selector, reading the board alone, demotes it to the
+//!    probe floor;
 //! 3. **recovery** — the source is re-wired healthy; the probes the
 //!    floor kept sending drain the error window and the alert resolves.
 //!
@@ -19,7 +21,8 @@
 //!
 //! Writes `BENCH_monitor.json` (override with `--out PATH`). Pass
 //! `--smoke` for the CI run (smaller phases + hard assertions on the
-//! alert lifecycle), `--alerts-jsonl PATH` to append the structured
+//! alert lifecycle: exactly pending → firing → resolved on the victim,
+//! and no other event), `--alerts-jsonl PATH` to append the structured
 //! alert event log, and `--live` for a top-style terminal dashboard
 //! (sparkline series, SLO status, firing alerts) rendered as the
 //! workload runs.
@@ -37,9 +40,9 @@ use starts_meta::select::{GGlossSum, HealthAware};
 use starts_net::host::wire_source;
 use starts_net::{LinkProfile, SimNet, StartsClient};
 use starts_obs::monitor::{
-    AnomalyConfig, Aspect, ManualClock, Monitor, MonitorConfig, SloOp, SloSpec, StoreConfig,
+    Aspect, ManualClock, Monitor, MonitorConfig, SloOp, SloSpec, StoreConfig,
 };
-use starts_obs::HealthBoard;
+use starts_obs::{AlertState, HealthBoard};
 use starts_source::{Source, SourceConfig};
 
 /// One simulated second per query: the monitor samples every query.
@@ -88,7 +91,6 @@ fn main() {
                 0.01,
             )
         }],
-        anomaly: AnomalyConfig::default(),
         clock: clock.clone(),
         log_path: None,
         events_kept: 512,
@@ -107,12 +109,8 @@ fn main() {
         &net,
         catalog,
         MetaConfig {
-            selector: Box::new(HealthAware::with_monitor(
-                GGlossSum,
-                Arc::clone(&board),
-                Arc::clone(&monitor),
-            )),
-            // Query every source each wave: the firing victim is
+            selector: Box::new(HealthAware::new(GGlossSum, Arc::clone(&board))),
+            // Query every source each wave: the failing victim is
             // demoted in rank but keeps receiving the probes that let
             // its error window drain and the alert resolve.
             max_sources: n_sources,
@@ -185,9 +183,10 @@ fn main() {
         LinkProfile::default(),
     );
     let recovery = run_phase("recovery", &workload[n_healthy + n_degraded..]);
-    let resolved = monitor.recent_events().iter().any(|e| {
-        e.state == starts_obs::AlertState::Resolved && e.source.as_deref() == Some(&*victim)
-    });
+    let resolved = monitor
+        .recent_events()
+        .iter()
+        .any(|e| e.state == AlertState::Resolved && e.source.as_deref() == Some(&*victim));
     if smoke {
         assert!(
             resolved,
@@ -199,6 +198,24 @@ fn main() {
             0,
             "alerts still firing after recovery: {:?}",
             monitor.firing()
+        );
+        // The whole timeline, exactly: one per-source objective on the
+        // victim walks pending -> firing -> resolved, and nothing else
+        // makes a sound.
+        let events = monitor.recent_events();
+        let timeline: Vec<(&str, Option<&str>, AlertState)> = events
+            .iter()
+            .map(|e| (e.alert.as_str(), e.source.as_deref(), e.state))
+            .collect();
+        let on_victim = |state| ("source-error-rate", Some(&*victim), state);
+        assert_eq!(
+            timeline,
+            [
+                on_victim(AlertState::Pending),
+                on_victim(AlertState::Firing),
+                on_victim(AlertState::Resolved),
+            ],
+            "alert timeline"
         );
     }
 

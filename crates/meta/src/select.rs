@@ -255,23 +255,19 @@ impl<S: Selector> Selector for CostAware<S> {
 /// maintains — a degraded source still gets `floor` of its goodness, so
 /// it keeps receiving occasional probes and can recover.
 ///
-/// When coupled to a [`starts_obs::Monitor`] (via
-/// [`HealthAware::with_monitor`]), a source with a *firing* alert is
-/// hard-demoted straight to the probe floor: an alert is a confirmed,
-/// debounced judgement of degradation, stronger than the raw health
-/// score it was derived from. The source keeps receiving the floor's
-/// trickle of probes, so recovery resolves the alert and restores it.
+/// The board is the only judge of a source here: alerts from a
+/// [`starts_obs::Monitor`] are for operators and never move the order.
+/// A source whose recent exchanges all failed already scores near zero,
+/// which the floor turns into the probe trickle that lets it return as
+/// soon as its window clears.
 ///
-/// Its ranking moves with the board and the alerts, not only with the
-/// catalog, so it keeps [`Selector::ranks_from_catalog`]'s `false`.
+/// Its ranking moves with the board, not only with the catalog, so it
+/// keeps [`Selector::ranks_from_catalog`]'s `false`.
 pub struct HealthAware<S> {
     /// The goodness estimator.
     pub inner: S,
     /// The scoreboard to consult (share the metasearcher's via `Arc`).
     pub board: std::sync::Arc<starts_obs::HealthBoard>,
-    /// The alerting layer to consult for firing per-source alerts
-    /// (share the `SimNet`'s via `Arc`); `None` disables the coupling.
-    pub monitor: Option<std::sync::Arc<starts_obs::Monitor>>,
     /// Minimum health multiplier in `(0, 1]`; keeps degraded sources
     /// probe-able instead of starving them forever.
     pub floor: f64,
@@ -283,22 +279,6 @@ impl<S: Selector> HealthAware<S> {
         HealthAware {
             inner,
             board,
-            monitor: None,
-            floor: 0.01,
-        }
-    }
-
-    /// Wrap a selector and couple it to a monitor: sources with firing
-    /// alerts are demoted to the probe floor outright.
-    pub fn with_monitor(
-        inner: S,
-        board: std::sync::Arc<starts_obs::HealthBoard>,
-        monitor: std::sync::Arc<starts_obs::Monitor>,
-    ) -> Self {
-        HealthAware {
-            inner,
-            board,
-            monitor: Some(monitor),
             floor: 0.01,
         }
     }
@@ -316,11 +296,6 @@ impl<S: Selector> Selector for HealthAware<S> {
         terms: &[(Option<&str>, &str)],
     ) -> f64 {
         let goodness = self.inner.score_source(entry, catalog, terms);
-        if let Some(monitor) = &self.monitor {
-            if monitor.is_source_firing(&entry.id) {
-                return goodness * self.floor;
-            }
-        }
         goodness * self.board.score(&entry.id).max(self.floor)
     }
 }
@@ -534,73 +509,6 @@ mod tests {
         assert!(!healthy().ranks_from_catalog());
         assert!(!costed(healthy()).ranks_from_catalog());
         assert!(!NanFor(0).ranks_from_catalog(), "the default is `false`");
-    }
-
-    #[test]
-    fn firing_alert_hard_demotes_to_the_probe_floor() {
-        use starts_obs::monitor::{
-            Aspect, ManualClock, MonitorConfig, SloOp, SloSpec, StoreConfig,
-        };
-        use starts_obs::{HealthBoard, Monitor, Registry, SourceOutcome};
-        let c = catalog();
-        let board = std::sync::Arc::new(HealthBoard::default());
-        // The board sees CS as perfectly healthy...
-        for _ in 0..10 {
-            board.record("CS", SourceOutcome::ok(10));
-        }
-        // ...but the monitor has a firing per-source alert about it.
-        let clock = std::sync::Arc::new(ManualClock::new(1_000));
-        let monitor = std::sync::Arc::new(Monitor::new(MonitorConfig {
-            store: StoreConfig {
-                step_ms: 1_000,
-                retention: 16,
-            },
-            slos: vec![SloSpec {
-                short_window: 1,
-                long_window: 2,
-                for_ms: 0,
-                ..SloSpec::new(
-                    "source-error-rate",
-                    "health.error_rate",
-                    &[("source", "*")],
-                    Aspect::Value,
-                    SloOp::Lt,
-                    0.01,
-                )
-            }],
-            anomaly: starts_obs::monitor::AnomalyConfig {
-                metrics: Vec::new(),
-                ..Default::default()
-            },
-            clock: clock.clone(),
-            log_path: None,
-            events_kept: 16,
-        }));
-        let reg = Registry::new();
-        let gauge = reg.gauge_with("health.error_rate", &[("source", "CS")]);
-        for _ in 0..3 {
-            gauge.set(1.0);
-            clock.advance(1_000);
-            monitor.tick(&reg);
-        }
-        assert!(monitor.is_source_firing("CS"));
-
-        let plain = HealthAware::new(GGlossSum, std::sync::Arc::clone(&board));
-        let coupled = HealthAware::with_monitor(GGlossSum, board, monitor);
-        let terms = [(None, "databases")];
-        let uncoupled_score = plain.score_source(&c.entries[0], &c, &terms);
-        let demoted = coupled.score_source(&c.entries[0], &c, &terms);
-        // The board alone would rank CS highly; the firing alert
-        // overrides it down to the probe floor — but not to zero.
-        assert!(
-            demoted < uncoupled_score * 0.05,
-            "{demoted} vs {uncoupled_score}"
-        );
-        assert!(demoted > 0.0);
-        // Sources without firing alerts are untouched by the coupling.
-        let food_plain = plain.score_source(&c.entries[1], &c, &terms);
-        let food_coupled = coupled.score_source(&c.entries[1], &c, &terms);
-        assert!((food_plain - food_coupled).abs() < 1e-12);
     }
 
     /// A selector whose inner score is NaN for one source — what a

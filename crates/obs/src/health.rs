@@ -110,6 +110,15 @@ struct Window {
     outcomes: VecDeque<(SourceOutcome, u64)>,
 }
 
+impl Window {
+    fn push(&mut self, cap: usize, outcome: (SourceOutcome, u64)) {
+        if self.outcomes.len() == cap {
+            self.outcomes.pop_front();
+        }
+        self.outcomes.push_back(outcome);
+    }
+}
+
 /// Rolling per-source health, maintained by the metasearcher on every
 /// exchange. Thread-safe: dispatch workers record concurrently.
 pub struct HealthBoard {
@@ -147,11 +156,15 @@ impl HealthBoard {
     pub fn record(&self, source: &str, outcome: SourceOutcome) {
         let now = self.clock.now_ms();
         let mut sources = self.sources.lock();
-        let w = sources.entry(source.to_string()).or_default();
-        if w.outcomes.len() == self.window {
-            w.outcomes.pop_front();
+        // This runs once per exchange: copy the id only the first time
+        // the source is seen.
+        match sources.get_mut(source) {
+            Some(w) => w.push(self.window, (outcome, now)),
+            None => sources
+                .entry(source.to_string())
+                .or_default()
+                .push(self.window, (outcome, now)),
         }
-        w.outcomes.push_back((outcome, now));
     }
 
     /// The condensed health of one source (`None` if never seen).
@@ -210,11 +223,6 @@ impl HealthBoard {
             reg.gauge_with("health.samples", &labels)
                 .set(h.samples as f64);
         }
-    }
-
-    /// Drop all recorded outcomes.
-    pub fn reset(&self) {
-        self.sources.lock().clear();
     }
 
     fn condense(
@@ -417,13 +425,5 @@ mod tests {
         let obj = crate::export::to_soif(&snap);
         let back = crate::export::snapshot_from_soif(&obj).unwrap();
         assert_eq!(back, snap);
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let board = HealthBoard::default();
-        board.record("S1", SourceOutcome::ok(5));
-        board.reset();
-        assert!(board.all().is_empty());
     }
 }

@@ -23,12 +23,13 @@
 //!   the ids profiles carry;
 //! * **Health** — a rolling per-source [`health::HealthBoard`]
 //!   (availability, error rate, timeouts, latency quantiles, score)
-//!   that exports as plain gauges so every exporter carries it;
+//!   that exports as plain gauges so every exporter carries it; it is
+//!   the one judge of a source for selection and hedging;
 //! * **Monitoring** — [`monitor::Monitor`] samples snapshots into
-//!   ring-buffered time series, evaluates SLO burn rates and EWMA
-//!   anomaly scores, and drives a pending → firing → resolved alert
-//!   state machine with an `alerts.jsonl` event log and `alerts.*` /
-//!   `slo.*` gauges.
+//!   ring-buffered time series, evaluates SLO burn rates, and drives a
+//!   pending → firing → resolved alert state machine with an
+//!   `alerts.jsonl` event log and `alerts.*` / `slo.*` gauges, for
+//!   operators.
 //!
 //! A [`Registry`] is cheap to share: `starts-net`'s `SimNet` owns one
 //! in an `Arc` so that every test gets isolated accounting, and

@@ -653,7 +653,7 @@ fn alert_lifecycle_walks_pending_firing_resolved_end_to_end() {
 
     use starts::meta::select::{GGlossSum, HealthAware};
     use starts::obs::monitor::{
-        AnomalyConfig, Aspect, ManualClock, Monitor, MonitorConfig, SloOp, SloSpec, StoreConfig,
+        Aspect, ManualClock, Monitor, MonitorConfig, SloOp, SloSpec, StoreConfig,
     };
     use starts::obs::{AlertState, HealthBoard};
 
@@ -694,11 +694,6 @@ fn alert_lifecycle_walks_pending_firing_resolved_end_to_end() {
                 0.01,
             )
         }],
-        // SLO lifecycle only: no anomaly detector in this test.
-        anomaly: AnomalyConfig {
-            metrics: vec![],
-            ..AnomalyConfig::default()
-        },
         clock: clock.clone(),
         log_path: Some(alerts_log.clone()),
         events_kept: 64,
@@ -729,11 +724,7 @@ fn alert_lifecycle_walks_pending_firing_resolved_end_to_end() {
         &net,
         catalog,
         MetaConfig {
-            selector: Box::new(HealthAware::with_monitor(
-                GGlossSum,
-                Arc::clone(&board),
-                Arc::clone(&monitor),
-            )),
+            selector: Box::new(HealthAware::new(GGlossSum, Arc::clone(&board))),
             max_sources: N_SOURCES,
             max_results: 30,
             health: Arc::clone(&board),
@@ -808,8 +799,10 @@ fn alert_lifecycle_walks_pending_firing_resolved_end_to_end() {
         "alert fires after for_ms"
     );
 
-    // While firing, the selector hard-demotes the victim to the probe
-    // floor: it ranks last (but is still probed, so it can recover).
+    // While the alert fires, the victim's board window is all failures,
+    // so the selector — reading the board alone — demotes it to the
+    // probe floor: it ranks last (but is still probed, so it can
+    // recover).
     let resp = search();
     assert_eq!(resp.selected.len(), N_SOURCES);
     assert_eq!(
