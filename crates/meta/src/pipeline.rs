@@ -224,14 +224,13 @@ pub fn run_task(
     // Thread the trace context through the wire (§4.3 extension
     // attribute): the source's spans parent under this worker span, and
     // it answers with its `XQueryProfile`.
-    let mut q = task.query.clone();
-    q.trace = Some(TraceContext {
+    let trace = TraceContext {
         query_id: query_id.to_string(),
         parent_path: span.path().to_string(),
         parent_span_id: span.id(),
-    });
+    };
     let w_start = elapsed_us(t0);
-    match client.query_cancellable(&task.url, &q, cancel) {
+    match client.query_cancellable(&task.url, &task.query, Some(&trace), cancel) {
         Ok((results, exchange)) => {
             let w_end = elapsed_us(t0);
             let latency = u64::from(exchange.latency_ms);

@@ -3,7 +3,7 @@
 use std::fmt;
 
 use starts_proto::summary::ContentSummary;
-use starts_proto::{ProtoError, Query, QueryResults, Resource, SourceMetadata};
+use starts_proto::{ProtoError, Query, QueryResults, Resource, SourceMetadata, TraceContext};
 
 use crate::host::decode_sample;
 use crate::sim::{CancelToken, Exchange, NetError, SimNet};
@@ -157,23 +157,26 @@ impl<'a> StartsClient<'a> {
         url: &str,
         query: &Query,
     ) -> Result<(QueryResults, Exchange), ClientError> {
-        self.query_cancellable(url, query, None)
+        self.query_cancellable(url, query, query.trace.as_ref(), None)
     }
 
     /// Submit a query that a [`CancelToken`] can abort mid-flight: the
-    /// hedged-dispatch primitive. Cancellation surfaces as
+    /// hedged-dispatch primitive. `trace` is the trace context sent in
+    /// place of the query's own, so a dispatcher threads its span
+    /// through without copying the query. Cancellation surfaces as
     /// `ClientError::Net(NetError::Cancelled)` — see
     /// [`ClientError::is_cancelled`].
     pub fn query_cancellable(
         &self,
         url: &str,
         query: &Query,
+        trace: Option<&TraceContext>,
         cancel: Option<&CancelToken>,
     ) -> Result<(QueryResults, Exchange), ClientError> {
         let _span = self.op_span("client.query", url);
         let mut req = ENCODE_BUF.take();
         req.clear();
-        query.write_soif_into(query.trace.as_ref(), &mut req);
+        query.write_soif_into(trace, &mut req);
         let result = self.net.request_cancellable(url, &req, cancel);
         let req_len = req.len();
         ENCODE_BUF.replace(req);

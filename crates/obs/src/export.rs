@@ -197,7 +197,7 @@ pub fn json(snap: &Snapshot) -> String {
 
 /// Encode a snapshot as an `@SStats` SOIF object: one `Counter`,
 /// `Gauge`, or `Histogram` attribute per metric (SOIF allows repeated
-/// attribute names; `get_all_str` reads them back in order).
+/// attribute names; the decoder reads them back in order).
 pub fn to_soif(snap: &Snapshot) -> SoifObject {
     let mut obj = SoifObject::new(SSTATS_TEMPLATE);
     obj.push_str("Version", "STARTS 1.0");
@@ -241,24 +241,24 @@ pub fn snapshot_from_soif(obj: &SoifObject) -> Result<Snapshot, String> {
         ));
     }
     let mut snap = Snapshot::default();
-    for value in obj.get_all_str("Counter") {
-        let (id, rest) = parse_metric_id(value)?;
+    for value in all_text(obj, "Counter") {
+        let (id, rest) = parse_metric_id(value?)?;
         let value = rest
             .trim()
             .parse::<u64>()
             .map_err(|e| format!("counter {}: {e}", id.name))?;
         snap.counters.push(CounterSnapshot { id, value });
     }
-    for value in obj.get_all_str("Gauge") {
-        let (id, rest) = parse_metric_id(value)?;
+    for value in all_text(obj, "Gauge") {
+        let (id, rest) = parse_metric_id(value?)?;
         let value = rest
             .trim()
             .parse::<f64>()
             .map_err(|e| format!("gauge {}: {e}", id.name))?;
         snap.gauges.push(GaugeSnapshot { id, value });
     }
-    for value in obj.get_all_str("Histogram") {
-        let (id, rest) = parse_metric_id(value)?;
+    for value in all_text(obj, "Histogram") {
+        let (id, rest) = parse_metric_id(value?)?;
         snap.histograms.push(parse_histogram(id, rest)?);
     }
     Ok(snap)
@@ -310,60 +310,35 @@ fn parse_histogram(id: MetricId, rest: &str) -> Result<HistogramSnapshot, String
 /// returns the id and the remainder of the line.
 fn parse_metric_id(line: &str) -> Result<(MetricId, &str), String> {
     let line = line.trim_start();
-    let name_end = line.find(['{', ' ']).unwrap_or(line.len());
-    let name = &line[..name_end];
+    let bytes = line.as_bytes();
+    let (name, mut i) = read_part(line, 0, b"{ ")?;
     if name.is_empty() {
         return Err(format!("empty metric name in {line:?}"));
     }
-    let rest = &line[name_end..];
-    if !rest.starts_with('{') {
-        return Ok((MetricId::new(name, &[]), rest));
+    if bytes.get(i) != Some(&b'{') {
+        return Ok((MetricId::new(&name, &[]), &line[i..]));
     }
+    i += 1;
     let mut labels: Vec<(String, String)> = Vec::new();
-    let bytes = rest.as_bytes();
-    let mut i = 1;
     loop {
-        if i >= bytes.len() {
-            return Err(format!("unterminated labels in {line:?}"));
+        match bytes.get(i) {
+            None => return Err(format!("unterminated labels in {line:?}")),
+            Some(b'}') => {
+                i += 1;
+                break;
+            }
+            Some(_) => {}
         }
-        if bytes[i] == b'}' {
-            i += 1;
-            break;
-        }
-        let key_start = i;
-        while i < bytes.len() && bytes[i] != b'=' {
-            i += 1;
-        }
-        let key = rest[key_start..i].to_string();
-        i += 1; // '='
-        if bytes.get(i) != Some(&b'"') {
+        let (key, at) = read_part(line, i, b"=")?;
+        if bytes.get(at..at + 2) != Some(b"=\"") {
             return Err(format!("expected quoted label value in {line:?}"));
         }
-        i += 1;
-        let mut value: Vec<u8> = Vec::new();
-        loop {
-            match bytes.get(i) {
-                Some(b'"') => {
-                    i += 1;
-                    break;
-                }
-                Some(b'\\') => {
-                    let escaped = *bytes
-                        .get(i + 1)
-                        .ok_or_else(|| format!("dangling escape in {line:?}"))?;
-                    value.push(escaped);
-                    i += 2;
-                }
-                Some(&b) => {
-                    value.push(b);
-                    i += 1;
-                }
-                None => return Err(format!("unterminated label value in {line:?}")),
-            }
+        let (value, at) = read_part(line, at + 2, b"\"")?;
+        if bytes.get(at) != Some(&b'"') {
+            return Err(format!("unterminated label value in {line:?}"));
         }
-        let value =
-            String::from_utf8(value).map_err(|_| format!("non-UTF-8 label value in {line:?}"))?;
         labels.push((key, value));
+        i = at + 1;
         if bytes.get(i) == Some(&b',') {
             i += 1;
         }
@@ -372,7 +347,43 @@ fn parse_metric_id(line: &str) -> Result<(MetricId, &str), String> {
         .iter()
         .map(|(k, v)| (k.as_str(), v.as_str()))
         .collect();
-    Ok((MetricId::new(name, &label_refs), &rest[i..]))
+    Ok((MetricId::new(&name, &label_refs), &line[i..]))
+}
+
+/// Read a name, label key or label value from `line[at..]` up to the
+/// first unescaped byte in `stop` (or the end): `\X` stands for `X`.
+/// Returns it with the offset where it stopped.
+fn read_part(line: &str, mut at: usize, stop: &[u8]) -> Result<(String, usize), String> {
+    let bytes = line.as_bytes();
+    let mut part = Vec::new();
+    while let Some(&b) = bytes.get(at) {
+        if stop.contains(&b) {
+            break;
+        }
+        if b == b'\\' {
+            at += 1;
+            let escaped = bytes
+                .get(at)
+                .ok_or_else(|| format!("dangling escape in {line:?}"))?;
+            part.push(*escaped);
+        } else {
+            part.push(b);
+        }
+        at += 1;
+    }
+    let part = String::from_utf8(part).map_err(|_| format!("non-UTF-8 text in {line:?}"))?;
+    Ok((part, at))
+}
+
+/// Every value of attribute `name` as text, in order. A value that is
+/// not UTF-8 fails the decode instead of vanishing from it.
+pub(crate) fn all_text<'a>(
+    obj: &'a SoifObject,
+    name: &'a str,
+) -> impl Iterator<Item = Result<&'a str, String>> + 'a {
+    obj.iter()
+        .filter(move |a| a.name.eq_ignore_ascii_case(name))
+        .map(move |a| std::str::from_utf8(&a.value).map_err(|_| format!("{name}: not UTF-8")))
 }
 
 #[cfg(test)]

@@ -38,7 +38,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::export::json_escape;
+use crate::export::{all_text, json_escape};
 use crate::registry::{MetricId, Registry, Snapshot};
 
 /// The SOIF template name for exported alert state.
@@ -1134,14 +1134,14 @@ impl AlertsSnapshot {
             ));
         }
         let mut snap = AlertsSnapshot {
-            generated_ms: match obj.get_str("Generated") {
+            generated_ms: match all_text(obj, "Generated").next().transpose()? {
                 Some(s) => s.trim().parse().map_err(|e| format!("Generated: {e}"))?,
                 None => 0,
             },
             ..AlertsSnapshot::default()
         };
-        for line in obj.get_all_str("Slo") {
-            let kv = parse_kv(line)?;
+        for line in all_text(obj, "Slo") {
+            let kv = parse_kv(line?)?;
             snap.slos.push(SloStatus {
                 slo: kv_str(&kv, "slo")?,
                 source: kv_opt(&kv, "source"),
@@ -1158,8 +1158,8 @@ impl AlertsSnapshot {
                 },
             });
         }
-        for line in obj.get_all_str("Alert") {
-            let kv = parse_kv(line)?;
+        for line in all_text(obj, "Alert") {
+            let kv = parse_kv(line?)?;
             snap.alerts.push(AlertStatus {
                 name: kv_str(&kv, "alert")?,
                 source: kv_opt(&kv, "source"),
@@ -1169,8 +1169,8 @@ impl AlertsSnapshot {
                 threshold: kv_num(&kv, "threshold")?,
             });
         }
-        for line in obj.get_all_str("Event") {
-            let kv = parse_kv(line)?;
+        for line in all_text(obj, "Event") {
+            let kv = parse_kv(line?)?;
             snap.events.push(AlertEvent {
                 alert: kv_str(&kv, "alert")?,
                 source: kv_opt(&kv, "source"),

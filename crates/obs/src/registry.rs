@@ -1,11 +1,15 @@
 //! The metric registry: a process-local table of named instruments.
 //!
-//! Lookup takes a `parking_lot` read lock and clones an `Arc` handle;
-//! the write lock is only taken the first time a `(name, labels)` pair
-//! is seen. Updates through a handle touch no lock at all.
+//! Lookup hashes the borrowed name and labels, takes a `parking_lot`
+//! read lock and clones an `Arc` handle: finding an existing instrument
+//! allocates nothing. The write lock, and the one [`MetricId`] built,
+//! come only the first time a `(name, labels)` pair is seen. Updates
+//! through a handle touch no lock at all.
 
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write};
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 
@@ -39,11 +43,29 @@ impl MetricId {
     }
 }
 
+/// Whether a name or label key character is written behind a `\`:
+/// the ones the `name{k="v"}` form gives a meaning to, and whitespace.
+fn escaped_in_part(c: char) -> bool {
+    matches!(c, '\\' | '{' | '}' | '=' | ',' | '"') || c.is_whitespace()
+}
+
+fn write_part(f: &mut fmt::Formatter<'_>, part: &str) -> fmt::Result {
+    for c in part.chars() {
+        if escaped_in_part(c) {
+            f.write_str("\\")?;
+        }
+        f.write_char(c)?;
+    }
+    Ok(())
+}
+
 impl fmt::Display for MetricId {
     /// `name` or `name{k="v",k2="v2"}`, with `\` and `"` escaped in
-    /// values. This is the form the SOIF exporter parses back.
+    /// values, and in names and keys every character the form gives a
+    /// meaning to — `\ { } = , "` and whitespace — so that any id
+    /// reads back. This is the form the SOIF exporter parses back.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.name)?;
+        write_part(f, &self.name)?;
         if self.labels.is_empty() {
             return Ok(());
         }
@@ -52,11 +74,8 @@ impl fmt::Display for MetricId {
             if i > 0 {
                 f.write_str(",")?;
             }
-            write!(
-                f,
-                "{k}=\"{}\"",
-                v.replace('\\', "\\\\").replace('"', "\\\"")
-            )?;
+            write_part(f, k)?;
+            write!(f, "=\"{}\"", v.replace('\\', "\\\\").replace('"', "\\\""))?;
         }
         f.write_str("}")
     }
@@ -178,9 +197,9 @@ pub trait Collector: Send + Sync {
 /// process-wide default is [`Registry::global`].
 #[derive(Default)]
 pub struct Registry {
-    counters: RwLock<HashMap<MetricId, Counter>>,
-    gauges: RwLock<HashMap<MetricId, Gauge>>,
-    histograms: RwLock<HashMap<MetricId, Histogram>>,
+    counters: Table<Counter>,
+    gauges: Table<Gauge>,
+    histograms: Table<Histogram>,
     pub(crate) spans: SpanLog,
     /// Held weakly: a collector lives exactly as long as its owner.
     collectors: Mutex<Vec<Weak<dyn Collector>>>,
@@ -189,11 +208,83 @@ pub struct Registry {
     epoch: AtomicU64,
 }
 
-fn intern<M: Clone + Default>(table: &RwLock<HashMap<MetricId, M>>, id: MetricId) -> M {
-    if let Some(m) = table.read().get(&id) {
-        return m.clone();
+/// How many labels a lookup sorts on the stack; a longer list is
+/// sorted in a `Vec`.
+const STACK_LABELS: usize = 8;
+
+/// One kind of instrument, bucketed by a hash of its id's parts, so
+/// that finding an existing instrument hashes and compares the caller's
+/// borrowed name and labels and builds no [`MetricId`].
+#[derive(Default)]
+struct Table<M> {
+    hasher: RandomState,
+    /// Ids whose hashes collide share a bucket.
+    buckets: RwLock<HashMap<u64, Vec<(MetricId, M)>>>,
+}
+
+impl<M: Clone + Default> Table<M> {
+    /// The instrument for `name` and `labels`, made on first use.
+    fn get_or_insert(&self, name: &str, labels: &[(&str, &str)]) -> M {
+        // Canonical label order without allocating, as `MetricId::new`
+        // sorts its owned copy.
+        let mut stack = [("", ""); STACK_LABELS];
+        let mut spill;
+        let sorted = if labels.len() <= STACK_LABELS {
+            let sorted = &mut stack[..labels.len()];
+            sorted.copy_from_slice(labels);
+            sorted
+        } else {
+            spill = labels.to_vec();
+            &mut spill[..]
+        };
+        sorted.sort_unstable();
+        let sorted = &*sorted;
+
+        let mut h = self.hasher.build_hasher();
+        name.hash(&mut h);
+        for (k, v) in sorted {
+            k.hash(&mut h);
+            v.hash(&mut h);
+        }
+        let hash = h.finish();
+        let is = |id: &MetricId| {
+            let labels = id.labels.iter().map(|(k, v)| (k.as_str(), v.as_str()));
+            id.name == name && labels.eq(sorted.iter().copied())
+        };
+        let find = |bucket: Option<&Vec<(MetricId, M)>>| {
+            let (_, m) = bucket?.iter().find(|(id, _)| is(id))?;
+            Some(m.clone())
+        };
+        if let Some(m) = find(self.buckets.read().get(&hash)) {
+            return m;
+        }
+        let mut buckets = self.buckets.write();
+        let bucket = buckets.entry(hash).or_default();
+        if let Some(m) = find(Some(bucket)) {
+            return m;
+        }
+        let id = MetricId {
+            name: name.to_string(),
+            labels: sorted
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect(),
+        };
+        let m = M::default();
+        bucket.push((id, m.clone()));
+        m
     }
-    table.write().entry(id).or_default().clone()
+
+    /// Every instrument with its id, sorted by id.
+    fn sorted(&self) -> Vec<(MetricId, M)> {
+        let mut all: Vec<(MetricId, M)> = self.buckets.read().values().flatten().cloned().collect();
+        all.sort_by(|a, b| a.0.cmp(&b.0));
+        all
+    }
+
+    fn clear(&self) {
+        self.buckets.write().clear();
+    }
 }
 
 impl Registry {
@@ -216,7 +307,7 @@ impl Registry {
 
     /// A labeled counter handle.
     pub fn counter_with(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
-        intern(&self.counters, MetricId::new(name, labels))
+        self.counters.get_or_insert(name, labels)
     }
 
     /// An unlabeled gauge handle.
@@ -226,7 +317,7 @@ impl Registry {
 
     /// A labeled gauge handle.
     pub fn gauge_with(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
-        intern(&self.gauges, MetricId::new(name, labels))
+        self.gauges.get_or_insert(name, labels)
     }
 
     /// An unlabeled histogram handle.
@@ -236,7 +327,7 @@ impl Registry {
 
     /// A labeled histogram handle.
     pub fn histogram_with(&self, name: &str, labels: &[(&str, &str)]) -> Histogram {
-        intern(&self.histograms, MetricId::new(name, labels))
+        self.histograms.get_or_insert(name, labels)
     }
 
     /// Open a span nested under this thread's current span (if any).
@@ -259,7 +350,7 @@ impl Registry {
         parent: &SpanHandle,
         fields: Vec<(&'static str, String)>,
     ) -> Span<'_> {
-        Span::enter(self, name, Some(parent.clone()), fields)
+        Span::enter(self, name, Some(parent), fields)
     }
 
     /// The most recent completed spans, oldest first (bounded ring).
@@ -302,37 +393,25 @@ impl Registry {
         for collector in live {
             collector.collect(self);
         }
-        let mut counters: Vec<CounterSnapshot> = self
-            .counters
-            .read()
-            .iter()
-            .map(|(id, c)| CounterSnapshot {
-                id: id.clone(),
-                value: c.get(),
-            })
-            .collect();
-        counters.sort_by(|a, b| a.id.cmp(&b.id));
-        let mut gauges: Vec<GaugeSnapshot> = self
-            .gauges
-            .read()
-            .iter()
-            .map(|(id, g)| GaugeSnapshot {
-                id: id.clone(),
-                value: g.get(),
-            })
-            .collect();
-        gauges.sort_by(|a, b| a.id.cmp(&b.id));
-        let mut histograms: Vec<HistogramSnapshot> = self
-            .histograms
-            .read()
-            .iter()
-            .map(|(id, h)| HistogramSnapshot::from_values(id.clone(), &h.snapshot_values()))
-            .collect();
-        histograms.sort_by(|a, b| a.id.cmp(&b.id));
         Snapshot {
-            counters,
-            gauges,
-            histograms,
+            counters: self
+                .counters
+                .sorted()
+                .into_iter()
+                .map(|(id, c)| CounterSnapshot { id, value: c.get() })
+                .collect(),
+            gauges: self
+                .gauges
+                .sorted()
+                .into_iter()
+                .map(|(id, g)| GaugeSnapshot { id, value: g.get() })
+                .collect(),
+            histograms: self
+                .histograms
+                .sorted()
+                .into_iter()
+                .map(|(id, h)| HistogramSnapshot::from_values(id, &h.snapshot_values()))
+                .collect(),
         }
     }
 
@@ -340,9 +419,9 @@ impl Registry {
     /// Collectors stay registered: they describe live components, and
     /// repopulate their gauges at the next snapshot.
     pub fn reset(&self) {
-        self.counters.write().clear();
-        self.gauges.write().clear();
-        self.histograms.write().clear();
+        self.counters.clear();
+        self.gauges.clear();
+        self.histograms.clear();
         self.spans.clear();
         // Release: a reader that sees the new epoch also sees the
         // emptied tables, so what it re-resolves lands in them.

@@ -11,6 +11,12 @@
 //! `meta.search/dispatch/source` per contacted source. A query's own
 //! tree is its `starts_proto::QueryProfile`, not the ring.
 //!
+//! Paths are interned per registry, as a tree of nodes each holding
+//! its full path and its `span.duration_us` handle; the thread-local
+//! stack and the ring refer to nodes. Only a path's first use builds a
+//! string, so a warm span with no fields allocates nothing, and
+//! [`crate::Registry::recent_spans`] spells the paths out when read.
+//!
 //! Fan-out workers run on other threads, where the thread-local stack
 //! is empty; they use [`crate::Registry::span_under`] with the parent's
 //! [`SpanHandle`] to attach to the dispatching span explicitly. The
@@ -18,13 +24,14 @@
 //! parents spans across the wire.
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 
+use crate::metrics::Histogram;
 use crate::registry::Registry;
 
 /// How many completed spans the ring buffer keeps.
@@ -33,6 +40,10 @@ const SPAN_LOG_CAP: usize = 4096;
 /// Process-wide span id allocator (0 is reserved for "no parent").
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
 
+/// Process-wide path-table ids, so a thread's span stack tells its own
+/// registry's entries from another registry's.
+static NEXT_TABLE_ID: AtomicU64 = AtomicU64::new(1);
+
 /// Process-wide time anchor for span start offsets, so spans recorded
 /// on different threads (or different registries) are comparable.
 fn anchor() -> Instant {
@@ -40,8 +51,16 @@ fn anchor() -> Instant {
     *ANCHOR.get_or_init(Instant::now)
 }
 
+/// One open span on a thread's stack.
+struct Frame {
+    /// The [`PathTable::id`] of the registry the span records into.
+    table: u64,
+    node: Arc<PathNode>,
+    id: u64,
+}
+
 thread_local! {
-    static SPAN_STACK: RefCell<Vec<(String, u64)>> = const { RefCell::new(Vec::new()) };
+    static SPAN_STACK: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
 }
 
 /// A span's identity: its full path plus its process-unique id. Cheap
@@ -92,27 +111,201 @@ impl SpanEvent {
     }
 }
 
-/// Bounded ring of recent [`SpanEvent`]s.
+/// One interned span path. Built the first time a (parent path, name)
+/// pair opens a span in its registry and kept for the registry's life,
+/// so a warm span builds no string and resolves no histogram.
+struct PathNode {
+    /// Index in the table's `nodes`.
+    index: u32,
+    /// Full slash-separated path.
+    path: Arc<str>,
+    /// Byte offset where the leaf name starts (0 for roots).
+    leaf: usize,
+    /// The path's `span.duration_us` histogram, with the
+    /// [`Registry::epoch`] it was resolved under.
+    duration: RwLock<Option<(u64, Histogram)>>,
+}
+
+impl PathNode {
+    fn name(&self) -> &str {
+        &self.path[self.leaf..]
+    }
+
+    fn parent(&self) -> &str {
+        &self.path[..self.leaf.saturating_sub(1)]
+    }
+
+    /// Observe into the cached histogram, resolving it again after a
+    /// [`Registry::reset`] dropped it from the registry's tables.
+    fn observe(&self, reg: &Registry, duration_us: u64) {
+        let epoch = reg.epoch();
+        if let Some((at, histogram)) = &*self.duration.read() {
+            if *at == epoch {
+                histogram.observe(duration_us);
+                return;
+            }
+        }
+        let histogram = reg.histogram_with("span.duration_us", &[("span", &self.path)]);
+        histogram.observe(duration_us);
+        *self.duration.write() = Some((epoch, histogram));
+    }
+}
+
+/// The root of every table: the empty path, parent of root spans.
+const ROOT: u32 = 0;
+
+/// A registry's interned span paths: a tree of [`PathNode`]s, each
+/// reached from its parent by leaf name, plus an index by full path for
+/// parents that arrive as a [`SpanHandle`] or from another registry.
+struct PathTable {
+    id: u64,
+    inner: RwLock<Paths>,
+}
+
+struct Paths {
+    nodes: Vec<Arc<PathNode>>,
+    /// Per node, its children by leaf name.
+    children: Vec<HashMap<Box<str>, u32>>,
+    /// Full path → a node with that path.
+    by_path: HashMap<Arc<str>, u32>,
+}
+
+impl Paths {
+    fn push(&mut self, path: Arc<str>, leaf: usize) -> u32 {
+        let index = u32::try_from(self.nodes.len()).expect("fewer than 2^32 span paths");
+        self.by_path.entry(Arc::clone(&path)).or_insert(index);
+        self.nodes.push(Arc::new(PathNode {
+            index,
+            path,
+            leaf,
+            duration: RwLock::new(None),
+        }));
+        self.children.push(HashMap::new());
+        index
+    }
+}
+
+impl Default for PathTable {
+    fn default() -> Self {
+        let mut paths = Paths {
+            nodes: Vec::new(),
+            children: Vec::new(),
+            by_path: HashMap::new(),
+        };
+        paths.push(Arc::from(""), 0);
+        PathTable {
+            id: NEXT_TABLE_ID.fetch_add(1, Ordering::Relaxed),
+            inner: RwLock::new(paths),
+        }
+    }
+}
+
+impl PathTable {
+    /// The node for `name` under `parent`, built on first use.
+    fn child(&self, parent: u32, name: &str) -> Arc<PathNode> {
+        let find = |paths: &Paths| {
+            let index = *paths.children[parent as usize].get(name)?;
+            Some(Arc::clone(&paths.nodes[index as usize]))
+        };
+        if let Some(node) = find(&self.inner.read()) {
+            return node;
+        }
+        let mut paths = self.inner.write();
+        if let Some(node) = find(&paths) {
+            return node;
+        }
+        let parent_path = &paths.nodes[parent as usize].path;
+        let (path, leaf): (Arc<str>, usize) = if parent_path.is_empty() {
+            (Arc::from(name), 0)
+        } else {
+            (
+                Arc::from(format!("{parent_path}/{name}")),
+                parent_path.len() + 1,
+            )
+        };
+        let index = paths.push(path, leaf);
+        paths.children[parent as usize].insert(Box::from(name), index);
+        Arc::clone(&paths.nodes[index as usize])
+    }
+
+    /// A node whose full path is `path`, for a parent known only by its
+    /// path. A path this table has never seen gets a node of its own,
+    /// which parents spans but is never itself recorded.
+    fn resolve(&self, path: &str) -> u32 {
+        if let Some(&index) = self.inner.read().by_path.get(path) {
+            return index;
+        }
+        let mut paths = self.inner.write();
+        match paths.by_path.get(path) {
+            Some(&index) => index,
+            None => paths.push(Arc::from(path), 0),
+        }
+    }
+}
+
+/// A completed span as the ring keeps it: its path by node index.
+#[derive(Clone)]
+struct Record {
+    id: u64,
+    parent_id: u64,
+    node: u32,
+    start_us: u64,
+    duration_us: u64,
+    fields: Vec<(&'static str, String)>,
+}
+
+/// A registry's span paths and its bounded ring of recent spans.
 #[derive(Default)]
 pub(crate) struct SpanLog {
-    ring: Mutex<VecDeque<SpanEvent>>,
+    paths: PathTable,
+    ring: Mutex<VecDeque<Record>>,
 }
 
 impl SpanLog {
-    fn push(&self, ev: SpanEvent) {
-        let mut ring = self.ring.lock();
-        if ring.len() == SPAN_LOG_CAP {
-            ring.pop_front();
-        }
-        ring.push_back(ev);
+    fn push(&self, record: Record) {
+        let evicted = {
+            let mut ring = self.ring.lock();
+            let evicted = if ring.len() == SPAN_LOG_CAP {
+                ring.pop_front()
+            } else {
+                None
+            };
+            ring.push_back(record);
+            evicted
+        };
+        // Freed outside the lock.
+        drop(evicted);
     }
 
     pub(crate) fn recent(&self) -> Vec<SpanEvent> {
-        self.ring.lock().iter().cloned().collect()
+        let records: Vec<Record> = self.ring.lock().iter().cloned().collect();
+        let paths = self.paths.inner.read();
+        records
+            .into_iter()
+            .map(|r| {
+                let node = &paths.nodes[r.node as usize];
+                SpanEvent {
+                    id: r.id,
+                    parent_id: r.parent_id,
+                    path: node.path.to_string(),
+                    name: node.name().to_string(),
+                    parent: node.parent().to_string(),
+                    start_us: r.start_us,
+                    duration_us: r.duration_us,
+                    fields: r.fields,
+                }
+            })
+            .collect()
     }
 
+    /// Drop the recorded spans, and let go of the histograms a reset
+    /// orphaned. The interned paths stay: open spans still point at
+    /// them.
     pub(crate) fn clear(&self) {
         self.ring.lock().clear();
+        for node in &self.paths.inner.read().nodes {
+            *node.duration.write() = None;
+        }
     }
 }
 
@@ -121,9 +314,7 @@ pub struct Span<'r> {
     reg: &'r Registry,
     id: u64,
     parent_id: u64,
-    path: String,
-    name: String,
-    parent: String,
+    node: Arc<PathNode>,
     start_us: u64,
     start: Instant,
     fields: Vec<(&'static str, String)>,
@@ -133,35 +324,35 @@ impl<'r> Span<'r> {
     pub(crate) fn enter(
         reg: &'r Registry,
         name: &str,
-        explicit_parent: Option<SpanHandle>,
+        explicit_parent: Option<&SpanHandle>,
         fields: Vec<(&'static str, String)>,
     ) -> Self {
         let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
         let start_us = anchor().elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-        let (parent, parent_id, path) = SPAN_STACK.with(|stack| {
+        let table = &reg.spans.paths;
+        let (node, parent_id) = SPAN_STACK.with(|stack| {
             let mut stack = stack.borrow_mut();
-            let (parent, parent_id) = match explicit_parent {
-                Some(h) => (h.path, h.id),
-                None => stack
-                    .last()
-                    .map(|(p, i)| (p.clone(), *i))
-                    .unwrap_or((String::new(), 0)),
+            let (parent, parent_id) = match (explicit_parent, stack.last()) {
+                (Some(h), _) => (table.resolve(&h.path), h.id),
+                (None, Some(top)) if top.table == table.id => (top.node.index, top.id),
+                // The thread's current span records into another
+                // registry: nest under its path all the same.
+                (None, Some(top)) => (table.resolve(&top.node.path), top.id),
+                (None, None) => (ROOT, 0),
             };
-            let path = if parent.is_empty() {
-                name.to_string()
-            } else {
-                format!("{parent}/{name}")
-            };
-            stack.push((path.clone(), id));
-            (parent, parent_id, path)
+            let node = table.child(parent, name);
+            stack.push(Frame {
+                table: table.id,
+                node: Arc::clone(&node),
+                id,
+            });
+            (node, parent_id)
         });
         Span {
             reg,
             id,
             parent_id,
-            path,
-            name: name.to_string(),
-            parent,
+            node,
             start_us,
             start: Instant::now(),
             fields,
@@ -170,7 +361,7 @@ impl<'r> Span<'r> {
 
     /// The span's full path.
     pub fn path(&self) -> &str {
-        &self.path
+        &self.node.path
     }
 
     /// The span's process-unique id.
@@ -182,7 +373,7 @@ impl<'r> Span<'r> {
     /// spans opened on other threads (or across the wire).
     pub fn handle(&self) -> SpanHandle {
         SpanHandle {
-            path: self.path.clone(),
+            path: self.node.path.to_string(),
             id: self.id,
         }
     }
@@ -194,9 +385,9 @@ fn leave(id: u64) {
         let mut stack = stack.borrow_mut();
         // RAII guards drop LIFO; be tolerant of manual `drop()` in
         // odd orders and only pop our own entry.
-        if stack.last().map(|(_, i)| *i) == Some(id) {
+        if stack.last().map(|f| f.id) == Some(id) {
             stack.pop();
-        } else if let Some(i) = stack.iter().rposition(|(_, i)| *i == id) {
+        } else if let Some(i) = stack.iter().rposition(|f| f.id == id) {
             stack.remove(i);
         }
     });
@@ -206,15 +397,11 @@ impl Drop for Span<'_> {
     fn drop(&mut self) {
         let duration_us = self.start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
         leave(self.id);
-        self.reg
-            .histogram_with("span.duration_us", &[("span", &self.path)])
-            .observe(duration_us);
-        self.reg.spans.push(SpanEvent {
+        self.node.observe(self.reg, duration_us);
+        self.reg.spans.push(Record {
             id: self.id,
             parent_id: self.parent_id,
-            path: std::mem::take(&mut self.path),
-            name: std::mem::take(&mut self.name),
-            parent: std::mem::take(&mut self.parent),
+            node: self.node.index,
             start_us: self.start_us,
             duration_us,
             fields: std::mem::take(&mut self.fields),

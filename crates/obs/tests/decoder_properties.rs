@@ -12,10 +12,9 @@
 //!   numbers are finite.
 //!
 //! The named cases at the end pin where the wire form is lossy on
-//! purpose — a non-finite `@SAlerts` number is written as `0`, and an
-//! attribute value that is not UTF-8 is skipped, as everywhere
-//! `SoifObject::get_all_str` reads — and that a malformed `@SAlerts`
-//! number is refused rather than read as `0` or `false`.
+//! purpose — a non-finite `@SAlerts` number is written as `0` — and
+//! that an attribute value that is not UTF-8, or a malformed `@SAlerts`
+//! number, is refused rather than skipped or read as `0` or `false`.
 
 use std::sync::Arc;
 
@@ -281,12 +280,18 @@ fn arb_alerts() -> impl Strategy<Value = AlertsSnapshot> {
         })
 }
 
-/// A metric id as the registry makes them: a dotted identifier, label
-/// keys that are identifiers, and label values of any text.
+/// Any metric id the registry accepts: a name of any non-empty text,
+/// and label keys and values of any text — the characters the
+/// `name{k="v"}` form gives a meaning to, whitespace and non-ASCII
+/// included.
 fn arb_id() -> impl Strategy<Value = MetricId> {
     (
-        "[a-z][a-z0-9_.]{0,12}",
-        proptest::collection::vec(("[a-z_]{1,6}", arb_text()), 0..3),
+        prop_oneof![
+            "[a-z][a-z0-9_.]{0,12}",
+            "[ a=\"\\,{}\n\té€]{1,8}",
+            "\\PC{1,8}",
+        ],
+        proptest::collection::vec((prop_oneof![arb_text(), "\\PC{0,6}"], arb_text()), 0..3),
     )
         .prop_map(|(name, labels)| {
             let labels: Vec<(&str, &str)> = labels
@@ -391,20 +396,22 @@ fn a_non_finite_alert_number_is_written_as_zero() {
 }
 
 #[test]
-fn a_non_utf8_attribute_is_skipped() {
+fn a_non_utf8_attribute_is_refused() {
     let (alerts, stats) = real_payloads();
-    for (object, name) in [(alerts.to_soif(), "Alert"), (to_soif(&stats), "Gauge")] {
-        let mut object = object;
-        let at = object.attrs.iter().position(|a| a.name == name).unwrap();
-        object.attrs[at].value = vec![0xff, 0xfe];
-        let object = reparse(&object);
-        if name == "Alert" {
-            let back = AlertsSnapshot::from_soif(&object).unwrap();
-            assert_eq!(back.alerts.len(), alerts.alerts.len() - 1);
-        } else {
-            let back = snapshot_from_soif(&object).unwrap();
-            assert_eq!(back.gauges.len(), stats.gauges.len() - 1);
-        }
+    for name in ["Generated", "Slo", "Alert", "Event"] {
+        let mut object = alerts.to_soif();
+        let attr = object.attrs.iter_mut().find(|a| a.name == name).unwrap();
+        attr.value = vec![0xff, 0xfe];
+        assert!(
+            AlertsSnapshot::from_soif(&reparse(&object)).is_err(),
+            "{name}"
+        );
+    }
+    for name in ["Counter", "Gauge", "Histogram"] {
+        let mut object = to_soif(&stats);
+        let attr = object.attrs.iter_mut().find(|a| a.name == name).unwrap();
+        attr.value = vec![0xff, 0xfe];
+        assert!(snapshot_from_soif(&reparse(&object)).is_err(), "{name}");
     }
 }
 

@@ -1,5 +1,6 @@
 //! The work budget: what an index build, a sharded search, the serving
-//! layer's cached path and the results codec cost, in counts that
+//! layer's cached path, the results codec and the recording calls cost,
+//! in counts that
 //! repeat from run to run on any machine — heap bytes held at peak and
 //! after, postings bytes by representation, postings scored, allocator
 //! calls, bytes on the wire and spans closed — checked against the
@@ -23,6 +24,7 @@ use starts::meta::catalog::Catalog;
 use starts::meta::metasearcher::MetaConfig;
 use starts::meta::pipeline::normalized_query_key;
 use starts::net::{host::wire_source, LinkProfile, SimNet, StartsClient};
+use starts::obs::{ManualClock, Monitor, MonitorConfig, Registry};
 use starts::proto::query::ast::{FilterExpr, ProxSpec, QTerm, RankExpr, WeightedTerm};
 use starts::proto::{AnswerSpec, Field, Modifier, Query, QueryResults, TraceContext};
 use starts::serve::{HedgeConfig, ServeConfig, Served, Server};
@@ -170,6 +172,40 @@ fn index_rows() -> [(&'static str, f64); 5] {
             footprint.positional_bytes as f64 / n,
         ),
     ]
+}
+
+/// Allocator calls per warm span with no fields (nested two deep, on
+/// paths seen before, into a span ring already full), and per lookup
+/// of a labelled counter that already exists: what the hot path pays
+/// to record.
+fn obs_rows() -> (f64, f64) {
+    const N: u64 = 1_000;
+    let reg = Registry::new();
+    let span = || {
+        let _outer = reg.span("serve.query");
+        let _inner = reg.span("dispatch");
+    };
+    let lookup = || {
+        reg.counter_with("meta.source.queries", &[("source", "Gen-0"), ("wave", "1")])
+            .inc();
+    };
+    // Warm: the first use interns the paths and makes the instrument;
+    // a few thousand spans grow the ring to its cap.
+    for _ in 0..4 * N {
+        span();
+    }
+    lookup();
+    let calls = ALLOCATIONS.load(Ordering::Relaxed);
+    for _ in 0..N {
+        span();
+    }
+    let spans = ALLOCATIONS.load(Ordering::Relaxed) - calls;
+    let calls = ALLOCATIONS.load(Ordering::Relaxed);
+    for _ in 0..N {
+        lookup();
+    }
+    let lookups = ALLOCATIONS.load(Ordering::Relaxed) - calls;
+    (spans as f64 / (2 * N) as f64, lookups as f64 / N as f64)
 }
 
 /// Postings scored per query — `candidates − skipped_docs` from each
@@ -353,8 +389,16 @@ fn threads() -> usize {
 fn the_cached_path_stays_within_its_budget() {
     // Before anything else runs: no other thread allocates meanwhile.
     let index = index_rows();
+    let (per_span, per_lookup) = obs_rows();
 
     let net = Arc::new(SimNet::new());
+    // The monitor samples the registry once per second of its clock,
+    // and a sample allocates: on a frozen clock the misses below take
+    // exactly one, however long a loaded machine makes them run.
+    net.set_monitor(Arc::new(Monitor::new(MonitorConfig {
+        clock: Arc::new(ManualClock::new(0)),
+        ..MonitorConfig::default()
+    })));
     let (catalog, corpus) = wire_fleet(&net);
     let queries = query_pool(&corpus);
     // Its build spawns a thread per shard, so it runs after the index
@@ -460,4 +504,6 @@ fn the_cached_path_stays_within_its_budget() {
         "codec.results.allocations_per_response",
         codec as f64 / responses.len() as f64,
     );
+    check("obs.span.allocations_per_span", per_span);
+    check("obs.lookup.allocations_per_call", per_lookup);
 }
