@@ -151,10 +151,7 @@ fn main() {
             "ftp://www.stanford.edu/source_2".to_string(),
         ),
     ]);
-    print!(
-        "{}",
-        String::from_utf8_lossy(&write_object(&resource.to_soif()))
-    );
+    print!("{}", String::from_utf8_lossy(&resource.to_soif_bytes()));
     println!();
     println!(
         "verdict: all arithmetically-consistent counts reproduced exactly; 5 counts in the\n\

@@ -44,7 +44,7 @@ fn main() {
             .iter()
             .map(|s| {
                 let src = Source::build(SourceConfig::new(&s.id), &s.docs);
-                starts_soif::write_object(&src.content_summary().to_soif()).len() as u64
+                src.content_summary().to_soif_bytes().len() as u64
             })
             .sum();
         rows.push(vec![
@@ -90,7 +90,7 @@ fn main() {
             cfg.summary_max_terms = max_terms;
             let src = Source::build(cfg, &s.docs);
             let summary = src.content_summary();
-            bytes += starts_soif::write_object(&summary.to_soif()).len() as u64;
+            bytes += summary.to_soif_bytes().len() as u64;
             catalog.entries.push(CatalogEntry {
                 id: s.id.clone(),
                 metadata_url: String::new(),

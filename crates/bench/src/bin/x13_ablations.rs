@@ -170,7 +170,7 @@ fn ablation_summary_fields() {
             cfg.summary_fields_qualified = qualified;
             let src = Source::build(cfg, &s.docs);
             let summary = src.content_summary();
-            bytes += starts_soif::write_object(&summary.to_soif()).len() as u64;
+            bytes += summary.to_soif_bytes().len() as u64;
             catalog.entries.push(CatalogEntry {
                 id: s.id.clone(),
                 metadata_url: String::new(),

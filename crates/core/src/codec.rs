@@ -1,14 +1,16 @@
-//! What the typed SOIF codecs of `@SQuery`, `@SQResults` and
-//! `@SQRDocument` share.
+//! What the typed SOIF codecs share.
 //!
-//! Each of those objects has one encoder body, written against
-//! [`AttrSink`] (a [`SoifObject`] for `to_soif`, a
-//! [`starts_soif::SoifWriter`] for the wire), and one decoder body,
-//! written against an iterator of borrowed attributes (a
-//! [`SoifObject`]'s via [`object_attrs`], or a
-//! [`starts_soif::SoifReader`]'s straight off the wire).
+//! Each of `@SQuery`, `@SQResults`, `@SQRDocument`, `@SMetaAttributes`,
+//! `@SContentSummary` and `@SResource` has one encoder body, written
+//! against [`starts_soif::AttrSink`] (a [`starts_soif::SoifWriter`] for
+//! the wire; a [`SoifObject`] for the `to_soif` adapters the first three
+//! keep), and one decoder body, written against an iterator of borrowed
+//! attributes (a [`SoifReader`]'s straight off the wire, or a
+//! [`SoifObject`]'s via [`object_attrs`]). The sample payload
+//! ([`crate::results::decode_sample`]) is read by the `@SQuery` and
+//! result-stream bodies.
 
-use starts_soif::{AttrRef, ParseError, SoifObject};
+use starts_soif::{AttrRef, ParseError, ParseMode, SoifObject, SoifReader};
 
 use crate::error::ProtoError;
 
@@ -23,6 +25,24 @@ pub(crate) fn object_attrs(o: &SoifObject) -> impl Attrs<'_> {
     o.iter().map(|a| Ok((a.name.as_str(), a.value.as_slice())))
 }
 
+/// Decode the one `template` object that `bytes` hold, `decode` reading
+/// its attributes in place: what [`starts_soif::parse_one`] accepts.
+pub(crate) fn decode_one<'a, T>(
+    bytes: &'a [u8],
+    mode: ParseMode,
+    template: &'static str,
+    decode: impl FnOnce(&mut SoifReader<'a>) -> Result<T, ProtoError>,
+) -> Result<T, ProtoError> {
+    let mut reader = SoifReader::new(bytes, mode);
+    let head = reader
+        .next_head()?
+        .ok_or(ParseError::UnexpectedEof { offset: 0 })?;
+    expect_template(head.template, template)?;
+    let value = decode(&mut reader)?;
+    reader.finish()?;
+    Ok(value)
+}
+
 /// `WrongTemplate` unless `found` names the `expected` template
 /// (case-insensitively).
 pub(crate) fn expect_template(found: &str, expected: &'static str) -> Result<(), ProtoError> {
@@ -34,6 +54,12 @@ pub(crate) fn expect_template(found: &str, expected: &'static str) -> Result<(),
             found: found.to_string(),
         })
     }
+}
+
+/// A value the decoder reads, as text: a value that is not UTF-8 is
+/// refused, not taken for absent.
+pub(crate) fn text<'a>(name: &str, value: &'a [u8]) -> Result<&'a str, ProtoError> {
+    std::str::from_utf8(value).map_err(|_| ProtoError::invalid(name, "not UTF-8"))
 }
 
 /// The "first value wins" rule of a header-style decoder: of the

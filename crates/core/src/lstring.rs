@@ -87,7 +87,7 @@ pub fn quote(text: &str) -> String {
     out
 }
 
-fn write_quoted(out: &mut String, text: &str) {
+pub(crate) fn write_quoted(out: &mut String, text: &str) {
     out.push('"');
     for c in text.chars() {
         if c == '"' || c == '\\' {

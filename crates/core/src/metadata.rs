@@ -8,12 +8,42 @@
 //! participants deemed necessary (capability declarations, score ranges,
 //! tokenizer ids, sample-database results).
 
-use starts_soif::{SoifObject, STARTS_VERSION, VERSION_ATTR};
+use std::fmt::Write as _;
+
+use starts_soif::{AttrSink, ParseMode, SoifWriter, STARTS_VERSION, VERSION_ATTR};
 use starts_text::LangTag;
 
 use crate::attrs::{Field, Modifier, ATTRSET_BASIC1, ATTRSET_MBASIC1};
+use crate::codec::{decode_one, push_joined, text, Attrs, FirstWins};
 use crate::error::ProtoError;
-use crate::query::parse_bool;
+use crate::query::{parse_bool, write_weight};
+
+const SMETA: &str = "SMetaAttributes";
+
+/// The `@SMetaAttributes` attributes a decoder reads; the first value of
+/// each wins.
+const META_ATTRS: &[&str] = &[
+    "SourceID",
+    "FieldsSupported",
+    "ModifiersSupported",
+    "FieldModifierCombinations",
+    "QueryPartsSupported",
+    "ScoreRange",
+    "RankingAlgorithmID",
+    "TokenizerIDList",
+    "SampleDatabaseResults",
+    "StopWordList",
+    "TurnOffStopWords",
+    "source-languages",
+    "source-name",
+    "linkage",
+    "content-summary-linkage",
+    "date-changed",
+    "date-expires",
+    "abstract",
+    "access-constraints",
+    "contact",
+];
 
 /// `QueryPartsSupported`: "whether the source supports ranking
 /// expressions only, filter expressions only, or both."
@@ -195,175 +225,162 @@ impl SourceMetadata {
         })
     }
 
-    /// Encode as an `@SMetaAttributes` object (Example 10's layout).
-    pub fn to_soif(&self) -> SoifObject {
-        let mut o = SoifObject::new("SMetaAttributes");
-        o.push_str(VERSION_ATTR, STARTS_VERSION);
-        o.push_str("SourceID", &self.source_id);
-        o.push_str(
-            "FieldsSupported",
-            encode_lang_tagged(&self.fields_supported, |f| {
-                format!("[{ATTRSET_BASIC1} {}]", f.name())
-            }),
-        );
-        o.push_str(
-            "ModifiersSupported",
-            encode_lang_tagged(&self.modifiers_supported, |m| {
-                format!("{{{ATTRSET_BASIC1} {}}}", m.name())
-            }),
-        );
-        o.push_str(
-            "FieldModifierCombinations",
-            self.field_modifier_combinations
-                .iter()
-                .map(encode_combo)
-                .collect::<Vec<_>>()
-                .join(" "),
-        );
-        o.push_str("QueryPartsSupported", self.query_parts_supported.as_str());
-        o.push_str(
-            "ScoreRange",
-            format!(
-                "{} {}",
-                fmt_score_bound(self.score_range.0),
-                fmt_score_bound(self.score_range.1)
-            ),
-        );
-        o.push_str("RankingAlgorithmID", &self.ranking_algorithm_id);
-        if !self.tokenizer_id_list.is_empty() {
-            let parts: Vec<String> = self
-                .tokenizer_id_list
-                .iter()
-                .map(|(id, lang)| format!("({id} {lang})"))
-                .collect();
-            o.push_str("TokenizerIDList", parts.join(" "));
-        }
-        o.push_str("SampleDatabaseResults", &self.sample_database_results);
-        o.push_str("StopWordList", self.stop_word_list.join(" "));
-        o.push_str(
-            "TurnOffStopWords",
-            if self.turn_off_stop_words { "T" } else { "F" },
-        );
-        o.push_str("DefaultMetaAttributeSet", ATTRSET_MBASIC1);
-        if !self.source_languages.is_empty() {
-            let langs: Vec<String> = self
-                .source_languages
-                .iter()
-                .map(LangTag::to_string)
-                .collect();
-            o.push_str("source-languages", langs.join(" "));
-        }
-        if !self.source_name.is_empty() {
-            o.push_str("source-name", &self.source_name);
-        }
-        o.push_str("linkage", &self.linkage);
-        o.push_str("content-summary-linkage", &self.content_summary_linkage);
-        if let Some(d) = &self.date_changed {
-            o.push_str("date-changed", d);
-        }
-        if let Some(d) = &self.date_expires {
-            o.push_str("date-expires", d);
-        }
-        if let Some(a) = &self.abstract_text {
-            o.push_str("abstract", a);
-        }
-        if let Some(a) = &self.access_constraints {
-            o.push_str("access-constraints", a);
-        }
-        if let Some(c) = &self.contact {
-            o.push_str("contact", c);
-        }
-        o
+    /// The wire form of the `@SMetaAttributes` object (Example 10's
+    /// layout).
+    pub fn to_soif_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        SoifWriter::new(&mut out).object(SMETA, |w| self.encode(w));
+        out
     }
 
-    /// Decode from an `@SMetaAttributes` object.
-    pub fn from_soif(o: &SoifObject) -> Result<SourceMetadata, ProtoError> {
-        if !o.template.eq_ignore_ascii_case("SMetaAttributes") {
-            return Err(ProtoError::WrongTemplate {
-                expected: "SMetaAttributes",
-                found: o.template.clone(),
+    /// Decode the one `@SMetaAttributes` object that `bytes` hold.
+    pub fn from_soif_bytes(bytes: &[u8], mode: ParseMode) -> Result<SourceMetadata, ProtoError> {
+        decode_one(bytes, mode, SMETA, |r| Self::decode(r.attrs()))
+    }
+
+    fn encode(&self, sink: &mut impl AttrSink) {
+        sink.attr(VERSION_ATTR, STARTS_VERSION.as_bytes());
+        sink.attr("SourceID", self.source_id.as_bytes());
+        sink.attr_fmt("FieldsSupported", |v| {
+            for (i, (field, langs)) in self.fields_supported.iter().enumerate() {
+                write_item(v, i, ('[', ']'), field.name(), langs);
+            }
+        });
+        sink.attr_fmt("ModifiersSupported", |v| {
+            for (i, (modifier, langs)) in self.modifiers_supported.iter().enumerate() {
+                write_item(v, i, ('{', '}'), modifier.name(), langs);
+            }
+        });
+        sink.attr_fmt("FieldModifierCombinations", |v| {
+            for (i, combo) in self.field_modifier_combinations.iter().enumerate() {
+                v.push_str(if i > 0 { " (" } else { "(" });
+                write_item(v, 0, ('[', ']'), combo.field.name(), &[]);
+                for m in &combo.modifiers {
+                    write_item(v, 1, ('{', '}'), m.name(), &[]);
+                }
+                v.push(')');
+            }
+        });
+        sink.attr(
+            "QueryPartsSupported",
+            self.query_parts_supported.as_str().as_bytes(),
+        );
+        sink.attr_fmt("ScoreRange", |v| {
+            write_score_bound(v, self.score_range.0);
+            v.push(' ');
+            write_score_bound(v, self.score_range.1);
+        });
+        sink.attr("RankingAlgorithmID", self.ranking_algorithm_id.as_bytes());
+        if !self.tokenizer_id_list.is_empty() {
+            sink.attr_fmt("TokenizerIDList", |v| {
+                for (i, (id, lang)) in self.tokenizer_id_list.iter().enumerate() {
+                    let _ = write!(v, "{}({id} {lang})", if i > 0 { " " } else { "" });
+                }
             });
         }
-        let mut m = SourceMetadata {
-            source_id: o
-                .get_str("SourceID")
-                .ok_or_else(|| ProtoError::missing("SMetaAttributes", "SourceID"))?
-                .to_string(),
-            ..SourceMetadata::default()
-        };
-        if let Some(v) = o.get_str("FieldsSupported") {
-            m.fields_supported = decode_lang_tagged(v, '[', ']', Field::parse)?;
+        sink.attr(
+            "SampleDatabaseResults",
+            self.sample_database_results.as_bytes(),
+        );
+        sink.attr_fmt("StopWordList", |v| {
+            push_joined(v, self.stop_word_list.iter().map(String::as_str))
+        });
+        let turn_off: &[u8] = if self.turn_off_stop_words { b"T" } else { b"F" };
+        sink.attr("TurnOffStopWords", turn_off);
+        sink.attr("DefaultMetaAttributeSet", ATTRSET_MBASIC1.as_bytes());
+        if !self.source_languages.is_empty() {
+            sink.attr_fmt("source-languages", |v| {
+                write_langs(v, &self.source_languages)
+            });
         }
-        if let Some(v) = o.get_str("ModifiersSupported") {
-            m.modifiers_supported = decode_lang_tagged(v, '{', '}', Modifier::parse)?;
+        if !self.source_name.is_empty() {
+            sink.attr("source-name", self.source_name.as_bytes());
         }
-        if let Some(v) = o.get_str("FieldModifierCombinations") {
-            m.field_modifier_combinations = decode_combos(v)?;
-        }
-        if let Some(v) = o.get_str("QueryPartsSupported") {
-            m.query_parts_supported = QueryParts::parse(v)?;
-        }
-        if let Some(v) = o.get_str("ScoreRange") {
-            let parts: Vec<&str> = v.split_whitespace().collect();
-            if parts.len() != 2 {
-                return Err(ProtoError::invalid("ScoreRange", "expected two bounds"));
+        for (name, value) in [
+            ("linkage", Some(&self.linkage)),
+            (
+                "content-summary-linkage",
+                Some(&self.content_summary_linkage),
+            ),
+            ("date-changed", self.date_changed.as_ref()),
+            ("date-expires", self.date_expires.as_ref()),
+            ("abstract", self.abstract_text.as_ref()),
+            ("access-constraints", self.access_constraints.as_ref()),
+            ("contact", self.contact.as_ref()),
+        ] {
+            if let Some(value) = value {
+                sink.attr(name, value.as_bytes());
             }
-            m.score_range = (parse_score_bound(parts[0])?, parse_score_bound(parts[1])?);
         }
-        if let Some(v) = o.get_str("RankingAlgorithmID") {
-            m.ranking_algorithm_id = v.to_string();
+    }
+
+    /// The first value of each attribute in [`META_ATTRS`] is read, and
+    /// must be UTF-8; anything else is skipped unread.
+    fn decode<'a>(attrs: impl Attrs<'a>) -> Result<SourceMetadata, ProtoError> {
+        let mut m = SourceMetadata::default();
+        let mut source_id = None;
+        let mut first = FirstWins::new(META_ATTRS);
+        for attr in attrs {
+            let (name, value) = attr?;
+            let Some(attr) = first.claim(name) else {
+                continue;
+            };
+            let v = text(attr, value)?;
+            let owned = || v.to_string();
+            match attr {
+                "SourceID" => source_id = Some(v),
+                "FieldsSupported" => {
+                    m.fields_supported = decode_lang_tagged(v, ('[', ']'), Field::parse)?
+                }
+                "ModifiersSupported" => {
+                    m.modifiers_supported = decode_lang_tagged(v, ('{', '}'), Modifier::parse)?
+                }
+                "FieldModifierCombinations" => m.field_modifier_combinations = decode_combos(v)?,
+                "QueryPartsSupported" => m.query_parts_supported = QueryParts::parse(v)?,
+                "ScoreRange" => {
+                    let mut bounds = v.split_whitespace();
+                    let (Some(lo), Some(hi), None) = (bounds.next(), bounds.next(), bounds.next())
+                    else {
+                        return Err(ProtoError::invalid("ScoreRange", "expected two bounds"));
+                    };
+                    m.score_range = (parse_score_bound(lo)?, parse_score_bound(hi)?);
+                }
+                "RankingAlgorithmID" => m.ranking_algorithm_id = owned(),
+                "TokenizerIDList" => m.tokenizer_id_list = decode_tokenizers(v)?,
+                "SampleDatabaseResults" => m.sample_database_results = owned(),
+                "StopWordList" => {
+                    m.stop_word_list = v.split_whitespace().map(str::to_string).collect()
+                }
+                "TurnOffStopWords" => m.turn_off_stop_words = parse_bool(attr, v)?,
+                "source-languages" => m.source_languages = parse_langs(v, attr)?,
+                "source-name" => m.source_name = owned(),
+                "linkage" => m.linkage = owned(),
+                "content-summary-linkage" => m.content_summary_linkage = owned(),
+                "date-changed" => m.date_changed = Some(owned()),
+                "date-expires" => m.date_expires = Some(owned()),
+                "abstract" => m.abstract_text = Some(owned()),
+                "access-constraints" => m.access_constraints = Some(owned()),
+                "contact" => m.contact = Some(owned()),
+                _ => {}
+            }
         }
-        if let Some(v) = o.get_str("TokenizerIDList") {
-            m.tokenizer_id_list = decode_tokenizers(v)?;
-        }
-        if let Some(v) = o.get_str("SampleDatabaseResults") {
-            m.sample_database_results = v.to_string();
-        }
-        if let Some(v) = o.get_str("StopWordList") {
-            m.stop_word_list = v.split_whitespace().map(str::to_string).collect();
-        }
-        if let Some(v) = o.get_str("TurnOffStopWords") {
-            m.turn_off_stop_words = parse_bool("TurnOffStopWords", v)?;
-        }
-        if let Some(v) = o.get_str("source-languages") {
-            m.source_languages = v
-                .split_whitespace()
-                .map(|t| {
-                    LangTag::parse(t)
-                        .map_err(|e| ProtoError::invalid("source-languages", e.to_string()))
-                })
-                .collect::<Result<_, _>>()?;
-        }
-        if let Some(v) = o.get_str("source-name") {
-            m.source_name = v.to_string();
-        }
-        if let Some(v) = o.get_str("linkage") {
-            m.linkage = v.to_string();
-        }
-        if let Some(v) = o.get_str("content-summary-linkage") {
-            m.content_summary_linkage = v.to_string();
-        }
-        m.date_changed = o.get_str("date-changed").map(str::to_string);
-        m.date_expires = o.get_str("date-expires").map(str::to_string);
-        m.abstract_text = o.get_str("abstract").map(str::to_string);
-        m.access_constraints = o.get_str("access-constraints").map(str::to_string);
-        m.contact = o.get_str("contact").map(str::to_string);
+        m.source_id = source_id
+            .ok_or_else(|| ProtoError::missing(SMETA, "SourceID"))?
+            .to_string();
         Ok(m)
     }
 }
 
-fn fmt_score_bound(v: f64) -> String {
+/// Infinite bounds by name; finite ones always with a decimal point ("0.0").
+fn write_score_bound(out: &mut String, v: f64) {
     if v == f64::INFINITY {
-        "Infinity".to_string()
+        out.push_str("Infinity");
     } else if v == f64::NEG_INFINITY {
-        "-Infinity".to_string()
+        out.push_str("-Infinity");
+    } else if v.fract() == 0.0 {
+        let _ = write!(out, "{v:.1}");
     } else {
-        // Always show a decimal point for finite bounds ("0.0 1.0").
-        if v.fract() == 0.0 {
-            format!("{v:.1}")
-        } else {
-            crate::query::fmt_weight(v)
-        }
+        write_weight(out, v);
     }
 }
 
@@ -377,168 +394,143 @@ fn parse_score_bound(s: &str) -> Result<f64, ProtoError> {
     }
 }
 
-/// Encode `[set name] (lang…)` lists: each item optionally followed by
-/// its language list in parentheses-free space form is ambiguous, so
-/// languages are appended inside the brackets after a `;` when present:
+/// Languages separated by single spaces.
+fn write_langs(out: &mut String, langs: &[LangTag]) {
+    for (i, lang) in langs.iter().enumerate() {
+        let _ = write!(out, "{}{lang}", if i > 0 { " " } else { "" });
+    }
+}
+
+/// Write item `i` of a `[set name]` / `{set name}` list: a
+/// parentheses-free language list after the name would be ambiguous, so
+/// languages go inside the delimiters after a `;` when present —
 /// `[basic-1 author; en-US es]`.
-fn encode_lang_tagged<T>(items: &[(T, Vec<LangTag>)], render: impl Fn(&T) -> String) -> String {
-    items
-        .iter()
-        .map(|(item, langs)| {
-            let base = render(item);
-            if langs.is_empty() {
-                base
-            } else {
-                let langs: Vec<String> = langs.iter().map(LangTag::to_string).collect();
-                // Insert "; langs" before the closing delimiter.
-                let (head, close) = base.split_at(base.len() - 1);
-                format!("{head}; {}{close}", langs.join(" "))
-            }
-        })
-        .collect::<Vec<_>>()
-        .join(" ")
+fn write_item(
+    out: &mut String,
+    i: usize,
+    (open, close): (char, char),
+    name: &str,
+    langs: &[LangTag],
+) {
+    if i > 0 {
+        out.push(' ');
+    }
+    out.push(open);
+    out.push_str(ATTRSET_BASIC1);
+    out.push(' ');
+    out.push_str(name);
+    if !langs.is_empty() {
+        out.push_str("; ");
+        write_langs(out, langs);
+    }
+    out.push(close);
+}
+
+/// The bodies of a run of `open … close` groups, such as `(a b) (c d)`:
+/// each group ends at the first `close` after its `open`.
+fn groups<'v>(
+    v: &'v str,
+    attr: &'static str,
+    (open, close): (char, char),
+) -> impl Iterator<Item = Result<&'v str, ProtoError>> {
+    let mut rest = v.trim();
+    std::iter::from_fn(move || {
+        if rest.is_empty() {
+            return None;
+        }
+        let group = rest.strip_prefix(open).and_then(|r| r.split_once(close));
+        let Some((body, after)) = group else {
+            rest = "";
+            let message = format!("expected {open:?} … {close:?} in {v:?}");
+            return Some(Err(ProtoError::invalid(attr, message)));
+        };
+        rest = after.trim_start();
+        Some(Ok(body))
+    })
+}
+
+/// Space-separated language tags.
+fn parse_langs(v: &str, attr: &str) -> Result<Vec<LangTag>, ProtoError> {
+    let parse = |t| LangTag::parse(t).map_err(|e| ProtoError::invalid(attr, e.to_string()));
+    v.split_whitespace().map(parse).collect()
 }
 
 fn decode_lang_tagged<T>(
     v: &str,
-    open: char,
-    close: char,
+    delimiters: (char, char),
     parse: impl Fn(&str) -> T,
 ) -> Result<Vec<(T, Vec<LangTag>)>, ProtoError> {
-    let mut out = Vec::new();
-    let mut rest = v.trim();
-    while !rest.is_empty() {
-        if !rest.starts_with(open) {
-            return Err(ProtoError::invalid(
-                "FieldsSupported/ModifiersSupported",
-                format!("expected {open:?} in {v:?}"),
-            ));
-        }
-        let end = rest.find(close).ok_or_else(|| {
-            ProtoError::invalid(
-                "FieldsSupported/ModifiersSupported",
-                format!("missing {close:?} in {v:?}"),
-            )
-        })?;
-        let body = &rest[1..end];
-        let (spec, langs_part) = match body.split_once(';') {
-            Some((s, l)) => (s.trim(), Some(l.trim())),
-            None => (body.trim(), None),
-        };
-        // spec = "attrset name" or just "name".
-        let name = spec.split_whitespace().last().ok_or_else(|| {
-            ProtoError::invalid("FieldsSupported/ModifiersSupported", "empty item")
-        })?;
-        let langs = match langs_part {
-            None => Vec::new(),
-            Some(ls) => ls
-                .split_whitespace()
-                .map(|t| {
-                    LangTag::parse(t).map_err(|e| {
-                        ProtoError::invalid("FieldsSupported/ModifiersSupported", e.to_string())
-                    })
-                })
-                .collect::<Result<_, _>>()?,
-        };
-        out.push((parse(name), langs));
-        rest = rest[end + 1..].trim_start();
-    }
-    Ok(out)
-}
-
-fn encode_combo(c: &FieldModCombo) -> String {
-    let mut parts = vec![format!("[{ATTRSET_BASIC1} {}]", c.field.name())];
-    for m in &c.modifiers {
-        parts.push(format!("{{{ATTRSET_BASIC1} {}}}", m.name()));
-    }
-    format!("({})", parts.join(" "))
+    const ATTR: &str = "FieldsSupported/ModifiersSupported";
+    groups(v, ATTR, delimiters)
+        .map(|body| {
+            let body = body?;
+            let (spec, langs) = match body.split_once(';') {
+                Some((spec, langs)) => (spec, parse_langs(langs, ATTR)?),
+                None => (body, Vec::new()),
+            };
+            // spec = "attrset name" or just "name".
+            let name = spec.split_whitespace().last();
+            let name = name.ok_or_else(|| ProtoError::invalid(ATTR, "empty item"))?;
+            Ok((parse(name), langs))
+        })
+        .collect()
 }
 
 fn decode_combos(v: &str) -> Result<Vec<FieldModCombo>, ProtoError> {
-    let mut out = Vec::new();
-    let mut rest = v.trim();
-    while !rest.is_empty() {
-        if !rest.starts_with('(') {
-            return Err(ProtoError::invalid(
-                "FieldModifierCombinations",
-                format!("expected '(' in {v:?}"),
-            ));
-        }
-        let end = rest
-            .find(')')
-            .ok_or_else(|| ProtoError::invalid("FieldModifierCombinations", "missing ')'"))?;
-        let body = &rest[1..end];
-        let mut field = None;
-        let mut modifiers = Vec::new();
-        let mut inner = body.trim();
-        while !inner.is_empty() {
-            let (open, close) = match inner.chars().next().unwrap() {
-                '[' => ('[', ']'),
-                '{' => ('{', '}'),
-                other => {
-                    return Err(ProtoError::invalid(
-                        "FieldModifierCombinations",
-                        format!("unexpected {other:?}"),
-                    ))
+    const ATTR: &str = "FieldModifierCombinations";
+    groups(v, ATTR, ('(', ')'))
+        .map(|body| {
+            let (mut field, mut modifiers) = (None, Vec::new());
+            let mut rest = body?.trim();
+            while let Some(open) = rest.chars().next() {
+                let close = match open {
+                    '[' => ']',
+                    '{' => '}',
+                    other => {
+                        return Err(ProtoError::invalid(ATTR, format!("unexpected {other:?}")))
+                    }
+                };
+                let (item, after) = rest[1..]
+                    .split_once(close)
+                    .ok_or_else(|| ProtoError::invalid(ATTR, format!("missing {close:?}")))?;
+                let name = item.split_whitespace().last();
+                let name = name.ok_or_else(|| ProtoError::invalid(ATTR, "empty item"))?;
+                if open == '[' {
+                    field = Some(Field::parse(name));
+                } else {
+                    modifiers.push(Modifier::parse(name));
                 }
-            };
-            let iend = inner.find(close).ok_or_else(|| {
-                ProtoError::invalid("FieldModifierCombinations", format!("missing {close:?}"))
-            })?;
-            let name = inner[1..iend]
-                .split_whitespace()
-                .last()
-                .ok_or_else(|| ProtoError::invalid("FieldModifierCombinations", "empty item"))?;
-            if open == '[' {
-                field = Some(Field::parse(name));
-            } else {
-                modifiers.push(Modifier::parse(name));
+                rest = after.trim_start();
             }
-            inner = inner[iend + 1..].trim_start();
-        }
-        let field = field.ok_or_else(|| {
-            ProtoError::invalid("FieldModifierCombinations", "combination without a field")
-        })?;
-        out.push(FieldModCombo { field, modifiers });
-        rest = rest[end + 1..].trim_start();
-    }
-    Ok(out)
+            let field =
+                field.ok_or_else(|| ProtoError::invalid(ATTR, "combination without a field"))?;
+            Ok(FieldModCombo { field, modifiers })
+        })
+        .collect()
 }
 
 fn decode_tokenizers(v: &str) -> Result<Vec<(String, LangTag)>, ProtoError> {
-    let mut out = Vec::new();
-    let mut rest = v.trim();
-    while !rest.is_empty() {
-        if !rest.starts_with('(') {
-            return Err(ProtoError::invalid(
-                "TokenizerIDList",
-                format!("expected '(' in {v:?}"),
-            ));
-        }
-        let end = rest
-            .find(')')
-            .ok_or_else(|| ProtoError::invalid("TokenizerIDList", "missing ')'"))?;
-        let body = &rest[1..end];
-        let mut parts = body.split_whitespace();
-        let id = parts
-            .next()
-            .ok_or_else(|| ProtoError::invalid("TokenizerIDList", "empty entry"))?;
-        let lang = parts
-            .next()
-            .ok_or_else(|| ProtoError::invalid("TokenizerIDList", "missing language"))?;
-        let lang = LangTag::parse(lang)
-            .map_err(|e| ProtoError::invalid("TokenizerIDList", e.to_string()))?;
-        out.push((id.to_string(), lang));
-        rest = rest[end + 1..].trim_start();
-    }
-    Ok(out)
+    groups(v, "TokenizerIDList", ('(', ')'))
+        .map(|body| {
+            let mut parts = body?.split_whitespace();
+            let (Some(id), Some(lang)) = (parts.next(), parts.next()) else {
+                return Err(ProtoError::invalid(
+                    "TokenizerIDList",
+                    "expected an id and a language",
+                ));
+            };
+            let lang = LangTag::parse(lang)
+                .map_err(|e| ProtoError::invalid("TokenizerIDList", e.to_string()))?;
+            Ok((id.to_string(), lang))
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::attrs::CmpOp;
-    use starts_soif::{parse_one, write_object, ParseMode};
+    use starts_soif::{parse_one, write_object, SoifObject};
 
     fn example10_metadata() -> SourceMetadata {
         SourceMetadata {
@@ -573,7 +565,7 @@ mod tests {
 
     #[test]
     fn example10_encoding_values() {
-        let o = example10_metadata().to_soif();
+        let o = parse_one(&example10_metadata().to_soif_bytes(), ParseMode::Strict).unwrap();
         assert_eq!(o.get_str("SourceID"), Some("Source-1"));
         assert_eq!(o.get_str("FieldsSupported"), Some("[basic-1 author]"));
         assert_eq!(o.get_str("ModifiersSupported"), Some("{basic-1 phonetic}"));
@@ -597,9 +589,7 @@ mod tests {
     #[test]
     fn soif_round_trip() {
         let m = example10_metadata();
-        let bytes = write_object(&m.to_soif());
-        let back =
-            SourceMetadata::from_soif(&parse_one(&bytes, ParseMode::Strict).unwrap()).unwrap();
+        let back = SourceMetadata::from_soif_bytes(&m.to_soif_bytes(), ParseMode::Strict).unwrap();
         assert_eq!(back, m);
     }
 
@@ -614,13 +604,14 @@ mod tests {
             modifiers_supported: vec![(Modifier::Stem, vec![LangTag::en()])],
             ..SourceMetadata::default()
         };
-        let o = m.to_soif();
+        let bytes = m.to_soif_bytes();
+        let o = parse_one(&bytes, ParseMode::Strict).unwrap();
         assert_eq!(
             o.get_str("FieldsSupported"),
             Some("[basic-1 title; en-US es] [basic-1 author]")
         );
         assert_eq!(o.get_str("ModifiersSupported"), Some("{basic-1 stem; en}"));
-        let back = SourceMetadata::from_soif(&o).unwrap();
+        let back = SourceMetadata::from_soif_bytes(&bytes, ParseMode::Strict).unwrap();
         assert_eq!(back.fields_supported, m.fields_supported);
         assert_eq!(back.modifiers_supported, m.modifiers_supported);
     }
@@ -632,9 +623,10 @@ mod tests {
             score_range: (0.0, f64::INFINITY),
             ..SourceMetadata::default()
         };
-        let o = m.to_soif();
+        let bytes = m.to_soif_bytes();
+        let o = parse_one(&bytes, ParseMode::Strict).unwrap();
         assert_eq!(o.get_str("ScoreRange"), Some("0.0 Infinity"));
-        let back = SourceMetadata::from_soif(&o).unwrap();
+        let back = SourceMetadata::from_soif_bytes(&bytes, ParseMode::Strict).unwrap();
         assert_eq!(back.score_range, (0.0, f64::INFINITY));
     }
 
@@ -697,21 +689,22 @@ mod tests {
 
     #[test]
     fn missing_source_id_rejected() {
-        let o = SoifObject::new("SMetaAttributes");
+        let o = write_object(&SoifObject::new("SMetaAttributes"));
         assert!(matches!(
-            SourceMetadata::from_soif(&o),
+            SourceMetadata::from_soif_bytes(&o, ParseMode::Strict),
             Err(ProtoError::MissingAttribute { .. })
         ));
     }
 
     #[test]
     fn malformed_lists_rejected() {
-        let mut o = SourceMetadata {
+        let bytes = SourceMetadata {
             source_id: "S".to_string(),
             ..SourceMetadata::default()
         }
-        .to_soif();
+        .to_soif_bytes();
+        let mut o = parse_one(&bytes, ParseMode::Strict).unwrap();
         o.push_str("TokenizerIDList", "(Acme-1");
-        assert!(SourceMetadata::from_soif(&o).is_err());
+        assert!(SourceMetadata::from_soif_bytes(&write_object(&o), ParseMode::Strict).is_err());
     }
 }

@@ -14,18 +14,15 @@ pub(crate) use printer::{write_filter, write_ranking, write_term, write_weight};
 
 use std::fmt::Write as _;
 
-use starts_soif::{
-    AttrSink, ParseError, ParseMode, SoifObject, SoifReader, SoifWriter, STARTS_VERSION,
-    VERSION_ATTR,
-};
+use starts_soif::{AttrSink, ParseMode, SoifObject, SoifWriter, STARTS_VERSION, VERSION_ATTR};
 use starts_text::LangTag;
 
 use crate::attrs::{Field, ATTRSET_BASIC1};
-use crate::codec::{expect_template, object_attrs, push_joined, Attrs, FirstWins};
+use crate::codec::{decode_one, expect_template, object_attrs, push_joined, Attrs, FirstWins};
 use crate::error::ProtoError;
 use crate::trace::{TraceContext, TRACE_ATTR};
 
-const SQUERY: &str = "SQuery";
+pub(crate) const SQUERY: &str = "SQuery";
 
 /// The `@SQuery` attributes a decoder reads; the first value of each
 /// wins.
@@ -194,14 +191,7 @@ impl Query {
     /// [`starts_soif::parse_one`] and [`Query::from_soif`] accept, read in
     /// place.
     pub fn from_soif_bytes(bytes: &[u8], mode: ParseMode) -> Result<Query, ProtoError> {
-        let mut reader = SoifReader::new(bytes, mode);
-        let head = reader
-            .next_head()?
-            .ok_or(ParseError::UnexpectedEof { offset: 0 })?;
-        expect_template(head.template, SQUERY)?;
-        let query = Self::decode(reader.attrs())?;
-        reader.finish()?;
-        Ok(query)
+        decode_one(bytes, mode, SQUERY, |r| Self::decode(r.attrs()))
     }
 
     fn encode(&self, trace: Option<&TraceContext>, sink: &mut impl AttrSink) {
@@ -246,7 +236,7 @@ impl Query {
     }
 
     /// A first value that is not UTF-8 counts as absent.
-    fn decode<'a>(attrs: impl Attrs<'a>) -> Result<Query, ProtoError> {
+    pub(crate) fn decode<'a>(attrs: impl Attrs<'a>) -> Result<Query, ProtoError> {
         let mut q = Query::default();
         let mut first = FirstWins::new(QUERY_ATTRS);
         for attr in attrs {

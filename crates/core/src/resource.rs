@@ -7,9 +7,14 @@
 //! contains … its list of sources, together with the URLs where the
 //! metadata attributes for the sources can be accessed."
 
-use starts_soif::{SoifObject, STARTS_VERSION, VERSION_ATTR};
+use std::fmt::Write as _;
 
+use starts_soif::{AttrSink, ParseMode, SoifWriter, STARTS_VERSION, VERSION_ATTR};
+
+use crate::codec::{decode_one, text, Attrs, FirstWins};
 use crate::error::ProtoError;
+
+const SRESOURCE: &str = "SResource";
 
 /// A resource's exported source list: `(source id, metadata URL)` pairs.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -39,40 +44,45 @@ impl Resource {
         self.sources.iter().map(|(id, _)| id.as_str())
     }
 
-    /// Encode as an `@SResource` object (Example 12).
-    pub fn to_soif(&self) -> SoifObject {
-        let mut o = SoifObject::new("SResource");
-        o.push_str(VERSION_ATTR, STARTS_VERSION);
-        let lines: Vec<String> = self
-            .sources
-            .iter()
-            .map(|(id, url)| format!("{id} {url}"))
-            .collect();
-        o.push_str("SourceList", lines.join("\n"));
-        o
+    /// The wire form of the `@SResource` object (Example 12).
+    pub fn to_soif_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        SoifWriter::new(&mut out).object(SRESOURCE, |w| self.encode(w));
+        out
     }
 
-    /// Decode from an `@SResource` object.
-    pub fn from_soif(o: &SoifObject) -> Result<Resource, ProtoError> {
-        if !o.template.eq_ignore_ascii_case("SResource") {
-            return Err(ProtoError::WrongTemplate {
-                expected: "SResource",
-                found: o.template.clone(),
-            });
+    /// Decode the one `@SResource` object that `bytes` hold.
+    pub fn from_soif_bytes(bytes: &[u8], mode: ParseMode) -> Result<Resource, ProtoError> {
+        decode_one(bytes, mode, SRESOURCE, |r| Self::decode(r.attrs()))
+    }
+
+    fn encode(&self, sink: &mut impl AttrSink) {
+        sink.attr(VERSION_ATTR, STARTS_VERSION.as_bytes());
+        sink.attr_fmt("SourceList", |v| {
+            for (i, (id, url)) in self.sources.iter().enumerate() {
+                let _ = write!(v, "{}{id} {url}", if i > 0 { "\n" } else { "" });
+            }
+        });
+    }
+
+    /// The first `SourceList` is read, and must be UTF-8; anything else
+    /// is skipped unread.
+    fn decode<'a>(attrs: impl Attrs<'a>) -> Result<Resource, ProtoError> {
+        let mut first = FirstWins::new(&["SourceList"]);
+        let mut list = None;
+        for attr in attrs {
+            let (name, value) = attr?;
+            if let Some(attr) = first.claim(name) {
+                list = Some(text(attr, value)?);
+            }
         }
-        let list = o
-            .get_str("SourceList")
-            .ok_or_else(|| ProtoError::missing("SResource", "SourceList"))?;
+        let list = list.ok_or_else(|| ProtoError::missing(SRESOURCE, "SourceList"))?;
         let mut sources = Vec::new();
         for line in list.lines() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
             let mut parts = line.split_whitespace();
-            let id = parts
-                .next()
-                .ok_or_else(|| ProtoError::invalid("SourceList", "empty line"))?;
+            let Some(id) = parts.next() else {
+                continue;
+            };
             let url = parts.next().ok_or_else(|| {
                 ProtoError::invalid("SourceList", format!("missing URL for {id:?}"))
             })?;
@@ -85,7 +95,7 @@ impl Resource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use starts_soif::{parse_one, write_object, ParseMode};
+    use starts_soif::{parse_one, write_object, SoifObject};
 
     fn example12_resource() -> Resource {
         Resource::new([
@@ -103,7 +113,7 @@ mod tests {
     #[test]
     fn example12_encoding() {
         let r = example12_resource();
-        let o = r.to_soif();
+        let o = parse_one(&r.to_soif_bytes(), ParseMode::Strict).unwrap();
         assert_eq!(
             o.get_str("SourceList"),
             Some(
@@ -116,8 +126,7 @@ mod tests {
     #[test]
     fn round_trip() {
         let r = example12_resource();
-        let bytes = write_object(&r.to_soif());
-        let back = Resource::from_soif(&parse_one(&bytes, ParseMode::Strict).unwrap()).unwrap();
+        let back = Resource::from_soif_bytes(&r.to_soif_bytes(), ParseMode::Strict).unwrap();
         assert_eq!(back, r);
     }
 
@@ -135,17 +144,19 @@ mod tests {
 
     #[test]
     fn decode_errors() {
+        let decode =
+            |o: &SoifObject| Resource::from_soif_bytes(&write_object(o), ParseMode::Strict);
         let o = SoifObject::new("SResource");
-        assert!(Resource::from_soif(&o).is_err());
+        assert!(decode(&o).is_err());
         let mut o = SoifObject::new("SResource");
         o.push_str("SourceList", "OnlyAnId");
-        assert!(Resource::from_soif(&o).is_err());
+        assert!(decode(&o).is_err());
     }
 
     #[test]
     fn empty_resource_round_trips() {
         let r = Resource::default();
-        let back = Resource::from_soif(&r.to_soif()).unwrap();
+        let back = Resource::from_soif_bytes(&r.to_soif_bytes(), ParseMode::Strict).unwrap();
         assert_eq!(back, r);
     }
 }

@@ -12,7 +12,8 @@
 use std::fmt::Write as _;
 
 use starts_soif::{
-    AttrSink, ParseMode, SoifObject, SoifReader, SoifWriter, STARTS_VERSION, VERSION_ATTR,
+    AttrSink, ObjectHead, ParseMode, SoifObject, SoifReader, SoifWriter, STARTS_VERSION,
+    VERSION_ATTR,
 };
 
 use crate::attrs::Field;
@@ -21,7 +22,7 @@ use crate::error::ProtoError;
 use crate::profile::{QueryProfile, PROFILE_ATTR};
 use crate::query::{
     parse_filter, parse_ranking, write_filter, write_ranking, write_term, write_weight, FilterExpr,
-    QTerm, RankExpr,
+    QTerm, Query, RankExpr, SQUERY,
 };
 
 const SQRESULTS: &str = "SQResults";
@@ -302,18 +303,35 @@ impl QueryResults {
     /// do not keep.
     pub fn from_soif_stream(bytes: &[u8]) -> Result<QueryResults, ProtoError> {
         let mut reader = SoifReader::new(bytes, ParseMode::Strict);
+        let (results, next) = Self::read_stream(&mut reader)?;
+        if let Some(head) = next {
+            // Only documents may follow the header.
+            expect_template(head.template, SQRDOCUMENT)?;
+        }
+        Ok(results)
+    }
+
+    /// The result stream the reader is at: an `@SQResults` object and
+    /// the `@SQRDocument`s after it. Also returns the head of the object
+    /// that ended the stream, if one did.
+    fn read_stream<'a>(
+        reader: &mut SoifReader<'a>,
+    ) -> Result<(QueryResults, Option<ObjectHead<'a>>), ProtoError> {
         let header = reader
             .next_head()?
             .ok_or_else(|| ProtoError::missing(SQRESULTS, "(whole object)"))?;
         expect_template(header.template, SQRESULTS)?;
         let mut results = Self::decode_header(reader.attrs())?;
         let mut terms = TermMemo::default();
-        while let Some(head) = reader.next_head()? {
-            expect_template(head.template, SQRDOCUMENT)?;
-            let doc = ResultDocument::decode(reader.attrs(), &mut terms)?;
-            results.documents.push(doc);
+        loop {
+            match reader.next_head()? {
+                Some(head) if head.template.eq_ignore_ascii_case(SQRDOCUMENT) => {
+                    let doc = ResultDocument::decode(reader.attrs(), &mut terms)?;
+                    results.documents.push(doc);
+                }
+                next => return Ok((results, next)),
+            }
         }
-        Ok(results)
     }
 
     /// Decode just the header object.
@@ -378,6 +396,40 @@ impl QueryResults {
         }
         Ok(results)
     }
+}
+
+/// The sample-results payload (§4.2's calibration hook): for each
+/// sample query, its `@SQuery` object and then its result stream, each
+/// followed by a blank line.
+pub fn encode_sample(samples: &[(Query, QueryResults)]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for (q, r) in samples {
+        q.write_soif_into(q.trace.as_ref(), &mut out);
+        out.push(b'\n');
+        r.to_soif_stream_into(&mut out);
+        out.push(b'\n');
+    }
+    out
+}
+
+/// Decode a sample-results payload, read Strict. It is a run of
+/// sections, each an `@SQuery` followed by one result stream (an
+/// `@SQResults` and its `@SQRDocument`s). Templates are compared
+/// case-insensitively; an object out of that order (a stream with no
+/// query before it, a query with no stream after it, an unknown
+/// template) is refused, never skipped.
+pub fn decode_sample(bytes: &[u8]) -> Result<Vec<(Query, QueryResults)>, ProtoError> {
+    let mut reader = SoifReader::new(bytes, ParseMode::Strict);
+    let mut samples = Vec::new();
+    let mut next = reader.next_head()?;
+    while let Some(head) = next {
+        expect_template(head.template, SQUERY)?;
+        let query = Query::decode(reader.attrs())?;
+        let (results, after) = QueryResults::read_stream(&mut reader)?;
+        samples.push((query, results));
+        next = after;
+    }
+    Ok(samples)
 }
 
 #[cfg(test)]

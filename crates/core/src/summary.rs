@@ -10,13 +10,23 @@
 //! count, optionally sectioned by field and language.
 
 use std::collections::hash_map::RandomState;
+use std::fmt::Write as _;
 use std::hash::{BuildHasher, Hasher};
 
-use starts_soif::{SoifObject, STARTS_VERSION, VERSION_ATTR};
+use starts_soif::{AttrSink, ParseMode, SoifWriter, STARTS_VERSION, VERSION_ATTR};
 use starts_text::LangTag;
 
+use crate::codec::{decode_one, text, Attrs, FirstWins};
 use crate::error::ProtoError;
 use crate::query::parse_bool;
+
+const SSUMMARY: &str = "SContentSummary";
+
+/// The header flags a decoder reads; the first value of each wins.
+const SUMMARY_FLAGS: &[&str] = &["Stemming", "StopWords", "CaseSensitive", "NumDocs"];
+
+/// The attributes of a section, read at every occurrence.
+const SECTION_ATTRS: [&str; 3] = ["Field", "Language", "TermDocFreq"];
 
 /// Statistics for one word. "Statistics for each word listed, including
 /// at least one of: total number of postings …, document frequency."
@@ -114,92 +124,94 @@ impl ContentSummary {
             .unwrap_or(0)
     }
 
-    /// Encode as an `@SContentSummary` object (Example 11's layout:
-    /// header flags, then repeated `Field`/`Language`/`TermDocFreq`
-    /// attribute groups).
-    pub fn to_soif(&self) -> SoifObject {
-        let mut o = SoifObject::new("SContentSummary");
-        o.push_str(VERSION_ATTR, STARTS_VERSION);
-        o.push_str("Stemming", tf(self.stemmed));
-        o.push_str("StopWords", tf(self.stop_words_included));
-        o.push_str("CaseSensitive", tf(self.case_sensitive));
-        o.push_str("Fields", tf(self.fields_qualified()));
-        o.push_str("NumDocs", self.num_docs.to_string());
-        for section in &self.sections {
-            if let Some(f) = &section.field {
-                o.push_str("Field", f);
-            }
-            if let Some(l) = &section.language {
-                o.push_str("Language", l.to_string());
-            }
-            let lines: Vec<String> = section.terms.iter().map(encode_term).collect();
-            o.push_str("TermDocFreq", lines.join("\n"));
-        }
-        o
+    /// The wire form of the `@SContentSummary` object (Example 11's
+    /// layout: header flags, then repeated `Field`/`Language`/
+    /// `TermDocFreq` attribute groups).
+    pub fn to_soif_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        SoifWriter::new(&mut out).object(SSUMMARY, |w| self.encode(w));
+        out
     }
 
-    /// Decode from an `@SContentSummary` object.
-    pub fn from_soif(o: &SoifObject) -> Result<ContentSummary, ProtoError> {
-        if !o.template.eq_ignore_ascii_case("SContentSummary") {
-            return Err(ProtoError::WrongTemplate {
-                expected: "SContentSummary",
-                found: o.template.clone(),
+    /// Decode the one `@SContentSummary` object that `bytes` hold.
+    pub fn from_soif_bytes(bytes: &[u8], mode: ParseMode) -> Result<ContentSummary, ProtoError> {
+        decode_one(bytes, mode, SSUMMARY, |r| Self::decode(r.attrs()))
+    }
+
+    fn encode(&self, sink: &mut impl AttrSink) {
+        sink.attr(VERSION_ATTR, STARTS_VERSION.as_bytes());
+        sink.attr("Stemming", tf(self.stemmed));
+        sink.attr("StopWords", tf(self.stop_words_included));
+        sink.attr("CaseSensitive", tf(self.case_sensitive));
+        sink.attr("Fields", tf(self.fields_qualified()));
+        sink.attr_fmt("NumDocs", |v| {
+            let _ = write!(v, "{}", self.num_docs);
+        });
+        for section in &self.sections {
+            if let Some(f) = &section.field {
+                sink.attr("Field", f.as_bytes());
+            }
+            if let Some(l) = &section.language {
+                sink.attr_fmt("Language", |v| {
+                    let _ = write!(v, "{l}");
+                });
+            }
+            sink.attr_fmt("TermDocFreq", |v| {
+                for (i, t) in section.terms.iter().enumerate() {
+                    if i > 0 {
+                        v.push('\n');
+                    }
+                    write_term(v, t);
+                }
             });
         }
+    }
+
+    /// The first value of each header flag is read; every `Field`,
+    /// `Language` and `TermDocFreq` is read, in order: `Field` and
+    /// `Language` head the section that the next `TermDocFreq` closes.
+    /// What is read must be UTF-8; anything else is skipped unread.
+    fn decode<'a>(attrs: impl Attrs<'a>) -> Result<ContentSummary, ProtoError> {
         let mut summary = ContentSummary {
-            stemmed: o
-                .get_str("Stemming")
-                .map(|v| parse_bool("Stemming", v))
-                .transpose()?
-                .unwrap_or(false),
-            stop_words_included: o
-                .get_str("StopWords")
-                .map(|v| parse_bool("StopWords", v))
-                .transpose()?
-                .unwrap_or(true),
-            case_sensitive: o
-                .get_str("CaseSensitive")
-                .map(|v| parse_bool("CaseSensitive", v))
-                .transpose()?
-                .unwrap_or(false),
-            num_docs: o
-                .get_str("NumDocs")
-                .ok_or_else(|| ProtoError::missing("SContentSummary", "NumDocs"))?
-                .trim()
-                .parse()
-                .map_err(|_| ProtoError::invalid("NumDocs", "not an integer"))?,
-            sections: Vec::new(),
+            stop_words_included: true,
+            ..ContentSummary::default()
         };
-        // Walk attributes in order, building sections: Field/Language
-        // attrs set the pending section header; TermDocFreq closes it.
-        let mut pending_field: Option<String> = None;
-        let mut pending_lang: Option<LangTag> = None;
-        for attr in o.iter() {
-            let value = std::str::from_utf8(&attr.value)
-                .map_err(|_| ProtoError::invalid(&attr.name, "not UTF-8"))?;
-            match attr.name.to_ascii_lowercase().as_str() {
-                "field" => pending_field = Some(value.trim().to_string()),
-                "language" => {
-                    pending_lang = Some(
-                        LangTag::parse(value.trim())
-                            .map_err(|e| ProtoError::invalid("Language", e.to_string()))?,
-                    )
+        let mut num_docs = None;
+        let (mut field, mut language) = (None, None);
+        let mut first = FirstWins::new(SUMMARY_FLAGS);
+        for attr in attrs {
+            let (name, value) = attr?;
+            let group = SECTION_ATTRS.iter().find(|n| n.eq_ignore_ascii_case(name));
+            let Some(attr) = group.copied().or_else(|| first.claim(name)) else {
+                continue;
+            };
+            let v = text(attr, value)?;
+            match attr {
+                "Stemming" => summary.stemmed = parse_bool(attr, v)?,
+                "StopWords" => summary.stop_words_included = parse_bool(attr, v)?,
+                "CaseSensitive" => summary.case_sensitive = parse_bool(attr, v)?,
+                "NumDocs" => {
+                    let n = v.trim().parse();
+                    num_docs = Some(n.map_err(|_| ProtoError::invalid(attr, "not an integer"))?);
                 }
-                "termdocfreq" => {
-                    let terms = value
+                "Field" => field = Some(v.trim().to_string()),
+                "Language" => {
+                    let tag = LangTag::parse(v.trim());
+                    language = Some(tag.map_err(|e| ProtoError::invalid(attr, e.to_string()))?);
+                }
+                "TermDocFreq" => summary.sections.push(SummarySection {
+                    field: field.take(),
+                    language: language.take(),
+                    terms: v
                         .lines()
                         .filter(|l| !l.trim().is_empty())
                         .map(decode_term)
-                        .collect::<Result<Vec<_>, _>>()?;
-                    summary.sections.push(SummarySection {
-                        field: pending_field.take(),
-                        language: pending_lang.take(),
-                        terms,
-                    });
-                }
+                        .collect::<Result<_, _>>()?,
+                }),
                 _ => {}
             }
         }
+        summary.num_docs = num_docs.ok_or_else(|| ProtoError::missing(SSUMMARY, "NumDocs"))?;
         Ok(summary)
     }
 }
@@ -334,27 +346,26 @@ impl std::ops::Deref for IndexedSummary {
     }
 }
 
-fn tf(b: bool) -> &'static str {
+fn tf(b: bool) -> &'static [u8] {
     if b {
-        "T"
+        b"T"
     } else {
-        "F"
+        b"F"
     }
 }
 
 /// `"term" postings df`, with `-` for an absent statistic (the paper
 /// requires at least one of the two).
-fn encode_term(t: &TermSummary) -> String {
-    format!(
-        "{} {} {}",
-        crate::lstring::quote(&t.term),
-        t.total_postings
-            .map(|v| v.to_string())
-            .unwrap_or_else(|| "-".to_string()),
-        t.doc_freq
-            .map(|v| v.to_string())
-            .unwrap_or_else(|| "-".to_string()),
-    )
+fn write_term(out: &mut String, t: &TermSummary) {
+    crate::lstring::write_quoted(out, &t.term);
+    for stat in [t.total_postings, t.doc_freq.map(u64::from)] {
+        match stat {
+            Some(v) => {
+                let _ = write!(out, " {v}");
+            }
+            None => out.push_str(" -"),
+        }
+    }
 }
 
 fn decode_term(line: &str) -> Result<TermSummary, ProtoError> {
@@ -381,14 +392,13 @@ fn decode_term(line: &str) -> Result<TermSummary, ProtoError> {
         }
     }
     let end = end.ok_or_else(|| ProtoError::invalid("TermDocFreq", "unterminated term"))?;
-    let term = crate::lstring::unquote_contents(&trimmed[1..end], 0)?;
-    let stats: Vec<&str> = trimmed[end + 1..].split_whitespace().collect();
-    if stats.len() != 2 {
+    let mut stats = trimmed[end + 1..].split_whitespace();
+    let (Some(postings), Some(df), None) = (stats.next(), stats.next(), stats.next()) else {
         return Err(ProtoError::invalid(
             "TermDocFreq",
             format!("expected two statistics in {line:?}"),
         ));
-    }
+    };
     let parse_stat = |s: &str| -> Result<Option<u64>, ProtoError> {
         if s == "-" {
             Ok(None)
@@ -398,8 +408,8 @@ fn decode_term(line: &str) -> Result<TermSummary, ProtoError> {
                 .map_err(|_| ProtoError::invalid("TermDocFreq", format!("bad statistic {s:?}")))
         }
     };
-    let total_postings = parse_stat(stats[0])?;
-    let doc_freq = parse_stat(stats[1])?.map(|v| v as u32);
+    let total_postings = parse_stat(postings)?;
+    let doc_freq = parse_stat(df)?.map(|v| v as u32);
     if total_postings.is_none() && doc_freq.is_none() {
         return Err(ProtoError::invalid(
             "TermDocFreq",
@@ -407,7 +417,7 @@ fn decode_term(line: &str) -> Result<TermSummary, ProtoError> {
         ));
     }
     Ok(TermSummary {
-        term,
+        term: crate::lstring::unquote_contents(&trimmed[1..end], 0)?,
         total_postings,
         doc_freq,
     })
@@ -416,7 +426,7 @@ fn decode_term(line: &str) -> Result<TermSummary, ProtoError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use starts_soif::{parse_one, write_object, ParseMode};
+    use starts_soif::{parse_one, write_object, SoifObject};
 
     fn example11_summary() -> ContentSummary {
         ContentSummary {
@@ -464,7 +474,7 @@ mod tests {
     #[test]
     fn example11_encoding() {
         let s = example11_summary();
-        let o = s.to_soif();
+        let o = parse_one(&s.to_soif_bytes(), ParseMode::Strict).unwrap();
         assert_eq!(o.get_str("Stemming"), Some("F"));
         assert_eq!(o.get_str("StopWords"), Some("F"));
         assert_eq!(o.get_str("CaseSensitive"), Some("F"));
@@ -482,9 +492,7 @@ mod tests {
     #[test]
     fn round_trip() {
         let s = example11_summary();
-        let bytes = write_object(&s.to_soif());
-        let back =
-            ContentSummary::from_soif(&parse_one(&bytes, ParseMode::Strict).unwrap()).unwrap();
+        let back = ContentSummary::from_soif_bytes(&s.to_soif_bytes(), ParseMode::Strict).unwrap();
         assert_eq!(back, s);
     }
 
@@ -525,12 +533,13 @@ mod tests {
             }],
             ..ContentSummary::default()
         };
-        let o = s.to_soif();
+        let bytes = s.to_soif_bytes();
+        let o = parse_one(&bytes, ParseMode::Strict).unwrap();
         assert_eq!(o.get_str("Fields"), Some("F"));
         assert!(!o.has("Field"));
         // Absent postings encodes as '-'.
         assert_eq!(o.get_str("TermDocFreq"), Some("\"word\" - 4"));
-        let back = ContentSummary::from_soif(&o).unwrap();
+        let back = ContentSummary::from_soif_bytes(&bytes, ParseMode::Strict).unwrap();
         assert_eq!(back, s);
         // Field-qualified lookup still finds unqualified entries.
         assert_eq!(s.df(Some("title"), "word"), 4);
@@ -547,9 +556,9 @@ mod tests {
 
     #[test]
     fn missing_numdocs_rejected() {
-        let o = SoifObject::new("SContentSummary");
+        let o = write_object(&SoifObject::new("SContentSummary"));
         assert!(matches!(
-            ContentSummary::from_soif(&o),
+            ContentSummary::from_soif_bytes(&o, ParseMode::Strict),
             Err(ProtoError::MissingAttribute { .. })
         ));
     }

@@ -20,9 +20,12 @@ use starts_proto::query::{AnswerSpec, FilterExpr, QTerm, SortKey, SortOrder};
 use starts_proto::{
     Field, ProtoError, Query, QueryResults, ResultDocument, TermStatsEntry, TraceContext,
 };
-use starts_soif::{parse, parse_one, write_object, write_stream, ParseMode, SoifObject};
-use starts_text::LangTag;
-use strategies::{arb_field, arb_filter, arb_profile, arb_ranking, arb_term, arb_trace_context};
+use starts_soif::{parse, parse_one, write_object, ParseMode};
+use strategies::mutations::{check_every_mutation, mutations};
+use strategies::{
+    arb_field, arb_filter, arb_lang, arb_profile, arb_ranking, arb_term, arb_text,
+    arb_trace_context,
+};
 
 /// The `SoifObject`-based codec as it was, printer included.
 mod oracle {
@@ -536,112 +539,6 @@ fn check_decoders_agree(bytes: &[u8]) {
     }
 }
 
-/// Write `objects` as a stream with attribute `target`'s byte count
-/// replaced by `count` — the one framing mutation an object cannot
-/// express.
-fn with_count(objects: &[SoifObject], target: (usize, usize), count: &str) -> Vec<u8> {
-    let mut out = Vec::new();
-    for (i, o) in objects.iter().enumerate() {
-        if i > 0 {
-            out.push(b'\n');
-        }
-        out.extend_from_slice(format!("@{}{{\n", o.template).as_bytes());
-        for (j, a) in o.attrs.iter().enumerate() {
-            let n = a.value.len().to_string();
-            let n = if (i, j) == target { count } else { &n };
-            out.extend_from_slice(format!("{}{{{n}}}: ", a.name).as_bytes());
-            out.extend_from_slice(&a.value);
-            out.push(b'\n');
-        }
-        out.extend_from_slice(b"}\n");
-    }
-    out
-}
-
-/// The encoding cut short at byte `at`, and with one bit of that byte
-/// flipped.
-fn byte_mutations(encoded: &[u8], at: usize) -> [Vec<u8>; 2] {
-    let mut flipped = encoded.to_vec();
-    flipped[at % encoded.len()] ^= 1 << (at % 8);
-    [encoded[..at % (encoded.len() + 1)].to_vec(), flipped]
-}
-
-/// Attribute `at` of a valid encoding (counted through the stream)
-/// flipped, dropped, duplicated (as is, or followed by a shorter
-/// repeat), cut short, or given a wrong byte count.
-fn attribute_mutations(encoded: &[u8], at: usize) -> Vec<Vec<u8>> {
-    let objects = parse(encoded, ParseMode::Strict).expect("a valid encoding");
-    let slots: Vec<(usize, usize)> = objects
-        .iter()
-        .enumerate()
-        .flat_map(|(i, o)| (0..o.attrs.len()).map(move |j| (i, j)))
-        .collect();
-    let Some(&(i, j)) = slots.get(at % slots.len().max(1)) else {
-        return Vec::new();
-    };
-    let edited = |edit: &dyn Fn(&mut Vec<starts_soif::SoifAttr>)| {
-        let mut objects = objects.clone();
-        edit(&mut objects[i].attrs);
-        write_stream(&objects)
-    };
-    let mut out = vec![
-        edited(&|attrs| {
-            attrs.remove(j);
-        }),
-        edited(&|attrs| attrs.insert(j, attrs[j].clone())),
-        // A repeat that differs: which of the two a decoder reads shows.
-        edited(&|attrs| {
-            let mut repeat = attrs[j].clone();
-            repeat.value.truncate(repeat.value.len() / 2);
-            attrs.insert(j + 1, repeat);
-        }),
-        edited(&|attrs| {
-            let value = &mut attrs[j].value;
-            value.truncate(value.len() / 2);
-        }),
-        edited(&|attrs| {
-            if let Some(b) = attrs[j].value.get_mut(at % 7) {
-                *b ^= 1 << (at % 8);
-            }
-            attrs[j].name.make_ascii_uppercase();
-        }),
-    ];
-    let len = objects[i].attrs[j].value.len();
-    for count in [
-        (len + 1).to_string(),
-        len.saturating_sub(1).to_string(),
-        "18446744073709551615".to_string(),
-        "x".to_string(),
-    ] {
-        out.push(with_count(&objects, (i, j), &count));
-    }
-    out
-}
-
-fn mutations(encoded: &[u8], at: usize) -> Vec<Vec<u8>> {
-    let mut out = attribute_mutations(encoded, at);
-    out.extend(byte_mutations(encoded, at));
-    out
-}
-
-/// Every attribute mutation of a valid encoding, and its byte mutations
-/// at every third byte (a cut or flip anywhere else meets the same
-/// framing rule as a neighbour).
-fn check_every_mutation(encoded: &[u8]) {
-    let objects = parse(encoded, ParseMode::Strict).expect("a valid encoding");
-    let attrs: usize = objects.iter().map(|o| o.attrs.len()).sum();
-    for at in 0..attrs {
-        attribute_mutations(encoded, at)
-            .iter()
-            .for_each(|m| check_decoders_agree(m));
-    }
-    for at in (0..encoded.len()).step_by(3) {
-        byte_mutations(encoded, at)
-            .iter()
-            .for_each(|m| check_decoders_agree(m));
-    }
-}
-
 /// The new codec writes what the oracle writes, and reads it back the
 /// same way.
 fn check_results(r: &QueryResults) {
@@ -780,21 +677,13 @@ fn the_paper_examples_and_every_mutation_of_them() {
             check_query(q, trace);
             let mut bytes = Vec::new();
             q.write_soif_into(trace, &mut bytes);
-            check_every_mutation(&bytes);
+            check_every_mutation(&bytes, check_decoders_agree);
         }
     }
     for r in example_results() {
         check_results(&r);
-        check_every_mutation(&r.to_soif_stream());
+        check_every_mutation(&r.to_soif_stream(), check_decoders_agree);
     }
-}
-
-fn arb_text() -> impl Strategy<Value = String> {
-    prop_oneof![
-        "[a-zA-Z0-9 ./:-]{0,24}",
-        "[ -~\t\né中ñ]{0,24}",
-        Just(String::new()),
-    ]
 }
 
 fn arb_score() -> impl Strategy<Value = f64> {
@@ -861,18 +750,13 @@ fn arb_query() -> impl Strategy<Value = Query> {
         };
         SortKey { field, order }
     });
-    let language = prop_oneof![
-        Just(LangTag::en_us()),
-        Just(LangTag::es()),
-        Just(LangTag::parse("en-GB").unwrap()),
-    ];
     (
         (
             proptest::option::of(arb_filter()),
             proptest::option::of(arb_ranking()),
             any::<bool>(),
             "[a-z0-9-]{1,10}",
-            language,
+            arb_lang(),
         ),
         (
             proptest::collection::vec("[A-Za-z0-9-]{1,10}", 0..3),

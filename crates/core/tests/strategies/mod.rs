@@ -1,7 +1,11 @@
 //! Generators shared by the property suites: query expressions in the
-//! canonical grammar, and the two timing attributes.
+//! canonical grammar, and the two timing attributes; and, in
+//! [`mutations`], the mutations of a valid encoding that the decoder
+//! suites feed their decoders.
 
 #![allow(dead_code)] // each suite uses its own subset
+
+pub mod mutations;
 
 use proptest::prelude::*;
 use starts_proto::attrs::CmpOp;
@@ -13,16 +17,26 @@ pub fn arb_word() -> impl Strategy<Value = String> {
     "[a-z][a-z0-9]{0,11}"
 }
 
+pub fn arb_lang() -> impl Strategy<Value = LangTag> {
+    prop_oneof![
+        Just(LangTag::en_us()),
+        Just(LangTag::es()),
+        Just(LangTag::parse("en-GB").unwrap()),
+    ]
+}
+
 pub fn arb_lstring() -> impl Strategy<Value = LString> {
-    (
-        arb_word(),
-        proptest::option::of(prop_oneof![
-            Just(LangTag::en_us()),
-            Just(LangTag::es()),
-            Just(LangTag::parse("en-GB").unwrap()),
-        ]),
-    )
-        .prop_map(|(text, lang)| LString { lang, text })
+    (arb_word(), proptest::option::of(arb_lang())).prop_map(|(text, lang)| LString { lang, text })
+}
+
+/// Free text: plain, printable with tabs, newlines and non-ASCII, or
+/// empty.
+pub fn arb_text() -> impl Strategy<Value = String> {
+    prop_oneof![
+        "[a-zA-Z0-9 ./:-]{0,24}",
+        "[ -~\t\né中ñ]{0,24}",
+        Just(String::new()),
+    ]
 }
 
 pub fn arb_field() -> impl Strategy<Value = Field> {

@@ -2,10 +2,11 @@
 
 use std::fmt;
 
+use starts_proto::results::decode_sample;
 use starts_proto::summary::ContentSummary;
 use starts_proto::{ProtoError, Query, QueryResults, Resource, SourceMetadata, TraceContext};
+use starts_soif::ParseMode;
 
-use crate::host::decode_sample;
 use crate::sim::{CancelToken, Exchange, NetError, SimNet};
 
 /// Client-side errors: transport or protocol decoding.
@@ -94,24 +95,27 @@ impl<'a> StartsClient<'a> {
     pub fn fetch_resource(&self, url: &str) -> Result<Resource, ClientError> {
         let _span = self.op_span("client.fetch_resource", url);
         let resp = self.net.request(url, b"")?;
-        let obj = starts_soif::parse_one(&resp.bytes, starts_soif::ParseMode::Strict)?;
-        Ok(Resource::from_soif(&obj)?)
+        Ok(Resource::from_soif_bytes(&resp.bytes, ParseMode::Strict)?)
     }
 
     /// Fetch a source's metadata attributes (§4.3.1).
     pub fn fetch_metadata(&self, url: &str) -> Result<SourceMetadata, ClientError> {
         let _span = self.op_span("client.fetch_metadata", url);
         let resp = self.net.request(url, b"")?;
-        let obj = starts_soif::parse_one(&resp.bytes, starts_soif::ParseMode::Strict)?;
-        Ok(SourceMetadata::from_soif(&obj)?)
+        Ok(SourceMetadata::from_soif_bytes(
+            &resp.bytes,
+            ParseMode::Strict,
+        )?)
     }
 
     /// Fetch a source's content summary (§4.3.2).
     pub fn fetch_summary(&self, url: &str) -> Result<ContentSummary, ClientError> {
         let _span = self.op_span("client.fetch_summary", url);
         let resp = self.net.request(url, b"")?;
-        let obj = starts_soif::parse_one(&resp.bytes, starts_soif::ParseMode::Strict)?;
-        Ok(ContentSummary::from_soif(&obj)?)
+        Ok(ContentSummary::from_soif_bytes(
+            &resp.bytes,
+            ParseMode::Strict,
+        )?)
     }
 
     /// Fetch a source's sample-database results (§4.2).
@@ -129,7 +133,7 @@ impl<'a> StartsClient<'a> {
     pub fn fetch_stats(&self, url: &str) -> Result<starts_obs::Snapshot, ClientError> {
         let _span = self.op_span("client.fetch_stats", url);
         let resp = self.net.request(url, b"")?;
-        let obj = starts_soif::parse_one(&resp.bytes, starts_soif::ParseMode::Strict)?;
+        let obj = starts_soif::parse_one(&resp.bytes, ParseMode::Strict)?;
         starts_obs::export::snapshot_from_soif(&obj)
             .map_err(|e| ClientError::Proto(ProtoError::invalid("SStats", e)))
     }
@@ -140,7 +144,7 @@ impl<'a> StartsClient<'a> {
     pub fn fetch_alerts(&self, url: &str) -> Result<starts_obs::AlertsSnapshot, ClientError> {
         let _span = self.op_span("client.fetch_alerts", url);
         let resp = self.net.request(url, b"")?;
-        let obj = starts_soif::parse_one(&resp.bytes, starts_soif::ParseMode::Strict)?;
+        let obj = starts_soif::parse_one(&resp.bytes, ParseMode::Strict)?;
         starts_obs::AlertsSnapshot::from_soif(&obj)
             .map_err(|e| ClientError::Proto(ProtoError::invalid("SAlerts", e)))
     }

@@ -20,6 +20,7 @@
 use std::sync::Arc;
 
 use parking_lot::RwLock;
+use starts_proto::results::encode_sample;
 use starts_proto::{Query, QueryResults};
 use starts_source::{ResourceHost, Source};
 
@@ -42,33 +43,10 @@ fn parse_query(request: &[u8]) -> Option<Query> {
 
 /// Publish one stand-alone source. Returns the query URL.
 pub fn wire_source(net: &SimNet, source: Source, profile: LinkProfile) -> String {
-    let base = source.config().base_url.clone();
     let query_url = source.config().query_url();
     let source = Arc::new(source);
 
-    let metadata_bytes = starts_soif::write_object(&source.metadata().to_soif());
-    net.register(
-        format!("{base}/metadata"),
-        profile,
-        Arc::new(move |_: &[u8]| metadata_bytes.clone()),
-    );
-
-    let summary_bytes = starts_soif::write_object(&source.content_summary().to_soif());
-    net.register(
-        format!("{base}/content-summary"),
-        profile,
-        Arc::new(move |_: &[u8]| summary_bytes.clone()),
-    );
-
-    let sample_bytes = encode_sample(&source.sample_results());
-    net.register(
-        format!("{base}/sample-results"),
-        profile,
-        Arc::new(move |_: &[u8]| sample_bytes.clone()),
-    );
-
-    wire_stats(net, &base, profile);
-    wire_alerts(net, &base, profile);
+    wire_static(net, &source, profile);
 
     // The postings footprint is a fact about the source, not about any
     // query: exported when the registry is sampled. The endpoint table
@@ -111,7 +89,7 @@ pub fn wire_resource(
     resource_url: impl Into<String>,
     profile: LinkProfile,
 ) {
-    let descriptor_bytes = starts_soif::write_object(&host.descriptor().to_soif());
+    let descriptor_bytes = host.descriptor().to_soif_bytes();
     net.register(
         resource_url.into(),
         profile,
@@ -121,27 +99,7 @@ pub fn wire_resource(
     net.registry().register_collector(&host);
     // Per-member static endpoints, then fan-out-capable query endpoints.
     for source in host.sources() {
-        let base = source.config().base_url.clone();
-        let metadata_bytes = starts_soif::write_object(&source.metadata().to_soif());
-        net.register(
-            format!("{base}/metadata"),
-            profile,
-            Arc::new(move |_: &[u8]| metadata_bytes.clone()),
-        );
-        let summary_bytes = starts_soif::write_object(&source.content_summary().to_soif());
-        net.register(
-            format!("{base}/content-summary"),
-            profile,
-            Arc::new(move |_: &[u8]| summary_bytes.clone()),
-        );
-        let sample_bytes = encode_sample(&source.sample_results());
-        net.register(
-            format!("{base}/sample-results"),
-            profile,
-            Arc::new(move |_: &[u8]| sample_bytes.clone()),
-        );
-        wire_stats(net, &base, profile);
-        wire_alerts(net, &base, profile);
+        wire_static(net, source, profile);
     }
     for source in host.sources() {
         let id = source.id().to_string();
@@ -162,71 +120,31 @@ pub fn wire_resource(
     }
 }
 
-/// Register `<base>/stats`: a point-in-time `@SStats` snapshot of the
-/// host's registry, taken at request time so repeated polls see fresh
-/// numbers. Admin traffic rides the same link profile as the data
-/// endpoints.
-fn wire_stats(net: &SimNet, base: &str, profile: LinkProfile) {
-    let obs = Arc::clone(net.registry());
-    net.register(
-        format!("{base}/stats"),
-        profile,
-        Arc::new(move |_: &[u8]| {
-            starts_soif::write_object(&starts_obs::export::to_soif(&obs.snapshot()))
-        }),
-    );
-}
-
-/// Register `<base>/alerts`: the network monitor's current SLO and
-/// alert state as an `@SAlerts` object, snapshotted at request time.
-/// The monitor is captured at wiring time — install a custom one with
+/// Register a source's static endpoints — its metadata, content summary
+/// and sample results, each encoded once here — and its admin ones,
+/// answered at request time so repeated polls see fresh numbers:
+/// `stats`, an `@SStats` snapshot of the host's registry, and `alerts`,
+/// the network monitor's SLO and alert state as an `@SAlerts` object.
+/// Admin traffic rides the same link profile as the data endpoints. The
+/// monitor is captured here — install a custom one with
 /// `SimNet::set_monitor` *before* wiring hosts.
-fn wire_alerts(net: &SimNet, base: &str, profile: LinkProfile) {
+fn wire_static(net: &SimNet, source: &Source, profile: LinkProfile) {
+    let base = &source.config().base_url;
+    for (path, bytes) in [
+        ("metadata", source.metadata().to_soif_bytes()),
+        ("content-summary", source.content_summary().to_soif_bytes()),
+        ("sample-results", encode_sample(&source.sample_results())),
+    ] {
+        let handler = move |_: &[u8]| bytes.clone();
+        net.register(format!("{base}/{path}"), profile, Arc::new(handler));
+    }
+    let obs = Arc::clone(net.registry());
+    let stats =
+        move |_: &[u8]| starts_soif::write_object(&starts_obs::export::to_soif(&obs.snapshot()));
+    net.register(format!("{base}/stats"), profile, Arc::new(stats));
     let monitor = net.monitor();
-    net.register(
-        format!("{base}/alerts"),
-        profile,
-        Arc::new(move |_: &[u8]| starts_soif::write_object(&monitor.snapshot_alerts().to_soif())),
-    );
-}
-
-/// Encode sample results: alternating `@SQuery` and result streams.
-/// Everything is appended to one output buffer — no per-object
-/// intermediate allocations.
-pub fn encode_sample(samples: &[(Query, QueryResults)]) -> Vec<u8> {
-    let mut out = Vec::new();
-    for (q, r) in samples {
-        q.write_soif_into(q.trace.as_ref(), &mut out);
-        out.push(b'\n');
-        r.to_soif_stream_into(&mut out);
-        out.push(b'\n');
-    }
-    out
-}
-
-/// Decode a sample-results payload.
-pub fn decode_sample(bytes: &[u8]) -> Result<Vec<(Query, QueryResults)>, starts_proto::ProtoError> {
-    let objects = starts_soif::parse(bytes, starts_soif::ParseMode::Strict)?;
-    let mut out: Vec<(Query, QueryResults)> = Vec::new();
-    for obj in objects {
-        match obj.template.as_str() {
-            "SQuery" => out.push((Query::from_soif(&obj)?, QueryResults::default())),
-            "SQResults" => {
-                if let Some(last) = out.last_mut() {
-                    last.1 = QueryResults::from_header(&obj)?;
-                }
-            }
-            "SQRDocument" => {
-                if let Some(last) = out.last_mut() {
-                    last.1
-                        .documents
-                        .push(starts_proto::ResultDocument::from_soif(&obj)?);
-                }
-            }
-            _ => {}
-        }
-    }
-    Ok(out)
+    let alerts = move |_: &[u8]| starts_soif::write_object(&monitor.snapshot_alerts().to_soif());
+    net.register(format!("{base}/alerts"), profile, Arc::new(alerts));
 }
 
 #[cfg(test)]
@@ -234,6 +152,7 @@ mod tests {
     use super::*;
     use starts_index::Document;
     use starts_proto::query::parse_ranking;
+    use starts_proto::results::decode_sample;
     use starts_source::SourceConfig;
 
     fn docs() -> Vec<Document> {
@@ -261,8 +180,9 @@ mod tests {
         }
         // Metadata parses.
         let r = net.request("starts://s/metadata", b"").unwrap();
-        let obj = starts_soif::parse_one(&r.bytes, starts_soif::ParseMode::Strict).unwrap();
-        let m = starts_proto::SourceMetadata::from_soif(&obj).unwrap();
+        let m =
+            starts_proto::SourceMetadata::from_soif_bytes(&r.bytes, starts_soif::ParseMode::Strict)
+                .unwrap();
         assert_eq!(m.source_id, "S");
     }
 
@@ -359,8 +279,9 @@ mod tests {
         );
         // The descriptor is served.
         let r = net.request("starts://dialog", b"").unwrap();
-        let obj = starts_soif::parse_one(&r.bytes, starts_soif::ParseMode::Strict).unwrap();
-        let desc = starts_proto::Resource::from_soif(&obj).unwrap();
+        let desc =
+            starts_proto::Resource::from_soif_bytes(&r.bytes, starts_soif::ParseMode::Strict)
+                .unwrap();
         assert_eq!(desc.source_ids().count(), 2);
         // One query to R1 naming R2 reaches both members.
         let q = Query {

@@ -184,11 +184,8 @@ mod tests {
     fn summary_round_trips_through_soif() {
         let s = Source::build(SourceConfig::new("S"), &docs());
         let summary = s.content_summary();
-        let bytes = starts_soif::write_object(&summary.to_soif());
-        let back = ContentSummary::from_soif(
-            &starts_soif::parse_one(&bytes, starts_soif::ParseMode::Strict).unwrap(),
-        )
-        .unwrap();
+        let bytes = summary.to_soif_bytes();
+        let back = ContentSummary::from_soif_bytes(&bytes, starts_soif::ParseMode::Strict).unwrap();
         assert_eq!(back, summary);
     }
 
@@ -207,7 +204,7 @@ mod tests {
         let corpus_bytes: usize = (0..50)
             .map(|i| format!("common words repeat here always {} {}", i % 7, i % 3).len())
             .sum();
-        let summary_bytes = starts_soif::write_object(&s.content_summary().to_soif()).len();
+        let summary_bytes = s.content_summary().to_soif_bytes().len();
         assert!(
             summary_bytes < corpus_bytes / 2,
             "summary {summary_bytes} vs corpus {corpus_bytes}"

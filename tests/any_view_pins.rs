@@ -85,7 +85,7 @@ fn words(corpus: &GeneratedCorpus) -> Vec<String> {
 
 /// FNV of the SOIF bytes of the source's content summary.
 fn summary_digest(source: &Source) -> u64 {
-    let bytes = starts_soif::write_object(&source.content_summary().to_soif());
+    let bytes = source.content_summary().to_soif_bytes();
     let mut h = Fnv::new();
     h.bytes(&bytes);
     h.0

@@ -120,9 +120,10 @@ fn bilingual_generated_corpus_round_trips() {
     cfg.languages = vec![LangTag::en_us(), LangTag::es()];
     let source = Source::build(cfg, &bilingual.docs);
     let summary = source.content_summary();
-    let bytes = starts::soif::write_object(&summary.to_soif());
-    let back = starts::proto::summary::ContentSummary::from_soif(
-        &starts::soif::parse_one(&bytes, starts::soif::ParseMode::Strict).unwrap(),
+    let bytes = summary.to_soif_bytes();
+    let back = starts::proto::summary::ContentSummary::from_soif_bytes(
+        &bytes,
+        starts::soif::ParseMode::Strict,
     )
     .unwrap();
     assert_eq!(back, summary);

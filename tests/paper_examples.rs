@@ -13,7 +13,7 @@ use starts::proto::query::{
 use starts::proto::{
     Field, Modifier, QTerm, Query, QueryResults, Resource, ResultDocument, TermStatsEntry,
 };
-use starts::soif::{parse_one, write_object, ParseMode};
+use starts::soif::{write_object, ParseMode};
 use starts::text::LangTag;
 
 /// Example 1: the filter + ranking query that opens §4.1.1.
@@ -328,8 +328,7 @@ fn example_10_metadata() {
         date_changed: Some("1996-03-31".to_string()),
         ..SourceMetadata::default()
     };
-    let o = m.to_soif();
-    let text = String::from_utf8(write_object(&o)).unwrap();
+    let text = String::from_utf8(m.to_soif_bytes()).unwrap();
     assert!(text.contains("QueryPartsSupported{2}: RF"));
     assert!(text.contains("ScoreRange{7}: 0.0 1.0"));
     assert!(text.contains("RankingAlgorithmID{6}: Acme-1"));
@@ -338,8 +337,7 @@ fn example_10_metadata() {
     assert!(text.contains("source-name{17}: Stanford DB Group"));
     assert!(text.contains("date-changed{10}: 1996-03-31")); // paper says {9}: off by one
     assert!(text.contains("content-summary-linkage{38}: ftp://www-db.stanford.edu/cont_sum.txt"));
-    let back =
-        SourceMetadata::from_soif(&parse_one(text.as_bytes(), ParseMode::Strict).unwrap()).unwrap();
+    let back = SourceMetadata::from_soif_bytes(text.as_bytes(), ParseMode::Strict).unwrap();
     assert_eq!(back, m);
 }
 
@@ -387,7 +385,7 @@ fn example_11_content_summary() {
             },
         ],
     };
-    let text = String::from_utf8(write_object(&s.to_soif())).unwrap();
+    let text = String::from_utf8(s.to_soif_bytes()).unwrap();
     assert!(text.contains("Stemming{1}: F"));
     assert!(text.contains("StopWords{1}: F"));
     assert!(text.contains("CaseSensitive{1}: F"));
@@ -417,13 +415,12 @@ fn example_12_resource() {
             "ftp://www.stanford.edu/source_2".to_string(),
         ),
     ]);
-    let text = String::from_utf8(write_object(&r.to_soif())).unwrap();
+    let text = String::from_utf8(r.to_soif_bytes()).unwrap();
     let expected_value = "Source-1 ftp://www.stanford.edu/source_1\n\
                           Source-2 ftp://www.stanford.edu/source_2";
     assert!(text.contains(&format!("SourceList{{{}}}: ", expected_value.len())));
     assert!(text.contains(expected_value));
-    let back =
-        Resource::from_soif(&parse_one(text.as_bytes(), ParseMode::Strict).unwrap()).unwrap();
+    let back = Resource::from_soif_bytes(text.as_bytes(), ParseMode::Strict).unwrap();
     assert_eq!(back, r);
 }
 

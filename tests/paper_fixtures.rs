@@ -32,8 +32,8 @@ fn example_10_as_printed_needs_lenient_mode() {
     // Strict parsing must reject the wrong counts…
     assert!(parse_one(EXAMPLE_10_AS_PRINTED.as_bytes(), ParseMode::Strict).is_err());
     // …lenient parsing recovers every value.
-    let obj = parse_one(EXAMPLE_10_AS_PRINTED.as_bytes(), ParseMode::Lenient).unwrap();
-    let m = SourceMetadata::from_soif(&obj).unwrap();
+    let m = SourceMetadata::from_soif_bytes(EXAMPLE_10_AS_PRINTED.as_bytes(), ParseMode::Lenient)
+        .unwrap();
     assert_eq!(m.source_id, "Source-1");
     assert_eq!(m.ranking_algorithm_id, "Acme-1");
     assert_eq!(m.score_range, (0.0, 1.0));
@@ -71,8 +71,8 @@ TermDocFreq{38}: \"algoritmo\" 23 11\n\"datos\" 59 12\n\
 
 #[test]
 fn example_11_as_printed_parses() {
-    let obj = parse_one(EXAMPLE_11_AS_PRINTED.as_bytes(), ParseMode::Lenient).unwrap();
-    let s = ContentSummary::from_soif(&obj).unwrap();
+    let s = ContentSummary::from_soif_bytes(EXAMPLE_11_AS_PRINTED.as_bytes(), ParseMode::Lenient)
+        .unwrap();
     assert_eq!(s.num_docs, 892);
     assert!(!s.stemmed);
     assert!(!s.stop_words_included);

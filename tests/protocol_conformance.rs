@@ -28,7 +28,7 @@ fn every_vendor_exports_conformant_metadata() {
         let violations = check_metadata(source.metadata());
         assert!(violations.is_empty(), "{}: {:?}", source.id(), violations);
         // And the metadata object round-trips through SOIF.
-        let bytes = write_object(&source.metadata().to_soif());
+        let bytes = source.metadata().to_soif_bytes();
         let objs = parse(&bytes, ParseMode::Strict).unwrap();
         assert_eq!(objs.len(), 1);
         // Every required MBasic-1 attribute has some representation.

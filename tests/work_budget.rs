@@ -1,5 +1,6 @@
 //! The work budget: what an index build, a sharded search, the serving
-//! layer's cached path, the results codec and the recording calls cost,
+//! layer's cached path, the results and summary codecs and the recording
+//! calls cost,
 //! in counts that
 //! repeat from run to run on any machine — heap bytes held at peak and
 //! after, postings bytes by representation, postings scored, allocator
@@ -26,8 +27,11 @@ use starts::meta::pipeline::normalized_query_key;
 use starts::net::{host::wire_source, LinkProfile, SimNet, StartsClient};
 use starts::obs::{ManualClock, Monitor, MonitorConfig, Registry};
 use starts::proto::query::ast::{FilterExpr, ProxSpec, QTerm, RankExpr, WeightedTerm};
-use starts::proto::{AnswerSpec, Field, Modifier, Query, QueryResults, TraceContext};
+use starts::proto::{
+    AnswerSpec, ContentSummary, Field, Modifier, Query, QueryResults, TraceContext,
+};
 use starts::serve::{HedgeConfig, ServeConfig, Served, Server};
+use starts::soif::ParseMode;
 use starts::source::{vendors, Source};
 
 /// Bytes currently allocated (as requested, not as rounded up by the
@@ -400,6 +404,11 @@ fn the_cached_path_stays_within_its_budget() {
         ..MonitorConfig::default()
     })));
     let (catalog, corpus) = wire_fleet(&net);
+    let summaries: Vec<_> = catalog
+        .entries
+        .iter()
+        .map(|e| Arc::clone(&e.summary))
+        .collect();
     let queries = query_pool(&corpus);
     // Its build spawns a thread per shard, so it runs after the index
     // rows have taken their allocation readings.
@@ -482,6 +491,17 @@ fn the_cached_path_stays_within_its_budget() {
     }
     let codec = ALLOCATIONS.load(Ordering::Relaxed) - before;
 
+    // The summary codec alone, over the fleet's content summaries:
+    // encoded as a host serves one, decoded as discovery reads it.
+    let terms: usize = summaries.iter().map(|s| s.total_terms()).sum();
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for summary in &summaries {
+        let bytes = summary.to_soif_bytes();
+        let decoded = ContentSummary::from_soif_bytes(&bytes, ParseMode::Strict);
+        assert_eq!(decoded.as_ref(), Ok(&***summary));
+    }
+    let summary_codec = ALLOCATIONS.load(Ordering::Relaxed) - before;
+
     for (name, per_doc) in index {
         check(name, per_doc);
     }
@@ -503,6 +523,10 @@ fn the_cached_path_stays_within_its_budget() {
     check(
         "codec.results.allocations_per_response",
         codec as f64 / responses.len() as f64,
+    );
+    check(
+        "codec.summary.allocations_per_term",
+        summary_codec as f64 / terms as f64,
     );
     check("obs.span.allocations_per_span", per_span);
     check("obs.lookup.allocations_per_call", per_lookup);
