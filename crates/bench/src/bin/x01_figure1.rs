@@ -120,5 +120,4 @@ fn main() {
         1
     );
     println!("   matching Figure 1's motivation for in-resource fan-out.");
-    starts_bench::BenchArgs::parse().finish(net.registry());
 }

@@ -44,5 +44,4 @@ fn main() {
         "required fields (Title, Date/time-last-modified, Any, Linkage) are supported by\n\
          every source — the protocol's minimum; optional fields vary per vendor."
     );
-    starts_bench::BenchArgs::parse().finish(starts_obs::Registry::global());
 }

@@ -77,5 +77,4 @@ fn main() {
             );
         }
     }
-    starts_bench::BenchArgs::parse().finish(starts_obs::Registry::global());
 }

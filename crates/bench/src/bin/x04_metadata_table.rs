@@ -53,5 +53,4 @@ fn main() {
     }
     println!();
     println!("all fleet members export conformant MBasic-1 metadata.");
-    starts_bench::BenchArgs::parse().finish(starts_obs::Registry::global());
 }

@@ -157,5 +157,4 @@ fn main() {
         "verdict: all arithmetically-consistent counts reproduced exactly; 5 counts in the\n\
          paper's camera-ready examples are off by one (documented in EXPERIMENTS.md)."
     );
-    starts_bench::BenchArgs::parse().finish(starts_obs::Registry::global());
 }

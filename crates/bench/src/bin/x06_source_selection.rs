@@ -157,5 +157,4 @@ fn main() {
         "summary-based selection must clearly beat query-blind selection"
     );
     println!("   shape matches GlOSS (refs [7,8]): summaries suffice to pick the right sources.");
-    starts_bench::BenchArgs::parse().finish(net.registry());
 }

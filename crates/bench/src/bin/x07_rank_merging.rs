@@ -149,5 +149,4 @@ fn main() {
         "   shape matches §3.2/Example 9: scores alone are incomparable; the exported\n\
          statistics are what make meaningful merging possible."
     );
-    starts_bench::BenchArgs::parse().finish(net.registry());
 }

@@ -133,5 +133,4 @@ fn main() {
         "   matches §4.1.1's warning: the least-common-denominator interface loses\n\
          capability even at sources that could have done more."
     );
-    starts_bench::BenchArgs::parse().finish(net.registry());
 }

@@ -139,5 +139,4 @@ fn main() {
         "   summaries stay useful under heavy truncation: topic-bearing words have\n\
          high df and survive, which is why GlOSS works off such small objects."
     );
-    starts_bench::BenchArgs::parse().finish(starts_obs::Registry::global());
 }

@@ -142,5 +142,4 @@ fn main() {
         "   sample-database results make sources calibratable as black boxes — the\n\
          mechanism §4.2 proposed for engines that cannot export statistics."
     );
-    starts_bench::BenchArgs::parse().finish(net.registry());
 }

@@ -190,5 +190,4 @@ fn main() {
          were right about their half, which is why the operator survived in\n\
          simplified form."
     );
-    args.finish(starts_obs::Registry::global());
 }

@@ -204,5 +204,4 @@ fn main() {
         "   the named tokenizer id predicts the behaviour — the metasearcher learns it\n\
          once per tokenizer, as §4.3.1 prescribes."
     );
-    starts_bench::BenchArgs::parse().finish(starts_obs::Registry::global());
 }

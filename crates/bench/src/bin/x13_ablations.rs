@@ -215,5 +215,4 @@ fn ablation_summary_fields() {
          workloads (title-only queries against title-section statistics); the paper's\n\
          \"if possible\" hedge is the right default."
     );
-    starts_bench::BenchArgs::parse().finish(starts_obs::Registry::global());
 }

@@ -265,7 +265,6 @@ fn main() {
     if let Some(path) = &args.alerts_jsonl {
         println!("alert events appended to {path}");
     }
-    args.finish(net.registry());
 }
 
 /// Per-phase summary.

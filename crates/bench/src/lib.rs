@@ -208,18 +208,14 @@ fn find_flag_value(args: &[String], flag: &str) -> Option<String> {
 
 /// The flags every experiment binary honours, parsed once.
 ///
-/// X1–X13 grew near-identical copies of `--stats-json` handling and
-/// X14–X16 of `--smoke` / `--out`; this struct is the one place that
-/// knows the spelling of all of them.
+/// X14–X16 grew near-identical copies of `--smoke` / `--out`; this
+/// struct is the one place that knows the spelling of all of them.
 #[derive(Debug, Clone, Default)]
 pub struct BenchArgs {
     /// `--smoke`: seconds-scale run for CI (smaller corpus/workload).
     pub smoke: bool,
     /// `--out PATH`: where to write the bench's JSON artifact.
     pub out: Option<String>,
-    /// `--stats-json`: dump the registry's metric snapshot as JSON
-    /// after the regular output.
-    pub stats_json: bool,
     /// `--live`: render a top-style terminal dashboard while the bench
     /// runs (X18).
     pub live: bool,
@@ -242,7 +238,6 @@ impl BenchArgs {
         BenchArgs {
             smoke: args.iter().any(|a| a == "--smoke"),
             out: find_flag_value(args, "--out"),
-            stats_json: args.iter().any(|a| a == "--stats-json"),
             live: args.iter().any(|a| a == "--live"),
             alerts_jsonl: find_flag_value(args, "--alerts-jsonl"),
         }
@@ -251,14 +246,6 @@ impl BenchArgs {
     /// The output path, or `default` when `--out` was not given.
     pub fn out_or(&self, default: &str) -> String {
         self.out.clone().unwrap_or_else(|| default.to_string())
-    }
-
-    /// Honour the dump flag against a registry; call once at the end
-    /// of `main`. `--stats-json` prints the metric snapshot as JSON.
-    pub fn finish(&self, obs: &starts_obs::Registry) {
-        if self.stats_json {
-            println!("{}", starts_obs::export::json(&obs.snapshot()));
-        }
     }
 }
 
@@ -435,7 +422,6 @@ mod tests {
             "--smoke",
             "--out",
             "fresh.json",
-            "--stats-json",
             "--live",
             "--alerts-jsonl=a.jsonl",
         ]
@@ -443,14 +429,14 @@ mod tests {
         .map(|s| s.to_string())
         .collect();
         let args = BenchArgs::from_args(&argv);
-        assert!(args.smoke && args.stats_json && args.live);
+        assert!(args.smoke && args.live);
         assert_eq!(args.out.as_deref(), Some("fresh.json"));
         assert_eq!(args.alerts_jsonl.as_deref(), Some("a.jsonl"));
         assert_eq!(args.out_or("default.json"), "fresh.json");
 
         // A flag no binary honours (any more) is ignored, not an error.
         let none = BenchArgs::from_args(&["x01".to_string(), "--retired-flag".to_string()]);
-        assert!(!none.smoke && !none.stats_json && !none.live);
+        assert!(!none.smoke && !none.live);
         assert_eq!((&none.out, &none.alerts_jsonl), (&None, &None));
         assert_eq!(none.out_or("default.json"), "default.json");
     }

@@ -6,9 +6,13 @@
 //! the wire; a [`SoifObject`] for the `to_soif` adapters the first three
 //! keep), and one decoder body, written against an iterator of borrowed
 //! attributes (a [`SoifReader`]'s straight off the wire, or a
-//! [`SoifObject`]'s via [`object_attrs`]). The sample payload
+//! [`SoifObject`]'s via `object_attrs`). The sample payload
 //! ([`crate::results::decode_sample`]) is read by the `@SQuery` and
 //! result-stream bodies.
+//!
+//! [`decode_one`], [`text`] and [`FirstWins`] are public for the
+//! telemetry templates a host serves, `@SStats` and `@SAlerts`
+//! (`starts_obs::export`), which are read by the same rules.
 
 use starts_soif::{AttrRef, ParseError, ParseMode, SoifObject, SoifReader};
 
@@ -27,7 +31,7 @@ pub(crate) fn object_attrs(o: &SoifObject) -> impl Attrs<'_> {
 
 /// Decode the one `template` object that `bytes` hold, `decode` reading
 /// its attributes in place: what [`starts_soif::parse_one`] accepts.
-pub(crate) fn decode_one<'a, T>(
+pub fn decode_one<'a, T>(
     bytes: &'a [u8],
     mode: ParseMode,
     template: &'static str,
@@ -58,27 +62,28 @@ pub(crate) fn expect_template(found: &str, expected: &'static str) -> Result<(),
 
 /// A value the decoder reads, as text: a value that is not UTF-8 is
 /// refused, not taken for absent.
-pub(crate) fn text<'a>(name: &str, value: &'a [u8]) -> Result<&'a str, ProtoError> {
+pub fn text<'a>(name: &str, value: &'a [u8]) -> Result<&'a str, ProtoError> {
     std::str::from_utf8(value).map_err(|_| ProtoError::invalid(name, "not UTF-8"))
 }
 
 /// The "first value wins" rule of a header-style decoder: of the
 /// attributes it knows, only each one's first occurrence (names compared
 /// case-insensitively) is read; later ones are ignored unread.
-pub(crate) struct FirstWins {
+pub struct FirstWins {
     names: &'static [&'static str],
     seen: u32,
 }
 
 impl FirstWins {
-    pub(crate) fn new(names: &'static [&'static str]) -> Self {
-        debug_assert!(names.len() <= 32);
+    /// A rule over the attribute `names` (at most 32), none seen yet.
+    pub fn new(names: &'static [&'static str]) -> Self {
+        assert!(names.len() <= 32, "FirstWins tracks at most 32 attributes");
         FirstWins { names, seen: 0 }
     }
 
     /// The canonical spelling of `name`, if it is one of the decoder's
     /// attributes and this is its first occurrence.
-    pub(crate) fn claim(&mut self, name: &str) -> Option<&'static str> {
+    pub fn claim(&mut self, name: &str) -> Option<&'static str> {
         let i = self
             .names
             .iter()

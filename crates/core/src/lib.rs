@@ -30,7 +30,7 @@
 //! results (Example 7).
 
 pub mod attrs;
-mod codec;
+pub mod codec;
 pub mod conformance;
 pub mod error;
 pub mod lstring;

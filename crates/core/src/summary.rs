@@ -409,7 +409,10 @@ fn decode_term(line: &str) -> Result<TermSummary, ProtoError> {
         }
     };
     let total_postings = parse_stat(postings)?;
-    let doc_freq = parse_stat(df)?.map(|v| v as u32);
+    let doc_freq = parse_stat(df)?
+        .map(u32::try_from)
+        .transpose()
+        .map_err(|_| ProtoError::invalid("TermDocFreq", format!("statistic {df} is too large")))?;
     if total_postings.is_none() && doc_freq.is_none() {
         return Err(ProtoError::invalid(
             "TermDocFreq",

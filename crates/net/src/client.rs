@@ -51,12 +51,6 @@ impl From<ProtoError> for ClientError {
     }
 }
 
-impl From<starts_soif::ParseError> for ClientError {
-    fn from(e: starts_soif::ParseError) -> Self {
-        ClientError::Proto(ProtoError::Soif(e))
-    }
-}
-
 thread_local! {
     /// Request-encoding scratch, reused across exchanges so a query
     /// burst allocates one buffer per thread, not one per query. Taken
@@ -133,9 +127,10 @@ impl<'a> StartsClient<'a> {
     pub fn fetch_stats(&self, url: &str) -> Result<starts_obs::Snapshot, ClientError> {
         let _span = self.op_span("client.fetch_stats", url);
         let resp = self.net.request(url, b"")?;
-        let obj = starts_soif::parse_one(&resp.bytes, ParseMode::Strict)?;
-        starts_obs::export::snapshot_from_soif(&obj)
-            .map_err(|e| ClientError::Proto(ProtoError::invalid("SStats", e)))
+        Ok(starts_obs::Snapshot::from_soif_bytes(
+            &resp.bytes,
+            ParseMode::Strict,
+        )?)
     }
 
     /// Fetch a host's `<base>/alerts` admin endpoint and decode the
@@ -144,9 +139,10 @@ impl<'a> StartsClient<'a> {
     pub fn fetch_alerts(&self, url: &str) -> Result<starts_obs::AlertsSnapshot, ClientError> {
         let _span = self.op_span("client.fetch_alerts", url);
         let resp = self.net.request(url, b"")?;
-        let obj = starts_soif::parse_one(&resp.bytes, ParseMode::Strict)?;
-        starts_obs::AlertsSnapshot::from_soif(&obj)
-            .map_err(|e| ClientError::Proto(ProtoError::invalid("SAlerts", e)))
+        Ok(starts_obs::AlertsSnapshot::from_soif_bytes(
+            &resp.bytes,
+            ParseMode::Strict,
+        )?)
     }
 
     /// Submit a query to a source's query URL.

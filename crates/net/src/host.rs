@@ -139,11 +139,10 @@ fn wire_static(net: &SimNet, source: &Source, profile: LinkProfile) {
         net.register(format!("{base}/{path}"), profile, Arc::new(handler));
     }
     let obs = Arc::clone(net.registry());
-    let stats =
-        move |_: &[u8]| starts_soif::write_object(&starts_obs::export::to_soif(&obs.snapshot()));
+    let stats = move |_: &[u8]| obs.snapshot().to_soif_bytes();
     net.register(format!("{base}/stats"), profile, Arc::new(stats));
     let monitor = net.monitor();
-    let alerts = move |_: &[u8]| starts_soif::write_object(&monitor.snapshot_alerts().to_soif());
+    let alerts = move |_: &[u8]| monitor.snapshot_alerts().to_soif_bytes();
     net.register(format!("{base}/alerts"), profile, Arc::new(alerts));
 }
 
@@ -217,7 +216,9 @@ mod tests {
         let resp = net.request("starts://s/stats", b"").unwrap();
         let obj = starts_soif::parse_one(&resp.bytes, starts_soif::ParseMode::Strict).unwrap();
         assert_eq!(obj.template, starts_obs::export::SSTATS_TEMPLATE);
-        let snap = starts_obs::export::snapshot_from_soif(&obj).unwrap();
+        let snap =
+            starts_obs::Snapshot::from_soif_bytes(&resp.bytes, starts_soif::ParseMode::Strict)
+                .unwrap();
         assert_eq!(snap.counter("source.queries", &[("source", "S")]), 1);
     }
 
@@ -228,8 +229,12 @@ mod tests {
         wire_source(&net, source, LinkProfile::default());
         let resp = net.request("starts://s/alerts", b"").unwrap();
         let obj = starts_soif::parse_one(&resp.bytes, starts_soif::ParseMode::Strict).unwrap();
-        assert_eq!(obj.template, starts_obs::monitor::SALERTS_TEMPLATE);
-        let snap = starts_obs::AlertsSnapshot::from_soif(&obj).unwrap();
+        assert_eq!(obj.template, starts_obs::export::SALERTS_TEMPLATE);
+        let snap = starts_obs::AlertsSnapshot::from_soif_bytes(
+            &resp.bytes,
+            starts_soif::ParseMode::Strict,
+        )
+        .unwrap();
         // A freshly wired net has nothing firing.
         assert!(snap.firing().is_empty());
     }

@@ -1,267 +1,247 @@
-//! Snapshot exporters: Prometheus text, JSON, and a SOIF `@SStats`
-//! object.
+//! The telemetry wire form: a registry [`Snapshot`] as an `@SStats`
+//! SOIF object, and a monitor's [`AlertsSnapshot`] as an `@SAlerts`
+//! object — what a host serves at `<base>/stats` and `<base>/alerts`.
 //!
-//! The SOIF form keeps stats inside the protocol's own object model
-//! (§2's "attribute-value pairs carried in objects"), so a metasearcher
-//! can serve its own telemetry the same way sources serve
-//! `@SMetaAttributes`. It round-trips: [`to_soif`] → `write_object` →
-//! `starts_soif::parse` → [`snapshot_from_soif`] reproduces the
-//! snapshot exactly.
+//! Both keep telemetry inside the protocol's own object model (§2's
+//! "attribute-value pairs carried in objects"), so a metasearcher can
+//! serve its own state the same way sources serve `@SMetaAttributes`.
+//! Like the protocol's templates, each has one encoder body and one
+//! decoder body that reads the bytes in place, by the rules of
+//! [`starts_proto::codec`], and each round-trips: `from_soif_bytes` of
+//! `to_soif_bytes` reproduces the snapshot exactly (an `@SAlerts`
+//! number that is not finite is written as `0`).
 
-use starts_soif::SoifObject;
+use std::fmt::Write as _;
 
+use starts_proto::codec::{decode_one, text, FirstWins};
+use starts_proto::ProtoError;
+use starts_soif::{AttrSink, ParseMode, SoifReader, SoifWriter, STARTS_VERSION, VERSION_ATTR};
+
+use crate::monitor::{AlertEvent, AlertState, AlertStatus, AlertsSnapshot, SloStatus};
 use crate::registry::{CounterSnapshot, GaugeSnapshot, HistogramSnapshot, MetricId, Snapshot};
 
 /// The SOIF template name for exported stats.
 pub const SSTATS_TEMPLATE: &str = "SStats";
 
-// ---------------------------------------------------------------------
-// Prometheus text format
-// ---------------------------------------------------------------------
+/// The SOIF template name for exported alert state.
+pub const SALERTS_TEMPLATE: &str = "SAlerts";
 
-fn prom_name(name: &str) -> String {
-    name.chars()
-        .map(|c| match c {
-            'a'..='z' | 'A'..='Z' | '0'..='9' | '_' | ':' => c,
-            _ => '_',
-        })
-        .collect()
-}
+/// The `@SStats` attributes, one per metric.
+const METRIC_ATTRS: &[&str] = &["Counter", "Gauge", "Histogram"];
 
-fn prom_labels(labels: &[(String, String)], extra: Option<(&str, &str)>) -> String {
-    let mut pairs: Vec<String> = labels
-        .iter()
-        .map(|(k, v)| {
-            format!(
-                "{}=\"{}\"",
-                prom_name(k),
-                v.replace('\\', "\\\\")
-                    .replace('"', "\\\"")
-                    .replace('\n', "\\n")
-            )
-        })
-        .collect();
-    if let Some((k, v)) = extra {
-        pairs.push(format!(
-            "{}=\"{}\"",
-            prom_name(k),
-            v.replace('\\', "\\\\")
-                .replace('"', "\\\"")
-                .replace('\n', "\\n")
-        ));
+/// The repeated `@SAlerts` attributes, one per entry.
+const ALERT_ATTRS: &[&str] = &["Slo", "Alert", "Event"];
+
+impl Snapshot {
+    /// The wire form of the `@SStats` object: one `Counter`, `Gauge` or
+    /// `Histogram` attribute per metric, in the snapshot's order.
+    pub fn to_soif_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        SoifWriter::new(&mut out).object(SSTATS_TEMPLATE, |w| self.encode(w));
+        out
     }
-    if pairs.is_empty() {
-        String::new()
-    } else {
-        format!("{{{}}}", pairs.join(","))
-    }
-}
 
-/// Render a snapshot in the Prometheus text exposition format.
-/// Histograms are rendered as summaries with `quantile` labels plus
-/// `_sum`/`_count` series.
-pub fn prometheus(snap: &Snapshot) -> String {
-    let mut out = String::new();
-    let mut last_family = String::new();
-    let mut type_line = |out: &mut String, name: &str, kind: &str| {
-        if last_family != name {
-            out.push_str(&format!("# TYPE {name} {kind}\n"));
-            last_family = name.to_string();
+    /// Decode the one `@SStats` object that `bytes` hold.
+    pub fn from_soif_bytes(bytes: &[u8], mode: ParseMode) -> Result<Snapshot, ProtoError> {
+        decode_one(bytes, mode, SSTATS_TEMPLATE, Self::decode)
+    }
+
+    fn encode(&self, sink: &mut impl AttrSink) {
+        sink.attr(VERSION_ATTR, STARTS_VERSION.as_bytes());
+        for c in &self.counters {
+            sink.attr_fmt("Counter", |v| {
+                let _ = write!(v, "{} {}", c.id, c.value);
+            });
         }
-    };
-    for c in &snap.counters {
-        let name = prom_name(&c.id.name);
-        type_line(&mut out, &name, "counter");
-        out.push_str(&format!(
-            "{name}{} {}\n",
-            prom_labels(&c.id.labels, None),
-            c.value
-        ));
-    }
-    for g in &snap.gauges {
-        let name = prom_name(&g.id.name);
-        type_line(&mut out, &name, "gauge");
-        out.push_str(&format!(
-            "{name}{} {}\n",
-            prom_labels(&g.id.labels, None),
-            g.value
-        ));
-    }
-    for h in &snap.histograms {
-        let name = prom_name(&h.id.name);
-        type_line(&mut out, &name, "summary");
-        for (q, v) in [("0.5", h.p50), ("0.95", h.p95), ("0.99", h.p99)] {
-            out.push_str(&format!(
-                "{name}{} {v}\n",
-                prom_labels(&h.id.labels, Some(("quantile", q)))
-            ));
+        for g in &self.gauges {
+            sink.attr_fmt("Gauge", |v| {
+                let _ = write!(v, "{} {}", g.id, g.value);
+            });
         }
-        out.push_str(&format!(
-            "{name}_sum{} {}\n",
-            prom_labels(&h.id.labels, None),
-            h.sum
-        ));
-        out.push_str(&format!(
-            "{name}_count{} {}\n",
-            prom_labels(&h.id.labels, None),
-            h.count
-        ));
-    }
-    out
-}
-
-// ---------------------------------------------------------------------
-// JSON (for the bench binaries' --stats-json flag)
-// ---------------------------------------------------------------------
-
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+        for h in &self.histograms {
+            sink.attr_fmt("Histogram", |v| {
+                let _ = write!(
+                    v,
+                    "{} count={} sum={} min={} max={} p50={} p95={} p99={} buckets=",
+                    h.id, h.count, h.sum, h.min, h.max, h.p50, h.p95, h.p99
+                );
+                for (i, (upper, n)) in h.buckets.iter().enumerate() {
+                    let _ = write!(v, "{}{upper}:{n}", if i > 0 { "," } else { "" });
+                }
+            });
         }
     }
-    out
+
+    /// Every `Counter`, `Gauge` and `Histogram` is read, in order, and
+    /// must be UTF-8; anything else is skipped unread.
+    fn decode(reader: &mut SoifReader<'_>) -> Result<Snapshot, ProtoError> {
+        let mut snap = Snapshot::default();
+        for attr in reader.attrs() {
+            let (name, value) = attr?;
+            let Some(&attr) = METRIC_ATTRS.iter().find(|n| n.eq_ignore_ascii_case(name)) else {
+                continue;
+            };
+            let invalid = |e: String| ProtoError::invalid(attr, e);
+            let (id, rest) = parse_metric_id(text(attr, value)?).map_err(invalid)?;
+            match attr {
+                "Counter" => {
+                    let value = rest.trim().parse::<u64>();
+                    let value = value.map_err(|e| invalid(format!("counter {}: {e}", id.name)))?;
+                    snap.counters.push(CounterSnapshot { id, value });
+                }
+                "Gauge" => {
+                    let value = rest.trim().parse::<f64>();
+                    let value = value.map_err(|e| invalid(format!("gauge {}: {e}", id.name)))?;
+                    snap.gauges.push(GaugeSnapshot { id, value });
+                }
+                _ => snap
+                    .histograms
+                    .push(parse_histogram(id, rest).map_err(invalid)?),
+            }
+        }
+        Ok(snap)
+    }
 }
 
-fn json_labels(labels: &[(String, String)]) -> String {
-    let pairs: Vec<String> = labels
-        .iter()
-        .map(|(k, v)| format!("\"{}\":\"{}\"", json_escape(k), json_escape(v)))
-        .collect();
-    format!("{{{}}}", pairs.join(","))
+impl AlertsSnapshot {
+    /// The wire form of the `@SAlerts` object: `Generated`, then one
+    /// `Slo`, `Alert` or `Event` attribute per entry, in order (like
+    /// `@SStats` repeats `Counter`).
+    pub fn to_soif_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        SoifWriter::new(&mut out).object(SALERTS_TEMPLATE, |w| self.encode(w));
+        out
+    }
+
+    /// Decode the one `@SAlerts` object that `bytes` hold.
+    pub fn from_soif_bytes(bytes: &[u8], mode: ParseMode) -> Result<AlertsSnapshot, ProtoError> {
+        decode_one(bytes, mode, SALERTS_TEMPLATE, Self::decode)
+    }
+
+    fn encode(&self, sink: &mut impl AttrSink) {
+        sink.attr(VERSION_ATTR, STARTS_VERSION.as_bytes());
+        sink.attr_fmt("Generated", |v| {
+            let _ = write!(v, "{}", self.generated_ms);
+        });
+        for s in &self.slos {
+            sink.attr_fmt("Slo", |v| {
+                write_subject(v, "slo", &s.slo, s.source.as_deref());
+                let _ = write!(
+                    v,
+                    " latest={} burn_short={} burn_long={} breaching={}",
+                    s.latest.map_or("-".to_string(), fmt_f64),
+                    fmt_f64(s.burn_short),
+                    fmt_f64(s.burn_long),
+                    u8::from(s.breaching),
+                );
+            });
+        }
+        for a in &self.alerts {
+            sink.attr_fmt("Alert", |v| {
+                write_subject(v, "alert", &a.name, a.source.as_deref());
+                let _ = write!(
+                    v,
+                    " state={} since={} value={} threshold={}",
+                    a.state.name(),
+                    a.since_ms,
+                    fmt_f64(a.value),
+                    fmt_f64(a.threshold),
+                );
+            });
+        }
+        for e in &self.events {
+            sink.attr_fmt("Event", |v| {
+                write_subject(v, "alert", &e.alert, e.source.as_deref());
+                let _ = write!(
+                    v,
+                    " state={} ts={} value={} threshold={}",
+                    e.state.name(),
+                    e.ts_ms,
+                    fmt_f64(e.value),
+                    fmt_f64(e.threshold),
+                );
+            });
+        }
+    }
+
+    /// The first `Generated` is read (absent, it reads 0); every `Slo`,
+    /// `Alert` and `Event` is read, in order. What is read must be
+    /// UTF-8; anything else is skipped unread.
+    fn decode(reader: &mut SoifReader<'_>) -> Result<AlertsSnapshot, ProtoError> {
+        let mut snap = AlertsSnapshot::default();
+        let mut first = FirstWins::new(&["Generated"]);
+        for attr in reader.attrs() {
+            let (name, value) = attr?;
+            let line = ALERT_ATTRS.iter().find(|n| n.eq_ignore_ascii_case(name));
+            let Some(attr) = line.copied().or_else(|| first.claim(name)) else {
+                continue;
+            };
+            let v = text(attr, value)?;
+            let invalid = |e: String| ProtoError::invalid(attr, e);
+            match attr {
+                "Generated" => {
+                    let ms = v.trim().parse();
+                    snap.generated_ms = ms.map_err(|e| invalid(format!("{e}")))?;
+                }
+                "Slo" => snap.slos.push(decode_slo(v).map_err(invalid)?),
+                "Alert" => snap.alerts.push(decode_alert(v, "since").map_err(invalid)?),
+                _ => {
+                    let a = decode_alert(v, "ts").map_err(invalid)?;
+                    snap.events.push(AlertEvent {
+                        ts_ms: a.since_ms,
+                        alert: a.name,
+                        source: a.source,
+                        state: a.state,
+                        value: a.value,
+                        threshold: a.threshold,
+                    });
+                }
+            }
+        }
+        Ok(snap)
+    }
 }
 
-/// Render a snapshot as a JSON document (no external serializer: the
-/// build environment is offline, and the shape is small and fixed).
-pub fn json(snap: &Snapshot) -> String {
-    let counters: Vec<String> = snap
-        .counters
-        .iter()
-        .map(|c| {
-            format!(
-                "{{\"name\":\"{}\",\"labels\":{},\"value\":{}}}",
-                json_escape(&c.id.name),
-                json_labels(&c.id.labels),
-                c.value
-            )
-        })
-        .collect();
-    let gauges: Vec<String> = snap
-        .gauges
-        .iter()
-        .map(|g| {
-            format!(
-                "{{\"name\":\"{}\",\"labels\":{},\"value\":{}}}",
-                json_escape(&g.id.name),
-                json_labels(&g.id.labels),
-                g.value
-            )
-        })
-        .collect();
-    let histograms: Vec<String> = snap
-        .histograms
-        .iter()
-        .map(|h| {
-            format!(
-                "{{\"name\":\"{}\",\"labels\":{},\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}",
-                json_escape(&h.id.name),
-                json_labels(&h.id.labels),
-                h.count,
-                h.sum,
-                h.min,
-                h.max,
-                h.p50,
-                h.p95,
-                h.p99
-            )
-        })
-        .collect();
-    format!(
-        "{{\"counters\":[{}],\"gauges\":[{}],\"histograms\":[{}]}}",
-        counters.join(","),
-        gauges.join(","),
-        histograms.join(",")
-    )
+/// `key=<name>`, then ` source=<source>` when there is one, kv-quoted:
+/// how every `@SAlerts` line begins.
+fn write_subject(v: &mut String, key: &str, name: &str, source: Option<&str>) {
+    let _ = write!(v, "{key}={}", kv_quote(name));
+    if let Some(src) = source {
+        let _ = write!(v, " source={}", kv_quote(src));
+    }
 }
 
-// ---------------------------------------------------------------------
-// SOIF @SStats
-// ---------------------------------------------------------------------
-
-/// Encode a snapshot as an `@SStats` SOIF object: one `Counter`,
-/// `Gauge`, or `Histogram` attribute per metric (SOIF allows repeated
-/// attribute names; the decoder reads them back in order).
-pub fn to_soif(snap: &Snapshot) -> SoifObject {
-    let mut obj = SoifObject::new(SSTATS_TEMPLATE);
-    obj.push_str("Version", "STARTS 1.0");
-    for c in &snap.counters {
-        obj.push_str("Counter", format!("{} {}", c.id, c.value));
-    }
-    for g in &snap.gauges {
-        obj.push_str("Gauge", format!("{} {}", g.id, g.value));
-    }
-    for h in &snap.histograms {
-        let buckets: Vec<String> = h
-            .buckets
-            .iter()
-            .map(|(upper, n)| format!("{upper}:{n}"))
-            .collect();
-        obj.push_str(
-            "Histogram",
-            format!(
-                "{} count={} sum={} min={} max={} p50={} p95={} p99={} buckets={}",
-                h.id,
-                h.count,
-                h.sum,
-                h.min,
-                h.max,
-                h.p50,
-                h.p95,
-                h.p99,
-                buckets.join(",")
-            ),
-        );
-    }
-    obj
+fn decode_slo(line: &str) -> Result<SloStatus, String> {
+    let kv = parse_kv(line)?;
+    Ok(SloStatus {
+        slo: kv_str(&kv, "slo")?,
+        source: kv_opt(&kv, "source"),
+        latest: match kv.iter().find(|(k, _)| k == "latest") {
+            Some((_, v)) if v != "-" => Some(kv_num(&kv, "latest")?),
+            _ => None,
+        },
+        burn_short: kv_num(&kv, "burn_short")?,
+        burn_long: kv_num(&kv, "burn_long")?,
+        breaching: match kv_str(&kv, "breaching")?.as_str() {
+            "1" => true,
+            "0" => false,
+            other => return Err(format!("breaching: {other:?} is not 0 or 1")),
+        },
+    })
 }
 
-/// Decode an `@SStats` object back into a snapshot.
-pub fn snapshot_from_soif(obj: &SoifObject) -> Result<Snapshot, String> {
-    if obj.template != SSTATS_TEMPLATE {
-        return Err(format!(
-            "expected @{SSTATS_TEMPLATE}, got @{}",
-            obj.template
-        ));
-    }
-    let mut snap = Snapshot::default();
-    for value in all_text(obj, "Counter") {
-        let (id, rest) = parse_metric_id(value?)?;
-        let value = rest
-            .trim()
-            .parse::<u64>()
-            .map_err(|e| format!("counter {}: {e}", id.name))?;
-        snap.counters.push(CounterSnapshot { id, value });
-    }
-    for value in all_text(obj, "Gauge") {
-        let (id, rest) = parse_metric_id(value?)?;
-        let value = rest
-            .trim()
-            .parse::<f64>()
-            .map_err(|e| format!("gauge {}: {e}", id.name))?;
-        snap.gauges.push(GaugeSnapshot { id, value });
-    }
-    for value in all_text(obj, "Histogram") {
-        let (id, rest) = parse_metric_id(value?)?;
-        snap.histograms.push(parse_histogram(id, rest)?);
-    }
-    Ok(snap)
+/// An `Alert` line, or an `Event` line: the two differ only in the key
+/// of their timestamp, `at` (`since` and `ts`).
+fn decode_alert(line: &str, at: &str) -> Result<AlertStatus, String> {
+    let kv = parse_kv(line)?;
+    Ok(AlertStatus {
+        name: kv_str(&kv, "alert")?,
+        source: kv_opt(&kv, "source"),
+        state: parse_state(&kv)?,
+        since_ms: kv_num(&kv, at)?,
+        value: kv_num(&kv, "value")?,
+        threshold: kv_num(&kv, "threshold")?,
+    })
 }
 
 fn parse_histogram(id: MetricId, rest: &str) -> Result<HistogramSnapshot, String> {
@@ -375,15 +355,140 @@ fn read_part(line: &str, mut at: usize, stop: &[u8]) -> Result<(String, usize), 
     Ok((part, at))
 }
 
-/// Every value of attribute `name` as text, in order. A value that is
-/// not UTF-8 fails the decode instead of vanishing from it.
-pub(crate) fn all_text<'a>(
-    obj: &'a SoifObject,
-    name: &'a str,
-) -> impl Iterator<Item = Result<&'a str, String>> + 'a {
-    obj.iter()
-        .filter(move |a| a.name.eq_ignore_ascii_case(name))
-        .map(move |a| std::str::from_utf8(&a.value).map_err(|_| format!("{name}: not UTF-8")))
+fn parse_state(kv: &[(String, String)]) -> Result<AlertState, String> {
+    let s = kv_str(kv, "state")?;
+    AlertState::parse(&s).ok_or_else(|| format!("unknown alert state {s:?}"))
+}
+
+/// Quote a kv value: bare when it has no specials, else `"..."` with
+/// backslash escapes.
+fn kv_quote(v: &str) -> String {
+    if !v.is_empty()
+        && v.chars()
+            .all(|c| !c.is_whitespace() && c != '"' && c != '\\' && c != '=')
+    {
+        v.to_string()
+    } else {
+        let mut out = String::with_capacity(v.len() + 2);
+        out.push('"');
+        for c in v.chars() {
+            match c {
+                '"' | '\\' => {
+                    out.push('\\');
+                    out.push(c);
+                }
+                '\n' => out.push_str("\\n"),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+}
+
+/// Parse a `key=value key="quoted value"` line into pairs.
+fn parse_kv(line: &str) -> Result<Vec<(String, String)>, String> {
+    let mut out = Vec::new();
+    let bytes = line.as_bytes();
+    let mut i = 0;
+    while i < bytes.len() {
+        while i < bytes.len() && bytes[i].is_ascii_whitespace() {
+            i += 1;
+        }
+        if i >= bytes.len() {
+            break;
+        }
+        let key_start = i;
+        while i < bytes.len() && bytes[i] != b'=' {
+            i += 1;
+        }
+        if i >= bytes.len() {
+            return Err(format!("token without '=' in {line:?}"));
+        }
+        let key = line[key_start..i].to_string();
+        i += 1; // '='
+        let value = if bytes.get(i) == Some(&b'"') {
+            i += 1;
+            let mut v = Vec::new();
+            loop {
+                match bytes.get(i) {
+                    Some(b'"') => {
+                        i += 1;
+                        break;
+                    }
+                    Some(b'\\') => {
+                        match bytes.get(i + 1) {
+                            Some(b'n') => v.push(b'\n'),
+                            Some(&c) => v.push(c),
+                            None => return Err(format!("dangling escape in {line:?}")),
+                        }
+                        i += 2;
+                    }
+                    Some(&c) => {
+                        v.push(c);
+                        i += 1;
+                    }
+                    None => return Err(format!("unterminated quote in {line:?}")),
+                }
+            }
+            String::from_utf8(v).map_err(|_| format!("non-UTF-8 value in {line:?}"))?
+        } else {
+            let start = i;
+            while i < bytes.len() && !bytes[i].is_ascii_whitespace() {
+                i += 1;
+            }
+            line[start..i].to_string()
+        };
+        out.push((key, value));
+    }
+    Ok(out)
+}
+
+fn kv_str(kv: &[(String, String)], key: &str) -> Result<String, String> {
+    kv.iter()
+        .find(|(k, _)| k == key)
+        .map(|(_, v)| v.clone())
+        .ok_or_else(|| format!("missing key {key:?}"))
+}
+
+fn kv_opt(kv: &[(String, String)], key: &str) -> Option<String> {
+    kv.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone())
+}
+
+/// The value of `key`, parsed as the field it fills: timestamps as
+/// `u64`, so they come back exact past 2^53.
+fn kv_num<T: std::str::FromStr>(kv: &[(String, String)], key: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    kv_str(kv, key)?.parse().map_err(|e| format!("{key}: {e}"))
+}
+
+/// Escape `s` for a JSON string (the alert log and the slow-query log
+/// are JSON lines).
+pub(crate) fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+/// Render a float so it parses back (JSON has no NaN/inf literals).
+pub(crate) fn fmt_f64(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v}")
+    } else {
+        "0".to_string()
+    }
 }
 
 #[cfg(test)]
@@ -405,65 +510,13 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_text_shape() {
-        let text = prometheus(&sample_registry().snapshot());
-        assert!(text.contains("# TYPE net_requests counter"));
-        assert!(text.contains("net_requests{url=\"starts://db/query\"} 3"));
-        assert!(text.contains("# TYPE net_cost gauge"));
-        assert!(text.contains("# TYPE net_latency_ms summary"));
-        assert!(text.contains("quantile=\"0.95\""));
-        assert!(text.contains("net_latency_ms_count{url=\"starts://db/query\"} 3"));
-    }
-
-    #[test]
-    fn json_is_well_formed_enough() {
-        let doc = json(&sample_registry().snapshot());
-        assert!(doc.starts_with('{') && doc.ends_with('}'));
-        assert!(doc.contains("\"name\":\"net.latency_ms\""));
-        assert!(doc.contains("\"count\":3"));
-        // Balanced braces (a cheap structural check without a parser).
-        let open = doc.matches('{').count();
-        let close = doc.matches('}').count();
-        assert_eq!(open, close);
-    }
-
-    #[test]
     fn soif_round_trip_exact() {
         let snap = sample_registry().snapshot();
-        let bytes = starts_soif::write_object(&to_soif(&snap));
-        let obj = starts_soif::parse_one(&bytes, starts_soif::ParseMode::Strict).expect("parses");
+        let bytes = snap.to_soif_bytes();
+        let obj = starts_soif::parse_one(&bytes, ParseMode::Strict).expect("parses");
         assert_eq!(obj.template, SSTATS_TEMPLATE);
-        let back = snapshot_from_soif(&obj).expect("decodes");
+        let back = Snapshot::from_soif_bytes(&bytes, ParseMode::Strict).expect("decodes");
         assert_eq!(back, snap);
-    }
-
-    #[test]
-    fn prometheus_escapes_hostile_label_values() {
-        // Source ids are attacker-ish input as far as the exposition
-        // format is concerned: backslashes, quotes, and newlines in a
-        // label value must come out escaped, never raw.
-        let reg = Registry::new();
-        let hostile = "evil\\source\"with\nnewline";
-        reg.counter_with("src.queries", &[("source", hostile)])
-            .inc();
-        reg.histogram_with("src.latency_ms", &[("source", hostile)])
-            .observe(7);
-        let text = prometheus(&reg.snapshot());
-        assert!(
-            text.contains(r#"source="evil\\source\"with\nnewline""#),
-            "expected escaped label in:\n{text}"
-        );
-        // No line may contain a raw (unescaped) quote-break or newline
-        // inside a label value: every line must end after the sample
-        // value, so the line count is exactly the series count.
-        for line in text.lines() {
-            assert!(
-                line.starts_with('#') || line.ends_with(|c: char| c.is_ascii_digit()),
-                "line broken by unescaped newline: {line:?}"
-            );
-        }
-        // quantile labels on the histogram summary stay well-formed too.
-        assert!(text.contains(r#"quantile="0.95""#));
     }
 
     #[test]
@@ -472,14 +525,12 @@ mod tests {
         reg.counter_with("c", &[("k", r#"quote " and \ slash"#)])
             .inc();
         let snap = reg.snapshot();
-        let obj = to_soif(&snap);
-        let back = snapshot_from_soif(&obj).unwrap();
+        let back = Snapshot::from_soif_bytes(&snap.to_soif_bytes(), ParseMode::Strict).unwrap();
         assert_eq!(back, snap);
     }
 
     #[test]
     fn rejects_wrong_template() {
-        let obj = SoifObject::new("SQuery");
-        assert!(snapshot_from_soif(&obj).is_err());
+        assert!(Snapshot::from_soif_bytes(b"@SQuery{\n}\n", ParseMode::Strict).is_err());
     }
 }

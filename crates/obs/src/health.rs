@@ -17,8 +17,8 @@
 //!
 //! The board exports itself as plain `health.*` gauges into a
 //! [`Registry`] — as a snapshot-time [`Collector`] once registered —
-//! so the existing Prometheus / JSON / `@SStats` exporters — and the
-//! `<base>/stats` admin endpoint — carry health for free.
+//! so a snapshot's `@SStats` form — the `<base>/stats` admin endpoint
+//! — carries health for free.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -200,8 +200,8 @@ impl HealthBoard {
     }
 
     /// Export the board as `health.*` gauges (labeled by source) into a
-    /// registry, so every existing exporter — Prometheus text, JSON,
-    /// `@SStats` — carries the scoreboard. This condenses every
+    /// registry, so a snapshot — and its `@SStats` form — carries the
+    /// scoreboard. This condenses every
     /// source's window: the metasearcher and the serving layer register
     /// the board as a [`Collector`] so it runs per snapshot, never per
     /// query.
@@ -421,9 +421,9 @@ mod tests {
         assert_eq!(snap.gauge("health.age_s", &[("source", "S1")]), 2.5);
         let score = snap.gauge("health.score", &[("source", "S1")]);
         assert!(score > 0.0 && score < 1.0, "score={score}");
-        // And therefore through every exporter, e.g. @SStats.
-        let obj = crate::export::to_soif(&snap);
-        let back = crate::export::snapshot_from_soif(&obj).unwrap();
-        assert_eq!(back, snap);
+        // And therefore through @SStats.
+        let bytes = snap.to_soif_bytes();
+        let back = crate::Snapshot::from_soif_bytes(&bytes, starts_soif::ParseMode::Strict);
+        assert_eq!(back, Ok(snap));
     }
 }

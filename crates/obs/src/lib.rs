@@ -11,10 +11,10 @@
 //!   of recent [`SpanEvent`]s;
 //! * **Metrics** — lock-free [`Counter`]s, [`Gauge`]s, and log-bucketed
 //!   [`Histogram`]s with p50/p95/p99 snapshots;
-//! * **Exporters** — a Prometheus text dump ([`export::prometheus`]),
-//!   a JSON dump ([`export::json`]), and a SOIF-native `@SStats`
-//!   object ([`export::to_soif`]) that round-trips through
-//!   `starts_soif::parse`;
+//! * **Telemetry wire form** — a snapshot as a SOIF-native `@SStats`
+//!   object and the monitor's state as `@SAlerts` ([`export`]), each
+//!   written and read by one body, straight off the wire
+//!   ([`Snapshot::to_soif_bytes`] / [`Snapshot::from_soif_bytes`]);
 //! * **Flight recorder** — [`FlightRecorder`] keeps the last N
 //!   per-query cost profiles (`starts_proto::QueryProfile`, the one
 //!   per-query tree, with its critical path) in a bounded ring, captures

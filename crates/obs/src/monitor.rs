@@ -21,8 +21,8 @@
 //! * an alert state machine (pending → firing → resolved, with a
 //!   for-duration debounce so one bad sample never pages) appends
 //!   structured events to an `alerts.jsonl` log and exports `alerts.*`
-//!   and `slo.*` gauges into the registry, so every existing exporter
-//!   (Prometheus, JSON, `@SStats`) carries alert state for free.
+//!   and `slo.*` gauges into the registry, so the `@SStats` a host
+//!   serves carries alert state for free.
 //!
 //! The [`Monitor`] bundles all three. `starts-net`'s `SimNet` owns one
 //! and serves it at `<base>/alerts` as an `@SAlerts` object, and the
@@ -38,11 +38,8 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::export::{all_text, json_escape};
+use crate::export::{fmt_f64, json_escape};
 use crate::registry::{MetricId, Registry, Snapshot};
-
-/// The SOIF template name for exported alert state.
-pub const SALERTS_TEMPLATE: &str = "SAlerts";
 
 // ---------------------------------------------------------------------
 // Clocks
@@ -595,7 +592,7 @@ impl AlertState {
         }
     }
 
-    fn parse(s: &str) -> Option<Self> {
+    pub(crate) fn parse(s: &str) -> Option<Self> {
         match s {
             "idle" => Some(AlertState::Idle),
             "pending" => Some(AlertState::Pending),
@@ -665,15 +662,6 @@ impl AlertEvent {
             fmt_f64(self.value),
             fmt_f64(self.threshold),
         )
-    }
-}
-
-/// Render a float so it parses back (JSON has no NaN/inf literals).
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_string()
     }
 }
 
@@ -1052,7 +1040,8 @@ impl Monitor {
 // ---------------------------------------------------------------------
 
 /// A decoded `/alerts` payload: current alert states, the latest SLO
-/// evaluation, and recent transition events.
+/// evaluation, and recent transition events. Its wire form, the
+/// `@SAlerts` object, is written and read in [`crate::export`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AlertsSnapshot {
     /// When the snapshot was taken (clock milliseconds).
@@ -1073,229 +1062,12 @@ impl AlertsSnapshot {
             .filter(|a| a.state == AlertState::Firing)
             .collect()
     }
-
-    /// Encode as an `@SAlerts` SOIF object (repeated `Slo` / `Alert` /
-    /// `Event` attributes, like `@SStats` repeats `Counter`).
-    pub fn to_soif(&self) -> starts_soif::SoifObject {
-        let mut obj = starts_soif::SoifObject::new(SALERTS_TEMPLATE);
-        obj.push_str("Version", "STARTS 1.0");
-        obj.push_str("Generated", self.generated_ms.to_string());
-        for s in &self.slos {
-            let mut line = format!("slo={}", kv_quote(&s.slo));
-            if let Some(src) = &s.source {
-                line.push_str(&format!(" source={}", kv_quote(src)));
-            }
-            line.push_str(&format!(
-                " latest={} burn_short={} burn_long={} breaching={}",
-                s.latest.map_or("-".to_string(), fmt_f64),
-                fmt_f64(s.burn_short),
-                fmt_f64(s.burn_long),
-                u8::from(s.breaching),
-            ));
-            obj.push_str("Slo", line);
-        }
-        for a in &self.alerts {
-            let mut line = format!("alert={}", kv_quote(&a.name));
-            if let Some(src) = &a.source {
-                line.push_str(&format!(" source={}", kv_quote(src)));
-            }
-            line.push_str(&format!(
-                " state={} since={} value={} threshold={}",
-                a.state.name(),
-                a.since_ms,
-                fmt_f64(a.value),
-                fmt_f64(a.threshold),
-            ));
-            obj.push_str("Alert", line);
-        }
-        for e in &self.events {
-            let mut line = format!("alert={}", kv_quote(&e.alert));
-            if let Some(src) = &e.source {
-                line.push_str(&format!(" source={}", kv_quote(src)));
-            }
-            line.push_str(&format!(
-                " state={} ts={} value={} threshold={}",
-                e.state.name(),
-                e.ts_ms,
-                fmt_f64(e.value),
-                fmt_f64(e.threshold),
-            ));
-            obj.push_str("Event", line);
-        }
-        obj
-    }
-
-    /// Decode an `@SAlerts` object.
-    pub fn from_soif(obj: &starts_soif::SoifObject) -> Result<AlertsSnapshot, String> {
-        if obj.template != SALERTS_TEMPLATE {
-            return Err(format!(
-                "expected @{SALERTS_TEMPLATE}, got @{}",
-                obj.template
-            ));
-        }
-        let mut snap = AlertsSnapshot {
-            generated_ms: match all_text(obj, "Generated").next().transpose()? {
-                Some(s) => s.trim().parse().map_err(|e| format!("Generated: {e}"))?,
-                None => 0,
-            },
-            ..AlertsSnapshot::default()
-        };
-        for line in all_text(obj, "Slo") {
-            let kv = parse_kv(line?)?;
-            snap.slos.push(SloStatus {
-                slo: kv_str(&kv, "slo")?,
-                source: kv_opt(&kv, "source"),
-                latest: match kv.iter().find(|(k, _)| k == "latest") {
-                    Some((_, v)) if v != "-" => Some(kv_num(&kv, "latest")?),
-                    _ => None,
-                },
-                burn_short: kv_num(&kv, "burn_short")?,
-                burn_long: kv_num(&kv, "burn_long")?,
-                breaching: match kv_str(&kv, "breaching")?.as_str() {
-                    "1" => true,
-                    "0" => false,
-                    other => return Err(format!("breaching: {other:?} is not 0 or 1")),
-                },
-            });
-        }
-        for line in all_text(obj, "Alert") {
-            let kv = parse_kv(line?)?;
-            snap.alerts.push(AlertStatus {
-                name: kv_str(&kv, "alert")?,
-                source: kv_opt(&kv, "source"),
-                state: parse_state(&kv)?,
-                since_ms: kv_num(&kv, "since")?,
-                value: kv_num(&kv, "value")?,
-                threshold: kv_num(&kv, "threshold")?,
-            });
-        }
-        for line in all_text(obj, "Event") {
-            let kv = parse_kv(line?)?;
-            snap.events.push(AlertEvent {
-                alert: kv_str(&kv, "alert")?,
-                source: kv_opt(&kv, "source"),
-                state: parse_state(&kv)?,
-                ts_ms: kv_num(&kv, "ts")?,
-                value: kv_num(&kv, "value")?,
-                threshold: kv_num(&kv, "threshold")?,
-            });
-        }
-        Ok(snap)
-    }
-}
-
-fn parse_state(kv: &[(String, String)]) -> Result<AlertState, String> {
-    let s = kv_str(kv, "state")?;
-    AlertState::parse(&s).ok_or_else(|| format!("unknown alert state {s:?}"))
-}
-
-/// Quote a kv value: bare when it has no specials, else `"..."` with
-/// backslash escapes.
-fn kv_quote(v: &str) -> String {
-    if !v.is_empty()
-        && v.chars()
-            .all(|c| !c.is_whitespace() && c != '"' && c != '\\' && c != '=')
-    {
-        v.to_string()
-    } else {
-        let mut out = String::with_capacity(v.len() + 2);
-        out.push('"');
-        for c in v.chars() {
-            match c {
-                '"' | '\\' => {
-                    out.push('\\');
-                    out.push(c);
-                }
-                '\n' => out.push_str("\\n"),
-                c => out.push(c),
-            }
-        }
-        out.push('"');
-        out
-    }
-}
-
-/// Parse a `key=value key="quoted value"` line into pairs.
-fn parse_kv(line: &str) -> Result<Vec<(String, String)>, String> {
-    let mut out = Vec::new();
-    let bytes = line.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        while i < bytes.len() && bytes[i].is_ascii_whitespace() {
-            i += 1;
-        }
-        if i >= bytes.len() {
-            break;
-        }
-        let key_start = i;
-        while i < bytes.len() && bytes[i] != b'=' {
-            i += 1;
-        }
-        if i >= bytes.len() {
-            return Err(format!("token without '=' in {line:?}"));
-        }
-        let key = line[key_start..i].to_string();
-        i += 1; // '='
-        let value = if bytes.get(i) == Some(&b'"') {
-            i += 1;
-            let mut v = Vec::new();
-            loop {
-                match bytes.get(i) {
-                    Some(b'"') => {
-                        i += 1;
-                        break;
-                    }
-                    Some(b'\\') => {
-                        match bytes.get(i + 1) {
-                            Some(b'n') => v.push(b'\n'),
-                            Some(&c) => v.push(c),
-                            None => return Err(format!("dangling escape in {line:?}")),
-                        }
-                        i += 2;
-                    }
-                    Some(&c) => {
-                        v.push(c);
-                        i += 1;
-                    }
-                    None => return Err(format!("unterminated quote in {line:?}")),
-                }
-            }
-            String::from_utf8(v).map_err(|_| format!("non-UTF-8 value in {line:?}"))?
-        } else {
-            let start = i;
-            while i < bytes.len() && !bytes[i].is_ascii_whitespace() {
-                i += 1;
-            }
-            line[start..i].to_string()
-        };
-        out.push((key, value));
-    }
-    Ok(out)
-}
-
-fn kv_str(kv: &[(String, String)], key: &str) -> Result<String, String> {
-    kv.iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v.clone())
-        .ok_or_else(|| format!("missing key {key:?}"))
-}
-
-fn kv_opt(kv: &[(String, String)], key: &str) -> Option<String> {
-    kv.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone())
-}
-
-/// The value of `key`, parsed as the field it fills: timestamps as
-/// `u64`, so they come back exact past 2^53.
-fn kv_num<T: std::str::FromStr>(kv: &[(String, String)], key: &str) -> Result<T, String>
-where
-    T::Err: std::fmt::Display,
-{
-    kv_str(kv, key)?.parse().map_err(|e| format!("{key}: {e}"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use starts_soif::ParseMode;
 
     fn manual() -> (Arc<ManualClock>, Arc<dyn Clock>) {
         let c = Arc::new(ManualClock::new(1_000_000));
@@ -1481,7 +1253,7 @@ mod tests {
     }
 
     #[test]
-    fn firing_alerts_export_through_every_exporter() {
+    fn firing_alerts_export_through_sstats() {
         let (clock, dynck) = manual();
         let monitor = monitor_with(dynck, vec![error_rate_slo(0)]);
         let reg = Registry::new();
@@ -1508,13 +1280,8 @@ mod tests {
             ),
             1.0
         );
-        // Prometheus text, JSON, and @SStats all carry the gauges.
-        let prom = crate::export::prometheus(&snap);
-        assert!(prom.contains("alerts_firing 1"), "{prom}");
-        let json = crate::export::json(&snap);
-        assert!(json.contains("\"name\":\"alerts.firing\""), "{json}");
-        let obj = crate::export::to_soif(&snap);
-        let back = crate::export::snapshot_from_soif(&obj).unwrap();
+        // @SStats carries the gauges.
+        let back = Snapshot::from_soif_bytes(&snap.to_soif_bytes(), ParseMode::Strict).unwrap();
         assert_eq!(back.gauge("alerts.firing", &[]), 1.0);
     }
 
@@ -1579,18 +1346,17 @@ mod tests {
                 threshold: 1.0,
             }],
         };
-        let bytes = starts_soif::write_object(&snap.to_soif());
-        let obj = starts_soif::parse_one(&bytes, starts_soif::ParseMode::Strict).unwrap();
-        assert_eq!(obj.template, SALERTS_TEMPLATE);
-        let back = AlertsSnapshot::from_soif(&obj).unwrap();
+        let bytes = snap.to_soif_bytes();
+        let obj = starts_soif::parse_one(&bytes, ParseMode::Strict).unwrap();
+        assert_eq!(obj.template, crate::export::SALERTS_TEMPLATE);
+        let back = AlertsSnapshot::from_soif_bytes(&bytes, ParseMode::Strict).unwrap();
         assert_eq!(back, snap);
         assert_eq!(back.firing().len(), 1);
     }
 
     #[test]
     fn salerts_rejects_wrong_template() {
-        let obj = starts_soif::SoifObject::new("SQuery");
-        assert!(AlertsSnapshot::from_soif(&obj).is_err());
+        assert!(AlertsSnapshot::from_soif_bytes(b"@SQuery{\n}\n", ParseMode::Strict).is_err());
     }
 
     #[test]

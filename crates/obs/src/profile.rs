@@ -16,8 +16,8 @@
 //!   skip a torn tail,
 //! * **export**: [`FlightRecorder::export_to`] publishes `recorder.*`
 //!   gauges into a [`Registry`] — at snapshot time, once the recorder
-//!   is registered as a [`Collector`] — so `/stats`, Prometheus, and
-//!   JSON dumps all carry the recorder's state.
+//!   is registered as a [`Collector`] — so a snapshot and `/stats`
+//!   carry the recorder's state.
 
 use std::collections::VecDeque;
 use std::io::Write as _;
@@ -177,8 +177,7 @@ impl FlightRecorder {
     }
 
     /// Publish the recorder's state as `recorder.*` gauges, so every
-    /// exporter (Prometheus, JSON, `@SStats` — and therefore `/stats`)
-    /// carries it.
+    /// snapshot (and therefore `@SStats` at `/stats`) carries it.
     pub fn export_to(&self, reg: &Registry) {
         let totals = self.totals.snapshot_values();
         reg.gauge("recorder.queries")

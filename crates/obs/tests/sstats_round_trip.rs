@@ -1,10 +1,11 @@
-//! The `@SStats` exporter round-trips through the real SOIF
-//! encoder/parser: a populated registry's snapshot, written with
-//! `starts_soif::write_object` and read back with `starts_soif::parse`,
+//! The `@SStats` exporter round-trips through the real SOIF framing: a
+//! populated registry's snapshot, written with `to_soif_bytes` and read
+//! back with `from_soif_bytes` (and framed by `starts_soif::parse`),
 //! reproduces every counter, gauge, and histogram exactly.
 
-use starts_obs::export::{snapshot_from_soif, to_soif, SSTATS_TEMPLATE};
-use starts_obs::Registry;
+use starts_obs::export::SSTATS_TEMPLATE;
+use starts_obs::{Registry, Snapshot};
+use starts_soif::ParseMode;
 
 fn populated_registry() -> Registry {
     let reg = Registry::new();
@@ -33,14 +34,13 @@ fn sstats_round_trips_through_real_soif() {
     let reg = populated_registry();
     let snap = reg.snapshot();
 
-    let obj = to_soif(&snap);
-    assert_eq!(obj.template, SSTATS_TEMPLATE);
-    let bytes = starts_soif::write_object(&obj);
+    let bytes = snap.to_soif_bytes();
 
     // Through the full parser, strict mode.
-    let objects = starts_soif::parse(&bytes, starts_soif::ParseMode::Strict).unwrap();
+    let objects = starts_soif::parse(&bytes, ParseMode::Strict).unwrap();
     assert_eq!(objects.len(), 1);
-    let back = snapshot_from_soif(&objects[0]).unwrap();
+    assert_eq!(objects[0].template, SSTATS_TEMPLATE);
+    let back = Snapshot::from_soif_bytes(&bytes, ParseMode::Strict).unwrap();
     assert_eq!(back, snap);
 }
 
@@ -61,15 +61,19 @@ fn sstats_survives_a_stream_with_other_objects() {
     };
     bytes.extend_from_slice(&starts_soif::write_object(&other));
     bytes.push(b'\n');
-    bytes.extend_from_slice(&starts_soif::write_object(&to_soif(&snap)));
+    bytes.extend_from_slice(&snap.to_soif_bytes());
     bytes.push(b'\n');
 
-    let objects = starts_soif::parse(&bytes, starts_soif::ParseMode::Strict).unwrap();
+    let objects = starts_soif::parse(&bytes, ParseMode::Strict).unwrap();
     let stats = objects
         .iter()
         .find(|o| o.template == SSTATS_TEMPLATE)
         .expect("stats object present");
-    assert_eq!(snapshot_from_soif(stats).unwrap(), snap);
+    let found = starts_soif::write_object(stats);
+    assert_eq!(
+        Snapshot::from_soif_bytes(&found, ParseMode::Strict),
+        Ok(snap)
+    );
 }
 
 #[test]
@@ -80,12 +84,7 @@ fn quantiles_survive_the_round_trip() {
         h.observe(v);
     }
     let snap = reg.snapshot();
-    let obj = to_soif(&snap);
-    let bytes = starts_soif::write_object(&obj);
-    let back = snapshot_from_soif(
-        &starts_soif::parse_one(&bytes, starts_soif::ParseMode::Strict).unwrap(),
-    )
-    .unwrap();
+    let back = Snapshot::from_soif_bytes(&snap.to_soif_bytes(), ParseMode::Strict).unwrap();
     let hist = back.histogram("lat", &[]).unwrap();
     assert_eq!(hist.count, 100);
     assert_eq!(hist.sum, (1..=100u64).sum::<u64>());

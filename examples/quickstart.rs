@@ -237,17 +237,8 @@ fn main() {
 
     // The registry snapshot: phase timings, per-source latencies, costs.
     let snap = net.registry().snapshot();
-    println!("== Metrics snapshot (Prometheus text, excerpt) ==");
-    for line in starts::obs::export::prometheus(&snap).lines().filter(|l| {
-        l.starts_with("meta_")
-            || l.starts_with("recorder_")
-            || l.starts_with("span_duration_us{span=\"meta")
-    }) {
-        println!("{line}");
-    }
-    println!();
-    println!("== The same snapshot as SOIF (@SStats, excerpt) ==");
-    let soif = starts::soif::write_object(&starts::obs::export::to_soif(&snap));
+    println!("== Metrics snapshot as SOIF (@SStats, excerpt) ==");
+    let soif = snap.to_soif_bytes();
     for line in String::from_utf8_lossy(&soif).lines().take(8) {
         println!("{line}");
     }

@@ -25,7 +25,7 @@
 //! | [`index`] | `starts-index` | the fielded positional inverted-index engine with pluggable rankers |
 //! | [`source`] | `starts-source` | STARTS-conformant sources and resources |
 //! | [`net`] | `starts-net` | the sessionless transport simulation |
-//! | [`obs`] | `starts-obs` | spans, metrics, and the Prometheus/SOIF stats exporters |
+//! | [`obs`] | `starts-obs` | spans, metrics, and the SOIF `@SStats` / `@SAlerts` wire form |
 //! | [`meta`] | `starts-meta` | the metasearcher: selection, adaptation, merging, calibration |
 //! | [`serve`] | `starts-serve` | the concurrent serving layer: executor pools, singleflight, result cache, hedged dispatch, deadlines |
 //! | [`corpus`] | `starts-corpus` | synthetic corpora and workloads with known relevance |

@@ -2,14 +2,14 @@
 //! `Metasearcher::search` over the simulated network must produce a
 //! metrics snapshot carrying select/adapt/dispatch/merge phase timings,
 //! per-source latency histograms, and cost counters — and that snapshot
-//! must export as Prometheus text and as a SOIF `@SStats` object that
-//! `starts_soif::parse` reads back losslessly.
+//! must export as a SOIF `@SStats` object that reads back losslessly.
 
 use starts::corpus::{generate_corpus, generate_workload, CorpusConfig, WorkloadConfig};
 use starts::meta::catalog::Catalog;
 use starts::meta::metasearcher::{MetaConfig, Metasearcher};
 use starts::net::{host::wire_source, LinkProfile, SimNet, StartsClient};
-use starts::obs::export;
+use starts::obs::{export, Snapshot};
+use starts::soif::ParseMode;
 use starts::source::{Source, SourceConfig};
 
 const N_SOURCES: usize = 4;
@@ -119,24 +119,12 @@ fn search_snapshot_has_phases_latencies_and_costs_and_exports() {
     assert_eq!(snap.counter("meta.searches", &[]), 1);
     assert!(snap.counter("meta.merge.candidates", &[]) >= resp.merged.len() as u64);
 
-    // 4a. Prometheus text export mentions the key families.
-    let text = export::prometheus(&snap);
-    for needle in [
-        "# TYPE meta_searches counter",
-        "meta_source_latency_ms{",
-        "quantile=\"0.95\"",
-        "span_duration_us",
-        "net_cost{",
-    ] {
-        assert!(text.contains(needle), "prometheus dump missing {needle:?}");
-    }
-
-    // 4b. SOIF export: @SStats through the real parser, losslessly.
-    let bytes = starts::soif::write_object(&export::to_soif(&snap));
-    let objects = starts::soif::parse(&bytes, starts::soif::ParseMode::Strict).unwrap();
+    // 4. SOIF export: @SStats through the real parser, losslessly.
+    let bytes = snap.to_soif_bytes();
+    let objects = starts::soif::parse(&bytes, ParseMode::Strict).unwrap();
     assert_eq!(objects.len(), 1);
     assert_eq!(objects[0].template, export::SSTATS_TEMPLATE);
-    let back = export::snapshot_from_soif(&objects[0]).unwrap();
+    let back = Snapshot::from_soif_bytes(&bytes, ParseMode::Strict).unwrap();
     assert_eq!(back, snap);
 }
 
@@ -288,13 +276,9 @@ fn sharded_source_records_serial_shard_windows_and_metrics() {
         .expect("per-shard latency histogram");
     assert_eq!(h.count, 2, "one observation per shard");
 
-    // Both exporters carry the shard families.
-    let text = export::prometheus(&snap);
-    assert!(text.contains("engine_shard_searches"));
-    assert!(text.contains("engine_shard_latency_us"));
-    let bytes = starts::soif::write_object(&export::to_soif(&snap));
-    let obj = &starts::soif::parse(&bytes, starts::soif::ParseMode::Strict).unwrap()[0];
-    assert_eq!(export::snapshot_from_soif(obj).unwrap(), snap);
+    // @SStats carries the shard families.
+    let back = Snapshot::from_soif_bytes(&snap.to_soif_bytes(), ParseMode::Strict);
+    assert_eq!(back.unwrap(), snap);
 
     // A single-shard source counts its searches too.
     let mut cfg1 = SourceConfig::new("Mono");
@@ -316,7 +300,7 @@ fn sharded_source_records_serial_shard_windows_and_metrics() {
 }
 
 #[test]
-fn prune_metrics_flow_through_stats_and_prometheus() {
+fn prune_metrics_flow_through_stats() {
     use starts::index::Document;
     use starts::proto::{query::parse_ranking, Query};
 
@@ -369,19 +353,9 @@ fn prune_metrics_flow_through_stats_and_prometheus() {
         "pruned fraction should be a proper fraction, got {fraction}"
     );
 
-    // Both exporters carry the prune families: Prometheus text …
-    let text = export::prometheus(&snap);
-    for needle in [
-        "engine_prune_skipped_docs",
-        "engine_prune_threshold_updates",
-        "engine_prune_fraction",
-    ] {
-        assert!(text.contains(needle), "prometheus dump missing {needle:?}");
-    }
-    // … and the SOIF @SStats object, losslessly.
-    let bytes = starts::soif::write_object(&export::to_soif(&snap));
-    let obj = &starts::soif::parse(&bytes, starts::soif::ParseMode::Strict).unwrap()[0];
-    assert_eq!(export::snapshot_from_soif(obj).unwrap(), snap);
+    // The SOIF @SStats object carries the prune families, losslessly.
+    let back = Snapshot::from_soif_bytes(&snap.to_soif_bytes(), ParseMode::Strict);
+    assert_eq!(back.unwrap(), snap);
 
     // Skipping did not change the answer: doc 0's raw score is the
     // hand-computed (3 + 1) / 2.
@@ -833,7 +807,7 @@ fn alert_lifecycle_walks_pending_firing_resolved_end_to_end() {
     assert!(logged.lines().any(|l| l.contains("\"firing\"")));
     assert!(logged.contains(&format!("\"source\":\"{victim}\"")));
 
-    // (c) through all three registry exporters.
+    // (c) through the registry's @SStats.
     let snap = net.registry().snapshot();
     assert!(snap.gauge("alerts.firing", &[]) >= 1.0);
     assert_eq!(
@@ -843,14 +817,15 @@ fn alert_lifecycle_walks_pending_firing_resolved_end_to_end() {
         ),
         1.0
     );
-    let text = export::prometheus(&snap);
-    assert!(text.contains("alerts_firing"));
-    assert!(text.contains("slo_breaching"));
-    let json = export::json(&snap);
-    assert!(json.contains("alerts.firing"));
-    let obj = export::to_soif(&snap);
-    let back = export::snapshot_from_soif(&obj).unwrap();
+    let back = Snapshot::from_soif_bytes(&snap.to_soif_bytes(), ParseMode::Strict).unwrap();
     assert!(back.gauge("alerts.firing", &[]) >= 1.0);
+    assert_eq!(
+        back.gauge(
+            "slo.breaching",
+            &[("slo", "source-error-rate"), ("source", &victim)]
+        ),
+        1.0
+    );
 
     // Phase 3 — re-wire the victim healthy; the probes it kept
     // receiving drain the health window and the alert resolves.
