@@ -77,8 +77,9 @@ fn main() {
             });
         }
         // Reference ranking from the single global engine.
-        let rank_ir = starts_source::translate::translate_ranking(
+        let rank_ir = starts_source::extensions::translate_ranking_ext(
             gq.query.ranking.as_ref().expect("workload queries rank"),
+            global.index().analyzer(),
         );
         let reference: Vec<String> = global
             .eval_ranking(&rank_ir)

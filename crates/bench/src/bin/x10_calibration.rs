@@ -108,7 +108,10 @@ fn main() {
             });
         }
         // The global reference ranking for this query.
-        let rank_ir = starts_source::translate::translate_ranking(query.ranking.as_ref().unwrap());
+        let rank_ir = starts_source::extensions::translate_ranking_ext(
+            query.ranking.as_ref().unwrap(),
+            global.index().analyzer(),
+        );
         let reference: Vec<String> = global
             .eval_ranking(&rank_ir)
             .into_iter()

@@ -67,7 +67,7 @@ fn ablation_fuzzy_ops() {
     let mut rows = Vec::new();
     for q in &queries {
         let expr = parse_ranking(q).unwrap();
-        let ir = starts_source::translate::translate_ranking(&expr);
+        let ir = starts_source::extensions::translate_ranking_ext(&expr, fuzzy.index().analyzer());
         let rf = fuzzy.eval_ranking(&ir);
         let rl = flat.eval_ranking(&ir);
         // How much do the two engines' rankings agree on their top 10?

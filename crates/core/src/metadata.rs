@@ -404,7 +404,8 @@ fn write_langs(out: &mut String, langs: &[LangTag]) {
 /// Write item `i` of a `[set name]` / `{set name}` list: a
 /// parentheses-free language list after the name would be ambiguous, so
 /// languages go inside the delimiters after a `;` when present —
-/// `[basic-1 author; en-US es]`.
+/// `[basic-1 author; en-US es]`. A name that carries its own set
+/// (`gils author`, read by [`item_name`]) is written as it is.
 fn write_item(
     out: &mut String,
     i: usize,
@@ -416,8 +417,10 @@ fn write_item(
         out.push(' ');
     }
     out.push(open);
-    out.push_str(ATTRSET_BASIC1);
-    out.push(' ');
+    if !name.contains(char::is_whitespace) {
+        out.push_str(ATTRSET_BASIC1);
+        out.push(' ');
+    }
     out.push_str(name);
     if !langs.is_empty() {
         out.push_str("; ");
@@ -455,6 +458,23 @@ fn parse_langs(v: &str, attr: &str) -> Result<Vec<LangTag>, ProtoError> {
     v.split_whitespace().map(parse).collect()
 }
 
+/// The attribute an item's `set name` (or bare `name`) names: a
+/// leading `basic-1` (ASCII case ignored) is dropped, so `[basic-1
+/// author]` reads as [`Field::Author`]; any other set is kept with the
+/// name, so `[gils author]` reads as `Field::Other("gils author")`
+/// (§4.1.1 qualifies other sets' attributes by their set).
+fn item_name<'v>(spec: &'v str, attr: &'static str) -> Result<&'v str, ProtoError> {
+    let spec = spec.trim();
+    let name = match spec.split_once(char::is_whitespace) {
+        Some((set, name)) if set.eq_ignore_ascii_case(ATTRSET_BASIC1) => name.trim_start(),
+        _ => spec,
+    };
+    if name.is_empty() {
+        return Err(ProtoError::invalid(attr, "empty item"));
+    }
+    Ok(name)
+}
+
 fn decode_lang_tagged<T>(
     v: &str,
     delimiters: (char, char),
@@ -468,10 +488,7 @@ fn decode_lang_tagged<T>(
                 Some((spec, langs)) => (spec, parse_langs(langs, ATTR)?),
                 None => (body, Vec::new()),
             };
-            // spec = "attrset name" or just "name".
-            let name = spec.split_whitespace().last();
-            let name = name.ok_or_else(|| ProtoError::invalid(ATTR, "empty item"))?;
-            Ok((parse(name), langs))
+            Ok((parse(item_name(spec, ATTR)?), langs))
         })
         .collect()
 }
@@ -493,8 +510,7 @@ fn decode_combos(v: &str) -> Result<Vec<FieldModCombo>, ProtoError> {
                 let (item, after) = rest[1..]
                     .split_once(close)
                     .ok_or_else(|| ProtoError::invalid(ATTR, format!("missing {close:?}")))?;
-                let name = item.split_whitespace().last();
-                let name = name.ok_or_else(|| ProtoError::invalid(ATTR, "empty item"))?;
+                let name = item_name(item, ATTR)?;
                 if open == '[' {
                     field = Some(Field::parse(name));
                 } else {

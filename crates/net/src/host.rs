@@ -19,7 +19,6 @@
 
 use std::sync::Arc;
 
-use parking_lot::RwLock;
 use starts_proto::results::encode_sample;
 use starts_proto::{Query, QueryResults};
 use starts_source::{ResourceHost, Source};
@@ -56,9 +55,8 @@ pub fn wire_source(net: &SimNet, source: Source, profile: LinkProfile) -> String
     {
         let source = Arc::clone(&source);
         let obs = Arc::clone(net.registry());
-        // Per-source instruments, resolved here rather than per query;
-        // replaced when a registry reset orphans them.
-        let instruments = RwLock::new(Arc::new(source.instruments(&obs)));
+        // Per-source instruments, resolved here rather than per query.
+        let instruments = source.instruments(&obs);
         net.register(
             query_url.clone(),
             profile,
@@ -66,13 +64,8 @@ pub fn wire_source(net: &SimNet, source: Source, profile: LinkProfile) -> String
                 let Some(q) = parse_query(request) else {
                     return empty_results(source.id());
                 };
-                let mut current = Arc::clone(&instruments.read());
-                if !current.is_current(&obs) {
-                    current = Arc::new(source.instruments(&obs));
-                    *instruments.write() = Arc::clone(&current);
-                }
                 source
-                    .execute_instrumented(&q, &obs, &current)
+                    .execute_instrumented(&q, &obs, &instruments)
                     .to_soif_stream()
             }),
         );
@@ -220,6 +213,32 @@ mod tests {
             starts_obs::Snapshot::from_soif_bytes(&resp.bytes, starts_soif::ParseMode::Strict)
                 .unwrap();
         assert_eq!(snap.counter("source.queries", &[("source", "S")]), 1);
+    }
+
+    #[test]
+    fn a_source_wired_before_a_registry_reset_counts_after_it() {
+        let net = SimNet::new();
+        let source = Source::build(SourceConfig::new("S"), &docs());
+        let url = wire_source(&net, source, LinkProfile::default());
+        let q = Query {
+            ranking: Some(parse_ranking(r#"list("databases")"#).unwrap()),
+            ..Query::default()
+        };
+        let request = starts_soif::write_object(&q.to_soif());
+        net.request(&url, &request).unwrap();
+        let obs = net.registry();
+        let queries = obs.counter_with("source.queries", &[("source", "S")]);
+        let requests = obs.counter_with("net.requests", &[("url", &url)]);
+        assert_eq!((queries.get(), requests.get()), (1, 1));
+        obs.reset();
+        assert_eq!((queries.get(), requests.get()), (0, 0));
+        net.request(&url, &request).unwrap();
+        // The handles taken before the reset, the host's and the net's,
+        // are the ones a snapshot reads.
+        assert_eq!((queries.get(), requests.get()), (1, 1));
+        let snap = obs.snapshot();
+        assert_eq!(snap.counter("source.queries", &[("source", "S")]), 1);
+        assert_eq!(snap.counter("net.requests", &[("url", &url)]), 1);
     }
 
     #[test]

@@ -163,29 +163,14 @@ pub struct NetStats {
 struct Registered {
     profile: LinkProfile,
     endpoint: Arc<dyn Endpoint>,
-    /// Replaced when a registry reset orphans them.
-    instruments: RwLock<Arc<LinkInstruments>>,
-}
-
-impl Registered {
-    /// The link's instruments, resolved again if `obs` was reset since.
-    fn instruments(&self, obs: &Registry, url: &str) -> Arc<LinkInstruments> {
-        let current = Arc::clone(&self.instruments.read());
-        if current.epoch == obs.epoch() {
-            return current;
-        }
-        let fresh = Arc::new(LinkInstruments::resolve(obs, url));
-        *self.instruments.write() = Arc::clone(&fresh);
-        fresh
-    }
+    instruments: Arc<LinkInstruments>,
 }
 
 /// One link's `net.*` instruments, resolved when its endpoint is
 /// registered, so an exchange updates atomics instead of building a
-/// metric id — a name `String` plus a label `Vec` — for each.
+/// metric id — a name `String` plus a label `Vec` — for each. They are
+/// the per-URL book: requests, bytes, latency and cost.
 struct LinkInstruments {
-    /// [`Registry::epoch`] at resolution.
-    epoch: u64,
     requests: Counter,
     bytes_sent: Counter,
     bytes_received: Counter,
@@ -199,7 +184,6 @@ impl LinkInstruments {
     fn resolve(obs: &Registry, url: &str) -> Self {
         let labels = [("url", url)];
         LinkInstruments {
-            epoch: obs.epoch(),
             requests: obs.counter_with("net.requests", &labels),
             bytes_sent: obs.counter_with("net.bytes_sent", &labels),
             bytes_received: obs.counter_with("net.bytes_received", &labels),
@@ -215,7 +199,6 @@ impl LinkInstruments {
 pub struct SimNet {
     endpoints: RwLock<HashMap<String, Registered>>,
     stats: RwLock<NetStats>,
-    per_url: RwLock<HashMap<String, NetStats>>,
     obs: Arc<Registry>,
     monitor: RwLock<Arc<Monitor>>,
     /// Real-time pacing: microseconds of wall-clock sleep per simulated
@@ -267,7 +250,7 @@ impl SimNet {
         endpoint: Arc<dyn Endpoint>,
     ) {
         let url = url.into();
-        let instruments = RwLock::new(Arc::new(LinkInstruments::resolve(&self.obs, &url)));
+        let instruments = Arc::new(LinkInstruments::resolve(&self.obs, &url));
         let link = Registered {
             profile,
             endpoint,
@@ -321,7 +304,7 @@ impl SimNet {
                 self.obs.counter_with("net.errors", &[("url", url)]).inc();
                 return Err(NetError::UnknownUrl(url.to_string()));
             };
-            let instruments = reg.instruments(&self.obs, url);
+            let instruments = Arc::clone(&reg.instruments);
             (Arc::clone(&reg.endpoint), reg.profile, instruments)
         };
         if self.pace_out(profile.latency_ms, cancel).is_err() {
@@ -336,20 +319,13 @@ impl SimNet {
             cost: profile.cost_per_query,
             bytes,
         };
-        let record = |s: &mut NetStats| {
+        {
+            let mut s = self.stats.write();
             s.requests += 1;
             s.total_latency_ms += u64::from(response.latency_ms);
             s.total_cost += response.cost;
             s.bytes_sent += body.len() as u64;
             s.bytes_received += response.bytes.len() as u64;
-        };
-        record(&mut self.stats.write());
-        {
-            let mut per_url = self.per_url.write();
-            match per_url.get_mut(url) {
-                Some(stats) => record(stats),
-                None => record(per_url.entry(url.to_string()).or_default()),
-            }
         }
         instruments.requests.inc();
         instruments.bytes_sent.add(body.len() as u64);
@@ -378,20 +354,10 @@ impl SimNet {
         }
     }
 
-    /// Global statistics snapshot.
+    /// Global statistics snapshot. Per-URL figures are the registry's
+    /// `net.*{url}` series.
     pub fn stats(&self) -> NetStats {
         self.stats.read().clone()
-    }
-
-    /// Statistics for one URL.
-    pub fn url_stats(&self, url: &str) -> NetStats {
-        self.per_url.read().get(url).cloned().unwrap_or_default()
-    }
-
-    /// Reset all accounting (between experiment runs).
-    pub fn reset_stats(&self) {
-        *self.stats.write() = NetStats::default();
-        self.per_url.write().clear();
     }
 }
 
@@ -448,19 +414,10 @@ mod tests {
         assert_eq!(s.total_latency_ms, 10 + 300 + 300);
         assert!((s.total_cost - 5.0).abs() < 1e-9);
         assert_eq!(s.bytes_sent, 6);
-        let d = net.url_stats("starts://dialog/query");
-        assert_eq!(d.requests, 2);
-        assert!((d.total_cost - 5.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn reset_clears_accounting() {
-        let net = SimNet::new();
-        net.register("u", LinkProfile::default(), echo());
-        net.request("u", b"x").unwrap();
-        net.reset_stats();
-        assert_eq!(net.stats(), NetStats::default());
-        assert_eq!(net.url_stats("u"), NetStats::default());
+        let snap = net.registry().snapshot();
+        let dialog = [("url", "starts://dialog/query")];
+        assert_eq!(snap.counter("net.requests", &dialog), 2);
+        assert!((snap.gauge("net.cost", &dialog) - 5.0).abs() < 1e-9);
     }
 
     #[test]
@@ -504,7 +461,7 @@ mod tests {
     }
 
     #[test]
-    fn a_registry_reset_re_resolves_the_link_instruments() {
+    fn a_registry_reset_zeroes_the_link_instruments_in_place() {
         let net = SimNet::new();
         net.register("u", LinkProfile::default(), echo());
         net.request("u", b"x").unwrap();
@@ -513,8 +470,6 @@ mod tests {
         let snap = net.registry().snapshot();
         assert_eq!(snap.counter("net.requests", &[("url", "u")]), 1);
         assert_eq!(snap.counter("net.bytes_sent", &[("url", "u")]), 2);
-        // The per-URL accounting is the net's own and was not reset.
-        assert_eq!(net.url_stats("u").requests, 2);
     }
 
     #[test]

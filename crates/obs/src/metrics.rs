@@ -4,7 +4,9 @@
 //! Every instrument is a thin handle around an `Arc`'d atomic cell, so
 //! handles can be cached by hot-path callers and updated without taking
 //! any lock. The registry lock is only touched when a handle is first
-//! created.
+//! created. A handle stays live for as long as its registry:
+//! [`crate::Registry::reset`] zeroes the cells in place rather than
+//! dropping them.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -29,6 +31,10 @@ impl Counter {
     /// Current value.
     pub fn get(&self) -> u64 {
         self.cell.load(Ordering::Relaxed)
+    }
+
+    pub(crate) fn zero(&self) {
+        self.cell.store(0, Ordering::Relaxed);
     }
 }
 
@@ -75,6 +81,10 @@ impl Gauge {
     /// Current value.
     pub fn get(&self) -> f64 {
         f64::from_bits(self.bits.load(Ordering::Relaxed))
+    }
+
+    pub(crate) fn zero(&self) {
+        self.set(0.0);
     }
 }
 
@@ -155,6 +165,18 @@ impl Histogram {
     /// Number of observations.
     pub fn count(&self) -> u64 {
         self.core.count.load(Ordering::Relaxed)
+    }
+
+    /// Back to empty, as [`Histogram::default`] makes it.
+    pub(crate) fn zero(&self) {
+        let c = &self.core;
+        for cell in c.buckets.iter().chain(&c.bucket_max) {
+            cell.store(0, Ordering::Relaxed);
+        }
+        c.count.store(0, Ordering::Relaxed);
+        c.sum.store(0, Ordering::Relaxed);
+        c.min.store(u64::MAX, Ordering::Relaxed);
+        c.max.store(0, Ordering::Relaxed);
     }
 
     /// [`HistogramValues::percentile`] read straight off the atomics,

@@ -10,7 +10,6 @@ use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::fmt::{self, Write};
 use std::hash::{BuildHasher, Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 
 use parking_lot::{Mutex, RwLock};
@@ -203,9 +202,6 @@ pub struct Registry {
     pub(crate) spans: SpanLog,
     /// Held weakly: a collector lives exactly as long as its owner.
     collectors: Mutex<Vec<Weak<dyn Collector>>>,
-    /// Bumped by [`Registry::reset`], so holders of long-lived handles
-    /// can tell their instruments were dropped from the tables.
-    epoch: AtomicU64,
 }
 
 /// How many labels a lookup sorts on the stack; a longer list is
@@ -282,8 +278,11 @@ impl<M: Clone + Default> Table<M> {
         all
     }
 
-    fn clear(&self) {
-        self.buckets.write().clear();
+    /// Zero every instrument in place, so every handle stays live.
+    fn zero(&self, zero: fn(&M)) {
+        for (_, m) in self.buckets.read().values().flatten() {
+            zero(m);
+        }
     }
 }
 
@@ -374,13 +373,6 @@ impl Registry {
         }
     }
 
-    /// How many times [`Registry::reset`] has run. A caller that keeps
-    /// instrument handles across queries compares this to the value it
-    /// resolved them under and re-resolves on a mismatch.
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
-    }
-
     /// Copy every instrument out, after giving every live
     /// [`Collector`] the chance to refresh its gauges. Collectors run
     /// with no registry lock held, so they may create instruments.
@@ -415,22 +407,24 @@ impl Registry {
         }
     }
 
-    /// Drop every instrument and span record (between experiment runs).
-    /// Collectors stay registered: they describe live components, and
-    /// repopulate their gauges at the next snapshot.
+    /// Zero every counter, gauge and histogram in place and drop the
+    /// recorded spans (between experiment runs). Every handle handed
+    /// out before the reset stays live and counts on, so a snapshot
+    /// lists every series that already existed, at zero. Collectors
+    /// stay registered: they describe live components, and repopulate
+    /// their gauges at the next snapshot.
     pub fn reset(&self) {
-        self.counters.clear();
-        self.gauges.clear();
-        self.histograms.clear();
+        self.counters.zero(Counter::zero);
+        self.gauges.zero(Gauge::zero);
+        self.histograms.zero(Histogram::zero);
         self.spans.clear();
-        // Release: a reader that sees the new epoch also sees the
-        // emptied tables, so what it re-resolves lands in them.
-        self.epoch.fetch_add(1, Ordering::Release);
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicU64, Ordering};
+
     use super::*;
 
     #[test]
@@ -515,19 +509,28 @@ mod tests {
     }
 
     #[test]
-    fn reset_keeps_collectors_and_advances_the_epoch() {
+    fn a_handle_taken_before_a_reset_counts_after_it_and_collectors_survive() {
         let reg = Registry::new();
         let collector = Arc::new(CountingCollector::default());
         reg.register_collector(&collector);
-        let before = reg.epoch();
-        let stale = reg.counter("c");
+        let held = reg.counter("c");
+        let gauge = reg.gauge("g");
+        let histogram = reg.histogram("h");
+        held.add(5);
+        gauge.set(2.5);
+        histogram.observe(9);
         reg.reset();
-        assert_ne!(reg.epoch(), before);
-        // A handle from before the reset is orphaned — which is what
-        // the epoch tells its holder.
-        stale.inc();
+        held.inc();
+        gauge.add(1.0);
+        histogram.observe(3);
         let snap = reg.snapshot();
-        assert_eq!(snap.counter("c", &[]), 0);
+        assert_eq!(snap.counter("c", &[]), 1);
+        assert_eq!(snap.gauge("g", &[]), 1.0);
+        let h = snap.histogram("h", &[]).unwrap();
+        assert_eq!((h.count, h.sum, h.min, h.max), (1, 3, 3, 3));
+        // The handle and a fresh lookup are one instrument.
+        reg.counter("c").inc();
+        assert_eq!(held.get(), 2);
         // The collector survived and repopulated its gauge.
         assert_eq!(snap.gauge("collector.run", &[("n", "1")]), 1.0);
     }
@@ -543,6 +546,15 @@ mod tests {
         assert_eq!(snap.counters[1].id.name, "z");
         assert_eq!(snap.histogram("h", &[]).unwrap().count, 1);
         reg.reset();
-        assert_eq!(reg.snapshot(), Snapshot::default());
+        // Every series is still listed, in order, at zero.
+        let snap = reg.snapshot();
+        let names: Vec<&str> = snap.counters.iter().map(|c| c.id.name.as_str()).collect();
+        assert_eq!(names, ["a", "z"]);
+        assert!(snap.counters.iter().all(|c| c.value == 0));
+        let empty = HistogramSnapshot::from_values(
+            MetricId::new("h", &[]),
+            &Histogram::default().snapshot_values(),
+        );
+        assert_eq!(snap.histograms, [empty]);
     }
 }

@@ -121,9 +121,10 @@ struct PathNode {
     path: Arc<str>,
     /// Byte offset where the leaf name starts (0 for roots).
     leaf: usize,
-    /// The path's `span.duration_us` histogram, with the
-    /// [`Registry::epoch`] it was resolved under.
-    duration: RwLock<Option<(u64, Histogram)>>,
+    /// The path's `span.duration_us` histogram, resolved by the first
+    /// span recorded on it: a node that only parents spans (a wire
+    /// path) has no series.
+    duration: OnceLock<Histogram>,
 }
 
 impl PathNode {
@@ -135,19 +136,10 @@ impl PathNode {
         &self.path[..self.leaf.saturating_sub(1)]
     }
 
-    /// Observe into the cached histogram, resolving it again after a
-    /// [`Registry::reset`] dropped it from the registry's tables.
     fn observe(&self, reg: &Registry, duration_us: u64) {
-        let epoch = reg.epoch();
-        if let Some((at, histogram)) = &*self.duration.read() {
-            if *at == epoch {
-                histogram.observe(duration_us);
-                return;
-            }
-        }
-        let histogram = reg.histogram_with("span.duration_us", &[("span", &self.path)]);
-        histogram.observe(duration_us);
-        *self.duration.write() = Some((epoch, histogram));
+        self.duration
+            .get_or_init(|| reg.histogram_with("span.duration_us", &[("span", &self.path)]))
+            .observe(duration_us);
     }
 }
 
@@ -178,7 +170,7 @@ impl Paths {
             index,
             path,
             leaf,
-            duration: RwLock::new(None),
+            duration: OnceLock::new(),
         }));
         self.children.push(HashMap::new());
         index
@@ -298,14 +290,10 @@ impl SpanLog {
             .collect()
     }
 
-    /// Drop the recorded spans, and let go of the histograms a reset
-    /// orphaned. The interned paths stay: open spans still point at
-    /// them.
+    /// Drop the recorded spans. The interned paths and their
+    /// histograms stay: open spans still point at them.
     pub(crate) fn clear(&self) {
         self.ring.lock().clear();
-        for node in &self.paths.inner.read().nodes {
-            *node.duration.write() = None;
-        }
     }
 }
 

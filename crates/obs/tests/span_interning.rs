@@ -274,7 +274,9 @@ fn check(regs: &[Registry; REGISTRIES], model: &Model) {
             .snapshot()
             .histograms
             .iter()
-            .filter(|h| h.id.name == "span.duration_us")
+            // A reset zeroes a path's series in place: one with no
+            // span since is listed, empty.
+            .filter(|h| h.id.name == "span.duration_us" && h.count > 0)
             .map(|h| (h.id.labels[0].1.clone(), h.count))
             .collect();
         assert_eq!(counts, model.counts(reg), "registry {reg}");

@@ -16,7 +16,7 @@ use crate::source::Source;
 use crate::translate::translate_term;
 
 /// Execute `query` at `source`.
-pub fn execute(source: &Source, query: &Query) -> QueryResults {
+pub(crate) fn execute(source: &Source, query: &Query) -> QueryResults {
     run(source, query, None)
 }
 
@@ -25,8 +25,6 @@ pub fn execute(source: &Source, query: &Query) -> QueryResults {
 /// them instead of building a metric id — a name `String` plus a label
 /// `Vec` — and taking a table lookup for each.
 pub struct SourceInstruments {
-    /// [`Registry::epoch`] at resolution.
-    epoch: u64,
     queries: Counter,
     topk_bounded: Counter,
     topk_full: Counter,
@@ -45,7 +43,6 @@ impl SourceInstruments {
         let labels = [("source", source.id())];
         let shards = source.engine().shard_count().to_string();
         SourceInstruments {
-            epoch: reg.epoch(),
             queries: reg.counter_with("source.queries", &labels),
             topk_bounded: reg.counter("engine.topk.bounded"),
             topk_full: reg.counter("engine.topk.full"),
@@ -66,13 +63,6 @@ impl SourceInstruments {
             results: reg.histogram_with("source.results", &labels),
         }
     }
-
-    /// Whether the handles still point into `reg`'s tables: a
-    /// [`Registry::reset`] since resolution orphans them, and a holder
-    /// must resolve again or its updates go unseen.
-    pub fn is_current(&self, reg: &Registry) -> bool {
-        self.epoch == reg.epoch()
-    }
 }
 
 /// Execute `query` at `source`, recording phase timings (`rewrite` →
@@ -87,7 +77,11 @@ impl SourceInstruments {
 /// prune counters included) under the context's query id. Untraced
 /// queries get no attribute, so their encodings stay byte-identical to
 /// the paper's examples.
-pub fn execute_traced(source: &Source, query: &Query, obs: Option<&Registry>) -> QueryResults {
+pub(crate) fn execute_traced(
+    source: &Source,
+    query: &Query,
+    obs: Option<&Registry>,
+) -> QueryResults {
     match obs {
         Some(reg) => execute_instrumented(source, query, reg, &source.instruments(reg)),
         None => run(source, query, None),
@@ -96,7 +90,7 @@ pub fn execute_traced(source: &Source, query: &Query, obs: Option<&Registry>) ->
 
 /// [`execute_traced`] through instruments the caller resolved once —
 /// what a host serving many queries from one source does.
-pub fn execute_instrumented(
+pub(crate) fn execute_instrumented(
     source: &Source,
     query: &Query,
     reg: &Registry,

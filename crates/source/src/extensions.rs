@@ -20,7 +20,7 @@ use starts_proto::query::{FilterExpr, QTerm, RankExpr};
 use starts_proto::Field;
 use starts_text::Analyzer;
 
-use crate::translate::{translate_filter, translate_ranking};
+use crate::translate::{translate_term, translate_weighted};
 
 /// Maximum number of feedback terms extracted from a passed document.
 pub const MAX_FEEDBACK_TERMS: usize = 8;
@@ -64,7 +64,7 @@ pub fn translate_filter_ext(e: &FilterExpr, analyzer: &Analyzer) -> BoolNode {
             Ok(native) => translate_filter_ext(&native, analyzer),
             Err(_) => impossible(),
         },
-        FilterExpr::Term(_) => translate_filter(e),
+        FilterExpr::Term(t) => BoolNode::Term(translate_term(t)),
         FilterExpr::And(a, b) => BoolNode::and(
             translate_filter_ext(a, analyzer),
             translate_filter_ext(b, analyzer),
@@ -77,7 +77,12 @@ pub fn translate_filter_ext(e: &FilterExpr, analyzer: &Analyzer) -> BoolNode {
             translate_filter_ext(a, analyzer),
             translate_filter_ext(b, analyzer),
         ),
-        FilterExpr::Prox(..) => translate_filter(e),
+        FilterExpr::Prox(l, spec, r) => BoolNode::Prox {
+            left: translate_term(l),
+            right: translate_term(r),
+            distance: spec.distance,
+            ordered: spec.ordered,
+        },
     }
 }
 
@@ -108,7 +113,7 @@ pub fn translate_ranking_ext(e: &RankExpr, analyzer: &Analyzer) -> RankNode {
                 Err(_) => RankNode::List(Vec::new()),
             }
         }
-        RankExpr::Term(_) => translate_ranking(e),
+        RankExpr::Term(wt) => translate_weighted(wt),
         RankExpr::List(items) => RankNode::List(
             items
                 .iter()
@@ -127,7 +132,12 @@ pub fn translate_ranking_ext(e: &RankExpr, analyzer: &Analyzer) -> RankNode {
             Box::new(translate_ranking_ext(a, analyzer)),
             Box::new(translate_ranking_ext(b, analyzer)),
         ),
-        RankExpr::Prox(..) => translate_ranking(e),
+        RankExpr::Prox(l, spec, r) => RankNode::Prox {
+            left: Box::new(translate_weighted(l)),
+            right: Box::new(translate_weighted(r)),
+            distance: spec.distance,
+            ordered: spec.ordered,
+        },
     }
 }
 
@@ -214,6 +224,42 @@ mod tests {
         assert_eq!(a, b);
         // Alphabetical among equal-frequency terms.
         assert_eq!(a, vec!["alpha", "beta", "gamma", "zeta"]);
+    }
+
+    #[test]
+    fn filter_tree_shape_preserved() {
+        use starts_proto::query::parse_filter;
+        let analyzer = Analyzer::new(AnalyzerConfig::default());
+        let f = parse_filter(r#"((("a") or ("b")) and-not ("c" prox[2,F] "d"))"#).unwrap();
+        let b = translate_filter_ext(&f, &analyzer);
+        let BoolNode::AndNot(l, r) = b else { panic!() };
+        assert!(matches!(*l, BoolNode::Or(_, _)));
+        let BoolNode::Prox {
+            distance, ordered, ..
+        } = *r
+        else {
+            panic!()
+        };
+        assert_eq!(distance, 2);
+        assert!(!ordered);
+    }
+
+    #[test]
+    fn ranking_weights_pass_through() {
+        use starts_proto::query::parse_ranking;
+        let analyzer = Analyzer::new(AnalyzerConfig::default());
+        let r = parse_ranking(r#"list(("x" 0.7) "y")"#).unwrap();
+        let RankNode::List(items) = translate_ranking_ext(&r, &analyzer) else {
+            panic!()
+        };
+        let RankNode::Term { weight, .. } = &items[0] else {
+            panic!()
+        };
+        assert_eq!(*weight, 0.7);
+        let RankNode::Term { weight, .. } = &items[1] else {
+            panic!()
+        };
+        assert_eq!(*weight, 1.0);
     }
 
     #[test]

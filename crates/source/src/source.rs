@@ -120,8 +120,8 @@ impl Source {
 
     /// [`Source::execute_traced`] through instruments resolved ahead of
     /// time, so the query path builds no metric ids. A host serving one
-    /// source resolves them at wiring time and again whenever
-    /// [`SourceInstruments::is_current`] turns false.
+    /// source resolves them once, at wiring time: a registry reset
+    /// zeroes them in place.
     pub fn execute_instrumented(
         &self,
         query: &Query,

@@ -3,11 +3,14 @@
 //!
 //! This is the boundary between "what STARTS says" and "what a concrete
 //! engine executes": protocol fields become engine field names, protocol
-//! modifiers become match specifications, weights pass through.
+//! modifiers become match specifications, weights pass through. The
+//! walkers over whole filter and ranking expressions, which also honour
+//! the extension fields, are [`crate::extensions::translate_filter_ext`]
+//! and [`crate::extensions::translate_ranking_ext`].
 
-use starts_index::{BoolNode, CmpOp as EngineCmp, RankNode, TermMatch, TermSpec};
+use starts_index::{CmpOp as EngineCmp, RankNode, TermMatch, TermSpec};
 use starts_proto::attrs::CmpOp;
-use starts_proto::query::{FilterExpr, QTerm, RankExpr, WeightedTerm};
+use starts_proto::query::{QTerm, WeightedTerm};
 use starts_proto::{Field, Modifier};
 
 /// Translate a protocol term to an engine term spec.
@@ -52,53 +55,18 @@ fn translate_cmp(op: CmpOp) -> EngineCmp {
     }
 }
 
-/// Translate a filter expression to the engine's Boolean IR.
-pub fn translate_filter(e: &FilterExpr) -> BoolNode {
-    match e {
-        FilterExpr::Term(t) => BoolNode::Term(translate_term(t)),
-        FilterExpr::And(a, b) => BoolNode::and(translate_filter(a), translate_filter(b)),
-        FilterExpr::Or(a, b) => BoolNode::or(translate_filter(a), translate_filter(b)),
-        FilterExpr::AndNot(a, b) => BoolNode::and_not(translate_filter(a), translate_filter(b)),
-        FilterExpr::Prox(l, spec, r) => BoolNode::Prox {
-            left: translate_term(l),
-            right: translate_term(r),
-            distance: spec.distance,
-            ordered: spec.ordered,
-        },
-    }
-}
-
-fn translate_weighted(t: &WeightedTerm) -> RankNode {
+/// Translate a weighted ranking term to a ranking leaf.
+pub(crate) fn translate_weighted(t: &WeightedTerm) -> RankNode {
     RankNode::Term {
         spec: translate_term(&t.term),
         weight: t.effective_weight(),
     }
 }
 
-/// Translate a ranking expression to the engine's ranking IR.
-pub fn translate_ranking(e: &RankExpr) -> RankNode {
-    match e {
-        RankExpr::Term(t) => translate_weighted(t),
-        RankExpr::List(items) => RankNode::List(items.iter().map(translate_ranking).collect()),
-        RankExpr::And(a, b) => RankNode::And(vec![translate_ranking(a), translate_ranking(b)]),
-        RankExpr::Or(a, b) => RankNode::Or(vec![translate_ranking(a), translate_ranking(b)]),
-        RankExpr::AndNot(a, b) => RankNode::AndNot(
-            Box::new(translate_ranking(a)),
-            Box::new(translate_ranking(b)),
-        ),
-        RankExpr::Prox(l, spec, r) => RankNode::Prox {
-            left: Box::new(translate_weighted(l)),
-            right: Box::new(translate_weighted(r)),
-            distance: spec.distance,
-            ordered: spec.ordered,
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use starts_proto::query::{parse_filter, parse_ranking};
+    use starts_proto::query::{parse_filter, FilterExpr};
 
     #[test]
     fn term_translation() {
@@ -125,38 +93,6 @@ mod tests {
         let spec = translate_term(t);
         assert_eq!(spec.cmp, Some(EngineCmp::Ge));
         assert!(spec.matches.is_empty());
-    }
-
-    #[test]
-    fn filter_tree_shape_preserved() {
-        let f = parse_filter(r#"((("a") or ("b")) and-not ("c" prox[2,F] "d"))"#).unwrap();
-        let b = translate_filter(&f);
-        let BoolNode::AndNot(l, r) = b else { panic!() };
-        assert!(matches!(*l, BoolNode::Or(_, _)));
-        let BoolNode::Prox {
-            distance, ordered, ..
-        } = *r
-        else {
-            panic!()
-        };
-        assert_eq!(distance, 2);
-        assert!(!ordered);
-    }
-
-    #[test]
-    fn ranking_weights_pass_through() {
-        let r = parse_ranking(r#"list(("x" 0.7) "y")"#).unwrap();
-        let RankNode::List(items) = translate_ranking(&r) else {
-            panic!()
-        };
-        let RankNode::Term { weight, .. } = &items[0] else {
-            panic!()
-        };
-        assert_eq!(*weight, 0.7);
-        let RankNode::Term { weight, .. } = &items[1] else {
-            panic!()
-        };
-        assert_eq!(*weight, 1.0);
     }
 
     #[test]
